@@ -7,9 +7,9 @@ GO ?= go
 # masked by the tee pipeline.
 SHELL := /bin/bash
 
-.PHONY: ci vet lint build test race quick smoke faultsmoke ckptsmoke shardsmoke servesmoke fuzzshort cover bench
+.PHONY: ci vet lint build test race quick smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck fuzzshort cover bench
 
-ci: vet lint build test race smoke faultsmoke ckptsmoke shardsmoke servesmoke fuzzshort cover bench
+ci: vet lint build test race smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck fuzzshort cover bench
 
 vet:
 	$(GO) vet ./...
@@ -124,6 +124,14 @@ shardsmoke:
 # CLI's exact bytes.
 servesmoke:
 	bash scripts/servesmoke.sh
+
+# The benchmark driver (bench/) is its own module, so the root
+# `go build/vet/test ./...` never see it: a facade or serve change can
+# break it with every other gate green. Vet and test it here (its tests
+# run the workloads at a tiny sizing — seconds).
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	@echo benchcheck OK
 
 # Short native-fuzz pass over the HyperX coordinate algebra. The seed
 # corpus is committed under internal/topology/testdata/fuzz; ten seconds

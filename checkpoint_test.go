@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hyperx/internal/harness"
 )
 
 // TestCheckpointStoreRoundTrip: basic store semantics — a saved value
@@ -118,123 +120,141 @@ func TestCheckpointStoreRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointResume: the kill-and-resume acceptance claim. A
-// sweep interrupted partway leaves completed points in the store; the
-// rerun with identical parameters serves those from the store, computes
-// the rest, and returns curves identical to an uninterrupted run — with
-// the manifest recording which jobs were cached and where from.
+// TestSweepCheckpointResume: one driver, every kind. Each execution plan
+// runs three ways — no store, a fresh store, the populated store with a
+// shared Flight — and must return identical results each time, record
+// the store in the provenance block, serve the third run entirely from
+// cache (cached_jobs == completed, no new computation), and put every
+// distinct cell through the Flight exactly once. One worker keeps the
+// cold plan's speculation out of the counts: what completes is then
+// exactly the cells at or below each curve's first saturation. Cold,
+// forked, throughput and resilience sweeps used to carry four copies of
+// this plumbing (two of which once ignored CheckpointDir); the last
+// subtest is the kill-and-resume acceptance claim on the cold sweep.
 func TestSweepCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state simulations")
 	}
-	opts := RunOpts{Warmup: 1500, Window: 1500}
-	loads := LoadRange(0.2)
-	patterns, algs := []string{"UR"}, []string{"DOR", "VAL"}
-	cfg := DefaultScale()
-
-	want, _, err := RunLoadSweepParallel(context.Background(), cfg,
-		patterns, algs, loads, opts, SweepOpts{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	// "Kill" a run partway: cancel the context as soon as the first job
-	// completes. Completed points are already persisted (saves happen
-	// inside the job, before the outcome is reported).
-	ctx, cancel := context.WithCancel(context.Background())
-	_, _, err = RunLoadSweepParallel(ctx, cfg, patterns, algs, loads, opts,
-		SweepOpts{Workers: 2, CheckpointDir: dir, Progress: func(string) { cancel() }})
-	if err == nil {
-		t.Fatal("interrupted sweep reported success; cancellation did not take")
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("interrupted sweep persisted nothing; resume has nothing to serve")
-	}
-
-	got, mani, err := RunLoadSweepParallel(context.Background(), cfg,
-		patterns, algs, loads, opts, SweepOpts{Workers: 2, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("resumed sweep diverged from uninterrupted run:\ngot:  %+v\nwant: %+v", got, want)
-	}
-	if mani.Provenance == nil {
-		t.Fatal("resumed sweep has no provenance block")
-	}
-	if mani.Provenance.ResumedFrom != dir {
-		t.Errorf("provenance resumed_from = %q, want %q", mani.Provenance.ResumedFrom, dir)
-	}
-	if mani.Provenance.CachedJobs == 0 {
-		t.Error("resume served no cached jobs despite a populated store")
-	}
-	cached := 0
-	for _, rec := range mani.Jobs {
-		if rec.Cached {
-			if rec.Status != "done" {
-				t.Errorf("cached job %s has status %q, want done", rec.Label, rec.Status)
-			}
-			cached++
-		}
-	}
-	if cached != mani.Provenance.CachedJobs {
-		t.Errorf("provenance counts %d cached jobs, job records mark %d", mani.Provenance.CachedJobs, cached)
-	}
-
-	// Third run: every point the result includes was stored by the
-	// second run, so all of them must now be served from the store.
-	again, mani3, err := RunLoadSweepParallel(context.Background(), cfg,
-		patterns, algs, loads, opts, SweepOpts{Workers: 2, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, want) {
-		t.Error("fully cached sweep diverged from uninterrupted run")
-	}
-	returned := 0
-	for _, c := range want {
-		returned += len(c.Points)
-	}
-	if mani3.Provenance == nil || mani3.Provenance.CachedJobs < returned {
-		t.Errorf("third run served %+v cached jobs, want at least the %d returned points", mani3.Provenance, returned)
-	}
-}
-
-// TestForkSweepCheckpointResume: warm-fork curves checkpoint as whole
-// curves; a rerun serves them from the store byte-identically.
-func TestForkSweepCheckpointResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("steady-state simulations")
-	}
-	cfg := Config{Widths: []int{4, 4}, Terms: 2, Algorithm: "DimWAR", Seed: 1}
+	cfg := Config{Widths: []int{4, 4}, Terms: 4, Seed: 1} // VAL saturates at 0.75: early stop has work to do
 	opts := RunOpts{Warmup: 1000, Window: 1000}
-	fork := &ForkOpts{WarmCycles: 2000, WarmLoad: 0.3, Settle: 250}
-	dir := t.TempDir()
-	run := func() ([]Curve, *Manifest) {
-		curves, mani, err := RunLoadSweepParallel(context.Background(), cfg,
-			[]string{"UR"}, []string{"DOR", "DimWAR"}, LoadRange(0.2), opts,
-			SweepOpts{Workers: 2, CheckpointDir: dir, Fork: fork})
+	sweep := func(fork *ForkOpts) Experiment {
+		return Experiment{Kind: "sweep", Config: cfg, Patterns: []string{"UR"}, Algorithms: []string{"DOR", "VAL"},
+			Loads: LoadRange(0.25), Opts: opts, Fork: fork}
+	}
+	cases := []struct {
+		name   string
+		exp    Experiment
+		mode   string // provenance mode
+		cells  int    // jobs that must complete; 0 = early stop decides
+		faults int    // links the manifest must list
+	}{
+		{"cold", sweep(nil), "cold", 0, 0},
+		{"pristine-fork", sweep(&ForkOpts{}), "pristine-fork", 2, 0},
+		{"warm-fork", sweep(&ForkOpts{WarmCycles: 2000, WarmLoad: 0.3, Settle: 250}), "warm-fork", 2, 0},
+		{"throughput", Experiment{Kind: "throughput", Config: cfg, Patterns: []string{"UR", "BC"},
+			Algorithms: []string{"DOR", "DimWAR"}, Opts: opts}, "cold", 4, 0},
+		{"resilience", Experiment{Kind: "resilience", Config: cfg, Algorithms: []string{"DOR", "DimWAR"},
+			MaxFaults: 2, Load: 0.3, Opts: opts}, "cold", 6, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(po SweepOpts) (Result, *Manifest) {
+				po.Workers = 1
+				res, mani, err := tc.exp.Run(context.Background(), po)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.cells != 0 && mani.Completed != tc.cells {
+					t.Errorf("%d jobs completed, want %d", mani.Completed, tc.cells)
+				}
+				if tc.cells == 0 && mani.Cancelled == 0 {
+					t.Error("no curve early-stopped; the cold row needs a grid that saturates")
+				}
+				if len(mani.Faults) != tc.faults {
+					t.Errorf("manifest lists %d faults, want %d; fault stamping must not depend on recomputation", len(mani.Faults), tc.faults)
+				}
+				return res, mani
+			}
+			want, mani0 := run(SweepOpts{})
+			if cold := tc.mode == "cold"; cold != (mani0.Provenance == nil) {
+				t.Errorf("store-less run provenance %+v; only fork modes record one", mani0.Provenance)
+			}
+
+			dir := t.TempDir()
+			flight := harness.NewFlight()
+			fresh, mani1 := run(SweepOpts{CheckpointDir: dir, Flight: flight})
+			if !reflect.DeepEqual(fresh, want) {
+				t.Errorf("run against a fresh store diverged from the store-less run:\ngot:  %+v\nwant: %+v", fresh, want)
+			}
+			if p := mani1.Provenance; p == nil || p.Mode != tc.mode || p.ResumedFrom != dir || p.CachedJobs != 0 {
+				t.Errorf("fresh-store provenance %+v, want mode %q, store %q, nothing cached", p, tc.mode, dir)
+			}
+			computes := flight.Computes()
+			if computes != uint64(mani1.Completed) {
+				t.Errorf("flight ran %d computations for %d completed cells; every cell must go through it once", computes, mani1.Completed)
+			}
+
+			again, mani2 := run(SweepOpts{CheckpointDir: dir, Flight: flight})
+			if !reflect.DeepEqual(again, want) {
+				t.Errorf("fully cached run diverged from the store-less run:\ngot:  %+v\nwant: %+v", again, want)
+			}
+			if p := mani2.Provenance; p == nil || p.CachedJobs != mani2.Completed || mani2.Completed != mani1.Completed {
+				t.Errorf("rerun provenance %+v with %d completed, want all %d cells served from the store", p, mani2.Completed, mani1.Completed)
+			}
+			if flight.Computes() != computes {
+				t.Errorf("rerun against the populated store computed %d more cells", flight.Computes()-computes)
+			}
+			for _, rec := range mani2.Jobs {
+				if rec.Cached && rec.Status != "done" {
+					t.Errorf("cached job %s has status %q, want done", rec.Label, rec.Status)
+				}
+			}
+		})
+	}
+
+	t.Run("cold-killed", func(t *testing.T) {
+		exp := sweep(nil)
+		want, _, err := exp.Run(context.Background(), SweepOpts{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return curves, mani
-	}
-	first, mani1 := run()
-	if mani1.Provenance == nil || mani1.Provenance.CachedJobs != 0 {
-		t.Errorf("first run provenance %+v, want 0 cached jobs", mani1.Provenance)
-	}
-	second, mani2 := run()
-	if !reflect.DeepEqual(second, first) {
-		t.Error("cached warm-fork sweep diverged from the run that populated the store")
-	}
-	if mani2.Provenance == nil || mani2.Provenance.CachedJobs != 2 {
-		t.Errorf("second run provenance %+v, want both curves cached", mani2.Provenance)
-	}
+		dir := t.TempDir()
+		// "Kill" a run partway: cancel the context as soon as the first job
+		// completes. Completed points are already persisted (saves happen
+		// inside the job, before the outcome is reported).
+		ctx, cancel := context.WithCancel(context.Background())
+		_, _, err = exp.Run(ctx, SweepOpts{Workers: 2, CheckpointDir: dir, Progress: func(string) { cancel() }})
+		if err == nil {
+			t.Fatal("interrupted sweep reported success; cancellation did not take")
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Fatal("interrupted sweep persisted nothing; resume has nothing to serve")
+		}
+
+		got, mani, err := exp.Run(context.Background(), SweepOpts{Workers: 2, CheckpointDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("resumed sweep diverged from uninterrupted run:\ngot:  %+v\nwant: %+v", got, want)
+		}
+		if mani.Provenance == nil || mani.Provenance.ResumedFrom != dir || mani.Provenance.CachedJobs == 0 {
+			t.Fatalf("resume provenance %+v, want cached jobs served from %q", mani.Provenance, dir)
+		}
+		cached := 0
+		for _, rec := range mani.Jobs {
+			if rec.Cached {
+				cached++
+			}
+		}
+		if cached != mani.Provenance.CachedJobs {
+			t.Errorf("provenance counts %d cached jobs, job records mark %d", mani.Provenance.CachedJobs, cached)
+		}
+	})
 }
 
 // TestSweepSurfacesCorruptCheckpoint: a damaged checkpoint file fails

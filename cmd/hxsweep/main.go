@@ -29,125 +29,125 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"hyperx"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values. The flags parse
+// into one hyperx.Experiment — the value the sweep service's request body
+// decodes into — so its Normalize is the only validation there is: what
+// hxserved answers 400 to, hxsweep exits 2 on, and one run/print path
+// serves every kind.
+func run(args []string, stdout, stderr io.Writer) int {
 	var (
-		pattern    = flag.String("pattern", "UR", fmt.Sprintf("traffic pattern %v", hyperx.Patterns))
-		algs       = flag.String("algs", "DOR,VAL,UGAL,UGAL+,DimWAR,OmniWAR", "algorithms, comma separated")
-		step       = flag.Float64("step", 0.05, "load sweep granularity (the paper uses 0.02)")
-		warmup     = flag.Int("warmup", 20000, "warmup cycles")
-		window     = flag.Int("window", 15000, "measurement window cycles")
-		throughput = flag.Bool("throughput", false, "emit Figure 6g: saturated throughput for every pattern x algorithm")
-		patterns   = flag.String("patterns", "UR,BC,URBx,URBy,URBz,S2,DCR", "patterns for -throughput")
-		paper      = flag.Bool("paper", false, "use the paper's 8x8x8 t=8 scale")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		faults     = flag.Int("faults", 0, "inject this many failed router-router links (0 = pristine)")
-		faultseed  = flag.Uint64("faultseed", 0, "seed for fault selection (0 = use -seed)")
-		resilience = flag.Int("resilience", 0, "run the resilience experiment for 0..K failed links at -load")
-		load       = flag.Float64("load", 0.5, "fixed offered load for -resilience")
-		jobs       = flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS); results are identical at any -j")
-		shards     = flag.Int("shards", 0, "cores per simulation via the deterministic sharded executor (0/1 = serial); results are bit-identical at any -shards")
-		shardWin   = flag.Int("shard-window", 0, "sharded executor barrier window width in cycles (0 = derive from latencies; clamped to the cross-shard latency); results are bit-identical at any width")
-		manifest   = flag.String("manifest", "", "write a JSON run manifest (per-job wall time, cycles, events/sec) to this file")
-		quiet      = flag.Bool("q", false, "suppress the per-job progress lines on stderr")
-		warmfork   = flag.Bool("warmfork", false, "fork each curve's load points from one shared pristine snapshot (bit-identical CSV, one network build per curve)")
-		forkwarm   = flag.Int("forkwarm", 0, "warm the shared snapshot this many cycles at -forkload before forking (implies -warmfork; amortizes warmup across points — deterministic but NOT byte-comparable to cold CSVs, see EXPERIMENTS.md)")
-		forkload   = flag.Float64("forkload", 0.5, "offered load during the -forkwarm shared warmup")
-		forksettle = flag.Int("forksettle", 0, "post-fork settle cycles per point for -forkwarm (0 = warmup/4)")
-		ckptDir    = flag.String("checkpoint-dir", "", "persist completed results here and resume from them on rerun (kill+rerun with identical flags yields a byte-identical CSV)")
+		e  hyperx.Experiment
+		po hyperx.SweepOpts
+		fk hyperx.ForkOpts
 	)
-	flag.Parse()
+	fs := flag.NewFlagSet("hxsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	pattern := fs.String("pattern", "UR", fmt.Sprintf("traffic pattern %v", hyperx.Patterns))
+	algs := fs.String("algs", "DOR,VAL,UGAL,UGAL+,DimWAR,OmniWAR", "algorithms, comma separated")
+	fs.Func("step", "load sweep granularity (default 0.05; the paper uses 0.02)", func(s string) (err error) {
+		// Zero means "unset" to an Experiment, so an explicit zero is
+		// refused here rather than silently read as the default.
+		if e.Step, err = strconv.ParseFloat(s, 64); err == nil && e.Step == 0 {
+			err = errors.New("step must be positive")
+		}
+		return err
+	})
+	fs.IntVar(&e.Opts.Warmup, "warmup", 20000, "warmup cycles")
+	fs.IntVar(&e.Opts.Window, "window", 15000, "measurement window cycles")
+	throughput := fs.Bool("throughput", false, "emit Figure 6g: saturated throughput for every pattern x algorithm")
+	patterns := fs.String("patterns", "UR,BC,URBx,URBy,URBz,S2,DCR", "patterns for -throughput")
+	paper := fs.Bool("paper", false, "use the paper's 8x8x8 t=8 scale")
+	fs.Uint64Var(&e.Config.Seed, "seed", 1, "random seed")
+	fs.IntVar(&e.Config.Faults, "faults", 0, "inject this many failed router-router links (0 = pristine)")
+	fs.Uint64Var(&e.Config.FaultSeed, "faultseed", 0, "seed for fault selection (0 = use -seed)")
+	fs.IntVar(&e.MaxFaults, "resilience", 0, "run the resilience experiment for 0..K failed links at -load")
+	fs.Float64Var(&e.Load, "load", 0, "fixed offered load for -resilience (default 0.5)")
+	fs.IntVar(&po.Workers, "j", 0, "parallel workers (0 = GOMAXPROCS); results are identical at any -j")
+	fs.IntVar(&e.Opts.Shards, "shards", 0, "cores per simulation via the deterministic sharded executor (0/1 = serial); results are bit-identical at any -shards")
+	fs.IntVar(&e.Opts.ShardWindow, "shard-window", 0, "sharded executor barrier window width in cycles (0 = derive from latencies; clamped to the cross-shard latency); results are bit-identical at any width")
+	manifest := fs.String("manifest", "", "write a JSON run manifest (per-job wall time, cycles, events/sec) to this file")
+	quiet := fs.Bool("q", false, "suppress the per-job progress lines on stderr")
+	warmfork := fs.Bool("warmfork", false, "fork each curve's load points from one shared pristine snapshot (bit-identical CSV, one network build per curve)")
+	fs.IntVar(&fk.WarmCycles, "forkwarm", 0, "warm the shared snapshot this many cycles at -forkload before forking (implies -warmfork; amortizes warmup across points — deterministic but NOT byte-comparable to cold CSVs, see EXPERIMENTS.md)")
+	fs.Float64Var(&fk.WarmLoad, "forkload", 0.5, "offered load during the -forkwarm shared warmup")
+	fs.IntVar(&fk.Settle, "forksettle", 0, "post-fork settle cycles per point for -forkwarm (0 = warmup/4)")
+	fs.StringVar(&po.CheckpointDir, "checkpoint-dir", "", "persist completed results here and resume from them on rerun (kill+rerun with identical flags yields a byte-identical CSV)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	cfg := hyperx.DefaultScale()
+	scale := hyperx.DefaultScale()
 	if *paper {
-		cfg = hyperx.PaperScale()
+		scale = hyperx.PaperScale()
 	}
-	cfg.Seed = *seed
-	cfg.Faults = *faults
-	cfg.FaultSeed = *faultseed
-	opts := hyperx.RunOpts{Warmup: *warmup, Window: *window, Shards: *shards, ShardWindow: *shardWin}
-	algList := split(*algs)
-	po := hyperx.SweepOpts{Workers: *jobs, CheckpointDir: *ckptDir}
-	if !*quiet {
-		po.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
+	e.Config.Widths, e.Config.Terms = scale.Widths, scale.Terms
+	e.Algorithms = split(*algs)
+	e.Patterns = split(*pattern)
+	if e.MaxFaults != 0 {
+		e.Kind = "resilience"
 	}
-	if *warmfork || *forkwarm > 0 {
-		po.Fork = &hyperx.ForkOpts{WarmCycles: *forkwarm, WarmLoad: *forkload, Settle: *forksettle}
-	}
-	ctx := context.Background()
-
-	if *resilience > 0 {
-		// Graceful degradation: every algorithm x fault-count cell at one
-		// fixed offered load.
-		points, mani, err := hyperx.RunResilienceSweep(ctx, cfg, *pattern, algList, *resilience, *load, opts, po)
-		writeManifest(*manifest, mani)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := hyperx.WriteResilienceCSV(os.Stdout, points); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *throughput {
-		// Figure 6g: accepted throughput at 100% offered load.
-		grid, mani, err := hyperx.RunThroughputGrid(ctx, cfg, split(*patterns), algList, opts, po)
-		writeManifest(*manifest, mani)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := hyperx.WriteThroughputCSV(os.Stdout, grid); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		e.Kind, e.Patterns = "throughput", split(*patterns)
 	}
-
-	// One Figure 6 panel: load,latency CSV per algorithm; lines end at
-	// saturation like the paper's plots.
-	curves, mani, err := hyperx.RunLoadSweepParallel(ctx, cfg, []string{*pattern}, algList, hyperx.LoadRange(*step), opts, po)
-	writeManifest(*manifest, mani)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if *warmfork || fk.WarmCycles > 0 {
+		e.Fork = &fk
 	}
-	if err := hyperx.WriteSweepCSV(os.Stdout, curves); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := e.Normalize(); err != nil {
+		fmt.Fprintln(stderr, "hxsweep:", err)
+		return 2
 	}
 	if !*quiet {
-		for _, c := range curves {
-			fmt.Fprintf(os.Stderr, "done %s/%s: %d points\n", c.Pattern, c.Algorithm, len(c.Points))
+		po.Progress = func(line string) { fmt.Fprintln(stderr, line) }
+	}
+
+	res, mani, err := e.Run(context.Background(), po)
+	writeManifest(stderr, *manifest, mani)
+	if err == nil {
+		err = e.WriteCSV(stdout, res)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	if !*quiet {
+		for _, c := range res.Curves {
+			fmt.Fprintf(stderr, "done %s/%s: %d points\n", c.Pattern, c.Algorithm, len(c.Points))
 		}
 	}
+	return 0
 }
 
 // writeManifest persists the run manifest when -manifest was given; a
 // manifest is written even for failed runs so aborted sweeps still leave
 // an observability record.
-func writeManifest(path string, m *hyperx.Manifest) {
+func writeManifest(stderr io.Writer, path string, m *hyperx.Manifest) {
 	if path == "" || m == nil {
 		return
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "manifest:", err)
+		fmt.Fprintln(stderr, "manifest:", err)
 		return
 	}
 	defer f.Close()
 	if err := m.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "manifest:", err)
+		fmt.Fprintln(stderr, "manifest:", err)
 	}
 }
 

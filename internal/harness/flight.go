@@ -46,8 +46,13 @@ func NewFlight() *Flight {
 // reports whether the returned value came from another caller's
 // computation rather than this caller's own fn invocation. When the
 // leader fails, one follower at a time retries as a fresh leader, so an
-// error is only ever returned to a caller whose own fn produced it.
+// error is only ever returned to a caller whose own fn produced it. A nil
+// Flight deduplicates nothing: Do just runs fn.
 func (f *Flight) Do(key string, fn func() (any, error)) (v any, shared bool, err error) {
+	if f == nil {
+		v, err = fn()
+		return v, false, err
+	}
 	for {
 		f.mu.Lock()
 		if c, ok := f.calls[key]; ok {

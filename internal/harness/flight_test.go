@@ -154,3 +154,17 @@ func TestFlightSequentialCallsEachCompute(t *testing.T) {
 		t.Errorf("computes = %d, want 3", got)
 	}
 }
+
+// TestNilFlightJustComputes: a nil group is "no deduplication" — every Do
+// runs its own fn and nothing is ever reported shared — so sweeps without
+// a group need no second code path.
+func TestNilFlightJustComputes(t *testing.T) {
+	var fl *Flight
+	boom := errors.New("boom")
+	for i, want := range []error{nil, boom} {
+		v, shared, err := fl.Do("cell", func() (any, error) { return i, want })
+		if v.(int) != i || shared || !errors.Is(err, want) {
+			t.Errorf("nil Flight Do #%d = (%v, %v, %v), want (%d, false, %v)", i, v, shared, err, i, want)
+		}
+	}
+}

@@ -46,9 +46,7 @@ type job struct {
 	started  time.Time
 	finished time.Time
 
-	curves   []hyperx.Curve
-	grid     *hyperx.ThroughputGrid
-	points   []hyperx.ResiliencePoint
+	result   hyperx.Result
 	manifest *hyperx.Manifest
 }
 
@@ -107,10 +105,10 @@ func (j *job) cancelQueued(now time.Time) {
 }
 
 // finish records the outcome of a run.
-func (j *job) finish(curves []hyperx.Curve, grid *hyperx.ThroughputGrid, points []hyperx.ResiliencePoint, m *hyperx.Manifest, err error, now time.Time) {
+func (j *job) finish(res hyperx.Result, m *hyperx.Manifest, err error, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.curves, j.grid, j.points, j.manifest = curves, grid, points, m
+	j.result, j.manifest = res, m
 	if err != nil {
 		j.state = stateFailed
 		j.errMsg = err.Error()
@@ -133,39 +131,23 @@ func (j *job) eventsSince(idx int) (evs []harness.Event, state, errMsg string, n
 	return evs, j.state, j.errMsg, j.notify
 }
 
-// runJob executes one job through the facade against the server's
-// shared store and singleflight group. The run context is the server's
-// base context: graceful shutdown deliberately does NOT cancel it —
-// draining means running jobs complete and persist their cells.
+// runJob executes one job through the facade's single driver against the
+// server's shared store and singleflight group. The run context is the
+// server's base context: graceful shutdown deliberately does NOT cancel
+// it — draining means running jobs complete and persist their cells.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	if s.opts.BeforeRun != nil {
 		s.opts.BeforeRun(j.req.Kind)
 	}
-	po := hyperx.SweepOpts{
+	exp := *j.req
+	if exp.Opts.Shards == 0 {
+		exp.Opts.Shards = s.opts.Shards
+	}
+	res, manifest, err := exp.Run(ctx, hyperx.SweepOpts{
 		Workers: s.opts.Workers,
 		Store:   s.store,
 		Flight:  s.flight,
 		OnEvent: j.appendEvent,
-	}
-	opts := j.req.Opts
-	if opts.Shards == 0 {
-		opts.Shards = s.opts.Shards
-	}
-	var (
-		curves   []hyperx.Curve
-		grid     *hyperx.ThroughputGrid
-		points   []hyperx.ResiliencePoint
-		manifest *hyperx.Manifest
-		err      error
-	)
-	switch j.req.Kind {
-	case "sweep":
-		po.Fork = j.req.Fork
-		curves, manifest, err = hyperx.RunLoadSweepParallel(ctx, j.req.Config, j.req.Patterns, j.req.Algorithms, j.req.Loads, opts, po)
-	case "throughput":
-		grid, manifest, err = hyperx.RunThroughputGrid(ctx, j.req.Config, j.req.Patterns, j.req.Algorithms, opts, po)
-	case "resilience":
-		points, manifest, err = hyperx.RunResilienceSweep(ctx, j.req.Config, j.req.Patterns[0], j.req.Algorithms, j.req.MaxFaults, j.req.Load, opts, po)
-	}
-	j.finish(curves, grid, points, manifest, err, s.now())
+	})
+	j.finish(res, manifest, err, s.now())
 }

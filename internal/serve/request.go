@@ -5,55 +5,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"strings"
 
 	"hyperx"
 )
 
-// Request is the body of POST /v1/sweeps: one experiment specification,
-// mirroring the cmd/hxsweep flag surface. Nested Config/RunOpts/ForkOpts
-// use their Go field names as JSON keys (case-insensitive), e.g.
-// {"config": {"Widths": [4,4,4], "Algorithm": "DimWAR", "Seed": 7}}.
-// Unknown fields anywhere in the body are rejected with a 400 — a typoed
-// field silently falling back to a default would silently change which
-// experiment runs.
-type Request struct {
-	// Kind selects the experiment: "sweep" (default; one load-latency
-	// panel), "throughput" (the Figure 6g saturated grid), or
-	// "resilience" (algorithm × fault-count cells at one fixed load).
-	Kind string `json:"kind,omitempty"`
-
-	Config hyperx.Config `json:"config"`
-
-	// Patterns and Algorithms span the experiment grid; both default to
-	// the cmd/hxsweep defaults for the kind. Resilience takes exactly
-	// one pattern.
-	Patterns   []string `json:"patterns,omitempty"`
-	Algorithms []string `json:"algorithms,omitempty"`
-
-	// Loads is the explicit sweep grid; Step generates one via
-	// hyperx.LoadRange (default 0.05). Mutually exclusive; sweep only.
-	Loads []float64 `json:"loads,omitempty"`
-	Step  float64   `json:"step,omitempty"`
-
-	Opts hyperx.RunOpts `json:"opts"`
-
-	// Fork switches a sweep to warm-fork execution (see hyperx.ForkOpts);
-	// sweep only.
-	Fork *hyperx.ForkOpts `json:"fork,omitempty"`
-
-	// MaxFaults and Load parameterize the resilience experiment:
-	// k = 0..MaxFaults failed links at offered load Load (default 0.5).
-	MaxFaults int     `json:"max_faults,omitempty"`
-	Load      float64 `json:"load,omitempty"`
-}
-
-// The hxsweep defaults, reused so a request that says nothing runs the
-// same experiment the bare CLI would.
-var (
-	defaultAlgorithms   = []string{"DOR", "VAL", "UGAL", "UGAL+", "DimWAR", "OmniWAR"}
-	defaultThptPatterns = []string{"UR", "BC", "URBx", "URBy", "URBz", "S2", "DCR"}
-)
+// Request is the body of POST /v1/sweeps. The schema is hyperx.Experiment
+// itself — the value cmd/hxsweep's flags parse into too — so the daemon
+// and the CLI share one set of fields, defaults and validation rules, and
+// a job's identity is Experiment.Key. Unknown fields anywhere in the body
+// are rejected with a 400: a typoed field silently falling back to a
+// default would silently change which experiment runs.
+type Request = hyperx.Experiment
 
 // parseRequest decodes, validates, and canonicalizes one submission.
 // Every error it returns is a client error (HTTP 400).
@@ -67,169 +29,17 @@ func parseRequest(r io.Reader) (*Request, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("request body has trailing data after the JSON object")
 	}
-	if err := req.normalize(); err != nil {
+	if err := req.Normalize(); err != nil {
 		return nil, err
 	}
 	return req, nil
 }
 
-// normalize applies the kind's defaults and validates the request, so
-// two submissions meaning the same experiment canonicalize to the same
-// key() regardless of which defaults they spelled out.
-func (r *Request) normalize() error {
-	switch r.Kind {
-	case "":
-		r.Kind = "sweep"
-	case "sweep", "throughput", "resilience":
-	default:
-		return fmt.Errorf("unknown kind %q (have sweep, throughput, resilience)", r.Kind)
-	}
-
-	if len(r.Algorithms) == 0 {
-		r.Algorithms = append([]string(nil), defaultAlgorithms...)
-	}
-	for _, a := range r.Algorithms {
-		if !contains(hyperx.Algorithms, a) {
-			return fmt.Errorf("unknown algorithm %q (have %v)", a, hyperx.Algorithms)
-		}
-	}
-	if len(r.Patterns) == 0 {
-		if r.Kind == "throughput" {
-			r.Patterns = append([]string(nil), defaultThptPatterns...)
-		} else {
-			r.Patterns = []string{"UR"}
-		}
-	}
-	for _, p := range r.Patterns {
-		if !contains(hyperx.Patterns, p) {
-			return fmt.Errorf("unknown pattern %q (have %v)", p, hyperx.Patterns)
-		}
-	}
-	for _, w := range r.Config.Widths {
-		if w <= 0 {
-			return fmt.Errorf("config widths must be positive, got %v", r.Config.Widths)
-		}
-	}
-	if r.Config.Terms < 0 || r.Config.Faults < 0 {
-		return fmt.Errorf("config terms and faults must be non-negative")
-	}
-
-	switch r.Kind {
-	case "sweep":
-		if r.MaxFaults != 0 || r.Load != 0 {
-			return fmt.Errorf("max_faults and load apply to kind resilience only")
-		}
-		if len(r.Loads) > 0 && r.Step != 0 {
-			return fmt.Errorf("loads and step are mutually exclusive")
-		}
-		if len(r.Loads) == 0 {
-			if r.Step < 0 {
-				return fmt.Errorf("step must be positive, got %v", r.Step)
-			}
-			if r.Step == 0 {
-				r.Step = 0.05
-			}
-			r.Loads = hyperx.LoadRange(r.Step)
-			r.Step = 0 // canonical form carries the grid, not its generator
-		}
-		for _, l := range r.Loads {
-			if l <= 0 {
-				return fmt.Errorf("loads must be positive, got %v", l)
-			}
-		}
-	case "throughput":
-		if len(r.Loads) > 0 || r.Step != 0 {
-			return fmt.Errorf("throughput runs at offered load 1.0; loads/step do not apply")
-		}
-		if r.Fork != nil {
-			return fmt.Errorf("fork applies to kind sweep only")
-		}
-		if r.MaxFaults != 0 || r.Load != 0 {
-			return fmt.Errorf("max_faults and load apply to kind resilience only")
-		}
-	case "resilience":
-		if len(r.Loads) > 0 || r.Step != 0 {
-			return fmt.Errorf("resilience runs at the fixed load field; loads/step do not apply")
-		}
-		if r.Fork != nil {
-			return fmt.Errorf("fork applies to kind sweep only")
-		}
-		if len(r.Patterns) != 1 {
-			return fmt.Errorf("resilience takes exactly one pattern, got %v", r.Patterns)
-		}
-		if r.MaxFaults < 1 {
-			return fmt.Errorf("resilience needs max_faults >= 1, got %d", r.MaxFaults)
-		}
-		if r.Load < 0 {
-			return fmt.Errorf("load must be positive, got %v", r.Load)
-		}
-		if r.Load == 0 {
-			r.Load = 0.5
-		}
-	}
-	return nil
-}
-
-// key is the canonical content address of the whole job: the
-// concatenation of every cell's checkpoint key (hyperx.PointKey /
-// ThptKey / CurveKey — the same strings the result cache files cells
-// under), so two submissions get the same key exactly when they request
-// the same computation. Identical concurrent submissions dedup on it at
-// the registry, and its fnv-64a hash is the job ID.
-func (r *Request) key() string {
-	var parts []string
-	switch r.Kind {
-	case "sweep":
-		mode := "cold"
-		var fk hyperx.ForkOpts
-		if r.Fork != nil {
-			mode = "fork"
-			fk = *r.Fork
-		}
-		for _, pat := range r.Patterns {
-			for _, alg := range r.Algorithms {
-				cfg := r.Config
-				cfg.Algorithm = alg
-				parts = append(parts, hyperx.CurveKey(cfg, pat, r.Loads, r.Opts, fk))
-			}
-		}
-		return "job|sweep|" + mode + "|" + strings.Join(parts, "||")
-	case "throughput":
-		for _, pat := range r.Patterns {
-			for _, alg := range r.Algorithms {
-				cfg := r.Config
-				cfg.Algorithm = alg
-				parts = append(parts, hyperx.ThptKey(cfg, pat, r.Opts))
-			}
-		}
-		return "job|thpt|" + strings.Join(parts, "||")
-	case "resilience":
-		for _, alg := range r.Algorithms {
-			for k := 0; k <= r.MaxFaults; k++ {
-				cfg := r.Config
-				cfg.Algorithm = alg
-				cfg.Faults = k
-				parts = append(parts, hyperx.PointKey(cfg, r.Patterns[0], r.Load, r.Opts))
-			}
-		}
-		return "job|res|" + strings.Join(parts, "||")
-	}
-	panic("serve: key on unnormalized request kind " + r.Kind)
-}
-
-// jobID derives the compact job identifier from a canonical job key.
-// Collisions are guarded at the registry, which compares full keys.
+// jobID derives the compact job identifier from a canonical job key
+// (Experiment.Key). Collisions are guarded at the registry, which
+// compares full keys.
 func jobID(key string) string {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func contains(list []string, v string) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -11,8 +11,14 @@
 //	GET  /v1/jobs/{id}/result.json  finished results + run manifest
 //	GET  /v1/cache/stats       store / singleflight / job-registry counters
 //
+// The request schema IS hyperx.Experiment (Request is an alias): the
+// daemon decodes the body into the same value cmd/hxsweep's flags fill,
+// so defaults, validation, the job key, execution and the CSV shape are
+// the facade's, shared with the CLI — this package adds only the
+// registry, the queue and HTTP.
+//
 // Identity is content-addressed end to end: a job's ID is the hash of
-// the concatenated checkpoint keys of every cell it computes, so
+// Experiment.Key — the concatenated checkpoint keys of its cells — so
 // resubmitting a finished experiment attaches to the completed job (or,
 // after a restart, replays cell-by-cell out of the store in
 // microseconds, with the manifest's provenance saying so), and N
@@ -184,7 +190,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // live or completed job with the same key is returned as-is (the cache
 // hit path), a failed or cancelled one is replaced by a fresh attempt.
 func (s *Server) submit(req *Request) (*job, int, error) {
-	key := req.key()
+	key := req.Key()
 	id := jobID(key)
 
 	s.mu.Lock()
@@ -416,26 +422,18 @@ func (s *Server) handleResultCSV(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 	// Terminal jobs are immutable; no lock needed to read results.
-	switch j.req.Kind {
-	case "sweep":
-		hyperx.WriteSweepCSV(w, j.curves)
-	case "throughput":
-		hyperx.WriteThroughputCSV(w, j.grid)
-	case "resilience":
-		hyperx.WriteResilienceCSV(w, j.points)
-	}
+	j.req.WriteCSV(w, j.result)
 }
 
 // ResultJSON is the GET /v1/jobs/{id}/result.json body: the structured
-// results for the job's kind plus the harness manifest (whose provenance
-// block records cached_jobs / resumed_from for cache-served runs).
+// results for the job's kind (hyperx.Result's curves / grid / points)
+// plus the harness manifest (whose provenance block records cached_jobs /
+// resumed_from for cache-served runs).
 type ResultJSON struct {
-	ID       string                   `json:"id"`
-	Kind     string                   `json:"kind"`
-	Curves   []hyperx.Curve           `json:"curves,omitempty"`
-	Grid     *hyperx.ThroughputGrid   `json:"grid,omitempty"`
-	Points   []hyperx.ResiliencePoint `json:"points,omitempty"`
-	Manifest *hyperx.Manifest         `json:"manifest,omitempty"`
+	ID   string `json:"id"`
+	Kind string `json:"kind"`
+	hyperx.Result
+	Manifest *hyperx.Manifest `json:"manifest,omitempty"`
 }
 
 func (s *Server) handleResultJSON(w http.ResponseWriter, r *http.Request) {
@@ -446,9 +444,7 @@ func (s *Server) handleResultJSON(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ResultJSON{
 		ID:       j.id,
 		Kind:     j.req.Kind,
-		Curves:   j.curves,
-		Grid:     j.grid,
-		Points:   j.points,
+		Result:   j.result,
 		Manifest: j.manifest,
 	})
 }

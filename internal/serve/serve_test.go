@@ -332,6 +332,13 @@ func TestMalformedRequests(t *testing.T) {
 		{"negative load", `{"loads": [-0.1]}`, "loads must be positive"},
 		{"negative width", `{"config": {"Widths": [4, -4]}}`, "widths must be positive"},
 		{"negative step", `{"step": -0.1}`, "step must be positive"},
+		{"absurdly fine step", `{"step": 1e-9}`, "at most 1000 points"},
+		{"step above one", `{"step": 2}`, "step must lie in"},
+		{"oversized load grid", `{"loads": [0.5` + strings.Repeat(",0.5", 1000) + `]}`, "at most 1000 load points"},
+		{"step on throughput", `{"kind": "throughput", "step": 0.1}`, "do not apply"},
+		{"fork on resilience", `{"kind": "resilience", "max_faults": 1, "fork": {}}`, "kind sweep only"},
+		{"max_faults on throughput", `{"kind": "throughput", "max_faults": 2}`, "kind resilience only"},
+		{"negative max_faults", `{"kind": "resilience", "max_faults": -2}`, "max_faults >= 1"},
 		{"max_faults on sweep", `{"max_faults": 3}`, "kind resilience only"},
 		{"fork on throughput", `{"kind": "throughput", "fork": {}}`, "kind sweep only"},
 		{"loads on throughput", `{"kind": "throughput", "loads": [0.5]}`, "do not apply"},

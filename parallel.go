@@ -3,8 +3,10 @@ package hyperx
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"hyperx/internal/harness"
+	"hyperx/internal/topology"
 )
 
 // Manifest is the observability record of a parallel run: pool shape,
@@ -24,11 +26,13 @@ type SweepOpts struct {
 	// job (cmd/hxsweep points it at stderr).
 	Progress func(line string)
 
-	// Fork, when non-nil, switches RunLoadSweepParallel to warm-fork
-	// execution: each (pattern, algorithm) curve becomes one job that
-	// builds a single instance, snapshots it, and restores per load point
-	// (see ForkOpts for the pristine vs warm modes and their determinism
-	// contracts). Parallelism then spans curves rather than points.
+	// Fork, when non-nil, switches a sweep to warm-fork execution: each
+	// (pattern, algorithm) curve becomes one job that builds a single
+	// instance, snapshots it, and restores per load point (see ForkOpts
+	// for the pristine vs warm modes and their determinism contracts).
+	// Parallelism then spans curves rather than points. It is the
+	// RunLoadSweepParallel spelling of Experiment.Fork, which wins when
+	// both are set.
 	Fork *ForkOpts
 
 	// CheckpointDir, when non-empty, persists every completed result to
@@ -57,16 +61,11 @@ type SweepOpts struct {
 	OnEvent func(harness.Event)
 }
 
-// stampFaults records the fault set a Config implies on the manifest, so
-// every result file names the exact links that were dead while it was
-// produced. No-op for pristine configurations; fault selection is
-// deterministic in (Widths, Faults, FaultSeed), so this reproduces the
-// same list the simulation instances used without rebuilding a network.
-func stampFaults(cfg Config, m *Manifest) {
-	if m == nil || cfg.Faults == 0 {
-		return
-	}
-	if fs, err := BuildFaults(cfg); err == nil && fs != nil {
+// stampFaults records the injected fault set on the manifest, so every
+// result file names the exact links that were dead while it was produced.
+// No-op for pristine configurations (a nil set).
+func stampFaults(fs *topology.FaultSet, m *Manifest) {
+	if fs != nil {
 		m.Faults = fs.Strings()
 	}
 }
@@ -84,31 +83,11 @@ func openSweepStore(po SweepOpts) (*CheckpointStore, error) {
 	return OpenCheckpointDir(po.CheckpointDir)
 }
 
-// runCell funnels one cell's compute-and-save through the sweep's
-// singleflight group when one is configured; shared reports that the
-// value came from a concurrent identical computation in another sweep
-// (callers mark such jobs cached). Without a group it just computes.
-func runCell[T any](fl *harness.Flight, key string, compute func() (T, error)) (rec T, shared bool, err error) {
-	if fl == nil {
-		rec, err = compute()
-		return rec, false, err
-	}
-	v, shared, err := fl.Do(key, func() (any, error) { return compute() })
-	if err != nil {
-		var zero T
-		return zero, false, err
-	}
-	return v.(T), shared, nil
-}
-
 // stampProvenance fills the manifest's provenance block: the execution
 // mode, the fork parameters when forking, and the checkpoint origin of
-// any cached jobs. A plain cold sweep with no store leaves the block nil
+// any cached jobs. A plain cold run with no store leaves the block nil
 // (the historical manifest shape).
-func stampProvenance(m *Manifest, mode string, cfg Config, fk *ForkOpts, store *CheckpointStore, rr *harness.RunResult) {
-	if m == nil {
-		return
-	}
+func stampProvenance(m *Manifest, mode string, x *Experiment, store *CheckpointStore, rr *harness.RunResult) {
 	cached := 0
 	for _, jr := range rr.Jobs {
 		if jr.Done && jr.Outcome.Cached {
@@ -119,8 +98,9 @@ func stampProvenance(m *Manifest, mode string, cfg Config, fk *ForkOpts, store *
 		return
 	}
 	p := &harness.Provenance{Mode: mode, CachedJobs: cached}
-	if fk != nil {
-		p.WarmSeed = cfg.Seed
+	if x.Fork != nil {
+		fk := x.fork()
+		p.WarmSeed = x.Config.Seed
 		p.ForkCycles = fk.WarmCycles
 		p.ForkLoad = fk.WarmLoad
 		p.ForkSettle = fk.Settle
@@ -131,103 +111,279 @@ func stampProvenance(m *Manifest, mode string, cfg Config, fk *ForkOpts, store *
 	m.Provenance = p
 }
 
-// runLoadSweepForked is the warm-fork execution of RunLoadSweepParallel:
-// one job per (pattern, algorithm) curve, each forking a shared snapshot
-// per load point serially in ascending load order (see ForkOpts for the
-// two modes and their determinism contracts). The worker pool parallelizes
-// across curves; the early-stop rule is the natural serial one inside each
-// curve, so no speculation is needed or run.
-func runLoadSweepForked(ctx context.Context, cfg Config, patterns, algs []string, loads []float64, opts RunOpts, po SweepOpts, store *CheckpointStore) ([]Curve, *Manifest, error) {
-	fk := po.Fork.withDefaults(opts.withDefaults())
-	mode := "pristine-fork"
-	if fk.WarmCycles > 0 {
-		mode = "warm-fork"
+// record is a persisted cell result (pointRecord, curveRecord,
+// thptRecord — their JSON is the on-disk checkpoint payload): all the
+// runner needs of one is the harness outcome it stands for.
+type record interface{ outcome() harness.Outcome }
+
+func (s simStats) outcome(value any, saturated bool) harness.Outcome {
+	return harness.Outcome{Saturated: saturated, Cycles: s.Cycles, Events: s.Events,
+		Delivered: s.Delivered, Dropped: s.Dropped, Value: value}
+}
+
+func (r *pointRecord) outcome() harness.Outcome { return r.Stats.outcome(r.Point, r.Point.Saturated) }
+func (r *curveRecord) outcome() harness.Outcome { return r.Stats.outcome(r.Points, false) }
+func (r *thptRecord) outcome() harness.Outcome  { return r.Stats.outcome(r.Value, false) }
+
+// cell is one independent simulation of an experiment — the unit that is
+// content-addressed, cached, deduplicated in flight and scheduled on the
+// pool. It is plain data: enumerating cells, whether to run them or only
+// to derive the job key, builds no closures.
+type cell struct {
+	curve, point int     // where the value lands in the assembled result
+	cfg          Config  // the configuration simulated (algorithm and fault count set)
+	pattern      string  // traffic pattern
+	load         float64 // offered load (unused by throughput and whole-curve cells)
+	key          string  // checkpoint key: the cell's content address
+}
+
+// plan is everything that distinguishes one way of executing an
+// experiment from another — which cells a curve has, what one is called,
+// how one is simulated and persisted, how the values become a Result.
+// Experiment.Run owns everything else (store, flight, harness, manifest),
+// so a new kind is an enumerator plus an assembler, not another driver.
+// Plans see the defaulted Experiment (Config and Opts defaults applied).
+type plan struct {
+	jobTag    string // what Experiment.Key files the plan's jobs under
+	mode      string // provenance mode stamped on the manifest
+	earlyStop bool   // a curve's cells are ascending loads; it ends at its first saturation
+
+	// cells expands one curve — c arrives with curve, cfg and pattern
+	// set — into its cells, in ascending point order.
+	cells func(x *Experiment, c cell, visit func(cell))
+	label func(c cell) string
+
+	// compute simulates one cell; blank is the empty record a store hit
+	// is decoded into.
+	compute func(ctx context.Context, x *Experiment, c cell) (record, error)
+	blank   func() record
+
+	// assemble turns the completed cells' values, by [curve][point], into
+	// the Result.
+	assemble func(x *Experiment, vals [][]any) (Result, error)
+	csv      func(w io.Writer, res Result) error
+}
+
+// plan selects the execution plan of a (normalized or zero-Kind)
+// experiment.
+func (e *Experiment) plan() *plan {
+	switch {
+	case e.Kind == "throughput":
+		return thptPlan
+	case e.Kind == "resilience":
+		return resiliencePlan
+	case e.Fork == nil:
+		return coldPlan
+	case e.Fork.WarmCycles > 0:
+		return warmForkPlan
 	}
-	type curveID struct{ pat, alg string }
-	ids := make([]curveID, 0, len(patterns)*len(algs))
-	for _, pat := range patterns {
-		for _, alg := range algs {
-			ids = append(ids, curveID{pat, alg})
+	return pristineForkPlan
+}
+
+// eachCell enumerates the experiment's cells under plan p: curves in
+// pattern-major order (the order every output uses), points ascending.
+// It is the only enumeration of any kind's cells — Run schedules what it
+// yields and Key concatenates the yielded keys.
+func (e *Experiment) eachCell(p *plan, visit func(cell)) {
+	for pi, pat := range e.Patterns {
+		for ai, alg := range e.Algorithms {
+			c := cell{curve: pi*len(e.Algorithms) + ai, cfg: e.Config, pattern: pat}
+			c.cfg.Algorithm = alg
+			p.cells(e, c, visit)
 		}
 	}
+}
 
-	keyOpts := opts.withDefaults()
-	jobs := make([]harness.Job, 0, len(ids))
-	for c, id := range ids {
-		ccfg := cfg
-		ccfg.Algorithm = id.alg
-		jobs = append(jobs, harness.Job{
-			Curve: c,
-			Point: 0,
-			Label: fmt.Sprintf("%s/%s curve[%s]", id.pat, id.alg, mode),
-			Seed:  ccfg.Seed,
-			Run: func(jctx context.Context) (harness.Outcome, error) {
-				key := curveKey(ccfg, id.pat, loads, keyOpts, fk)
-				if store != nil {
-					var rec curveRecord
-					if ok, err := store.Load(key, &rec); err != nil {
-						return harness.Outcome{}, err
-					} else if ok {
-						return harness.Outcome{
-							Cached:    true,
-							Cycles:    rec.Stats.Cycles,
-							Events:    rec.Stats.Events,
-							Delivered: rec.Stats.Delivered,
-							Dropped:   rec.Stats.Dropped,
-							Value:     rec.Points,
-						}, nil
-					}
+// fork returns the experiment's fork methodology with defaults applied;
+// a nil Fork is the zero ForkOpts, the pristine fork.
+func (e *Experiment) fork() ForkOpts {
+	var fk ForkOpts
+	if e.Fork != nil {
+		fk = *e.Fork
+	}
+	return fk.withDefaults(e.Opts)
+}
+
+// computePoint simulates one cold load point — the cell of both the cold
+// sweep and the resilience experiment, which therefore share cache
+// entries for identical simulations.
+func computePoint(ctx context.Context, x *Experiment, c cell) (record, error) {
+	pt, st, err := runLoadPointCtx(ctx, c.cfg, c.pattern, c.load, x.Opts)
+	return &pointRecord{Point: pt, Stats: st}, err
+}
+
+func blankPoint() record { return new(pointRecord) }
+
+func sweepCSV(w io.Writer, res Result) error { return WriteSweepCSV(w, res.Curves) }
+
+// assembleCurves names the experiment's curves in cell.curve order and
+// fills each from its cells' values.
+func assembleCurves(x *Experiment, vals [][]any, points func(cells []any) []LoadPoint) (Result, error) {
+	curves := make([]Curve, 0, len(vals))
+	for _, pat := range x.Patterns {
+		for _, alg := range x.Algorithms {
+			curves = append(curves, Curve{Pattern: pat, Algorithm: alg, Points: points(vals[len(curves)])})
+		}
+	}
+	return Result{Curves: curves}, nil
+}
+
+// coldPlan is the cold load sweep: one cell per (pattern, algorithm,
+// load), run speculatively and cancelled past a curve's first confirmed
+// saturation; a point at or below the eventual curve end is never
+// cancelled (see internal/harness).
+var coldPlan = &plan{
+	jobTag:    "sweep|cold",
+	mode:      "cold",
+	earlyStop: true,
+	cells: func(x *Experiment, c cell, visit func(cell)) {
+		for li, load := range x.Loads {
+			c.point, c.load = li, load
+			c.key = pointKey(c.cfg, c.pattern, load, x.Opts)
+			visit(c)
+		}
+	},
+	label: func(c cell) string {
+		return fmt.Sprintf("%s/%s@%.3f", c.pattern, c.cfg.Algorithm, c.load)
+	},
+	compute: computePoint,
+	blank:   blankPoint,
+	assemble: func(x *Experiment, vals [][]any) (Result, error) {
+		// Truncate each curve at its first saturated point — the serial
+		// early-stop rule.
+		return assembleCurves(x, vals, func(cells []any) (pts []LoadPoint) {
+			for _, v := range cells {
+				if v == nil {
+					break
 				}
-				rec, shared, err := runCell(po.Flight, key, func() (curveRecord, error) {
-					pts, st, err := runCurveWarmFork(jctx, ccfg, id.pat, loads, opts, fk)
-					if err != nil {
-						return curveRecord{}, err
-					}
-					if store != nil {
-						if err := store.Save(key, curveRecord{Points: pts, Stats: st}); err != nil {
-							return curveRecord{}, err
-						}
-					}
-					return curveRecord{Points: pts, Stats: st}, nil
-				})
-				if err != nil {
-					return harness.Outcome{}, err
+				pts = append(pts, v.(LoadPoint))
+				if pts[len(pts)-1].Saturated {
+					break
 				}
-				return harness.Outcome{
-					Cached:    shared,
-					Cycles:    rec.Stats.Cycles,
-					Events:    rec.Stats.Events,
-					Delivered: rec.Stats.Delivered,
-					Dropped:   rec.Stats.Dropped,
-					Value:     rec.Points,
-				}, nil
-			},
+			}
+			return pts
 		})
-	}
+	},
+	csv: sweepCSV,
+}
 
-	rr, err := harness.Run(ctx, jobs, harness.Options{Workers: po.Workers, Progress: po.Progress, OnEvent: po.OnEvent})
-	if rr != nil {
-		stampFaults(cfg, rr.Manifest)
-		stampProvenance(rr.Manifest, mode, cfg, &fk, store, rr)
+// newForkPlan is the warm-fork load sweep: one cell per (pattern,
+// algorithm) curve, forking a shared snapshot per load point serially in
+// ascending load order (see ForkOpts for the two modes and their
+// determinism contracts). The pool parallelizes across curves; the
+// early-stop rule is the natural serial one inside each curve, so no
+// speculation is needed or run.
+func newForkPlan(mode string) *plan {
+	return &plan{
+		jobTag: "sweep|fork",
+		mode:   mode,
+		cells: func(x *Experiment, c cell, visit func(cell)) {
+			c.key = curveKey(c.cfg, c.pattern, x.Loads, x.Opts, x.fork())
+			visit(c)
+		},
+		label: func(c cell) string {
+			return fmt.Sprintf("%s/%s curve[%s]", c.pattern, c.cfg.Algorithm, mode)
+		},
+		compute: func(ctx context.Context, x *Experiment, c cell) (record, error) {
+			pts, st, err := runCurveWarmFork(ctx, c.cfg, c.pattern, x.Loads, x.Opts, x.fork())
+			return &curveRecord{Points: pts, Stats: st}, err
+		},
+		blank: func() record { return new(curveRecord) },
+		assemble: func(x *Experiment, vals [][]any) (Result, error) {
+			return assembleCurves(x, vals, func(cells []any) []LoadPoint { return cells[0].([]LoadPoint) })
+		},
+		csv: sweepCSV,
 	}
-	if err != nil {
-		var m *Manifest
-		if rr != nil {
-			m = rr.Manifest
-		}
-		return nil, m, err
-	}
+}
 
-	curves := make([]Curve, len(ids))
-	for c, id := range ids {
-		curves[c] = Curve{Pattern: id.pat, Algorithm: id.alg}
-	}
-	for _, jr := range rr.Jobs {
-		if jr.Done {
-			curves[jr.Job.Curve].Points = jr.Outcome.Value.([]LoadPoint)
+var (
+	pristineForkPlan = newForkPlan("pristine-fork")
+	warmForkPlan     = newForkPlan("warm-fork")
+)
+
+// thptPlan is the Figure 6g grid: one cell per (pattern, algorithm) at
+// offered load 1.0, each its own single-point curve.
+var thptPlan = &plan{
+	jobTag: "thpt",
+	mode:   "cold",
+	cells: func(x *Experiment, c cell, visit func(cell)) {
+		c.key = thptKey(c.cfg, c.pattern, x.Opts)
+		visit(c)
+	},
+	label: func(c cell) string {
+		return fmt.Sprintf("%s/%s@1.000", c.pattern, c.cfg.Algorithm)
+	},
+	compute: func(ctx context.Context, x *Experiment, c cell) (record, error) {
+		th, st, err := runThroughputCtx(ctx, c.cfg, c.pattern, x.Opts)
+		return &thptRecord{Value: th, Stats: st}, err
+	},
+	blank: func() record { return new(thptRecord) },
+	assemble: func(x *Experiment, vals [][]any) (Result, error) {
+		grid := &ThroughputGrid{
+			Patterns:   append([]string(nil), x.Patterns...),
+			Algorithms: append([]string(nil), x.Algorithms...),
+			Values:     make([][]float64, len(x.Patterns)),
 		}
+		for c, cells := range vals {
+			pi := c / len(x.Algorithms)
+			grid.Values[pi] = append(grid.Values[pi], cells[0].(float64))
+		}
+		return Result{Grid: grid}, nil
+	},
+	csv: func(w io.Writer, res Result) error { return WriteThroughputCSV(w, res.Grid) },
+}
+
+// resilienceFaults resolves the injected link list of every k =
+// 0..MaxFaults (deterministic in (Widths, k, FaultSeed), so it reproduces
+// exactly what the cells inject).
+func resilienceFaults(x *Experiment) ([][]string, error) {
+	sets := make([][]string, x.MaxFaults+1)
+	for k := 1; k <= x.MaxFaults; k++ {
+		fcfg := x.Config
+		fcfg.Faults = k
+		fs, err := BuildFaults(fcfg)
+		if err != nil {
+			return nil, fmt.Errorf("hyperx: resilience sweep k=%d: %w", k, err)
+		}
+		sets[k] = fs.Strings()
 	}
-	return curves, rr.Manifest, nil
+	return sets, nil
+}
+
+// resiliencePlan is the graceful-degradation experiment: one curve per
+// algorithm, one cell per fault count k = 0..MaxFaults at the fixed Load.
+// Cells never early-stop — a saturated or lossy cell is itself the
+// measurement. Config.Faults is inside the point key, so a cell is the
+// same cache entry as the identical cold-sweep load point.
+var resiliencePlan = &plan{
+	jobTag: "res",
+	mode:   "cold",
+	cells: func(x *Experiment, c cell, visit func(cell)) {
+		for k := 0; k <= x.MaxFaults; k++ {
+			c.point, c.load, c.cfg.Faults = k, x.Load, k
+			c.key = pointKey(c.cfg, c.pattern, c.load, x.Opts)
+			visit(c)
+		}
+	},
+	label: func(c cell) string {
+		return fmt.Sprintf("%s/%s@%.2f k=%d", c.pattern, c.cfg.Algorithm, c.load, c.point)
+	},
+	compute: computePoint,
+	blank:   blankPoint,
+	assemble: func(x *Experiment, vals [][]any) (Result, error) {
+		sets, err := resilienceFaults(x)
+		if err != nil {
+			return Result{}, err
+		}
+		var points []ResiliencePoint
+		for ai, alg := range x.Algorithms {
+			for k, v := range vals[ai] {
+				points = append(points, ResiliencePoint{Algorithm: alg, Faults: k, FaultSet: sets[k], LoadPoint: v.(LoadPoint)})
+			}
+		}
+		return Result{Points: points}, nil
+	},
+	csv: func(w io.Writer, res Result) error { return WriteResilienceCSV(w, res.Points) },
 }
 
 // Curve is one load-latency line of a Figure 6 panel: the sweep of one
@@ -239,136 +395,6 @@ type Curve struct {
 	Points    []LoadPoint
 }
 
-// RunLoadSweepParallel measures the patterns × algorithms grid of
-// load-latency curves on a bounded worker pool. Every (pattern,
-// algorithm, load) triple is an independent simulation seeded exactly as
-// the serial path seeds it, so the returned curves are bit-identical to
-// calling RunLoadSweep once per (pattern, algorithm) — at any worker
-// count. Points past a curve's first confirmed saturation are run
-// speculatively and cancelled once saturation is known; a point at or
-// below the eventual curve end is never cancelled (see internal/harness).
-// Curves are returned in pattern-major order.
-func RunLoadSweepParallel(ctx context.Context, cfg Config, patterns, algs []string, loads []float64, opts RunOpts, po SweepOpts) ([]Curve, *Manifest, error) {
-	cfg = cfg.withDefaults()
-	store, err := openSweepStore(po)
-	if err != nil {
-		return nil, nil, err
-	}
-	if po.Fork != nil {
-		return runLoadSweepForked(ctx, cfg, patterns, algs, loads, opts, po, store)
-	}
-	type curveID struct{ pat, alg string }
-	ids := make([]curveID, 0, len(patterns)*len(algs))
-	for _, pat := range patterns {
-		for _, alg := range algs {
-			ids = append(ids, curveID{pat, alg})
-		}
-	}
-
-	keyOpts := opts.withDefaults()
-	jobs := make([]harness.Job, 0, len(ids)*len(loads))
-	for c, id := range ids {
-		ccfg := cfg
-		ccfg.Algorithm = id.alg
-		for li, load := range loads {
-			jobs = append(jobs, harness.Job{
-				Curve: c,
-				Point: li,
-				Label: fmt.Sprintf("%s/%s@%.3f", id.pat, id.alg, load),
-				Seed:  ccfg.Seed,
-				Run: func(jctx context.Context) (harness.Outcome, error) {
-					key := pointKey(ccfg, id.pat, load, keyOpts)
-					if store != nil {
-						var rec pointRecord
-						if ok, err := store.Load(key, &rec); err != nil {
-							return harness.Outcome{}, err
-						} else if ok {
-							return harness.Outcome{
-								Saturated: rec.Point.Saturated,
-								Cached:    true,
-								Cycles:    rec.Stats.Cycles,
-								Events:    rec.Stats.Events,
-								Delivered: rec.Stats.Delivered,
-								Dropped:   rec.Stats.Dropped,
-								Value:     rec.Point,
-							}, nil
-						}
-					}
-					rec, shared, err := runCell(po.Flight, key, func() (pointRecord, error) {
-						pt, st, err := runLoadPointCtx(jctx, ccfg, id.pat, load, opts)
-						if err != nil {
-							return pointRecord{}, err
-						}
-						if store != nil {
-							if err := store.Save(key, pointRecord{Point: pt, Stats: st}); err != nil {
-								return pointRecord{}, err
-							}
-						}
-						return pointRecord{Point: pt, Stats: st}, nil
-					})
-					if err != nil {
-						return harness.Outcome{}, err
-					}
-					return harness.Outcome{
-						Saturated: rec.Point.Saturated,
-						Cached:    shared,
-						Cycles:    rec.Stats.Cycles,
-						Events:    rec.Stats.Events,
-						Delivered: rec.Stats.Delivered,
-						Dropped:   rec.Stats.Dropped,
-						Value:     rec.Point,
-					}, nil
-				},
-			})
-		}
-	}
-	harness.SortForSpeculation(jobs)
-
-	rr, err := harness.Run(ctx, jobs, harness.Options{
-		Workers:   po.Workers,
-		EarlyStop: true,
-		Progress:  po.Progress,
-		OnEvent:   po.OnEvent,
-	})
-	if rr != nil {
-		stampFaults(cfg, rr.Manifest)
-		stampProvenance(rr.Manifest, "cold", cfg, nil, store, rr)
-	}
-	if err != nil {
-		var m *Manifest
-		if rr != nil {
-			m = rr.Manifest
-		}
-		return nil, m, err
-	}
-
-	// Reassemble in (curve, point) order and truncate each curve at its
-	// first saturated point — the serial early-stop rule.
-	byCurve := make(map[int]map[int]harness.JobResult, len(ids))
-	for _, jr := range rr.Jobs {
-		if byCurve[jr.Job.Curve] == nil {
-			byCurve[jr.Job.Curve] = make(map[int]harness.JobResult, len(loads))
-		}
-		byCurve[jr.Job.Curve][jr.Job.Point] = jr
-	}
-	curves := make([]Curve, len(ids))
-	for c, id := range ids {
-		curves[c] = Curve{Pattern: id.pat, Algorithm: id.alg}
-		for li := range loads {
-			jr, ok := byCurve[c][li]
-			if !ok || !jr.Done {
-				break
-			}
-			pt := jr.Outcome.Value.(LoadPoint)
-			curves[c].Points = append(curves[c].Points, pt)
-			if pt.Saturated {
-				break
-			}
-		}
-	}
-	return curves, rr.Manifest, nil
-}
-
 // ThroughputGrid is the Figure 6g measurement: accepted throughput at
 // full offered load for every pattern × algorithm cell, with
 // Values[p][a] corresponding to Patterns[p] under Algorithms[a].
@@ -376,119 +402,6 @@ type ThroughputGrid struct {
 	Patterns   []string
 	Algorithms []string
 	Values     [][]float64
-}
-
-// RunThroughputGrid measures saturated throughput (offered load 1.0) for
-// every pattern × algorithm cell on a bounded worker pool. Each cell is
-// an independent simulation seeded exactly as RunThroughput seeds it, so
-// every Values entry is bit-identical to the corresponding serial call,
-// at any worker count. SweepOpts.CheckpointDir persists and serves cells
-// exactly like the load-sweep paths. A cell that did not complete is an
-// error naming the cell — never a silent 0.0, which would be
-// indistinguishable from a measured zero throughput.
-func RunThroughputGrid(ctx context.Context, cfg Config, patterns, algs []string, opts RunOpts, po SweepOpts) (*ThroughputGrid, *Manifest, error) {
-	cfg = cfg.withDefaults()
-	store, err := openSweepStore(po)
-	if err != nil {
-		return nil, nil, err
-	}
-	keyOpts := opts.withDefaults()
-	jobs := make([]harness.Job, 0, len(patterns)*len(algs))
-	for pi, pat := range patterns {
-		for ai, alg := range algs {
-			ccfg := cfg
-			ccfg.Algorithm = alg
-			jobs = append(jobs, harness.Job{
-				Curve: pi*len(algs) + ai, // one cell per curve: no early stop
-				Point: 0,
-				Label: fmt.Sprintf("%s/%s@1.000", pat, alg),
-				Seed:  ccfg.Seed,
-				Run: func(jctx context.Context) (harness.Outcome, error) {
-					key := thptKey(ccfg, pat, keyOpts)
-					if store != nil {
-						var rec thptRecord
-						if ok, err := store.Load(key, &rec); err != nil {
-							return harness.Outcome{}, err
-						} else if ok {
-							return harness.Outcome{
-								Cached:    true,
-								Cycles:    rec.Stats.Cycles,
-								Events:    rec.Stats.Events,
-								Delivered: rec.Stats.Delivered,
-								Dropped:   rec.Stats.Dropped,
-								Value:     rec.Value,
-							}, nil
-						}
-					}
-					rec, shared, err := runCell(po.Flight, key, func() (thptRecord, error) {
-						th, st, err := runThroughputCtx(jctx, ccfg, pat, opts)
-						if err != nil {
-							return thptRecord{}, err
-						}
-						if store != nil {
-							if err := store.Save(key, thptRecord{Value: th, Stats: st}); err != nil {
-								return thptRecord{}, err
-							}
-						}
-						return thptRecord{Value: th, Stats: st}, nil
-					})
-					if err != nil {
-						return harness.Outcome{}, err
-					}
-					return harness.Outcome{
-						Cached:    shared,
-						Cycles:    rec.Stats.Cycles,
-						Events:    rec.Stats.Events,
-						Delivered: rec.Stats.Delivered,
-						Dropped:   rec.Stats.Dropped,
-						Value:     rec.Value,
-					}, nil
-				},
-			})
-		}
-	}
-
-	rr, err := harness.Run(ctx, jobs, harness.Options{Workers: po.Workers, Progress: po.Progress, OnEvent: po.OnEvent})
-	if rr != nil {
-		stampFaults(cfg, rr.Manifest)
-		stampProvenance(rr.Manifest, "cold", cfg, nil, store, rr)
-	}
-	if err != nil {
-		var m *Manifest
-		if rr != nil {
-			m = rr.Manifest
-		}
-		return nil, m, err
-	}
-
-	grid, err := assembleGrid(rr, patterns, algs)
-	if err != nil {
-		return nil, rr.Manifest, err
-	}
-	return grid, rr.Manifest, nil
-}
-
-// assembleGrid reassembles completed harness jobs into the throughput
-// grid. A cell that did not complete is an error naming the cell — never
-// a silently skipped Values entry left at 0.0, which a reader could not
-// distinguish from a measured zero throughput.
-func assembleGrid(rr *harness.RunResult, patterns, algs []string) (*ThroughputGrid, error) {
-	grid := &ThroughputGrid{
-		Patterns:   append([]string(nil), patterns...),
-		Algorithms: append([]string(nil), algs...),
-		Values:     make([][]float64, len(patterns)),
-	}
-	for pi := range patterns {
-		grid.Values[pi] = make([]float64, len(algs))
-	}
-	for _, jr := range rr.Jobs {
-		pi, ai := jr.Job.Curve/len(algs), jr.Job.Curve%len(algs)
-		if !jr.Done {
-			return nil, fmt.Errorf("hyperx: throughput grid: cell %s/%s did not complete", patterns[pi], algs[ai])
-		}
-		grid.Values[pi][ai] = jr.Outcome.Value.(float64)
-	}
-	return grid, nil
 }
 
 // ResiliencePoint is one cell of the resilience experiment: one routing
@@ -514,148 +427,40 @@ func (p ResiliencePoint) DeliveredFrac() float64 {
 	return float64(p.LoadPoint.Delivered) / float64(total)
 }
 
-// RunResilienceSweep measures the graceful-degradation experiment: every
-// algorithm × fault-count cell at one fixed offered load, for k = 0..
-// maxFaults failed links. Fault sets are nested in spirit but drawn
-// independently per k (each k uses the deterministic seeded selection of
-// BuildFaults with the same FaultSeed), so the k axis is reproducible run
-// to run. Each cell is an independent simulation — results are
-// bit-identical at any worker count — and cells never early-stop: a
-// saturated or lossy cell is itself the measurement. Points are returned
-// grouped by algorithm in input order, ascending k; a cell that did not
-// complete is an error naming the cell, never a silently absent point.
-// SweepOpts.CheckpointDir persists and serves cells exactly like the
-// load-sweep paths (a resilience cell shares its key — and so its cache
-// entry — with the identical cold-sweep load point, because both run the
-// same simulation).
-func RunResilienceSweep(ctx context.Context, cfg Config, patternName string, algs []string, maxFaults int, load float64, opts RunOpts, po SweepOpts) ([]ResiliencePoint, *Manifest, error) {
-	cfg = cfg.withDefaults()
-	store, err := openSweepStore(po)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Resolve every fault set up front: the lists go into the points (and
-	// errors surface before any simulation time is spent).
-	faultSets := make([][]string, maxFaults+1)
-	for k := 1; k <= maxFaults; k++ {
-		fcfg := cfg
-		fcfg.Faults = k
-		fs, err := BuildFaults(fcfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("hyperx: resilience sweep k=%d: %w", k, err)
-		}
-		faultSets[k] = fs.Strings()
-	}
-
-	keyOpts := opts.withDefaults()
-	jobs := make([]harness.Job, 0, len(algs)*(maxFaults+1))
-	for ai, alg := range algs {
-		for k := 0; k <= maxFaults; k++ {
-			ccfg := cfg
-			ccfg.Algorithm = alg
-			ccfg.Faults = k
-			jobs = append(jobs, harness.Job{
-				Curve: ai,
-				Point: k,
-				Label: fmt.Sprintf("%s/%s@%.2f k=%d", patternName, alg, load, k),
-				Seed:  ccfg.Seed,
-				Run: func(jctx context.Context) (harness.Outcome, error) {
-					// ccfg.Faults is inside configKey, so this is the same key
-					// the cold sweep would use for the identical simulation.
-					key := pointKey(ccfg, patternName, load, keyOpts)
-					if store != nil {
-						var rec pointRecord
-						if ok, err := store.Load(key, &rec); err != nil {
-							return harness.Outcome{}, err
-						} else if ok {
-							return harness.Outcome{
-								Saturated: rec.Point.Saturated,
-								Cached:    true,
-								Cycles:    rec.Stats.Cycles,
-								Events:    rec.Stats.Events,
-								Delivered: rec.Stats.Delivered,
-								Dropped:   rec.Stats.Dropped,
-								Value:     rec.Point,
-							}, nil
-						}
-					}
-					rec, shared, err := runCell(po.Flight, key, func() (pointRecord, error) {
-						pt, st, err := runLoadPointCtx(jctx, ccfg, patternName, load, opts)
-						if err != nil {
-							return pointRecord{}, err
-						}
-						if store != nil {
-							if err := store.Save(key, pointRecord{Point: pt, Stats: st}); err != nil {
-								return pointRecord{}, err
-							}
-						}
-						return pointRecord{Point: pt, Stats: st}, nil
-					})
-					if err != nil {
-						return harness.Outcome{}, err
-					}
-					return harness.Outcome{
-						Saturated: rec.Point.Saturated,
-						Cached:    shared,
-						Cycles:    rec.Stats.Cycles,
-						Events:    rec.Stats.Events,
-						Delivered: rec.Stats.Delivered,
-						Dropped:   rec.Stats.Dropped,
-						Value:     rec.Point,
-					}, nil
-				},
-			})
-		}
-	}
-
-	rr, err := harness.Run(ctx, jobs, harness.Options{Workers: po.Workers, Progress: po.Progress, OnEvent: po.OnEvent})
-	if rr != nil {
-		// The manifest records the largest injected fault set: stamp it
-		// through the same helper every other sweep uses (deterministic in
-		// (Widths, Faults, FaultSeed), so it reproduces faultSets[maxFaults]).
-		fcfg := cfg
-		fcfg.Faults = maxFaults
-		stampFaults(fcfg, rr.Manifest)
-		stampProvenance(rr.Manifest, "cold", cfg, nil, store, rr)
-	}
-	if err != nil {
-		var m *Manifest
-		if rr != nil {
-			m = rr.Manifest
-		}
-		return nil, m, err
-	}
-
-	points, err := assembleResilience(rr, algs, maxFaults, faultSets)
-	if err != nil {
-		return points, rr.Manifest, err
-	}
-	return points, rr.Manifest, nil
+// RunLoadSweepParallel measures the patterns × algorithms grid of
+// load-latency curves on a bounded worker pool: Experiment.Run for kind
+// "sweep". Every (pattern, algorithm, load) triple is an independent
+// simulation seeded exactly as the serial path seeds it, so the returned
+// curves are bit-identical to calling RunLoadSweep once per (pattern,
+// algorithm) — at any worker count. po.Fork switches to warm-fork
+// execution. Curves are returned in pattern-major order. Like every
+// wrapper here, the arguments pass through Experiment.Normalize: empty
+// lists take the kind's defaults and invalid ones are an error.
+func RunLoadSweepParallel(ctx context.Context, cfg Config, patterns, algs []string, loads []float64, opts RunOpts, po SweepOpts) ([]Curve, *Manifest, error) {
+	x := Experiment{Kind: "sweep", Config: cfg, Patterns: patterns, Algorithms: algs, Loads: loads, Opts: opts}
+	res, m, err := x.Run(ctx, po)
+	return res.Curves, m, err
 }
 
-// assembleResilience reassembles completed harness jobs into resilience
-// points, grouped by algorithm in input order with ascending k. A cell
-// that did not complete is an error naming the cell — never a silently
-// absent point, which would quietly shorten a degradation curve.
-func assembleResilience(rr *harness.RunResult, algs []string, maxFaults int, faultSets [][]string) ([]ResiliencePoint, error) {
-	points := make([]ResiliencePoint, 0, len(algs)*(maxFaults+1))
-	byCell := make(map[[2]int]harness.JobResult, len(rr.Jobs))
-	for _, jr := range rr.Jobs {
-		byCell[[2]int{jr.Job.Curve, jr.Job.Point}] = jr
-	}
-	for ai, alg := range algs {
-		for k := 0; k <= maxFaults; k++ {
-			jr, ok := byCell[[2]int{ai, k}]
-			if !ok || !jr.Done {
-				return points, fmt.Errorf("hyperx: resilience sweep: cell %s k=%d did not complete", alg, k)
-			}
-			points = append(points, ResiliencePoint{
-				Algorithm: alg,
-				Faults:    k,
-				FaultSet:  faultSets[k],
-				LoadPoint: jr.Outcome.Value.(LoadPoint),
-			})
-		}
-	}
-	return points, nil
+// RunThroughputGrid measures saturated throughput (offered load 1.0) for
+// every pattern × algorithm cell: Experiment.Run for kind "throughput".
+// Each cell is seeded exactly as RunThroughput seeds it, so every Values
+// entry is bit-identical to the corresponding serial call.
+func RunThroughputGrid(ctx context.Context, cfg Config, patterns, algs []string, opts RunOpts, po SweepOpts) (*ThroughputGrid, *Manifest, error) {
+	x := Experiment{Kind: "throughput", Config: cfg, Patterns: patterns, Algorithms: algs, Opts: opts}
+	res, m, err := x.Run(ctx, po)
+	return res.Grid, m, err
+}
+
+// RunResilienceSweep measures the graceful-degradation experiment —
+// every algorithm × fault-count cell at one fixed offered load, for k =
+// 0..maxFaults (at least 1) failed links: Experiment.Run for kind
+// "resilience". Fault sets are drawn independently per k (each k uses the
+// deterministic seeded selection of BuildFaults with the same FaultSeed),
+// so the k axis is reproducible run to run. Points are returned grouped
+// by algorithm in input order, ascending k.
+func RunResilienceSweep(ctx context.Context, cfg Config, patternName string, algs []string, maxFaults int, load float64, opts RunOpts, po SweepOpts) ([]ResiliencePoint, *Manifest, error) {
+	x := Experiment{Kind: "resilience", Config: cfg, Patterns: []string{patternName}, Algorithms: algs, MaxFaults: maxFaults, Load: load, Opts: opts}
+	res, m, err := x.Run(ctx, po)
+	return res.Points, m, err
 }

@@ -2,7 +2,9 @@ package hyperx
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -19,6 +21,13 @@ func TestLoadRangeExact(t *testing.T) {
 		}
 		if last := r[len(r)-1]; last != 1.0 {
 			t.Errorf("LoadRange(%v) endpoint = %v, want exactly 1.0", step, last)
+		}
+	}
+	// A step the loop cannot terminate on is an empty grid, not an
+	// out-of-memory crash (hxsweep -step 0 used to die that way).
+	for _, step := range []float64{0, -0.1, math.NaN(), math.Inf(-1)} {
+		if r := LoadRange(step); r != nil {
+			t.Errorf("LoadRange(%v) = %d points, want nil", step, len(r))
 		}
 	}
 }
@@ -153,5 +162,25 @@ func TestParallelSweepUnknownAlgorithm(t *testing.T) {
 		[]string{"UR"}, []string{"bogus"}, []float64{0.1}, RunOpts{Warmup: 100, Window: 100}, SweepOpts{})
 	if err == nil {
 		t.Fatal("unknown algorithm did not error")
+	}
+}
+
+// TestFacadeWrappersValidate: the exported wrappers run through
+// Experiment.Normalize, so what the CLI and the daemon reject they reject
+// too — as an error, before any simulation. A negative maxFaults used to
+// panic in make (<= -2) or return an empty result with no error (-1).
+func TestFacadeWrappersValidate(t *testing.T) {
+	ctx, cfg, opts := context.Background(), DefaultScale(), RunOpts{Warmup: 100, Window: 100}
+	for _, k := range []int{-2, -1, 0} {
+		pts, _, err := RunResilienceSweep(ctx, cfg, "UR", []string{"DOR"}, k, 0.3, opts, SweepOpts{})
+		if err == nil || !strings.Contains(err.Error(), "max_faults >= 1") {
+			t.Errorf("RunResilienceSweep(maxFaults=%d) = (%d points, %v), want the max_faults error", k, len(pts), err)
+		}
+	}
+	if _, _, err := RunThroughputGrid(ctx, cfg, []string{"UR"}, []string{"DOR"}, opts, SweepOpts{Fork: &ForkOpts{}}); err == nil || !strings.Contains(err.Error(), "kind sweep only") {
+		t.Errorf("RunThroughputGrid with SweepOpts.Fork = %v, want the fork-applies-to-sweep error", err)
+	}
+	if _, _, err := RunLoadSweepParallel(ctx, cfg, []string{"UR"}, []string{"DOR"}, []float64{0.1, -0.2}, opts, SweepOpts{}); err == nil || !strings.Contains(err.Error(), "loads must be positive") {
+		t.Errorf("RunLoadSweepParallel with a negative load = %v, want the loads error", err)
 	}
 }

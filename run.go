@@ -215,8 +215,12 @@ func RunLoadSweep(cfg Config, patternName string, loads []float64, opts RunOpts)
 // LoadRange builds the sweep grid [step, 2*step, ..., 1.0]; the paper uses
 // a 2% granularity (step 0.02). Each point is computed as i*step (not by
 // repeated addition), so grids are exact: LoadRange(0.1)[9] is exactly
-// 1.0, and the same index always yields the same load bit pattern.
+// 1.0, and the same index always yields the same load bit pattern. A step
+// the loop could not terminate on (zero, negative, NaN) yields nil.
 func LoadRange(step float64) []float64 {
+	if !(step > 0) {
+		return nil
+	}
 	var out []float64
 	for i := 1; ; i++ {
 		l := float64(i) * step

@@ -343,104 +343,44 @@ func TestShardedSweepMatchesSerialSweep(t *testing.T) {
 	}
 }
 
-// TestThroughputGridCheckpointResume: regression for the grid silently
-// ignoring SweepOpts.CheckpointDir — the first run persists every cell,
-// the rerun serves all of them from cache with identical values and a
-// provenance block recording the store.
-func TestThroughputGridCheckpointResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("steady-state simulations")
+// assembleJobs runs hand-built harness results through the runner's
+// collect-and-assemble tail for a normalized experiment.
+func assembleJobs(t *testing.T, x *Experiment, rr *harness.RunResult) (Result, error) {
+	t.Helper()
+	if err := x.Normalize(); err != nil {
+		t.Fatal(err)
 	}
-	cfg := Config{Widths: []int{4, 4}, Terms: 2, Seed: 1}
-	opts := RunOpts{Warmup: 800, Window: 800}
-	patterns, algs := []string{"UR"}, []string{"DOR", "DimWAR"}
-	dir := t.TempDir()
-	run := func() (*ThroughputGrid, *Manifest) {
-		grid, mani, err := RunThroughputGrid(context.Background(), cfg, patterns, algs, opts,
-			SweepOpts{Workers: 2, CheckpointDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return grid, mani
+	p := x.plan()
+	vals, err := cellValues(x, p, rr)
+	if err != nil {
+		return Result{}, err
 	}
-	first, mani1 := run()
-	if mani1.Provenance == nil || mani1.Provenance.ResumedFrom != dir {
-		t.Errorf("first grid run provenance %+v, want store %q recorded", mani1.Provenance, dir)
-	}
-	if mani1.Provenance != nil && mani1.Provenance.CachedJobs != 0 {
-		t.Errorf("first grid run served %d cached jobs from an empty store", mani1.Provenance.CachedJobs)
-	}
-	second, mani2 := run()
-	if !reflect.DeepEqual(second, first) {
-		t.Errorf("cached grid diverged from the run that populated the store:\ngot:  %+v\nwant: %+v", second, first)
-	}
-	if mani2.Provenance == nil || mani2.Provenance.CachedJobs != len(patterns)*len(algs) {
-		t.Errorf("second grid run provenance %+v, want all %d cells cached", mani2.Provenance, len(patterns)*len(algs))
-	}
-}
-
-// TestResilienceSweepCheckpointResume: regression for the resilience
-// sweep silently ignoring SweepOpts.CheckpointDir and stamping its
-// manifest outside the shared helpers — the rerun is fully cached, and
-// both manifests carry the maxFaults fault list and a provenance block.
-func TestResilienceSweepCheckpointResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("steady-state simulations")
-	}
-	cfg := Config{Widths: []int{4, 4}, Terms: 2, Seed: 1}
-	opts := RunOpts{Warmup: 800, Window: 800}
-	algs := []string{"DOR", "DimWAR"}
-	const maxFaults = 2
-	dir := t.TempDir()
-	run := func() ([]ResiliencePoint, *Manifest) {
-		pts, mani, err := RunResilienceSweep(context.Background(), cfg, "UR", algs, maxFaults, 0.3, opts,
-			SweepOpts{Workers: 2, CheckpointDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts, mani
-	}
-	first, mani1 := run()
-	if len(first) != len(algs)*(maxFaults+1) {
-		t.Fatalf("resilience sweep returned %d points, want %d", len(first), len(algs)*(maxFaults+1))
-	}
-	if len(mani1.Faults) != maxFaults {
-		t.Errorf("first run manifest records %d faults, want the maxFaults=%d set", len(mani1.Faults), maxFaults)
-	}
-	second, mani2 := run()
-	if !reflect.DeepEqual(second, first) {
-		t.Error("cached resilience sweep diverged from the run that populated the store")
-	}
-	if mani2.Provenance == nil || mani2.Provenance.CachedJobs != len(algs)*(maxFaults+1) {
-		t.Errorf("second run provenance %+v, want all %d cells cached", mani2.Provenance, len(algs)*(maxFaults+1))
-	}
-	if len(mani2.Faults) != maxFaults {
-		t.Errorf("cached run manifest records %d faults, want %d; fault stamping must not depend on recomputation", len(mani2.Faults), maxFaults)
-	}
+	return p.assemble(x, vals)
 }
 
 // TestGridIncompleteCellError: regression for a not-Done grid cell
 // silently surviving as Values[pi][ai] == 0.0 — assembly must fail
 // loudly, naming the cell.
 func TestGridIncompleteCellError(t *testing.T) {
+	x := &Experiment{Kind: "throughput", Patterns: []string{"UR"}, Algorithms: []string{"DOR", "DimWAR"}}
 	rr := &harness.RunResult{Jobs: []harness.JobResult{
 		{Job: harness.Job{Curve: 0, Label: "UR/DOR@1.000"}, Done: true, Outcome: harness.Outcome{Value: 0.42}},
 		{Job: harness.Job{Curve: 1, Label: "UR/DimWAR@1.000"}, Done: false},
 	}}
-	grid, err := assembleGrid(rr, []string{"UR"}, []string{"DOR", "DimWAR"})
+	res, err := assembleJobs(t, x, rr)
 	if err == nil {
-		t.Fatalf("incomplete cell assembled without error: %+v", grid)
+		t.Fatalf("incomplete cell assembled without error: %+v", res.Grid)
 	}
 	if want := "UR/DimWAR"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not name the missing cell %q", err, want)
 	}
 	rr.Jobs[1].Done = true
 	rr.Jobs[1].Outcome = harness.Outcome{Value: 0.9}
-	grid, err = assembleGrid(rr, []string{"UR"}, []string{"DOR", "DimWAR"})
+	res, err = assembleJobs(t, x, rr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grid.Values[0][0] != 0.42 || grid.Values[0][1] != 0.9 {
+	if grid := res.Grid; len(grid.Values) != 1 || len(grid.Values[0]) != 2 || grid.Values[0][0] != 0.42 || grid.Values[0][1] != 0.9 {
 		t.Errorf("assembled grid %+v, want [[0.42 0.9]]", grid.Values)
 	}
 }
@@ -448,25 +388,27 @@ func TestGridIncompleteCellError(t *testing.T) {
 // TestResilienceIncompleteCellError: regression for a not-Done resilience
 // cell being silently skipped, quietly shortening a degradation curve.
 func TestResilienceIncompleteCellError(t *testing.T) {
+	x := &Experiment{Kind: "resilience", Config: Config{Widths: []int{4, 4}, Terms: 2},
+		Algorithms: []string{"DimWAR"}, MaxFaults: 1, Load: 0.3}
 	pt := LoadPoint{Load: 0.3, Delivered: 10}
 	rr := &harness.RunResult{Jobs: []harness.JobResult{
-		{Job: harness.Job{Curve: 0, Point: 0}, Done: true, Outcome: harness.Outcome{Value: pt}},
-		{Job: harness.Job{Curve: 0, Point: 1}, Done: false},
+		{Job: harness.Job{Curve: 0, Point: 0, Label: "UR/DimWAR@0.30 k=0"}, Done: true, Outcome: harness.Outcome{Value: pt}},
+		{Job: harness.Job{Curve: 0, Point: 1, Label: "UR/DimWAR@0.30 k=1"}, Done: false},
 	}}
-	pts, err := assembleResilience(rr, []string{"DimWAR"}, 1, [][]string{nil, {"r0.p0<->r1.p0"}})
+	res, err := assembleJobs(t, x, rr)
 	if err == nil {
-		t.Fatalf("incomplete cell assembled without error: %+v", pts)
+		t.Fatalf("incomplete cell assembled without error: %+v", res.Points)
 	}
-	if want := "DimWAR k=1"; !strings.Contains(err.Error(), want) {
+	if want := "DimWAR@0.30 k=1"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not name the missing cell %q", err, want)
 	}
 	rr.Jobs[1].Done = true
 	rr.Jobs[1].Outcome = harness.Outcome{Value: pt}
-	pts, err = assembleResilience(rr, []string{"DimWAR"}, 1, [][]string{nil, {"r0.p0<->r1.p0"}})
+	res, err = assembleJobs(t, x, rr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 || pts[1].Faults != 1 || len(pts[1].FaultSet) != 1 {
+	if pts := res.Points; len(pts) != 2 || pts[1].Faults != 1 || len(pts[1].FaultSet) != 1 {
 		t.Errorf("assembled points %+v, want two cells with the k=1 fault set attached", pts)
 	}
 }
