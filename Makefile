@@ -7,9 +7,9 @@ GO ?= go
 # masked by the tee pipeline.
 SHELL := /bin/bash
 
-.PHONY: ci vet lint build test race quick smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck fuzzshort cover bench
+.PHONY: ci vet lint build test race quick smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck fuzzshort cover
 
-ci: vet lint build test race smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck fuzzshort cover bench
+ci: vet lint build test race smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck fuzzshort cover
 
 vet:
 	$(GO) vet ./...
@@ -169,10 +169,3 @@ cover:
 			if (pct + 0 < f) { print "FAIL: " $$2 " coverage " pct "% below floor " f "%"; bad = 1 } } \
 		END { exit bad }' /tmp/hx-cover.txt
 	@echo cover OK
-
-# CPU benchmarks via the JSON driver: BenchmarkKernelSchedule,
-# BenchmarkRouterStep, and BenchmarkSweepPoint (internal/perf), written to
-# BENCH_kernel.json with speedup ratios against the checked-in
-# pre-optimization baseline (results/bench_baseline.json).
-bench:
-	$(GO) run ./cmd/hxbench -baseline results/bench_baseline.json -gate 0.9 -out BENCH_kernel.json

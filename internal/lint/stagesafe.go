@@ -466,7 +466,7 @@ func pkgBase(rel string) string {
 // Cancel is sanctioned: staged events carry live handles precisely so
 // same-shard cancels work unchanged during the parallel phase.
 var kernelSchedules = map[string]bool{
-	"At": true, "After": true, "AtAct": true, "AfterAct": true,
+	"AtAct": true, "AfterAct": true,
 }
 
 // expr inspects an expression tree for calls (edges and call-shaped

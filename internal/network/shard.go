@@ -222,8 +222,8 @@ func (n *Network) TerminalShard(t int) *ShardState {
 
 // EnterSharded activates sharded mode: schedule calls and globally-
 // visible side effects divert to the per-shard stages until ExitSharded.
-// The executor brackets every parallel phase with this pair, dropping to
-// serial mode for cycles that cannot be sharded.
+// The executor brackets a whole run with this pair, dropping to serial
+// mode only for the until-boundary's single overshoot Step.
 func (n *Network) EnterSharded() { n.sharded = true }
 
 // ExitSharded deactivates sharded mode.
@@ -252,9 +252,9 @@ func (t *Terminal) ShardOf(_ uint8, _, _, _ int32, _ any) int {
 // shards' batch lists, preserving (time, seq) order within each shard
 // (the input is globally (time, seq)-sorted), and opens every shard's
 // stage for the window ending (exclusive) at winEnd. It returns false —
-// with every batch list cleared — when any event cannot be sharded (a
-// closure, or an actor outside the model); the executor then requeues
-// the batch and falls back to serial execution.
+// with every batch list cleared — when any event cannot be sharded (an
+// actor outside the model that does not implement sim.Sharded); the
+// executor then fails the run.
 func (n *Network) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
 	for _, sc := range n.shards {
 		sc.Stage.StartWindow(winEnd)

@@ -36,17 +36,18 @@
 // logic — just fan-out, barrier, and the serial-equivalence edge cases
 // of Kernel.Run's until-boundary.
 //
-// Unsupported in sharded mode: Kernel.Halt from inside an event (the
-// halt flag is only checked at window boundaries, so the rest of the
-// halting event's window still executes; the facade never halts mid-run,
-// and its collector closures force the single-cycle serial fallback).
-// Context cancellation is polled per window rather than every few
-// thousand events; a cancelled run has executed a strict prefix of the
-// serial schedule either way and is discarded by its caller.
+// Every event in a sharded run must belong to a shard: an actor that
+// does not implement sim.Sharded is a model bug, and RunCtx fails on it
+// rather than guessing an order. Context cancellation is polled per
+// window rather than every few thousand events; a cancelled run has
+// executed a strict prefix of the serial schedule either way and is
+// discarded by its caller.
 package shard
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 
 	"hyperx/internal/sim"
@@ -63,7 +64,7 @@ type Model interface {
 	// PartitionWindow distributes a drained window to the shards' batches
 	// and opens their stages for the window ending at winEnd (exclusive),
 	// returning false (with batches cleared) if the window holds an event
-	// that cannot be sharded and must run serially.
+	// that cannot be sharded; RunCtx then fails.
 	PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool
 	// BatchLen reports shard s's share of the current window.
 	BatchLen(s int) int
@@ -263,22 +264,22 @@ func (x *Executor) runShards() {
 }
 
 // RunCtx executes events until the queue is empty, the clock passes
-// until (when until > 0), Halt is observed at a window boundary, or ctx
-// is cancelled. The executed event sequence — and every observable model
+// until (when until > 0), or ctx is cancelled. It fails, mid-run, on an
+// event no shard owns (see errUnsharded), and immediately on a closed
+// executor. The executed event sequence — and every observable model
 // state — is bit-identical to sim.Kernel.RunCtx over the same schedule,
 // including Run's two historical boundary quirks: a live event directly
 // after a dead seq-tail executes past until, and the boundary stop can
 // rewind the clock to until afterwards.
 func (x *Executor) RunCtx(ctx context.Context, until sim.Time) (sim.Time, error) {
+	if x.quit == nil {
+		return x.k.Now(), errors.New("shard: RunCtx on a closed executor")
+	}
 	k := x.k
-	k.ClearHalt()
 	x.m.EnterSharded()
 	defer x.m.ExitSharded()
 
 	for {
-		if k.Halted() {
-			return k.Now(), nil
-		}
 		select {
 		case <-ctx.Done():
 			return k.Now(), ctx.Err()
@@ -300,31 +301,11 @@ func (x *Executor) RunCtx(ctx context.Context, until sim.Time) (sim.Time, error)
 		}
 		batch := k.DrainWindow(winEnd, x.buf)
 		x.buf = batch
-		var lastDead bool
-		if x.m.PartitionWindow(batch, winEnd) {
-			x.runShards()
-			lastDead = x.m.MergeWindow()
-		} else {
-			// Unshardable window (closure event or foreign actor): put the
-			// batch back — stamps intact — and run ONE cycle serially with
-			// sharded mode off. A whole-window serial pass would be wrong:
-			// events this cycle schedules inside the window must interleave
-			// with the requeued remainder, which the next iteration's drain
-			// (or re-partition) orders correctly.
-			k.Requeue(batch)
-			x.m.ExitSharded()
-			_, cyc := k.DrainCycle(x.buf)
-			x.buf = cyc
-			for _, e := range cyc {
-				// Read deadness per event before ExecDrained: the recycled
-				// struct can be handed straight back to a same-cycle
-				// reschedule, clobbering the flag.
-				d := e.Dead()
-				k.ExecDrained(e)
-				lastDead = d
-			}
-			x.m.EnterSharded()
+		if !x.m.PartitionWindow(batch, winEnd) {
+			return k.Now(), errUnsharded(batch, t)
 		}
+		x.runShards()
+		lastDead := x.m.MergeWindow()
 		if lastDead && until > 0 {
 			// Serial Run's pop-until-live chain: dead events skip the until
 			// recheck, so when the window's seq-tail is dead and the next
@@ -338,4 +319,16 @@ func (x *Executor) RunCtx(ctx context.Context, until sim.Time) (sim.Time, error)
 			}
 		}
 	}
+}
+
+// errUnsharded reports the event that made the model refuse a window:
+// the first one whose actor does not implement sim.Sharded. The drained
+// batch is not returned to the calendar — the run is over.
+func errUnsharded(batch []*sim.Event, t sim.Time) error {
+	for _, e := range batch {
+		if _, ok := e.Shard(); !ok {
+			return fmt.Errorf("shard: event at t=%d: actor %T does not implement sim.Sharded", e.At(), e.Actor())
+		}
+	}
+	return fmt.Errorf("shard: model refused the window at t=%d", t)
 }

@@ -7,8 +7,8 @@ package shard
 // executing shard, window-local execution via Stage.RunWindow, merge
 // replays in global (time, seq) order), so these tests pin the executor's
 // serial-equivalence edge cases — until boundaries, dead seq-tails,
-// closure fallback, windowed cancellation — with exact expectations
-// computed from a serial kernel running the identical schedule.
+// windowed cancellation — with exact expectations computed from a serial
+// kernel running the identical schedule.
 //
 // Toy latencies: same-slot ticks re-arm at +3 (same-shard), pokes cross
 // to the next slot at +5 — the toy's minimum cross-shard latency — so
@@ -16,7 +16,9 @@ package shard
 
 import (
 	"context"
+	"strings"
 	"testing"
+	"time"
 
 	"hyperx/internal/sim"
 )
@@ -62,7 +64,22 @@ type toy struct {
 	slots   []int64
 	sharded bool
 	limit   sim.Time
+
+	// winEnd is the open window's exclusive end; windowCancels counts
+	// opCancel events whose victim was due inside the window they ran in —
+	// the cancels that land mid-parallel-phase rather than on the calendar.
+	winEnd        sim.Time
+	windowCancels int
 }
+
+// Toy ops. Every op increments slot a first.
+const (
+	opTick   uint8 = iota // re-arm at +3 (b counts ticks); every third also pokes slot a+1 at +5
+	opPoke                // nothing more
+	opArm                 // schedule a poke on slot a at +b, leaving its handle in *p.(**sim.Event)
+	opCancel              // cancel the handle in *p.(**sim.Event)
+	opCall                // call p.(context.CancelFunc)
+)
 
 func newToy(k *sim.Kernel, nsh, slots int, limit sim.Time) *toy {
 	m := &toy{k: k, slots: make([]int64, slots), limit: limit}
@@ -82,27 +99,36 @@ func (m *toy) shardOf(slot int32) int { return int(slot) % len(m.stages) }
 // ShardOf implements sim.Sharded.
 func (m *toy) ShardOf(_ uint8, a, _, _ int32, _ any) int { return m.shardOf(a) }
 
-// Act implements sim.Actor: op 0 is a tick, op 1 a one-shot poke.
-func (m *toy) Act(op uint8, a, b, _ int32, _ any) {
+// Act implements sim.Actor.
+func (m *toy) Act(op uint8, a, b, _ int32, p any) {
 	m.slots[a]++
-	if op != 0 {
-		return
-	}
-	sched := func(at sim.Time, op uint8, slot, gen int32) {
+	sched := func(at sim.Time, op uint8, slot, gen int32) *sim.Event {
 		if m.sharded {
 			// Stage into the EXECUTING shard (slot a's), whatever shard the
 			// new event will run on — the merge replays it from here.
-			m.stages[m.shardOf(a)].AtAct(at, m, op, slot, gen, 0, nil)
-		} else {
-			m.k.AtAct(at, m, op, slot, gen, 0, nil)
+			return m.stages[m.shardOf(a)].AtAct(at, m, op, slot, gen, 0, nil)
 		}
+		return m.k.AtAct(at, m, op, slot, gen, 0, nil)
 	}
 	now := m.now(a)
-	if now+3 <= m.limit {
-		sched(now+3, 0, a, b+1)
-	}
-	if b%3 == 0 {
-		sched(now+5, 1, (a+1)%int32(len(m.slots)), 0)
+	switch op {
+	case opTick:
+		if now+3 <= m.limit {
+			sched(now+3, opTick, a, b+1)
+		}
+		if b%3 == 0 {
+			sched(now+5, opPoke, (a+1)%int32(len(m.slots)), 0)
+		}
+	case opArm:
+		*p.(**sim.Event) = sched(now+sim.Time(b), opPoke, a, 0)
+	case opCancel:
+		victim := *p.(**sim.Event)
+		if m.sharded && victim.At() < m.winEnd {
+			m.windowCancels++
+		}
+		m.k.Cancel(victim)
+	case opCall:
+		p.(context.CancelFunc)()
 	}
 }
 
@@ -121,6 +147,7 @@ func (m *toy) EnterSharded()  { m.sharded = true }
 func (m *toy) ExitSharded()   { m.sharded = false }
 
 func (m *toy) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
+	m.winEnd = winEnd
 	for s := range m.stages {
 		m.stages[s].StartWindow(winEnd)
 	}
@@ -208,11 +235,15 @@ func trace(k *sim.Kernel) *[][2]uint64 {
 // seedToy schedules the initial ticks: one per slot at staggered times.
 func seedToy(k *sim.Kernel, m *toy) {
 	for i := range m.slots {
-		k.AtAct(sim.Time(1+i%4), m, 0, int32(i), 0, 0, nil)
+		k.AtAct(sim.Time(1+i%4), m, opTick, int32(i), 0, 0, nil)
 	}
 }
 
-func runPair(t *testing.T, nsh int, win sim.Time, slots int, limit, until sim.Time, mutate func(serial, sharded *sim.Kernel, sm, xm *toy)) {
+// runPair runs the seeded toy serially and under the executor and
+// requires identical traces, slots and end state. mutate, when non-nil,
+// adds the same extra schedule to each kernel/model pair in turn. It
+// returns the executor-side model for path assertions.
+func runPair(t *testing.T, nsh int, win sim.Time, slots int, limit, until sim.Time, mutate func(k *sim.Kernel, m *toy)) *toy {
 	t.Helper()
 	sk := sim.NewKernel()
 	sm := newToy(sk, nsh, slots, limit)
@@ -221,7 +252,8 @@ func runPair(t *testing.T, nsh int, win sim.Time, slots int, limit, until sim.Ti
 	xm := newToy(xk, nsh, slots, limit)
 	seedToy(xk, xm)
 	if mutate != nil {
-		mutate(sk, xk, sm, xm)
+		mutate(sk, sm)
+		mutate(xk, xm)
 	}
 	str, xtr := trace(sk), trace(xk)
 
@@ -250,6 +282,7 @@ func runPair(t *testing.T, nsh int, win sim.Time, slots int, limit, until sim.Ti
 		t.Fatalf("nsh=%d win=%d: end state: executor (now=%d exec=%d), serial (now=%d exec=%d)",
 			nsh, win, xk.Now(), xk.Executed(), sk.Now(), sk.Executed())
 	}
+	return xm
 }
 
 func TestExecutorMatchesSerial(t *testing.T) {
@@ -287,102 +320,110 @@ func TestExecutorUntilBoundary(t *testing.T) {
 // at every window width.
 func TestExecutorDeadTailOvershoot(t *testing.T) {
 	for _, win := range toyWindows {
-		mutate := func(sk, xk *sim.Kernel, sm, xm *toy) {
-			// A lone dead event at the boundary cycle, nothing else there: the
-			// pop-until-live chain skips past it into the next cycle.
-			sk.Cancel(sk.AtAct(50, sm, 1, 0, 0, 0, nil))
-			xk.Cancel(xk.AtAct(50, xm, 1, 0, 0, 0, nil))
-		}
-		runPair(t, 2, win, 4, 400, 50, mutate)
+		// A lone dead event at the boundary cycle, nothing else there: the
+		// pop-until-live chain skips past it into the next cycle.
+		runPair(t, 2, win, 4, 400, 50, func(k *sim.Kernel, m *toy) {
+			k.Cancel(k.AtAct(50, m, opPoke, 0, 0, 0, nil))
+		})
 	}
 }
 
-// TestExecutorClosureFallback: closure events carry no shard, forcing
-// their cycle through the serial fallback; with windows > 1 the rest of
-// the drained window is requeued first, so events the closure schedules
-// for its own cycle — and for later in-window cycles — interleave with
-// the requeued remainder exactly as the serial pop loop orders them.
-func TestExecutorClosureFallback(t *testing.T) {
-	for _, win := range toyWindows {
-		mutate := func(sk, xk *sim.Kernel, sm, xm *toy) {
-			for _, pair := range []struct {
-				k *sim.Kernel
-				m *toy
-			}{{sk, sm}, {xk, xm}} {
-				k, m := pair.k, pair.m
-				k.At(20, func() {
-					m.slots[0] += 100
-					// Same-cycle schedule from inside the fallback: must land
-					// after the current batch, exactly as the serial pop loop
-					// orders it.
-					k.AtAct(20, m, 1, 1, 0, 0, nil)
-					// And one landing mid-window, among requeued events.
-					k.AtAct(22, m, 1, 2, 0, 0, nil)
-				})
-			}
-		}
-		runPair(t, 3, win, 6, 400, 0, mutate)
-	}
-}
-
-// TestExecutorSameWindowCancel: an event cancelling a later event of the
-// SAME window — a drained one on another shard, and an in-window staged
-// one on its own shard — must see the cancel land exactly as serially,
-// where the target would still be in the calendar. Deadness is read at
-// processing time, which this pins.
+// TestExecutorSameWindowCancel: an event cancelling a later event of its
+// own shard — one already drained into the window's batch, one staged
+// inside the window by an earlier event — must see the cancel land
+// exactly as serially, where the target would still be in the calendar.
+// Deadness is read at processing time, which this pins. The cancels run
+// on a worker inside the parallel phase: at every width above 1 both
+// victims are due in the cancellers' own window (asserted), and at width
+// 1 the same cancels land on a calendar event and on a staged event the
+// merge then injects dead.
 func TestExecutorSameWindowCancel(t *testing.T) {
 	for _, win := range toyWindows {
-		mutate := func(sk, xk *sim.Kernel, sm, xm *toy) {
-			for _, pair := range []struct {
-				k *sim.Kernel
-				m *toy
-			}{{sk, sm}, {xk, xm}} {
-				k, m := pair.k, pair.m
-				// Victim: a poke at t=43 on slot 1. Canceller: a closure at
-				// t=41 (forces the fallback cycle, which requeues the rest of
-				// the window; the victim must still die before it runs).
-				victim := k.AtAct(43, m, 1, 1, 0, 0, nil)
-				k.At(41, func() { k.Cancel(victim) })
-			}
+		xm := runPair(t, 2, win, 4, 400, 0, func(k *sim.Kernel, m *toy) {
+			// All on slot 1, so one shard owns canceller and victim alike.
+			drained := k.AtAct(42, m, opPoke, 1, 0, 0, nil)
+			staged := new(*sim.Event)
+			k.AtAct(41, m, opArm, 1, 1, 0, staged) // stages the t=42 victim
+			k.AtAct(41, m, opCancel, 1, 0, 0, &drained)
+			k.AtAct(41, m, opCancel, 1, 0, 0, staged)
+		})
+		if win > 1 && xm.windowCancels != 2 {
+			t.Fatalf("win=%d: %d cancels landed inside their parallel window, want 2", win, xm.windowCancels)
 		}
-		runPair(t, 2, win, 4, 400, 0, mutate)
 	}
 }
 
-// TestExecutorEmptyAndHalt: an empty calendar returns immediately; a
-// mid-run Halt is observed at the next window boundary (the documented
-// sharded-mode contract), stopping with later events still queued; and a
-// fresh RunCtx clears the flag and resumes, exactly as Kernel.Run does.
-func TestExecutorEmptyAndHalt(t *testing.T) {
+// foreign is an actor outside the toy model: it has no ShardOf.
+type foreign struct{ ran bool }
+
+func (f *foreign) Act(uint8, int32, int32, int32, any) { f.ran = true }
+
+// TestExecutorRejectsUnshardedActor: an actor that does not implement
+// sim.Sharded is a model bug; RunCtx reports it — naming the type and
+// the event time — instead of running the event serially.
+func TestExecutorRejectsUnshardedActor(t *testing.T) {
 	for _, win := range toyWindows {
 		k := sim.NewKernel()
 		m := newToy(k, 2, 4, 100)
+		seedToy(k, m)
+		f := &foreign{}
+		k.AtAct(20, f, 0, 0, 0, 0, nil)
 		x := New(k, m, win)
+		_, err := x.RunCtx(context.Background(), 0)
+		x.Close()
+		if err == nil || !strings.Contains(err.Error(), "*shard.foreign") || !strings.Contains(err.Error(), "t=20") {
+			t.Fatalf("win=%d: RunCtx error = %v, want one naming *shard.foreign at t=20", win, err)
+		}
+		if f.ran {
+			t.Fatalf("win=%d: the unsharded event executed", win)
+		}
+		if m.sharded {
+			t.Fatalf("win=%d: failed run left the model in sharded mode", win)
+		}
+	}
+}
+
+// TestExecutorEmptyCalendar: an empty calendar returns immediately.
+func TestExecutorEmptyCalendar(t *testing.T) {
+	for _, win := range toyWindows {
+		k := sim.NewKernel()
+		x := New(k, newToy(k, 2, 4, 100), win)
 		if now, err := x.RunCtx(context.Background(), 0); err != nil || now != 0 {
 			t.Fatalf("win=%d: empty run = (%d, %v), want (0, nil)", win, now, err)
 		}
-		seedToy(k, m)
-		k.At(10, func() { k.Halt() })
-		if _, err := x.RunCtx(context.Background(), 0); err != nil {
-			t.Fatal(err)
-		}
-		if !k.Halted() {
-			t.Fatalf("win=%d: halt flag not observed", win)
-		}
-		if k.Now() > 10 {
-			t.Fatalf("win=%d: executor ran past the halting cycle: now=%d", win, k.Now())
-		}
-		if _, ok := k.PeekTime(); !ok {
-			t.Fatalf("win=%d: halted run drained the calendar; later events must stay queued", win)
-		}
-		// Resuming clears the flag (as Kernel.Run does) and drains the rest.
-		if _, err := x.RunCtx(context.Background(), 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := k.PeekTime(); ok {
-			t.Fatalf("win=%d: resumed run left events queued", win)
-		}
 		x.Close()
+	}
+}
+
+// TestExecutorRunAfterClose: Close is idempotent and retires the worker
+// pool; a later RunCtx must fail at once rather than wake workers that
+// have exited and wait on them forever.
+func TestExecutorRunAfterClose(t *testing.T) {
+	k := sim.NewKernel()
+	m := newToy(k, 2, 4, 100)
+	seedToy(k, m)
+	x := New(k, m, 5)
+	x.Close()
+	x.Close()
+	// The guard context bounds only this test's wait; RunCtx itself gets
+	// a context that never ends, as a hung caller would have.
+	guard, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	done := make(chan error, 1)
+	go func() {
+		_, err := x.RunCtx(context.Background(), 0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("RunCtx on a closed executor succeeded")
+		}
+	case <-guard.Done():
+		t.Fatal("RunCtx on a closed executor hung")
+	}
+	if k.Executed() != 0 {
+		t.Fatalf("closed executor executed %d events", k.Executed())
 	}
 }
 
@@ -402,56 +443,38 @@ func TestExecutorContextCancel(t *testing.T) {
 }
 
 // TestExecutorContextCancelMidRunWindowed: cancelling from inside an
-// event (a closure both kernels share, so the schedules stay identical)
-// stops the windowed executor at the next window boundary, having
-// executed a strict — and non-empty — prefix of the serial schedule.
+// event (an opCall both schedules carry, so they stay identical; only the
+// executor's func is live) stops the windowed executor at the next window
+// boundary, having executed a strict — and non-empty — prefix of the
+// serial schedule.
 func TestExecutorContextCancelMidRunWindowed(t *testing.T) {
 	for _, win := range []sim.Time{2, 3, 5} {
 		sk := sim.NewKernel()
 		sm := newToy(sk, 3, 8, 100000)
 		seedToy(sk, sm)
+		sk.AtAct(500, sm, opCall, 0, 0, 0, context.CancelFunc(func() {}))
 		xk := sim.NewKernel()
 		xm := newToy(xk, 3, 8, 100000)
 		seedToy(xk, xm)
 		ctx, cancel := context.WithCancel(context.Background())
-		// The closure exists in both schedules; only the executor's context
-		// observes the cancel.
-		sk.At(500, func() {})
-		xk.At(500, func() { cancel() })
+		xk.AtAct(500, xm, opCall, 0, 0, 0, cancel)
 		str, xtr := trace(sk), trace(xk)
 
 		sk.Run(2000)
 		x := New(xk, xm, win)
-		if _, err := x.RunCtx(context.Background(), 0); err != nil {
-			// First drive the pair to the cancel point sanity-free: not
-			// expected to error.
-			t.Fatal(err)
-		}
+		_, err := x.RunCtx(ctx, 2000)
 		x.Close()
-		_ = ctx
-		if len(*xtr) == 0 {
-			t.Fatalf("win=%d: executor executed nothing", win)
-		}
-		// Rebuild and run under the cancellable context for the real check.
-		xk2 := sim.NewKernel()
-		xm2 := newToy(xk2, 3, 8, 100000)
-		seedToy(xk2, xm2)
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		xk2.At(500, func() { cancel2() })
-		xtr2 := trace(xk2)
-		x2 := New(xk2, xm2, win)
-		if _, err := x2.RunCtx(ctx2, 2000); err != context.Canceled {
+		if err != context.Canceled {
 			t.Fatalf("win=%d: cancelled run returned %v, want context.Canceled", win, err)
 		}
-		x2.Close()
-		if len(*xtr2) == 0 || len(*xtr2) >= len(*str) {
+		if len(*xtr) == 0 || len(*xtr) >= len(*str) {
 			t.Fatalf("win=%d: cancelled run executed %d events, serial full run %d — want a non-empty strict prefix",
-				win, len(*xtr2), len(*str))
+				win, len(*xtr), len(*str))
 		}
-		for i := range *xtr2 {
-			if (*xtr2)[i] != (*str)[i] {
+		for i := range *xtr {
+			if (*xtr)[i] != (*str)[i] {
 				t.Fatalf("win=%d: cancelled run diverged at event %d: executor (t=%d seq=%d), serial (t=%d seq=%d)",
-					win, i, (*xtr2)[i][0], (*xtr2)[i][1], (*str)[i][0], (*str)[i][1])
+					win, i, (*xtr)[i][0], (*xtr)[i][1], (*str)[i][0], (*str)[i][1])
 			}
 		}
 	}

@@ -49,26 +49,6 @@ func TestTypedScheduleDispatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestClosureScheduleDispatchZeroAlloc: scheduling a pre-existing closure
-// is also allocation-free; only constructing a fresh capturing closure
-// costs, which is why the hot path moved to typed events.
-func TestClosureScheduleDispatchZeroAlloc(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	fn := func() { n++ }
-	for i := 0; i < 4*ringSize; i++ {
-		k.At(k.Now()+Time(i%7)+1, fn)
-	}
-	k.Run(0)
-	allocs := testing.AllocsPerRun(2000, func() {
-		k.At(k.Now()+1, fn)
-		k.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("closure schedule+dispatch allocated %.1f objects/op, want 0", allocs)
-	}
-}
-
 // TestReserveColdScheduleZeroAlloc: a kernel pre-sized with Reserve
 // schedules and dispatches without any warm-up traffic — the build-time
 // path the network model uses so a sweep point's first cycles don't pay
@@ -91,14 +71,13 @@ func TestReserveColdScheduleZeroAlloc(t *testing.T) {
 // TestReservePreservesPendingOrder: Reserve re-slabs buckets that already
 // hold events; their FIFO order must survive the copy.
 func TestReservePreservesPendingOrder(t *testing.T) {
-	k := NewKernel()
-	var got []int
-	for i := 0; i < 40; i++ {
-		i := i
-		k.At(Time(1+i%5), func() { got = append(got, i) })
+	k, s := newScript()
+	for i := int32(0); i < 40; i++ {
+		k.AtAct(Time(1+i%5), s, opLog, i, 0, 0, nil)
 	}
 	k.Reserve(512, 16)
 	k.Run(0)
+	got := s.log
 	if len(got) != 40 {
 		t.Fatalf("executed %d events, want 40", len(got))
 	}
@@ -128,7 +107,7 @@ func TestTypedEventDelivery(t *testing.T) {
 	}
 }
 
-// TestTypedEventCancel: typed events honour Cancel like closures do.
+// TestTypedEventCancel: AfterAct's handle honours Cancel.
 func TestTypedEventCancel(t *testing.T) {
 	k := NewKernel()
 	act := &countActor{}
@@ -144,28 +123,22 @@ func TestTypedEventCancel(t *testing.T) {
 // migrating into the calendar window keep FIFO order among equal
 // timestamps relative to events scheduled directly into the window.
 func TestFIFOAcrossTiers(t *testing.T) {
-	k := NewKernel()
-	var got []int
+	k, s := newScript()
 	const at = ringSize + 500 // beyond the initial window: lands in the far heap
-	for i := 0; i < 50; i++ {
-		i := i
-		k.At(at, func() { got = append(got, i) })
+	for i := int32(0); i < 50; i++ {
+		k.AtAct(at, s, opLog, i, 0, 0, nil)
 	}
 	// Drag the window forward so the far events migrate, then add more at
-	// the same timestamp directly into the ring.
-	k.At(at-100, func() {
-		for i := 50; i < 100; i++ {
-			i := i
-			k.At(at, func() { got = append(got, i) })
-		}
-	})
+	// the same timestamp directly into the ring. The burst runs first and
+	// logs its own operand, 49, ahead of everything at `at`.
+	k.AtAct(at-100, s, opBurst, 49, at, 50, nil)
 	k.Run(0)
-	if len(got) != 100 {
-		t.Fatalf("executed %d events, want 100", len(got))
+	if len(s.log) != 101 {
+		t.Fatalf("executed %d events, want 101", len(s.log))
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("cross-tier FIFO violated at %d: got %v", i, got[:i+1])
+	for i, v := range s.log[1:] {
+		if v != int32(i) {
+			t.Fatalf("cross-tier FIFO violated at %d: got %v", i, s.log[1:i+2])
 		}
 	}
 }

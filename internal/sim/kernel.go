@@ -28,13 +28,14 @@
 //
 // # Event representation
 //
-// Events carry either a closure (At/After) or a pre-bound typed callback
-// (AtAct/AfterAct): an Actor receiver plus a small fixed argument set.
-// The typed form exists for the simulator hot path — router arrivals,
-// arbitration attempts, credit returns, injections — where per-event
-// closures were the dominant allocation source. Event structs themselves
-// are pooled; the steady-state schedule/dispatch path allocates nothing
-// (asserted by internal/perf's zero-alloc regression tests).
+// There is one event kind: a pre-bound typed callback (AtAct/AfterAct) —
+// an Actor receiver plus a small fixed argument set. Every event the
+// model schedules (router arrivals, arbitration attempts, credit returns,
+// injections) has this form, which is what makes an event assignable to a
+// shard (Sharded), relocatable into a snapshot (EventCoder), and free to
+// schedule: Event structs are pooled, so the steady-state
+// schedule/dispatch path allocates nothing (asserted by alloc_test.go
+// here and in internal/network).
 //
 // Cancellation: RunCtx is Run with a cooperative context check every few
 // thousand events. Cancelling never reorders events — an interrupted run
@@ -65,8 +66,6 @@ type Event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among equal timestamps
 
-	// Exactly one of fn (closure form) or act (typed form) is set.
-	fn      func()
 	act     Actor
 	p       any
 	a, b, c int32
@@ -120,9 +119,6 @@ type Kernel struct {
 
 	//hxlint:state ephemeral — capacity detail, never serialized; the pool refills lazily after restore (see docs/STATE.md)
 	free []*Event // recycled events: zero steady-state allocation
-
-	//hxlint:state ephemeral — run-loop latch consumed before Run returns; restore only clears it
-	halted bool // set by Halt; Run returns at the next event boundary
 
 	// TraceExec, when non-nil, observes every executed (live) event as
 	// (time, seq) immediately before its callback runs. It exists for the
@@ -237,37 +233,21 @@ func (k *Kernel) enqueue(e *Event) {
 
 // recycle returns a popped event to the pool, dropping its references.
 // Clearing queued here — not at pop time — keeps drained-but-unexecuted
-// events cancellable: the sharded executor pops a whole cycle up front,
-// and a same-cycle cancel from an earlier-seq event must still land
+// events cancellable: the sharded executor pops a whole window up front,
+// and a same-window cancel from an earlier event must still land
 // (serially the target would still be in the calendar at that point).
 func (k *Kernel) recycle(e *Event) {
 	e.queued = false
 	e.done = false
-	e.fn = nil
 	e.act = nil
 	e.p = nil
 	//hxlint:allow allocfree — returns capacity the pool already handed out; never exceeds the refill high-water mark
 	k.free = append(k.free, e)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a model bug. The returned handle may be passed to
-// Cancel.
-func (k *Kernel) At(t Time, fn func()) *Event {
-	e := k.alloc(t)
-	e.fn = fn
-	k.enqueue(e)
-	return e
-}
-
-// After schedules fn to run d cycles from now.
-func (k *Kernel) After(d Time, fn func()) *Event {
-	return k.At(k.now+d, fn)
-}
-
-// AtAct schedules a typed event: at time t the kernel calls
-// act.Act(op, a, b, c, p). Equivalent to At with a closure over the same
-// values, but allocation-free — the hot-path form for the network model.
+// AtAct schedules an event: at time t the kernel calls
+// act.Act(op, a, b, c, p). Scheduling in the past panics: it always
+// indicates a model bug. The returned handle may be passed to Cancel.
 func (k *Kernel) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
 	e := k.alloc(t)
 	e.act = act
@@ -278,7 +258,7 @@ func (k *Kernel) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event
 	return e
 }
 
-// AfterAct schedules a typed event d cycles from now.
+// AfterAct schedules an event d cycles from now.
 func (k *Kernel) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Event {
 	return k.AtAct(k.now+d, act, op, a, b, c, p)
 }
@@ -291,13 +271,6 @@ func (k *Kernel) Cancel(e *Event) {
 	}
 	e.dead = true
 }
-
-// Halt requests that Run return before executing the next event.
-func (k *Kernel) Halt() { k.halted = true }
-
-// Halted reports whether Halt has been called during the current (or most
-// recent) Run; starting a new Run clears it.
-func (k *Kernel) Halted() bool { return k.halted }
 
 // advanceWindow slides the calendar window forward so it starts at `to`,
 // migrating far-heap events that the move brings inside the window into
@@ -403,14 +376,9 @@ func (k *Kernel) exec(e *Event) {
 	if k.TraceExec != nil {
 		k.TraceExec(e.at, e.seq)
 	}
-	if fn := e.fn; fn != nil {
-		k.recycle(e)
-		fn()
-	} else {
-		act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
-		k.recycle(e)
-		act.Act(op, a, b, c, p)
-	}
+	act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
+	k.recycle(e)
+	act.Act(op, a, b, c, p)
 }
 
 // Step executes the next pending event. It returns false when the queue is
@@ -430,13 +398,10 @@ func (k *Kernel) Step() bool {
 	}
 }
 
-// Run executes events until the queue is empty, the clock passes until
-// (when until > 0), or Halt is called. It returns the time of the last
-// executed event. The halt flag is checked at the event boundary: an event
-// that calls Halt is the last event to execute.
+// Run executes events until the queue is empty or the clock passes until
+// (when until > 0). It returns the time of the last executed event.
 func (k *Kernel) Run(until Time) Time {
-	k.halted = false
-	for !k.halted {
+	for {
 		e := k.peek()
 		if e == nil {
 			break
@@ -474,9 +439,8 @@ const pollEvery = 8192
 // RunCtx is identical to Run's — the poll only adds an exit point, never
 // reorders work — so callers may freely mix the two.
 func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
-	k.halted = false
 	n := 0
-	for !k.halted {
+	for {
 		if n++; n >= pollEvery {
 			n = 0
 			//hxlint:allow noconc — cooperative cancellation poll, the kernel's one sanctioned channel op: it only adds an exit point, so an interrupted run executes a strict prefix of the serial schedule and event order never depends on the scheduler

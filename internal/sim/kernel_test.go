@@ -6,14 +6,52 @@ import (
 	"testing/quick"
 )
 
-func TestKernelOrdering(t *testing.T) {
+// Ops of scriptActor, this file's one actor. Every op first appends its a
+// operand to the log.
+const (
+	opLog   uint8 = iota // nothing more
+	opChain              // re-arm (a+1) b cycles ahead while the log is shorter than c (c == 0: forever)
+	opBurst              // schedule c opLog events a+1, a+2, … at absolute time b
+)
+
+// scriptActor logs what ran, in order, and re-schedules per the op table
+// above. hook, when set, observes the log length after every event.
+type scriptActor struct {
+	k    *Kernel
+	log  []int32
+	hook func(n int)
+}
+
+func (s *scriptActor) Act(op uint8, a, b, c int32, _ any) {
+	s.log = append(s.log, a)
+	if s.hook != nil {
+		s.hook(len(s.log))
+	}
+	switch op {
+	case opChain:
+		if c == 0 || len(s.log) < int(c) {
+			s.k.AfterAct(Time(b), s, opChain, a+1, b, c, nil)
+		}
+	case opBurst:
+		for i := int32(1); i <= c; i++ {
+			s.k.AtAct(Time(b), s, opLog, a+i, 0, 0, nil)
+		}
+	}
+}
+
+// newScript returns a kernel and a scriptActor bound to it.
+func newScript() (*Kernel, *scriptActor) {
 	k := NewKernel()
-	var got []int
-	k.At(30, func() { got = append(got, 3) })
-	k.At(10, func() { got = append(got, 1) })
-	k.At(20, func() { got = append(got, 2) })
+	return k, &scriptActor{k: k}
+}
+
+func TestKernelOrdering(t *testing.T) {
+	k, s := newScript()
+	k.AtAct(30, s, opLog, 3, 0, 0, nil)
+	k.AtAct(10, s, opLog, 1, 0, 0, nil)
+	k.AtAct(20, s, opLog, 2, 0, 0, nil)
 	k.Run(0)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+	if got := s.log; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("execution order %v", got)
 	}
 	if k.Now() != 30 {
@@ -24,34 +62,24 @@ func TestKernelOrdering(t *testing.T) {
 // TestKernelFIFOWithinTimestamp: events at the same time run in schedule
 // order (determinism requirement).
 func TestKernelFIFOWithinTimestamp(t *testing.T) {
-	k := NewKernel()
-	var got []int
-	for i := 0; i < 100; i++ {
-		i := i
-		k.At(5, func() { got = append(got, i) })
+	k, s := newScript()
+	for i := int32(0); i < 100; i++ {
+		k.AtAct(5, s, opLog, i, 0, 0, nil)
 	}
 	k.Run(0)
-	for i, v := range got {
-		if v != i {
+	for i, v := range s.log {
+		if v != int32(i) {
 			t.Fatalf("same-timestamp events reordered: %v at %d", v, i)
 		}
 	}
 }
 
 func TestKernelNestedScheduling(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	var step func()
-	step = func() {
-		count++
-		if count < 10 {
-			k.After(7, step)
-		}
-	}
-	k.At(0, step)
+	k, s := newScript()
+	k.AtAct(0, s, opChain, 0, 7, 10, nil)
 	k.Run(0)
-	if count != 10 {
-		t.Fatalf("count = %d", count)
+	if len(s.log) != 10 {
+		t.Fatalf("count = %d", len(s.log))
 	}
 	if k.Now() != 63 {
 		t.Fatalf("Now() = %d, want 63", k.Now())
@@ -59,113 +87,64 @@ func TestKernelNestedScheduling(t *testing.T) {
 }
 
 func TestKernelCancel(t *testing.T) {
-	k := NewKernel()
-	ran := false
-	e := k.At(10, func() { ran = true })
+	k, s := newScript()
+	e := k.AtAct(10, s, opLog, 0, 0, 0, nil)
 	k.Cancel(e)
 	k.Run(0)
-	if ran {
+	if len(s.log) != 0 {
 		t.Fatal("cancelled event ran")
 	}
 	// Double-cancel and cancel-after-run are no-ops.
 	k.Cancel(e)
-	e2 := k.At(20, func() {})
+	e2 := k.AtAct(20, s, opLog, 0, 0, 0, nil)
 	k.Run(0)
 	k.Cancel(e2)
+	if len(s.log) != 1 {
+		t.Fatalf("log = %v, want the one live event", s.log)
+	}
 }
 
 func TestKernelRunUntil(t *testing.T) {
-	k := NewKernel()
-	var got []Time
-	for _, at := range []Time{5, 15, 25} {
-		at := at
-		k.At(at, func() { got = append(got, at) })
+	k, s := newScript()
+	for _, at := range []int32{5, 15, 25} {
+		k.AtAct(Time(at), s, opLog, at, 0, 0, nil)
 	}
 	k.Run(10)
-	if len(got) != 1 || k.Now() != 10 {
-		t.Fatalf("after Run(10): got=%v now=%d", got, k.Now())
+	if len(s.log) != 1 || k.Now() != 10 {
+		t.Fatalf("after Run(10): got=%v now=%d", s.log, k.Now())
 	}
 	k.Run(0)
-	if len(got) != 3 {
-		t.Fatalf("remaining events not run: %v", got)
+	if len(s.log) != 3 {
+		t.Fatalf("remaining events not run: %v", s.log)
 	}
 }
 
 func TestKernelPastSchedulingPanics(t *testing.T) {
-	k := NewKernel()
-	k.At(10, func() {})
+	k, s := newScript()
+	k.AtAct(10, s, opLog, 0, 0, 0, nil)
 	k.Run(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	k.At(5, func() {})
-}
-
-func TestKernelHalt(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	var reschedule func()
-	reschedule = func() {
-		n++
-		if n == 5 {
-			k.Halt()
-		}
-		k.After(1, reschedule)
-	}
-	k.At(0, reschedule)
-	k.Run(0)
-	if n != 5 {
-		t.Fatalf("halted after %d events, want 5", n)
-	}
-}
-
-// TestKernelHaltInsideEvent: Halt called during an event stops the run
-// before ANY further event executes — including one already queued at the
-// same timestamp — and leaves the remainder runnable.
-func TestKernelHaltInsideEvent(t *testing.T) {
-	k := NewKernel()
-	var got []int
-	k.At(10, func() { got = append(got, 1); k.Halt() })
-	k.At(10, func() { got = append(got, 2) })
-	k.At(20, func() { got = append(got, 3) })
-	k.Run(0)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("events after Halt ran in the same Run: %v", got)
-	}
-	if !k.Halted() {
-		t.Fatal("Halted() = false immediately after a halted Run")
-	}
-	if k.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", k.Pending())
-	}
-	// A fresh Run clears the flag and executes the remainder in order.
-	k.Run(0)
-	if k.Halted() {
-		t.Fatal("Halted() still true after an unhalted Run")
-	}
-	if len(got) != 3 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("remainder ran out of order: %v", got)
-	}
+	k.AtAct(5, s, opLog, 0, 0, 0, nil)
 }
 
 // TestKernelHeapProperty: random schedules always execute in
 // nondecreasing time order.
 func TestKernelHeapProperty(t *testing.T) {
 	f := func(times []uint16) bool {
-		k := NewKernel()
-		var seen []Time
+		k, s := newScript()
 		for _, at := range times {
-			at := Time(at)
-			k.At(at, func() { seen = append(seen, at) })
+			k.AtAct(Time(at), s, opLog, int32(at), 0, 0, nil)
 		}
 		k.Run(0)
-		if len(seen) != len(times) {
+		if len(s.log) != len(times) {
 			return false
 		}
-		for i := 1; i < len(seen); i++ {
-			if seen[i] < seen[i-1] {
+		for i := 1; i < len(s.log); i++ {
+			if s.log[i] < s.log[i-1] {
 				return false
 			}
 		}
@@ -179,17 +158,15 @@ func TestKernelHeapProperty(t *testing.T) {
 // TestRunCtxMatchesRun: an uncancelled RunCtx executes exactly the same
 // schedule as Run, including the until-boundary clock behaviour.
 func TestRunCtxMatchesRun(t *testing.T) {
-	build := func() (*Kernel, *[]Time) {
-		k := NewKernel()
-		var got []Time
-		for _, at := range []Time{5, 15, 25, 25, 40} {
-			at := at
-			k.At(at, func() { got = append(got, at) })
+	build := func() (*Kernel, *scriptActor) {
+		k, s := newScript()
+		for i, at := range []Time{5, 15, 25, 25, 40} {
+			k.AtAct(at, s, opLog, int32(i), 0, 0, nil)
 		}
-		return k, &got
+		return k, s
 	}
-	ka, seenA := build()
-	kb, seenB := build()
+	ka, sa := build()
+	kb, sb := build()
 	ka.Run(20)
 	ka.Run(0)
 	if now, err := kb.RunCtx(context.Background(), 20); err != nil || now != 20 {
@@ -198,12 +175,12 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	if _, err := kb.RunCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(*seenA) != len(*seenB) || ka.Now() != kb.Now() || ka.Executed() != kb.Executed() {
-		t.Fatalf("RunCtx diverged from Run: %v vs %v", *seenA, *seenB)
+	if len(sa.log) != len(sb.log) || ka.Now() != kb.Now() || ka.Executed() != kb.Executed() {
+		t.Fatalf("RunCtx diverged from Run: %v vs %v", sa.log, sb.log)
 	}
-	for i := range *seenA {
-		if (*seenA)[i] != (*seenB)[i] {
-			t.Fatalf("event order diverged at %d: %v vs %v", i, *seenA, *seenB)
+	for i := range sa.log {
+		if sa.log[i] != sb.log[i] {
+			t.Fatalf("event order diverged at %d: %v vs %v", i, sa.log, sb.log)
 		}
 	}
 }
@@ -212,30 +189,26 @@ func TestRunCtxMatchesRun(t *testing.T) {
 // interval and reports ctx.Err; the executed prefix is a prefix of the
 // serial schedule.
 func TestRunCtxCancel(t *testing.T) {
-	k := NewKernel()
+	k, s := newScript()
 	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	var reschedule func()
-	reschedule = func() {
-		n++
+	s.hook = func(n int) {
 		if n == 3*pollEvery {
 			cancel()
 		}
-		k.After(1, reschedule)
 	}
-	k.At(0, reschedule)
+	k.AtAct(0, s, opChain, 0, 1, 0, nil)
 	if _, err := k.RunCtx(ctx, 0); err != context.Canceled {
 		t.Fatalf("RunCtx error = %v, want context.Canceled", err)
 	}
-	if n < 3*pollEvery || n > 4*pollEvery {
+	if n := len(s.log); n < 3*pollEvery || n > 4*pollEvery {
 		t.Fatalf("stopped after %d events, want within one poll interval of %d", n, 3*pollEvery)
 	}
 }
 
 func TestKernelExecutedAndPending(t *testing.T) {
-	k := NewKernel()
-	k.At(1, func() {})
-	k.At(2, func() {})
+	k, s := newScript()
+	k.AtAct(1, s, opLog, 0, 0, 0, nil)
+	k.AtAct(2, s, opLog, 0, 0, 0, nil)
 	if k.Pending() != 2 {
 		t.Fatalf("pending = %d", k.Pending())
 	}

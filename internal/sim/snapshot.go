@@ -17,9 +17,7 @@ import (
 // kernel therefore delegates endpoint translation to an EventCoder owned
 // by the model (internal/network), which maps actors and payloads to
 // stable numeric codes on capture and back to (possibly reconstructed)
-// objects on restore. Closure events (At/After) have no relocatable form
-// and make Snapshot fail — the network model schedules exclusively typed
-// events, so any facade-level snapshot boundary satisfies this.
+// objects on restore.
 //
 // Cancelled (dead) events are deliberately not captured: they never
 // execute, their recycling order is unobservable, and their payloads may
@@ -74,9 +72,7 @@ type EventCoder interface {
 
 // Snapshot captures the kernel's complete calendar state. The kernel is
 // not modified; the model may keep running afterwards without
-// invalidating the returned state. It fails if any live queued event is a
-// closure (At/After) — closures are not relocatable; snapshot boundaries
-// must be chosen where only typed (AtAct/AfterAct) events are pending.
+// invalidating the returned state.
 func (k *Kernel) Snapshot(c EventCoder) (*KernelState, error) {
 	return buildKernelState(k, c)
 }
@@ -118,9 +114,6 @@ func buildKernelState(k *Kernel, c EventCoder) (*KernelState, error) {
 	})
 	s.Events = make([]EventState, len(live))
 	for i, e := range live {
-		if e.fn != nil {
-			return nil, fmt.Errorf("sim: snapshot: closure event at t=%d seq=%d has no relocatable form (use AtAct/AfterAct on snapshot paths)", e.at, e.seq)
-		}
 		actor, err := c.EncodeActor(e.act)
 		if err != nil {
 			return nil, fmt.Errorf("sim: snapshot event t=%d seq=%d: %w", e.at, e.seq, err)
@@ -181,7 +174,6 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 	k.winStart = s.WinStart
 	k.seq = s.Seq
 	k.nexec = s.Exec
-	k.halted = false
 
 	var prev EventState
 	for i, es := range s.Events {
@@ -216,7 +208,6 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 		e.op = es.Op
 		e.a, e.b, e.c = es.A, es.B, es.C
 		e.p = p
-		e.fn = nil
 		e.dead = false
 		e.queued = true
 		k.npend++

@@ -139,17 +139,6 @@ func TestKernelSnapshotSkipsDeadEvents(t *testing.T) {
 	}
 }
 
-// TestKernelSnapshotRejectsClosures: closure events have no relocatable
-// form; the error must be explicit rather than a silent drop.
-func TestKernelSnapshotRejectsClosures(t *testing.T) {
-	k := NewKernel()
-	a := &snapActor{k: k}
-	k.At(5, func() {})
-	if _, err := k.Snapshot(&passthroughCoder{a: a}); err == nil {
-		t.Fatal("snapshot of a closure event succeeded, want error")
-	}
-}
-
 // TestKernelRestoreRejectsMalformedState exercises the validation paths.
 func TestKernelRestoreRejectsMalformedState(t *testing.T) {
 	k := NewKernel()

@@ -8,8 +8,7 @@
 //
 //   - DrainWindow pops every event scheduled before a window boundary in
 //     (time, seq) order — exactly the set and order a serial Run would
-//     execute before the clock reaches the boundary. (DrainCycle is the
-//     single-timestamp special case, kept for the serial fallback.)
+//     execute before the clock reaches the boundary.
 //   - Each shard executes its slice of the window through a Stage, which
 //     records schedule calls (AtAct/AfterAct) in program order WITHOUT
 //     assigning kernel sequence numbers, and pools events privately so
@@ -38,33 +37,29 @@
 // order by the network's effect log.
 package sim
 
-// Sharded is implemented by actors whose typed events can be assigned to
-// a shard: the returned index must identify the single shard whose state
-// the event's callback touches. Events whose actor is not Sharded (and
-// all closure events) force the executor to fall back to serial
-// execution for their cycle.
+// Sharded is implemented by actors whose events can be assigned to a
+// shard: the returned index must identify the single shard whose state
+// the event's callback touches. Every actor scheduled into a sharded run
+// must implement it; the executor fails the run on one that does not.
 type Sharded interface {
 	Actor
 	ShardOf(op uint8, a, b, c int32, p any) int
 }
 
-// At returns the event's scheduled time. Valid between DrainCycle and
+// At returns the event's scheduled time. Valid between DrainWindow and
 // the event's recycling.
 func (e *Event) At() Time { return e.at }
 
 // Seq returns the event's sequence number (the FIFO tie-break rank).
 func (e *Event) Seq() uint64 { return e.seq }
 
-// Dead reports whether the event was cancelled.
-func (e *Event) Dead() bool { return e.dead }
+// Actor returns the event's receiver, for the executor's error report on
+// an event that cannot be sharded.
+func (e *Event) Actor() Actor { return e.act }
 
-// Shard returns the shard index of a drained event, or ok=false when the
-// event cannot be assigned to a shard (closure events, or an actor that
-// does not implement Sharded) and the cycle must execute serially.
+// Shard returns the shard index of a drained event, or ok=false when its
+// actor does not implement Sharded — a model bug the executor reports.
 func (e *Event) Shard() (int, bool) {
-	if e.fn != nil || e.act == nil {
-		return 0, false
-	}
 	s, ok := e.act.(Sharded)
 	if !ok {
 		return 0, false
@@ -74,7 +69,7 @@ func (e *Event) Shard() (int, bool) {
 
 // PeekTime returns the timestamp of the earliest queued event. ok=false
 // means the queue is empty. Like Run's peek, it slides the calendar
-// window so the subsequent DrainCycle pops in O(1).
+// window so the subsequent DrainWindow pops in O(1).
 func (k *Kernel) PeekTime() (Time, bool) {
 	e := k.peek()
 	if e == nil {
@@ -83,36 +78,12 @@ func (k *Kernel) PeekTime() (Time, bool) {
 	return e.at, true
 }
 
-// DrainCycle removes and returns every event queued for the earliest
-// timestamp, in seq order (dead events included — the caller recycles
-// them), advancing the clock to that timestamp. It reuses buf's backing
-// array. An empty queue returns (0, buf[:0]).
-func (k *Kernel) DrainCycle(buf []*Event) (Time, []*Event) {
-	buf = buf[:0]
-	e := k.peek()
-	if e == nil {
-		return 0, buf
-	}
-	t := e.at
-	k.now = t
-	for {
-		k.popPeeked(e)
-		buf = append(buf, e)
-		e = k.peek()
-		if e == nil || e.at != t {
-			break
-		}
-	}
-	return t, buf
-}
-
 // DrainWindow removes and returns every event queued before winEnd, in
-// (time, seq) order (dead events included — the caller recycles,
-// executes, or requeues them). Unlike DrainCycle it does NOT touch the
-// clock: a window can contain only dead events, for which the serial
-// loop would never have advanced now; the merge advances the clock per
-// live event instead. It reuses buf's backing array; an empty window
-// returns buf[:0].
+// (time, seq) order (dead events included — the caller recycles or
+// executes them). It does NOT touch the clock: a window can contain only
+// dead events, for which the serial loop would never have advanced now;
+// the merge advances the clock per live event instead. It reuses buf's
+// backing array; an empty window returns buf[:0].
 func (k *Kernel) DrainWindow(winEnd Time, buf []*Event) []*Event {
 	buf = buf[:0]
 	for {
@@ -125,44 +96,15 @@ func (k *Kernel) DrainWindow(winEnd Time, buf []*Event) []*Event {
 	}
 }
 
-// Requeue returns drained-but-unexecuted events to the calendar with
-// their original (time, seq) stamps, in drain order, so an unshardable
-// window can fall back to single-cycle serial execution. Order is
-// preserved: the drain emptied every touched bucket, so re-appending in
-// drain order restores sequence-sorted buckets, and events now behind
-// the calendar window land in the late list, which peek orders by
-// (time, seq).
-func (k *Kernel) Requeue(batch []*Event) {
-	for _, e := range batch {
-		k.npend++
-		k.enqueue(e)
-	}
-}
-
 // SetNow forces the clock, mirroring Run's until-boundary behaviour
 // (k.now = until), including the historical quirk that the boundary can
 // rewind the clock below an already-executed event's time.
 func (k *Kernel) SetNow(t Time) { k.now = t }
 
-// ClearHalt resets the halt flag at the start of a run, as Run/RunCtx do.
-func (k *Kernel) ClearHalt() { k.halted = false }
-
 // AddExecuted credits n executed events to the kernel's counter on
 // behalf of the sharded executor (shards run callbacks off-kernel; the
 // merge accounts for them).
 func (k *Kernel) AddExecuted(n uint64) { k.nexec += n }
-
-// ExecDrained runs one event handed out by DrainCycle exactly as the
-// serial loop would: dead events are recycled silently, live ones
-// advance the clock, count, trace, and run. The executor uses it for
-// cycles that cannot be sharded.
-func (k *Kernel) ExecDrained(e *Event) {
-	if e.dead {
-		k.recycle(e)
-		return
-	}
-	k.exec(e)
-}
 
 // InjectStaged moves a Stage-created event into the calendar, assigning
 // the next kernel sequence number. Called by the coordinator during the
@@ -228,9 +170,6 @@ func (st *Stage) refill() {
 		st.free = append(st.free, &chunk[i])
 	}
 }
-
-// StartCycle pins the stage's clock to the cycle being executed.
-func (st *Stage) StartCycle(now Time) { st.now = now }
 
 // StartWindow opens a parallel phase covering [now, winEnd): schedule
 // calls landing before winEnd stay on this stage's pending heap and
@@ -312,11 +251,6 @@ func (st *Stage) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Ev
 // first, so the callback reschedules from a warm pool). Clock advance,
 // counting, and tracing are the merge's job.
 func (st *Stage) Exec(e *Event) {
-	if fn := e.fn; fn != nil {
-		st.Recycle(e)
-		fn()
-		return
-	}
 	act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
 	st.Recycle(e)
 	act.Act(op, a, b, c, p)
@@ -328,7 +262,6 @@ func (st *Stage) Exec(e *Event) {
 func (st *Stage) Recycle(e *Event) {
 	e.queued = false
 	e.done = false
-	e.fn = nil
 	e.act = nil
 	e.p = nil
 	//hxlint:allow allocfree — returns capacity the pool already handed out; never exceeds the refill high-water mark

@@ -1,9 +1,8 @@
 package sim
 
-// Unit tests for the sharded-execution staging layer: DrainCycle's
-// pop-everything-at-min-time contract (including the late list and dead
-// events), DrainWindow's (time, seq) order and clock neutrality,
-// Requeue's order preservation, RunWindow's in-window local execution
+// Unit tests for the sharded-execution staging layer: DrainWindow's
+// (time, seq) order across calendar tiers (dead events and the late list
+// included) and clock neutrality, RunWindow's in-window local execution
 // (same-cycle staging, window-granularity cancels, done-event seq
 // consumption), InjectStaged's serial-order seq assignment, and the
 // Stage pool's closed event circulation.
@@ -14,98 +13,6 @@ import "testing"
 type logActor struct{ log *[]int32 }
 
 func (l logActor) Act(_ uint8, a, _, _ int32, _ any) { *l.log = append(*l.log, a) }
-
-func TestDrainCycleSeqOrder(t *testing.T) {
-	k := NewKernel()
-	var log []int32
-	act := logActor{&log}
-	// Interleave two timestamps; DrainCycle must return only the earlier
-	// one, in schedule (seq) order.
-	for i := int32(0); i < 10; i++ {
-		k.AtAct(5, act, 0, i, 0, 0, nil)
-		k.AtAct(7, act, 0, 100+i, 0, 0, nil)
-	}
-	at, batch := k.DrainCycle(nil)
-	if at != 5 || k.Now() != 5 {
-		t.Fatalf("DrainCycle at=%d Now=%d, want 5/5", at, k.Now())
-	}
-	if len(batch) != 10 {
-		t.Fatalf("drained %d events, want 10", len(batch))
-	}
-	var prev uint64
-	for i, e := range batch {
-		if e.At() != 5 {
-			t.Fatalf("batch[%d] at=%d, want 5", i, e.At())
-		}
-		if i > 0 && e.Seq() <= prev {
-			t.Fatalf("batch seq not increasing at %d: %d after %d", i, e.Seq(), prev)
-		}
-		prev = e.Seq()
-	}
-	for _, e := range batch {
-		k.ExecDrained(e)
-	}
-	for i, v := range log {
-		if v != int32(i) {
-			t.Fatalf("execution order %v, want schedule order", log)
-		}
-	}
-	// The next cycle is the t=7 batch.
-	if at, batch = k.DrainCycle(batch[:0]); at != 7 || len(batch) != 10 {
-		t.Fatalf("second DrainCycle at=%d len=%d, want 7/10", at, len(batch))
-	}
-}
-
-func TestDrainCycleIncludesDead(t *testing.T) {
-	k := NewKernel()
-	var log []int32
-	act := logActor{&log}
-	k.AtAct(5, act, 0, 0, 0, 0, nil)
-	mid := k.AtAct(5, act, 0, 1, 0, 0, nil)
-	k.AtAct(5, act, 0, 2, 0, 0, nil)
-	k.Cancel(mid)
-	_, batch := k.DrainCycle(nil)
-	if len(batch) != 3 {
-		t.Fatalf("drained %d events, want 3 (dead included — they hold seq positions)", len(batch))
-	}
-	if !batch[1].Dead() || batch[0].Dead() || batch[2].Dead() {
-		t.Fatal("dead flags misplaced in drained batch")
-	}
-	for _, e := range batch {
-		k.ExecDrained(e)
-	}
-	if len(log) != 2 || log[0] != 0 || log[1] != 2 {
-		t.Fatalf("executed %v, want [0 2] (dead event skipped)", log)
-	}
-}
-
-func TestDrainCycleLateList(t *testing.T) {
-	k := NewKernel()
-	var log []int32
-	act := logActor{&log}
-	// Advance the window far ahead, then rewind the clock (the executor
-	// does this at an until-boundary) so new near-term events land behind
-	// winStart — on the late list.
-	k.AtAct(5000, act, 0, 99, 0, 0, nil)
-	k.Run(0)
-	k.SetNow(100)
-	k.AtAct(150, act, 0, 0, 0, 0, nil)
-	k.AtAct(150, act, 0, 1, 0, 0, nil)
-	k.AtAct(6000, act, 0, 2, 0, 0, nil) // in-window ring event, later time
-	at, batch := k.DrainCycle(nil)
-	if at != 150 || len(batch) != 2 {
-		t.Fatalf("DrainCycle over late list at=%d len=%d, want 150/2", at, len(batch))
-	}
-	if batch[0].Seq() > batch[1].Seq() {
-		t.Fatal("late-list events drained out of seq order")
-	}
-	for _, e := range batch {
-		k.ExecDrained(e)
-	}
-	if at, batch = k.DrainCycle(batch[:0]); at != 6000 || len(batch) != 1 {
-		t.Fatalf("post-late DrainCycle at=%d len=%d, want 6000/1", at, len(batch))
-	}
-}
 
 // TestInjectStagedSerialSeq: staged events replayed through InjectStaged
 // receive exactly the seq numbers — and therefore the execution order —
@@ -124,7 +31,6 @@ func TestInjectStagedSerialSeq(t *testing.T) {
 	var log []int32
 	act := logActor{&log}
 	st := NewStage(0)
-	st.StartCycle(k.Now())
 	for i := int32(0); i < 6; i++ {
 		st.AtAct(10, act, 0, i, 0, 0, nil)
 	}
@@ -153,11 +59,10 @@ func TestStagedCancelConsumesSeq(t *testing.T) {
 	var log []int32
 	act := logActor{&log}
 	st := NewStage(0)
-	st.StartCycle(k.Now())
 	e0 := st.AtAct(10, act, 0, 0, 0, 0, nil)
 	st.AtAct(10, act, 0, 1, 0, 0, nil)
 	k.Cancel(e0)
-	if !e0.Dead() {
+	if !e0.dead {
 		t.Fatal("Cancel on a staged handle did not take")
 	}
 	st.ReplayOps(k, 0, 2)
@@ -175,46 +80,134 @@ func TestStagedCancelConsumesSeq(t *testing.T) {
 }
 
 // TestDrainWindowMixedTimestamps: DrainWindow pops every event strictly
-// before winEnd in (time, seq) order across timestamps, leaves events at
-// or past winEnd queued, and — unlike DrainCycle — never touches the
-// clock (the merge advances it per live event).
+// before winEnd in (time, seq) order — across timestamps, out-of-order
+// scheduling, dead events (they hold seq positions) and the late list —
+// leaves events at or past winEnd queued, and never touches the clock
+// (the merge advances it per live event). Each row's batch then runs
+// through a Stage, the only consumer of a drained batch: live events
+// execute in drain order, dead ones are skipped.
 func TestDrainWindowMixedTimestamps(t *testing.T) {
-	k := NewKernel()
-	act := logActor{new([]int32)}
-	// Schedule out of time order so drain order proves the sort.
-	k.AtAct(7, act, 0, 0, 0, 0, nil)
-	k.AtAct(5, act, 0, 1, 0, 0, nil)
-	k.AtAct(6, act, 0, 2, 0, 0, nil)
-	k.AtAct(5, act, 0, 3, 0, 0, nil)
-	k.AtAct(9, act, 0, 4, 0, 0, nil) // past winEnd: must stay queued
-	batch := k.DrainWindow(8, nil)
-	if len(batch) != 4 {
-		t.Fatalf("drained %d events, want 4 (t=9 is outside the window)", len(batch))
+	type ev struct {
+		at     Time
+		a      int32
+		cancel bool
 	}
-	if k.Now() != 0 {
-		t.Fatalf("DrainWindow moved the clock to %d; it must not touch it", k.Now())
+	var interleaved []ev
+	for i := int32(0); i < 10; i++ {
+		interleaved = append(interleaved, ev{at: 5, a: i}, ev{at: 7, a: 100 + i})
 	}
-	for i := 1; i < len(batch); i++ {
-		a, b := batch[i-1], batch[i]
-		if a.At() > b.At() || (a.At() == b.At() && a.Seq() >= b.Seq()) {
-			t.Fatalf("batch not in (time, seq) order at %d: (%d,%d) then (%d,%d)",
-				i, a.At(), a.Seq(), b.At(), b.Seq())
-		}
+	rows := []struct {
+		name   string
+		late   bool // schedule behind the calendar window, onto the late list
+		sched  []ev
+		winEnd Time
+		want   []int32 // a operands drained, in order
+		rest   []int32 // what the next, unbounded drain returns
+	}{
+		{
+			name:   "out_of_order_times",
+			sched:  []ev{{at: 7, a: 0}, {at: 5, a: 1}, {at: 6, a: 2}, {at: 5, a: 3}, {at: 9, a: 4}},
+			winEnd: 8,
+			want:   []int32{1, 3, 2, 0},
+			rest:   []int32{4},
+		},
+		{
+			name:   "interleaved_seq_order",
+			sched:  interleaved,
+			winEnd: 6,
+			want:   []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+			rest:   []int32{100, 101, 102, 103, 104, 105, 106, 107, 108, 109},
+		},
+		{
+			name:   "dead_included",
+			sched:  []ev{{at: 5, a: 0}, {at: 5, a: 1, cancel: true}, {at: 5, a: 2}},
+			winEnd: 6,
+			want:   []int32{0, 1, 2},
+		},
+		{
+			// Near-term events behind winStart wait on the late list; the
+			// in-window ring event at a later time drains after them.
+			name:   "late_list",
+			late:   true,
+			sched:  []ev{{at: 150, a: 0}, {at: 150, a: 1}, {at: 6000, a: 2}},
+			winEnd: 151,
+			want:   []int32{0, 1},
+			rest:   []int32{2},
+		},
+		{name: "empty_calendar", winEnd: 100},
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d after drain, want 1", k.Pending())
-	}
-	if rest := k.DrainWindow(10, batch[:0]); len(rest) != 1 || rest[0].At() != 9 {
-		t.Fatalf("second window drained %d events, want the t=9 leftover", len(rest))
-	}
-	if empty := k.DrainWindow(100, nil); len(empty) != 0 {
-		t.Fatalf("empty calendar drained %d events, want 0", len(empty))
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			k := NewKernel()
+			var log []int32
+			act := logActor{&log}
+			if row.late {
+				// Advance the window far ahead, then rewind the clock (the
+				// executor does this at an until-boundary).
+				k.AtAct(5000, act, 0, 99, 0, 0, nil)
+				k.Run(0)
+				k.SetNow(100)
+				log = log[:0]
+			}
+			now := k.Now()
+			dead := map[int32]bool{}
+			for _, e := range row.sched {
+				h := k.AtAct(e.at, act, 0, e.a, 0, 0, nil)
+				if e.cancel {
+					k.Cancel(h)
+					dead[e.a] = true
+				}
+			}
+			batch := k.DrainWindow(row.winEnd, nil)
+			if k.Now() != now {
+				t.Fatalf("DrainWindow moved the clock %d -> %d; it must not touch it", now, k.Now())
+			}
+			if k.Pending() != len(row.rest) {
+				t.Fatalf("Pending = %d after drain, want %d", k.Pending(), len(row.rest))
+			}
+			check := func(batch []*Event, want []int32) {
+				t.Helper()
+				if len(batch) != len(want) {
+					t.Fatalf("drained %d events, want %d", len(batch), len(want))
+				}
+				for i, e := range batch {
+					if e.a != want[i] || e.dead != dead[e.a] {
+						t.Fatalf("batch[%d] = (a=%d dead=%v), want (a=%d dead=%v)", i, e.a, e.dead, want[i], dead[want[i]])
+					}
+					if i > 0 {
+						if p := batch[i-1]; p.At() > e.At() || (p.At() == e.At() && p.Seq() >= e.Seq()) {
+							t.Fatalf("batch not in (time, seq) order at %d: (%d,%d) then (%d,%d)",
+								i, p.At(), p.Seq(), e.At(), e.Seq())
+						}
+					}
+				}
+			}
+			check(batch, row.want)
+			st := NewStage(0)
+			st.StartWindow(row.winEnd)
+			st.RunWindow(batch, &windowRecorder{})
+			var live []int32
+			for _, a := range row.want {
+				if !dead[a] {
+					live = append(live, a)
+				}
+			}
+			if len(log) != len(live) {
+				t.Fatalf("executed %v, want %v", log, live)
+			}
+			for i := range live {
+				if log[i] != live[i] {
+					t.Fatalf("executed %v, want %v", log, live)
+				}
+			}
+			check(k.DrainWindow(1<<40, batch[:0]), row.rest)
+		})
 	}
 }
 
 // TestDrainWindowCancelDrained: a drained-but-unexecuted event is still
-// cancellable — drain does not clear the queued flag — and the dead flag
-// is honored at processing time by ExecDrained, mirroring how an
+// cancellable — drain does not clear the queued flag — and RunWindow
+// honours the dead flag at processing time: this is how an
 // earlier-in-window event's cancel lands under the windowed executor.
 func TestDrainWindowCancelDrained(t *testing.T) {
 	k := NewKernel()
@@ -225,44 +218,14 @@ func TestDrainWindowCancelDrained(t *testing.T) {
 	k.AtAct(7, act, 0, 2, 0, 0, nil)
 	batch := k.DrainWindow(10, nil)
 	k.Cancel(victim)
-	if !victim.Dead() {
+	if !victim.dead {
 		t.Fatal("Cancel after DrainWindow did not take; window-granularity cancels would be lost")
 	}
-	for _, e := range batch {
-		if !e.Dead() {
-			k.SetNow(e.At())
-		}
-		k.ExecDrained(e)
-	}
+	st := NewStage(0)
+	st.StartWindow(10)
+	st.RunWindow(batch, &windowRecorder{})
 	if len(log) != 2 || log[0] != 0 || log[1] != 2 {
 		t.Fatalf("executed %v, want [0 2] (cancelled-after-drain event skipped)", log)
-	}
-}
-
-// TestRequeuePreservesOrder: Requeue returns a drained window to the
-// calendar with original (time, seq) stamps, so a fresh drain reproduces
-// the identical batch — the unshardable-window fallback depends on this.
-func TestRequeuePreservesOrder(t *testing.T) {
-	k := NewKernel()
-	act := logActor{new([]int32)}
-	for i := int32(0); i < 4; i++ {
-		k.AtAct(Time(5+i%2), act, 0, i, 0, 0, nil)
-	}
-	batch := k.DrainWindow(8, nil)
-	want := make([]*Event, len(batch))
-	copy(want, batch)
-	k.Requeue(batch)
-	if k.Pending() != 4 {
-		t.Fatalf("Pending = %d after Requeue, want 4", k.Pending())
-	}
-	again := k.DrainWindow(8, nil)
-	if len(again) != len(want) {
-		t.Fatalf("re-drain returned %d events, want %d", len(again), len(want))
-	}
-	for i := range want {
-		if again[i] != want[i] {
-			t.Fatalf("re-drain order diverged at %d", i)
-		}
 	}
 }
 
@@ -350,7 +313,7 @@ func TestRunWindowCancelStaged(t *testing.T) {
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
 	batch := k.DrainWindow(10, nil)
 	st.StartWindow(10)
-	st.StartCycle(5)
+	st.now = 5
 	victim := st.AtAct(8, w, 0, 50, 0, 0, nil)
 	k.Cancel(victim)
 	rec := &windowRecorder{}
@@ -387,7 +350,6 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 	st := NewStage(0)
 	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
 	st.StartWindow(10)
-	st.StartCycle(0)
 	pool := st.PoolLen()
 	e := st.AtAct(5, w, 0, 7, 0, 0, nil)
 	st.RunWindow(nil, &windowRecorder{})
@@ -412,7 +374,7 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 
 func TestStageAllocPanicsOnPast(t *testing.T) {
 	st := NewStage(0)
-	st.StartCycle(10)
+	st.now = 10
 	defer func() {
 		if recover() == nil {
 			t.Fatal("staging an event in the past did not panic")
@@ -429,7 +391,6 @@ func TestStagePoolCirculation(t *testing.T) {
 	var log []int32
 	act := logActor{&log}
 	a, b := NewStage(0), NewStage(1)
-	a.StartCycle(0)
 	before := a.PoolLen()
 	e := a.AtAct(5, act, 0, 7, 0, 0, nil)
 	if a.PoolLen() != before-1 {

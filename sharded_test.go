@@ -122,7 +122,7 @@ func TestShardedMatchesSerialShapes(t *testing.T) {
 
 // TestShardedSameCycleCancelVAL pins a regression: a reroute timer
 // cancelled by an earlier-seq event of its own cycle still fired under
-// sharding, because DrainCycle pops the whole cycle up front and
+// sharding, because DrainWindow pops the whole window up front and
 // Kernel.Cancel used to no-op on any already-popped (queued=false)
 // event — serially the target would still be in the calendar when the
 // canceller runs. VAL makes the bug observable: every Route call on an
