@@ -7,7 +7,7 @@ GO ?= go
 # masked by the tee pipeline.
 SHELL := /bin/bash
 
-.PHONY: ci vet lint build test race quick smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck fuzzshort cover
+.PHONY: ci vet lint build test race quick smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck benchhistory fuzzshort cover
 
 ci: vet lint build test race smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck fuzzshort cover
 
@@ -132,6 +132,13 @@ servesmoke:
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	@echo benchcheck OK
+
+# Append this checkout's four end-to-end results to BENCH_history.jsonl
+# (scripts/benchhistory.sh). Not part of ci: it runs the full-size
+# workloads for minutes, and what it records is a trajectory to read, not
+# a gate — a PR that claims a gain adds its line (and its parent's).
+benchhistory:
+	bash scripts/benchhistory.sh
 
 # Short native-fuzz pass over the HyperX coordinate algebra. The seed
 # corpus is committed under internal/topology/testdata/fuzz; ten seconds

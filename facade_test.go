@@ -1,8 +1,12 @@
 package hyperx
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
+
+	"hyperx/internal/traffic"
 )
 
 func TestBuildDefaults(t *testing.T) {
@@ -28,6 +32,42 @@ func TestPaperScale(t *testing.T) {
 	}
 	if inst.Topo.NumPorts() != 29 {
 		t.Errorf("paper scale radix = %d, want 29", inst.Topo.NumPorts())
+	}
+}
+
+// TestPaperPointAllocBudget: the ledger's paper-scale point (DimWAR, UR,
+// load 0.6, Warmup=Window=500; 10.9 M events, ~250 K pending at a time)
+// allocates under 64 MiB beyond Build. The calendar stores events by value
+// in recycled chunks, so what a run allocates is the pending population
+// (~16 MiB) plus packet and waiter pools — not ring size × peak bucket of
+// pointer arrays and their append-doubling garbage (~160 MiB before).
+func TestPaperPointAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale simulation")
+	}
+	cfg := PaperScale()
+	cfg.Algorithm = "DimWAR"
+	cfg.Seed = 1
+	inst := MustBuild(cfg)
+	defer inst.Close()
+	pat, err := NewPattern("UR", inst.Topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := RunOpts{Warmup: 500, Window: 500}.withDefaults()
+	gen := &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: traffic.UniformSize{Min: opts.MinFlits, Max: opts.MaxFlits}, Load: 0.6}
+	gen.Start(inst.Cfg.Seed)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := runPointOn(context.Background(), inst, gen, 0.6, opts, 500); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 64 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("paper-scale point allocated %.1f MiB beyond Build, want < %d MiB", float64(got)/(1<<20), budget>>20)
+	} else {
+		t.Logf("paper-scale point allocated %.1f MiB beyond Build (%d events)", float64(got)/(1<<20), inst.K.Executed())
 	}
 }
 

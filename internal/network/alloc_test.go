@@ -19,9 +19,9 @@ func steadyStateZeroAlloc(t *testing.T, mut func(*Config)) {
 	n := buildNet(t, h, core.NewDimWAR(h), mut)
 	nt := h.NumTerminals()
 	// The bursts below inject from every terminal on the same cycle, a far
-	// spikier bucket occupancy than the build-time heuristic plans for;
-	// reserve enough per-bucket capacity that the calendar never grows.
-	n.K.Reserve(4096, 2*nt)
+	// spikier calendar occupancy than the build-time estimate plans for;
+	// reserve enough chunks that the calendar never grows.
+	n.K.Reserve(4096)
 	burst := func(k int) {
 		for src := 0; src < nt; src++ {
 			n.Terminals[src].Send(n.NewPacket(src, (src*31+k)%nt, 1+k%16))

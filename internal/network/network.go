@@ -277,8 +277,7 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	// (in-flight channel crossings, credit returns, reroute timers): one
 	// event per link plus a few per terminal is the observed high-water
 	// shape. A low estimate only means on-demand growth, never misbehaviour.
-	events := nr*np + 4*nt
-	k.Reserve(events, max(4, events/4096))
+	k.Reserve(nr*np + 4*nt)
 	return n, nil
 }
 

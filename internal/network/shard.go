@@ -39,8 +39,10 @@
 //     cross-shard schedule landing inside its window.
 //   - Kernel: the parallel phase reads time only through the shard's
 //     Stage clock (pinned to the executing event). Kernel.Cancel writes
-//     only the cancelled event's dead flag, and the model cancels only
-//     its own router's reroute timer — same-shard by construction.
+//     only the cancelled event's flags byte, and the model cancels only
+//     its own router's reroute timer — same-shard by construction; the
+//     calendar stores one event per cache line, so neighbouring drained
+//     events of different shards never share one.
 //     Drained and in-window staged events stay cancellable until they
 //     are executed or recycled, and RunWindow reads deadness at
 //     processing time, so a cancel aimed at a later event of the same
@@ -128,6 +130,16 @@ type ShardState struct {
 func (sc *ShardState) Record(at sim.Time, seq uint64, ev *sim.Event) {
 	//hxlint:allow allocfree — the exec-record log grows to the shard's per-window high-water live-event count and is reset every merge
 	sc.recs = append(sc.recs, execRec{at: at, seq: seq, ev: ev, opsEnd: int32(sc.Stage.StagedLen()), fxEnd: int32(len(sc.fx))})
+}
+
+// Rebind implements sim.Rebinder: the merge has copied a staged event
+// into the calendar. The one handle the model keeps is a blocked waiter's
+// re-route timer (the only event with a *waiter payload); repoint it
+// unless the waiter has since been cancelled and re-armed.
+func (sc *ShardState) Rebind(staged, placed *sim.Event) {
+	if w, ok := placed.Payload().(*waiter); ok && w.timer == staged {
+		w.timer = placed
+	}
 }
 
 // stageFx appends a staged side effect.
@@ -287,8 +299,8 @@ func (n *Network) BatchLen(s int) int { return len(n.shards[s].batch) }
 // RunShard executes shard s's slice of the current window, in serial
 // (time, seq) order, entirely against shard-private state: the shard's
 // Stage interleaves the drained batch with in-window staged events,
-// recycles dead ones (the serial kernel recycles them unexecuted too),
-// and reports each live event to Record above.
+// skips dead ones (as the serial kernel does), and reports each live
+// event to Record above.
 func (n *Network) RunShard(s int) {
 	sc := n.shards[s]
 	sc.Stage.RunWindow(sc.batch, sc)
@@ -301,7 +313,9 @@ func (n *Network) RunShard(s int) {
 // executed event, the clock, the trace hook, the injection of its staged
 // schedule calls (this is where sequence numbers are assigned, in
 // exactly the serial order: executing-event order crossed with
-// within-callback program order), and the replay of its staged side
+// within-callback program order, and where each staged event that
+// outlives the window is copied into the calendar and its waiter's timer
+// handle repointed, see Rebind), and the replay of its staged side
 // effects. It returns whether the window's (time, seq)-maximal processed
 // event — live or dead — was dead, which the executor needs for the
 // serial until-overshoot quirk. Coordinator-only, between parallel
@@ -341,7 +355,7 @@ func (n *Network) MergeWindow() (lastDead bool) {
 		if k.TraceExec != nil {
 			k.TraceExec(pickAt, pickSeq)
 		}
-		pick.Stage.ReplayOps(k, int(pick.opsPos), int(rec.opsEnd))
+		pick.Stage.ReplayOps(k, int(pick.opsPos), int(rec.opsEnd), pick)
 		pick.opsPos = rec.opsEnd
 		n.replayFx(pick.fx[pick.fxPos:rec.fxEnd], pickAt)
 		pick.fxPos = rec.fxEnd
@@ -370,7 +384,6 @@ func (n *Network) MergeWindow() (lastDead bool) {
 		}
 		sc.recs = sc.recs[:0]
 	}
-	n.rebalanceStages()
 	return lastDead
 }
 
@@ -422,38 +435,4 @@ func (n *Network) shardFreePacket(p *route.Packet) {
 	sc := n.shards[n.shardOfRouter(p.SrcRouter)]
 	p.Next = sc.pool
 	sc.pool = p
-}
-
-// rebalanceStages equalizes the shards' event-pool depths after a merge.
-// Staged events migrate between shards through the calendar (shard A
-// stages an event that shard B later drains and recycles), so asymmetric
-// traffic would otherwise drain one stage's pool — forcing fresh chunk
-// allocations — while growing another's forever.
-func (n *Network) rebalanceStages() {
-	nsh := len(n.shards)
-	if nsh < 2 {
-		return
-	}
-	total := 0
-	for _, sc := range n.shards {
-		total += sc.Stage.PoolLen()
-	}
-	target := total / nsh
-	recv := 0
-	for _, sc := range n.shards {
-		for sc.Stage.PoolLen() > target+1 {
-			for recv < nsh && n.shards[recv].Stage.PoolLen() >= target {
-				recv++
-			}
-			if recv == nsh {
-				return
-			}
-			dst := n.shards[recv].Stage
-			move := sc.Stage.PoolLen() - target
-			if deficit := target - dst.PoolLen(); deficit < move {
-				move = deficit
-			}
-			sc.Stage.MoveFree(dst, move)
-		}
-	}
 }

@@ -159,7 +159,7 @@ func TestRestoreKeepsSteadyStateZeroAlloc(t *testing.T) {
 	n.K.Run(0) // drain the restored traffic: arena packets refill the pools
 
 	nt := len(n.Terminals)
-	n.K.Reserve(2048, 2*nt)
+	n.K.Reserve(2048)
 	burst := func(k int) {
 		for src := 0; src < nt; src++ {
 			n.Terminals[src].Send(n.NewPacket(src, (src*31+k)%nt, 1+k%16))

@@ -11,7 +11,9 @@
 // therefore never depends on goroutine scheduling: the parallel phase
 // touches only shard-private state (see internal/network/shard.go for
 // the ownership argument), and everything order-sensitive happens in the
-// single-threaded merge.
+// single-threaded merge. A drained batch is handles into the calendar's
+// own storage: its events stay where they were queued, valid through the
+// merge, and the kernel reclaims them when the next window drains.
 //
 // The window width is the lookahead bound: a cross-shard schedule always
 // crosses a router-to-router channel, so it lands at least the model's

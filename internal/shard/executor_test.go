@@ -70,6 +70,12 @@ type toy struct {
 	// the cancels that land mid-parallel-phase rather than on the calendar.
 	winEnd        sim.Time
 	windowCancels int
+
+	// holders[s] are the handle cells opArm filled from shard s's stage
+	// this window; the merge repoints the ones whose event entered the
+	// calendar (Rebind) and counts them in rebinds.
+	holders [][]**sim.Event
+	rebinds int
 }
 
 // Toy ops. Every op increments slot a first.
@@ -90,6 +96,7 @@ func newToy(k *sim.Kernel, nsh, slots int, limit sim.Time) *toy {
 		m.recs = append(m.recs, nil)
 		m.cur = append(m.cur, 0)
 		m.opsPos = append(m.opsPos, 0)
+		m.holders = append(m.holders, nil)
 	}
 	return m
 }
@@ -120,7 +127,11 @@ func (m *toy) Act(op uint8, a, b, _ int32, p any) {
 			sched(now+5, opPoke, (a+1)%int32(len(m.slots)), 0)
 		}
 	case opArm:
-		*p.(**sim.Event) = sched(now+sim.Time(b), opPoke, a, 0)
+		h := p.(**sim.Event)
+		*h = sched(now+sim.Time(b), opPoke, a, 0)
+		if m.sharded {
+			m.holders[m.shardOf(a)] = append(m.holders[m.shardOf(a)], h)
+		}
 	case opCancel:
 		victim := *p.(**sim.Event)
 		if m.sharded && victim.At() < m.winEnd {
@@ -140,6 +151,19 @@ func (m *toy) now(slot int32) sim.Time {
 		return m.stages[m.shardOf(slot)].Now()
 	}
 	return m.k.Now()
+}
+
+// Rebind implements sim.Rebinder, as network.ShardState does for waiter
+// timers: a staged handle is superseded by its calendar copy's address.
+func (m *toy) Rebind(staged, placed *sim.Event) {
+	for _, hs := range m.holders {
+		for _, h := range hs {
+			if *h == staged {
+				*h = placed
+				m.rebinds++
+			}
+		}
+	}
 }
 
 func (m *toy) NumShards() int { return len(m.stages) }
@@ -200,7 +224,7 @@ func (m *toy) MergeWindow() bool {
 		if tr := m.k.TraceExec; tr != nil {
 			tr(pAt, pSeq)
 		}
-		m.stages[pick].ReplayOps(m.k, m.opsPos[pick], rec.opsEnd)
+		m.stages[pick].ReplayOps(m.k, m.opsPos[pick], rec.opsEnd, m)
 		m.opsPos[pick] = rec.opsEnd
 	}
 	m.k.AddExecuted(live)
@@ -221,6 +245,7 @@ func (m *toy) MergeWindow() bool {
 		m.recs[s] = m.recs[s][:0]
 		m.cur[s] = 0
 		m.opsPos[s] = 0
+		m.holders[s] = m.holders[s][:0]
 	}
 	return dead
 }
@@ -349,6 +374,26 @@ func TestExecutorSameWindowCancel(t *testing.T) {
 		})
 		if win > 1 && xm.windowCancels != 2 {
 			t.Fatalf("win=%d: %d cancels landed inside their parallel window, want 2", win, xm.windowCancels)
+		}
+	}
+}
+
+// TestExecutorCancelAcrossMerge: a handle taken from Stage.AtAct in one
+// window and cancelled from the same shard in a later one. The merge in
+// between copies the staged event into the calendar — a ring slot, or a
+// far-tier struct when the delay exceeds the calendar window — so the
+// cancel only lands if the handle was repointed at the copy.
+func TestExecutorCancelAcrossMerge(t *testing.T) {
+	for _, delay := range []int32{20, 2000} {
+		for _, win := range toyWindows {
+			xm := runPair(t, 2, win, 4, 400, 0, func(k *sim.Kernel, m *toy) {
+				h := new(*sim.Event)
+				k.AtAct(41, m, opArm, 1, delay, 0, h)
+				k.AtAct(50, m, opCancel, 1, 0, 0, h) // at least one merge later at every width
+			})
+			if xm.rebinds != 1 {
+				t.Fatalf("delay=%d win=%d: %d handles repointed at the merge, want 1", delay, win, xm.rebinds)
+			}
 		}
 	}
 }

@@ -23,9 +23,8 @@ func (a *countActor) Act(op uint8, x, y, z int32, p any) {
 	a.p = p
 }
 
-// warmKernel cycles enough typed events through k to warm every ring
-// bucket and stock the event free list, so subsequent scheduling exercises
-// only the steady-state path.
+// warmKernel cycles enough typed events through k to stock the chunk free
+// list, so subsequent scheduling exercises only the steady-state path.
 func warmKernel(k *Kernel, act Actor) {
 	for i := 0; i < 4*ringSize; i++ {
 		k.AtAct(k.Now()+Time(i%7)+1, act, 0, 0, 0, 0, nil)
@@ -56,7 +55,7 @@ func TestTypedScheduleDispatchZeroAlloc(t *testing.T) {
 func TestReserveColdScheduleZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	act := &countActor{}
-	k.Reserve(1024, 8)
+	k.Reserve(1024)
 	allocs := testing.AllocsPerRun(2000, func() {
 		k.AtAct(k.Now()+1, act, 0, 0, 0, 0, nil)
 		k.AtAct(k.Now()+3, act, 0, 0, 0, 0, nil)
@@ -68,14 +67,14 @@ func TestReserveColdScheduleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReservePreservesPendingOrder: Reserve re-slabs buckets that already
-// hold events; their FIFO order must survive the copy.
+// TestReservePreservesPendingOrder: Reserve on a kernel that already
+// holds events only stocks the free list; pending FIFO order is untouched.
 func TestReservePreservesPendingOrder(t *testing.T) {
 	k, s := newScript()
 	for i := int32(0); i < 40; i++ {
 		k.AtAct(Time(1+i%5), s, opLog, i, 0, 0, nil)
 	}
-	k.Reserve(512, 16)
+	k.Reserve(512)
 	k.Run(0)
 	got := s.log
 	if len(got) != 40 {
@@ -119,16 +118,16 @@ func TestTypedEventCancel(t *testing.T) {
 	}
 }
 
-// TestFIFOAcrossTiers: events landing in the far-future heap and then
-// migrating into the calendar window keep FIFO order among equal
-// timestamps relative to events scheduled directly into the window.
+// TestFIFOAcrossTiers: events landing in the far-future heap keep FIFO
+// order among equal timestamps relative to events scheduled directly into
+// the window once it has slid over their time.
 func TestFIFOAcrossTiers(t *testing.T) {
 	k, s := newScript()
 	const at = ringSize + 500 // beyond the initial window: lands in the far heap
 	for i := int32(0); i < 50; i++ {
 		k.AtAct(at, s, opLog, i, 0, 0, nil)
 	}
-	// Drag the window forward so the far events migrate, then add more at
+	// Drag the window forward over the far events' time, then add more at
 	// the same timestamp directly into the ring. The burst runs first and
 	// logs its own operand, 49, ahead of everything at `at`.
 	k.AtAct(at-100, s, opBurst, 49, at, 50, nil)

@@ -18,12 +18,14 @@
 // almost exclusively a few cycles ahead (flit serialization, channel
 // latency, credit return), so the common case is an O(1) bucket append
 // and an O(1) bucket pop; the heap only sees long-delay events (reroute
-// timers at low load, drain horizons, idle-source injection gaps). The
-// (time, seq) FIFO contract is preserved exactly: a bucket receives its
-// heap refugees the moment its cycle enters the window — strictly before
-// any direct append for that cycle can occur, and in (time, seq) heap
-// order — so every bucket is sequence-sorted by construction. The golden-
-// trace test (repo root) pins this equivalence against the historical
+// timers at low load, drain horizons, idle-source injection gaps).
+// Nothing in the calendar ever moves: a far event stays on the heap until
+// it is popped, even once the window has slid over its time, and peek
+// picks the (time, seq)-smaller of the heap minimum and the ring front.
+// Every far push for a cycle predates every direct append for it (the
+// window only moves forward), so within a tier order is by construction
+// and across tiers the seq comparison restores it. The golden-trace test
+// (repo root) pins the (time, seq) FIFO contract against the historical
 // single-heap kernel.
 //
 // # Event representation
@@ -33,9 +35,17 @@
 // model schedules (router arrivals, arbitration attempts, credit returns,
 // injections) has this form, which is what makes an event assignable to a
 // shard (Sharded), relocatable into a snapshot (EventCoder), and free to
-// schedule: Event structs are pooled, so the steady-state
-// schedule/dispatch path allocates nothing (asserted by alloc_test.go
-// here and in internal/network).
+// schedule. Ring events live in their bucket: a bucket is a FIFO of
+// fixed-size chunks of Event values, AtAct writes the event straight into
+// the tail slot and hands out that slot's address as the Cancel handle,
+// and a pop is a sequential read. Chunks recycle through one kernel free
+// list, so calendar memory is proportional to the pending events (plus a
+// part-consumed head and a part-filled tail chunk per live timestamp),
+// and the steady-state schedule/dispatch path allocates nothing (asserted
+// by alloc_test.go here and in internal/network). Only the rare far and
+// late events are individually pooled structs. A consumed slot keeps its
+// actor and payload references until its chunk is reused; everything the
+// model schedules is itself pooled, so nothing is kept alive by that.
 //
 // Cancellation: RunCtx is Run with a cooperative context check every few
 // thousand events. Cancelling never reorders events — an interrupted run
@@ -61,7 +71,8 @@ type Actor interface {
 	Act(op uint8, a, b, c int32, p any)
 }
 
-// Event is a unit of scheduled work.
+// Event is a unit of scheduled work: exactly one 64-byte cache line (see
+// chunk).
 type Event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among equal timestamps
@@ -70,27 +81,57 @@ type Event struct {
 	p       any
 	a, b, c int32
 	op      uint8
-
-	dead   bool // cancelled; skipped and recycled at pop time
-	queued bool // allocated and not yet executed/recycled: still cancellable
-	done   bool // staged event already executed inside its window (see stage.go)
+	flags   uint8
 }
+
+// Event flags. evQueued is cleared when a pooled, drained or staged event
+// is consumed; the serial ring pop is a pure read and leaves it set — that
+// slot is never read again, so a late Cancel on it is unobservable.
+const (
+	evDead   uint8 = 1 << iota // cancelled; skipped at pop time
+	evQueued                   // still cancellable
+	evDone                     // staged event already executed inside its window (see stage.go)
+	evPooled                   // a far/late struct from Kernel.free, recycled when popped; ring slots belong to their chunk
+)
 
 const (
 	// ringBits sizes the near-future window. 1024 cycles covers every
 	// fixed delay in the network model (crossbar 50, channels 5/50,
 	// packets up to 16 flits, reroute interval 100, drain steps 2000 are
-	// split by until-boundaries) while keeping the per-kernel footprint
-	// at a few tens of kilobytes.
+	// split by until-boundaries) while keeping the ring itself at a few
+	// tens of kilobytes.
 	ringBits = 10
 	ringSize = 1 << ringBits
 	ringMask = ringSize - 1
+
+	// chunkCap is how many events one bucket chunk holds: 63 one-line
+	// events plus the link fill one 4 KiB page.
+	chunkCap = 63
+
+	// chunkSlab is how many chunks the free list grows by. 64 KiB is past
+	// the runtime's small-object sizes, so a slab gets whole pages of its
+	// own and starts on a page boundary (a lone 4 KiB object with
+	// pointers would sit 8 bytes into a larger size class).
+	chunkSlab = 16
 )
 
-// bucket is one calendar cell: the FIFO of events for a single cycle.
+// chunk is one fixed-size segment of a bucket's FIFO. It is padded to
+// 4 KiB and only ever allocated in page-aligned slabs (stock), so every
+// slot starts on a 64-byte boundary: one event is one cache line, and two
+// shards executing neighbouring drained events never write the same line.
+type chunk struct {
+	ev   [chunkCap]Event
+	next *chunk
+	_    [56]byte
+}
+
+// bucket is one calendar cell: the FIFO of events for a single cycle, as
+// a chain of chunks. Slots [hi, chunkCap) of head, every slot of the
+// chunks between, and slots [0, ti) of tail are pending (head == tail:
+// [hi, ti)); head == nil is the empty bucket.
 type bucket struct {
-	q    []*Event
-	head int
+	head, tail *chunk
+	hi, ti     int32
 }
 
 // Kernel is a discrete-event simulator. The zero value is not usable; call
@@ -117,8 +158,14 @@ type Kernel struct {
 	// practically always empty.
 	late []*Event
 
-	//hxlint:state ephemeral — capacity detail, never serialized; the pool refills lazily after restore (see docs/STATE.md)
-	free []*Event // recycled events: zero steady-state allocation
+	//hxlint:state ephemeral — capacity detail, never serialized; the chunk free list refills lazily after restore (see docs/STATE.md)
+	chunks *chunk // recycled bucket chunks, LIFO: zero steady-state allocation
+	//hxlint:state ephemeral — consumed chunks awaiting release (at the next pop; a drained window's at the next drain); holds no pending event
+	spent *chunk
+	//hxlint:state ephemeral — capacity detail, never serialized; the far/late struct pool refills lazily after restore
+	free []*Event
+	//hxlint:state ephemeral — far/late structs of the last drained window, recycled at the next drain; holds no pending event
+	heldEv []*Event
 
 	// TraceExec, when non-nil, observes every executed (live) event as
 	// (time, seq) immediately before its callback runs. It exists for the
@@ -141,104 +188,128 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Executed() uint64 { return k.nexec }
 
 // Pending returns the number of events currently queued (cancelled events
-// count until they are popped and recycled).
+// count until they are popped).
 func (k *Kernel) Pending() int { return k.npend }
 
-// eventChunk is how many Event structs one pool refill allocates. Growing
-// the pool a chunk at a time turns the warm-up phase's per-event heap
-// allocations into one slab per 256 events; the steady state never
-// refills at all.
-const eventChunk = 256
-
-// refill stocks the free list with a fresh chunk of events.
-func (k *Kernel) refill() {
-	//hxlint:allow allocfree — chunked pool refill: one slab per eventChunk events, amortizing to zero once the pool reaches its high-water mark
-	chunk := make([]Event, eventChunk)
-	for i := range chunk {
-		//hxlint:allow allocfree — the free list grows once, to the refill slab's size, then recycles in place
-		k.free = append(k.free, &chunk[i])
+// Reserve pre-sizes the calendar for a model of known scale: chunk
+// capacity for nEvents pending events, carved from a single slab instead
+// of chunkSlab-at-a-time growth. Purely a capacity hint — event order is
+// unaffected — so models call it once at build time with their high-water
+// estimate; the free list still grows on demand if the estimate is low.
+func (k *Kernel) Reserve(nEvents int) {
+	n := (nEvents + chunkCap - 1) / chunkCap
+	for c := k.chunks; c != nil; c = c.next {
+		n--
+	}
+	if n > 0 {
+		k.stock(n)
 	}
 }
 
-// Reserve pre-sizes the kernel's pools for a model of known scale:
-// nEvents pooled Event structs and perBucket slots of calendar-bucket
-// capacity, each backed by a single slab instead of incremental append
-// growth. Purely a capacity hint — event order is unaffected — so models
-// call it once at build time with their high-water estimate; the pools
-// still grow on demand if the estimate is low.
-func (k *Kernel) Reserve(nEvents, perBucket int) {
-	if n := nEvents - len(k.free); n > 0 {
-		//hxlint:allow allocfree — Reserve is the explicit build-time pre-sizing hook; models call it before steady state
-		chunk := make([]Event, n)
-		for i := range chunk {
-			//hxlint:allow allocfree — build-time stocking of the free list, see above
-			k.free = append(k.free, &chunk[i])
-		}
-	}
-	if perBucket <= 0 {
-		return
-	}
-	//hxlint:allow allocfree — build-time bucket slab, carved up below; this is what makes enqueue growth-free afterwards
-	slab := make([]*Event, ringSize*perBucket)
-	for i := range k.ring {
-		b := &k.ring[i]
-		pending := len(b.q) - b.head
-		if cap(b.q) >= perBucket || pending > perBucket {
-			continue
-		}
-		q := slab[i*perBucket : i*perBucket+pending : (i+1)*perBucket]
-		copy(q, b.q[b.head:])
-		b.q = q
-		b.head = 0
+// stock adds a slab of at least n chunks to the free list.
+func (k *Kernel) stock(n int) {
+	//hxlint:allow allocfree — the chunk free list grows, a slab at a time, to the calendar's high-water occupancy and then recycles; Reserve pre-sizes it at build time
+	slab := make([]chunk, max(n, chunkSlab))
+	for i := range slab {
+		slab[i].next = k.chunks
+		k.chunks = &slab[i]
 	}
 }
 
-// alloc takes an event from the pool and stamps its (time, seq).
-func (k *Kernel) alloc(t Time) *Event {
-	if t < k.now {
-		panic("sim: event scheduled in the past")
+// grow appends a fresh tail chunk to b.
+func (k *Kernel) grow(b *bucket) {
+	if k.chunks == nil {
+		k.stock(chunkSlab)
 	}
-	n := len(k.free)
-	if n == 0 {
-		k.refill()
-		n = len(k.free)
+	c := k.chunks
+	k.chunks = c.next
+	c.next = nil
+	if b.head == nil {
+		b.head, b.hi = c, 0
+	} else {
+		b.tail.next = c
 	}
-	e := k.free[n-1]
-	k.free = k.free[:n-1]
-	e.at = t
-	e.seq = k.seq
-	e.dead = false
-	e.queued = true
-	e.done = false
-	k.seq++
+	b.tail, b.ti = c, 0
+}
+
+// park puts a consumed chunk on the spent list. It is not reusable yet:
+// the event executing out of it may still have its handle cancelled by
+// its own callback, and a drained window's events are read until its
+// merge is over.
+func (k *Kernel) park(c *chunk) {
+	c.next = k.spent
+	k.spent = c
+}
+
+// release returns the spent chunks to the free list.
+func (k *Kernel) release() {
+	for c := k.spent; c != nil; {
+		next := c.next
+		c.next = k.chunks
+		k.chunks = c
+		c = next
+	}
+	k.spent = nil
+}
+
+// slot claims the calendar slot for a new event at time t — the tail of
+// its ring bucket, or a pooled struct on the far heap or late list — and
+// stamps its (time, seq). The caller fills in the callback.
+func (k *Kernel) slot(t Time, seq uint64) *Event {
 	k.npend++
+	if uint64(t-k.winStart) < ringSize {
+		b := &k.ring[int(t)&ringMask]
+		if b.tail == nil || b.ti == chunkCap {
+			k.grow(b)
+		}
+		e := &b.tail.ev[b.ti]
+		b.ti++
+		k.nring++
+		e.at, e.seq, e.flags = t, seq, evQueued
+		return e
+	}
+	e := takeEvent(&k.free)
+	e.at, e.seq, e.flags = t, seq, evQueued|evPooled
+	if t < k.winStart {
+		//hxlint:allow allocfree — the late list is practically always empty; only the pathological behind-window path ever grows it
+		k.late = append(k.late, e)
+	} else {
+		k.far.push(e)
+	}
 	return e
 }
 
-// enqueue places an allocated event into the tier its time belongs to.
-func (k *Kernel) enqueue(e *Event) {
-	switch {
-	case e.at >= k.winStart+ringSize:
-		k.far.push(e)
-	case e.at >= k.winStart:
-		b := &k.ring[int(e.at)&ringMask]
-		//hxlint:allow allocfree — bucket capacity grows to the model's high-water occupancy and is then reused forever; Reserve pre-sizes it for spiky schedules
-		b.q = append(b.q, e)
-		k.nring++
-	default:
-		//hxlint:allow allocfree — the late list is practically always empty; only the pathological behind-window path ever grows it
-		k.late = append(k.late, e)
+// eventChunk is how many Event structs one pool refill allocates (the
+// kernel's far/late pool and each Stage's staging pool).
+const eventChunk = 256
+
+// stockEvents adds one slab of eventChunk structs to a pool of
+// individually held events.
+func stockEvents(free []*Event) []*Event {
+	//hxlint:allow allocfree — chunked pool refill: one slab per eventChunk structs, amortizing to zero at the pool's high-water mark
+	slab := make([]Event, eventChunk)
+	for i := range slab {
+		free = append(free, &slab[i])
 	}
+	return free
 }
 
-// recycle returns a popped event to the pool, dropping its references.
-// Clearing queued here — not at pop time — keeps drained-but-unexecuted
-// events cancellable: the sharded executor pops a whole window up front,
-// and a same-window cancel from an earlier event must still land
-// (serially the target would still be in the calendar at that point).
+// takeEvent pops a struct from such a pool, restocking it when empty: the
+// pool grows to its owner's high-water mark and then recycles in place.
+func takeEvent(free *[]*Event) *Event {
+	f := *free
+	if len(f) == 0 {
+		f = stockEvents(f)
+	}
+	e := f[len(f)-1]
+	*free = f[:len(f)-1]
+	return e
+}
+
+// recycle returns a popped far/late struct to the pool, dropping its
+// references.
 func (k *Kernel) recycle(e *Event) {
-	e.queued = false
-	e.done = false
+	e.flags = 0
 	e.act = nil
 	e.p = nil
 	//hxlint:allow allocfree — returns capacity the pool already handed out; never exceeds the refill high-water mark
@@ -247,14 +318,21 @@ func (k *Kernel) recycle(e *Event) {
 
 // AtAct schedules an event: at time t the kernel calls
 // act.Act(op, a, b, c, p). Scheduling in the past panics: it always
-// indicates a model bug. The returned handle may be passed to Cancel.
+// indicates a model bug. The returned handle may be passed to Cancel; it
+// addresses the event's calendar slot and is valid until the event is
+// popped — executed, skipped dead, or drained into a window, whose events
+// stay addressable until the next DrainWindow. A callback may still
+// Cancel the handle of its own executing event (a no-op in effect).
 func (k *Kernel) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
-	e := k.alloc(t)
+	if t < k.now {
+		panic("sim: event scheduled in the past")
+	}
+	e := k.slot(t, k.seq)
+	k.seq++
 	e.act = act
 	e.op = op
 	e.a, e.b, e.c = a, b, c
 	e.p = p
-	k.enqueue(e)
 	return e
 }
 
@@ -264,61 +342,49 @@ func (k *Kernel) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Ev
 }
 
 // Cancel prevents a scheduled event from running. Cancelling an event that
-// has already run or was already cancelled is a no-op.
+// has already run or was already cancelled is a no-op. The handle must be
+// the event's current one (see AtAct; a staged handle is superseded at
+// the merge, see InjectStaged).
 func (k *Kernel) Cancel(e *Event) {
-	if e == nil || e.dead || !e.queued {
+	if e == nil || e.flags&evQueued == 0 {
 		return
 	}
-	e.dead = true
+	e.flags |= evDead
 }
 
-// advanceWindow slides the calendar window forward so it starts at `to`,
-// migrating far-heap events that the move brings inside the window into
-// their buckets. Migration happens exactly when a cycle enters the window
-// — before any direct append for that cycle is possible — and the heap
-// yields equal-time events in seq order, so bucket FIFO order remains
-// globally correct. Calls with to <= winStart are no-ops: the window never
-// moves backward.
-func (k *Kernel) advanceWindow(to Time) {
-	if to <= k.winStart {
-		return
-	}
-	k.winStart = to
-	horizon := to + ringSize
-	for len(k.far.h) > 0 && k.far.h[0].at < horizon {
-		e := k.far.pop()
-		b := &k.ring[int(e.at)&ringMask]
-		//hxlint:allow allocfree — far-heap migration lands inside the bucket's retained high-water capacity
-		b.q = append(b.q, e)
-		k.nring++
-	}
+// before reports whether a precedes b in (time, seq) order.
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // peek returns the earliest queued event (live or cancelled) without
 // removing it, or nil when the queue is empty. As a side effect it slides
-// the window up to the event's bucket, so the subsequent pop is O(1).
+// the window up to the event's time, so the subsequent pop is O(1). The
+// window never moves backward, and never past a far event: everything in
+// the ring and on the heap is at or after winStart.
 func (k *Kernel) peek() *Event {
 	if len(k.late) > 0 {
 		return k.peekLate()
 	}
-	if k.nring == 0 {
-		if len(k.far.h) == 0 {
-			return nil
-		}
-		// Ring drained: jump the window to the far heap's minimum.
-		k.advanceWindow(k.far.h[0].at)
-	}
-	for s := k.winStart; ; s++ {
+	var e *Event
+	if k.nring > 0 {
+		s := k.winStart
 		b := &k.ring[int(s)&ringMask]
-		if b.head < len(b.q) {
-			k.advanceWindow(s)
-			return b.q[b.head]
+		for b.head == nil {
+			s++
+			b = &k.ring[int(s)&ringMask]
 		}
-		if len(b.q) > 0 {
-			b.q = b.q[:0]
-			b.head = 0
+		e = &b.head.ev[b.hi]
+		if len(k.far.h) == 0 || !before(k.far.h[0], e) {
+			k.winStart = s
+			return e
 		}
+	} else if len(k.far.h) == 0 {
+		return nil
 	}
+	e = k.far.h[0]
+	k.winStart = e.at
+	return e
 }
 
 // peekLate returns the (time, seq)-minimal late event; the late list is
@@ -326,50 +392,60 @@ func (k *Kernel) peek() *Event {
 func (k *Kernel) peekLate() *Event {
 	best := k.late[0]
 	for _, e := range k.late[1:] {
-		if e.at < best.at || (e.at == best.at && e.seq < best.seq) {
+		if before(e, best) {
 			best = e
 		}
 	}
 	return best
 }
 
-// popPeeked removes e, which must be the event peek just returned: the
-// (time, seq)-minimal queued event, already windowed into its bucket.
-// Splitting peek from removal lets Run inspect the head against its until-
-// boundary and then remove it without a second calendar scan.
-func (k *Kernel) popPeeked(e *Event) {
-	if len(k.late) > 0 {
+// take removes e, which must be the event peek just returned, from its
+// tier. Splitting peek from removal lets Run inspect the head against its
+// until-boundary and then remove it without a second calendar scan. A
+// ring chunk the removal exhausts is parked, not freed (see park); a
+// pooled struct is the caller's to recycle.
+func (k *Kernel) take(e *Event) {
+	switch {
+	case len(k.late) > 0:
 		for i, x := range k.late {
 			if x == e {
 				k.late = append(k.late[:i], k.late[i+1:]...)
 				break
 			}
 		}
-	} else {
+	case e.flags&evPooled != 0:
+		k.far.pop()
+	default:
 		b := &k.ring[int(e.at)&ringMask]
-		b.q[b.head] = nil
-		b.head++
-		if b.head == len(b.q) {
-			b.q = b.q[:0]
-			b.head = 0
+		b.hi++
+		if b.head == b.tail {
+			if b.hi == b.ti {
+				k.park(b.head)
+				*b = bucket{}
+			}
+		} else if b.hi == chunkCap {
+			// Head consumed with more chunks behind it: the bucket is not
+			// empty, whatever hi says.
+			c := b.head
+			b.head, b.hi = c.next, 0
+			k.park(c)
 		}
 		k.nring--
 	}
 	k.npend--
 }
 
-// pop removes and returns the earliest queued event, or nil when empty.
-func (k *Kernel) pop() *Event {
-	e := k.peek()
-	if e == nil {
-		return nil
+// popPeeked is take for the serial loop: by now the previous event's
+// callback has returned, so the chunks parked so far are reusable.
+func (k *Kernel) popPeeked(e *Event) {
+	if k.spent != nil {
+		k.release()
 	}
-	k.popPeeked(e)
-	return e
+	k.take(e)
 }
 
-// exec advances the clock to e and runs its callback, recycling e first so
-// the callback can immediately reschedule from a warm pool.
+// exec advances the clock to e and runs its callback, in place: e has
+// been popped, and its slot stays untouched until its callback returns.
 func (k *Kernel) exec(e *Event) {
 	k.now = e.at
 	k.nexec++
@@ -377,20 +453,30 @@ func (k *Kernel) exec(e *Event) {
 		k.TraceExec(e.at, e.seq)
 	}
 	act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
-	k.recycle(e)
+	k.unpool(e)
 	act.Act(op, a, b, c, p)
+}
+
+// unpool hands a popped far/late struct back to its pool — before its
+// callback, so the callback reschedules from a warm pool. A ring slot
+// needs nothing: it is reclaimed with its chunk.
+func (k *Kernel) unpool(e *Event) {
+	if e.flags&evPooled != 0 {
+		k.recycle(e)
+	}
 }
 
 // Step executes the next pending event. It returns false when the queue is
 // empty.
 func (k *Kernel) Step() bool {
 	for {
-		e := k.pop()
+		e := k.peek()
 		if e == nil {
 			return false
 		}
-		if e.dead {
-			k.recycle(e)
+		k.popPeeked(e)
+		if e.flags&evDead != 0 {
+			k.unpool(e)
 			continue
 		}
 		k.exec(e)
@@ -415,11 +501,11 @@ func (k *Kernel) Run(until Time) Time {
 		// Step-loop behaviour the golden trace pins.
 		for {
 			k.popPeeked(e)
-			if !e.dead {
+			if e.flags&evDead == 0 {
 				k.exec(e)
 				break
 			}
-			k.recycle(e)
+			k.unpool(e)
 			if e = k.peek(); e == nil {
 				return k.now
 			}
@@ -462,11 +548,11 @@ func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
 		// skip the until recheck).
 		for {
 			k.popPeeked(e)
-			if !e.dead {
+			if e.flags&evDead == 0 {
 				k.exec(e)
 				break
 			}
-			k.recycle(e)
+			k.unpool(e)
 			if e = k.peek(); e == nil {
 				return k.now, nil
 			}

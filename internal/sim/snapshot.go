@@ -88,14 +88,22 @@ func buildKernelState(k *Kernel, c EventCoder) (*KernelState, error) {
 	}
 	live := make([]*Event, 0, k.npend)
 	collect := func(e *Event) {
-		if e != nil && !e.dead {
+		if e.flags&evDead == 0 {
 			live = append(live, e)
 		}
 	}
 	for i := range k.ring {
 		b := &k.ring[i]
-		for _, e := range b.q[b.head:] {
-			collect(e)
+		lo := int(b.hi)
+		for c := b.head; c != nil; c = c.next {
+			hi := chunkCap
+			if c == b.tail {
+				hi = int(b.ti)
+			}
+			for j := lo; j < hi; j++ {
+				collect(&c.ev[j])
+			}
+			lo = 0
 		}
 	}
 	for _, e := range k.far.h {
@@ -142,28 +150,28 @@ func (k *Kernel) Restore(s *KernelState, c EventCoder, restored func(EventState,
 	return initFromKernelState(k, s, c, restored)
 }
 
-// initFromKernelState drains and rebuilds; allocation (pool refills) lives
-// here, off the steady-state path.
+// initFromKernelState drains and rebuilds; allocation (free-list growth)
+// lives here, off the steady-state path.
 func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(EventState, *Event)) error {
-	// Drain every queued event back to the pool. Payload objects owned by
-	// the model are abandoned here; the model's own restore pass rebuilds
-	// or recycles them.
+	// Drain the calendar: every bucket's chunks back to the free list,
+	// every far/late struct back to the pool. Payload objects owned by the
+	// model are abandoned here; the model's own restore pass rebuilds or
+	// recycles them.
 	for i := range k.ring {
 		b := &k.ring[i]
-		for _, e := range b.q[b.head:] {
-			e.queued = false
-			k.recycle(e)
+		for c := b.head; c != nil; {
+			next := c.next
+			k.park(c)
+			c = next
 		}
-		b.q = b.q[:0]
-		b.head = 0
+		*b = bucket{}
 	}
+	k.release()
 	for _, e := range k.far.h {
-		e.queued = false
 		k.recycle(e)
 	}
 	k.far.h = k.far.h[:0]
 	for _, e := range k.late {
-		e.queued = false
 		k.recycle(e)
 	}
 	k.late = k.late[:0]
@@ -195,23 +203,11 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 		if err != nil {
 			return fmt.Errorf("sim: restore event t=%d seq=%d: %w", es.At, es.Seq, err)
 		}
-		n := len(k.free)
-		if n == 0 {
-			k.refill()
-			n = len(k.free)
-		}
-		e := k.free[n-1]
-		k.free = k.free[:n-1]
-		e.at = es.At
-		e.seq = es.Seq
+		e := k.slot(es.At, es.Seq)
 		e.act = act
 		e.op = es.Op
 		e.a, e.b, e.c = es.A, es.B, es.C
 		e.p = p
-		e.dead = false
-		e.queued = true
-		k.npend++
-		k.enqueue(e)
 		if restored != nil {
 			restored(es, e)
 		}

@@ -11,8 +11,8 @@
 //     execute before the clock reaches the boundary.
 //   - Each shard executes its slice of the window through a Stage, which
 //     records schedule calls (AtAct/AfterAct) in program order WITHOUT
-//     assigning kernel sequence numbers, and pools events privately so
-//     the parallel phase never touches the kernel's free list. A
+//     assigning kernel sequence numbers, into structs from a private
+//     pool, so the parallel phase never touches the kernel's calendar. A
 //     schedule call landing inside the window stays on the shard — the
 //     window width is capped at the minimum cross-shard latency, so such
 //     an event is same-shard by construction (AtAct asserts it) — and
@@ -26,8 +26,11 @@
 //     InjectStaged, which assigns k.seq exactly as the serial kernel
 //     would have: serial seq assignment is a pure function of execution
 //     order and per-callback program order, both of which the replay
-//     reproduces. Staged events already executed inside the window
-//     (done) consume their seq but never re-enter the calendar.
+//     reproduces. InjectStaged copies the staged event into its calendar
+//     slot and reports the slot's address, which supersedes the staged
+//     handle (Rebinder); the staged struct returns to its stage's pool
+//     when the merge ends. Staged events already executed inside the
+//     window (done) consume their seq but never enter the calendar.
 //
 // Within one callback the serial kernel interleaves schedule calls with
 // model side effects; the replay performs all of an event's schedule
@@ -46,8 +49,9 @@ type Sharded interface {
 	ShardOf(op uint8, a, b, c int32, p any) int
 }
 
-// At returns the event's scheduled time. Valid between DrainWindow and
-// the event's recycling.
+// At returns the event's scheduled time. Valid, like the handle itself,
+// until the event is popped; for a drained event until the next
+// DrainWindow.
 func (e *Event) At() Time { return e.at }
 
 // Seq returns the event's sequence number (the FIFO tie-break rank).
@@ -56,6 +60,10 @@ func (e *Event) Seq() uint64 { return e.seq }
 // Actor returns the event's receiver, for the executor's error report on
 // an event that cannot be sharded.
 func (e *Event) Actor() Actor { return e.act }
+
+// Payload returns the event's payload argument, for a Rebinder to find
+// the model object that holds the event's handle.
+func (e *Event) Payload() any { return e.p }
 
 // Shard returns the shard index of a drained event, or ok=false when its
 // actor does not implement Sharded — a model bug the executor reports.
@@ -79,19 +87,32 @@ func (k *Kernel) PeekTime() (Time, bool) {
 }
 
 // DrainWindow removes and returns every event queued before winEnd, in
-// (time, seq) order (dead events included — the caller recycles or
-// executes them). It does NOT touch the clock: a window can contain only
-// dead events, for which the serial loop would never have advanced now;
-// the merge advances the clock per live event instead. It reuses buf's
-// backing array; an empty window returns buf[:0].
+// (time, seq) order (dead events included — the caller skips or executes
+// them). The returned handles address the events where they sat in the
+// calendar: they stay valid, cancellable and unmoved until the next
+// DrainWindow, which is when the chunks and far/late structs this one
+// consumed are released — a window's merge is long over by then. It does
+// NOT touch the clock: a window can contain only dead events, for which
+// the serial loop would never have advanced now; the merge advances the
+// clock per live event instead. It reuses buf's backing array; an empty
+// window returns buf[:0].
 func (k *Kernel) DrainWindow(winEnd Time, buf []*Event) []*Event {
+	k.release()
+	for _, e := range k.heldEv {
+		k.recycle(e)
+	}
+	k.heldEv = k.heldEv[:0]
 	buf = buf[:0]
 	for {
 		e := k.peek()
 		if e == nil || e.at >= winEnd {
 			return buf
 		}
-		k.popPeeked(e)
+		k.take(e)
+		if e.flags&evPooled != 0 {
+			//hxlint:allow allocfree — grows to the per-window high-water count of far/late events and is reset every drain
+			k.heldEv = append(k.heldEv, e)
+		}
 		buf = append(buf, e)
 	}
 }
@@ -106,31 +127,48 @@ func (k *Kernel) SetNow(t Time) { k.now = t }
 // merge accounts for them).
 func (k *Kernel) AddExecuted(n uint64) { k.nexec += n }
 
-// InjectStaged moves a Stage-created event into the calendar, assigning
-// the next kernel sequence number. Called by the coordinator during the
+// InjectStaged copies a Stage-created event into the calendar, assigning
+// the next kernel sequence number, and returns the copy's address: from
+// here on that is the event's one Cancel handle, and a model holding the
+// staged handle must repoint it before anything can cancel again (the
+// merge does, through Rebinder). Called by the coordinator during the
 // merge, in the exact order the serial kernel would have assigned
 // sequence numbers; staged events that were cancelled in the meantime
 // are enqueued dead — they consume a seq, as the serial schedule did.
 // Events already executed (or popped dead) inside the window on their
-// own shard consume their seq here too, but never re-enter the calendar;
-// their structs are recycled by ResetOps after the merge has finished
-// reading them.
-func (k *Kernel) InjectStaged(e *Event) {
+// own shard consume their seq here too, but never enter the calendar:
+// the result is nil. The staged struct itself, seq stamped, stays with
+// its stage until ResetOps.
+func (k *Kernel) InjectStaged(e *Event) *Event {
 	e.seq = k.seq
 	k.seq++
-	if e.done {
-		return
+	if e.flags&evDone != 0 {
+		return nil
 	}
-	k.npend++
-	k.enqueue(e)
+	s := k.slot(e.at, e.seq)
+	s.flags |= e.flags & evDead
+	s.act = e.act
+	s.op = e.op
+	s.a, s.b, s.c = e.a, e.b, e.c
+	s.p = e.p
+	return s
+}
+
+// Rebinder is told where each staged event landed in the calendar, so the
+// model can repoint a Cancel handle it kept from Stage.AtAct — the same
+// rewiring Restore's restored callback does. Called once per staged event
+// that outlives its window, at the merge.
+type Rebinder interface {
+	Rebind(staged, placed *Event)
 }
 
 // Stage is one shard's private scheduling context during the parallel
 // phase of a window: it collects the shard's schedule calls in program
 // order, holds the in-window portion of them on a pending heap for local
-// execution, and owns a private event pool, so shards share no mutable
-// kernel state. Create one per shard with NewStage; the coordinator
-// opens each parallel phase with StartWindow.
+// execution, and owns a private pool of staging structs — self-contained:
+// the calendar takes copies, so every struct comes back at ResetOps — so
+// shards share no mutable kernel state. Create one per shard with
+// NewStage; the coordinator opens each parallel phase with StartWindow.
 type Stage struct {
 	now    Time
 	idx    int  // this stage's shard index, for the in-window ownership assertion
@@ -142,8 +180,7 @@ type Stage struct {
 	// Tail of the last RunWindow: the (time, seq)-maximal processed
 	// event, live or dead, for the executor's until-overshoot quirk. A
 	// staged tail keeps its handle (its kernel seq is assigned only at
-	// the merge's replay); a drained tail's stamps are copied out before
-	// its struct is recycled.
+	// the merge's replay); a drained tail's stamps are copied out.
 	tailEv   *Event
 	tailAt   Time
 	tailSeq  uint64
@@ -152,23 +189,10 @@ type Stage struct {
 }
 
 // NewStage returns an empty stage for shard idx, pre-stocked with one
-// event chunk.
+// slab of staging structs. Steady state never restocks: the pool only has
+// to cover one window's staging.
 func NewStage(idx int) *Stage {
-	st := &Stage{idx: idx, free: make([]*Event, 0, eventChunk)}
-	st.refill()
-	return st
-}
-
-// refill stocks the stage's free list with a fresh chunk. Steady state
-// never refills: the merge refunds drained event structs to the stages,
-// so structs circulate calendar -> drain -> stage pool -> calendar.
-func (st *Stage) refill() {
-	//hxlint:allow allocfree — chunked pool refill, identical to the kernel's: one slab per eventChunk events, amortizing to zero once drained-event refunds balance staging
-	chunk := make([]Event, eventChunk)
-	for i := range chunk {
-		//hxlint:allow allocfree — the free list grows once, to the refill slab's size, then recycles in place
-		st.free = append(st.free, &chunk[i])
-	}
+	return &Stage{idx: idx, free: stockEvents(make([]*Event, 0, eventChunk))}
 }
 
 // StartWindow opens a parallel phase covering [now, winEnd): schedule
@@ -193,25 +217,19 @@ func (st *Stage) alloc(t Time) *Event {
 	if t < st.now {
 		panic("sim: event scheduled in the past")
 	}
-	n := len(st.free)
-	if n == 0 {
-		st.refill()
-		n = len(st.free)
-	}
-	e := st.free[n-1]
-	st.free = st.free[:n-1]
+	e := takeEvent(&st.free)
 	e.at = t
-	e.dead = false
-	e.done = false
-	// queued=true from the moment of staging so Kernel.Cancel works on a
-	// staged handle exactly as on an enqueued one (same-cycle cancels of
-	// reroute timers are same-shard and therefore race-free).
-	e.queued = true
+	// Queued from the moment of staging so Kernel.Cancel works on a staged
+	// handle exactly as on an enqueued one (same-cycle cancels of reroute
+	// timers are same-shard and therefore race-free).
+	e.flags = evQueued
 	return e
 }
 
 // AtAct stages a typed event for absolute time t and returns its handle,
-// which supports Kernel.Cancel like a directly scheduled event. An event
+// which supports Kernel.Cancel like a directly scheduled event until the
+// window's merge; there an event that outlives the window gets its
+// calendar handle, reported once through Rebinder. An event
 // landing inside the current window additionally joins the stage's
 // pending heap for local execution; the window width is capped at the
 // minimum cross-shard latency (see internal/shard), so such an event is
@@ -246,48 +264,22 @@ func (st *Stage) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Ev
 	return st.AtAct(st.now+d, act, op, a, b, c, p)
 }
 
-// Exec recycles a drained live event into the stage pool and runs its
-// callback — the parallel-phase mirror of the kernel's exec (recycle
-// first, so the callback reschedules from a warm pool). Clock advance,
-// counting, and tracing are the merge's job.
-func (st *Stage) Exec(e *Event) {
-	act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
-	st.Recycle(e)
-	act.Act(op, a, b, c, p)
-}
-
-// Recycle returns a drained event struct to the stage pool (dead events
-// skip Exec and land here directly). Clears queued, mirroring the
-// kernel's recycle: from here the struct is no longer cancellable.
-func (st *Stage) Recycle(e *Event) {
-	e.queued = false
-	e.done = false
+// recycle returns a staging struct to the stage pool, dropping its
+// references.
+func (st *Stage) recycle(e *Event) {
+	e.flags = 0
 	e.act = nil
 	e.p = nil
 	//hxlint:allow allocfree — returns capacity the pool already handed out; never exceeds the refill high-water mark
 	st.free = append(st.free, e)
 }
 
-// ExecStaged runs an in-window staged event locally on its own shard.
-// Marking it done and not-queued first mirrors the serial kernel's
-// pop-then-exec: a Cancel issued after this point is a no-op, exactly as
-// it would be serially once the event had been popped. The struct is NOT
-// recycled — the ops log, the shard's effect records, and the tail still
-// reference it until the merge — ResetOps recycles done events instead.
-func (st *Stage) ExecStaged(e *Event) {
-	e.done = true
-	e.queued = false
-	act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
-	act.Act(op, a, b, c, p)
-}
-
 // Recorder observes every live event RunWindow processes, in execution
 // order. For a drained event, seq is its kernel sequence number and ev
-// is nil (the struct is recycled immediately after the callback). For a
-// staged event executed in-window, seq is zero and ev is the handle —
-// its kernel seq is assigned during the merge's replay, strictly before
-// the merge consumes the record (the staging record precedes it in the
-// same shard's stream).
+// is nil. For a staged event executed in-window, seq is zero and ev is
+// the handle — its kernel seq is assigned during the merge's replay,
+// strictly before the merge consumes the record (the staging record
+// precedes it in the same shard's stream).
 type Recorder interface {
 	Record(at Time, seq uint64, ev *Event)
 }
@@ -325,32 +317,40 @@ func (st *Stage) RunWindow(batch []*Event, rec Recorder) {
 		} else {
 			i++
 		}
+		dead := e.flags&evDead != 0
 		st.tailAt = e.at
-		st.tailDead = e.dead
+		st.tailDead = dead
 		st.hasTail = true
 		if staged {
 			st.tailEv = e
-			if e.dead {
+			if dead {
 				// Never runs, but consumes its seq at the merge's replay,
 				// as the serial schedule did; ResetOps recycles it.
-				e.done = true
-				e.queued = false
+				e.flags = evDone | evDead
 				continue
 			}
+			// Done and no longer queued before the callback, mirroring the
+			// serial pop-then-exec: a Cancel from here on is a no-op. The
+			// struct is not recycled yet — the ops log, the shard's effect
+			// records, and the tail reference it until the merge.
 			st.now = e.at
-			st.ExecStaged(e)
+			e.flags = evDone
+			e.act.Act(e.op, e.a, e.b, e.c, e.p)
 			rec.Record(e.at, 0, e)
 		} else {
 			st.tailEv = nil
 			st.tailSeq = e.seq
-			if e.dead {
-				st.Recycle(e)
+			if dead {
 				continue
 			}
+			// Executed in place, and no longer cancellable: the flags write
+			// touches this event's own cache line only. The kernel releases
+			// the slot at the next drain; clock advance, counting, and
+			// tracing are the merge's job.
 			st.now = e.at
-			at, seq := e.at, e.seq
-			st.Exec(e)
-			rec.Record(at, seq, nil)
+			e.flags &^= evQueued
+			e.act.Act(e.op, e.a, e.b, e.c, e.p)
+			rec.Record(e.at, e.seq, nil)
 		}
 	}
 }
@@ -360,7 +360,7 @@ func (st *Stage) RunWindow(batch []*Event, rec Recorder) {
 // needs the global (time, seq)-maximal tail across shards for the
 // serial until-overshoot quirk. Call after the merge's ops replay (a
 // staged tail's seq is assigned there) and before ResetOps (which
-// recycles done structs).
+// recycles the staged structs).
 func (st *Stage) Tail() (at Time, seq uint64, dead, ok bool) {
 	if !st.hasTail {
 		return 0, 0, false, false
@@ -376,41 +376,23 @@ func (st *Stage) Tail() (at Time, seq uint64, dead, ok bool) {
 func (st *Stage) StagedLen() int { return len(st.ops) }
 
 // ReplayOps injects staged ops [i, j) into the kernel in program order,
-// assigning their sequence numbers. Coordinator-only.
-func (st *Stage) ReplayOps(k *Kernel, i, j int) {
+// assigning their sequence numbers, and reports each one that entered
+// the calendar to rb. Coordinator-only.
+func (st *Stage) ReplayOps(k *Kernel, i, j int, rb Rebinder) {
 	for _, e := range st.ops[i:j] {
-		k.InjectStaged(e)
-	}
-}
-
-// ResetOps clears the staged-ops list after a merge. Events executed (or
-// popped dead) inside the window return to the stage pool here — the
-// merge has finished reading their seqs by now — while the rest live on
-// in the kernel calendar; the backing array is reused next window.
-func (st *Stage) ResetOps() {
-	for _, e := range st.ops {
-		if e.done {
-			st.Recycle(e)
+		if placed := k.InjectStaged(e); placed != nil {
+			rb.Rebind(e, placed)
 		}
 	}
-	st.ops = st.ops[:0]
 }
 
-// PoolLen returns the stage's free-list depth (for the coordinator's
-// pool rebalancing: traffic that systematically crosses shards would
-// otherwise drain one stage's pool while growing another's forever).
-func (st *Stage) PoolLen() int { return len(st.free) }
-
-// MoveFree transfers up to n pooled event structs from st to dst.
-// Coordinator-only, between parallel phases.
-func (st *Stage) MoveFree(dst *Stage, n int) {
-	if n > len(st.free) {
-		n = len(st.free)
+// ResetOps clears the staged-ops list after a merge and returns every
+// staged struct to the stage pool: the calendar holds copies of the ones
+// that live on, and the merge has finished reading the seqs of the ones
+// executed in-window. The backing array is reused next window.
+func (st *Stage) ResetOps() {
+	for _, e := range st.ops {
+		st.recycle(e)
 	}
-	cut := len(st.free) - n
-	dst.free = append(dst.free, st.free[cut:]...)
-	for i := cut; i < len(st.free); i++ {
-		st.free[i] = nil
-	}
-	st.free = st.free[:cut]
+	st.ops = st.ops[:0]
 }

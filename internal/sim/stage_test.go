@@ -4,8 +4,8 @@ package sim
 // (time, seq) order across calendar tiers (dead events and the late list
 // included) and clock neutrality, RunWindow's in-window local execution
 // (same-cycle staging, window-granularity cancels, done-event seq
-// consumption), InjectStaged's serial-order seq assignment, and the
-// Stage pool's closed event circulation.
+// consumption), InjectStaged's serial-order seq assignment and handle
+// relocation, and the Stage pool's self-contained struct circulation.
 
 import "testing"
 
@@ -13,6 +13,11 @@ import "testing"
 type logActor struct{ log *[]int32 }
 
 func (l logActor) Act(_ uint8, a, _, _ int32, _ any) { *l.log = append(*l.log, a) }
+
+// noRebind is the Rebinder of tests that keep no staged handle.
+type noRebind struct{}
+
+func (noRebind) Rebind(_, _ *Event) {}
 
 // TestInjectStagedSerialSeq: staged events replayed through InjectStaged
 // receive exactly the seq numbers — and therefore the execution order —
@@ -31,15 +36,19 @@ func TestInjectStagedSerialSeq(t *testing.T) {
 	var log []int32
 	act := logActor{&log}
 	st := NewStage(0)
+	pool := len(st.free)
 	for i := int32(0); i < 6; i++ {
 		st.AtAct(10, act, 0, i, 0, 0, nil)
 	}
 	if st.StagedLen() != 6 {
 		t.Fatalf("StagedLen = %d, want 6", st.StagedLen())
 	}
-	st.ReplayOps(k, 0, 3)
-	st.ReplayOps(k, 3, 6)
+	st.ReplayOps(k, 0, 3, noRebind{})
+	st.ReplayOps(k, 3, 6, noRebind{})
 	st.ResetOps()
+	if len(st.free) != pool {
+		t.Fatalf("stage pool = %d after ResetOps, want %d: the calendar holds copies, so every staged struct comes home", len(st.free), pool)
+	}
 	k.Run(0)
 	if len(log) != len(wantLog) {
 		t.Fatalf("staged path executed %d events, serial %d", len(log), len(wantLog))
@@ -62,10 +71,10 @@ func TestStagedCancelConsumesSeq(t *testing.T) {
 	e0 := st.AtAct(10, act, 0, 0, 0, 0, nil)
 	st.AtAct(10, act, 0, 1, 0, 0, nil)
 	k.Cancel(e0)
-	if !e0.dead {
+	if e0.flags&evDead == 0 {
 		t.Fatal("Cancel on a staged handle did not take")
 	}
-	st.ReplayOps(k, 0, 2)
+	st.ReplayOps(k, 0, 2, noRebind{})
 	var seqs []uint64
 	k.TraceExec = func(_ Time, seq uint64) { seqs = append(seqs, seq) }
 	k.Run(0)
@@ -171,8 +180,8 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 					t.Fatalf("drained %d events, want %d", len(batch), len(want))
 				}
 				for i, e := range batch {
-					if e.a != want[i] || e.dead != dead[e.a] {
-						t.Fatalf("batch[%d] = (a=%d dead=%v), want (a=%d dead=%v)", i, e.a, e.dead, want[i], dead[want[i]])
+					if isDead := e.flags&evDead != 0; e.a != want[i] || isDead != dead[e.a] {
+						t.Fatalf("batch[%d] = (a=%d dead=%v), want (a=%d dead=%v)", i, e.a, isDead, want[i], dead[want[i]])
 					}
 					if i > 0 {
 						if p := batch[i-1]; p.At() > e.At() || (p.At() == e.At() && p.Seq() >= e.Seq()) {
@@ -218,7 +227,7 @@ func TestDrainWindowCancelDrained(t *testing.T) {
 	k.AtAct(7, act, 0, 2, 0, 0, nil)
 	batch := k.DrainWindow(10, nil)
 	k.Cancel(victim)
-	if !victim.dead {
+	if victim.flags&evDead == 0 {
 		t.Fatal("Cancel after DrainWindow did not take; window-granularity cancels would be lost")
 	}
 	st := NewStage(0)
@@ -331,7 +340,7 @@ func TestRunWindowCancelStaged(t *testing.T) {
 	// The dead in-window event is done: ReplayOps assigns it a seq but
 	// never re-enqueues it.
 	seqBefore := k.AtAct(100, w, 0, 9, 0, 0, nil).Seq()
-	st.ReplayOps(k, 0, st.StagedLen())
+	st.ReplayOps(k, 0, st.StagedLen(), noRebind{})
 	if k.Pending() != 1 {
 		t.Fatalf("Pending = %d after replaying a done event, want 1 (only the probe)", k.Pending())
 	}
@@ -350,13 +359,13 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 	st := NewStage(0)
 	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
 	st.StartWindow(10)
-	pool := st.PoolLen()
+	pool := len(st.free)
 	e := st.AtAct(5, w, 0, 7, 0, 0, nil)
 	st.RunWindow(nil, &windowRecorder{})
 	if len(log) != 1 || log[0] != 7 {
 		t.Fatalf("RunWindow on staged-only window executed %v, want [7]", log)
 	}
-	st.ReplayOps(k, 0, st.StagedLen())
+	st.ReplayOps(k, 0, st.StagedLen(), noRebind{})
 	if k.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0 (done event must not re-enter the calendar)", k.Pending())
 	}
@@ -367,8 +376,8 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 		t.Fatalf("next kernel seq = %d, want 1 (done event consumed seq 0)", next.Seq())
 	}
 	st.ResetOps()
-	if st.PoolLen() != pool {
-		t.Fatalf("ResetOps pool = %d, want %d (done struct recycled to the stage pool)", st.PoolLen(), pool)
+	if len(st.free) != pool {
+		t.Fatalf("ResetOps pool = %d, want %d (done struct recycled to the stage pool)", len(st.free), pool)
 	}
 }
 
@@ -381,34 +390,4 @@ func TestStageAllocPanicsOnPast(t *testing.T) {
 		}
 	}()
 	st.AtAct(5, logActor{new([]int32)}, 0, 0, 0, 0, nil)
-}
-
-// TestStagePoolCirculation: Exec and Recycle return events to the stage's
-// own pool, and MoveFree rebalances capacity between stages without
-// creating or losing events.
-func TestStagePoolCirculation(t *testing.T) {
-	k := NewKernel()
-	var log []int32
-	act := logActor{&log}
-	a, b := NewStage(0), NewStage(1)
-	before := a.PoolLen()
-	e := a.AtAct(5, act, 0, 7, 0, 0, nil)
-	if a.PoolLen() != before-1 {
-		t.Fatalf("alloc did not draw from the stage pool: %d -> %d", before, a.PoolLen())
-	}
-	a.ResetOps() // keep the handle out of the ops list; exec it directly
-	a.Exec(e)
-	if len(log) != 1 || log[0] != 7 {
-		t.Fatalf("Exec ran %v, want [7]", log)
-	}
-	if a.PoolLen() != before {
-		t.Fatalf("Exec did not recycle into the stage pool: %d, want %d", a.PoolLen(), before)
-	}
-	moved := 4
-	la, lb := a.PoolLen(), b.PoolLen()
-	a.MoveFree(b, moved)
-	if a.PoolLen() != la-moved || b.PoolLen() != lb+moved {
-		t.Fatalf("MoveFree(%d): pools %d/%d -> %d/%d", moved, la, lb, a.PoolLen(), b.PoolLen())
-	}
-	_ = k
 }
