@@ -28,7 +28,7 @@ func main() {
 		load    = flag.Float64("load", 0.5, "offered load, flits/cycle/terminal")
 		warmup  = flag.Int("warmup", 20000, "warmup cycles")
 		window  = flag.Int("window", 15000, "measurement window cycles")
-		vcs     = flag.Int("vcs", 8, "virtual channels per port")
+		vcs     = flag.Int("vcs", 8, "virtual channels per port (at most 16)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		table1  = flag.Bool("table1", false, "print the Table 1 implementation comparison and exit")
 		paper   = flag.Bool("paper", false, "use the paper's 8x8x8 t=8 scale (overrides -widths/-terms)")

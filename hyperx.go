@@ -38,7 +38,7 @@ type Config struct {
 
 	Algorithm string // one of Algorithms (default "DimWAR")
 
-	NumVCs        int // default 8
+	NumVCs        int // default 8, at most 16
 	BufDepth      int // flits per (port,VC), default 256
 	MaxPktFlits   int // default 16
 	XbarLat       int // ns, default 50

@@ -1,12 +1,13 @@
 package network
 
-// Candidate-scratch capacity tests. The router's reusable Cands buffer
-// was historically a fixed 64-entry cap — comfortable at the 4x4x4
+// Candidate-scratch capacity tests. The reusable Cands buffer was
+// historically a fixed 64-entry cap — comfortable at the 4x4x4
 // development scale, an unchecked assumption at paper-scale radix and
 // plain wrong for wide single-dimension shapes. The buffer is now sized
-// from the topology's declared offered-port bound at build time; these
-// tests pin that a full decision at large radix fits the build-time slab
-// without a mid-decision grow.
+// from the topology's declared offered-port bound at build time, one per
+// execution context (the network's serial scratch here); these tests pin
+// that a full decision at large radix fits it without a mid-decision
+// grow.
 
 import (
 	"testing"
@@ -16,19 +17,25 @@ import (
 )
 
 // candScratch runs one full candidate generation on router 0 of a drained
-// network and reports (candidates produced, scratch capacity before,
-// scratch capacity after).
+// network through the serial candidate scratch and reports (candidates
+// produced, scratch capacity before, scratch capacity after).
 func candScratch(t *testing.T, n *Network, dstTerm int) (produced, capBefore, capAfter int) {
 	t.Helper()
 	r := n.Routers[0]
-	capBefore = cap(r.ctx.Cands)
+	ctx := &n.ctx
+	if r.ctx != ctx {
+		t.Fatal("router 0 does not route through the network's serial scratch")
+	}
+	capBefore = cap(ctx.Cands)
 	p := n.NewPacket(0, dstTerm, 1)
-	r.ctx.InPort = -1
-	r.ctx.View = (*view)(r)
-	cands := n.Cfg.Alg.Route(&r.ctx, p)
+	ctx.Router = r.id
+	ctx.InPort = -1
+	ctx.View = (*view)(r)
+	ctx.RNG = r.rng
+	cands := n.Cfg.Alg.Route(ctx, p)
 	produced = len(cands)
-	r.ctx.Cands = cands[:0]
-	capAfter = cap(r.ctx.Cands)
+	ctx.Cands = cands[:0]
+	capAfter = cap(ctx.Cands)
 	n.freePacket(p)
 	return produced, capBefore, capAfter
 }

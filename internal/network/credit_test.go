@@ -40,10 +40,10 @@ func TestCreditConservation(t *testing.T) {
 			for _, r := range n.Routers {
 				for p := range r.out {
 					o := &r.out[p]
-					if o.peerRouter < 0 {
+					if r.links[p].port < 0 {
 						continue
 					}
-					for vc, cr := range o.credits {
+					for vc, cr := range o.credits[:n.Cfg.NumVCs] {
 						if int(cr) != n.Cfg.BufDepth {
 							t.Fatalf("router %d port %d vc %d: %d credits after drain, want %d",
 								r.id, p, vc, cr, n.Cfg.BufDepth)
@@ -52,8 +52,8 @@ func TestCreditConservation(t *testing.T) {
 					if o.queuedFlits != 0 {
 						t.Fatalf("router %d port %d: queuedFlits %d after drain", r.id, p, o.queuedFlits)
 					}
-					if len(o.waiters) != 0 {
-						t.Fatalf("router %d port %d: %d stale waiters", r.id, p, len(o.waiters))
+					if o.nwait != 0 {
+						t.Fatalf("router %d port %d: %d stale waiters", r.id, p, o.nwait)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -243,14 +244,25 @@ func TestAtomicAllocSlows(t *testing.T) {
 // TestConfigValidation: bad configurations are rejected.
 func TestConfigValidation(t *testing.T) {
 	h := topology.MustHyperX([]int{4, 4, 4}, 2)
-	if _, err := New(sim.NewKernel(), Config{Topo: h}); err == nil {
-		t.Error("missing algorithm accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		is   error // the named error New must wrap, if any
+	}{
+		{"missing algorithm", Config{Topo: h}, nil},
+		{"8 classes on 4 VCs", Config{Topo: h, Alg: core.MustOmniWAR(h, 8, false), NumVCs: 4}, nil},
+		{"packet larger than buffer", Config{Topo: h, Alg: routing.NewDOR(h), BufDepth: 8, MaxPktFlits: 16}, nil},
+		{"17 VCs", Config{Topo: h, Alg: routing.NewDOR(h), NumVCs: 17}, ErrNumVCs},
+	} {
+		_, err := New(sim.NewKernel(), tc.cfg)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if tc.is != nil && !errors.Is(err, tc.is) {
+			t.Errorf("%s: error %q does not wrap %q", tc.name, err, tc.is)
+		}
 	}
-	if _, err := New(sim.NewKernel(), Config{Topo: h, Alg: core.MustOmniWAR(h, 8, false), NumVCs: 4}); err == nil {
-		t.Error("8 classes on 4 VCs accepted")
-	}
-	if _, err := New(sim.NewKernel(), Config{Topo: h, Alg: routing.NewDOR(h), BufDepth: 8, MaxPktFlits: 16}); err == nil {
-		t.Error("packet larger than buffer accepted")
+	if _, err := New(sim.NewKernel(), Config{Topo: h, Alg: routing.NewDOR(h), NumVCs: maxVCs}); err != nil {
+		t.Errorf("%d VCs rejected: %v", maxVCs, err)
 	}
 }
 

@@ -19,7 +19,7 @@ const (
 	opArrive     uint8 = iota // Router: packet head reaches input (a=port, b=vc, p=*route.Packet)
 	opAttempt                 // Router: retry output arbitration (a=port)
 	opCredit                  // Router: upstream credit return (a=port, b=vc, c=flits)
-	opReroute                 // Router: blocked-waiter re-route timer (p=*waiter)
+	opReroute                 // Router: blocked-decision re-route timer (p=*inputVC)
 	opDeliver                 // Network: packet reaches its terminal (p=*route.Packet)
 	opTermRetry               // Terminal: injection-channel retry
 	opTermCredit              // Terminal: injection credit return (a=vc, b=flits)
@@ -29,14 +29,19 @@ const (
 // at the sender as credits; the queue here holds the packets themselves,
 // as an intrusive FIFO through Packet.Next — a packet sits in exactly one
 // buffer, so queueing is pointer threading with no per-entry storage.
+//
+// The head packet's routing decision is a waitEntry on the chosen
+// output's wait list; the input VC keeps only what needs a stable
+// address: the decision's re-route timer handle (the opReroute payload is
+// the inputVC itself) and which output the decision is registered on.
 type inputVC struct {
 	head, tail *route.Packet
-	n          int32
+	timer      *sim.Event // pending re-route timer, nil when none
+	idx        int32      // this buffer's index in Router.vcs: port*nv+vc
+	out        int32      // output the head's decision waits on, -1 = none
 }
 
-func (iv *inputVC) empty() bool { return iv.n == 0 }
-
-func (iv *inputVC) front() *route.Packet { return iv.head }
+func (iv *inputVC) empty() bool { return iv.head == nil }
 
 func (iv *inputVC) push(p *route.Packet) {
 	p.Next = nil
@@ -46,7 +51,6 @@ func (iv *inputVC) push(p *route.Packet) {
 		iv.tail.Next = p
 	}
 	iv.tail = p
-	iv.n++
 }
 
 func (iv *inputVC) pop() *route.Packet {
@@ -56,63 +60,118 @@ func (iv *inputVC) pop() *route.Packet {
 		iv.tail = nil
 	}
 	p.Next = nil
-	iv.n--
 	return p
 }
 
-// inputPort groups the VC buffers of one input and remembers where
-// credits must be returned.
-type inputPort struct {
-	vcs []inputVC
-
-	fromTerminal int // terminal id, or -1
-	peerRouter   int // upstream router, or -1
-	peerPort     int
-	upLat        sim.Time // reverse-channel latency for credit return
+// waitEntry is a head packet's committed-pending routing decision, held
+// by value on its chosen output's wait list. It carries everything
+// arbitration reads (age, size, class) and everything the grant commits,
+// so scanning a wait list touches neither the packet nor the input VC.
+type waitEntry struct {
+	birth    sim.Time // head packet's Birth: the age arbiter's key
+	flits    int32    // head packet's Len
+	ivc      int32    // input VC index, port*nv+vc
+	inter    int32    // committed candidate: Inter
+	class    int8     // committed candidate: Class (-1 for ejection)
+	hopsLeft int8
+	dim      int8
+	newPhase int8
+	flags    uint8 // wDeroute | wSetInter | wEject
 }
 
-// waiter is a head packet with a committed-pending routing choice,
-// queued on its chosen output port.
-type waiter struct {
-	pkt    *route.Packet
-	inPort int
-	inVC   int8
-	cand   route.Candidate // cand.Port == owning output
-	eject  bool
-	timer  *sim.Event
-	active bool
+const (
+	wDeroute uint8 = 1 << iota
+	wSetInter
+	wEject
+)
+
+// makeEntry records a decision for the head packet p of input VC ivc.
+func makeEntry(p *route.Packet, ivc int32, c *route.Candidate, eject bool) waitEntry {
+	e := waitEntry{
+		birth: p.Birth, flits: int32(p.Len), ivc: ivc, inter: c.Inter,
+		class: c.Class, hopsLeft: c.HopsLeft, dim: c.Dim, newPhase: c.NewPhase,
+	}
+	if c.Deroute {
+		e.flags |= wDeroute
+	}
+	if c.SetInter {
+		e.flags |= wSetInter
+	}
+	if eject {
+		e.flags |= wEject
+	}
+	return e
 }
+
+// cand rebuilds the committed candidate of an entry waiting on port.
+func (e *waitEntry) cand(port int) route.Candidate {
+	return route.Candidate{
+		Port: port, Class: e.class, HopsLeft: e.hopsLeft, Deroute: e.flags&wDeroute != 0,
+		Dim: e.dim, NewPhase: e.newPhase, SetInter: e.flags&wSetInter != 0, Inter: e.inter,
+	}
+}
+
+// maxVCs bounds Config.NumVCs: an output port's downstream credits are a
+// fixed inline array of this many counters.
+const maxVCs = 16
+
+// waitInit is the capacity, in entries (four cache lines), of an output's
+// first wait-list region. A list that outgrows its region moves, doubled,
+// to the end of its router's wait arena (growWaits).
+const waitInit = 8
 
 // outputPort models an output channel (1 flit/cycle serialization, fixed
-// pipeline latency) plus the credit state of the downstream buffer.
+// pipeline latency) plus the credit state of the downstream buffer. The
+// first 64 bytes are what routing views, VC selection and arbitration
+// read — with up to 8 VCs the credits too; the wait list's capacity and
+// the statistics a grant updates follow (layout_test.go). The wiring is
+// in Router.links.
 type outputPort struct {
-	lat       sim.Time
-	busyUntil sim.Time
-	credits   []int32 // free flit slots downstream, per VC
-	waiters   []*waiter
+	busyUntil   sim.Time
+	attemptAt   sim.Time // time of the latest scheduled attempt, 0 = none
+	queuedFlits int32    // flits of packets waiting on this output (congestion signal)
+	wbase       int32    // the wait list is waits[wbase : wbase+nwait]
+	nwait       int32
+	toTerminal  bool
+	dead        bool // link failed: zero credits, excluded from routing and arbitration
 
-	toTerminal int // terminal id, or -1
-	peerRouter int
-	peerPort   int
+	credits [maxVCs]int32 // free flit slots downstream, per VC
 
-	queuedFlits int // flits of packets waiting on this output (congestion signal)
-
-	attemptAt sim.Time // time of the latest scheduled attempt, 0 = none
-
+	wcap      int32    // capacity of the wait list's region, 0 = none yet
 	busyAccum sim.Time // total cycles this channel has carried flits
 	grants    uint64   // packets granted through this output
 
-	dead bool // link failed: zero credits, excluded from routing and arbitration
+	_ [8]byte // two whole cache lines, so every port's hot half is one line
+}
+
+// link is where port p of a router leads: the far router and its port,
+// or for a terminal port the terminal and -1. It serves both directions —
+// the input side of port p receives from, and returns credits to, the
+// same peer — and the whole table is small enough to stay cached, which
+// the ports' own second lines are not.
+type link struct {
+	peer, port int32
 }
 
 // Router is the combined input/output-queued router model.
 type Router struct {
 	net   *Network
 	id    int
-	in    []inputPort
-	out   []outputPort
-	ctx   route.Ctx
-	wfree []*waiter // waiter pool: zero steady-state allocation in routeHead
+	nv    int
+	vcs   []inputVC    // np*nv input buffers, port-major
+	out   []outputPort // np output ports
+	links []link       // np port wiring entries
+
+	// waits is the arena the outputs' wait lists live in, one region per
+	// output (outputPort.wbase, wcap). It is allocated at the router's
+	// first registration, not at build, and grows to the router's high
+	// water.
+	waits []waitEntry
+	rng   *rng.Source
+
+	// ctx is the candidate scratch of the context executing this router:
+	// the network's while serial, its shard's once shards are configured.
+	ctx *route.Ctx
 
 	// sc is this router's shard context, set once by ConfigureShards and
 	// consulted (behind net.sharded) wherever the router schedules events
@@ -149,7 +208,7 @@ func (r *Router) now() sim.Time {
 func (r *Router) Act(op uint8, a, b, c int32, p any) {
 	switch op {
 	case opArrive:
-		r.arrive(p.(*route.Packet), int(a), int8(b))
+		r.arrive(p.(*route.Packet), int(a), int(b))
 	case opAttempt:
 		port := int(a)
 		o := &r.out[port]
@@ -162,55 +221,17 @@ func (r *Router) Act(op uint8, a, b, c int32, p any) {
 	case opCredit:
 		r.creditArrive(int(a), int8(b), int(c))
 	case opReroute:
-		r.reroute(p.(*waiter))
+		r.reroute(p.(*inputVC))
 	}
-}
-
-// waiterChunk is how many waiter structs one pool refill allocates: the
-// pool grows a slab at a time toward the router's high-water concurrency
-// instead of one struct per miss.
-const waiterChunk = 16
-
-// getWaiter takes a waiter from the pool, initialized for a new decision.
-func (r *Router) getWaiter(pkt *route.Packet, inPort int, inVC int8) *waiter {
-	n := len(r.wfree)
-	if n == 0 {
-		//hxlint:allow allocfree — chunked pool refill: one slab per waiterChunk decisions, amortizing to zero at the router's high-water concurrency
-		chunk := make([]waiter, waiterChunk)
-		for i := range chunk {
-			//hxlint:allow allocfree — the free list grows once, to the refill slab's size, then recycles in place
-			r.wfree = append(r.wfree, &chunk[i])
-		}
-		n = len(r.wfree)
-	}
-	w := r.wfree[n-1]
-	r.wfree = r.wfree[:n-1]
-	*w = waiter{pkt: pkt, inPort: inPort, inVC: inVC, active: true}
-	return w
-}
-
-// putWaiter recycles an unregistered waiter. Callers must copy any fields
-// they still need first: the pool may hand the same struct straight back
-// to the next routeHead.
-func (r *Router) putWaiter(w *waiter) {
-	w.pkt = nil
-	w.timer = nil
-	//hxlint:allow allocfree — returns capacity the pool already handed out; never exceeds the refill high-water mark
-	r.wfree = append(r.wfree, w)
 }
 
 // routerSlabs hands a router its views into the network-level state
 // slabs: the router owns the subslices exclusively, but the backing
 // arrays are contiguous across all routers (see Network build).
 type routerSlabs struct {
-	in      []inputPort       // np ports
-	out     []outputPort      // np ports
-	vcs     []inputVC         // np*nv buffers
-	credits []int32           // np*nv downstream counters
-	waiterQ []*waiter         // np*nv pointer slots: cap nv per output
-	wstock  []waiter          // initial waiter-pool stock
-	wfree   []*waiter         // pool free-list backing, cap np*nv
-	cands   []route.Candidate // candidate scratch, cap = offered-port bound
+	out   []outputPort // np ports
+	vcs   []inputVC    // np*nv buffers
+	links []link       // np ports
 }
 
 // initRouter wires a slab-allocated Router in place.
@@ -218,36 +239,26 @@ func initRouter(r *Router, n *Network, id int, rs *rng.Source, sl routerSlabs) {
 	topo := n.Cfg.Topo
 	np := topo.NumPorts()
 	nv := n.Cfg.NumVCs
-	*r = Router{net: n, id: id, in: sl.in, out: sl.out}
-	r.ctx = route.Ctx{Router: id, RNG: rs, ClassSense: n.Cfg.ClassSense, Cands: sl.cands}
-	r.wfree = sl.wfree
-	for i := range sl.wstock {
-		r.wfree = append(r.wfree, &sl.wstock[i])
+	*r = Router{net: n, id: id, nv: nv, vcs: sl.vcs, out: sl.out, links: sl.links, rng: rs, ctx: &n.ctx}
+	for i := range r.vcs {
+		// Scalar stores only: the slab is fresh, so its pointers are
+		// already nil, and writing them would cost a write barrier each
+		// whenever the collector runs during a build.
+		r.vcs[i].idx, r.vcs[i].out = int32(i), -1
 	}
 	for p := 0; p < np; p++ {
-		ip := &r.in[p]
 		op := &r.out[p]
-		ip.vcs = sl.vcs[p*nv : (p+1)*nv : (p+1)*nv]
-		ip.fromTerminal, ip.peerRouter, ip.peerPort = -1, -1, -1
-		op.toTerminal, op.peerRouter, op.peerPort = -1, -1, -1
-		op.credits = sl.credits[p*nv : (p+1)*nv : (p+1)*nv]
-		op.waiters = sl.waiterQ[p*nv : p*nv : (p+1)*nv]
+		r.links[p] = link{peer: -1, port: -1}
 		switch topo.PortKind(id, p) {
 		case topology.Terminal:
-			t := topo.PortTerminal(id, p)
-			ip.fromTerminal = t
-			ip.upLat = n.Cfg.TermChanLat
-			op.toTerminal = t
-			op.lat = n.Cfg.TermChanLat
-			for v := range op.credits {
+			op.toTerminal = true
+			r.links[p].peer = int32(topo.PortTerminal(id, p))
+			for v := range op.credits[:nv] {
 				op.credits[v] = 1 << 30 // terminals always drain
 			}
 		case topology.Local, topology.Global:
 			pr, pp := topo.Peer(id, p)
-			ip.peerRouter, ip.peerPort = pr, pp
-			ip.upLat = n.Cfg.RouterChanLat
-			op.peerRouter, op.peerPort = pr, pp
-			op.lat = n.Cfg.RouterChanLat
+			r.links[p] = link{peer: int32(pr), port: int32(pp)}
 			if n.Cfg.Faults.Dead(id, p) {
 				// Failed link: the output never accumulates credits, so
 				// arbitration can never grant it even if a stale decision
@@ -255,7 +266,7 @@ func initRouter(r *Router, n *Network, id int, rs *rng.Source, sl routerSlabs) {
 				op.dead = true
 				continue
 			}
-			for v := range op.credits {
+			for v := range op.credits[:nv] {
 				op.credits[v] = int32(n.Cfg.BufDepth)
 			}
 		}
@@ -271,7 +282,7 @@ func (v *view) ClassLoad(port int, class int8) int {
 	o := &r.out[port]
 	depth := r.net.Cfg.BufDepth
 	best := depth // max possible occupancy
-	if o.toTerminal >= 0 {
+	if o.toTerminal {
 		best = 0
 	} else {
 		for _, vc := range r.net.classVCs[class] {
@@ -280,7 +291,7 @@ func (v *view) ClassLoad(port int, class int8) int {
 			}
 		}
 	}
-	return best + o.queuedFlits + r.residual(o)
+	return best + int(o.queuedFlits) + r.residual(o)
 }
 
 // PortLoad implements route.View.
@@ -288,13 +299,13 @@ func (v *view) PortLoad(port int) int {
 	r := (*Router)(v)
 	o := &r.out[port]
 	total := 0
-	if o.toTerminal < 0 {
+	if !o.toTerminal {
 		depth := r.net.Cfg.BufDepth
-		for _, c := range o.credits {
+		for _, c := range o.credits[:r.nv] {
 			total += depth - int(c)
 		}
 	}
-	return total + o.queuedFlits + r.residual(o)
+	return total + int(o.queuedFlits) + r.residual(o)
 }
 
 // PortAlive implements route.View.
@@ -310,29 +321,30 @@ func (r *Router) residual(o *outputPort) int {
 }
 
 // arrive is called when a packet's head reaches input (port, vc).
-func (r *Router) arrive(p *route.Packet, port int, vc int8) {
-	iv := &r.in[port].vcs[vc]
-	p.VC = vc
+func (r *Router) arrive(p *route.Packet, port, vc int) {
+	iv := &r.vcs[port*r.nv+vc]
+	p.VC = int8(vc)
 	iv.push(p)
-	if iv.n == 1 { // became head
-		r.routeHead(port, vc)
+	if iv.head == p { // became head
+		r.routeHead(iv)
 	}
 }
 
 // routeHead computes (or recomputes) the routing decision for the head
-// packet of input (port, vc) and registers it on the chosen output.
-func (r *Router) routeHead(port int, vc int8) {
-	iv := &r.in[port].vcs[vc]
-	p := iv.front()
-	w := r.getWaiter(p, port, vc)
+// packet of input VC iv and registers it on the chosen output.
+func (r *Router) routeHead(iv *inputVC) {
+	p := iv.head
+	var e waitEntry
+	var port int
 	if p.DstRouter == r.id {
-		_, ejPort := r.net.Cfg.Topo.TerminalPort(p.Dst)
-		w.eject = true
-		w.cand = route.Candidate{Port: ejPort, Class: -1, HopsLeft: 0}
+		_, port = r.net.Cfg.Topo.TerminalPort(p.Dst)
+		e = makeEntry(p, iv.idx, &route.Candidate{Port: port, Class: -1}, true)
 	} else {
-		ctx := &r.ctx
-		ctx.InPort = port
+		ctx := r.ctx
+		ctx.Router = r.id
+		ctx.InPort = int(iv.idx) / r.nv
 		ctx.View = (*view)(r)
+		ctx.RNG = r.rng
 		cands := r.net.Cfg.Alg.Route(ctx, p)
 		ctx.Cands = cands // keep the grown buffer for reuse
 		if r.net.hasFaults {
@@ -355,62 +367,118 @@ func (r *Router) routeHead(port int, vc int8) {
 				// live candidate is discarded and counted rather than
 				// wedging the VC (or panicking). See DESIGN notes on
 				// graceful degradation semantics.
-				r.putWaiter(w)
-				r.drop(port, vc)
+				r.drop(iv)
 				return
 			}
 			panic(fmt.Sprintf("network: %s produced no route at router %d for packet %d->%d (hops=%d class=%d phase=%d inter=%d)",
 				r.net.Cfg.Alg.Name(), r.id, p.Src, p.Dst, p.Hops, p.Class, p.Phase, p.Inter))
 		}
-		w.cand = cands[route.SelectMinWeight(ctx, cands)]
+		c := &cands[route.SelectMinWeight(ctx, cands)]
+		port = c.Port
+		e = makeEntry(p, iv.idx, c, false)
 		// A blocked decision goes stale; re-evaluate periodically so
 		// incremental adaptivity keeps responding to changing congestion.
-		w.timer = r.schedAfter(r.net.Cfg.ReRouteInterval, r, opReroute, 0, 0, 0, w)
+		iv.timer = r.schedAfter(r.net.Cfg.ReRouteInterval, r, opReroute, 0, 0, 0, iv)
 	}
-	o := &r.out[w.cand.Port]
-	//hxlint:allow allocfree — the waiter queue is slab-backed with capacity for one waiter per VC of the port, the registration invariant's maximum
-	o.waiters = append(o.waiters, w)
-	o.queuedFlits += p.Len
-	r.attempt(w.cand.Port)
+	o := &r.out[port]
+	if o.nwait == o.wcap {
+		r.growWaits(o)
+	}
+	r.waits[o.wbase+o.nwait] = e
+	o.nwait++
+	o.queuedFlits += e.flits
+	iv.out = int32(port)
+	r.attempt(port)
 }
 
-// reroute re-runs route computation for a still-blocked waiter.
-func (r *Router) reroute(w *waiter) {
-	if !w.active {
+// growWaits moves output o's full wait list to a region of twice its
+// capacity (waitInit for its first) at the end of the router's arena. An
+// arena with no room left is rebuilt twice as large as its live regions,
+// and at least a first region per output plus a quarter, packing them
+// densely and dropping the regions earlier moves abandoned. Entries keep
+// their order. At paper scale about 1 % of lists outgrow a first region,
+// and the first arena's spare quarter holds every router's moves, so no
+// arena is ever rebuilt there.
+func (r *Router) growWaits(o *outputPort) {
+	need := max(2*o.wcap, waitInit)
+	old := r.waits
+	if len(old)+int(need) > cap(old) {
+		live := need
+		for i := range r.out {
+			if q := &r.out[i]; q != o {
+				live += q.wcap
+			}
+		}
+		//hxlint:allow allocfree — the wait arena is rebuilt only when a list outgrows it; each rebuild doubles its live regions, so it settles at the router's high water
+		r.waits = make([]waitEntry, 0, max(2*live, int32(len(r.out)*waitInit*5/4)))
+		for i := range r.out {
+			if q := &r.out[i]; q != o {
+				q.wbase = r.claim(old[q.wbase:q.wbase+q.nwait], q.wcap)
+			}
+		}
+	}
+	o.wbase, o.wcap = r.claim(old[o.wbase:o.wbase+o.nwait], need), need
+}
+
+// claim appends a region of n entries to the wait arena, which has room
+// for it, starting with the entries ws, and returns its base.
+func (r *Router) claim(ws []waitEntry, n int32) int32 {
+	base := len(r.waits)
+	r.waits = r.waits[:base+int(n)]
+	copy(r.waits[base:], ws)
+	return int32(base)
+}
+
+// reroute re-runs route computation for a still-blocked head decision.
+func (r *Router) reroute(iv *inputVC) {
+	if iv.out < 0 {
 		return
 	}
-	port, vc := w.inPort, w.inVC
-	r.unregister(w)
-	r.putWaiter(w) // routeHead below may reuse it for the fresh decision
-	r.routeHead(port, vc)
-}
-
-// unregister removes a waiter from its output's wait list.
-func (r *Router) unregister(w *waiter) {
-	w.active = false
-	if w.timer != nil {
-		r.net.K.Cancel(w.timer)
-		w.timer = nil
-	}
-	o := &r.out[w.cand.Port]
-	for i, x := range o.waiters {
-		if x == w {
-			last := len(o.waiters) - 1
-			o.waiters[i] = o.waiters[last]
-			o.waiters[last] = nil
-			o.waiters = o.waiters[:last]
+	o := &r.out[iv.out]
+	ws := r.waits[o.wbase : o.wbase+o.nwait]
+	for i := range ws {
+		if ws[i].ivc == iv.idx {
+			r.unregister(o, i)
 			break
 		}
 	}
-	o.queuedFlits -= w.pkt.Len
+	r.routeHead(iv)
 }
 
-// drop discards the head packet of input (port, vc) because routing
-// found no live candidate: the packet is counted, its buffer space is
-// freed (the credit crosses the reverse channel as usual), and the next
-// packet of the VC is routed. Only reachable on faulted networks.
-func (r *Router) drop(port int, vc int8) {
-	iv := &r.in[port].vcs[vc]
+// unregister removes entry i from output o's wait list by swapping the
+// last entry into its place, and cancels the decision's re-route timer.
+func (r *Router) unregister(o *outputPort, i int) {
+	ws := r.waits[o.wbase : o.wbase+o.nwait]
+	e := &ws[i]
+	iv := &r.vcs[e.ivc]
+	iv.out = -1
+	if iv.timer != nil {
+		r.net.K.Cancel(iv.timer)
+		iv.timer = nil
+	}
+	o.queuedFlits -= e.flits
+	last := len(ws) - 1
+	ws[i] = ws[last]
+	o.nwait--
+}
+
+// creditUpstream returns flits of buffer space on input VC ivc to its
+// upstream sender, arriving at time at.
+func (r *Router) creditUpstream(at sim.Time, ivc int32, flits int) {
+	port, vc := int(ivc)/r.nv, int32(int(ivc)%r.nv)
+	up := r.links[port]
+	if up.port < 0 {
+		r.schedAt(at+r.net.Cfg.TermChanLat, r.net.Terminals[up.peer], opTermCredit, vc, int32(flits), 0, nil)
+	} else {
+		r.schedAt(at+r.net.Cfg.RouterChanLat, r.net.Routers[up.peer], opCredit, up.port, vc, int32(flits), nil)
+	}
+}
+
+// drop discards the head packet of input VC iv because routing found no
+// live candidate: the packet is counted, its buffer space is freed (the
+// credit crosses the reverse channel as usual), and the next packet of
+// the VC is routed. Only reachable on faulted networks.
+func (r *Router) drop(iv *inputVC) {
 	p := iv.pop()
 	n := r.net
 	if n.sharded {
@@ -425,20 +493,12 @@ func (r *Router) drop(port int, vc int8) {
 		}
 	}
 	flits := p.Len
-	ip := &r.in[port]
-	if ip.fromTerminal >= 0 {
-		term := n.Terminals[ip.fromTerminal]
-		r.schedAt(r.now()+ip.upLat, term, opTermCredit, int32(vc), int32(flits), 0, nil)
-	} else {
-		up := n.Routers[ip.peerRouter]
-		upPort := ip.peerPort
-		r.schedAt(r.now()+ip.upLat, up, opCredit, int32(upPort), int32(vc), int32(flits), nil)
-	}
+	r.creditUpstream(r.now(), iv.idx, flits)
 	if !n.sharded {
 		n.freePacket(p)
 	}
 	if !iv.empty() {
-		r.routeHead(port, vc)
+		r.routeHead(iv)
 	}
 }
 
@@ -446,11 +506,11 @@ func (r *Router) drop(port int, vc int8) {
 // resource class that can hold the whole packet (or, under atomic queue
 // allocation, whose downstream buffer is completely empty). Returns -1 if
 // none qualifies.
-func (r *Router) pickVC(o *outputPort, class int8, flits int) int8 {
-	if o.toTerminal >= 0 {
+func (r *Router) pickVC(o *outputPort, class int8, flits int32) int8 {
+	if o.toTerminal {
 		return 0
 	}
-	need := int32(flits)
+	need := flits
 	if r.net.Cfg.AtomicVCAlloc {
 		need = int32(r.net.Cfg.BufDepth)
 	}
@@ -464,7 +524,7 @@ func (r *Router) pickVC(o *outputPort, class int8, flits int) int8 {
 }
 
 // attempt tries to grant the output channel of port to the oldest
-// eligible waiter (age-based arbitration).
+// eligible waiting decision (age-based arbitration).
 func (r *Router) attempt(port int) {
 	o := &r.out[port]
 	now := r.now()
@@ -472,39 +532,41 @@ func (r *Router) attempt(port int) {
 		r.scheduleAttempt(port, o.busyUntil)
 		return
 	}
-	if len(o.waiters) == 0 {
+	if o.nwait == 0 {
 		return
 	}
-	var best *waiter
+	ws := r.waits[o.wbase : o.wbase+o.nwait]
+	best := -1
 	var bestVC int8
 	eligible := 0
-	for _, w := range o.waiters {
-		vc := r.pickVC(o, w.cand.Class, w.pkt.Len)
+	for i := range ws {
+		w := &ws[i]
+		vc := r.pickVC(o, w.class, w.flits)
 		if vc < 0 {
 			continue
 		}
 		eligible++
 		switch r.net.Cfg.Arbiter {
 		case FIFOArbiter:
-			// Waiters register in arrival order; keep the first eligible.
-			if best == nil {
-				best, bestVC = w, vc
+			// Decisions register in arrival order; keep the first eligible.
+			if best < 0 {
+				best, bestVC = i, vc
 			}
 		case RandomArbiter:
 			// Reservoir-sample among the eligible.
-			if best == nil || r.ctx.RNG.Intn(eligible) == 0 {
-				best, bestVC = w, vc
+			if best < 0 || r.rng.Intn(eligible) == 0 {
+				best, bestVC = i, vc
 			}
 		default: // AgeArbiter
-			if best == nil || w.pkt.Birth < best.pkt.Birth {
-				best, bestVC = w, vc
+			if best < 0 || w.birth < ws[best].birth {
+				best, bestVC = i, vc
 			}
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		return
 	}
-	r.grant(o, best, bestVC)
+	r.grant(o, port, best, bestVC)
 }
 
 // scheduleAttempt schedules an attempt for port at time t, deduplicating.
@@ -517,27 +579,26 @@ func (r *Router) scheduleAttempt(port int, t sim.Time) {
 	r.schedAt(t, r, opAttempt, int32(port), 0, 0, nil)
 }
 
-// grant moves a packet from its input buffer across the crossbar and
-// channel, reserving downstream space and returning upstream credits as
-// the flits drain.
-func (r *Router) grant(o *outputPort, w *waiter, vc int8) {
+// grant moves the head packet of wait-list entry i of output o (port)
+// across the crossbar and channel, reserving downstream space and
+// returning upstream credits as the flits drain.
+func (r *Router) grant(o *outputPort, port, i int, vc int8) {
 	now := r.now()
-	// Copy the fields needed past unregister: the waiter goes back to the
-	// pool and may be reissued by the routeHead call below.
-	inPort, inVC, cand := w.inPort, w.inVC, w.cand
-	iv := &r.in[inPort].vcs[inVC]
+	// Copy the entry: unregister below overwrites its slot.
+	w := r.waits[int(o.wbase)+i]
+	iv := &r.vcs[w.ivc]
 	p := iv.pop()
-	r.unregister(w)
-	r.putWaiter(w)
+	r.unregister(o, i)
 
 	flits := p.Len
 	o.busyUntil = now + sim.Time(flits)
 	o.busyAccum += sim.Time(flits)
 	o.grants++
 
-	if o.toTerminal >= 0 {
-		r.schedAt(now+r.net.Cfg.XbarLat+o.lat, r.net, opDeliver, 0, 0, 0, p)
+	if o.toTerminal {
+		r.schedAt(now+r.net.Cfg.XbarLat+r.net.Cfg.TermChanLat, r.net, opDeliver, 0, 0, 0, p)
 	} else {
+		cand := w.cand(port)
 		route.Commit(p, &cand)
 		o.credits[vc] -= int32(flits)
 		p.VC = vc
@@ -546,31 +607,24 @@ func (r *Router) grant(o *outputPort, w *waiter, vc int8) {
 				// The packet is in flight for the rest of the cycle, so its
 				// committed routing state is stable until the merge replays
 				// the observer call.
-				r.sc.stageFx(effect{kind: fxHop, p: p, a: int32(r.id), b: int32(cand.Port), c: int32(vc)})
+				r.sc.stageFx(effect{kind: fxHop, p: p, a: int32(r.id), b: int32(port), c: int32(vc)})
 			} else {
-				r.net.OnHop(p, r.id, cand.Port, vc)
+				r.net.OnHop(p, r.id, port, vc)
 			}
 		}
-		dst := r.net.Routers[o.peerRouter]
-		r.schedAt(now+r.net.Cfg.XbarLat+o.lat, dst, opArrive, int32(o.peerPort), int32(vc), 0, p)
+		down := r.links[port]
+		r.schedAt(now+r.net.Cfg.XbarLat+r.net.Cfg.RouterChanLat, r.net.Routers[down.peer], opArrive, down.port, int32(vc), 0, p)
 	}
 
 	// Upstream credit return: the last flit leaves our input buffer at
-	// now+flits; the credit crosses the reverse channel after upLat.
-	ip := &r.in[inPort]
-	if ip.fromTerminal >= 0 {
-		term := r.net.Terminals[ip.fromTerminal]
-		r.schedAt(now+sim.Time(flits)+ip.upLat, term, opTermCredit, int32(inVC), int32(flits), 0, nil)
-	} else {
-		up := r.net.Routers[ip.peerRouter]
-		r.schedAt(now+sim.Time(flits)+ip.upLat, up, opCredit, int32(ip.peerPort), int32(inVC), int32(flits), nil)
-	}
+	// now+flits; the credit crosses the reverse channel after its latency.
+	r.creditUpstream(now+sim.Time(flits), w.ivc, flits)
 
 	if !iv.empty() {
-		r.routeHead(inPort, inVC)
+		r.routeHead(iv)
 	}
-	if len(o.waiters) > 0 {
-		r.scheduleAttempt(cand.Port, o.busyUntil)
+	if o.nwait > 0 {
+		r.scheduleAttempt(port, o.busyUntil)
 	}
 }
 

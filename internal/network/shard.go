@@ -20,10 +20,12 @@
 // Why the parallel phase is race-free (each bullet names the state and
 // its owner during the phase):
 //
-//   - Router slab state (input VCs, output ports, credits, waiters,
-//     candidate scratch, per-router RNG): touched only by events of the
-//     owning router, all in one shard. route.View exposes only the
-//     deciding router's own output state.
+//   - Router slab state (input VCs, output ports and their inline
+//     credits, the router's wait-list arena, per-router RNG): touched
+//     only by events of the owning router, all in one shard. route.View
+//     exposes only the deciding router's own output state. The candidate
+//     scratch is per shard (ShardState.ctx), shared only by the shard's
+//     own routers, whose events it executes one at a time.
 //   - Terminal state (source queue, injection credits): touched only by
 //     the terminal's own events and by the generator's injection event
 //     for that terminal — both map to the terminal's router's shard.
@@ -111,6 +113,7 @@ type ShardState struct {
 	net  *Network
 	idx  int
 	pool *route.Packet // shard-local packet free list (intrusive via Next)
+	ctx  route.Ctx     // candidate scratch of the shard's routers
 
 	fx    []effect
 	recs  []execRec
@@ -133,12 +136,13 @@ func (sc *ShardState) Record(at sim.Time, seq uint64, ev *sim.Event) {
 }
 
 // Rebind implements sim.Rebinder: the merge has copied a staged event
-// into the calendar. The one handle the model keeps is a blocked waiter's
-// re-route timer (the only event with a *waiter payload); repoint it
-// unless the waiter has since been cancelled and re-armed.
+// into the calendar. The one handle the model keeps is a blocked head
+// decision's re-route timer, held by its input VC (the only event with an
+// *inputVC payload); repoint it unless the decision has since been
+// cancelled and re-armed.
 func (sc *ShardState) Rebind(staged, placed *sim.Event) {
-	if w, ok := placed.Payload().(*waiter); ok && w.timer == staged {
-		w.timer = placed
+	if iv, ok := placed.Payload().(*inputVC); ok && iv.timer == staged {
+		iv.timer = placed
 	}
 }
 
@@ -193,10 +197,11 @@ func (n *Network) ConfigureShards(nsh int) error {
 	//hxlint:allow allocfree — configuration-time path: runs once per executor (re)build, never inside the event loop
 	n.shards = make([]*ShardState, nsh)
 	for s := range n.shards {
-		n.shards[s] = &ShardState{Stage: sim.NewStage(s), net: n, idx: s}
+		n.shards[s] = &ShardState{Stage: sim.NewStage(s), net: n, idx: s, ctx: newScratch(n.Cfg)}
 	}
 	for _, r := range n.Routers {
 		r.sc = n.shards[n.shardOfRouter(r.id)]
+		r.ctx = &r.sc.ctx
 	}
 	for _, t := range n.Terminals {
 		t.sc = n.shards[n.shardOfRouter(t.router)]
@@ -314,7 +319,7 @@ func (n *Network) RunShard(s int) {
 // schedule calls (this is where sequence numbers are assigned, in
 // exactly the serial order: executing-event order crossed with
 // within-callback program order, and where each staged event that
-// outlives the window is copied into the calendar and its waiter's timer
+// outlives the window is copied into the calendar and its input VC's timer
 // handle repointed, see Rebind), and the replay of its staged side
 // effects. It returns whether the window's (time, seq)-maximal processed
 // event — live or dead — was dead, which the executor needs for the

@@ -20,11 +20,11 @@ import (
 //
 // Everything is stored positionally (slab indices, not pointers), which
 // is what makes the snapshot relocatable and serializable: packet
-// references become indices into the snapshot's packet table, waiter
-// references become indices into its waiter table, and actors become
-// (kind, id) codes. The intrusive free pools (packets, waiters) are
+// references become indices into the snapshot's packet table, re-route
+// timer payloads (input VCs) become indices into its waiter table, and
+// actors become (kind, id) codes. The intrusive packet free pool is
 // deliberately NOT captured — pool contents are unobservable, and
-// Restore rebuilds pools lazily.
+// Restore rebuilds it lazily.
 //
 // Restore is not atomic: if it returns an error the network is in an
 // unspecified intermediate state and must be discarded. Errors only
@@ -41,7 +41,7 @@ const (
 	actorExternal uint64 = 4 // index into the ext slice (traffic generator)
 
 	payloadPacket uint64 = 1 // index into Snapshot.Packets
-	payloadWaiter uint64 = 2 // index into Snapshot.Waiters
+	payloadWaiter uint64 = 2 // index into Snapshot.Waiters (a re-route timer's input VC)
 )
 
 // WaiterState is the relocatable form of one blocked-head registration.
@@ -118,7 +118,7 @@ type Snapshot struct {
 // actors (the traffic generator) that also schedule typed events on the
 // shared kernel. On encode it interns in-flight packets into the
 // snapshot's packet table; on decode it resolves indices against the
-// restored packet arena and waiter table.
+// restored packet arena and the input VCs of the waiter table.
 type snapCoder struct {
 	n   *Network
 	ext []sim.Actor
@@ -126,11 +126,11 @@ type snapCoder struct {
 	// Encode side.
 	snap   *Snapshot
 	pktIdx map[*route.Packet]int32
-	widx   map[*waiter]int32
+	widx   map[*inputVC]int32
 
 	// Decode side.
 	pkts    []*route.Packet
-	waiters []*waiter
+	waiters []*inputVC // waiter i's input VC, whose timer slot it owns
 }
 
 // internPacket returns the packet's table index, adding a value copy
@@ -205,12 +205,12 @@ func (c *snapCoder) EncodePayload(_ uint8, p any) (uint64, error) {
 		return 0, nil
 	case *route.Packet:
 		return payloadPacket<<32 | uint64(uint32(c.internPacket(x))), nil
-	case *waiter:
+	case *inputVC:
 		i, ok := c.widx[x]
 		if !ok {
-			// Every live re-route timer's waiter is queued on an output
-			// port; the waiter walk runs before the kernel walk, so a miss
-			// is a broken invariant, not a user error.
+			// Every live re-route timer's input VC has a decision waiting
+			// on an output port; the waiter walk runs before the kernel
+			// walk, so a miss is a broken invariant, not a user error.
 			return 0, fmt.Errorf("network: snapshot: re-route timer references an unregistered waiter")
 		}
 		return payloadWaiter<<32 | uint64(uint32(i)), nil
@@ -263,7 +263,7 @@ func buildNetworkState(n *Network, ext []sim.Actor) (*Snapshot, error) {
 		TermQLens:   make([]int32, nt),
 		VCQLens:     make([]int32, nr*np*nv),
 		WaiterLens:  make([]int32, nr*np),
-		Credits:     make([]int32, len(n.credSlab)),
+		Credits:     make([]int32, nr*np*nv),
 		TermCredits: make([]int32, len(n.termCredSlab)),
 		Outs:        make([]OutPortState, nr*np),
 		Terms:       make([]TermState, nt),
@@ -278,7 +278,6 @@ func buildNetworkState(n *Network, ext []sim.Actor) (*Snapshot, error) {
 			NextPkt:          n.nextPkt,
 		},
 	}
-	copy(s.Credits, n.credSlab)
 	copy(s.TermCredits, n.termCredSlab)
 	for r := range n.streams {
 		s.RouterRNG[r] = n.streams[r].State()
@@ -287,7 +286,7 @@ func buildNetworkState(n *Network, ext []sim.Actor) (*Snapshot, error) {
 	c := &snapCoder{
 		n: n, ext: ext, snap: s,
 		pktIdx: make(map[*route.Packet]int32),
-		widx:   make(map[*waiter]int32),
+		widx:   make(map[*inputVC]int32),
 	}
 
 	// Terminal source queues, FIFO order.
@@ -308,21 +307,18 @@ func buildNetworkState(n *Network, ext []sim.Actor) (*Snapshot, error) {
 	for ri, rt := range n.Routers {
 		for pi := 0; pi < np; pi++ {
 			for vi := 0; vi < nv; vi++ {
-				iv := &rt.in[pi].vcs[vi]
+				iv := &rt.vcs[pi*nv+vi]
 				cnt := int32(0)
 				for p := iv.head; p != nil; p = p.Next {
 					s.VCQPkts = append(s.VCQPkts, c.internPacket(p))
 					cnt++
-				}
-				if cnt != iv.n {
-					return nil, fmt.Errorf("network: snapshot: router %d port %d vc %d queue length %d != walked %d", ri, pi, vi, iv.n, cnt)
 				}
 				s.VCQLens[(ri*np+pi)*nv+vi] = cnt
 			}
 		}
 	}
 
-	// Output-port state and waiter registrations, registration order.
+	// Output-port state, credits and waiter registrations in list order.
 	// Waiter packets are always input-VC heads, so they are interned above.
 	for ri, rt := range n.Routers {
 		for pi := 0; pi < np; pi++ {
@@ -334,16 +330,18 @@ func buildNetworkState(n *Network, ext []sim.Actor) (*Snapshot, error) {
 				Grants:      o.grants,
 				QueuedFlits: int32(o.queuedFlits),
 			}
-			s.WaiterLens[ri*np+pi] = int32(len(o.waiters))
-			for _, w := range o.waiters {
-				pk, ok := c.pktIdx[w.pkt]
+			copy(s.Credits[(ri*np+pi)*nv:], o.credits[:nv])
+			s.WaiterLens[ri*np+pi] = o.nwait
+			for _, w := range rt.waits[o.wbase : o.wbase+o.nwait] {
+				iv := &rt.vcs[w.ivc]
+				pk, ok := c.pktIdx[iv.head]
 				if !ok {
 					return nil, fmt.Errorf("network: snapshot: router %d port %d waiter holds a packet not in any input buffer", ri, pi)
 				}
-				c.widx[w] = int32(len(s.Waiters))
+				c.widx[iv] = int32(len(s.Waiters))
 				s.Waiters = append(s.Waiters, WaiterState{
-					Pkt: pk, InPort: int32(w.inPort), InVC: w.inVC,
-					Eject: w.eject, Cand: w.cand,
+					Pkt: pk, InPort: w.ivc / int32(nv), InVC: int8(w.ivc % int32(nv)),
+					Eject: w.flags&wEject != 0, Cand: w.cand(pi),
 				})
 			}
 		}
@@ -438,6 +436,11 @@ func validateShape(n *Network, s *Snapshot) error {
 		if w.Cand.Port < 0 || w.Cand.Port >= np {
 			return fmt.Errorf("network: restore: waiter %d candidate port %d out of range", wi, w.Cand.Port)
 		}
+		// Ejections carry class -1; every other decision a resource class
+		// the arbiter can look up.
+		if w.Eject != (w.Cand.Class < 0) || int(w.Cand.Class) >= len(n.classVCs) {
+			return fmt.Errorf("network: restore: waiter %d class %d does not fit eject=%v", wi, w.Cand.Class, w.Eject)
+		}
 	}
 	return nil
 }
@@ -466,14 +469,13 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 	c := &snapCoder{
 		n: n, ext: ext,
 		pkts:    make([]*route.Packet, len(s.Packets)),
-		waiters: make([]*waiter, len(s.Waiters)),
+		waiters: make([]*inputVC, len(s.Waiters)),
 	}
 	for i := range n.restorePkts {
 		n.restorePkts[i].Next = nil
 		c.pkts[i] = &n.restorePkts[i]
 	}
 
-	copy(n.credSlab, s.Credits)
 	copy(n.termCredSlab, s.TermCredits)
 	for r := range n.streams {
 		n.streams[r].SetState(s.RouterRNG[r])
@@ -498,7 +500,9 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 		}
 	}
 
-	// Routers: output scalars, input-VC queues, then waiter registrations.
+	// Routers: output scalars and credits, input-VC queues, then waiter
+	// registrations. Decisions are keyed by input VC, so each waiter must
+	// name a distinct input VC whose head is the waiter's packet.
 	vi := 0
 	wi := 0
 	for ri, rt := range n.Routers {
@@ -509,43 +513,46 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 			o.attemptAt = os.AttemptAt
 			o.busyAccum = os.BusyAccum
 			o.grants = os.Grants
-			o.queuedFlits = int(os.QueuedFlits)
-			// Recycle the old registrations before rebuilding; their timer
-			// events are discarded wholesale by the kernel restore below.
-			for k := range o.waiters {
-				rt.putWaiter(o.waiters[k])
-				o.waiters[k] = nil
-			}
-			o.waiters = o.waiters[:0]
+			o.queuedFlits = os.QueuedFlits
+			copy(o.credits[:nv], s.Credits[(ri*np+pi)*nv:])
+			// Every wait list starts over empty, its region released;
+			// their old timer events are discarded wholesale by the
+			// kernel restore below.
+			o.nwait, o.wbase, o.wcap = 0, 0, 0
 			for v := 0; v < nv; v++ {
-				iv := &rt.in[pi].vcs[v]
-				iv.head, iv.tail, iv.n = nil, nil, 0
+				iv := &rt.vcs[pi*nv+v]
+				iv.head, iv.tail, iv.timer, iv.out = nil, nil, nil, -1
 				for k := int32(0); k < s.VCQLens[(ri*np+pi)*nv+v]; k++ {
 					iv.push(c.pkts[s.VCQPkts[vi]])
 					vi++
 				}
 			}
 		}
+		rt.waits = rt.waits[:0]
 		for pi := 0; pi < np; pi++ {
 			o := &rt.out[pi]
-			cnt := int(s.WaiterLens[ri*np+pi])
-			// The build-time slab gives each port capacity nv, but a
-			// congested port can have registered up to np*nv waiters (one
-			// per input VC) and grown off-slab; match that growth here.
-			if cnt <= cap(o.waiters) {
-				o.waiters = o.waiters[:cnt]
-			} else {
-				o.waiters = make([]*waiter, cnt)
+			cnt := s.WaiterLens[ri*np+pi]
+			for o.wcap < cnt {
+				rt.growWaits(o)
 			}
-			for k := 0; k < cnt; k++ {
+			for k := int32(0); k < cnt; k++ {
 				ws := &s.Waiters[wi]
-				w := rt.getWaiter(c.pkts[ws.Pkt], int(ws.InPort), ws.InVC)
-				w.cand = ws.Cand
-				w.eject = ws.Eject
-				o.waiters[k] = w
-				c.waiters[wi] = w
+				ivc := ws.InPort*int32(nv) + int32(ws.InVC)
+				iv := &rt.vcs[ivc]
+				switch {
+				case ws.Cand.Port != pi:
+					return fmt.Errorf("network: restore: waiter %d is listed on router %d port %d but its candidate names port %d", wi, ri, pi, ws.Cand.Port)
+				case iv.out >= 0:
+					return fmt.Errorf("network: restore: waiter %d repeats router %d input (%d,%d)", wi, ri, ws.InPort, ws.InVC)
+				case iv.head != c.pkts[ws.Pkt]:
+					return fmt.Errorf("network: restore: waiter %d packet %d is not the head of router %d input (%d,%d)", wi, ws.Pkt, ri, ws.InPort, ws.InVC)
+				}
+				rt.waits[o.wbase+k] = makeEntry(iv.head, ivc, &ws.Cand, ws.Eject)
+				iv.out = int32(pi)
+				c.waiters[wi] = iv
 				wi++
 			}
+			o.nwait = cnt
 		}
 	}
 
@@ -559,7 +566,8 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 
 	// Kernel calendar last: payload decoding resolves against the arena
 	// and waiter tables built above, and the restored callback rewires
-	// each waiter's cancellation handle to its recreated re-route timer.
+	// each waiting input VC's cancellation handle to its recreated
+	// re-route timer.
 	err := n.K.Restore(s.Kernel, c, func(es sim.EventState, e *sim.Event) {
 		if es.Op == opReroute && es.Payload>>32 == payloadWaiter {
 			c.waiters[uint32(es.Payload)].timer = e
@@ -572,8 +580,8 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 	// Every non-eject waiter must have found its timer: a registered
 	// blocked decision without a live re-route event can never make
 	// progress if its output stays congested.
-	for i, w := range c.waiters {
-		if !w.eject && w.timer == nil {
+	for i, iv := range c.waiters {
+		if !s.Waiters[i].Eject && iv.timer == nil {
 			return fmt.Errorf("network: restore: waiter %d has no re-route timer event in the snapshot", i)
 		}
 	}

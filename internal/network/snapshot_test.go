@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hyperx/internal/rng"
@@ -135,6 +136,84 @@ func TestNetworkRestoreRejectsMismatchedShape(t *testing.T) {
 	snap.TermQPkts = append(snap.TermQPkts, 1<<30)
 	if err := n.Restore(snap); err == nil {
 		t.Fatal("restore of an out-of-range packet index succeeded")
+	}
+}
+
+// TestRestoreRejectsBadWaiters: a decision is keyed by its input VC, so
+// a waiter table that names an input VC twice, names one that does not
+// exist, or pairs it with a packet that is not its head must fail the
+// restore instead of silently overwriting a slot or registering a stale
+// decision.
+func TestRestoreRejectsBadWaiters(t *testing.T) {
+	n := snapTestNet(t)
+	n.K.Run(400)
+	nv := int8(n.Cfg.NumVCs)
+	np := int32(n.Cfg.Topo.NumPorts())
+	// fresh takes a new snapshot and maps each waiter to its router, from
+	// the per-port list lengths.
+	fresh := func() (*Snapshot, []int) {
+		s, err := n.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var routerOf []int
+		for i, l := range s.WaiterLens {
+			for k := int32(0); k < l; k++ {
+				routerOf = append(routerOf, i/int(np))
+			}
+		}
+		return s, routerOf
+	}
+	// samePair finds two waiters registered at one router (the table is
+	// router-major, so two such are adjacent).
+	samePair := func(routerOf []int) (int, int) {
+		for i := 0; i+1 < len(routerOf); i++ {
+			if routerOf[i] == routerOf[i+1] {
+				return i, i + 1
+			}
+		}
+		t.Fatal("snapshot has no router with two waiters")
+		return 0, 0
+	}
+	for _, tc := range []struct {
+		name string
+		want string // substring of the restore error
+		mut  func(s *Snapshot, routerOf []int)
+	}{
+		{"same input VC twice", "repeats", func(s *Snapshot, routerOf []int) {
+			i, j := samePair(routerOf)
+			s.Waiters[j].InPort, s.Waiters[j].InVC = s.Waiters[i].InPort, s.Waiters[i].InVC
+		}},
+		{"InVC past the last VC", "out of range", func(s *Snapshot, _ []int) {
+			s.Waiters[0].InVC = nv
+		}},
+		{"packet is not the VC's head", "not the head", func(s *Snapshot, routerOf []int) {
+			i, j := samePair(routerOf)
+			s.Waiters[j].Pkt = s.Waiters[i].Pkt
+		}},
+		{"candidate names another port", "candidate names port", func(s *Snapshot, _ []int) {
+			s.Waiters[0].Cand.Port = (s.Waiters[0].Cand.Port + 1) % int(np)
+		}},
+		{"class the arbiter cannot look up", "does not fit", func(s *Snapshot, _ []int) {
+			s.Waiters[0].Cand.Class = 100
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, routerOf := fresh()
+			if len(s.Waiters) == 0 {
+				t.Fatal("snapshot has no waiters")
+			}
+			tc.mut(s, routerOf)
+			n2 := snapTestNet(t)
+			n2.K = sim.NewKernel()
+			err := n2.Restore(s)
+			if err == nil {
+				t.Fatal("restore succeeded")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -28,7 +28,7 @@ func (n *Network) LinkUtilization() []LinkStat {
 	for _, r := range n.Routers {
 		for p := range r.out {
 			o := &r.out[p]
-			if o.peerRouter < 0 {
+			if r.links[p].port < 0 {
 				continue
 			}
 			out = append(out, LinkStat{

@@ -198,8 +198,8 @@ func (h *HyperX) DimPortBlock(d int) (base, n int) {
 // OfferedPorts returns the largest candidate set any routing decision can
 // offer on this topology: every router-link port (minimal ports are part
 // of their dimension's block), plus one spare so an algorithm may add a
-// terminal/eject entry. Routers size their candidate scratch from this so
-// paper-scale radix can never force a mid-decision grow.
+// terminal/eject entry. The network sizes its candidate scratch from this
+// so paper-scale radix can never force a mid-decision grow.
 func (h *HyperX) OfferedPorts() int {
 	return h.radix - h.Terms + 1
 }

@@ -9,9 +9,10 @@ package topology
 // precomputes the complete digit/port/neighbor algebra once, and the
 // public accessors (CoordDigit, DimPort, PortDim, Peer, MinHops,
 // FirstUnalignedDim, ...) become table lookups. The arithmetic
-// definitions survive as the *Arith reference implementations below,
-// which the property tests replay against the tables over randomized
-// shapes (see tables_test.go).
+// definitions survive as the *Arith reference implementations in
+// tables_test.go, which the property tests replay against the tables over
+// randomized shapes; only dimPortArith, which the table build itself
+// uses, lives here.
 //
 // Table footprint is O(routers x radix): at the paper's 512-router scale
 // about 60 KiB, dominated by the neighbor table. The per-dimension port
@@ -115,67 +116,4 @@ func dimPortArith(h *HyperX, d, own, v int) int {
 		idx--
 	}
 	return h.dimOff[d] + idx
-}
-
-// CoordDigitArith, MinHopsArith, PortDimArith, PeerArith, and
-// FirstUnalignedDimArith are the pre-table coordinate-arithmetic
-// implementations of the corresponding methods. They exist so property
-// and fuzz tests can assert table/arithmetic agreement on randomized
-// shapes; simulation code must use the table-driven methods.
-
-// CoordDigitArith computes a coordinate digit by division.
-func (h *HyperX) CoordDigitArith(r, d int) int {
-	return (r / h.strides[d]) % h.Widths[d]
-}
-
-// MinHopsArith computes MinHops by per-dimension division.
-func (h *HyperX) MinHopsArith(a, b int) int {
-	hops := 0
-	for d, w := range h.Widths {
-		sa := (a / h.strides[d]) % w
-		sb := (b / h.strides[d]) % w
-		if sa != sb {
-			hops++
-		}
-	}
-	return hops
-}
-
-// FirstUnalignedDimArith computes FirstUnalignedDim by division.
-func (h *HyperX) FirstUnalignedDimArith(a, b int) int {
-	for d, w := range h.Widths {
-		if (a/h.strides[d])%w != (b/h.strides[d])%w {
-			return d
-		}
-	}
-	return -1
-}
-
-// PortDimArith decodes a port by scanning the dimension offsets.
-func (h *HyperX) PortDimArith(r, p int) (dim, peerVal int) {
-	if p < h.Terms {
-		return -1, -1
-	}
-	for d := len(h.Widths) - 1; d >= 0; d-- {
-		if p >= h.dimOff[d] {
-			idx := p - h.dimOff[d]
-			own := h.CoordDigitArith(r, d)
-			if idx >= own {
-				idx++
-			}
-			return d, idx
-		}
-	}
-	return -1, -1
-}
-
-// PeerArith computes the far side of a router link arithmetically.
-func (h *HyperX) PeerArith(r, p int) (int, int) {
-	d, v := h.PortDimArith(r, p)
-	if d < 0 {
-		panic("hyperx: Peer of non-router port")
-	}
-	own := h.CoordDigitArith(r, d)
-	peer := r + (v-own)*h.strides[d]
-	return peer, dimPortArith(h, d, v, own)
 }

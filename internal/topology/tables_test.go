@@ -117,3 +117,66 @@ func TestOfferedPorts(t *testing.T) {
 		}
 	}
 }
+
+// CoordDigitArith, MinHopsArith, PortDimArith, PeerArith, and
+// FirstUnalignedDimArith are the pre-table coordinate-arithmetic
+// implementations of the corresponding methods, kept test-only so the
+// property tests can assert table/arithmetic agreement on randomized
+// shapes.
+
+// CoordDigitArith computes a coordinate digit by division.
+func (h *HyperX) CoordDigitArith(r, d int) int {
+	return (r / h.strides[d]) % h.Widths[d]
+}
+
+// MinHopsArith computes MinHops by per-dimension division.
+func (h *HyperX) MinHopsArith(a, b int) int {
+	hops := 0
+	for d, w := range h.Widths {
+		sa := (a / h.strides[d]) % w
+		sb := (b / h.strides[d]) % w
+		if sa != sb {
+			hops++
+		}
+	}
+	return hops
+}
+
+// FirstUnalignedDimArith computes FirstUnalignedDim by division.
+func (h *HyperX) FirstUnalignedDimArith(a, b int) int {
+	for d, w := range h.Widths {
+		if (a/h.strides[d])%w != (b/h.strides[d])%w {
+			return d
+		}
+	}
+	return -1
+}
+
+// PortDimArith decodes a port by scanning the dimension offsets.
+func (h *HyperX) PortDimArith(r, p int) (dim, peerVal int) {
+	if p < h.Terms {
+		return -1, -1
+	}
+	for d := len(h.Widths) - 1; d >= 0; d-- {
+		if p >= h.dimOff[d] {
+			idx := p - h.dimOff[d]
+			own := h.CoordDigitArith(r, d)
+			if idx >= own {
+				idx++
+			}
+			return d, idx
+		}
+	}
+	return -1, -1
+}
+
+// PeerArith computes the far side of a router link arithmetically.
+func (h *HyperX) PeerArith(r, p int) (int, int) {
+	d, v := h.PortDimArith(r, p)
+	if d < 0 {
+		panic("hyperx: Peer of non-router port")
+	}
+	own := h.CoordDigitArith(r, d)
+	peer := r + (v-own)*h.strides[d]
+	return peer, dimPortArith(h, d, v, own)
+}
