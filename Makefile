@@ -95,11 +95,11 @@ ckptsmoke:
 		{ echo "FAIL: manifest provenance missing the fork mode"; exit 1; }
 	@echo ckptsmoke OK
 
-# Sharded-executor smoke: the same sweep serial, with every simulation
-# split across 4 shards at the default barrier window, and again at the
-# widest legal window (50, the cross-shard latency cap) must emit
-# byte-identical CSVs — the end-to-end form of the golden-trace
-# shards-vs-serial equivalence claim, covering both barrier frequencies.
+# Sharded-executor smoke: the same sweep serial and with every simulation
+# split across 4 shards must emit byte-identical CSVs — the end-to-end
+# form of the golden-trace shards-vs-serial equivalence claim — and so
+# must the warm-forked sweep (-forkwarm), whose every point restores a
+# shared warm snapshot into a network whose shards already ran.
 # (The -race pass over the executor itself lives in the race target:
 # `go test -race ./internal/...` covers internal/shard including the
 # work-stealing deques, and `-race -short .` runs the root-package
@@ -111,8 +111,10 @@ shardsmoke:
 		-warmup 1000 -window 1000 -j 2 -q -shards 4 > /tmp/hx-shard-4.csv
 	cmp /tmp/hx-shard-serial.csv /tmp/hx-shard-4.csv
 	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,DimWAR -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q -shards 4 -shard-window 50 > /tmp/hx-shard-4w50.csv
-	cmp /tmp/hx-shard-serial.csv /tmp/hx-shard-4w50.csv
+		-warmup 1000 -window 1000 -j 2 -q -forkwarm 2000 > /tmp/hx-shard-fw-serial.csv
+	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,DimWAR -step 0.25 \
+		-warmup 1000 -window 1000 -j 2 -q -forkwarm 2000 -shards 4 > /tmp/hx-shard-fw-4.csv
+	cmp /tmp/hx-shard-fw-serial.csv /tmp/hx-shard-fw-4.csv
 	@echo shardsmoke OK
 
 # Sweep-service smoke (scripts/servesmoke.sh): boot hxserved on a random

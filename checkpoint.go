@@ -212,10 +212,9 @@ func configKey(cfg Config) string {
 }
 
 // optsKey canonicalizes the RunOpts fields that influence results (callers
-// pass defaulted opts). RunOpts.Shards AND RunOpts.ShardWindow are
-// deliberately absent: the sharded executor's event sequence is
-// bit-identical to serial at every shard count and barrier window width
-// (see internal/shard), so results never depend on either knob and a
+// pass defaulted opts). RunOpts.Shards is deliberately absent: the
+// sharded executor's event sequence is bit-identical to serial at every
+// shard count (see internal/shard), so results never depend on it and a
 // cache written at one setting must serve runs at every other.
 func optsKey(opts RunOpts) string {
 	return fmt.Sprintf("warm=%d;win=%d;drain=%d;latcap=%s;minf=%d;maxf=%d",

@@ -24,7 +24,6 @@
 //	hxsweep -pattern UR -faults 4 -manifest run.json  # sweep with 4 dead links
 //	hxsweep -resilience 6 -load 0.5                   # degradation vs fault count
 //	hxsweep -pattern UR -shards 4                     # sharded executor, same CSV bytes
-//	hxsweep -pattern UR -shards 4 -shard-window 50    # widest barrier window, same CSV bytes
 package main
 
 import (
@@ -77,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&e.Load, "load", 0, "fixed offered load for -resilience (default 0.5)")
 	fs.IntVar(&po.Workers, "j", 0, "parallel workers (0 = GOMAXPROCS); results are identical at any -j")
 	fs.IntVar(&e.Opts.Shards, "shards", 0, "cores per simulation via the deterministic sharded executor (0/1 = serial); results are bit-identical at any -shards")
-	fs.IntVar(&e.Opts.ShardWindow, "shard-window", 0, "sharded executor barrier window width in cycles (0 = derive from latencies; clamped to the cross-shard latency); results are bit-identical at any width")
 	manifest := fs.String("manifest", "", "write a JSON run manifest (per-job wall time, cycles, events/sec) to this file")
 	quiet := fs.Bool("q", false, "suppress the per-job progress lines on stderr")
 	warmfork := fs.Bool("warmfork", false, "fork each curve's load points from one shared pristine snapshot (bit-identical CSV, one network build per curve)")

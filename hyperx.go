@@ -184,13 +184,14 @@ func (inst *Instance) shardWindow(w sim.Time) sim.Time {
 
 // runCtx advances the instance's kernel to until: serially for
 // shards <= 1, or through the window-barriered sharded executor
-// otherwise (window <= 0 derives the width from the configured
-// latencies; see shardWindow). Every (shards, window) combination
-// executes the bit-identical event sequence — the sharded executor's
-// merge replays staged work in serial order (see internal/shard) — so
-// results never depend on either knob, and RunOpts.Shards/ShardWindow
-// stay out of the checkpoint key. Shard counts beyond the router count
-// are clamped.
+// otherwise. window <= 0 derives the width from the configured latencies
+// (see shardWindow); the run helpers always pass 0, and only the
+// golden-trace tests pin other widths. Every (shards, window)
+// combination executes the bit-identical event sequence — the sharded
+// executor's merge replays staged work in serial order (see
+// internal/shard) — so results never depend on either, and
+// RunOpts.Shards stays out of the checkpoint key. Shard counts beyond the
+// router count are clamped.
 func (inst *Instance) runCtx(ctx context.Context, until sim.Time, shards, window int) (sim.Time, error) {
 	if nr := len(inst.Net.Routers); shards > nr {
 		shards = nr

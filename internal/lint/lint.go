@@ -39,8 +39,8 @@
 //     determinism scope — and flags any reachable mutation of globally
 //     visible state (counter writes on multi-shard actors, kernel
 //     schedules, observer invocations) that is neither routed through the
-//     ShardState staging API (stageFx/StageCount/StageBirth/sim.Stage)
-//     nor guarded by the serial branch of the `sharded` idiom. It is the
+//     execution context (ShardState emit/Count/Birth/After) nor placed
+//     after an early-returning `if x.sharded` branch. It is the
 //     static complement to the golden-trace shards-vs-serial equivalence
 //     tests: a missed staging site fails the build before it ever runs.
 //   - statecover (interprocedural): field-coverage analysis of the state

@@ -100,12 +100,13 @@ func TestDirectiveSuppression(t *testing.T) {
 }
 
 // TestStagesafeGuards pins the guard semantics on the fixture: exactly
-// the five parallel-path mutations in net.go are reported — four on the
-// Act path plus one reachable from the Record root (the sim.Recorder
-// entry point Stage.RunWindow dispatches into) — while the serial
-// branches, the early-return schedule wrapper, the ShardState nil-check,
-// and the coordinator-only merge (unreachable from any root) are exempt,
-// without net.go appearing in any exemption list.
+// the six parallel-path mutations in net.go are reported — five on the
+// Act path (one in the else branch of a sharded test, which is not a
+// guard) plus one reachable from the Record root (the sim.Recorder
+// entry point Stage.RunWindow dispatches into) — while the code after
+// an early-returning `if x.sharded` branch and the coordinator-only
+// merge (unreachable from any root) are exempt, without net.go
+// appearing in any exemption list.
 func TestStagesafeGuards(t *testing.T) {
 	findings, err := Run(filepath.Join("testdata", "repo"))
 	if err != nil {
@@ -117,7 +118,7 @@ func TestStagesafeGuards(t *testing.T) {
 			got = append(got, f.Line)
 		}
 	}
-	want := []int{34, 37, 52, 57, 80}
+	want := []int{36, 46, 54, 67, 73, 94}
 	if len(got) != len(want) {
 		t.Fatalf("stagesafe lines in net.go = %v, want %v", got, want)
 	}

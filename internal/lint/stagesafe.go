@@ -12,10 +12,10 @@ import (
 // executor (internal/shard) runs each cycle's events on several cores at
 // once; the contract that keeps the run bit-identical to serial is that
 // model code reached during event execution never mutates globally
-// visible state directly — it either stages the effect through the
-// ShardState API (stageFx/StageCount/StageBirth, sim.Stage schedules) or
-// sits on the serial branch of the `sharded` guard idiom, which the
-// parallel phase never executes.
+// visible state directly — it goes through its execution context
+// (network.ShardState: emit/Count/Birth/After), whose one decision point
+// is the `sharded` guard: code after an early-returning `if x.sharded`
+// branch is the serial path, which the parallel phase never executes.
 //
 // The pass mechanizes that contract:
 //
@@ -29,10 +29,8 @@ import (
 //     package boundaries. An edge taken only inside a serial-guarded
 //     region does not propagate reachability — the parallel phase cannot
 //     take it.
-//   - Guards: the serial branch of `if x.sharded { … } else { SERIAL }`,
-//     the fall-through after an early-returning `if x.sharded { return … }`,
-//     the `if !x.sharded { SERIAL }` form, and the *ShardState nil-check
-//     idiom (`if sc == nil { SERIAL }` / `if sc != nil { … } else { SERIAL }`).
+//   - Guard: the fall-through after `if x.sharded { …; return … }`. No
+//     other shape is recognized; an else branch is not a guard.
 //   - Mutations, flagged when reachable outside any guard: scalar field
 //     writes on a multi-shard actor (a type whose ShardOf consults the
 //     event, so its state is visible to every shard — detected by ShardOf
@@ -173,72 +171,11 @@ func (a *ssAnalysis) indexFuncs(p *pkgUnit) {
 	}
 }
 
-// Guard classification of an if condition.
-const (
-	ssNoGuard    = iota
-	ssParallelIf // cond true ⇒ sharded/parallel path (x.sharded, sc != nil)
-	ssSerialIf   // cond true ⇒ serial path (!x.sharded, sc == nil)
-)
-
-func (a *ssAnalysis) guardCond(p *pkgUnit, e ast.Expr) int {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return a.guardCond(p, e.X)
-	case *ast.UnaryExpr:
-		if e.Op == token.NOT && isShardedSel(e.X) {
-			return ssSerialIf
-		}
-	case *ast.SelectorExpr:
-		if isShardedSel(e) {
-			return ssParallelIf
-		}
-	case *ast.BinaryExpr:
-		if e.Op != token.NEQ && e.Op != token.EQL {
-			break
-		}
-		operand := e.X
-		if isNilIdent(e.X) {
-			operand = e.Y
-		} else if !isNilIdent(e.Y) {
-			break
-		}
-		if !a.isShardStatePtr(p, operand) {
-			break
-		}
-		if e.Op == token.NEQ {
-			return ssParallelIf
-		}
-		return ssSerialIf
-	}
-	return ssNoGuard
-}
-
 // isShardedSel recognizes the guard selector `x.sharded` by field name —
 // the idiom docs/STATE.md and internal/network/shard.go pin.
 func isShardedSel(e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == "sharded"
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// isShardStatePtr reports whether the expression's type is *T for a named
-// type called ShardState — the per-shard staging context whose nil-ness
-// encodes "not sharded" (the TerminalShard idiom).
-func (a *ssAnalysis) isShardStatePtr(p *pkgUnit, e ast.Expr) bool {
-	t := typeOf(p, e)
-	if t == nil {
-		return false
-	}
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	return ok && named.Obj().Name() == "ShardState"
 }
 
 func typeOf(p *pkgUnit, e ast.Expr) types.Type {
@@ -253,29 +190,19 @@ func typeOf(p *pkgUnit, e ast.Expr) types.Type {
 	return nil
 }
 
-// blockReturns reports whether the block's last statement unconditionally
-// leaves the function (the early-return guard shape `if x.sharded { …;
-// return … }`).
+// blockReturns reports whether the block ends in a return (the guard
+// shape `if x.sharded { …; return … }`).
 func blockReturns(b *ast.BlockStmt) bool {
 	if len(b.List) == 0 {
 		return false
 	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
+	_, ok := b.List[len(b.List)-1].(*ast.ReturnStmt)
+	return ok
 }
 
 // block walks one statement list. guarded=true means the statements can
-// only execute on the serial path; the return value carries the upgraded
-// guard for statements after an early-returning parallel branch.
+// only execute on the serial path; stmt's return value carries the
+// upgraded guard for statements after an early-returning sharded branch.
 func (a *ssAnalysis) block(p *pkgUnit, fn *ssFunc, stmts []ast.Stmt, guarded bool) {
 	for _, s := range stmts {
 		guarded = a.stmt(p, fn, s, guarded)
@@ -288,26 +215,13 @@ func (a *ssAnalysis) stmt(p *pkgUnit, fn *ssFunc, s ast.Stmt, guarded bool) bool
 		if s.Init != nil {
 			a.stmt(p, fn, s.Init, guarded)
 		}
-		switch a.guardCond(p, s.Cond) {
-		case ssParallelIf:
-			a.block(p, fn, s.Body.List, guarded)
-			if s.Else != nil {
-				a.elseBranch(p, fn, s.Else, true)
-			}
-			if blockReturns(s.Body) {
-				return true // the parallel path returned; the rest is serial
-			}
-		case ssSerialIf:
-			a.block(p, fn, s.Body.List, true)
-			if s.Else != nil {
-				a.elseBranch(p, fn, s.Else, guarded)
-			}
-		default:
-			a.expr(p, fn, s.Cond, guarded)
-			a.block(p, fn, s.Body.List, guarded)
-			if s.Else != nil {
-				a.elseBranch(p, fn, s.Else, guarded)
-			}
+		a.expr(p, fn, s.Cond, guarded)
+		a.block(p, fn, s.Body.List, guarded)
+		if s.Else != nil {
+			a.elseBranch(p, fn, s.Else, guarded)
+		}
+		if isShardedSel(s.Cond) && blockReturns(s.Body) {
+			return true // the staged path returned; the rest is serial
 		}
 	case *ast.BlockStmt:
 		a.block(p, fn, s.List, guarded)
@@ -612,7 +526,7 @@ func (a *ssAnalysis) report() []Finding {
 			out = append(out, Finding{
 				File: file, Line: line, Col: col, Pass: "stagesafe",
 				Msg: m.what + ", is reachable from " + displayKey(root) +
-					" during the parallel phase; stage it through the ShardState effect API (stageFx/StageCount/StageBirth, Stage.AtAct) or guard it with the serial (!sharded) branch",
+					" during the parallel phase; route it through the execution context (ShardState emit/Count/Birth/After) or place it after an early-returning `if x.sharded` branch",
 			})
 		}
 	}

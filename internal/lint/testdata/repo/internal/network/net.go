@@ -1,12 +1,15 @@
 // Fixture: seeded stagesafe violations — a multi-shard actor (ShardOf
 // consults the event) whose Act-reachable helpers mutate shared state
-// without staging, next to every guard idiom the pass must honor.
+// without going through the execution context, next to the one guard
+// idiom the pass honors: the fall-through after an early-returning
+// `if x.sharded` branch.
 package network
 
 import "hyperx/internal/sim"
 
 type ShardState struct {
-	Stage *sim.Stage
+	Stage   *sim.Stage
+	sharded bool
 }
 
 func (sc *ShardState) stageCount(delta uint64) {}
@@ -14,7 +17,6 @@ func (sc *ShardState) stageCount(delta uint64) {}
 type Network struct {
 	K         *sim.Kernel
 	sc        *ShardState
-	sharded   bool
 	Delivered uint64
 	Dropped   uint64
 	OnDeliver func(uint64)
@@ -32,24 +34,38 @@ func (n *Network) Act(op uint8, a, b, c int32, p any) {
 
 func (n *Network) deliver(a int32) {
 	n.Delivered++ // violation: unstaged counter on the parallel path
-	if n.sharded {
-		n.sc.stageCount(1)
-		n.Dropped++ // violation: direct write inside the sharded branch
-	} else {
-		n.Dropped++ // serial branch: exempt
-	}
+	n.count()
 	n.notify()
+	n.tally()
 	n.retry(a)
 }
 
-func (n *Network) notify() {
-	if !n.sharded {
-		if n.OnDeliver != nil {
-			n.OnDeliver(n.Delivered) // serial branch: exempt
-		}
+func (n *Network) count() {
+	if n.sc.sharded {
+		n.sc.stageCount(1)
+		n.Dropped++ // violation: direct write inside the sharded branch
 		return
 	}
-	n.OnDeliver(n.Delivered) // violation: unstaged observer invocation
+	n.Dropped++ // early-return guard: exempt
+}
+
+func (n *Network) notify() {
+	if n.sc.sharded {
+		n.OnDeliver(n.Delivered) // violation: unstaged observer invocation
+		return
+	}
+	if n.OnDeliver != nil {
+		n.OnDeliver(n.Delivered) // early-return guard: exempt
+	}
+}
+
+// tally's else branch is not a guard: only the early return is.
+func (n *Network) tally() {
+	if n.sc.sharded {
+		n.sc.stageCount(1)
+	} else {
+		n.Dropped++ // violation: an else branch is not serial-guarded
+	}
 }
 
 func (n *Network) retry(a int32) {
@@ -58,7 +74,7 @@ func (n *Network) retry(a int32) {
 }
 
 func (n *Network) schedule(a int32) *sim.Event {
-	if n.sharded {
+	if n.sc.sharded {
 		return n.sc.Stage.AtAct(2, n, 0, a, 0, 0, nil)
 	}
 	return n.K.AtAct(2, n, 0, a, 0, 0, nil) // early-return guard: exempt
@@ -66,11 +82,9 @@ func (n *Network) schedule(a int32) *sim.Event {
 
 // merge runs only on the coordinator after the barrier; it is not
 // reachable from Act, so its direct writes are exempt.
-func (n *Network) merge(sc *ShardState) {
+func (n *Network) merge() {
 	n.Delivered++
-	if sc == nil {
-		n.Dropped++ // ShardState nil-check guard: exempt even when reached
-	}
+	n.Dropped++
 }
 
 // Record is the sim.Recorder entry point Stage.RunWindow invokes per

@@ -5,7 +5,7 @@ package network
 // development scale, an unchecked assumption at paper-scale radix and
 // plain wrong for wide single-dimension shapes. The buffer is now sized
 // from the topology's declared offered-port bound at build time, one per
-// execution context (the network's serial scratch here); these tests pin
+// execution context (the network's one context here); these tests pin
 // that a full decision at large radix fits it without a mid-decision
 // grow.
 
@@ -17,15 +17,15 @@ import (
 )
 
 // candScratch runs one full candidate generation on router 0 of a drained
-// network through the serial candidate scratch and reports (candidates
+// network through its context's candidate scratch and reports (candidates
 // produced, scratch capacity before, scratch capacity after).
 func candScratch(t *testing.T, n *Network, dstTerm int) (produced, capBefore, capAfter int) {
 	t.Helper()
 	r := n.Routers[0]
-	ctx := &n.ctx
-	if r.ctx != ctx {
-		t.Fatal("router 0 does not route through the network's serial scratch")
+	if r.sc != n.shards[0] {
+		t.Fatal("router 0 does not act through the network's one execution context")
 	}
+	ctx := &r.sc.ctx
 	capBefore = cap(ctx.Cands)
 	p := n.NewPacket(0, dstTerm, 1)
 	ctx.Router = r.id
@@ -36,7 +36,7 @@ func candScratch(t *testing.T, n *Network, dstTerm int) (produced, capBefore, ca
 	produced = len(cands)
 	ctx.Cands = cands[:0]
 	capAfter = cap(ctx.Cands)
-	n.freePacket(p)
+	r.sc.putPacket(p)
 	return produced, capBefore, capAfter
 }
 

@@ -182,23 +182,12 @@ type Network struct {
 	//hxlint:state ephemeral — build-time wiring derived from Config.Faults; the restore target is built from the identical Config
 	hasFaults bool
 
-	// ctx is the candidate scratch routers route through while executing
-	// serially; each shard has its own (ShardState.ctx).
-	//hxlint:state ephemeral — per-decision scratch, fully rewritten by every route computation
-	ctx route.Ctx
-
-	//hxlint:state ephemeral — abandoned on restore (set nil; intrusive links may thread clobbered structs) and refilled lazily, see docs/STATE.md
-	pool    *route.Packet // free list threaded through Packet.Next
 	nextPkt uint64
 
-	// Sharded-execution machinery (see shard.go): shards is built once by
-	// ConfigureShards; sharded is true only inside the executor's parallel
-	// phases, and is the single branch the hot path takes to divert
-	// schedule calls and global side effects to the per-shard stages.
-	//hxlint:state ephemeral — shard machinery is empty at every cycle boundary and Snapshot/Restore only run between cycles (docs/STATE.md)
+	// Execution contexts (see shard.go): one from New, one per shard after
+	// ConfigureShards. Every router and terminal acts through its own.
+	//hxlint:state ephemeral — execution machinery: staging logs are empty between windows, and Restore resets every context's packet pool (docs/STATE.md)
 	shards []*ShardState
-	//hxlint:state ephemeral — true only inside the executor's parallel phases, never when a snapshot can be taken
-	sharded bool
 
 	// Snapshot plumbing (see snapshot.go / docs/STATE.md): the network
 	// retains its whole-network slabs so Snapshot/Restore can bulk-copy
@@ -284,10 +273,6 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	termCredSlab := make([]int32, nt*nv)
 	vcSlab := make([]inputVC, nr*np*nv)
 
-	// The candidate scratch of serial execution (shards get their own in
-	// ConfigureShards).
-	n.ctx = newScratch(cfg)
-
 	streams := master.DeriveN(0, nr)
 	n.streams = streams
 	n.termCredSlab = termCredSlab
@@ -305,6 +290,7 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 		n.Terminals[t] = &termSlab[t]
 		initTerminal(&termSlab[t], n, t, termCredSlab[t*nv:(t+1)*nv:(t+1)*nv])
 	}
+	n.buildContexts(1)
 	return n, nil
 }
 
@@ -319,47 +305,19 @@ func (n *Network) Act(op uint8, _, _, _ int32, p any) {
 // VCsForClass returns the physical VCs backing a resource class.
 func (n *Network) VCsForClass(c int8) []int8 { return n.classVCs[c] }
 
-// pktChunk is how many packets one pool refill allocates; the free list
-// is intrusive (threaded through Packet.Next), so a refill is a single
-// slab allocation and the steady state recycles without touching the heap.
-const pktChunk = 256
-
-// NewPacket takes a packet from the pool. In sharded mode the packet
-// comes from the allocating (source-router) shard's private pool and its
-// ID stays zero until the merge replays the staged assignment — nothing
-// reads the ID within its birth cycle, and the merge order reproduces the
-// serial nextPkt sequence exactly.
+// NewPacket takes a packet from the source router's context pool. A
+// staged context leaves the ID zero until the merge replays the
+// assignment — nothing reads the ID within its birth cycle, and the merge
+// order reproduces the serial nextPkt sequence exactly.
 func (n *Network) NewPacket(src, dst, flits int) *route.Packet {
 	sr, _ := n.Cfg.Topo.TerminalPort(src)
 	dr, _ := n.Cfg.Topo.TerminalPort(dst)
-	var p *route.Packet
-	var id uint64
-	if n.sharded {
-		sc := n.Routers[sr].sc
-		p = sc.takePacket()
-		sc.stageFx(effect{kind: fxID, p: p})
-	} else {
-		if n.pool == nil {
-			chunk := make([]route.Packet, pktChunk)
-			for i := range chunk[:pktChunk-1] {
-				chunk[i].Next = &chunk[i+1]
-			}
-			n.pool = &chunk[0]
-		}
-		p = n.pool
-		n.pool = p.Next
-		n.nextPkt++
-		id = n.nextPkt
-	}
-	*p = route.Packet{ID: id, Src: src, Dst: dst, SrcRouter: sr, DstRouter: dr, Len: flits}
+	sc := n.Routers[sr].sc
+	p := sc.takePacket()
+	*p = route.Packet{Src: src, Dst: dst, SrcRouter: sr, DstRouter: dr, Len: flits}
 	p.Reset()
+	sc.emit(effect{kind: fxID, p: p})
 	return p
-}
-
-// freePacket returns a packet to the pool.
-func (n *Network) freePacket(p *route.Packet) {
-	p.Next = n.pool
-	n.pool = p
 }
 
 // InFlight reports how many packets have been injected but not delivered.

@@ -290,7 +290,7 @@ func TestPacketPoolReuse(t *testing.T) {
 	n := buildNet(t, h, routing.NewDOR(h), nil)
 	p1 := n.NewPacket(0, 1, 4)
 	id1 := p1.ID
-	n.freePacket(p1)
+	n.Routers[p1.SrcRouter].sc.putPacket(p1)
 	p2 := n.NewPacket(1, 2, 8)
 	if p2.ID == id1 {
 		t.Error("recycled packet kept its old ID")

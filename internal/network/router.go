@@ -169,38 +169,9 @@ type Router struct {
 	waits []waitEntry
 	rng   *rng.Source
 
-	// ctx is the candidate scratch of the context executing this router:
-	// the network's while serial, its shard's once shards are configured.
-	ctx *route.Ctx
-
-	// sc is this router's shard context, set once by ConfigureShards and
-	// consulted (behind net.sharded) wherever the router schedules events
-	// or touches global state. Nil until shards are configured.
+	// sc is the execution context the router acts through (shard.go):
+	// clock, scheduling, candidate scratch and side effects.
 	sc *ShardState
-}
-
-// schedAt schedules a typed event, diverting to the shard stage during a
-// parallel phase so the merge can assign sequence numbers serially.
-func (r *Router) schedAt(t sim.Time, act sim.Actor, op uint8, a, b, c int32, p any) *sim.Event {
-	if r.net.sharded {
-		return r.sc.Stage.AtAct(t, act, op, a, b, c, p)
-	}
-	return r.net.K.AtAct(t, act, op, a, b, c, p)
-}
-
-// schedAfter is schedAt relative to the executing event's time.
-func (r *Router) schedAfter(d sim.Time, act sim.Actor, op uint8, a, b, c int32, p any) *sim.Event {
-	return r.schedAt(r.now()+d, act, op, a, b, c, p)
-}
-
-// now returns the model clock: during a parallel phase the shard stage's
-// clock, which tracks the event executing on this shard (the kernel
-// clock is frozen at the window start then), the kernel clock otherwise.
-func (r *Router) now() sim.Time {
-	if r.net.sharded {
-		return r.sc.Stage.Now()
-	}
-	return r.net.K.Now()
 }
 
 // Act implements sim.Actor: the typed-event entry point for all router
@@ -214,7 +185,7 @@ func (r *Router) Act(op uint8, a, b, c int32, p any) {
 		o := &r.out[port]
 		// The event fires exactly at its scheduled time, so now() is the
 		// `t` this attempt was deduplicated under.
-		if o.attemptAt == r.now() {
+		if o.attemptAt == r.sc.now() {
 			o.attemptAt = 0
 		}
 		r.attempt(port)
@@ -239,7 +210,7 @@ func initRouter(r *Router, n *Network, id int, rs *rng.Source, sl routerSlabs) {
 	topo := n.Cfg.Topo
 	np := topo.NumPorts()
 	nv := n.Cfg.NumVCs
-	*r = Router{net: n, id: id, nv: nv, vcs: sl.vcs, out: sl.out, links: sl.links, rng: rs, ctx: &n.ctx}
+	*r = Router{net: n, id: id, nv: nv, vcs: sl.vcs, out: sl.out, links: sl.links, rng: rs}
 	for i := range r.vcs {
 		// Scalar stores only: the slab is fresh, so its pointers are
 		// already nil, and writing them would cost a write barrier each
@@ -314,7 +285,7 @@ func (v *view) PortAlive(port int) bool {
 }
 
 func (r *Router) residual(o *outputPort) int {
-	if d := o.busyUntil - r.now(); d > 0 {
+	if d := o.busyUntil - r.sc.now(); d > 0 {
 		return int(d)
 	}
 	return 0
@@ -340,7 +311,7 @@ func (r *Router) routeHead(iv *inputVC) {
 		_, port = r.net.Cfg.Topo.TerminalPort(p.Dst)
 		e = makeEntry(p, iv.idx, &route.Candidate{Port: port, Class: -1}, true)
 	} else {
-		ctx := r.ctx
+		ctx := &r.sc.ctx
 		ctx.Router = r.id
 		ctx.InPort = int(iv.idx) / r.nv
 		ctx.View = (*view)(r)
@@ -378,7 +349,7 @@ func (r *Router) routeHead(iv *inputVC) {
 		e = makeEntry(p, iv.idx, c, false)
 		// A blocked decision goes stale; re-evaluate periodically so
 		// incremental adaptivity keeps responding to changing congestion.
-		iv.timer = r.schedAfter(r.net.Cfg.ReRouteInterval, r, opReroute, 0, 0, 0, iv)
+		iv.timer = r.sc.After(r.net.Cfg.ReRouteInterval, r, opReroute, 0, 0, 0, iv)
 	}
 	o := &r.out[port]
 	if o.nwait == o.wcap {
@@ -468,9 +439,9 @@ func (r *Router) creditUpstream(at sim.Time, ivc int32, flits int) {
 	port, vc := int(ivc)/r.nv, int32(int(ivc)%r.nv)
 	up := r.links[port]
 	if up.port < 0 {
-		r.schedAt(at+r.net.Cfg.TermChanLat, r.net.Terminals[up.peer], opTermCredit, vc, int32(flits), 0, nil)
+		r.sc.at(at+r.net.Cfg.TermChanLat, r.net.Terminals[up.peer], opTermCredit, vc, int32(flits), 0, nil)
 	} else {
-		r.schedAt(at+r.net.Cfg.RouterChanLat, r.net.Routers[up.peer], opCredit, up.port, vc, int32(flits), nil)
+		r.sc.at(at+r.net.Cfg.RouterChanLat, r.net.Routers[up.peer], opCredit, up.port, vc, int32(flits), nil)
 	}
 }
 
@@ -480,23 +451,10 @@ func (r *Router) creditUpstream(at sim.Time, ivc int32, flits int) {
 // the VC is routed. Only reachable on faulted networks.
 func (r *Router) drop(iv *inputVC) {
 	p := iv.pop()
-	n := r.net
-	if n.sharded {
-		// Counters, the OnDrop observer, and the packet free replay at the
-		// merge in serial order.
-		r.sc.stageFx(effect{kind: fxDrop, p: p})
-	} else {
-		n.DroppedPackets++
-		n.DroppedFlits += uint64(p.Len)
-		if n.OnDrop != nil {
-			n.OnDrop(p, n.K.Now())
-		}
-	}
 	flits := p.Len
-	r.creditUpstream(r.now(), iv.idx, flits)
-	if !n.sharded {
-		n.freePacket(p)
-	}
+	// Counters, the OnDrop observer, and the packet free.
+	r.sc.emit(effect{kind: fxDrop, p: p})
+	r.creditUpstream(r.sc.now(), iv.idx, flits)
 	if !iv.empty() {
 		r.routeHead(iv)
 	}
@@ -527,7 +485,7 @@ func (r *Router) pickVC(o *outputPort, class int8, flits int32) int8 {
 // eligible waiting decision (age-based arbitration).
 func (r *Router) attempt(port int) {
 	o := &r.out[port]
-	now := r.now()
+	now := r.sc.now()
 	if o.busyUntil > now {
 		r.scheduleAttempt(port, o.busyUntil)
 		return
@@ -576,14 +534,14 @@ func (r *Router) scheduleAttempt(port int, t sim.Time) {
 		return // an attempt at or before t is already pending
 	}
 	o.attemptAt = t
-	r.schedAt(t, r, opAttempt, int32(port), 0, 0, nil)
+	r.sc.at(t, r, opAttempt, int32(port), 0, 0, nil)
 }
 
 // grant moves the head packet of wait-list entry i of output o (port)
 // across the crossbar and channel, reserving downstream space and
 // returning upstream credits as the flits drain.
 func (r *Router) grant(o *outputPort, port, i int, vc int8) {
-	now := r.now()
+	now := r.sc.now()
 	// Copy the entry: unregister below overwrites its slot.
 	w := r.waits[int(o.wbase)+i]
 	iv := &r.vcs[w.ivc]
@@ -596,24 +554,20 @@ func (r *Router) grant(o *outputPort, port, i int, vc int8) {
 	o.grants++
 
 	if o.toTerminal {
-		r.schedAt(now+r.net.Cfg.XbarLat+r.net.Cfg.TermChanLat, r.net, opDeliver, 0, 0, 0, p)
+		r.sc.at(now+r.net.Cfg.XbarLat+r.net.Cfg.TermChanLat, r.net, opDeliver, 0, 0, 0, p)
 	} else {
 		cand := w.cand(port)
 		route.Commit(p, &cand)
 		o.credits[vc] -= int32(flits)
 		p.VC = vc
 		if r.net.OnHop != nil {
-			if r.net.sharded {
-				// The packet is in flight for the rest of the cycle, so its
-				// committed routing state is stable until the merge replays
-				// the observer call.
-				r.sc.stageFx(effect{kind: fxHop, p: p, a: int32(r.id), b: int32(port), c: int32(vc)})
-			} else {
-				r.net.OnHop(p, r.id, port, vc)
-			}
+			// The packet is in flight for the rest of the cycle, so its
+			// committed routing state is stable until a merge replays the
+			// observer call.
+			r.sc.emit(effect{kind: fxHop, p: p, a: int32(r.id), b: int32(port), c: int32(vc)})
 		}
 		down := r.links[port]
-		r.schedAt(now+r.net.Cfg.XbarLat+r.net.Cfg.RouterChanLat, r.net.Routers[down.peer], opArrive, down.port, int32(vc), 0, p)
+		r.sc.at(now+r.net.Cfg.XbarLat+r.net.Cfg.RouterChanLat, r.net.Routers[down.peer], opArrive, down.port, int32(vc), 0, p)
 	}
 
 	// Upstream credit return: the last flit leaves our input buffer at
@@ -635,19 +589,8 @@ func (r *Router) creditArrive(port int, vc int8, flits int) {
 	r.attempt(port)
 }
 
-// deliver completes a packet at its destination terminal. In sharded mode
-// the whole completion — counters, observer, packet free — is staged on
-// the destination router's shard and replayed at the merge, preserving
-// the serial order of observer calls and pool operations.
+// deliver completes a packet at its destination terminal: counters,
+// observer and packet free, through the destination router's context.
 func (n *Network) deliver(p *route.Packet) {
-	if n.sharded {
-		n.shards[n.shardOfRouter(p.DstRouter)].stageFx(effect{kind: fxDeliver, p: p})
-		return
-	}
-	n.DeliveredPackets++
-	n.DeliveredFlits += uint64(p.Len)
-	if n.OnDeliver != nil {
-		n.OnDeliver(p, n.K.Now())
-	}
-	n.freePacket(p)
+	n.Routers[p.DstRouter].sc.emit(effect{kind: fxDeliver, p: p})
 }

@@ -1,7 +1,21 @@
-// Sharded-execution support: the model-side half of the barrier-
-// synchronized parallel executor (internal/shard). See internal/sim/stage.go
-// for the kernel-side contract and docs/STATE.md for the full determinism
-// argument.
+// Execution contexts: every router, terminal and generator action that
+// schedules an event, reads the clock, allocates or frees a packet, or
+// touches a counter or observer goes through its *ShardState. New builds
+// one context; ConfigureShards replaces it with one per shard, for the
+// barrier-synchronized parallel executor (internal/shard). See
+// internal/sim/stage.go for the kernel-side contract and docs/STATE.md
+// for the full determinism argument.
+//
+// A context is in one of two modes, and this file is the only place that
+// reads which. Serial (the default, and everything outside a window): a
+// schedule call goes straight to the kernel, the clock is the kernel's,
+// and each effect is applied at once. Staged (set by PartitionWindow on
+// every context, cleared when MergeWindow returns): a schedule call goes
+// to the context's Stage, the clock is the Stage's, and each effect is
+// logged; the merge then applies the logs through the same per-kind code
+// (apply) in global (time, seq) order, so sequence-number assignment,
+// counter updates, and observer call order are bit-identical to a
+// serial run.
 //
 // Routers are partitioned into contiguous index blocks, one block per
 // shard; a terminal belongs to its router's shard, and every typed event
@@ -9,13 +23,7 @@
 // touches (sim.Sharded). During a window's parallel phase each shard
 // executes its slice of the window's events strictly in serial (time,
 // seq) order — including events its own callbacks schedule back inside
-// the window, which sim.Stage.RunWindow interleaves locally — with all
-// globally-visible work (schedule calls, aggregate counters, observer
-// callbacks, packet-ID assignment, packet frees) staged into
-// shard-private logs instead of applied. The single-threaded merge then
-// replays the logs in global (time, seq) order, so sequence-number
-// assignment, counter updates, and observer call order are bit-identical
-// to a serial run.
+// the window, which sim.Stage.RunWindow interleaves locally.
 //
 // Why the parallel phase is race-free (each bullet names the state and
 // its owner during the phase):
@@ -24,8 +32,8 @@
 //     credits, the router's wait-list arena, per-router RNG): touched
 //     only by events of the owning router, all in one shard. route.View
 //     exposes only the deciding router's own output state. The candidate
-//     scratch is per shard (ShardState.ctx), shared only by the shard's
-//     own routers, whose events it executes one at a time.
+//     scratch is per context (ShardState.ctx), shared only by the
+//     context's own routers, whose events it executes one at a time.
 //   - Terminal state (source queue, injection credits): touched only by
 //     the terminal's own events and by the generator's injection event
 //     for that terminal — both map to the terminal's router's shard.
@@ -38,7 +46,9 @@
 //     cross-shard latency, so a packet's cross-router move always lands
 //     outside the window, where the merge re-partitions ownership. The
 //     ownership lemma is mechanized: Stage.AtAct panics on any
-//     cross-shard schedule landing inside its window.
+//     cross-shard schedule landing inside its window. Packet pools are
+//     per context: a packet is taken from its source router's context
+//     and freed back to it (by the merge, when staged).
 //   - Kernel: the parallel phase reads time only through the shard's
 //     Stage clock (pinned to the executing event). Kernel.Cancel writes
 //     only the cancelled event's flags byte, and the model cancels only
@@ -61,8 +71,8 @@ import (
 	"hyperx/internal/sim"
 )
 
-// effect kinds: the globally-visible side effects a shard stages during
-// the parallel phase for the merge to replay in serial order.
+// effect kinds: the globally-visible side effects of model code, applied
+// at once by a serial context and logged by a staged one for the merge.
 const (
 	fxID      uint8 = iota // assign the next packet ID (p)
 	fxInject               // injection counters (a=flits)
@@ -73,11 +83,11 @@ const (
 	fxCount                // increment an external counter (aux)
 )
 
-// effect is one staged side effect. Replay happens the same cycle it was
-// staged, so pointer payloads (the packet, the observer closure) are
-// stable between staging and replay: a packet in a deliver/drop effect is
-// dead to the model, and an in-flight packet's fields cannot change again
-// within the cycle.
+// effect is one side effect. A staged effect is replayed the same cycle
+// it was logged, so pointer payloads (the packet, the observer closure)
+// are stable between logging and replay: a packet in a deliver/drop
+// effect is dead to the model, and an in-flight packet's fields cannot
+// change again within the cycle.
 type effect struct {
 	kind    uint8
 	a, b, c int32
@@ -102,18 +112,18 @@ type execRec struct {
 	fxEnd  int32
 }
 
-// ShardState is one shard's private execution context. All fields are
-// written only by the owning shard during the parallel phase and only by
-// the coordinator during the merge.
+// ShardState is one execution context: the clock, scheduler, packet pool,
+// candidate scratch and effect sink of the routers and terminals it
+// owns. While staged, its fields are written only by the owning shard
+// during the parallel phase and only by the coordinator during the merge.
 type ShardState struct {
-	// Stage collects the shard's schedule calls; exported so the traffic
-	// generator (package traffic) can stage its self-reschedule through it.
-	Stage *sim.Stage
-
-	net  *Network
-	idx  int
-	pool *route.Packet // shard-local packet free list (intrusive via Next)
-	ctx  route.Ctx     // candidate scratch of the shard's routers
+	// The mode and the kernel's owner lead, so that reading the clock or
+	// scheduling touches one line of the context.
+	sharded bool // staged: inside a window, between PartitionWindow and MergeWindow's return
+	net     *Network
+	stage   *sim.Stage
+	pool    *route.Packet // context-local packet free list (intrusive via Next)
+	ctx     route.Ctx     // candidate scratch of the context's routers
 
 	fx    []effect
 	recs  []execRec
@@ -132,7 +142,7 @@ type ShardState struct {
 // replay happens at the merge.
 func (sc *ShardState) Record(at sim.Time, seq uint64, ev *sim.Event) {
 	//hxlint:allow allocfree — the exec-record log grows to the shard's per-window high-water live-event count and is reset every merge
-	sc.recs = append(sc.recs, execRec{at: at, seq: seq, ev: ev, opsEnd: int32(sc.Stage.StagedLen()), fxEnd: int32(len(sc.fx))})
+	sc.recs = append(sc.recs, execRec{at: at, seq: seq, ev: ev, opsEnd: int32(sc.stage.StagedLen()), fxEnd: int32(len(sc.fx))})
 }
 
 // Rebind implements sim.Rebinder: the merge has copied a staged event
@@ -146,30 +156,96 @@ func (sc *ShardState) Rebind(staged, placed *sim.Event) {
 	}
 }
 
-// stageFx appends a staged side effect.
-func (sc *ShardState) stageFx(f effect) {
-	//hxlint:allow allocfree — the effect log grows to the shard's per-cycle high-water effect count and is reset (not reallocated) every merge
-	sc.fx = append(sc.fx, f)
+// now returns the model clock: the stage's while staged, which tracks the
+// event executing on this shard (the kernel clock is frozen at the window
+// start then), the kernel's otherwise.
+func (sc *ShardState) now() sim.Time {
+	if sc.sharded {
+		return sc.stage.Now()
+	}
+	return sc.net.K.Now()
 }
 
-// StageBirth stages a generator birth-observer call (package traffic
-// cannot reach stageFx). The observer fires at the merge with the cycle's
-// time, exactly as the serial call would have.
-func (sc *ShardState) StageBirth(fn func(src, dst, flits int, at sim.Time), src, dst, flits int) {
-	sc.stageFx(effect{kind: fxBirth, a: int32(src), b: int32(dst), c: int32(flits), birth: fn})
+// at schedules a typed event: on the stage while staged, so the merge can
+// assign sequence numbers serially, on the kernel otherwise.
+func (sc *ShardState) at(t sim.Time, act sim.Actor, op uint8, a, b, c int32, p any) *sim.Event {
+	if sc.sharded {
+		return sc.stage.AtAct(t, act, op, a, b, c, p)
+	}
+	return sc.net.K.AtAct(t, act, op, a, b, c, p)
 }
 
-// StageCount stages an increment of an external uint64 counter (e.g. the
-// generator's SelfRedirects).
-func (sc *ShardState) StageCount(ctr *uint64) {
-	sc.stageFx(effect{kind: fxCount, aux: ctr})
+// After schedules a typed event d cycles after the context's clock.
+func (sc *ShardState) After(d sim.Time, act sim.Actor, op uint8, a, b, c int32, p any) *sim.Event {
+	return sc.at(sc.now()+d, act, op, a, b, c, p)
 }
 
-// takePacket pops a packet from the shard-local pool, refilling with a
-// chunk when empty.
+// emit applies a side effect at once, or logs it for the merge while
+// staged.
+func (sc *ShardState) emit(f effect) {
+	if sc.sharded {
+		//hxlint:allow allocfree — the effect log grows to the shard's per-cycle high-water effect count and is reset (not reallocated) every merge
+		sc.fx = append(sc.fx, f)
+		return
+	}
+	sc.net.apply(&f, sc.net.K.Now())
+}
+
+// Birth reports a generator birth to its observer, with the executing
+// event's time (package traffic cannot reach emit).
+func (sc *ShardState) Birth(fn func(src, dst, flits int, at sim.Time), src, dst, flits int) {
+	sc.emit(effect{kind: fxBirth, a: int32(src), b: int32(dst), c: int32(flits), birth: fn})
+}
+
+// Count increments an external uint64 counter (e.g. the generator's
+// SelfRedirects).
+func (sc *ShardState) Count(ctr *uint64) {
+	sc.emit(effect{kind: fxCount, aux: ctr})
+}
+
+// apply performs one side effect. now is the executing event's time, so
+// observer callbacks see exactly the serial timestamps whether the effect
+// is applied at once or replayed by the merge.
+func (n *Network) apply(f *effect, now sim.Time) {
+	switch f.kind {
+	case fxID:
+		n.nextPkt++
+		f.p.ID = n.nextPkt
+	case fxInject:
+		n.InjectedPackets++
+		n.InjectedFlits += uint64(f.a)
+	case fxBirth:
+		f.birth(int(f.a), int(f.b), int(f.c), now)
+	case fxHop:
+		if n.OnHop != nil {
+			n.OnHop(f.p, int(f.a), int(f.b), int8(f.c))
+		}
+	case fxDeliver:
+		n.DeliveredPackets++
+		n.DeliveredFlits += uint64(f.p.Len)
+		if n.OnDeliver != nil {
+			n.OnDeliver(f.p, now)
+		}
+		n.Routers[f.p.SrcRouter].sc.putPacket(f.p)
+	case fxDrop:
+		n.DroppedPackets++
+		n.DroppedFlits += uint64(f.p.Len)
+		if n.OnDrop != nil {
+			n.OnDrop(f.p, now)
+		}
+		n.Routers[f.p.SrcRouter].sc.putPacket(f.p)
+	case fxCount:
+		*f.aux++
+	}
+}
+
+// takePacket pops a packet from the context's pool, refilling with a
+// chunk of pktChunk packets when empty; the free list is intrusive
+// (threaded through Packet.Next), so a refill is a single slab allocation
+// and the steady state recycles without touching the heap.
 func (sc *ShardState) takePacket() *route.Packet {
 	if sc.pool == nil {
-		//hxlint:allow allocfree — chunked pool refill, identical to the serial pool's: one slab per pktChunk packets; steady state recycles shard-locally (a freed packet returns to its source router's shard) and never refills
+		//hxlint:allow allocfree — chunked pool refill: one slab per pktChunk packets; steady state recycles context-locally (a freed packet returns to its source router's context) and never refills
 		chunk := make([]route.Packet, pktChunk)
 		for i := range chunk[:pktChunk-1] {
 			chunk[i].Next = &chunk[i+1]
@@ -181,9 +257,23 @@ func (sc *ShardState) takePacket() *route.Packet {
 	return p
 }
 
+// pktChunk is how many packets one pool refill allocates.
+const pktChunk = 256
+
+// putPacket returns a dead packet to the context's pool. Callers pick the
+// context that allocated it — the source router's — closing the
+// per-context circulation: each context's allocation rate equals its
+// long-run free-return rate, so no pool grows without bound.
+func (sc *ShardState) putPacket(p *route.Packet) {
+	p.Next = sc.pool
+	sc.pool = p
+}
+
 // ConfigureShards partitions the network's routers into nsh contiguous
-// blocks and builds (or rebuilds) the per-shard execution contexts. It
-// does not activate sharded mode — EnterSharded does, per executor run —
+// blocks and replaces the execution contexts with one per block, each
+// with the stage a window needs (the executor requires a configured
+// network; New's context has no stage, so serial-only builds allocate
+// none). The contexts stay serial until a window partitions onto them,
 // so a configured network still runs serially, bit-identical to an
 // unconfigured one. nsh must be in [1, NumRouters].
 func (n *Network) ConfigureShards(nsh int) error {
@@ -191,31 +281,33 @@ func (n *Network) ConfigureShards(nsh int) error {
 	if nsh < 1 || nsh > nr {
 		return fmt.Errorf("network: shard count %d outside [1, %d routers]", nsh, nr)
 	}
-	if n.sharded {
-		return fmt.Errorf("network: ConfigureShards while sharded mode is active")
+	if n.shards[0].sharded {
+		return fmt.Errorf("network: ConfigureShards inside a sharded window")
 	}
-	//hxlint:allow allocfree — configuration-time path: runs once per executor (re)build, never inside the event loop
-	n.shards = make([]*ShardState, nsh)
-	for s := range n.shards {
-		n.shards[s] = &ShardState{Stage: sim.NewStage(s), net: n, idx: s, ctx: newScratch(n.Cfg)}
-	}
-	for _, r := range n.Routers {
-		r.sc = n.shards[n.shardOfRouter(r.id)]
-		r.ctx = &r.sc.ctx
-	}
-	for _, t := range n.Terminals {
-		t.sc = n.shards[n.shardOfRouter(t.router)]
+	n.buildContexts(nsh)
+	for s, sc := range n.shards {
+		sc.stage = sim.NewStage(s)
 	}
 	return nil
 }
 
-// NumShards returns the configured shard count (1 when unconfigured).
-func (n *Network) NumShards() int {
-	if len(n.shards) == 0 {
-		return 1
+// buildContexts builds nsh execution contexts and points every router and
+// terminal at its own. The old contexts' pools are dropped with them.
+func (n *Network) buildContexts(nsh int) {
+	n.shards = make([]*ShardState, nsh)
+	for s := range n.shards {
+		n.shards[s] = &ShardState{net: n, ctx: newScratch(n.Cfg)}
 	}
-	return len(n.shards)
+	for _, r := range n.Routers {
+		r.sc = n.shards[n.shardOfRouter(r.id)]
+	}
+	for _, t := range n.Terminals {
+		t.sc = n.shards[n.shardOfRouter(t.router)]
+	}
 }
+
+// NumShards returns the number of execution contexts.
+func (n *Network) NumShards() int { return len(n.shards) }
 
 // shardOfRouter maps a router index to its contiguous-block shard.
 func (n *Network) shardOfRouter(r int) int {
@@ -228,23 +320,9 @@ func (n *Network) ShardOfTerminal(t int) int {
 	return n.shardOfRouter(n.Terminals[t].router)
 }
 
-// TerminalShard returns terminal t's active shard context, or nil when
-// sharded mode is off — the branch the generator's staging hangs off.
-func (n *Network) TerminalShard(t int) *ShardState {
-	if !n.sharded {
-		return nil
-	}
-	return n.Terminals[t].sc
-}
-
-// EnterSharded activates sharded mode: schedule calls and globally-
-// visible side effects divert to the per-shard stages until ExitSharded.
-// The executor brackets a whole run with this pair, dropping to serial
-// mode only for the until-boundary's single overshoot Step.
-func (n *Network) EnterSharded() { n.sharded = true }
-
-// ExitSharded deactivates sharded mode.
-func (n *Network) ExitSharded() { n.sharded = false }
+// TerminalShard returns terminal t's execution context, through which the
+// traffic generator schedules and reports its effects.
+func (n *Network) TerminalShard(t int) *ShardState { return n.Terminals[t].sc }
 
 // ShardOf implements sim.Sharded for the network actor: delivery
 // completion (opDeliver) touches only staged aggregate state and is
@@ -268,19 +346,22 @@ func (t *Terminal) ShardOf(_ uint8, _, _, _ int32, _ any) int {
 // PartitionWindow distributes one drained window's events to their
 // shards' batch lists, preserving (time, seq) order within each shard
 // (the input is globally (time, seq)-sorted), and opens every shard's
-// stage for the window ending (exclusive) at winEnd. It returns false —
-// with every batch list cleared — when any event cannot be sharded (an
-// actor outside the model that does not implement sim.Sharded); the
-// executor then fails the run.
+// stage for the window ending (exclusive) at winEnd, switching every
+// context to staged mode until MergeWindow returns. It returns false —
+// with every batch list cleared and every context serial again — when
+// any event cannot be sharded (an actor outside the model that does not
+// implement sim.Sharded); the executor then fails the run.
 func (n *Network) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
 	for _, sc := range n.shards {
-		sc.Stage.StartWindow(winEnd)
+		sc.stage.StartWindow(winEnd)
+		sc.sharded = true
 	}
 	for _, e := range batch {
 		s, ok := e.Shard()
 		if !ok {
 			for _, sc := range n.shards {
 				clearBatch(sc)
+				sc.sharded = false
 			}
 			return false
 		}
@@ -308,7 +389,7 @@ func (n *Network) BatchLen(s int) int { return len(n.shards[s].batch) }
 // event to Record above.
 func (n *Network) RunShard(s int) {
 	sc := n.shards[s]
-	sc.Stage.RunWindow(sc.batch, sc)
+	sc.stage.RunWindow(sc.batch, sc)
 	clearBatch(sc)
 }
 
@@ -321,10 +402,10 @@ func (n *Network) RunShard(s int) {
 // within-callback program order, and where each staged event that
 // outlives the window is copied into the calendar and its input VC's timer
 // handle repointed, see Rebind), and the replay of its staged side
-// effects. It returns whether the window's (time, seq)-maximal processed
-// event — live or dead — was dead, which the executor needs for the
-// serial until-overshoot quirk. Coordinator-only, between parallel
-// phases.
+// effects. It returns — with every context serial again — whether the
+// window's (time, seq)-maximal processed event, live or dead, was dead,
+// which the executor needs for the serial until-overshoot quirk.
+// Coordinator-only, between parallel phases.
 func (n *Network) MergeWindow() (lastDead bool) {
 	k := n.K
 	for _, sc := range n.shards {
@@ -360,9 +441,11 @@ func (n *Network) MergeWindow() (lastDead bool) {
 		if k.TraceExec != nil {
 			k.TraceExec(pickAt, pickSeq)
 		}
-		pick.Stage.ReplayOps(k, int(pick.opsPos), int(rec.opsEnd), pick)
+		pick.stage.ReplayOps(k, int(pick.opsPos), int(rec.opsEnd), pick)
 		pick.opsPos = rec.opsEnd
-		n.replayFx(pick.fx[pick.fxPos:rec.fxEnd], pickAt)
+		for i := pick.fxPos; i < rec.fxEnd; i++ {
+			n.apply(&pick.fx[i], pickAt)
+		}
 		pick.fxPos = rec.fxEnd
 	}
 	k.AddExecuted(live)
@@ -370,7 +453,7 @@ func (n *Network) MergeWindow() (lastDead bool) {
 	var tailSeq uint64
 	var has bool
 	for _, sc := range n.shards {
-		at, seq, dead, ok := sc.Stage.Tail()
+		at, seq, dead, ok := sc.stage.Tail()
 		if !ok {
 			continue
 		}
@@ -379,7 +462,7 @@ func (n *Network) MergeWindow() (lastDead bool) {
 		}
 	}
 	for _, sc := range n.shards {
-		sc.Stage.ResetOps()
+		sc.stage.ResetOps()
 		for i := range sc.fx {
 			sc.fx[i] = effect{}
 		}
@@ -388,56 +471,7 @@ func (n *Network) MergeWindow() (lastDead bool) {
 			sc.recs[i].ev = nil
 		}
 		sc.recs = sc.recs[:0]
+		sc.sharded = false
 	}
 	return lastDead
-}
-
-// replayFx applies one event's staged side effects in program order.
-// Runs at the merge, single-threaded, with the clock argument carrying
-// the event's execution time, so observer callbacks see exactly the
-// serial timestamps.
-func (n *Network) replayFx(fx []effect, now sim.Time) {
-	for i := range fx {
-		f := &fx[i]
-		switch f.kind {
-		case fxID:
-			n.nextPkt++
-			f.p.ID = n.nextPkt
-		case fxInject:
-			n.InjectedPackets++
-			n.InjectedFlits += uint64(f.a)
-		case fxBirth:
-			f.birth(int(f.a), int(f.b), int(f.c), now)
-		case fxHop:
-			if n.OnHop != nil {
-				n.OnHop(f.p, int(f.a), int(f.b), int8(f.c))
-			}
-		case fxDeliver:
-			n.DeliveredPackets++
-			n.DeliveredFlits += uint64(f.p.Len)
-			if n.OnDeliver != nil {
-				n.OnDeliver(f.p, now)
-			}
-			n.shardFreePacket(f.p)
-		case fxDrop:
-			n.DroppedPackets++
-			n.DroppedFlits += uint64(f.p.Len)
-			if n.OnDrop != nil {
-				n.OnDrop(f.p, now)
-			}
-			n.shardFreePacket(f.p)
-		case fxCount:
-			*f.aux++
-		}
-	}
-}
-
-// shardFreePacket returns a dead packet to the pool of the shard that
-// allocated it — the source router's — closing the per-shard circulation:
-// each shard's allocation rate equals its long-run free-return rate, so
-// no pool grows without bound.
-func (n *Network) shardFreePacket(p *route.Packet) {
-	sc := n.shards[n.shardOfRouter(p.SrcRouter)]
-	p.Next = sc.pool
-	sc.pool = p
 }

@@ -456,10 +456,12 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 	np, nv := topo.NumPorts(), n.Cfg.NumVCs
 
 	// Packet arena: live packets are rebuilt by value into a reusable
-	// network-owned slab. The free pool is abandoned wholesale — its
-	// intrusive links may thread through structs the copy below clobbers —
-	// and refills lazily on the next NewPacket.
-	n.pool = nil
+	// network-owned slab. Every context's free pool is abandoned wholesale
+	// — its intrusive links may thread through structs the copy below
+	// clobbers — and refills lazily on the next NewPacket.
+	for _, sc := range n.shards {
+		sc.pool = nil
+	}
 	if cap(n.restorePkts) < len(s.Packets) {
 		n.restorePkts = make([]route.Packet, len(s.Packets))
 	}

@@ -25,26 +25,8 @@ type Terminal struct {
 
 	retryAt sim.Time
 
-	// sc is the shard context of the terminal's router, set once by
-	// ConfigureShards (see Router.sc).
+	// sc is the execution context of the terminal's router (see Router.sc).
 	sc *ShardState
-}
-
-// schedAt schedules a typed event, diverting to the shard stage during a
-// parallel phase (see Router.schedAt).
-func (t *Terminal) schedAt(at sim.Time, act sim.Actor, op uint8, a, b, c int32, p any) *sim.Event {
-	if t.net.sharded {
-		return t.sc.Stage.AtAct(at, act, op, a, b, c, p)
-	}
-	return t.net.K.AtAct(at, act, op, a, b, c, p)
-}
-
-// now returns the model clock (see Router.now).
-func (t *Terminal) now() sim.Time {
-	if t.net.sharded {
-		return t.sc.Stage.Now()
-	}
-	return t.net.K.Now()
 }
 
 // initTerminal wires a slab-allocated Terminal in place; credits is the
@@ -66,7 +48,7 @@ func (t *Terminal) Act(op uint8, a, b, _ int32, _ any) {
 	case opTermRetry:
 		// The event fires exactly at its scheduled time, so now() is the
 		// `at` this retry was deduplicated under.
-		if t.retryAt == t.now() {
+		if t.retryAt == t.sc.now() {
 			t.retryAt = 0
 		}
 		t.tryInject()
@@ -81,7 +63,7 @@ func (t *Terminal) QueueLen() int { return t.qlen }
 // Send enqueues a packet created by Network.NewPacket for injection. The
 // packet's Birth is stamped with the current time.
 func (t *Terminal) Send(p *route.Packet) {
-	p.Birth = t.now()
+	p.Birth = t.sc.now()
 	p.Next = nil
 	if t.qtail == nil {
 		t.qhead = p
@@ -97,7 +79,7 @@ func (t *Terminal) Send(p *route.Packet) {
 // credits and channel bandwidth allow.
 func (t *Terminal) tryInject() {
 	for t.qhead != nil {
-		now := t.now()
+		now := t.sc.now()
 		if t.busyUntil > now {
 			t.scheduleRetry(t.busyUntil)
 			return
@@ -116,14 +98,9 @@ func (t *Terminal) tryInject() {
 		t.credits[vc] -= int32(p.Len)
 		t.busyUntil = now + sim.Time(p.Len)
 		p.Inject = now
-		if t.net.sharded {
-			t.sc.stageFx(effect{kind: fxInject, a: int32(p.Len)})
-		} else {
-			t.net.InjectedPackets++
-			t.net.InjectedFlits += uint64(p.Len)
-		}
+		t.sc.emit(effect{kind: fxInject, a: int32(p.Len)})
 		rt := t.net.Routers[t.router]
-		t.schedAt(now+t.lat, rt, opArrive, int32(t.rport), int32(vc), 0, p)
+		t.sc.at(now+t.lat, rt, opArrive, int32(t.rport), int32(vc), 0, p)
 	}
 }
 
@@ -149,7 +126,7 @@ func (t *Terminal) scheduleRetry(at sim.Time) {
 		return
 	}
 	t.retryAt = at
-	t.schedAt(at, t, opTermRetry, 0, 0, 0, nil)
+	t.sc.at(at, t, opTermRetry, 0, 0, 0, nil)
 }
 
 // creditArrive restores injection credits.

@@ -324,6 +324,7 @@ func TestMalformedRequests(t *testing.T) {
 	}{
 		{"invalid json", `{"kind"`, "parsing request body"},
 		{"unknown field", `{"confg": {}}`, "unknown field"},
+		{"removed ShardWindow option", `{"opts": {"ShardWindow": 50}}`, "unknown field"},
 		{"trailing data", `{} {}`, "trailing data"},
 		{"unknown kind", `{"kind": "experiment"}`, "unknown kind"},
 		{"unknown algorithm", `{"algorithms": ["QUANTUM"]}`, "unknown algorithm"},

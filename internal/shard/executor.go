@@ -56,17 +56,16 @@ import (
 )
 
 // Model is the sharded simulation model (implemented by
-// network.Network). The executor calls EnterSharded/ExitSharded around
-// parallel execution, PartitionWindow/RunShard for the parallel phase,
-// and MergeWindow for the deterministic replay.
+// network.Network). The executor calls PartitionWindow/RunShard for the
+// parallel phase and MergeWindow for the deterministic replay; the model
+// stages its work from PartitionWindow until MergeWindow returns, and
+// executes serially outside that interval.
 type Model interface {
 	NumShards() int
-	EnterSharded()
-	ExitSharded()
 	// PartitionWindow distributes a drained window to the shards' batches
 	// and opens their stages for the window ending at winEnd (exclusive),
-	// returning false (with batches cleared) if the window holds an event
-	// that cannot be sharded; RunCtx then fails.
+	// returning false (with batches cleared and the model serial) if the
+	// window holds an event that cannot be sharded; RunCtx then fails.
 	PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool
 	// BatchLen reports shard s's share of the current window.
 	BatchLen(s int) int
@@ -278,9 +277,6 @@ func (x *Executor) RunCtx(ctx context.Context, until sim.Time) (sim.Time, error)
 		return x.k.Now(), errors.New("shard: RunCtx on a closed executor")
 	}
 	k := x.k
-	x.m.EnterSharded()
-	defer x.m.ExitSharded()
-
 	for {
 		select {
 		case <-ctx.Done():
@@ -313,11 +309,10 @@ func (x *Executor) RunCtx(ctx context.Context, until sim.Time) (sim.Time, error)
 			// recheck, so when the window's seq-tail is dead and the next
 			// event lies beyond the boundary, serial executes one more live
 			// event (however far ahead) before stopping. Reproduce it with
-			// one serial Step, then stop at the boundary as serial does.
+			// one serial Step (the merge has left the model serial), then
+			// stop at the boundary as serial does.
 			if t2, ok2 := k.PeekTime(); ok2 && t2 > until {
-				x.m.ExitSharded()
 				k.Step()
-				x.m.EnterSharded()
 			}
 		}
 	}

@@ -167,20 +167,22 @@ func (m *toy) Rebind(staged, placed *sim.Event) {
 }
 
 func (m *toy) NumShards() int { return len(m.stages) }
-func (m *toy) EnterSharded()  { m.sharded = true }
-func (m *toy) ExitSharded()   { m.sharded = false }
 
+// PartitionWindow stages the toy until MergeWindow returns, as the
+// network model does.
 func (m *toy) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
 	m.winEnd = winEnd
 	for s := range m.stages {
 		m.stages[s].StartWindow(winEnd)
 	}
+	m.sharded = true
 	for _, e := range batch {
 		s, ok := e.Shard()
 		if !ok {
 			for i := range m.batches {
 				m.batches[i] = m.batches[i][:0]
 			}
+			m.sharded = false
 			return false
 		}
 		m.batches[s] = append(m.batches[s], e)
@@ -247,6 +249,7 @@ func (m *toy) MergeWindow() bool {
 		m.opsPos[s] = 0
 		m.holders[s] = m.holders[s][:0]
 	}
+	m.sharded = false
 	return dead
 }
 

@@ -10,7 +10,7 @@
 //     (time, seq) order — exactly the set and order a serial Run would
 //     execute before the clock reaches the boundary.
 //   - Each shard executes its slice of the window through a Stage, which
-//     records schedule calls (AtAct/AfterAct) in program order WITHOUT
+//     records schedule calls (AtAct) in program order WITHOUT
 //     assigning kernel sequence numbers, into structs from a private
 //     pool, so the parallel phase never touches the kernel's calendar. A
 //     schedule call landing inside the window stays on the shard — the
@@ -257,11 +257,6 @@ func (st *Stage) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event
 		st.pend.push(e)
 	}
 	return e
-}
-
-// AfterAct stages a typed event d cycles from the stage's cycle time.
-func (st *Stage) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Event {
-	return st.AtAct(st.now+d, act, op, a, b, c, p)
 }
 
 // recycle returns a staging struct to the stage pool, dropping its

@@ -109,11 +109,7 @@ func (g *Generator) Act(_ uint8, a, _, _ int32, _ any) {
 }
 
 func (g *Generator) scheduleNext(t int, gap sim.Time) {
-	if sc := g.Net.TerminalShard(t); sc != nil {
-		sc.Stage.AfterAct(gap, g, 0, int32(t), 0, 0, nil)
-		return
-	}
-	g.Net.K.AfterAct(gap, g, 0, int32(t), 0, 0, nil)
+	g.Net.TerminalShard(t).After(gap, g, 0, int32(t), 0, 0, nil)
 }
 
 // ShardOf implements sim.Sharded: an injection event touches terminal a's
@@ -130,25 +126,17 @@ func (g *Generator) inject(t int) {
 	rs := &g.streams[t]
 	size := g.Sizes.Draw(rs)
 	dst := g.Pattern.Dest(t, rs)
-	sc := g.Net.TerminalShard(t) // non-nil only during a sharded parallel phase
+	sc := g.Net.TerminalShard(t)
 	if dst == t {
 		// A deterministic permutation pattern can map a degenerate source
 		// onto itself; redirect to the next terminal and count it rather
 		// than silently rewriting the traffic matrix.
-		if sc != nil {
-			sc.StageCount(&g.SelfRedirects)
-		} else {
-			g.SelfRedirects++
-		}
+		sc.Count(&g.SelfRedirects)
 		dst = (t + 1) % len(g.Net.Terminals)
 	}
 	p := g.Net.NewPacket(t, dst, size)
 	if g.OnBirth != nil {
-		if sc != nil {
-			sc.StageBirth(g.OnBirth, t, dst, size)
-		} else {
-			g.OnBirth(t, dst, size, g.Net.K.Now())
-		}
+		sc.Birth(g.OnBirth, t, dst, size)
 	}
 	g.Net.Terminals[t].Send(p)
 	// Mean gap of size/Load cycles keeps the long-run flit rate at Load.

@@ -36,7 +36,7 @@ func keyCases() []struct {
 		{"point-load-one", PointKey(base, "URBy", 1.0, opts)},
 		{"point-faulted", PointKey(faulted, "UR", 0.5, opts)},
 		{"point-sharded-same-as-serial", PointKey(base, "UR", 0.5, RunOpts{Warmup: 1000, Window: 1000, Shards: 4})},
-		{"point-windowed-same-as-serial", PointKey(base, "UR", 0.5, RunOpts{Warmup: 1000, Window: 1000, Shards: 4, ShardWindow: 50})},
+		{"point-windowed-same-as-serial", PointKey(base, "UR", 0.5, RunOpts{Warmup: 1000, Window: 1000, Shards: 4})},
 		{"thpt-default", ThptKey(Config{}, "DCR", RunOpts{})},
 		{"thpt-small", ThptKey(base, "BC", opts)},
 		{"curve-pristine-fork", CurveKey(base, "UR", loads, opts, ForkOpts{})},
@@ -127,30 +127,5 @@ func TestExportedKeysMatchInternal(t *testing.T) {
 	sharded.Shards = 8
 	if PointKey(cfg, "UR", 0.1, opts) != PointKey(cfg, "UR", 0.1, sharded) {
 		t.Error("PointKey depends on Shards; serial and sharded runs must share cache cells")
-	}
-}
-
-// TestShardWindowExcludedFromCheckpointKey: like Shards, the barrier
-// window width never affects results (TestShardedWindowWidths proves the
-// bit-identical fingerprint), so every key function must ignore it — a
-// cache written at one width serves runs at every other, including
-// serial-written caches served to windowed runs.
-func TestShardWindowExcludedFromCheckpointKey(t *testing.T) {
-	cfg := Config{Widths: []int{4, 4}, Terms: 2, Algorithm: "DimWAR", Seed: 1}
-	opts := RunOpts{Warmup: 1000, Window: 1000}
-	loads := []float64{0.1, 0.2}
-	for _, w := range []int{1, 5, 50, 1000} {
-		windowed := opts
-		windowed.Shards = 4
-		windowed.ShardWindow = w
-		if PointKey(cfg, "UR", 0.1, opts) != PointKey(cfg, "UR", 0.1, windowed) {
-			t.Errorf("PointKey depends on ShardWindow=%d; all widths must share cache cells", w)
-		}
-		if ThptKey(cfg, "UR", opts) != ThptKey(cfg, "UR", windowed) {
-			t.Errorf("ThptKey depends on ShardWindow=%d", w)
-		}
-		if CurveKey(cfg, "UR", loads, opts, ForkOpts{}) != CurveKey(cfg, "UR", loads, windowed, ForkOpts{}) {
-			t.Errorf("CurveKey depends on ShardWindow=%d", w)
-		}
 	}
 }

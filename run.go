@@ -36,19 +36,6 @@ type RunOpts struct {
 	// count are clamped.
 	//hxlint:key excluded — results are bit-identical across shard counts, so serial and sharded runs share checkpoints (TestShardsExcludedFromCheckpointKey)
 	Shards int
-
-	// ShardWindow sets the sharded executor's barrier window width in
-	// cycles: shards drain and execute all cycles in [t, t+W) between
-	// merges instead of one timestamp at a time. 0 derives the
-	// conservative default from the configured latencies
-	// (min(XbarLat, RouterChanLat, TermChanLat), 5 with defaults);
-	// widths beyond the minimum cross-shard latency (RouterChanLat) are
-	// clamped to it, and 1 reproduces the per-cycle barrier exactly.
-	// Ignored when Shards <= 1. Like Shards, the window never affects
-	// results — only barrier frequency — so it too stays out of the
-	// checkpoint key.
-	//hxlint:key excluded — results are bit-identical across window widths, so runs at every width share checkpoints (TestShardWindowExcludedFromCheckpointKey)
-	ShardWindow int
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -159,14 +146,14 @@ func runPointOn(ctx context.Context, inst *Instance, gen *traffic.Generator, loa
 			Dropped:   inst.Net.DroppedPackets,
 		}
 	}
-	if _, err := inst.runCtx(ctx, end, opts.Shards, opts.ShardWindow); err != nil {
+	if _, err := inst.runCtx(ctx, end, opts.Shards, 0); err != nil {
 		return LoadPoint{}, kstats(), err
 	}
 	// Drain: injection continues (realistic back-pressure on the measured
 	// tail) until every measured packet is delivered or the cap is hit.
 	deadline := end + sim.Time(opts.DrainCap)
 	for !col.Done() && inst.K.Now() < deadline {
-		if _, err := inst.runCtx(ctx, inst.K.Now()+2000, opts.Shards, opts.ShardWindow); err != nil {
+		if _, err := inst.runCtx(ctx, inst.K.Now()+2000, opts.Shards, 0); err != nil {
 			return LoadPoint{}, kstats(), err
 		}
 	}
@@ -275,7 +262,7 @@ func runThroughputCtx(ctx context.Context, cfg Config, patternName string, opts 
 			Dropped:   inst.Net.DroppedPackets,
 		}
 	}
-	if _, err := inst.runCtx(ctx, end, opts.Shards, opts.ShardWindow); err != nil {
+	if _, err := inst.runCtx(ctx, end, opts.Shards, 0); err != nil {
 		return 0, kstats(), err
 	}
 	gen.Stop()

@@ -12,6 +12,7 @@ package hyperx
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"reflect"
@@ -198,52 +199,67 @@ func TestShardedMatchesSerialFaulted(t *testing.T) {
 
 // TestShardedSnapshotRestoreResume: snapshot/restore composes with
 // sharded execution — a warm snapshot resumed through the sharded
-// executor is bit-identical to the same snapshot resumed serially.
+// executor, at each shard count of a sequence, is bit-identical to the
+// same snapshot resumed serially. Repeated restores across shard counts
+// pin that Restore resets every execution context's packet pool: a pool
+// left threading through the restore arena hands out packets the next
+// restore overwrites.
 func TestShardedSnapshotRestoreResume(t *testing.T) {
-	cfg := Config{Widths: []int{2, 2, 2}, Terms: 2, Algorithm: "DimWAR", Seed: 5}
-	inst := MustBuild(cfg)
-	defer inst.Close()
-	pat, err := NewPattern("UR", inst.Topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: traffic.UniformSize{Min: 1, Max: 16}, Load: 0.6}
-	gen.Start(inst.Cfg.Seed)
-	inst.K.Run(1200)
-	snap, err := inst.Snapshot(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		load   float64
+		shards []int
+	}{
+		{0.6, []int{2, 4}},
+		{0.8, []int{2, 2, 4, 4}},
+	} {
+		t.Run(fmt.Sprintf("load=%.1f/shards=%v", tc.load, tc.shards), func(t *testing.T) {
+			cfg := Config{Widths: []int{2, 2, 2}, Terms: 2, Algorithm: "DimWAR", Seed: 5}
+			inst := MustBuild(cfg)
+			defer inst.Close()
+			pat, err := NewPattern("UR", inst.Topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: traffic.UniformSize{Min: 1, Max: 16}, Load: tc.load}
+			gen.Start(inst.Cfg.Seed)
+			inst.K.Run(1200)
+			snap, err := inst.Snapshot(gen)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	resume := func(shards int) simFingerprint {
-		if err := inst.Restore(snap, gen); err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		var buf [16]byte
-		inst.K.TraceExec = func(at sim.Time, seq uint64) {
-			binary.LittleEndian.PutUint64(buf[0:8], uint64(at))
-			binary.LittleEndian.PutUint64(buf[8:16], seq)
-			h.Write(buf[:])
-		}
-		if _, err := inst.runCtx(context.Background(), 3600, shards, 0); err != nil {
-			t.Fatal(err)
-		}
-		inst.K.TraceExec = nil
-		foldCounters(h, inst)
-		return simFingerprint{Hash: h.Sum64(), Events: inst.K.Executed(), Now: inst.K.Now()}
-	}
+			resume := func(shards int) simFingerprint {
+				if err := inst.Restore(snap, gen); err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				var buf [16]byte
+				inst.K.TraceExec = func(at sim.Time, seq uint64) {
+					binary.LittleEndian.PutUint64(buf[0:8], uint64(at))
+					binary.LittleEndian.PutUint64(buf[8:16], seq)
+					h.Write(buf[:])
+				}
+				if _, err := inst.runCtx(context.Background(), 3600, shards, 0); err != nil {
+					t.Fatal(err)
+				}
+				inst.K.TraceExec = nil
+				foldCounters(h, inst)
+				return simFingerprint{Hash: h.Sum64(), Events: inst.K.Executed(), Now: inst.K.Now()}
+			}
 
-	want := resume(1)
-	for _, nsh := range []int{2, 4} {
-		if got := resume(nsh); got != want {
-			t.Errorf("restore-then-resume at shards=%d diverged from serial resume: got %+v, want %+v", nsh, got, want)
-		}
-	}
-	// And back to serial after sharded runs: the executor must leave no
-	// residual mode or pool state that perturbs a later serial resume.
-	if got := resume(1); got != want {
-		t.Errorf("serial resume after sharded runs diverged: got %+v, want %+v", got, want)
+			want := resume(1)
+			for _, nsh := range tc.shards {
+				if got := resume(nsh); got != want {
+					t.Errorf("restore-then-resume at shards=%d diverged from serial resume: got %+v, want %+v", nsh, got, want)
+				}
+			}
+			// And back to serial after sharded runs: the executor must leave
+			// no residual mode or pool state that perturbs a later serial
+			// resume.
+			if got := resume(1); got != want {
+				t.Errorf("serial resume after sharded runs diverged: got %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 
