@@ -7,7 +7,7 @@ GO ?= go
 # masked by the tee pipeline.
 SHELL := /bin/bash
 
-.PHONY: ci vet lint build test race quick smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck benchhistory fuzzshort cover
+.PHONY: ci vet lint build test race quick smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck benchhistory fuzzshort cover loc
 
 ci: vet lint build test race smoke faultsmoke ckptsmoke shardsmoke servesmoke benchcheck fuzzshort cover
 
@@ -17,11 +17,12 @@ vet:
 # Determinism-contract static analysis (see internal/lint): nodeterm,
 # seedflow, maporder, noconc, and allocfree over the simulation packages
 # and the CSV/manifest emission path, plus the interprocedural contract
-# passes — stagesafe (unstaged mutations reachable from Act/Execute
-# event entries) and statecover (Snapshot/Restore field coverage and
-# configKey/optsKey completeness) — and allowaudit, which fails the
-# build on stale or malformed //hxlint: directives. A gofmt cleanliness
-# gate rides along. Exits nonzero on any finding.
+# passes — stagesafe (unstaged mutations reachable from Act/Execute/
+# Record event entries) and statecover (Snapshot/Restore field coverage
+# and configKey/optsKey completeness) — and allowaudit, which fails the
+# build on stale or malformed //hxlint: directives. Which passes apply to
+# which package is one table, `scopes` in internal/lint/load.go. A gofmt
+# cleanliness gate rides along. Exits nonzero on any finding.
 lint:
 	$(GO) run ./cmd/hxlint ./...
 	@unformatted=$$(gofmt -l .); \
@@ -141,6 +142,12 @@ benchcheck:
 # a gate — a PR that claims a gain adds its line (and its parent's).
 benchhistory:
 	bash scripts/benchhistory.sh
+
+# Code-line count (scripts/loc.sh): non-test, non-blank, non-comment Go
+# lines per package and in total, bench/ and testdata/ excluded — the
+# figure CHANGES.md entries report as a change's line delta. Not a gate.
+loc:
+	@sh scripts/loc.sh
 
 # Short native-fuzz pass over the HyperX coordinate algebra. The seed
 # corpus is committed under internal/topology/testdata/fuzz; ten seconds

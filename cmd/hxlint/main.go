@@ -14,7 +14,7 @@
 // Usage:
 //
 //	hxlint ./...            # lint the whole module (the CI form)
-//	hxlint ./internal/sim   # restrict the report to one subtree
+//	hxlint ./internal/sim   # restrict the report to one subtree (or file)
 //	hxlint -json ./...      # one JSON object per finding, suppressed included
 //
 // With -json, every finding — including those waived by allow directives —
@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"hyperx/internal/lint"
@@ -47,7 +48,7 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit one JSON finding object per line (includes suppressed findings)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: hxlint [-json] [./... | dir ...]")
+		fmt.Fprintln(os.Stderr, "usage: hxlint [-json] [./... | path ...]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -106,14 +107,17 @@ func moduleRoot() (string, error) {
 	}
 }
 
-// restrict filters findings to the subtrees named on the command line.
-// "./..." (or no arguments) keeps everything — the whole-module form the
-// Makefile uses.
+// restrict filters findings to the files and subtrees named on the
+// command line. "./..." (or no arguments) keeps everything — the
+// whole-module form the Makefile uses. A path that does not exist is an
+// error, so a mistyped invocation fails instead of passing clean.
 func restrict(findings []lint.Finding, root string, args []string) ([]lint.Finding, error) {
-	var prefixes []string
+	all := len(args) == 0
+	var files, dirs []string
 	for _, a := range args {
 		if a == "./..." || a == "..." {
-			return findings, nil
+			all = true
+			continue
 		}
 		abs, err := filepath.Abs(strings.TrimSuffix(a, "/..."))
 		if err != nil {
@@ -123,18 +127,27 @@ func restrict(findings []lint.Finding, root string, args []string) ([]lint.Findi
 		if err != nil || strings.HasPrefix(rel, "..") {
 			return nil, fmt.Errorf("%s is outside the module at %s", a, root)
 		}
-		prefixes = append(prefixes, filepath.ToSlash(rel)+"/")
+		st, err := os.Stat(abs)
+		if err != nil {
+			return nil, err
+		}
+		rel = filepath.ToSlash(rel)
+		switch {
+		case !st.IsDir():
+			files = append(files, rel)
+		case rel == ".":
+			all = true
+		default:
+			dirs = append(dirs, rel+"/")
+		}
 	}
-	if len(prefixes) == 0 {
+	if all {
 		return findings, nil
 	}
 	var out []lint.Finding
 	for _, f := range findings {
-		for _, p := range prefixes {
-			if p == "./" || strings.HasPrefix(f.File, p) {
-				out = append(out, f)
-				break
-			}
+		if slices.Contains(files, f.File) || slices.ContainsFunc(dirs, func(d string) bool { return strings.HasPrefix(f.File, d) }) {
+			out = append(out, f)
 		}
 	}
 	return out, nil

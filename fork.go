@@ -138,12 +138,7 @@ func runCurveWarmFork(ctx context.Context, cfg Config, patternName string, loads
 	// Baseline at the fork point: restore rewinds the clock and counters,
 	// so each point's stats include the shared warm phase. The aggregate
 	// charges the warm phase once plus every point's own delta.
-	fork := simStats{
-		Cycles:    int64(inst.K.Now()),
-		Events:    inst.K.Executed(),
-		Delivered: inst.Net.DeliveredPackets,
-		Dropped:   inst.Net.DroppedPackets,
-	}
+	fork := inst.counters()
 
 	var pts []LoadPoint
 	agg := fork

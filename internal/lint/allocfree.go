@@ -34,12 +34,9 @@ import (
 // Test files are exempt: tests and benchmarks allocate freely.
 func passAllocfree(p *pkgUnit) []Finding {
 	var out []Finding
-	report := func(pos token.Pos, msg string) {
-		file, line, col := p.position(pos)
-		out = append(out, Finding{File: file, Line: line, Col: col, Pass: "allocfree", Msg: msg})
-	}
+	report := func(pos token.Pos, msg string) { out = append(out, p.finding(pos, "allocfree", msg)) }
 	for _, f := range p.files {
-		if strings.HasSuffix(p.relFile(f.Pos()), "_test.go") {
+		if fileIsTest(p, f) {
 			continue
 		}
 		for _, decl := range f.Decls {

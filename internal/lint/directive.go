@@ -6,143 +6,77 @@ import (
 	"strings"
 )
 
-// validPasses are the pass names an allow directive may reference.
-// allowaudit is deliberately absent: it audits the directives themselves,
-// so suppressing it would be circular.
-var validPasses = map[string]bool{
-	"nodeterm":   true,
-	"seedflow":   true,
-	"maporder":   true,
-	"noconc":     true,
-	"allocfree":  true,
-	"stagesafe":  true,
-	"statecover": true,
-}
-
-// validPassList renders the sorted pass list for the unknown-pass
-// diagnostic.
+// validPassList renders the sorted names of the passes an allow directive
+// may reference. allowaudit is deliberately absent: it audits the
+// directives themselves, so suppressing it would be circular.
 func validPassList() string {
-	names := make([]string, 0, len(validPasses))
-	for n := range validPasses {
-		names = append(names, n)
+	names := make([]string, len(passes))
+	for i, ps := range passes {
+		names[i] = ps.name
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
 }
 
-// directiveRec is one valid directive occurrence. used feeds the
-// allowaudit pass: a directive that never suppresses a finding (allow) or
-// never excuses an uncovered field (state/key) has gone stale.
-type directiveRec struct {
-	pass string // allow: target pass; state/key: the directive kind
-	file string
-	line int
+func validPass(name string) bool {
+	for _, ps := range passes {
+		if ps.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// dirKey locates one valid directive. kind is the target pass for an
+// allow directive, "state" or "key" for the statecover exclusions.
+type dirKey struct {
+	kind, file string
+	line       int
+}
+
+// directive is one valid directive occurrence. used feeds the allowaudit
+// pass: a directive that never suppresses a finding (allow) or never
+// excuses an uncovered field (state/key) has gone stale.
+type directive struct {
 	col  int
 	used bool
 }
 
-// directiveIndex collects every valid hxlint directive in the module:
-// allow suppressions (pass -> file -> line) plus the statecover exclusion
-// grammars //hxlint:state ephemeral and //hxlint:key excluded
-// (file -> line each). An allow directive covers findings on its own line
-// (trailing form) and on the line directly below it (standalone form);
-// state and key directives cover the field declaration the same way.
-type directiveIndex struct {
-	allows map[string]map[string]map[int]*directiveRec
-	state  map[string]map[int]*directiveRec
-	key    map[string]map[int]*directiveRec
-}
+// directiveIndex holds every valid hxlint directive in the module. A
+// directive covers its own line (trailing form) and the line directly
+// below it (standalone form).
+type directiveIndex map[dirKey]*directive
 
-func newDirectiveIndex() *directiveIndex {
-	return &directiveIndex{
-		allows: map[string]map[string]map[int]*directiveRec{},
-		state:  map[string]map[int]*directiveRec{},
-		key:    map[string]map[int]*directiveRec{},
-	}
-}
-
-func (d *directiveIndex) addAllow(pass, file string, line, col int) {
-	if d.allows[pass] == nil {
-		d.allows[pass] = map[string]map[int]*directiveRec{}
-	}
-	if d.allows[pass][file] == nil {
-		d.allows[pass][file] = map[int]*directiveRec{}
-	}
-	d.allows[pass][file][line] = &directiveRec{pass: pass, file: file, line: line, col: col}
-}
-
-// useAllow reports whether an allow directive for pass covers a finding
-// at (file, line) — the directive's own line or the line directly above
-// the finding — marking every matching directive as exercised.
-func (d *directiveIndex) useAllow(pass, file string, line int) bool {
-	lines := d.allows[pass][file]
+// use reports whether a directive of kind covers (file, line) — on that
+// line or the one above — marking every matching directive as exercised.
+func (d directiveIndex) use(kind, file string, line int) bool {
 	hit := false
 	for _, l := range [2]int{line, line - 1} {
-		if r := lines[l]; r != nil {
+		if r := d[dirKey{kind, file, l}]; r != nil {
 			r.used = true
 			hit = true
 		}
 	}
 	return hit
 }
-
-func addLineRec(m map[string]map[int]*directiveRec, kind, file string, line, col int) {
-	if m[file] == nil {
-		m[file] = map[int]*directiveRec{}
-	}
-	m[file][line] = &directiveRec{pass: kind, file: file, line: line, col: col}
-}
-
-func useLineRec(m map[string]map[int]*directiveRec, file string, line int) bool {
-	lines := m[file]
-	hit := false
-	for _, l := range [2]int{line, line - 1} {
-		if r := lines[l]; r != nil {
-			r.used = true
-			hit = true
-		}
-	}
-	return hit
-}
-
-// useState reports (and records) whether a //hxlint:state ephemeral
-// directive excuses the field declared at (file, line).
-func (d *directiveIndex) useState(file string, line int) bool { return useLineRec(d.state, file, line) }
-
-// useKey reports (and records) whether a //hxlint:key excluded directive
-// excuses the field declared at (file, line).
-func (d *directiveIndex) useKey(file string, line int) bool { return useLineRec(d.key, file, line) }
 
 // auditStale turns every directive that suppressed or excluded nothing
 // into an allowaudit finding: a stale directive is worse than none, since
 // it reads as a live waiver while the code it excused has moved on.
-func (d *directiveIndex) auditStale() []Finding {
+func (d directiveIndex) auditStale() []Finding {
 	var out []Finding
-	emit := func(r *directiveRec, msg string) {
-		out = append(out, Finding{File: r.file, Line: r.line, Col: r.col, Pass: "allowaudit", Msg: msg})
-	}
-	for _, files := range d.allows {
-		for _, lines := range files {
-			for _, r := range lines {
-				if !r.used {
-					emit(r, "allow directive for "+r.pass+" suppresses no finding on this or the next line; delete it (or move it to the offending line)")
-				}
-			}
+	for k, r := range d {
+		if r.used {
+			continue
 		}
-	}
-	for _, lines := range d.state {
-		for _, r := range lines {
-			if !r.used {
-				emit(r, "state directive excludes no uncovered snapshot field; the field below is covered (or gone) — delete the directive")
-			}
+		msg := "allow directive for " + k.kind + " suppresses no finding on this or the next line; delete it (or move it to the offending line)"
+		switch k.kind {
+		case "state":
+			msg = "state directive excludes no uncovered snapshot field; the field below is covered (or gone) — delete the directive"
+		case "key":
+			msg = "key directive excludes no un-keyed field; the field below is keyed (or gone) — delete the directive"
 		}
-	}
-	for _, lines := range d.key {
-		for _, r := range lines {
-			if !r.used {
-				emit(r, "key directive excludes no un-keyed field; the field below is keyed (or gone) — delete the directive")
-			}
-		}
+		out = append(out, Finding{File: k.file, Line: k.line, Col: r.col, Pass: "allowaudit", Msg: msg})
 	}
 	return out
 }
@@ -168,11 +102,8 @@ func cutDirective(text string) (rest, kind string, ok bool) {
 // unknown directive kind, unknown pass name, wrong verb, or a missing
 // reason — become findings themselves, so a suppression can never
 // silently decay into a blanket waiver.
-func collectDirectives(p *pkgUnit, d *directiveIndex) []Finding {
+func collectDirectives(p *pkgUnit, d directiveIndex) []Finding {
 	var findings []Finding
-	bad := func(file string, line, col int, msg string) {
-		findings = append(findings, Finding{File: file, Line: line, Col: col, Pass: "directive", Msg: msg})
-	}
 	for _, f := range p.files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -180,42 +111,45 @@ func collectDirectives(p *pkgUnit, d *directiveIndex) []Finding {
 				if !ok {
 					continue
 				}
-				file, line, col := p.position(c.Pos())
+				at := p.finding(c.Pos(), "directive", "")
+				bad := func(msg string) {
+					at.Msg = msg
+					findings = append(findings, at)
+				}
 				verb, reason := splitDirective(rest)
 				switch kind {
 				case "allow":
 					switch {
-					case !validPasses[verb]:
-						bad(file, line, col, "allow directive names unknown pass "+quoteOr(verb, "(none)")+
-							"; valid passes: "+validPassList())
+					case !validPass(verb):
+						bad("allow directive names unknown pass " + quoteOr(verb, "(none)") +
+							"; valid passes: " + validPassList())
 					case reason == "":
-						bad(file, line, col, "allow directive for "+verb+" is missing its reason; write //hxlint:allow "+
-							verb+" — <why this is safe>")
+						bad("allow directive for " + verb + " is missing its reason; write //hxlint:allow " +
+							verb + " — <why this is safe>")
 					default:
-						d.addAllow(verb, file, line, col)
+						kind = verb // an allow is indexed under the pass it waives
 					}
 				case "state":
 					switch {
 					case verb != "ephemeral":
-						bad(file, line, col, "state directive has verb "+quoteOr(verb, "(none)")+
+						bad("state directive has verb " + quoteOr(verb, "(none)") +
 							"; write //hxlint:state ephemeral — <why the field needs no snapshot coverage>")
 					case reason == "":
-						bad(file, line, col, "state directive is missing its reason; write //hxlint:state ephemeral — <why the field needs no snapshot coverage>")
-					default:
-						addLineRec(d.state, "state", file, line, col)
+						bad("state directive is missing its reason; write //hxlint:state ephemeral — <why the field needs no snapshot coverage>")
 					}
 				case "key":
 					switch {
 					case verb != "excluded":
-						bad(file, line, col, "key directive has verb "+quoteOr(verb, "(none)")+
+						bad("key directive has verb " + quoteOr(verb, "(none)") +
 							"; write //hxlint:key excluded — <why the field may be absent from the checkpoint key>")
 					case reason == "":
-						bad(file, line, col, "key directive is missing its reason; write //hxlint:key excluded — <why the field may be absent from the checkpoint key>")
-					default:
-						addLineRec(d.key, "key", file, line, col)
+						bad("key directive is missing its reason; write //hxlint:key excluded — <why the field may be absent from the checkpoint key>")
 					}
 				default:
-					bad(file, line, col, "unknown hxlint directive; expected hxlint:allow, hxlint:state, or hxlint:key")
+					bad("unknown hxlint directive; expected hxlint:allow, hxlint:state, or hxlint:key")
+				}
+				if at.Msg == "" {
+					d[dirKey{kind, at.File, at.Line}] = &directive{col: at.Col}
 				}
 			}
 		}

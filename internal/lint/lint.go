@@ -76,26 +76,31 @@
 //
 // # Scope
 //
-// The determinism scope (nodeterm, seedflow, noconc, stagesafe) is the
-// simulation package set: internal/sim, internal/network, internal/core,
-// internal/routing, internal/route, internal/traffic, internal/topology,
-// internal/stats, plus internal/app (single-threaded workload code driven
-// by the same kernel), internal/shard, and internal/serve. internal/shard
-// and internal/serve are the two reasoned exceptions to noconc (see
-// noconcExempt): the sharded executor exists to run one instance on
-// several cores, and the sweep service's job queue and executor pool
-// dispatch whole simulations concurrently from the harness side —
-// goroutines and sync primitives are their point. Their determinism is
-// enforced by the golden-trace shards-vs-serial equivalence tests and
-// the httptest/stampede suite under -race instead, and nodeterm,
-// seedflow, and maporder still apply to both. The maporder pass additionally
+// Which passes apply to which package is one table, scopes in load.go:
+// a module-relative package path maps to a set of pass bits, and a
+// package absent from it is not linted. The determinism scope (nodeterm,
+// seedflow, noconc, maporder, stagesafe) is the simulation package set:
+// internal/sim, internal/network, internal/core, internal/routing,
+// internal/route, internal/traffic, internal/topology, internal/stats,
+// plus internal/app (single-threaded workload code driven by the same
+// kernel), internal/shard, and internal/serve. Both internal/shard and
+// internal/serve skip noconc: the sharded executor exists to run one
+// instance on several cores, and the sweep service's job queue and
+// executor pool dispatch whole simulations concurrently from the harness
+// side — goroutines and sync primitives are their point. Their
+// determinism is enforced by the golden-trace shards-vs-serial
+// equivalence tests and the httptest/stampede suite under -race instead,
+// and every other determinism pass still applies to both. allocfree
+// covers the per-event data path (internal/sim, internal/network,
+// internal/core, internal/routing, internal/route). maporder additionally
 // covers the output path: the module root package, internal/harness
 // (manifest emission), and every cmd/ binary. statecover runs over every
-// loaded package (the checkpoint-key contract lives in the root package).
-// seedflow, stagesafe, and statecover skip _test.go files — tests may
-// build ad-hoc fixture seeds and mutate state directly — while nodeterm,
-// maporder, and noconc apply to tests too: map-ordered subtest scheduling
-// and output is exactly the kind of flake this suite exists to prevent.
+// package in the table (the checkpoint-key contract lives in the root
+// package). seedflow, allocfree, stagesafe, and statecover skip _test.go
+// files — tests may build ad-hoc fixture seeds, allocate, and mutate
+// state directly — while nodeterm, maporder, and noconc apply to tests
+// too: map-ordered subtest scheduling and output is exactly the kind of
+// flake this suite exists to prevent.
 //
 // # Limitations
 //
@@ -161,7 +166,7 @@ func RunAll(root string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	dirs := newDirectiveIndex()
+	dirs := directiveIndex{}
 	var out []Finding
 	for _, p := range pkgs {
 		out = append(out, collectDirectives(p, dirs)...)
@@ -171,7 +176,7 @@ func RunAll(root string) ([]Finding, error) {
 	out = append(out, passStatecover(pkgs, dirs)...)
 	for i := range out {
 		f := &out[i]
-		if f.Pass != "directive" && dirs.useAllow(f.Pass, f.File, f.Line) {
+		if f.Pass != "directive" && dirs.use(f.Pass, f.File, f.Line) {
 			f.Suppressed = true
 		}
 	}
@@ -191,22 +196,31 @@ func RunAll(root string) ([]Finding, error) {
 	return out, nil
 }
 
-// lintUnit runs every per-package pass that applies to the unit's scope.
-// Suppression and the module-wide passes are Run's job.
+// passes is every pass an allow directive may name, in the order lintUnit
+// runs them. The module-wide passes (stagesafe, statecover) have no unit
+// func: RunAll calls them once over every unit their bit admits.
+var passes = []struct {
+	bit  passSet
+	name string
+	unit func(*pkgUnit) []Finding
+}{
+	{nodeterm, "nodeterm", passNodeterm},
+	{seedflow, "seedflow", passSeedflow},
+	{noconc, "noconc", passNoconc},
+	{maporder, "maporder", passMaporder},
+	{allocfree, "allocfree", passAllocfree},
+	{stagesafe, "stagesafe", nil},
+	{statecover, "statecover", nil},
+}
+
+// lintUnit runs every per-package pass in the unit's scope. Suppression
+// and the module-wide passes are RunAll's job.
 func lintUnit(p *pkgUnit) []Finding {
 	var raw []Finding
-	if p.scope.determinism {
-		raw = append(raw, passNodeterm(p)...)
-		raw = append(raw, passSeedflow(p)...)
-		if !noconcExempt[p.rel] {
-			raw = append(raw, passNoconc(p)...)
+	for _, ps := range passes {
+		if ps.unit != nil && p.passes&ps.bit != 0 {
+			raw = append(raw, ps.unit(p)...)
 		}
-	}
-	if p.scope.determinism || p.scope.emitter {
-		raw = append(raw, passMaporder(p)...)
-	}
-	if p.scope.allocpath {
-		raw = append(raw, passAllocfree(p)...)
 	}
 	return raw
 }

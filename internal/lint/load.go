@@ -13,77 +13,62 @@ import (
 	"strings"
 )
 
-// scopeSet says which pass families apply to a package.
-type scopeSet struct {
-	determinism bool // nodeterm, seedflow, noconc (+ maporder)
-	emitter     bool // maporder only: CSV/manifest emission path
-	allocpath   bool // allocfree: steady-state zero-allocation data path
-}
+// passSet is a set of pass bits, one per pass in the passes table.
+type passSet uint8
 
-// allocPackages is the allocfree scope: the packages on the per-event data
-// path — kernel, router pipeline, candidate generation — whose steady
-// state must not allocate (see the AllocsPerRun suites they carry).
-var allocPackages = map[string]bool{
-	"internal/sim":     true,
-	"internal/network": true,
-	"internal/core":    true,
-	"internal/routing": true,
-	"internal/route":   true,
-}
+const (
+	nodeterm passSet = 1 << iota
+	seedflow
+	noconc
+	maporder
+	allocfree
+	stagesafe
+	statecover
+)
 
-// simPackages is the determinism scope, as module-relative import paths.
-// These packages run inside a simulation instance: single-threaded,
-// seed-driven, and forbidden from touching wall-clock or global RNG state.
-var simPackages = map[string]bool{
-	"internal/sim":      true,
-	"internal/network":  true,
-	"internal/core":     true,
-	"internal/routing":  true,
-	"internal/route":    true,
-	"internal/traffic":  true,
-	"internal/topology": true,
-	"internal/stats":    true,
-	"internal/app":      true,
-	"internal/shard":    true,
-	"internal/serve":    true,
-}
+// simPasses is the determinism scope: packages that run inside a
+// simulation instance — single-threaded, seed-driven, and forbidden from
+// touching wall-clock or global RNG state. emitPasses is the CSV/manifest
+// emission path, where only iteration order matters.
+const (
+	simPasses  = nodeterm | seedflow | noconc | maporder | stagesafe | statecover
+	emitPasses = maporder | statecover
+)
 
-// noconcExempt carves packages out of the noconc pass while keeping the
-// rest of the determinism scope (nodeterm, seedflow, maporder) in force.
-// internal/shard is the barrier-synchronized sharded executor, whose
-// entire purpose is in-instance concurrency. Its determinism rests on a
-// replay contract — staged effects merge in global (router, seq) order
-// at every cycle boundary — proven by the golden-trace equivalence
-// suite (shards N byte-identical to shards 1) and the -race CI target,
-// not by the absence of goroutines. internal/serve is the sweep
-// service's job queue and executor pool: its goroutines and channels
-// live on the harness side of the in-instance/no-concurrency line
-// (they dispatch whole simulations, never run inside one), and its
-// correctness is pinned by the httptest + stampede suite under -race.
+// scopes is the one scope table: module-relative package path ("" is the
+// root package, "cmd" stands for every cmd/ binary) to the passes that
+// apply to it. Packages absent from it are not linted.
+//
+// allocfree covers the per-event data path — kernel, router pipeline,
+// candidate generation — whose steady state must not allocate (see the
+// AllocsPerRun suites those packages carry).
+//
+// internal/shard and internal/serve skip noconc and keep the rest of the
+// determinism scope. internal/shard is the barrier-synchronized sharded
+// executor, whose whole purpose is in-instance concurrency; its
+// determinism rests on a replay contract — staged effects merge in global
+// (router, seq) order at every window boundary — proven by the
+// golden-trace equivalence suite and the -race CI target, not by the
+// absence of goroutines. internal/serve is the sweep service's job queue
+// and executor pool: its goroutines dispatch whole simulations, never run
+// inside one, and the httptest + stampede suite under -race pins it.
 // Wall-clock and global-RNG bans still apply to both in full — serve
-// routes timestamps through an injectable clock for exactly this
-// reason.
-var noconcExempt = map[string]bool{
-	"internal/shard": true,
-	"internal/serve": true,
-}
-
-// scopeFor classifies a module-relative package path ("" is the root
-// package). The emitter scope is everything that writes CSV or manifest
-// output: the facade (root package), the harness (manifest), and the
-// cmd binaries.
-func scopeFor(rel string) scopeSet {
-	var s scopeSet
-	if simPackages[rel] {
-		s.determinism = true
-	}
-	if allocPackages[rel] {
-		s.allocpath = true
-	}
-	if rel == "" || rel == "internal/harness" || rel == "cmd" || strings.HasPrefix(rel, "cmd/") {
-		s.emitter = true
-	}
-	return s
+// routes timestamps through an injectable clock for exactly this reason.
+var scopes = map[string]passSet{
+	"internal/sim":      simPasses | allocfree,
+	"internal/network":  simPasses | allocfree,
+	"internal/core":     simPasses | allocfree,
+	"internal/routing":  simPasses | allocfree,
+	"internal/route":    simPasses | allocfree,
+	"internal/traffic":  simPasses,
+	"internal/topology": simPasses,
+	"internal/stats":    simPasses,
+	"internal/app":      simPasses,
+	"internal/shard":    simPasses &^ noconc,
+	"internal/serve":    simPasses &^ noconc,
+	"":                  emitPasses,
+	"internal/harness":  emitPasses,
+	"cmd":               emitPasses,
 }
 
 // pkgUnit is one type-checked compilation unit: either a package together
@@ -92,7 +77,7 @@ type pkgUnit struct {
 	importPath string
 	rel        string // module-relative dir, "" for root
 	module     string // module path, for mapping import paths back to rels
-	scope      scopeSet
+	passes     passSet
 	fset       *token.FileSet
 	files      []*ast.File
 	names      map[string]string // absolute filename -> root-relative path
@@ -109,10 +94,18 @@ func (p *pkgUnit) relFile(pos token.Pos) string {
 	return name
 }
 
-// position returns (root-relative file, line, col) for pos.
-func (p *pkgUnit) position(pos token.Pos) (string, int, int) {
+// finding builds pass's diagnostic at pos.
+func (p *pkgUnit) finding(pos token.Pos, pass, msg string) Finding {
 	ps := p.fset.Position(pos)
-	return p.relFile(pos), ps.Line, ps.Column
+	return Finding{File: p.relFile(pos), Line: ps.Line, Col: ps.Column, Pass: pass, Msg: msg}
+}
+
+// scopeOf looks a module-relative package path up in scopes.
+func scopeOf(rel string) passSet {
+	if strings.HasPrefix(rel, "cmd/") {
+		rel = "cmd"
+	}
+	return scopes[rel]
 }
 
 // load walks the module at root and type-checks every in-scope package,
@@ -152,11 +145,7 @@ func load(root string) ([]*pkgUnit, error) {
 	}
 	sort.Strings(dirs)
 
-	type dirEntry struct {
-		dir, rel string
-		scope    scopeSet
-	}
-	var entries []dirEntry
+	dirOf := map[string]string{}
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
@@ -166,18 +155,9 @@ func load(root string) ([]*pkgUnit, error) {
 		if rel == "." {
 			rel = ""
 		}
-		scope := scopeFor(rel)
-		if !scope.determinism && !scope.emitter {
-			continue
+		if scopeOf(rel) != 0 {
+			dirOf[rel] = dir
 		}
-		entries = append(entries, dirEntry{dir: dir, rel: rel, scope: scope})
-	}
-
-	dirOf := map[string]string{}
-	byRel := map[string]dirEntry{}
-	for _, e := range entries {
-		dirOf[e.rel] = e.dir
-		byRel[e.rel] = e
 	}
 	order, err := dependencyOrder(module, dirOf)
 	if err != nil {
@@ -186,8 +166,7 @@ func load(root string) ([]*pkgUnit, error) {
 
 	var out []*pkgUnit
 	for _, rel := range order {
-		e := byRel[rel]
-		units, err := loadDir(root, e.dir, e.rel, module, e.scope, fset, im)
+		units, err := loadDir(root, dirOf[rel], rel, module, fset, im)
 		if err != nil {
 			return nil, err
 		}
@@ -229,16 +208,8 @@ func dependencyOrder(module string, dirOf map[string]string) ([]string, error) {
 				continue // the full parse in loadDir reports this properly
 			}
 			for _, imp := range f.Imports {
-				path := strings.Trim(imp.Path.Value, `"`)
-				var depRel string
-				if path == module {
-					depRel = ""
-				} else if rest, ok := strings.CutPrefix(path, module+"/"); ok {
-					depRel = rest
-				} else {
-					continue
-				}
-				if _, inScope := deps[depRel]; inScope && depRel != rel {
+				depRel, ok := moduleRel(strings.Trim(imp.Path.Value, `"`), module)
+				if _, inScope := deps[depRel]; ok && inScope && depRel != rel {
 					deps[rel][depRel] = true
 				}
 			}
@@ -284,14 +255,15 @@ func dependencyOrder(module string, dirOf map[string]string) ([]string, error) {
 // loadDir parses every .go file of dir and type-checks it as up to two
 // units: the package proper (with in-package tests) and, when present,
 // the external _test package.
-func loadDir(root, dir, rel, module string, scope scopeSet, fset *token.FileSet, im *moduleImporter) ([]*pkgUnit, error) {
+func loadDir(root, dir, rel, module string, fset *token.FileSet, im *moduleImporter) ([]*pkgUnit, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	// ReadDir sorts by name, so each package's files arrive in
+	// root-relative path order.
 	byPkg := map[string][]*ast.File{}
 	names := map[string]string{}
-	relOf := map[*ast.File]string{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -307,7 +279,6 @@ func loadDir(root, dir, rel, module string, scope scopeSet, fset *token.FileSet,
 			return nil, err
 		}
 		names[path] = filepath.ToSlash(relName)
-		relOf[f] = filepath.ToSlash(relName)
 	}
 
 	importPath := module
@@ -323,7 +294,6 @@ func loadDir(root, dir, rel, module string, scope scopeSet, fset *token.FileSet,
 	var out []*pkgUnit
 	for _, name := range pkgNames {
 		files := byPkg[name]
-		sort.Slice(files, func(i, j int) bool { return relOf[files[i]] < relOf[files[j]] })
 		ipath := importPath
 		if strings.HasSuffix(name, "_test") {
 			ipath += "_test"
@@ -332,7 +302,7 @@ func loadDir(root, dir, rel, module string, scope scopeSet, fset *token.FileSet,
 			importPath: importPath,
 			rel:        rel,
 			module:     module,
-			scope:      scope,
+			passes:     scopeOf(rel),
 			fset:       fset,
 			files:      files,
 			names:      names,
@@ -378,6 +348,18 @@ func moduleName(root string) (string, error) {
 	return "", fmt.Errorf("lint: no module line in %s/go.mod", root)
 }
 
+// moduleRel maps an import path to its module-relative form; ok=false for
+// packages outside the linted module.
+func moduleRel(path, module string) (string, bool) {
+	if path == module {
+		return "", true
+	}
+	if rest, ok := strings.CutPrefix(path, module+"/"); ok {
+		return rest, true
+	}
+	return "", false
+}
+
 // moduleImporter resolves imports for the type checker: module-internal
 // packages are type-checked from source inside the linted tree (test
 // files excluded, as for a real build), everything else — in practice the
@@ -416,7 +398,8 @@ func (im *moduleImporter) Import(path string) (*types.Package, error) {
 	if p, ok := im.pkgs[path]; ok {
 		return p, nil
 	}
-	if path != im.module && !strings.HasPrefix(path, im.module+"/") {
+	rel, inModule := moduleRel(path, im.module)
+	if !inModule {
 		p, err := im.std.Import(path)
 		if err != nil {
 			return nil, err
@@ -430,10 +413,7 @@ func (im *moduleImporter) Import(path string) (*types.Package, error) {
 	im.loading[path] = true
 	defer delete(im.loading, path)
 
-	dir := im.root
-	if rel := strings.TrimPrefix(path, im.module); rel != "" {
-		dir = filepath.Join(im.root, filepath.FromSlash(strings.TrimPrefix(rel, "/")))
-	}
+	dir := filepath.Join(im.root, filepath.FromSlash(rel))
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: cannot import %s: %w", path, err)

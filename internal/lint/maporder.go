@@ -35,12 +35,8 @@ func passMaporder(p *pkgUnit) []Finding {
 			if isKeyGathering(rs) {
 				return true
 			}
-			file, line, col := p.position(rs.Pos())
-			out = append(out, Finding{
-				File: file, Line: line, Col: col, Pass: "maporder",
-				Msg: "range over map " + types.ExprString(rs.X) + " has nondeterministic iteration order; " +
-					"iterate sorted keys, or annotate //hxlint:allow maporder — <reason>",
-			})
+			out = append(out, p.finding(rs.Pos(), "maporder", "range over map "+types.ExprString(rs.X)+
+				" has nondeterministic iteration order; iterate sorted keys, or annotate //hxlint:allow maporder — <reason>"))
 			return true
 		})
 	}

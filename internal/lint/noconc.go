@@ -16,12 +16,8 @@ import (
 func passNoconc(p *pkgUnit) []Finding {
 	var out []Finding
 	report := func(pos token.Pos, what string) {
-		file, line, col := p.position(pos)
-		out = append(out, Finding{
-			File: file, Line: line, Col: col, Pass: "noconc",
-			Msg: what + " in a single-threaded simulation package; " +
-				"concurrency belongs to internal/harness, which parallelizes whole instances",
-		})
+		out = append(out, p.finding(pos, "noconc", what+" in a single-threaded simulation package; "+
+			"concurrency belongs to internal/harness, which parallelizes whole instances"))
 	}
 	for _, f := range p.files {
 		// Channel operations in a select's comm clauses are part of the

@@ -43,19 +43,11 @@ func passNodeterm(p *pkgUnit) []Finding {
 			pkgPath, name := selectorTarget(p, call.Fun)
 			switch {
 			case pkgPath == "time" && wallClockFuncs[name]:
-				file, line, col := p.position(call.Pos())
-				out = append(out, Finding{
-					File: file, Line: line, Col: col, Pass: "nodeterm",
-					Msg: "wall-clock call time." + name + " in a simulation package; " +
-						"simulated time comes from the event kernel, wall-clock belongs to internal/harness and cmd/",
-				})
+				out = append(out, p.finding(call.Pos(), "nodeterm", "wall-clock call time."+name+" in a simulation package; "+
+					"simulated time comes from the event kernel, wall-clock belongs to internal/harness and cmd/"))
 			case isMathRand(pkgPath) && globalRandFuncs[name]:
-				file, line, col := p.position(call.Pos())
-				out = append(out, Finding{
-					File: file, Line: line, Col: col, Pass: "nodeterm",
-					Msg: "global math/rand call rand." + name + " in a simulation package; " +
-						"draw from a component rng.Source derived via internal/rng instead",
-				})
+				out = append(out, p.finding(call.Pos(), "nodeterm", "global math/rand call rand."+name+" in a simulation package; "+
+					"draw from a component rng.Source derived via internal/rng instead"))
 			}
 			return true
 		})

@@ -26,20 +26,12 @@ func passSeedflow(p *pkgUnit) []Finding {
 			pkgPath, name := selectorTarget(p, call.Fun)
 			switch {
 			case isMathRand(pkgPath) && (name == "New" || name == "NewSource" || name == "NewPCG" || name == "NewChaCha8"):
-				file, line, col := p.position(call.Pos())
-				out = append(out, Finding{
-					File: file, Line: line, Col: col, Pass: "seedflow",
-					Msg: "rand." + name + " constructs an RNG outside internal/rng; " +
-						"use rng.New with a seed from rng.DeriveSeed so streams stay per-component and reproducible",
-				})
+				out = append(out, p.finding(call.Pos(), "seedflow", "rand."+name+" constructs an RNG outside internal/rng; "+
+					"use rng.New with a seed from rng.DeriveSeed so streams stay per-component and reproducible"))
 			case pkgPath == p.rngPath && name == "New" && len(call.Args) == 1:
 				if arith := findSeedArith(p, call.Args[0]); arith != nil {
-					file, line, col := p.position(arith.Pos())
-					out = append(out, Finding{
-						File: file, Line: line, Col: col, Pass: "seedflow",
-						Msg: "ad-hoc seed arithmetic in the rng.New argument; " +
-							"fold labels into the seed with rng.DeriveSeed(base, labels...) instead",
-					})
+					out = append(out, p.finding(arith.Pos(), "seedflow", "ad-hoc seed arithmetic in the rng.New argument; "+
+						"fold labels into the seed with rng.DeriveSeed(base, labels...) instead"))
 				}
 			}
 			return true

@@ -29,13 +29,16 @@ import (
 //     package boundaries. An edge taken only inside a serial-guarded
 //     region does not propagate reachability — the parallel phase cannot
 //     take it.
-//   - Guard: the fall-through after `if x.sharded { …; return … }`. No
-//     other shape is recognized; an else branch is not a guard.
+//   - Guard: the fall-through after `if x.sharded { …; return … }`. It
+//     makes a serial-only source range that runs from the end of the if
+//     to the end of the statement list holding it (a block, a case
+//     clause, a func literal body). No other shape is recognized; an else
+//     branch is not a guard.
 //   - Mutations, flagged when reachable outside any guard: scalar field
 //     writes on a multi-shard actor (a type whose ShardOf consults the
 //     event, so its state is visible to every shard — detected by ShardOf
 //     declaring any named parameter), kernel schedules through
-//     (*sim.Kernel).At/After/AtAct/AfterAct (Cancel is sanctioned: staged
+//     (*sim.Kernel).AtAct/AfterAct (Cancel is sanctioned: staged
 //     handles honor same-shard cancels), and invocations of func-typed
 //     observer fields on a multi-shard actor.
 //
@@ -49,16 +52,14 @@ func passStagesafe(pkgs []*pkgUnit) []Finding {
 		multiShard: map[string]bool{},
 	}
 	for _, p := range pkgs {
-		if !p.scope.determinism {
-			continue
+		if p.passes&stagesafe != 0 {
+			a.indexActors(p)
 		}
-		a.indexActors(p)
 	}
 	for _, p := range pkgs {
-		if !p.scope.determinism {
-			continue
+		if p.passes&stagesafe != 0 {
+			a.indexFuncs(p)
 		}
-		a.indexFuncs(p)
 	}
 	return a.report()
 }
@@ -94,29 +95,21 @@ type ssAnalysis struct {
 // package path, receiver type name ("" for plain functions), and name.
 func funcKey(rel, recv, name string) string { return rel + ":" + recv + "." + name }
 
-// moduleRel maps an import path to its module-relative form; ok=false for
-// packages outside the linted module.
-func moduleRel(path, module string) (string, bool) {
-	if path == module {
-		return "", true
+// recvName names the named type t is, through one pointer, or for a
+// function signature its receiver's; "" for plain functions and unnamed
+// types.
+func recvName(t types.Type) string {
+	if sig, ok := t.(*types.Signature); ok {
+		if sig.Recv() == nil {
+			return ""
+		}
+		t = sig.Recv().Type()
 	}
-	if rest, ok := strings.CutPrefix(path, module+"/"); ok {
-		return rest, true
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
-	return "", false
-}
-
-// recvName extracts the receiver type name from a method declaration.
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
 	}
 	return ""
 }
@@ -141,7 +134,7 @@ func (a *ssAnalysis) indexActors(p *pkgUnit) {
 			for _, param := range fd.Type.Params.List {
 				for _, n := range param.Names {
 					if n.Name != "_" {
-						a.multiShard[p.rel+"."+recvName(fd)] = true
+						a.multiShard[p.rel+"."+recvName(p.info.TypeOf(fd.Name))] = true
 					}
 				}
 			}
@@ -161,11 +154,32 @@ func (a *ssAnalysis) indexFuncs(p *pkgUnit) {
 				continue
 			}
 			fn := &ssFunc{
-				key:  funcKey(p.rel, recvName(fd), fd.Name.Name),
+				key:  funcKey(p.rel, recvName(p.info.TypeOf(fd.Name)), fd.Name.Name),
 				unit: p,
 				root: fd.Recv != nil && (fd.Name.Name == "Act" || fd.Name.Name == "Execute" || fd.Name.Name == "Record"),
 			}
-			a.block(p, fn, fd.Body.List, false)
+			serial := serialRanges(fd.Body)
+			guarded := func(n ast.Node) bool {
+				for _, r := range serial {
+					if r[0] <= n.Pos() && n.Pos() < r[1] {
+						return true
+					}
+				}
+				return false
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						a.writeTarget(p, fn, l, guarded(n))
+					}
+				case *ast.IncDecStmt:
+					a.writeTarget(p, fn, n.X, guarded(n))
+				case *ast.CallExpr:
+					a.call(p, fn, n, guarded(n))
+				}
+				return true
+			})
 			a.funcs[fn.key] = fn
 		}
 	}
@@ -178,148 +192,43 @@ func isShardedSel(e ast.Expr) bool {
 	return ok && sel.Sel.Name == "sharded"
 }
 
-func typeOf(p *pkgUnit, e ast.Expr) types.Type {
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := p.info.Uses[id]; obj != nil {
-			return obj.Type()
+// serialRanges returns the body's serial-only source ranges: each runs
+// from the end of an early-returning `if x.sharded` (possibly labeled)
+// to the end of the statement list holding it, which the parallel phase
+// never reaches.
+func serialRanges(body *ast.BlockStmt) [][2]token.Pos {
+	var out [][2]token.Pos
+	ast.Inspect(body, func(n ast.Node) bool {
+		var list []ast.Stmt
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			list = n.List
+		case *ast.CaseClause:
+			list = n.Body
+		case *ast.CommClause:
+			list = n.Body
 		}
-	}
-	if tv, ok := p.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
+		for _, s := range list {
+			for l, ok := s.(*ast.LabeledStmt); ok; l, ok = s.(*ast.LabeledStmt) {
+				s = l.Stmt
+			}
+			if is, ok := s.(*ast.IfStmt); ok && isShardedSel(is.Cond) && endsInReturn(is.Body) {
+				out = append(out, [2]token.Pos{is.End(), n.End()})
+			}
+		}
+		return true
+	})
+	return out
 }
 
-// blockReturns reports whether the block ends in a return (the guard
+// endsInReturn reports whether the block ends in a return (the guard
 // shape `if x.sharded { …; return … }`).
-func blockReturns(b *ast.BlockStmt) bool {
+func endsInReturn(b *ast.BlockStmt) bool {
 	if len(b.List) == 0 {
 		return false
 	}
 	_, ok := b.List[len(b.List)-1].(*ast.ReturnStmt)
 	return ok
-}
-
-// block walks one statement list. guarded=true means the statements can
-// only execute on the serial path; stmt's return value carries the
-// upgraded guard for statements after an early-returning sharded branch.
-func (a *ssAnalysis) block(p *pkgUnit, fn *ssFunc, stmts []ast.Stmt, guarded bool) {
-	for _, s := range stmts {
-		guarded = a.stmt(p, fn, s, guarded)
-	}
-}
-
-func (a *ssAnalysis) stmt(p *pkgUnit, fn *ssFunc, s ast.Stmt, guarded bool) bool {
-	switch s := s.(type) {
-	case *ast.IfStmt:
-		if s.Init != nil {
-			a.stmt(p, fn, s.Init, guarded)
-		}
-		a.expr(p, fn, s.Cond, guarded)
-		a.block(p, fn, s.Body.List, guarded)
-		if s.Else != nil {
-			a.elseBranch(p, fn, s.Else, guarded)
-		}
-		if isShardedSel(s.Cond) && blockReturns(s.Body) {
-			return true // the staged path returned; the rest is serial
-		}
-	case *ast.BlockStmt:
-		a.block(p, fn, s.List, guarded)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			a.stmt(p, fn, s.Init, guarded)
-		}
-		if s.Cond != nil {
-			a.expr(p, fn, s.Cond, guarded)
-		}
-		if s.Post != nil {
-			a.stmt(p, fn, s.Post, guarded)
-		}
-		a.block(p, fn, s.Body.List, guarded)
-	case *ast.RangeStmt:
-		a.expr(p, fn, s.X, guarded)
-		a.block(p, fn, s.Body.List, guarded)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			a.stmt(p, fn, s.Init, guarded)
-		}
-		if s.Tag != nil {
-			a.expr(p, fn, s.Tag, guarded)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					a.expr(p, fn, e, guarded)
-				}
-				a.block(p, fn, cc.Body, guarded)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			a.stmt(p, fn, s.Init, guarded)
-		}
-		a.stmt(p, fn, s.Assign, guarded)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				a.block(p, fn, cc.Body, guarded)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					a.stmt(p, fn, cc.Comm, guarded)
-				}
-				a.block(p, fn, cc.Body, guarded)
-			}
-		}
-	case *ast.LabeledStmt:
-		return a.stmt(p, fn, s.Stmt, guarded)
-	case *ast.ExprStmt:
-		a.expr(p, fn, s.X, guarded)
-	case *ast.SendStmt:
-		a.expr(p, fn, s.Chan, guarded)
-		a.expr(p, fn, s.Value, guarded)
-	case *ast.GoStmt:
-		a.expr(p, fn, s.Call, guarded)
-	case *ast.DeferStmt:
-		a.expr(p, fn, s.Call, guarded)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			a.expr(p, fn, e, guarded)
-		}
-	case *ast.AssignStmt:
-		for _, l := range s.Lhs {
-			a.writeTarget(p, fn, l, guarded)
-			a.expr(p, fn, l, guarded)
-		}
-		for _, r := range s.Rhs {
-			a.expr(p, fn, r, guarded)
-		}
-	case *ast.IncDecStmt:
-		a.writeTarget(p, fn, s.X, guarded)
-		a.expr(p, fn, s.X, guarded)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						a.expr(p, fn, v, guarded)
-					}
-				}
-			}
-		}
-	}
-	return guarded
-}
-
-func (a *ssAnalysis) elseBranch(p *pkgUnit, fn *ssFunc, s ast.Stmt, guarded bool) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		a.block(p, fn, s.List, guarded)
-	default: // else-if chain
-		a.stmt(p, fn, s, guarded)
-	}
 }
 
 // writeTarget records a mutation when the assignment target is a scalar
@@ -348,10 +257,7 @@ func (a *ssAnalysis) writeTarget(p *pkgUnit, fn *ssFunc, e ast.Expr, guarded boo
 // multiShardOwner resolves an expression's (dereferenced) type and
 // reports it as "pkg.Type" when it is a multi-shard actor.
 func (a *ssAnalysis) multiShardOwner(p *pkgUnit, e ast.Expr) (string, bool) {
-	t := typeOf(p, e)
-	if t == nil {
-		return "", false
-	}
+	t := p.info.TypeOf(e)
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
@@ -383,32 +289,8 @@ var kernelSchedules = map[string]bool{
 	"AtAct": true, "AfterAct": true,
 }
 
-// expr inspects an expression tree for calls (edges and call-shaped
-// mutations). Function literals are walked as statements so nested guard
-// idioms keep their meaning.
-func (a *ssAnalysis) expr(p *pkgUnit, fn *ssFunc, e ast.Expr, guarded bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			a.block(p, fn, n.Body.List, guarded)
-			return false
-		case *ast.CallExpr:
-			a.call(p, fn, n, guarded)
-		}
-		return true
-	})
-}
-
 func (a *ssAnalysis) call(p *pkgUnit, fn *ssFunc, call *ast.CallExpr, guarded bool) {
-	fun := call.Fun
-	for {
-		if paren, ok := fun.(*ast.ParenExpr); ok {
-			fun = paren.X
-			continue
-		}
-		break
-	}
-	switch f := fun.(type) {
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if obj, ok := p.info.Uses[f].(*types.Func); ok && obj.Pkg() != nil {
 			if rel, ok := moduleRel(obj.Pkg().Path(), p.module); ok {
@@ -427,7 +309,7 @@ func (a *ssAnalysis) call(p *pkgUnit, fn *ssFunc, call *ast.CallExpr, guarded bo
 				if !ok {
 					return
 				}
-				recv := methodRecvName(m)
+				recv := recvName(m.Type())
 				if rel == "internal/sim" && recv == "Kernel" && kernelSchedules[m.Name()] {
 					fn.muts = append(fn.muts, ssMut{
 						pos:     call.Pos(),
@@ -460,21 +342,6 @@ func (a *ssAnalysis) call(p *pkgUnit, fn *ssFunc, call *ast.CallExpr, guarded bo
 			}
 		}
 	}
-}
-
-func methodRecvName(m *types.Func) string {
-	sig, ok := m.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
 }
 
 // report runs the reachability sweep from the Act/Execute roots along
@@ -522,12 +389,8 @@ func (a *ssAnalysis) report() []Finding {
 			if m.guarded {
 				continue
 			}
-			file, line, col := fn.unit.position(m.pos)
-			out = append(out, Finding{
-				File: file, Line: line, Col: col, Pass: "stagesafe",
-				Msg: m.what + ", is reachable from " + displayKey(root) +
-					" during the parallel phase; route it through the execution context (ShardState emit/Count/Birth/After) or place it after an early-returning `if x.sharded` branch",
-			})
+			out = append(out, fn.unit.finding(m.pos, "stagesafe", m.what+", is reachable from "+displayKey(root)+
+				" during the parallel phase; route it through the execution context (ShardState emit/Count/Birth/After) or place it after an early-returning `if x.sharded` branch"))
 		}
 	}
 	return out

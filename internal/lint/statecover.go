@@ -29,9 +29,12 @@ import (
 // traces catch only after a divergent run: a restored instance silently
 // resuming with stale state, or two different configs colliding on one
 // cached result. Test files are excluded throughout.
-func passStatecover(pkgs []*pkgUnit, dirs *directiveIndex) []Finding {
+func passStatecover(pkgs []*pkgUnit, dirs directiveIndex) []Finding {
 	var out []Finding
 	for _, p := range pkgs {
+		if p.passes&statecover == 0 {
+			continue
+		}
 		sc := &scUnit{p: p, decls: map[scDeclKey]*ast.FuncDecl{}, structs: map[string]*ast.StructType{}}
 		sc.index()
 		out = append(out, sc.checkSnapshots(dirs)...)
@@ -61,7 +64,7 @@ func (sc *scUnit) index() {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if d.Body != nil {
-					sc.decls[scDeclKey{recv: recvName(d), name: d.Name.Name}] = d
+					sc.decls[scDeclKey{recv: recvName(sc.p.info.TypeOf(d.Name)), name: d.Name.Name}] = d
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -99,7 +102,7 @@ func (sc *scUnit) fieldRefs(start scDeclKey, typeName string) map[string]bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if s := sc.p.info.Selections[n]; s != nil && s.Kind() == types.FieldVal {
-					if namedTypeName(s.Recv()) == typeName {
+					if recvName(s.Recv()) == typeName {
 						refs[n.Sel.Name] = true
 					}
 				}
@@ -124,26 +127,16 @@ func (sc *scUnit) resolveCall(call *ast.CallExpr) (scDeclKey, bool) {
 	case *ast.SelectorExpr:
 		if s := sc.p.info.Selections[f]; s != nil && s.Kind() == types.MethodVal {
 			if m, ok := s.Obj().(*types.Func); ok && m.Pkg() != nil && m.Pkg().Path() == sc.p.importPath {
-				return scDeclKey{recv: methodRecvName(m), name: m.Name()}, true
+				return scDeclKey{recv: recvName(m.Type()), name: m.Name()}, true
 			}
 		}
 	}
 	return scDeclKey{}, false
 }
 
-func namedTypeName(t types.Type) string {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
 // checkSnapshots enforces the Snapshot/Restore field contract for every
 // struct of the unit owning both methods.
-func (sc *scUnit) checkSnapshots(dirs *directiveIndex) []Finding {
+func (sc *scUnit) checkSnapshots(dirs directiveIndex) []Finding {
 	var out []Finding
 	for typeName, st := range sc.structs {
 		snap := scDeclKey{recv: typeName, name: "Snapshot"}
@@ -159,15 +152,11 @@ func (sc *scUnit) checkSnapshots(dirs *directiveIndex) []Finding {
 				if inCap && inRest {
 					continue
 				}
-				file, line, col := sc.p.position(field.Pos())
-				if dirs.useState(file, line) {
-					continue
+				f := sc.p.finding(field.Pos(), "statecover", "field "+typeName+"."+name+" is not referenced on "+missingSides(inCap, inRest)+
+					" of the Snapshot/Restore pair; a restored instance would resume with stale state — cover it on both paths or annotate //hxlint:state ephemeral — <reason>")
+				if !dirs.use("state", f.File, f.Line) {
+					out = append(out, f)
 				}
-				out = append(out, Finding{
-					File: file, Line: line, Col: col, Pass: "statecover",
-					Msg: "field " + typeName + "." + name + " is not referenced on " + missingSides(inCap, inRest) +
-						" of the Snapshot/Restore pair; a restored instance would resume with stale state — cover it on both paths or annotate //hxlint:state ephemeral — <reason>",
-				})
 			}
 		}
 	}
@@ -183,7 +172,7 @@ var keyContracts = map[string]string{
 
 // checkKeys enforces the checkpoint-key field contract for every
 // Config/RunOpts struct whose package declares the partner key function.
-func (sc *scUnit) checkKeys(dirs *directiveIndex) []Finding {
+func (sc *scUnit) checkKeys(dirs directiveIndex) []Finding {
 	var out []Finding
 	for typeName, keyFn := range keyContracts {
 		st := sc.structs[typeName]
@@ -196,15 +185,11 @@ func (sc *scUnit) checkKeys(dirs *directiveIndex) []Finding {
 				if keyed[name] {
 					continue
 				}
-				file, line, col := sc.p.position(field.Pos())
-				if dirs.useKey(file, line) {
-					continue
+				f := sc.p.finding(field.Pos(), "statecover", "field "+typeName+"."+name+" is absent from "+keyFn+
+					"; two runs differing only in it would collide on one cached checkpoint — add it to the key or annotate //hxlint:key excluded — <reason>")
+				if !dirs.use("key", f.File, f.Line) {
+					out = append(out, f)
 				}
-				out = append(out, Finding{
-					File: file, Line: line, Col: col, Pass: "statecover",
-					Msg: "field " + typeName + "." + name + " is absent from " + keyFn +
-						"; two runs differing only in it would collide on one cached checkpoint — add it to the key or annotate //hxlint:key excluded — <reason>",
-				})
 			}
 		}
 	}

@@ -485,33 +485,11 @@ func (k *Kernel) Step() bool {
 }
 
 // Run executes events until the queue is empty or the clock passes until
-// (when until > 0). It returns the time of the last executed event.
+// (when until > 0). It returns the time of the last executed event. It is
+// RunCtx with a context that is never cancelled.
 func (k *Kernel) Run(until Time) Time {
-	for {
-		e := k.peek()
-		if e == nil {
-			break
-		}
-		if until > 0 && e.at > until {
-			k.now = until
-			break
-		}
-		// Pop until a live event executes. Dead events skip straight to the
-		// next one without rechecking the until-boundary — the historical
-		// Step-loop behaviour the golden trace pins.
-		for {
-			k.popPeeked(e)
-			if e.flags&evDead == 0 {
-				k.exec(e)
-				break
-			}
-			k.unpool(e)
-			if e = k.peek(); e == nil {
-				return k.now
-			}
-		}
-	}
-	return k.now
+	now, _ := k.RunCtx(context.Background(), until)
+	return now
 }
 
 // pollEvery is how many events RunCtx executes between context checks:
@@ -521,9 +499,9 @@ const pollEvery = 8192
 
 // RunCtx is Run with cooperative cancellation: every pollEvery executed
 // events it checks ctx and, when cancelled, returns ctx.Err() with the
-// clock at the last executed event. The event sequence of an uncancelled
-// RunCtx is identical to Run's — the poll only adds an exit point, never
-// reorders work — so callers may freely mix the two.
+// clock at the last executed event. The poll only adds an exit point,
+// never reorders work, so an uncancelled RunCtx executes the same event
+// sequence whatever the context.
 func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
 	n := 0
 	for {
@@ -544,8 +522,9 @@ func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
 			k.now = until
 			break
 		}
-		// Mirror Run's pop-until-live loop (see there for why dead events
-		// skip the until recheck).
+		// Pop until a live event executes. Dead events skip straight to the
+		// next one without rechecking the until-boundary — the historical
+		// Step-loop behaviour the golden trace pins.
 		for {
 			k.popPeeked(e)
 			if e.flags&evDead == 0 {

@@ -87,6 +87,49 @@ type simStats struct {
 	Dropped   uint64 // packets lost to fault-induced drops
 }
 
+// counters reads the instance's simStats at the current clock.
+func (inst *Instance) counters() simStats {
+	return simStats{
+		Cycles:    int64(inst.K.Now()),
+		Events:    inst.K.Executed(),
+		Delivered: inst.Net.DeliveredPackets,
+		Dropped:   inst.Net.DroppedPackets,
+	}
+}
+
+// startRun is the cold prologue every measured run shares: build cfg's
+// instance and start a generator offering load under patternName. The
+// caller owns the instance and must Close it.
+func startRun(cfg Config, patternName string, load float64, opts RunOpts) (*Instance, *traffic.Generator, error) {
+	inst, err := Build(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	pat, err := NewPattern(patternName, inst.Topo)
+	if err != nil {
+		inst.Close()
+		return nil, nil, err
+	}
+	gen := &traffic.Generator{
+		Net:     inst.Net,
+		Pattern: pat,
+		Sizes:   traffic.UniformSize{Min: opts.MinFlits, Max: opts.MaxFlits},
+		Load:    load,
+	}
+	gen.Start(inst.Cfg.Seed)
+	return inst, gen, nil
+}
+
+// collect hooks a collector measuring packets born in [warm, end) onto
+// the instance's observers and the generator's birth hook.
+func collect(inst *Instance, gen *traffic.Generator, warm, end sim.Time) *stats.Collector {
+	col := stats.NewCollector(warm, end)
+	inst.Net.OnDeliver = col.OnDeliver
+	inst.Net.OnDrop = col.OnDrop
+	gen.OnBirth = func(_, _, _ int, at sim.Time) { col.CountBirth(at) }
+	return col
+}
+
 // RunLoadPoint measures one offered load for one pattern, following the
 // Section 6.1 methodology: warm up, then measure every packet born in the
 // window while injection continues; injection stops only once all
@@ -103,22 +146,11 @@ func RunLoadPoint(cfg Config, patternName string, load float64, opts RunOpts) (L
 // derives from cfg.Seed alone (see internal/rng).
 func runLoadPointCtx(ctx context.Context, cfg Config, patternName string, load float64, opts RunOpts) (LoadPoint, simStats, error) {
 	opts = opts.withDefaults()
-	inst, err := Build(cfg)
+	inst, gen, err := startRun(cfg, patternName, load, opts)
 	if err != nil {
 		return LoadPoint{}, simStats{}, err
 	}
 	defer inst.Close()
-	pat, err := NewPattern(patternName, inst.Topo)
-	if err != nil {
-		return LoadPoint{}, simStats{}, err
-	}
-	gen := &traffic.Generator{
-		Net:     inst.Net,
-		Pattern: pat,
-		Sizes:   traffic.UniformSize{Min: opts.MinFlits, Max: opts.MaxFlits},
-		Load:    load,
-	}
-	gen.Start(inst.Cfg.Seed)
 	return runPointOn(ctx, inst, gen, load, opts, sim.Time(opts.Warmup))
 }
 
@@ -133,28 +165,16 @@ func runLoadPointCtx(ctx context.Context, cfg Config, patternName string, load f
 func runPointOn(ctx context.Context, inst *Instance, gen *traffic.Generator, load float64, opts RunOpts, settle sim.Time) (LoadPoint, simStats, error) {
 	warm := inst.K.Now() + settle
 	end := warm + sim.Time(opts.Window)
-	col := stats.NewCollector(warm, end)
-	inst.Net.OnDeliver = col.OnDeliver
-	inst.Net.OnDrop = col.OnDrop
-	gen.OnBirth = func(_, _, _ int, at sim.Time) { col.CountBirth(at) }
-
-	kstats := func() simStats {
-		return simStats{
-			Cycles:    int64(inst.K.Now()),
-			Events:    inst.K.Executed(),
-			Delivered: inst.Net.DeliveredPackets,
-			Dropped:   inst.Net.DroppedPackets,
-		}
-	}
+	col := collect(inst, gen, warm, end)
 	if _, err := inst.runCtx(ctx, end, opts.Shards, 0); err != nil {
-		return LoadPoint{}, kstats(), err
+		return LoadPoint{}, inst.counters(), err
 	}
 	// Drain: injection continues (realistic back-pressure on the measured
 	// tail) until every measured packet is delivered or the cap is hit.
 	deadline := end + sim.Time(opts.DrainCap)
 	for !col.Done() && inst.K.Now() < deadline {
 		if _, err := inst.runCtx(ctx, inst.K.Now()+2000, opts.Shards, 0); err != nil {
-			return LoadPoint{}, kstats(), err
+			return LoadPoint{}, inst.counters(), err
 		}
 	}
 	gen.Stop()
@@ -177,7 +197,7 @@ func runPointOn(ctx context.Context, inst *Instance, gen *traffic.Generator, loa
 		Saturated: saturated,
 		Delivered: inst.Net.DeliveredPackets,
 		Dropped:   inst.Net.DroppedPackets,
-	}, kstats(), nil
+	}, inst.counters(), nil
 }
 
 // RunLoadSweep measures ascending offered loads and stops after the first
@@ -231,45 +251,19 @@ func RunThroughput(cfg Config, patternName string, opts RunOpts) (float64, error
 // the historical serial implementation.
 func runThroughputCtx(ctx context.Context, cfg Config, patternName string, opts RunOpts) (float64, simStats, error) {
 	opts = opts.withDefaults()
-	inst, err := Build(cfg)
+	inst, gen, err := startRun(cfg, patternName, 1.0, opts)
 	if err != nil {
 		return 0, simStats{}, err
 	}
 	defer inst.Close()
-	pat, err := NewPattern(patternName, inst.Topo)
-	if err != nil {
-		return 0, simStats{}, err
-	}
-	warm := sim.Time(opts.Warmup)
-	end := warm + sim.Time(opts.Window)
-	col := stats.NewCollector(warm, end)
-	inst.Net.OnDeliver = col.OnDeliver
-	inst.Net.OnDrop = col.OnDrop
-
-	gen := &traffic.Generator{
-		Net:     inst.Net,
-		Pattern: pat,
-		Sizes:   traffic.UniformSize{Min: opts.MinFlits, Max: opts.MaxFlits},
-		Load:    1.0,
-		OnBirth: func(_, _, _ int, at sim.Time) { col.CountBirth(at) },
-	}
-	gen.Start(inst.Cfg.Seed)
-	kstats := func() simStats {
-		return simStats{
-			Cycles:    int64(inst.K.Now()),
-			Events:    inst.K.Executed(),
-			Delivered: inst.Net.DeliveredPackets,
-			Dropped:   inst.Net.DroppedPackets,
-		}
-	}
+	end := sim.Time(opts.Warmup) + sim.Time(opts.Window)
+	col := collect(inst, gen, sim.Time(opts.Warmup), end)
 	if _, err := inst.runCtx(ctx, end, opts.Shards, 0); err != nil {
-		return 0, kstats(), err
+		return 0, inst.counters(), err
 	}
 	gen.Stop()
-	st := kstats()
-
 	res := col.Summarize(inst.Topo.NumTerminals(), opts.LatencyCap)
-	return res.Accepted, st, nil
+	return res.Accepted, inst.counters(), nil
 }
 
 // FormatLoadPoints renders sweep results as an aligned text table.
