@@ -97,25 +97,26 @@ ckptsmoke:
 	@echo ckptsmoke OK
 
 # Sharded-executor smoke: the same sweep serial and with every simulation
-# split across 4 shards must emit byte-identical CSVs — the end-to-end
-# form of the golden-trace shards-vs-serial equivalence claim — and so
-# must the warm-forked sweep (-forkwarm), whose every point restores a
-# shared warm snapshot into a network whose shards already ran.
-# (The -race pass over the executor itself lives in the race target:
-# `go test -race ./internal/...` covers internal/shard including the
-# work-stealing deques, and `-race -short .` runs the root-package
+# split across 2 shards (the benchmark's count), 3 (uneven contiguous
+# blocks over the 64 routers) and 4 must emit byte-identical CSVs — the
+# end-to-end form of the golden-trace shards-vs-serial equivalence claim
+# — and so must the warm-forked sweep (-forkwarm), whose every point
+# restores a shared warm snapshot into a network whose shards already
+# ran. (The -race pass over the executor itself lives in the race
+# target: `go test -race ./internal/...` covers internal/shard including
+# the work-stealing deques, and `-race -short .` runs the root-package
 # sharded determinism tests.)
+SHARDSMOKE = $(GO) run ./cmd/hxsweep -pattern UR -algs DOR,DimWAR -step 0.25 \
+	-warmup 1000 -window 1000 -j 2 -q
 shardsmoke:
-	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,DimWAR -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q > /tmp/hx-shard-serial.csv
-	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,DimWAR -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q -shards 4 > /tmp/hx-shard-4.csv
-	cmp /tmp/hx-shard-serial.csv /tmp/hx-shard-4.csv
-	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,DimWAR -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q -forkwarm 2000 > /tmp/hx-shard-fw-serial.csv
-	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,DimWAR -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q -forkwarm 2000 -shards 4 > /tmp/hx-shard-fw-4.csv
-	cmp /tmp/hx-shard-fw-serial.csv /tmp/hx-shard-fw-4.csv
+	$(SHARDSMOKE) > /tmp/hx-shard-serial.csv
+	$(SHARDSMOKE) -forkwarm 2000 > /tmp/hx-shard-fw-serial.csv
+	for n in 2 3 4; do \
+		$(SHARDSMOKE) -shards $$n > /tmp/hx-shard-$$n.csv && \
+		cmp /tmp/hx-shard-serial.csv /tmp/hx-shard-$$n.csv && \
+		$(SHARDSMOKE) -forkwarm 2000 -shards $$n > /tmp/hx-shard-fw-$$n.csv && \
+		cmp /tmp/hx-shard-fw-serial.csv /tmp/hx-shard-fw-$$n.csv || exit 1; \
+	done
 	@echo shardsmoke OK
 
 # Sweep-service smoke (scripts/servesmoke.sh): boot hxserved on a random
@@ -149,12 +150,15 @@ benchhistory:
 loc:
 	@sh scripts/loc.sh
 
-# Short native-fuzz pass over the HyperX coordinate algebra. The seed
-# corpus is committed under internal/topology/testdata/fuzz; ten seconds
-# of mutation on top of it catches shape-dependent regressions without
+# Short native-fuzz passes: the HyperX coordinate algebra, and the
+# calendar against a sorted-slice reference kernel, serial and windowed
+# on 1-3 calendars (FuzzCalendarOps). The seed corpora are committed
+# under each package's testdata/fuzz; a few seconds of mutation on top of
+# them catches shape- and interleaving-dependent regressions without
 # holding up the gate.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzCoordRoundTrip -fuzztime 10s ./internal/topology/
+	$(GO) test -run '^$$' -fuzz FuzzCalendarOps -fuzztime 5s ./internal/sim/
 	@echo fuzzshort OK
 
 # Coverage floors. The hot-path packages — the kernel, the router model,

@@ -188,6 +188,8 @@ type Network struct {
 	// ConfigureShards. Every router and terminal acts through its own.
 	//hxlint:state ephemeral — execution machinery: staging logs are empty between windows, and Restore resets every context's packet pool (docs/STATE.md)
 	shards []*ShardState
+	//hxlint:state ephemeral — execution machinery: every context's stage, which ConfigureShards builds and placement reads; between windows it holds only events already placed
+	stages []*sim.Stage
 
 	// Snapshot plumbing (see snapshot.go / docs/STATE.md): the network
 	// retains its whole-network slabs so Snapshot/Restore can bulk-copy
@@ -290,7 +292,7 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 		n.Terminals[t] = &termSlab[t]
 		initTerminal(&termSlab[t], n, t, termCredSlab[t*nv:(t+1)*nv:(t+1)*nv])
 	}
-	n.buildContexts(1)
+	n.buildContexts(1, false)
 	return n, nil
 }
 

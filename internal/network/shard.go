@@ -12,10 +12,12 @@
 // and each effect is applied at once. Staged (set by PartitionWindow on
 // every context, cleared when MergeWindow returns): a schedule call goes
 // to the context's Stage, the clock is the Stage's, and each effect is
-// logged; the merge then applies the logs through the same per-kind code
+// logged; the merge then stamps the staged schedule calls with their
+// sequence numbers and applies the logs through the same per-kind code
 // (apply) in global (time, seq) order, so sequence-number assignment,
 // counter updates, and observer call order are bit-identical to a
-// serial run.
+// serial run. The staged events reach the kernel afterwards, each placed
+// by the shard it targets into that shard's own calendar (PlaceShard).
 //
 // Routers are partitioned into contiguous index blocks, one block per
 // shard; a terminal belongs to its router's shard, and every typed event
@@ -23,10 +25,12 @@
 // touches (sim.Sharded). During a window's parallel phase each shard
 // executes its slice of the window's events strictly in serial (time,
 // seq) order — including events its own callbacks schedule back inside
-// the window, which sim.Stage.RunWindow interleaves locally.
+// the window, which sim.Stage.RunWindow interleaves locally. The kernel
+// keeps one calendar per shard (ConfigureShards splits it), so a shard
+// drains its window from its own calendar in RunShard.
 //
-// Why the parallel phase is race-free (each bullet names the state and
-// its owner during the phase):
+// Why the parallel phases are race-free (each bullet names the state and
+// its owner during them):
 //
 //   - Router slab state (input VCs, output ports and their inline
 //     credits, the router's wait-list arena, per-router RNG): touched
@@ -44,17 +48,19 @@
 //     schedule, and every one of those crosses at least RouterChanLat
 //     cycles — the executor caps the window width at the minimum
 //     cross-shard latency, so a packet's cross-router move always lands
-//     outside the window, where the merge re-partitions ownership. The
-//     ownership lemma is mechanized: Stage.AtAct panics on any
-//     cross-shard schedule landing inside its window. Packet pools are
-//     per context: a packet is taken from its source router's context
-//     and freed back to it (by the merge, when staged).
-//   - Kernel: the parallel phase reads time only through the shard's
-//     Stage clock (pinned to the executing event). Kernel.Cancel writes
-//     only the cancelled event's flags byte, and the model cancels only
-//     its own router's reroute timer — same-shard by construction; the
-//     calendar stores one event per cache line, so neighbouring drained
-//     events of different shards never share one.
+//     outside the window, where placement hands it to the target shard's
+//     calendar. The ownership lemma is mechanized: Stage.AtAct panics on
+//     any cross-shard schedule landing inside its window. Packet pools
+//     are per context: a packet is taken from its source router's
+//     context and freed back to it (by the merge, when staged).
+//   - Kernel: the parallel phases read time only through the shard's
+//     Stage clock (pinned to the executing event). A shard drains and
+//     places into only its own calendar, whose chunks and pools are its
+//     own. Kernel.Cancel writes only the cancelled event's flags byte,
+//     and the model cancels only its own router's reroute timer —
+//     same-shard by construction; a staged timer is placed by the shard
+//     of the router it belongs to, which is also the one that repoints
+//     the input VC's handle (Rebind).
 //     Drained and in-window staged events stay cancellable until they
 //     are executed or recycled, and RunWindow reads deadness at
 //     processing time, so a cancel aimed at a later event of the same
@@ -99,23 +105,27 @@ type effect struct {
 // execRec records one live event a shard executed: its trace identity and
 // the END offsets of its staged schedule calls and effects in the shard's
 // logs (the start offsets are the previous record's ends). A drained
-// event's (at, seq) are copied in (ev nil); an in-window staged event is
-// recorded by handle instead — its seq exists only after the merge's
-// replay reaches its staging record, which precedes this one in the same
-// shard's stream, so the seq is always assigned by the time the merge
-// reads it.
+// event's (at, seq) are copied in; an in-window staged event carries its
+// staging rank, tagged stagedRec, instead — its seq exists only once the
+// merge has stamped the record that staged it, which precedes this one in
+// the same shard's stream, so the seq is always assigned by the time the
+// merge reads it.
 type execRec struct {
 	at     sim.Time
 	seq    uint64
-	ev     *sim.Event
 	opsEnd int32
 	fxEnd  int32
 }
 
+// stagedRec tags an execRec seq that is a staging rank (kernel seqs never
+// reach the top bit).
+const stagedRec = 1 << 63
+
 // ShardState is one execution context: the clock, scheduler, packet pool,
 // candidate scratch and effect sink of the routers and terminals it
 // owns. While staged, its fields are written only by the owning shard
-// during the parallel phase and only by the coordinator during the merge.
+// during the parallel phases and only by the coordinator during the
+// merge.
 type ShardState struct {
 	// The mode and the kernel's owner lead, so that reading the clock or
 	// scheduling touches one line of the context.
@@ -125,14 +135,14 @@ type ShardState struct {
 	pool    *route.Packet // context-local packet free list (intrusive via Next)
 	ctx     route.Ctx     // candidate scratch of the context's routers
 
-	fx    []effect
-	recs  []execRec
-	batch []*sim.Event // this shard's slice of the current window
+	fx     []effect
+	recs   []execRec
+	batch  []*sim.Event // this shard's slice of the current window, drained from its calendar
+	winEnd sim.Time     // the open window's exclusive end
 
 	// merge cursors (coordinator-only)
-	cur    int
-	opsPos int32
-	fxPos  int32
+	cur   int
+	fxPos int32
 }
 
 // Record implements sim.Recorder: called by this shard's Stage.RunWindow
@@ -140,18 +150,22 @@ type ShardState struct {
 // staged schedule calls and effects in the shard-private logs. Everything
 // it touches is owned by the executing shard — the globally-visible
 // replay happens at the merge.
-func (sc *ShardState) Record(at sim.Time, seq uint64, ev *sim.Event) {
+func (sc *ShardState) Record(at sim.Time, seq uint64, staged bool) {
+	if staged {
+		seq |= stagedRec
+	}
 	//hxlint:allow allocfree — the exec-record log grows to the shard's per-window high-water live-event count and is reset every merge
-	sc.recs = append(sc.recs, execRec{at: at, seq: seq, ev: ev, opsEnd: int32(sc.stage.StagedLen()), fxEnd: int32(len(sc.fx))})
+	sc.recs = append(sc.recs, execRec{at: at, seq: seq, opsEnd: int32(sc.stage.StagedLen()), fxEnd: int32(len(sc.fx))})
 }
 
-// Rebind implements sim.Rebinder: the merge has copied a staged event
-// into the calendar. The one handle the model keeps is a blocked head
-// decision's re-route timer, held by its input VC (the only event with an
-// *inputVC payload); repoint it unless the decision has since been
-// cancelled and re-armed.
-func (sc *ShardState) Rebind(staged, placed *sim.Event) {
-	if iv, ok := placed.Payload().(*inputVC); ok && iv.timer == staged {
+// Rebind implements sim.Rebinder: an event the model holds a handle to
+// has moved into a calendar slot — a staged re-route timer at placement,
+// or any pending event when ConfigureShards re-splits the calendars. The
+// one handle the model keeps is a blocked head decision's re-route timer,
+// held by its input VC (the only event with an *inputVC payload); repoint
+// it unless the decision has since been cancelled and re-armed.
+func (n *Network) Rebind(old, placed *sim.Event) {
+	if iv, ok := placed.Payload().(*inputVC); ok && iv.timer == old {
 		iv.timer = placed
 	}
 }
@@ -173,6 +187,16 @@ func (sc *ShardState) at(t sim.Time, act sim.Actor, op uint8, a, b, c int32, p a
 		return sc.stage.AtAct(t, act, op, a, b, c, p)
 	}
 	return sc.net.K.AtAct(t, act, op, a, b, c, p)
+}
+
+// keep marks e, the handle of a re-route timer the model holds past the
+// window, so that placement reports where its staged copy lands (Rebind).
+// A serial schedule's handle already is its calendar slot.
+func (sc *ShardState) keep(e *sim.Event) *sim.Event {
+	if sc.sharded {
+		sc.stage.Keep(e)
+	}
+	return e
 }
 
 // After schedules a typed event d cycles after the context's clock.
@@ -273,7 +297,9 @@ func (sc *ShardState) putPacket(p *route.Packet) {
 // blocks and replaces the execution contexts with one per block, each
 // with the stage a window needs (the executor requires a configured
 // network; New's context has no stage, so serial-only builds allocate
-// none). The contexts stay serial until a window partitions onto them,
+// none), and splits the kernel's queue into one calendar per shard
+// (sim.Kernel.SetCalendars), repointing every re-route timer handle that
+// moves. The contexts stay serial until a window partitions onto them,
 // so a configured network still runs serially, bit-identical to an
 // unconfigured one. nsh must be in [1, NumRouters].
 func (n *Network) ConfigureShards(nsh int) error {
@@ -284,19 +310,27 @@ func (n *Network) ConfigureShards(nsh int) error {
 	if n.shards[0].sharded {
 		return fmt.Errorf("network: ConfigureShards inside a sharded window")
 	}
-	n.buildContexts(nsh)
-	for s, sc := range n.shards {
-		sc.stage = sim.NewStage(s)
-	}
+	n.buildContexts(nsh, true)
+	n.K.SetCalendars(nsh, n)
 	return nil
 }
 
-// buildContexts builds nsh execution contexts and points every router and
-// terminal at its own. The old contexts' pools are dropped with them.
-func (n *Network) buildContexts(nsh int) {
+// buildContexts builds nsh execution contexts, each with a stage when
+// staged is set, and points every router and terminal at its own. The
+// old contexts' pools are dropped with them.
+func (n *Network) buildContexts(nsh int, staged bool) {
 	n.shards = make([]*ShardState, nsh)
+	n.stages = nil
+	if staged {
+		n.stages = make([]*sim.Stage, nsh)
+	}
 	for s := range n.shards {
-		n.shards[s] = &ShardState{net: n, ctx: newScratch(n.Cfg)}
+		sc := &ShardState{net: n, ctx: newScratch(n.Cfg)}
+		if staged {
+			sc.stage = sim.NewStage(s, nsh)
+			n.stages[s] = sc.stage
+		}
+		n.shards[s] = sc
 	}
 	for _, r := range n.Routers {
 		r.sc = n.shards[n.shardOfRouter(r.id)]
@@ -343,73 +377,65 @@ func (t *Terminal) ShardOf(_ uint8, _, _, _ int32, _ any) int {
 	return t.net.shardOfRouter(t.router)
 }
 
-// PartitionWindow distributes one drained window's events to their
-// shards' batch lists, preserving (time, seq) order within each shard
-// (the input is globally (time, seq)-sorted), and opens every shard's
-// stage for the window ending (exclusive) at winEnd, switching every
-// context to staged mode until MergeWindow returns. It returns false —
-// with every batch list cleared and every context serial again — when
-// any event cannot be sharded (an actor outside the model that does not
-// implement sim.Sharded); the executor then fails the run.
+// PartitionWindow opens every shard's stage for the window ending
+// (exclusive) at winEnd and switches every context to staged mode until
+// MergeWindow returns. The batch is empty: each shard drains its own
+// calendar in RunShard, so there is nothing to distribute; a non-empty
+// batch is refused with false, leaving every context serial.
 func (n *Network) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
+	if len(batch) > 0 {
+		return false
+	}
 	for _, sc := range n.shards {
 		sc.stage.StartWindow(winEnd)
+		sc.winEnd = winEnd
 		sc.sharded = true
-	}
-	for _, e := range batch {
-		s, ok := e.Shard()
-		if !ok {
-			for _, sc := range n.shards {
-				clearBatch(sc)
-				sc.sharded = false
-			}
-			return false
-		}
-		sc := n.shards[s]
-		//hxlint:allow allocfree — the per-shard batch list grows to the shard's per-window high-water event count and is reset every window
-		sc.batch = append(sc.batch, e)
 	}
 	return true
 }
 
-func clearBatch(sc *ShardState) {
-	for i := range sc.batch {
-		sc.batch[i] = nil
+// BatchLen reports whether shard s has work in the current window: an
+// event before the window end in its calendar, or last window's staged
+// events to recycle (the stage resets in RunShard, and a stage left
+// holding them would be placed again).
+func (n *Network) BatchLen(s int) int {
+	sc := n.shards[s]
+	if sc.stage.StagedLen() > 0 || n.K.Due(s, sc.winEnd) {
+		return 1
 	}
-	sc.batch = sc.batch[:0]
+	return 0
 }
-
-// BatchLen reports how many of the current window's events shard s owns.
-func (n *Network) BatchLen(s int) int { return len(n.shards[s].batch) }
 
 // RunShard executes shard s's slice of the current window, in serial
-// (time, seq) order, entirely against shard-private state: the shard's
-// Stage interleaves the drained batch with in-window staged events,
-// skips dead ones (as the serial kernel does), and reports each live
-// event to Record above.
+// (time, seq) order, entirely against shard-private state: it recycles
+// the stage's previous window, drains the shard's own calendar up to the
+// window end, and runs the batch through the stage, which interleaves
+// in-window staged events, skips dead ones (as the serial kernel does),
+// and reports each live event to Record above.
 func (n *Network) RunShard(s int) {
 	sc := n.shards[s]
-	sc.stage.RunWindow(sc.batch, sc)
-	clearBatch(sc)
+	sc.stage.ResetOps()
+	sc.batch = n.K.DrainWindow(s, sc.winEnd, sc.batch)
+	sc.stage.RunWindow(n.K, sc.batch, sc)
 }
 
-// MergeWindow replays the window's staged work into the kernel and the
-// network in global serial order: a (nsh)-way merge over the shards'
-// execution records (each already (time, seq)-sorted) drives, per
-// executed event, the clock, the trace hook, the injection of its staged
-// schedule calls (this is where sequence numbers are assigned, in
-// exactly the serial order: executing-event order crossed with
-// within-callback program order, and where each staged event that
-// outlives the window is copied into the calendar and its input VC's timer
-// handle repointed, see Rebind), and the replay of its staged side
-// effects. It returns — with every context serial again — whether the
-// window's (time, seq)-maximal processed event, live or dead, was dead,
-// which the executor needs for the serial until-overshoot quirk.
-// Coordinator-only, between parallel phases.
+// MergeWindow replays the window's order-sensitive work in global serial
+// order: a (nsh)-way merge over the shards' execution records (each
+// already (time, seq)-sorted) drives, per executed event, the clock, the
+// trace hook, the stamping of its staged schedule calls with their
+// sequence numbers (exactly the serial order: executing-event order
+// crossed with within-callback program order), and the replay of its
+// staged side effects. It reads the shards' logs and writes only the
+// kernel's counters, the stages' seq lists and what the effects touch;
+// the staged events reach their calendars in PlaceShard. It returns —
+// with every context serial again — whether the window's (time,
+// seq)-maximal processed event, live or dead, was dead, which the
+// executor needs for the serial until-overshoot quirk. Coordinator-only,
+// between parallel phases.
 func (n *Network) MergeWindow() (lastDead bool) {
 	k := n.K
 	for _, sc := range n.shards {
-		sc.cur, sc.opsPos, sc.fxPos = 0, 0, 0
+		sc.cur, sc.fxPos = 0, 0
 	}
 	var live uint64
 	for {
@@ -422,10 +448,10 @@ func (n *Network) MergeWindow() (lastDead bool) {
 			}
 			rec := &sc.recs[sc.cur]
 			at, seq := rec.at, rec.seq
-			if rec.ev != nil {
-				// Staged-exec record: its seq was assigned when the merge
-				// replayed its stager, earlier in this same shard's stream.
-				seq = rec.ev.Seq()
+			if seq&stagedRec != 0 {
+				// Staged-exec record: its stager, earlier in this same
+				// shard's stream, has been stamped already.
+				seq = sc.stage.Seq(int(seq &^ stagedRec))
 			}
 			if pick == nil || at < pickAt || (at == pickAt && seq < pickSeq) {
 				pick, pickAt, pickSeq = sc, at, seq
@@ -441,8 +467,7 @@ func (n *Network) MergeWindow() (lastDead bool) {
 		if k.TraceExec != nil {
 			k.TraceExec(pickAt, pickSeq)
 		}
-		pick.stage.ReplayOps(k, int(pick.opsPos), int(rec.opsEnd), pick)
-		pick.opsPos = rec.opsEnd
+		pick.stage.Stamp(k, int(rec.opsEnd))
 		for i := pick.fxPos; i < rec.fxEnd; i++ {
 			n.apply(&pick.fx[i], pickAt)
 		}
@@ -462,16 +487,28 @@ func (n *Network) MergeWindow() (lastDead bool) {
 		}
 	}
 	for _, sc := range n.shards {
-		sc.stage.ResetOps()
-		for i := range sc.fx {
-			sc.fx[i] = effect{}
-		}
 		sc.fx = sc.fx[:0]
-		for i := range sc.recs {
-			sc.recs[i].ev = nil
-		}
 		sc.recs = sc.recs[:0]
 		sc.sharded = false
 	}
 	return lastDead
+}
+
+// PlaceLen reports how many of the window's staged events target shard
+// s, from every shard's stage.
+func (n *Network) PlaceLen(s int) int {
+	m := 0
+	for _, st := range n.stages {
+		m += st.Outgoing(s)
+	}
+	return m
+}
+
+// PlaceShard copies the window's staged events that target shard s into
+// its calendar, in sequence order, and repoints each kept re-route timer
+// handle (Rebind) — a timer's input VC belongs to the router the timer
+// targets, so this writes only shard s's state. Runs on shard s after
+// MergeWindow; afterwards every pending event sits in a calendar again.
+func (n *Network) PlaceShard(s int) {
+	n.K.Place(s, n.stages, n)
 }

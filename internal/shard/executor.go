@@ -2,18 +2,19 @@
 // the executed event sequence bit-identical to a serial run.
 //
 // The executor advances the kernel one conservative time window at a
-// time: it drains every event scheduled before the window boundary
-// (already globally (time, seq)-sorted), partitions them across the
-// model's shards, executes the shards in parallel workers — each shard
-// interleaving events its own callbacks schedule back inside the window
-// — and then has the model merge the staged schedule calls and side
-// effects back into the kernel in global serial order. Determinism
-// therefore never depends on goroutine scheduling: the parallel phase
-// touches only shard-private state (see internal/network/shard.go for
-// the ownership argument), and everything order-sensitive happens in the
-// single-threaded merge. A drained batch is handles into the calendar's
-// own storage: its events stay where they were queued, valid through the
-// merge, and the kernel reclaims them when the next window drains.
+// time, in three steps. In parallel, each shard drains the events before
+// the window boundary from its own calendar (the kernel holds one per
+// shard, each already (time, seq)-sorted) and executes them — including
+// events its own callbacks schedule back inside the window. Serially,
+// the model merges the shards' execution records in global (time, seq)
+// order, stamping every staged schedule call with its serial sequence
+// number and replaying the order-sensitive side effects. In parallel
+// again, each shard places the staged events that target it into its
+// own calendar, in sequence order. Determinism therefore never depends
+// on goroutine scheduling: the parallel phases touch only shard-private
+// state (see internal/network/shard.go for the ownership argument), and
+// everything order-sensitive happens in the single-threaded merge.
+// Between windows every pending event sits in some calendar.
 //
 // The window width is the lookahead bound: a cross-shard schedule always
 // crosses a router-to-router channel, so it lands at least the model's
@@ -28,22 +29,22 @@
 //
 // Workers are a persistent pool created by New and shared by every
 // RunCtx call (fork-per-point sweeps would otherwise respawn them per
-// point); per-window imbalance is absorbed by per-participant deques
+// point); per-phase imbalance is absorbed by per-participant deques
 // with work stealing. Call Close when the executor is retired to stop
 // the pool.
 //
-// This package is the concurrency carve-out of the simulator: it is the
-// only determinism-scoped package allowed to use goroutines (hxlint's
-// noconc pass exempts exactly this package), and it contains no model
-// logic — just fan-out, barrier, and the serial-equivalence edge cases
-// of Kernel.Run's until-boundary.
+// This package is a concurrency carve-out of the simulator: one of the
+// determinism-scoped packages hxlint's noconc pass exempts (with
+// internal/serve), and it contains no model logic — just fan-out,
+// barrier, and the serial-equivalence edge cases of Kernel.Run's
+// until-boundary.
 //
 // Every event in a sharded run must belong to a shard: an actor that
-// does not implement sim.Sharded is a model bug, and RunCtx fails on it
-// rather than guessing an order. Context cancellation is polled per
-// window rather than every few thousand events; a cancelled run has
-// executed a strict prefix of the serial schedule either way and is
-// discarded by its caller.
+// does not implement sim.Sharded is a model bug, and RunCtx fails as
+// soon as one is pending rather than guessing an order. Context
+// cancellation is polled per window rather than every few thousand
+// events; a cancelled run has executed a strict prefix of the serial
+// schedule either way and is discarded by its caller.
 package shard
 
 import (
@@ -56,25 +57,33 @@ import (
 )
 
 // Model is the sharded simulation model (implemented by
-// network.Network). The executor calls PartitionWindow/RunShard for the
-// parallel phase and MergeWindow for the deterministic replay; the model
+// network.Network). Per window the executor calls PartitionWindow, then
+// RunShard on every shard with work, MergeWindow for the deterministic
+// replay, and PlaceShard on every shard with placements; the model
 // stages its work from PartitionWindow until MergeWindow returns, and
 // executes serially outside that interval.
 type Model interface {
 	NumShards() int
-	// PartitionWindow distributes a drained window to the shards' batches
-	// and opens their stages for the window ending at winEnd (exclusive),
-	// returning false (with batches cleared and the model serial) if the
-	// window holds an event that cannot be sharded; RunCtx then fails.
+	// PartitionWindow opens the shards' stages for the window ending at
+	// winEnd (exclusive). The executor passes an empty batch — every
+	// shard drains its own calendar in RunShard — and fails the run if
+	// the model refuses the window.
 	PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool
-	// BatchLen reports shard s's share of the current window.
+	// BatchLen reports whether shard s has work in the current window
+	// (nonzero) or not (zero).
 	BatchLen(s int) int
-	// RunShard executes shard s's batch against shard-private state.
+	// RunShard drains shard s's calendar up to the window end and
+	// executes its events against shard-private state.
 	RunShard(s int)
 	// MergeWindow replays all shards' staged work in global (time, seq)
 	// order and reports whether the window's serially-last processed
 	// event was dead (the until-overshoot quirk's trigger).
 	MergeWindow() (lastDead bool)
+	// PlaceLen reports how many staged events the merged window places
+	// into shard s's calendar.
+	PlaceLen(s int) int
+	// PlaceShard places them.
+	PlaceShard(s int)
 }
 
 // deque is one participant's task queue: the owner pops LIFO from the
@@ -129,8 +138,12 @@ type Executor struct {
 	k   *sim.Kernel
 	m   Model
 	win sim.Time
-	buf []*sim.Event
 	nsh int
+
+	// The two parallel phases, as tasks: run, place (bound once, so a
+	// window's fan-out allocates nothing), and the one the current
+	// fan-out executes (published to workers by the wake send).
+	run, place, task func(s int)
 
 	// Persistent worker pool: nsh-1 parked workers plus the coordinator.
 	// Participant i owns parts[i]; the coordinator is participant 0,
@@ -149,14 +162,17 @@ type Executor struct {
 // New returns an executor over the kernel and model with the given
 // window width in cycles (widths below 1 are treated as 1; the caller —
 // the facade — derives and caps the width from the model's latencies).
-// The model must have its shards configured already
-// (network.Network.ConfigureShards). The worker pool starts immediately;
-// pair every New with a Close.
+// The model must have its shards configured already, the kernel split
+// into one calendar per shard (network.Network.ConfigureShards). The
+// worker pool starts immediately; pair every New with a Close.
 func New(k *sim.Kernel, m Model, window sim.Time) *Executor {
 	if window < 1 {
 		window = 1
 	}
 	nsh := m.NumShards()
+	if k.Calendars() != nsh {
+		panic(fmt.Sprintf("shard: kernel has %d calendars for %d shards; configure the model's shards first", k.Calendars(), nsh))
+	}
 	x := &Executor{
 		k:     k,
 		m:     m,
@@ -165,6 +181,8 @@ func New(k *sim.Kernel, m Model, window sim.Time) *Executor {
 		parts: make([]deque, nsh),
 		wake:  make([]chan struct{}, nsh-1),
 		quit:  make(chan struct{}),
+		run:   m.RunShard,
+		place: m.PlaceShard,
 	}
 	for w := range x.wake {
 		x.wake[w] = make(chan struct{}, 1)
@@ -212,21 +230,21 @@ func (x *Executor) scan(id int) {
 		if !ok {
 			return
 		}
-		x.m.RunShard(s)
+		x.task(s)
 		x.shardsWG.Done()
 	}
 }
 
-// runShards executes every nonempty shard of the current window: inline
-// when only one shard has work, otherwise dealt round-robin across the
+// fanout runs task on every shard with work (work(s) > 0): inline when
+// only one shard has any, otherwise dealt round-robin across the
 // coordinator and up to nonempty-1 woken workers, with stealing evening
-// out imbalanced deals. Returns with every RunShard complete and every
-// woken worker re-parked (the next window's deal must not race a
-// straggling thief).
-func (x *Executor) runShards() {
+// out imbalanced deals. Returns with every task complete and every woken
+// worker re-parked (the next fan-out's deal must not race a straggling
+// thief).
+func (x *Executor) fanout(work func(s int) int, task func(s int)) {
 	n, only := 0, 0
 	for s := 0; s < x.nsh; s++ {
-		if x.m.BatchLen(s) > 0 {
+		if work(s) > 0 {
 			n++
 			only = s
 		}
@@ -235,9 +253,10 @@ func (x *Executor) runShards() {
 		return
 	}
 	if n == 1 {
-		x.m.RunShard(only)
+		task(only)
 		return
 	}
+	x.task = task
 	nparts := 1 + len(x.wake)
 	if n < nparts {
 		nparts = n
@@ -248,7 +267,7 @@ func (x *Executor) runShards() {
 	}
 	i := 0
 	for s := 0; s < x.nsh; s++ {
-		if x.m.BatchLen(s) == 0 {
+		if work(s) == 0 {
 			continue
 		}
 		x.parts[i%nparts].push(s)
@@ -265,13 +284,13 @@ func (x *Executor) runShards() {
 }
 
 // RunCtx executes events until the queue is empty, the clock passes
-// until (when until > 0), or ctx is cancelled. It fails, mid-run, on an
-// event no shard owns (see errUnsharded), and immediately on a closed
-// executor. The executed event sequence — and every observable model
-// state — is bit-identical to sim.Kernel.RunCtx over the same schedule,
-// including Run's two historical boundary quirks: a live event directly
-// after a dead seq-tail executes past until, and the boundary stop can
-// rewind the clock to until afterwards.
+// until (when until > 0), or ctx is cancelled. It fails, mid-run, as
+// soon as an event no shard owns is pending (see errUnsharded), and
+// immediately on a closed executor. The executed event sequence — and
+// every observable model state — is bit-identical to sim.Kernel.RunCtx
+// over the same schedule, including Run's two historical boundary
+// quirks: a live event directly after a dead seq-tail executes past
+// until, and the boundary stop can rewind the clock to until afterwards.
 func (x *Executor) RunCtx(ctx context.Context, until sim.Time) (sim.Time, error) {
 	if x.quit == nil {
 		return x.k.Now(), errors.New("shard: RunCtx on a closed executor")
@@ -291,19 +310,21 @@ func (x *Executor) RunCtx(ctx context.Context, until sim.Time) (sim.Time, error)
 			k.SetNow(until)
 			return k.Now(), nil
 		}
+		if e := k.Unsharded(); e != nil {
+			return k.Now(), errUnsharded(e)
+		}
 		winEnd := t + x.win
 		if until > 0 && winEnd > until+1 {
 			// Clamp so no live event beyond until executes mid-window; the
 			// dead-tail overshoot below is the only sanctioned excursion.
 			winEnd = until + 1
 		}
-		batch := k.DrainWindow(winEnd, x.buf)
-		x.buf = batch
-		if !x.m.PartitionWindow(batch, winEnd) {
-			return k.Now(), errUnsharded(batch, t)
+		if !x.m.PartitionWindow(nil, winEnd) {
+			return k.Now(), fmt.Errorf("shard: model refused the window at t=%d", t)
 		}
-		x.runShards()
+		x.fanout(x.m.BatchLen, x.run)
 		lastDead := x.m.MergeWindow()
+		x.fanout(x.m.PlaceLen, x.place)
 		if lastDead && until > 0 {
 			// Serial Run's pop-until-live chain: dead events skip the until
 			// recheck, so when the window's seq-tail is dead and the next
@@ -318,14 +339,8 @@ func (x *Executor) RunCtx(ctx context.Context, until sim.Time) (sim.Time, error)
 	}
 }
 
-// errUnsharded reports the event that made the model refuse a window:
-// the first one whose actor does not implement sim.Sharded. The drained
-// batch is not returned to the calendar — the run is over.
-func errUnsharded(batch []*sim.Event, t sim.Time) error {
-	for _, e := range batch {
-		if _, ok := e.Shard(); !ok {
-			return fmt.Errorf("shard: event at t=%d: actor %T does not implement sim.Sharded", e.At(), e.Actor())
-		}
-	}
-	return fmt.Errorf("shard: model refused the window at t=%d", t)
+// errUnsharded reports an event no shard owns: its actor does not
+// implement sim.Sharded. It stays queued — the run is over.
+func errUnsharded(e *sim.Event) error {
+	return fmt.Errorf("shard: event at t=%d: actor %T does not implement sim.Sharded", e.At(), e.Actor())
 }

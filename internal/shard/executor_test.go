@@ -30,23 +30,37 @@ var toyWindows = []sim.Time{1, 2, 3, 5}
 
 // toyRec mirrors network.execRec: one executed event's replay window. A
 // drained event carries its (at, seq); an in-window staged event carries
-// its handle (seq assigned at replay).
+// its staging rank (seq stamped at the merge).
 type toyRec struct {
 	at     sim.Time
 	seq    uint64
-	ev     *sim.Event
+	staged bool
 	opsEnd int
 }
 
-// toyShardRec is shard s's sim.Recorder.
+// toyShardRec is shard s's sim.Recorder, and its placement's
+// sim.Rebinder.
 type toyShardRec struct {
-	m *toy
-	s int
+	m       *toy
+	s       int
+	rebinds int
 }
 
-func (r *toyShardRec) Record(at sim.Time, seq uint64, ev *sim.Event) {
+func (r *toyShardRec) Record(at sim.Time, seq uint64, staged bool) {
 	m, s := r.m, r.s
-	m.recs[s] = append(m.recs[s], toyRec{at: at, seq: seq, ev: ev, opsEnd: m.stages[s].StagedLen()})
+	m.recs[s] = append(m.recs[s], toyRec{at: at, seq: seq, staged: staged, opsEnd: m.stages[s].StagedLen()})
+}
+
+// Rebind repoints the kept handles shard s's own events staged: opArm
+// arms a poke on its own slot, so the kept event targets the stager's
+// shard, and placement on that shard is the only writer.
+func (r *toyShardRec) Rebind(staged, placed *sim.Event) {
+	for _, h := range r.m.holders[r.s] {
+		if *h == staged {
+			*h = placed
+			r.rebinds++
+		}
+	}
 }
 
 // toy is a sharded model over nsh counter slots; slot i lives on shard
@@ -60,7 +74,6 @@ type toy struct {
 	batches [][]*sim.Event
 	recs    [][]toyRec
 	cur     []int
-	opsPos  []int
 	slots   []int64
 	sharded bool
 	limit   sim.Time
@@ -72,10 +85,9 @@ type toy struct {
 	windowCancels int
 
 	// holders[s] are the handle cells opArm filled from shard s's stage
-	// this window; the merge repoints the ones whose event entered the
-	// calendar (Rebind) and counts them in rebinds.
+	// this window; placement repoints the ones whose event entered the
+	// calendar (toyShardRec.Rebind) and counts them.
 	holders [][]**sim.Event
-	rebinds int
 }
 
 // Toy ops. Every op increments slot a first.
@@ -90,12 +102,11 @@ const (
 func newToy(k *sim.Kernel, nsh, slots int, limit sim.Time) *toy {
 	m := &toy{k: k, slots: make([]int64, slots), limit: limit}
 	for s := 0; s < nsh; s++ {
-		m.stages = append(m.stages, sim.NewStage(s))
+		m.stages = append(m.stages, sim.NewStage(s, nsh))
 		m.srecs = append(m.srecs, &toyShardRec{m: m, s: s})
 		m.batches = append(m.batches, nil)
 		m.recs = append(m.recs, nil)
 		m.cur = append(m.cur, 0)
-		m.opsPos = append(m.opsPos, 0)
 		m.holders = append(m.holders, nil)
 	}
 	return m
@@ -130,6 +141,7 @@ func (m *toy) Act(op uint8, a, b, _ int32, p any) {
 		h := p.(**sim.Event)
 		*h = sched(now+sim.Time(b), opPoke, a, 0)
 		if m.sharded {
+			m.stages[m.shardOf(a)].Keep(*h)
 			m.holders[m.shardOf(a)] = append(m.holders[m.shardOf(a)], h)
 		}
 	case opCancel:
@@ -153,48 +165,59 @@ func (m *toy) now(slot int32) sim.Time {
 	return m.k.Now()
 }
 
-// Rebind implements sim.Rebinder, as network.ShardState does for waiter
-// timers: a staged handle is superseded by its calendar copy's address.
-func (m *toy) Rebind(staged, placed *sim.Event) {
+// Rebind implements sim.Rebinder for SetCalendars, which moves every
+// pending event: any handle cell holding an old address is repointed.
+func (m *toy) Rebind(old, placed *sim.Event) {
 	for _, hs := range m.holders {
 		for _, h := range hs {
-			if *h == staged {
+			if *h == old {
 				*h = placed
-				m.rebinds++
 			}
 		}
 	}
 }
 
+// rebinds counts the kept handles placement repointed, over every shard.
+func (m *toy) rebinds() int {
+	n := 0
+	for _, r := range m.srecs {
+		n += r.rebinds
+	}
+	return n
+}
+
 func (m *toy) NumShards() int { return len(m.stages) }
+
+// split gives the toy's kernel one calendar per shard, as
+// network.ConfigureShards does; the executor requires it.
+func (m *toy) split() { m.k.SetCalendars(len(m.stages), m) }
 
 // PartitionWindow stages the toy until MergeWindow returns, as the
 // network model does.
 func (m *toy) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
+	if len(batch) > 0 {
+		return false
+	}
 	m.winEnd = winEnd
 	for s := range m.stages {
 		m.stages[s].StartWindow(winEnd)
 	}
 	m.sharded = true
-	for _, e := range batch {
-		s, ok := e.Shard()
-		if !ok {
-			for i := range m.batches {
-				m.batches[i] = m.batches[i][:0]
-			}
-			m.sharded = false
-			return false
-		}
-		m.batches[s] = append(m.batches[s], e)
-	}
 	return true
 }
 
-func (m *toy) BatchLen(s int) int { return len(m.batches[s]) }
+func (m *toy) BatchLen(s int) int {
+	if m.stages[s].StagedLen() > 0 || m.k.Due(s, m.winEnd) {
+		return 1
+	}
+	return 0
+}
 
 func (m *toy) RunShard(s int) {
-	m.stages[s].RunWindow(m.batches[s], m.srecs[s])
-	m.batches[s] = m.batches[s][:0]
+	m.stages[s].ResetOps()
+	m.holders[s] = m.holders[s][:0]
+	m.batches[s] = m.k.DrainWindow(s, m.winEnd, m.batches[s])
+	m.stages[s].RunWindow(m.k, m.batches[s], m.srecs[s])
 }
 
 func (m *toy) MergeWindow() bool {
@@ -209,8 +232,8 @@ func (m *toy) MergeWindow() bool {
 			}
 			rec := &m.recs[s][m.cur[s]]
 			at, seq := rec.at, rec.seq
-			if rec.ev != nil {
-				seq = rec.ev.Seq() // assigned by this shard's earlier replay
+			if rec.staged {
+				seq = m.stages[s].Seq(int(seq)) // stamped by this shard's earlier record
 			}
 			if pick < 0 || at < pAt || (at == pAt && seq < pSeq) {
 				pick, pAt, pSeq = s, at, seq
@@ -226,8 +249,7 @@ func (m *toy) MergeWindow() bool {
 		if tr := m.k.TraceExec; tr != nil {
 			tr(pAt, pSeq)
 		}
-		m.stages[pick].ReplayOps(m.k, m.opsPos[pick], rec.opsEnd, m)
-		m.opsPos[pick] = rec.opsEnd
+		m.stages[pick].Stamp(m.k, rec.opsEnd)
 	}
 	m.k.AddExecuted(live)
 	var tAt sim.Time
@@ -243,15 +265,22 @@ func (m *toy) MergeWindow() bool {
 		}
 	}
 	for s := range m.stages {
-		m.stages[s].ResetOps()
 		m.recs[s] = m.recs[s][:0]
 		m.cur[s] = 0
-		m.opsPos[s] = 0
-		m.holders[s] = m.holders[s][:0]
 	}
 	m.sharded = false
 	return dead
 }
+
+func (m *toy) PlaceLen(s int) int {
+	n := 0
+	for _, st := range m.stages {
+		n += st.Outgoing(s)
+	}
+	return n
+}
+
+func (m *toy) PlaceShard(s int) { m.k.Place(s, m.stages, m.srecs[s]) }
 
 // trace captures the executed (time, seq) stream of a kernel.
 func trace(k *sim.Kernel) *[][2]uint64 {
@@ -279,6 +308,9 @@ func runPair(t *testing.T, nsh int, win sim.Time, slots int, limit, until sim.Ti
 	xk := sim.NewKernel()
 	xm := newToy(xk, nsh, slots, limit)
 	seedToy(xk, xm)
+	// Split after seeding, so the move to per-shard calendars is part of
+	// every run, and before mutate, whose handles must be the final ones.
+	xm.split()
 	if mutate != nil {
 		mutate(sk, sm)
 		mutate(xk, xm)
@@ -394,8 +426,8 @@ func TestExecutorCancelAcrossMerge(t *testing.T) {
 				k.AtAct(41, m, opArm, 1, delay, 0, h)
 				k.AtAct(50, m, opCancel, 1, 0, 0, h) // at least one merge later at every width
 			})
-			if xm.rebinds != 1 {
-				t.Fatalf("delay=%d win=%d: %d handles repointed at the merge, want 1", delay, win, xm.rebinds)
+			if n := xm.rebinds(); n != 1 {
+				t.Fatalf("delay=%d win=%d: %d handles repointed at placement, want 1", delay, win, n)
 			}
 		}
 	}
@@ -416,6 +448,7 @@ func TestExecutorRejectsUnshardedActor(t *testing.T) {
 		seedToy(k, m)
 		f := &foreign{}
 		k.AtAct(20, f, 0, 0, 0, 0, nil)
+		m.split()
 		x := New(k, m, win)
 		_, err := x.RunCtx(context.Background(), 0)
 		x.Close()
@@ -435,7 +468,9 @@ func TestExecutorRejectsUnshardedActor(t *testing.T) {
 func TestExecutorEmptyCalendar(t *testing.T) {
 	for _, win := range toyWindows {
 		k := sim.NewKernel()
-		x := New(k, newToy(k, 2, 4, 100), win)
+		m := newToy(k, 2, 4, 100)
+		m.split()
+		x := New(k, m, win)
 		if now, err := x.RunCtx(context.Background(), 0); err != nil || now != 0 {
 			t.Fatalf("win=%d: empty run = (%d, %v), want (0, nil)", win, now, err)
 		}
@@ -450,6 +485,7 @@ func TestExecutorRunAfterClose(t *testing.T) {
 	k := sim.NewKernel()
 	m := newToy(k, 2, 4, 100)
 	seedToy(k, m)
+	m.split()
 	x := New(k, m, 5)
 	x.Close()
 	x.Close()
@@ -483,6 +519,7 @@ func TestExecutorContextCancel(t *testing.T) {
 	seedToy(k, m)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	m.split()
 	x := New(k, m, 5)
 	defer x.Close()
 	if _, err := x.RunCtx(ctx, 0); err != context.Canceled {
@@ -509,6 +546,7 @@ func TestExecutorContextCancelMidRunWindowed(t *testing.T) {
 		str, xtr := trace(sk), trace(xk)
 
 		sk.Run(2000)
+		xm.split()
 		x := New(xk, xm, win)
 		_, err := x.RunCtx(ctx, 2000)
 		x.Close()

@@ -2,8 +2,9 @@ package sim
 
 // Tests for the calendar's storage: events live by value in per-bucket
 // chunk chains. The layout facts the design rests on, the three ways a
-// chunked FIFO with address handles goes wrong, and the footprint
-// property (memory follows pending events, not ring size × peak bucket).
+// chunked FIFO with address handles goes wrong — each on one calendar and
+// on a kernel split into two — and the footprint property (memory follows
+// pending events, not ring size × peak bucket).
 
 import (
 	"testing"
@@ -12,19 +13,22 @@ import (
 
 // numChunks counts every chunk the kernel has ever allocated: chunks are
 // never handed back to the runtime, so each one is in a bucket, parked, or
-// on the free list.
+// on a free list.
 func numChunks(k *Kernel) int {
 	n := 0
-	for i := range k.ring {
-		for c := k.ring[i].head; c != nil; c = c.next {
+	for ci := range k.cals {
+		c := &k.cals[ci]
+		for i := range c.ring {
+			for ch := c.ring[i].head; ch != nil; ch = ch.next {
+				n++
+			}
+		}
+		for ch := c.spent; ch != nil; ch = ch.next {
 			n++
 		}
-	}
-	for c := k.spent; c != nil; c = c.next {
-		n++
-	}
-	for c := k.chunks; c != nil; c = c.next {
-		n++
+		for ch := c.chunks; ch != nil; ch = ch.next {
+			n++
+		}
 	}
 	return n
 }
@@ -33,6 +37,23 @@ func numChunks(k *Kernel) int {
 type funcActor func(a int32)
 
 func (f funcActor) Act(_ uint8, a, _, _ int32, _ any) { f(a) }
+
+// shardedFunc is a funcActor whose events belong to calendar a mod the
+// kernel's calendar count.
+type shardedFunc struct {
+	k *Kernel
+	f funcActor
+}
+
+func (s *shardedFunc) Act(op uint8, a, b, c int32, p any) { s.f(a) }
+
+func (s *shardedFunc) ShardOf(_ uint8, a, _, _ int32, _ any) int {
+	return int(uint32(a) % uint32(s.k.Calendars()))
+}
+
+// calendarCounts are the kernel shapes the chunk-lifetime hazards run on:
+// one calendar, and one split into two.
+var calendarCounts = []int{1, 2}
 
 // TestEventIsOneCacheLine: an Event is exactly 64 bytes and every slot of
 // every chunk — from Reserve's slab or from on-demand growth — starts on
@@ -65,55 +86,67 @@ func TestEventIsOneCacheLine(t *testing.T) {
 // whose head chunk is fully consumed while later chunks hold events — and
 // more are appended at the same timestamp meanwhile — loses nothing and
 // stays FIFO. (Treating "read index reached the head's fill" as "bucket
-// empty" silently drops every chunk behind the head.)
+// empty" silently drops every chunk behind the head.) On a split kernel
+// the events alternate calendars, so every count scales with the
+// calendar count to put the same chunk boundaries in each calendar.
 func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
-	const n, extra = 3*chunkCap + 10, 2 * chunkCap
-	for _, consumed := range []int{1, chunkCap - 1, chunkCap, chunkCap + 1, 2 * chunkCap, n - 1} {
-		// Serial: event number `consumed` is a burst appending to its own
-		// bucket from inside the callback.
-		k, s := newScript()
-		for i := int32(0); i < n; i++ {
-			if int(i) == consumed {
-				k.AtAct(5, s, opBurst, 1000, 5, extra, nil)
-				continue
+	for _, ncal := range calendarCounts {
+		n, extra := int32(ncal*(3*chunkCap+10)), int32(ncal*2*chunkCap)
+		for _, per := range []int{1, chunkCap - 1, chunkCap, chunkCap + 1, 2 * chunkCap, 3*chunkCap + 9} {
+			consumed := int32(ncal * per)
+			// Serial: event number `consumed` is a burst appending to its own
+			// bucket from inside the callback.
+			k, s := newScript()
+			k.SetCalendars(ncal, nil)
+			for i := int32(0); i < n; i++ {
+				if i == consumed {
+					k.AtAct(5, s, opBurst, 1000, 5, extra, nil)
+					continue
+				}
+				k.AtAct(5, s, opLog, i, 0, 0, nil)
 			}
-			k.AtAct(5, s, opLog, i, 0, 0, nil)
-		}
-		k.Run(0)
-		if len(s.log) != n+extra {
-			t.Fatalf("consumed=%d: executed %d events, want %d", consumed, len(s.log), n+extra)
-		}
-		for i, v := range s.log {
-			want := int32(i)
-			switch {
-			case i == consumed:
-				want = 1000
-			case i >= n:
-				want = 1000 + int32(i-n) + 1
+			k.Run(0)
+			if len(s.log) != int(n+extra) {
+				t.Fatalf("calendars=%d consumed=%d: executed %d events, want %d", ncal, consumed, len(s.log), n+extra)
 			}
-			if v != want {
-				t.Fatalf("consumed=%d: log[%d] = %d, want %d", consumed, i, v, want)
+			for i, v := range s.log {
+				want := int32(i)
+				switch {
+				case int32(i) == consumed:
+					want = 1000
+				case int32(i) >= n:
+					want = 1000 + int32(i) - n + 1
+				}
+				if v != want {
+					t.Fatalf("calendars=%d consumed=%d: log[%d] = %d, want %d", ncal, consumed, i, v, want)
+				}
 			}
-		}
 
-		// DrainWindow: part-consume with Step, append directly, drain.
-		k, s = newScript()
-		for i := int32(0); i < n; i++ {
-			k.AtAct(5, s, opLog, i, 0, 0, nil)
-		}
-		for i := 0; i < consumed; i++ {
-			k.Step()
-		}
-		for i := int32(0); i < extra; i++ {
-			k.AtAct(5, s, opLog, n+i, 0, 0, nil)
-		}
-		batch := k.DrainWindow(6, nil)
-		if len(batch) != n+extra-consumed || k.Pending() != 0 {
-			t.Fatalf("consumed=%d: drained %d events (pending %d), want %d (0)", consumed, len(batch), k.Pending(), n+extra-consumed)
-		}
-		for i, e := range batch {
-			if e.a != int32(consumed+i) {
-				t.Fatalf("consumed=%d: batch[%d].a = %d, want %d", consumed, i, e.a, consumed+i)
+			// DrainWindow: part-consume with Step, append directly, drain
+			// every calendar.
+			k, s = newScript()
+			k.SetCalendars(ncal, nil)
+			for i := int32(0); i < n; i++ {
+				k.AtAct(5, s, opLog, i, 0, 0, nil)
+			}
+			for i := int32(0); i < consumed; i++ {
+				k.Step()
+			}
+			for i := int32(0); i < extra; i++ {
+				k.AtAct(5, s, opLog, n+i, 0, 0, nil)
+			}
+			drained := 0
+			for c := 0; c < ncal; c++ {
+				batch := k.DrainWindow(c, 6, nil)
+				drained += len(batch)
+				for i, e := range batch {
+					if want := consumed + int32(c+i*ncal); e.a != want {
+						t.Fatalf("calendars=%d consumed=%d: calendar %d batch[%d].a = %d, want %d", ncal, consumed, c, i, e.a, want)
+					}
+				}
+			}
+			if drained != int(n+extra-consumed) || k.Pending() != 0 {
+				t.Fatalf("calendars=%d consumed=%d: drained %d events (pending %d), want %d (0)", ncal, consumed, drained, k.Pending(), n+extra-consumed)
 			}
 		}
 	}
@@ -132,8 +165,8 @@ func TestFarAndRingShareATimestamp(t *testing.T) {
 	}
 	k.AtAct(at-100, s, opBurst, -1, at, 50, nil) // window now covers `at`: 50 direct appends, logged as 0..49
 	k.AtAct(at-50, funcActor(func(int32) {
-		if k.winStart+ringSize <= at || len(k.far.h) != 50 {
-			t.Errorf("window [%d, +%d) with %d far events; the test meant the window to cover t=%d with the far events unmoved", k.winStart, ringSize, len(k.far.h), at)
+		if c := &k.cals[0]; c.winStart+ringSize <= at || len(c.far.h) != 50 {
+			t.Errorf("window [%d, +%d) with %d far events; the test meant the window to cover t=%d with the far events unmoved", c.winStart, ringSize, len(c.far.h), at)
 		}
 		k.Cancel(far[10])
 		k.Cancel(far[49])
@@ -168,8 +201,8 @@ func TestFarAndRingShareATimestamp(t *testing.T) {
 			t.Fatalf("same-timestamp events ran out of seq order: %v", seqs)
 		}
 	}
-	if k.Pending() != 0 || len(k.far.h) != 0 {
-		t.Fatalf("pending %d, far %d after the run, want 0", k.Pending(), len(k.far.h))
+	if k.Pending() != 0 || len(k.cals[0].far.h) != 0 {
+		t.Fatalf("pending %d, far %d after the run, want 0", k.Pending(), len(k.cals[0].far.h))
 	}
 }
 
@@ -178,72 +211,99 @@ func TestFarAndRingShareATimestamp(t *testing.T) {
 // of events (the model's reroute → unregister → Cancel(w.timer) pattern)
 // — and must cancel nothing else: the chunk the executing event sits in,
 // exhausted by its pop, is not reusable until the callback has returned.
+// On a split kernel the burst lands in both calendars, the executing
+// event's own among them.
 func TestCancelOwnExecutingHandle(t *testing.T) {
 	const burst = 3 * chunkCap
-	k := NewKernel()
-	ran := 0
-	count := funcActor(func(int32) { ran++ })
-	var self *Event
-	self = k.AtAct(5, funcActor(func(int32) { // alone in its bucket: its pop exhausts the chunk
-		k.Cancel(self)
-		for i := 0; i < burst; i++ {
-			k.AtAct(5+Time(i%3), count, 0, 0, 0, 0, nil)
+	for _, ncal := range calendarCounts {
+		k := NewKernel()
+		k.SetCalendars(ncal, nil)
+		ran := 0
+		count := &shardedFunc{k: k, f: func(int32) { ran++ }}
+		var self *Event
+		self = k.AtAct(5, &shardedFunc{k: k, f: func(int32) { // alone in its bucket: its pop exhausts the chunk
+			k.Cancel(self)
+			for i := 0; i < burst; i++ {
+				k.AtAct(5+Time(i%3), count, 0, int32(i), 0, 0, nil)
+			}
+			k.Cancel(self)
+		}}, 0, 0, 0, 0, nil)
+		k.Run(0)
+		if ran != burst {
+			t.Fatalf("calendars=%d: %d of %d events scheduled by the self-cancelling callback ran", ncal, ran, burst)
 		}
-		k.Cancel(self)
-	}), 0, 0, 0, 0, nil)
-	k.Run(0)
-	if ran != burst {
-		t.Fatalf("%d of %d events scheduled by the self-cancelling callback ran", ran, burst)
 	}
 }
 
 // TestDrainedEventsOutliveTheirMerge: the same pattern through the
 // sharded path. The drained event's callback cancels its own handle and
-// stages over a chunk's worth of events; the merge's replay injects them
-// into the calendar. The drained events must sit untouched and
-// addressable throughout — their chunks are released by the NEXT
-// DrainWindow, not by this one and not by the merge.
+// stages over a chunk's worth of events; the merge stamps them and
+// placement copies them into the calendars. The drained events must sit
+// untouched and addressable throughout — their chunks are released by
+// their calendar's NEXT DrainWindow, not by this one, not by the merge
+// and not by placement. On a split kernel each shard drains and runs its
+// own calendar, and the staged burst lands in both.
 func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 	const burst = 3 * chunkCap
-	k := NewKernel()
-	st := NewStage(0)
-	var log []int32
-	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
-	for i := 0; i < burst; i++ {
-		w.spawn[7] = append(w.spawn[7], 20+Time(i%3))
-	}
-	var self *Event
-	canceller := funcActor(func(a int32) {
-		k.Cancel(self)
-		w.Act(0, a, 0, 0, nil)
-		k.Cancel(self)
-	})
-	self = k.AtAct(5, canceller, 0, 7, 0, 0, nil)
-	k.AtAct(6, w, 0, 8, 0, 0, nil)
-	free := k.chunks
-	batch := k.DrainWindow(10, nil)
-	if k.chunks != free {
-		t.Fatal("DrainWindow freed the chunks of the events it just handed out")
-	}
-	st.StartWindow(10)
-	st.RunWindow(batch, &windowRecorder{})
-	st.ReplayOps(k, 0, st.StagedLen(), noRebind{})
-	st.ResetOps()
-	if k.Pending() != burst {
-		t.Fatalf("Pending = %d after the merge, want %d", k.Pending(), burst)
-	}
-	for i, want := range []struct {
-		at Time
-		a  int32
-	}{{5, 7}, {6, 8}} {
-		if e := batch[i]; e.at != want.at || e.a != want.a || e.seq != uint64(i) {
-			t.Fatalf("drained event %d reads (t=%d seq=%d a=%d) after the merge, want (t=%d seq=%d a=%d): its slot was reused", i, e.at, e.seq, e.a, want.at, i, want.a)
+	for _, ncal := range calendarCounts {
+		k := NewKernel()
+		k.SetCalendars(ncal, nil)
+		stages := make([]*Stage, ncal)
+		for s := range stages {
+			stages[s] = NewStage(s, ncal)
+			stages[s].StartWindow(10)
 		}
-	}
-	log = log[:0]
-	k.Run(0)
-	if len(log) != burst {
-		t.Fatalf("%d of %d events staged by the self-cancelling callback ran", len(log), burst)
+		ran := 0
+		count := &shardedFunc{k: k, f: func(int32) { ran++ }}
+		var self *Event
+		canceller := &shardedFunc{k: k}
+		canceller.f = func(int32) {
+			k.Cancel(self)
+			for i := 0; i < burst; i++ {
+				stages[0].AtAct(20+Time(i%3), count, 0, int32(i), 0, 0, nil)
+			}
+			k.Cancel(self)
+		}
+		self = k.AtAct(5, canceller, 0, 0, 0, 0, nil)  // calendar 0
+		k.AtAct(6, count, 0, int32(1%ncal), 0, 0, nil) // the last calendar
+		free := make([]*chunk, ncal)
+		for c := range free {
+			free[c] = k.cals[c].chunks
+		}
+		batches := make([][]*Event, ncal)
+		for c := range batches {
+			batches[c] = k.DrainWindow(c, 10, nil)
+			if k.cals[c].chunks != free[c] {
+				t.Fatalf("calendars=%d: DrainWindow freed calendar %d's chunks of the events it just handed out", ncal, c)
+			}
+		}
+		for s, st := range stages {
+			st.RunWindow(k, batches[s], &windowRecorder{})
+		}
+		stages[0].Stamp(k, stages[0].StagedLen())
+		for c := range stages {
+			k.Place(c, stages, noRebind{})
+		}
+		for _, st := range stages {
+			st.ResetOps()
+		}
+		if k.Pending() != burst {
+			t.Fatalf("calendars=%d: Pending = %d after placement, want %d", ncal, k.Pending(), burst)
+		}
+		for i, want := range []struct {
+			at Time
+			a  int32
+		}{{5, 0}, {6, int32(1 % ncal)}} {
+			e := batches[want.a][i-int(want.a)*(ncal-1)]
+			if e.at != want.at || e.a != want.a || e.seq != uint64(i) {
+				t.Fatalf("calendars=%d: drained event %d reads (t=%d seq=%d a=%d) after placement, want (t=%d seq=%d a=%d): its slot was reused", ncal, i, e.at, e.seq, e.a, want.at, i, want.a)
+			}
+		}
+		ran = 0
+		k.Run(0)
+		if ran != burst {
+			t.Fatalf("calendars=%d: %d of %d events staged by the self-cancelling callback ran", ncal, ran, burst)
+		}
 	}
 }
 

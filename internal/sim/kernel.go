@@ -12,21 +12,33 @@
 //
 // # Queue structure
 //
-// The queue is a two-tier calendar: a ring of ringSize per-cycle FIFO
-// buckets covering the near-future window [winStart, winStart+ringSize),
-// plus a binary heap for the far future. The network model schedules
-// almost exclusively a few cycles ahead (flit serialization, channel
-// latency, credit return), so the common case is an O(1) bucket append
-// and an O(1) bucket pop; the heap only sees long-delay events (reroute
-// timers at low load, drain horizons, idle-source injection gaps).
-// Nothing in the calendar ever moves: a far event stays on the heap until
-// it is popped, even once the window has slid over its time, and peek
-// picks the (time, seq)-smaller of the heap minimum and the ring front.
-// Every far push for a cycle predates every direct append for it (the
-// window only moves forward), so within a tier order is by construction
-// and across tiers the seq comparison restores it. The golden-trace test
-// (repo root) pins the (time, seq) FIFO contract against the historical
-// single-heap kernel.
+// The queue is one calendar per execution context: a serial kernel has
+// exactly one, and SetCalendars splits it into one per shard for the
+// sharded executor (internal/shard), each pending event into the calendar
+// of the shard its actor's Sharded.ShardOf names. A shard drains, and
+// after each merge fills, only its own calendar, so the parallel phases
+// share no calendar memory. Every pending event sits in exactly one
+// calendar, and a multi-calendar kernel's serial loop, PeekTime and
+// Snapshot take the (time, seq) minimum across them, so the queue they
+// see is the whole one.
+//
+// A calendar is two-tier: a ring of ringSize per-cycle FIFO buckets
+// covering the near-future window [winStart, winStart+ringSize), plus a
+// binary heap for the far future. The network model schedules almost
+// exclusively a few cycles ahead (flit serialization, channel latency,
+// credit return), so the common case is an O(1) bucket append and an
+// O(1) bucket pop; the heap only sees long-delay events (reroute timers at
+// low load, drain horizons, idle-source injection gaps). Nothing in a
+// calendar ever moves: a far event stays on the heap until it is popped,
+// even once the window has slid over its time, and peek picks the
+// (time, seq)-smaller of the heap minimum and the ring front. Every far
+// push for a cycle predates every direct append for it (the window only
+// moves forward), so within a tier order is by construction and across
+// tiers the seq comparison restores it. A calendar's window never slides
+// past the earliest time an event may still be scheduled into it: on a
+// multi-calendar kernel that is the global head, not the calendar's own.
+// The golden-trace test (repo root) pins the (time, seq) FIFO contract
+// against the historical single-heap kernel.
 //
 // # Event representation
 //
@@ -38,14 +50,15 @@
 // schedule. Ring events live in their bucket: a bucket is a FIFO of
 // fixed-size chunks of Event values, AtAct writes the event straight into
 // the tail slot and hands out that slot's address as the Cancel handle,
-// and a pop is a sequential read. Chunks recycle through one kernel free
-// list, so calendar memory is proportional to the pending events (plus a
-// part-consumed head and a part-filled tail chunk per live timestamp),
-// and the steady-state schedule/dispatch path allocates nothing (asserted
-// by alloc_test.go here and in internal/network). Only the rare far and
-// late events are individually pooled structs. A consumed slot keeps its
-// actor and payload references until its chunk is reused; everything the
-// model schedules is itself pooled, so nothing is kept alive by that.
+// and a pop is a sequential read. Chunks recycle through their calendar's
+// free list, so calendar memory is proportional to the pending events
+// (plus a part-consumed head and a part-filled tail chunk per live
+// timestamp), and the steady-state schedule/dispatch path allocates
+// nothing (asserted by alloc_test.go here and in internal/network). Only
+// the rare far and late events are individually pooled structs. A
+// consumed slot keeps its actor and payload references until its chunk
+// is reused; everything the model schedules is itself pooled, so nothing
+// is kept alive by that.
 //
 // Cancellation: RunCtx is Run with a cooperative context check every few
 // thousand events. Cancelling never reorders events — an interrupted run
@@ -57,11 +70,15 @@ package sim
 
 import (
 	"context"
+	"sort"
 )
 
 // Time is the simulation clock value in cycles (1 cycle = 1 ns in the
 // network model built on top of this kernel).
 type Time int64
+
+// maxTime bounds nothing: the window limit of a single-calendar kernel.
+const maxTime = Time(1<<63 - 1)
 
 // Actor handles typed events. The kernel invokes Act with the op code and
 // arguments given to AtAct; their meaning is entirely the actor's. Using a
@@ -84,14 +101,24 @@ type Event struct {
 	flags   uint8
 }
 
+// set fills in the event's callback.
+func (e *Event) set(act Actor, op uint8, a, b, c int32, p any) {
+	e.act = act
+	e.op = op
+	e.a, e.b, e.c = a, b, c
+	e.p = p
+}
+
 // Event flags. evQueued is cleared when a pooled, drained or staged event
 // is consumed; the serial ring pop is a pure read and leaves it set — that
 // slot is never read again, so a late Cancel on it is unobservable.
 const (
-	evDead   uint8 = 1 << iota // cancelled; skipped at pop time
-	evQueued                   // still cancellable
-	evDone                     // staged event already executed inside its window (see stage.go)
-	evPooled                   // a far/late struct from Kernel.free, recycled when popped; ring slots belong to their chunk
+	evDead    uint8 = 1 << iota // cancelled; skipped at pop time
+	evQueued                    // still cancellable
+	evDone                      // staged event already executed inside its window (see stage.go)
+	evPooled                    // a far/late struct from calendar.free, recycled when popped; ring slots belong to their chunk
+	evKeep                      // staged handle the model keeps: placement reports its calendar copy (Stage.Keep)
+	evForeign                   // actor is not Sharded, on a multi-calendar kernel (see Unsharded)
 )
 
 const (
@@ -134,20 +161,16 @@ type bucket struct {
 	hi, ti     int32
 }
 
-// Kernel is a discrete-event simulator. The zero value is not usable; call
-// NewKernel.
-type Kernel struct {
-	now   Time
-	seq   uint64
-	nexec uint64
-	npend int
-
-	// Near-future calendar ring: cycle t lives in ring[t&ringMask],
-	// valid for t in [winStart, winStart+ringSize).
+// calendar is one execution context's queue (see Queue structure), with
+// its own chunk and struct pools: a shard that drains or fills its
+// calendar writes nothing another calendar uses.
+type calendar struct {
+	// Near-future ring: cycle t lives in ring[t&ringMask], valid for t in
+	// [winStart, winStart+ringSize).
 	ring     []bucket
 	winStart Time
-	//hxlint:state ephemeral — derived ring-occupancy count; restore rebuilds it by re-enqueueing every captured event
-	nring int
+	nring    int // ring occupancy
+	npend    int
 
 	// Far-future overflow, ordered by (at, seq).
 	far farHeap
@@ -158,14 +181,36 @@ type Kernel struct {
 	// practically always empty.
 	late []*Event
 
-	//hxlint:state ephemeral — capacity detail, never serialized; the chunk free list refills lazily after restore (see docs/STATE.md)
-	chunks *chunk // recycled bucket chunks, LIFO: zero steady-state allocation
-	//hxlint:state ephemeral — consumed chunks awaiting release (at the next pop; a drained window's at the next drain); holds no pending event
-	spent *chunk
-	//hxlint:state ephemeral — capacity detail, never serialized; the far/late struct pool refills lazily after restore
-	free []*Event
-	//hxlint:state ephemeral — far/late structs of the last drained window, recycled at the next drain; holds no pending event
-	heldEv []*Event
+	chunks *chunk   // recycled bucket chunks, LIFO: zero steady-state allocation
+	spent  *chunk   // consumed chunks awaiting release (at the next pop; a drained window's at the next drain); holds no pending event
+	free   []*Event // far/late struct pool
+
+	// nforeign counts events flagged evForeign since the last Unsharded
+	// scan; sources is Place's per-stage read state.
+	nforeign int
+	sources  []placeSource
+
+	// Calendars sit side by side in Kernel.cals and belong to different
+	// shards: the pad keeps one calendar's fields off its neighbour's
+	// cache lines.
+	_ [64]byte
+}
+
+func newCalendar(winStart Time, nsrc int) calendar {
+	return calendar{ring: make([]bucket, ringSize), winStart: winStart, sources: make([]placeSource, nsrc)}
+}
+
+// Kernel is a discrete-event simulator. The zero value is not usable; call
+// NewKernel.
+type Kernel struct {
+	now   Time
+	seq   uint64
+	nexec uint64
+
+	// cals holds one calendar per execution context (see Queue
+	// structure): one for a serial kernel, one per shard after
+	// SetCalendars.
+	cals []calendar
 
 	// TraceExec, when non-nil, observes every executed (live) event as
 	// (time, seq) immediately before its callback runs. It exists for the
@@ -177,8 +222,12 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{ring: make([]bucket, ringSize)}
+	return &Kernel{cals: []calendar{newCalendar(0, 1)}}
 }
+
+// Calendars returns the number of calendars: 1, or the shard count
+// SetCalendars split the queue into.
+func (k *Kernel) Calendars() int { return len(k.cals) }
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
@@ -189,98 +238,109 @@ func (k *Kernel) Executed() uint64 { return k.nexec }
 
 // Pending returns the number of events currently queued (cancelled events
 // count until they are popped).
-func (k *Kernel) Pending() int { return k.npend }
-
-// Reserve pre-sizes the calendar for a model of known scale: chunk
-// capacity for nEvents pending events, carved from a single slab instead
-// of chunkSlab-at-a-time growth. Purely a capacity hint — event order is
-// unaffected — so models call it once at build time with their high-water
-// estimate; the free list still grows on demand if the estimate is low.
-func (k *Kernel) Reserve(nEvents int) {
-	n := (nEvents + chunkCap - 1) / chunkCap
-	for c := k.chunks; c != nil; c = c.next {
-		n--
+func (k *Kernel) Pending() int {
+	n := 0
+	for i := range k.cals {
+		n += k.cals[i].npend
 	}
-	if n > 0 {
-		k.stock(n)
+	return n
+}
+
+// Reserve pre-sizes the calendars for a model of known scale: chunk
+// capacity for nEvents pending events, shared evenly across them and
+// carved from a single slab each instead of chunkSlab-at-a-time growth.
+// Purely a capacity hint — event order is unaffected — so models call it
+// once at build time with their high-water estimate; the free lists still
+// grow on demand if the estimate is low.
+func (k *Kernel) Reserve(nEvents int) {
+	per := (nEvents + len(k.cals) - 1) / len(k.cals)
+	for i := range k.cals {
+		c := &k.cals[i]
+		n := (per + chunkCap - 1) / chunkCap
+		for ch := c.chunks; ch != nil; ch = ch.next {
+			n--
+		}
+		if n > 0 {
+			c.stock(n)
+		}
 	}
 }
 
 // stock adds a slab of at least n chunks to the free list.
-func (k *Kernel) stock(n int) {
+func (c *calendar) stock(n int) {
 	//hxlint:allow allocfree — the chunk free list grows, a slab at a time, to the calendar's high-water occupancy and then recycles; Reserve pre-sizes it at build time
 	slab := make([]chunk, max(n, chunkSlab))
 	for i := range slab {
-		slab[i].next = k.chunks
-		k.chunks = &slab[i]
+		slab[i].next = c.chunks
+		c.chunks = &slab[i]
 	}
 }
 
 // grow appends a fresh tail chunk to b.
-func (k *Kernel) grow(b *bucket) {
-	if k.chunks == nil {
-		k.stock(chunkSlab)
+func (c *calendar) grow(b *bucket) {
+	if c.chunks == nil {
+		c.stock(chunkSlab)
 	}
-	c := k.chunks
-	k.chunks = c.next
-	c.next = nil
+	ch := c.chunks
+	c.chunks = ch.next
+	ch.next = nil
 	if b.head == nil {
-		b.head, b.hi = c, 0
+		b.head, b.hi = ch, 0
 	} else {
-		b.tail.next = c
+		b.tail.next = ch
 	}
-	b.tail, b.ti = c, 0
+	b.tail, b.ti = ch, 0
 }
 
 // park puts a consumed chunk on the spent list. It is not reusable yet:
 // the event executing out of it may still have its handle cancelled by
 // its own callback, and a drained window's events are read until its
-// merge is over.
-func (k *Kernel) park(c *chunk) {
-	c.next = k.spent
-	k.spent = c
+// RunWindow is over.
+func (c *calendar) park(ch *chunk) {
+	ch.next = c.spent
+	c.spent = ch
 }
 
 // release returns the spent chunks to the free list.
-func (k *Kernel) release() {
-	for c := k.spent; c != nil; {
-		next := c.next
-		c.next = k.chunks
-		k.chunks = c
-		c = next
+func (c *calendar) release() {
+	for ch := c.spent; ch != nil; {
+		next := ch.next
+		ch.next = c.chunks
+		c.chunks = ch
+		ch = next
 	}
-	k.spent = nil
+	c.spent = nil
 }
 
 // slot claims the calendar slot for a new event at time t — the tail of
 // its ring bucket, or a pooled struct on the far heap or late list — and
 // stamps its (time, seq). The caller fills in the callback.
-func (k *Kernel) slot(t Time, seq uint64) *Event {
-	k.npend++
-	if uint64(t-k.winStart) < ringSize {
-		b := &k.ring[int(t)&ringMask]
+func (c *calendar) slot(t Time, seq uint64) *Event {
+	c.npend++
+	if uint64(t-c.winStart) < ringSize {
+		b := &c.ring[int(t)&ringMask]
 		if b.tail == nil || b.ti == chunkCap {
-			k.grow(b)
+			c.grow(b)
 		}
 		e := &b.tail.ev[b.ti]
 		b.ti++
-		k.nring++
+		c.nring++
 		e.at, e.seq, e.flags = t, seq, evQueued
 		return e
 	}
-	e := takeEvent(&k.free)
+	e := takeEvent(&c.free)
 	e.at, e.seq, e.flags = t, seq, evQueued|evPooled
-	if t < k.winStart {
+	if t < c.winStart {
 		//hxlint:allow allocfree — the late list is practically always empty; only the pathological behind-window path ever grows it
-		k.late = append(k.late, e)
+		c.late = append(c.late, e)
 	} else {
-		k.far.push(e)
+		c.far.push(e)
 	}
 	return e
 }
 
-// eventChunk is how many Event structs one pool refill allocates (the
-// kernel's far/late pool and each Stage's staging pool).
+// eventChunk is how many Event structs one pool refill allocates (a
+// calendar's far/late pool and each Stage's staging pool).
 const eventChunk = 256
 
 // stockEvents adds one slab of eventChunk structs to a pool of
@@ -308,12 +368,12 @@ func takeEvent(free *[]*Event) *Event {
 
 // recycle returns a popped far/late struct to the pool, dropping its
 // references.
-func (k *Kernel) recycle(e *Event) {
+func (c *calendar) recycle(e *Event) {
 	e.flags = 0
 	e.act = nil
 	e.p = nil
 	//hxlint:allow allocfree — returns capacity the pool already handed out; never exceeds the refill high-water mark
-	k.free = append(k.free, e)
+	c.free = append(c.free, e)
 }
 
 // AtAct schedules an event: at time t the kernel calls
@@ -321,19 +381,46 @@ func (k *Kernel) recycle(e *Event) {
 // indicates a model bug. The returned handle may be passed to Cancel; it
 // addresses the event's calendar slot and is valid until the event is
 // popped — executed, skipped dead, or drained into a window, whose events
-// stay addressable until the next DrainWindow. A callback may still
-// Cancel the handle of its own executing event (a no-op in effect).
+// stay addressable until their calendar's next DrainWindow. A callback
+// may still Cancel the handle of its own executing event (a no-op in
+// effect). On a multi-calendar kernel the event goes to its shard's
+// calendar (see calendarOf).
 func (k *Kernel) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
 	if t < k.now {
 		panic("sim: event scheduled in the past")
 	}
-	e := k.slot(t, k.seq)
+	if len(k.cals) > 1 {
+		return k.atSharded(t, act, op, a, b, c, p)
+	}
+	e := k.cals[0].slot(t, k.seq)
 	k.seq++
-	e.act = act
-	e.op = op
-	e.a, e.b, e.c = a, b, c
-	e.p = p
+	e.set(act, op, a, b, c, p)
 	return e
+}
+
+// atSharded is AtAct on a multi-calendar kernel.
+func (k *Kernel) atSharded(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
+	cal, foreign := k.calendarOf(act, op, a, b, c, p)
+	e := cal.slot(t, k.seq)
+	k.seq++
+	e.set(act, op, a, b, c, p)
+	if foreign {
+		e.flags |= evForeign
+		cal.nforeign++
+	}
+	return e
+}
+
+// calendarOf returns the calendar an event belongs to on a multi-calendar
+// kernel: its actor's shard's. An actor that does not implement Sharded
+// cannot be sharded; its event goes to calendar 0, flagged foreign, so a
+// serial loop still runs it and the sharded executor refuses to run while
+// it is pending (Unsharded).
+func (k *Kernel) calendarOf(act Actor, op uint8, a, b, c int32, p any) (cal *calendar, foreign bool) {
+	if s, ok := act.(Sharded); ok {
+		return &k.cals[s.ShardOf(op, a, b, c, p)], false
+	}
+	return &k.cals[0], true
 }
 
 // AfterAct schedules an event d cycles from now.
@@ -343,8 +430,8 @@ func (k *Kernel) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Ev
 
 // Cancel prevents a scheduled event from running. Cancelling an event that
 // has already run or was already cancelled is a no-op. The handle must be
-// the event's current one (see AtAct; a staged handle is superseded at
-// the merge, see InjectStaged).
+// the event's current one (see AtAct; a staged handle the model keeps is
+// superseded at placement, see Stage.Keep).
 func (k *Kernel) Cancel(e *Event) {
 	if e == nil || e.flags&evQueued == 0 {
 		return
@@ -357,41 +444,53 @@ func before(a, b *Event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// peek returns the earliest queued event (live or cancelled) without
-// removing it, or nil when the queue is empty. As a side effect it slides
-// the window up to the event's time, so the subsequent pop is O(1). The
-// window never moves backward, and never past a far event: everything in
-// the ring and on the heap is at or after winStart.
-func (k *Kernel) peek() *Event {
-	if len(k.late) > 0 {
-		return k.peekLate()
+// peek returns the calendar's earliest queued event (live or cancelled)
+// without removing it, or nil when the calendar is empty. As a side
+// effect it slides the window toward the event's time, so the subsequent
+// pop is O(1) — but never past limit, the earliest time an event may
+// still be scheduled into this calendar (see slide).
+func (c *calendar) peek(limit Time) *Event {
+	if len(c.late) > 0 {
+		return c.peekLate()
 	}
 	var e *Event
-	if k.nring > 0 {
-		s := k.winStart
-		b := &k.ring[int(s)&ringMask]
+	if c.nring > 0 {
+		s := c.winStart
+		b := &c.ring[int(s)&ringMask]
 		for b.head == nil {
 			s++
-			b = &k.ring[int(s)&ringMask]
+			b = &c.ring[int(s)&ringMask]
 		}
 		e = &b.head.ev[b.hi]
-		if len(k.far.h) == 0 || !before(k.far.h[0], e) {
-			k.winStart = s
+		if len(c.far.h) == 0 || !before(c.far.h[0], e) {
+			c.slide(s, limit)
 			return e
 		}
-	} else if len(k.far.h) == 0 {
+	} else if len(c.far.h) == 0 {
 		return nil
 	}
-	e = k.far.h[0]
-	k.winStart = e.at
+	e = c.far.h[0]
+	c.slide(e.at, limit)
 	return e
+}
+
+// slide moves the window start to t, capped at limit. The window never
+// moves backward, and never past a far event or the calendar's own head
+// (callers pass at most that); with a late list pending it does not move
+// at all (peek returns before sliding), because late events order before
+// everything else only while they sit behind the window.
+func (c *calendar) slide(t, limit Time) {
+	t = min(t, limit)
+	if t > c.winStart {
+		c.winStart = t
+	}
 }
 
 // peekLate returns the (time, seq)-minimal late event; the late list is
 // tiny (practically always empty), so a linear scan is fine.
-func (k *Kernel) peekLate() *Event {
-	best := k.late[0]
-	for _, e := range k.late[1:] {
+func (c *calendar) peekLate() *Event {
+	best := c.late[0]
+	for _, e := range c.late[1:] {
 		if before(e, best) {
 			best = e
 		}
@@ -404,82 +503,142 @@ func (k *Kernel) peekLate() *Event {
 // until-boundary and then remove it without a second calendar scan. A
 // ring chunk the removal exhausts is parked, not freed (see park); a
 // pooled struct is the caller's to recycle.
-func (k *Kernel) take(e *Event) {
+func (c *calendar) take(e *Event) {
 	switch {
-	case len(k.late) > 0:
-		for i, x := range k.late {
+	case len(c.late) > 0:
+		for i, x := range c.late {
 			if x == e {
-				k.late = append(k.late[:i], k.late[i+1:]...)
+				c.late = append(c.late[:i], c.late[i+1:]...)
 				break
 			}
 		}
 	case e.flags&evPooled != 0:
-		k.far.pop()
+		c.far.pop()
 	default:
-		b := &k.ring[int(e.at)&ringMask]
+		b := &c.ring[int(e.at)&ringMask]
 		b.hi++
 		if b.head == b.tail {
 			if b.hi == b.ti {
-				k.park(b.head)
+				c.park(b.head)
 				*b = bucket{}
 			}
 		} else if b.hi == chunkCap {
 			// Head consumed with more chunks behind it: the bucket is not
 			// empty, whatever hi says.
-			c := b.head
-			b.head, b.hi = c.next, 0
-			k.park(c)
+			ch := b.head
+			b.head, b.hi = ch.next, 0
+			c.park(ch)
 		}
-		k.nring--
+		c.nring--
 	}
-	k.npend--
+	c.npend--
 }
 
 // popPeeked is take for the serial loop: by now the previous event's
 // callback has returned, so the chunks parked so far are reusable.
-func (k *Kernel) popPeeked(e *Event) {
-	if k.spent != nil {
-		k.release()
+func (c *calendar) popPeeked(e *Event) {
+	if c.spent != nil {
+		c.release()
 	}
-	k.take(e)
-}
-
-// exec advances the clock to e and runs its callback, in place: e has
-// been popped, and its slot stays untouched until its callback returns.
-func (k *Kernel) exec(e *Event) {
-	k.now = e.at
-	k.nexec++
-	if k.TraceExec != nil {
-		k.TraceExec(e.at, e.seq)
-	}
-	act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
-	k.unpool(e)
-	act.Act(op, a, b, c, p)
+	c.take(e)
 }
 
 // unpool hands a popped far/late struct back to its pool — before its
 // callback, so the callback reschedules from a warm pool. A ring slot
 // needs nothing: it is reclaimed with its chunk.
-func (k *Kernel) unpool(e *Event) {
+func (c *calendar) unpool(e *Event) {
 	if e.flags&evPooled != 0 {
-		k.recycle(e)
+		c.recycle(e)
 	}
+}
+
+// each calls fn for every queued event of the calendar, live or dead, in
+// no particular order.
+func (c *calendar) each(fn func(*Event)) {
+	for i := range c.ring {
+		b := &c.ring[i]
+		lo := int(b.hi)
+		for ch := b.head; ch != nil; ch = ch.next {
+			hi := chunkCap
+			if ch == b.tail {
+				hi = int(b.ti)
+			}
+			for j := lo; j < hi; j++ {
+				fn(&ch.ev[j])
+			}
+			lo = 0
+		}
+	}
+	for _, e := range c.far.h {
+		fn(e)
+	}
+	for _, e := range c.late {
+		fn(e)
+	}
+}
+
+// peek returns the kernel's earliest queued event and its calendar, or a
+// nil event when the queue is empty. A single-calendar kernel peeks its
+// one calendar, unbounded.
+func (k *Kernel) peek() (*calendar, *Event) {
+	if len(k.cals) == 1 {
+		c := &k.cals[0]
+		return c, c.peek(maxTime)
+	}
+	return k.peekAll()
+}
+
+// peekAll is peek on a multi-calendar kernel: the (time, seq) minimum over
+// every calendar's head. Each calendar's window then slides up to that
+// minimum's time and no further — every later schedule, whichever
+// calendar it targets, lands at or after it.
+func (k *Kernel) peekAll() (*calendar, *Event) {
+	var bc *calendar
+	var best *Event
+	for i := range k.cals {
+		c := &k.cals[i]
+		if e := c.peek(c.winStart); e != nil && (best == nil || before(e, best)) {
+			bc, best = c, e
+		}
+	}
+	if best != nil {
+		for i := range k.cals {
+			if c := &k.cals[i]; len(c.late) == 0 {
+				c.slide(best.at, best.at)
+			}
+		}
+	}
+	return bc, best
+}
+
+// exec advances the clock to e and runs its callback, in place: e has
+// been popped from c, and its slot stays untouched until its callback
+// returns.
+func (k *Kernel) exec(c *calendar, e *Event) {
+	k.now = e.at
+	k.nexec++
+	if k.TraceExec != nil {
+		k.TraceExec(e.at, e.seq)
+	}
+	act, op, a, b, cc, p := e.act, e.op, e.a, e.b, e.c, e.p
+	c.unpool(e)
+	act.Act(op, a, b, cc, p)
 }
 
 // Step executes the next pending event. It returns false when the queue is
 // empty.
 func (k *Kernel) Step() bool {
 	for {
-		e := k.peek()
+		c, e := k.peek()
 		if e == nil {
 			return false
 		}
-		k.popPeeked(e)
+		c.popPeeked(e)
 		if e.flags&evDead != 0 {
-			k.unpool(e)
+			c.unpool(e)
 			continue
 		}
-		k.exec(e)
+		k.exec(c, e)
 		return true
 	}
 }
@@ -514,7 +673,7 @@ func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
 			default:
 			}
 		}
-		e := k.peek()
+		c, e := k.peek()
 		if e == nil {
 			break
 		}
@@ -526,18 +685,122 @@ func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
 		// next one without rechecking the until-boundary — the historical
 		// Step-loop behaviour the golden trace pins.
 		for {
-			k.popPeeked(e)
+			c.popPeeked(e)
 			if e.flags&evDead == 0 {
-				k.exec(e)
+				k.exec(c, e)
 				break
 			}
-			k.unpool(e)
-			if e = k.peek(); e == nil {
+			c.unpool(e)
+			if c, e = k.peek(); e == nil {
 				return k.now, nil
 			}
 		}
 	}
 	return k.now, nil
+}
+
+// SetCalendars re-splits the queue into n calendars, one per shard: each
+// pending event, live or dead, moves to the calendar its actor's
+// Sharded.ShardOf names (an actor that is not Sharded to calendar 0,
+// flagged foreign — see Unsharded); n = 1 merges them back into one. The
+// clock, the sequence counter and every event's (time, seq) stay as they
+// are, so the execution order does not change. Events move, so each one
+// is reported to rb with its old and new address — the same rewiring
+// placement does for staged handles — while its old slot is still
+// intact. The chunk and struct pools are dealt out across the new
+// calendars. Call it between runs, never inside a window.
+func (k *Kernel) SetCalendars(n int, rb Rebinder) {
+	if n < 1 {
+		panic("sim: SetCalendars needs at least one calendar")
+	}
+	buildCalendars(k, n, rb)
+}
+
+// buildCalendars does SetCalendars' move; allocation lives here, off the
+// simulation steady-state path.
+func buildCalendars(k *Kernel, n int, rb Rebinder) {
+	var old []*Event
+	win := k.cals[0].winStart
+	var spareCh, usedCh []*chunk
+	var spareEv, usedEv []*Event
+	for i := range k.cals {
+		c := &k.cals[i]
+		win = min(win, c.winStart)
+		c.each(func(e *Event) { old = append(old, e) })
+		c.release()
+		for ch := c.chunks; ch != nil; ch = ch.next {
+			spareCh = append(spareCh, ch)
+		}
+		for j := range c.ring {
+			for ch := c.ring[j].head; ch != nil; ch = ch.next {
+				usedCh = append(usedCh, ch)
+			}
+		}
+		spareEv = append(spareEv, c.free...)
+		usedEv = append(append(usedEv, c.far.h...), c.late...)
+	}
+	sort.Slice(old, func(i, j int) bool { return before(old[i], old[j]) })
+
+	cals := make([]calendar, n)
+	for i := range cals {
+		cals[i] = newCalendar(win, n)
+	}
+	deal := func(chs []*chunk, evs []*Event) {
+		for i, ch := range chs {
+			c := &cals[i%n]
+			ch.next = c.chunks
+			c.chunks = ch
+		}
+		for i, e := range evs {
+			cals[i%n].recycle(e)
+		}
+	}
+	// Placing into chunks and structs that held no pending event keeps
+	// every old slot intact until its event has moved.
+	deal(spareCh, spareEv)
+	k.cals = cals
+	for _, e := range old {
+		c, foreign := &k.cals[0], false
+		if n > 1 {
+			c, foreign = k.calendarOf(e.act, e.op, e.a, e.b, e.c, e.p)
+		}
+		s := c.slot(e.at, e.seq)
+		s.flags |= e.flags & evDead
+		if foreign {
+			s.flags |= evForeign
+			c.nforeign++
+		}
+		s.set(e.act, e.op, e.a, e.b, e.c, e.p)
+		if rb != nil {
+			rb.Rebind(e, s)
+		}
+	}
+	deal(usedCh, usedEv)
+}
+
+// Unsharded returns the (time, seq)-earliest pending event whose actor
+// does not implement Sharded on a multi-calendar kernel, or nil: the
+// sharded executor refuses to run while one is pending. O(1) while no
+// such event has been scheduled since the last call found none.
+func (k *Kernel) Unsharded() *Event {
+	var best *Event
+	for i := range k.cals {
+		c := &k.cals[i]
+		if c.nforeign == 0 {
+			continue
+		}
+		found := 0
+		c.each(func(e *Event) {
+			if e.flags&evForeign != 0 {
+				found++
+				if best == nil || before(e, best) {
+					best = e
+				}
+			}
+		})
+		c.nforeign = found
+	}
+	return best
 }
 
 // farHeap is a hand-rolled binary min-heap over (at, seq) for events

@@ -39,6 +39,12 @@ func (s *scriptActor) Act(op uint8, a, b, c int32, _ any) {
 	}
 }
 
+// ShardOf spreads the script over a split kernel's calendars: a event
+// belongs to calendar a mod the calendar count.
+func (s *scriptActor) ShardOf(_ uint8, a, _, _ int32, _ any) int {
+	return int(uint32(a) % uint32(s.k.Calendars()))
+}
+
 // newScript returns a kernel and a scriptActor bound to it.
 func newScript() (*Kernel, *scriptActor) {
 	k := NewKernel()

@@ -70,8 +70,9 @@ type EventCoder interface {
 	DecodePayload(op uint8, code uint64) (any, error)
 }
 
-// Snapshot captures the kernel's complete calendar state. The kernel is
-// not modified; the model may keep running afterwards without
+// Snapshot captures the kernel's complete calendar state, across every
+// calendar: the same events, in the same order, whatever the calendar
+// count. The kernel is not modified; the model may keep running afterwards without
 // invalidating the returned state.
 func (k *Kernel) Snapshot(c EventCoder) (*KernelState, error) {
 	return buildKernelState(k, c)
@@ -80,46 +81,31 @@ func (k *Kernel) Snapshot(c EventCoder) (*KernelState, error) {
 // buildKernelState does the walk and encode; allocation lives here, off
 // the simulation steady-state path.
 func buildKernelState(k *Kernel, c EventCoder) (*KernelState, error) {
+	// WinStart is the earliest calendar window: at or before every pending
+	// event not on a late list, which is all Restore needs of it (it
+	// decides ring, far heap or late list, never the order).
+	win := k.cals[0].winStart
+	for i := range k.cals {
+		win = min(win, k.cals[i].winStart)
+	}
 	s := &KernelState{
 		Now:      k.now,
-		WinStart: k.winStart,
+		WinStart: win,
 		Seq:      k.seq,
 		Exec:     k.nexec,
 	}
-	live := make([]*Event, 0, k.npend)
-	collect := func(e *Event) {
-		if e.flags&evDead == 0 {
-			live = append(live, e)
-		}
-	}
-	for i := range k.ring {
-		b := &k.ring[i]
-		lo := int(b.hi)
-		for c := b.head; c != nil; c = c.next {
-			hi := chunkCap
-			if c == b.tail {
-				hi = int(b.ti)
+	live := make([]*Event, 0, k.Pending())
+	for i := range k.cals {
+		k.cals[i].each(func(e *Event) {
+			if e.flags&evDead == 0 {
+				live = append(live, e)
 			}
-			for j := lo; j < hi; j++ {
-				collect(&c.ev[j])
-			}
-			lo = 0
-		}
+		})
 	}
-	for _, e := range k.far.h {
-		collect(e)
-	}
-	for _, e := range k.late {
-		collect(e)
-	}
-	// Canonical (At, Seq) order: Seq is unique, so the order is total and
-	// re-enqueueing in it reproduces every bucket's FIFO order exactly.
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].at != live[j].at {
-			return live[i].at < live[j].at
-		}
-		return live[i].seq < live[j].seq
-	})
+	// Canonical (At, Seq) order, whichever calendar an event sat in: Seq is
+	// unique, so the order is total and re-enqueueing in it reproduces
+	// every bucket's FIFO order exactly.
+	sort.Slice(live, func(i, j int) bool { return before(live[i], live[j]) })
 	s.Events = make([]EventState, len(live))
 	for i, e := range live {
 		actor, err := c.EncodeActor(e.act)
@@ -139,8 +125,9 @@ func buildKernelState(k *Kernel, c EventCoder) (*KernelState, error) {
 	return s, nil
 }
 
-// Restore rebuilds the kernel's calendar from a snapshot, discarding
-// whatever is currently queued. After it returns, the kernel's clock,
+// Restore rebuilds the kernel's calendars from a snapshot, discarding
+// whatever is currently queued; on a multi-calendar kernel each event
+// goes to its shard's calendar, as AtAct would place it. After it returns, the kernel's clock,
 // sequence counter, and pending-event population match the snapshot
 // exactly, so Run continues bit-identically to the captured run. The
 // optional restored callback observes every re-created event alongside
@@ -153,33 +140,37 @@ func (k *Kernel) Restore(s *KernelState, c EventCoder, restored func(EventState,
 // initFromKernelState drains and rebuilds; allocation (free-list growth)
 // lives here, off the steady-state path.
 func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(EventState, *Event)) error {
-	// Drain the calendar: every bucket's chunks back to the free list,
-	// every far/late struct back to the pool. Payload objects owned by the
+	// Drain every calendar: every bucket's chunks back to its free list,
+	// every far/late struct back to its pool. Payload objects owned by the
 	// model are abandoned here; the model's own restore pass rebuilds or
 	// recycles them.
-	for i := range k.ring {
-		b := &k.ring[i]
-		for c := b.head; c != nil; {
-			next := c.next
-			k.park(c)
-			c = next
+	for ci := range k.cals {
+		cal := &k.cals[ci]
+		for i := range cal.ring {
+			b := &cal.ring[i]
+			for c := b.head; c != nil; {
+				next := c.next
+				cal.park(c)
+				c = next
+			}
+			*b = bucket{}
 		}
-		*b = bucket{}
+		cal.release()
+		for _, e := range cal.far.h {
+			cal.recycle(e)
+		}
+		cal.far.h = cal.far.h[:0]
+		for _, e := range cal.late {
+			cal.recycle(e)
+		}
+		cal.late = cal.late[:0]
+		cal.nring = 0
+		cal.npend = 0
+		cal.nforeign = 0
+		cal.winStart = s.WinStart
 	}
-	k.release()
-	for _, e := range k.far.h {
-		k.recycle(e)
-	}
-	k.far.h = k.far.h[:0]
-	for _, e := range k.late {
-		k.recycle(e)
-	}
-	k.late = k.late[:0]
-	k.nring = 0
-	k.npend = 0
 
 	k.now = s.Now
-	k.winStart = s.WinStart
 	k.seq = s.Seq
 	k.nexec = s.Exec
 
@@ -203,11 +194,16 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 		if err != nil {
 			return fmt.Errorf("sim: restore event t=%d seq=%d: %w", es.At, es.Seq, err)
 		}
-		e := k.slot(es.At, es.Seq)
-		e.act = act
-		e.op = es.Op
-		e.a, e.b, e.c = es.A, es.B, es.C
-		e.p = p
+		cal, foreign := &k.cals[0], false
+		if len(k.cals) > 1 {
+			cal, foreign = k.calendarOf(act, es.Op, es.A, es.B, es.C, p)
+		}
+		e := cal.slot(es.At, es.Seq)
+		e.set(act, es.Op, es.A, es.B, es.C, p)
+		if foreign {
+			e.flags |= evForeign
+			cal.nforeign++
+		}
 		if restored != nil {
 			restored(es, e)
 		}

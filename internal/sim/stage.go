@@ -2,17 +2,18 @@
 // synchronized parallel executor (internal/shard).
 //
 // The executor runs one simulation on several cores while keeping the
-// executed event sequence bit-identical to a serial run. The contract
-// that makes this possible is split between this file and the model
-// (internal/network):
+// executed event sequence bit-identical to a serial run. The kernel holds
+// one calendar per shard (SetCalendars), and a window [t, winEnd) runs in
+// three steps; the contract that makes them serial-equivalent is split
+// between this file and the model (internal/network):
 //
-//   - DrainWindow pops every event scheduled before a window boundary in
-//     (time, seq) order — exactly the set and order a serial Run would
-//     execute before the clock reaches the boundary.
-//   - Each shard executes its slice of the window through a Stage, which
-//     records schedule calls (AtAct) in program order WITHOUT
+//   - Parallel: each shard drains its own calendar up to winEnd
+//     (DrainWindow) — exactly the events, in exactly the (time, seq)
+//     order, a serial Run would execute from that calendar before the
+//     clock reaches the boundary — and executes them through its Stage.
+//     The Stage records schedule calls (AtAct) in program order WITHOUT
 //     assigning kernel sequence numbers, into structs from a private
-//     pool, so the parallel phase never touches the kernel's calendar. A
+//     pool, so this phase never writes another shard's memory. A
 //     schedule call landing inside the window stays on the shard — the
 //     window width is capped at the minimum cross-shard latency, so such
 //     an event is same-shard by construction (AtAct asserts it) — and
@@ -20,24 +21,30 @@
 //     in serial order: at equal times drained events run first (their
 //     serial seqs predate every staged seq), and staged events run in
 //     staging order (their eventual seqs are assigned in exactly that
-//     order by the merge's replay).
-//   - After the barrier, the coordinator replays the staged schedule
-//     calls in global (executing-event seq, program order) order through
-//     InjectStaged, which assigns k.seq exactly as the serial kernel
-//     would have: serial seq assignment is a pure function of execution
-//     order and per-callback program order, both of which the replay
-//     reproduces. InjectStaged copies the staged event into its calendar
-//     slot and reports the slot's address, which supersedes the staged
-//     handle (Rebinder); the staged struct returns to its stage's pool
-//     when the merge ends. Staged events already executed inside the
-//     window (done) consume their seq but never enter the calendar.
+//     order by the merge).
+//   - Serial: the coordinator walks the executed events in global
+//     (time, seq) order and Stamps each one's staged schedule calls with
+//     the next kernel seqs, exactly as the serial kernel would have:
+//     serial seq assignment is a pure function of execution order and
+//     per-callback program order, both of which the walk reproduces.
+//     Stamping appends to a compact per-stage list the coordinator alone
+//     writes; the staged events themselves stay untouched. Staged events
+//     already executed inside the window (done) consume their seq too.
+//   - Parallel: each shard Places the staged events that target it —
+//     from every stage, merged in seq order — into its own calendar. A
+//     handle the model keeps (Stage.Keep) is superseded by the placed
+//     copy's address, reported through Rebinder. The staged structs
+//     return to their stage's pool when the stage opens its next window.
+//
+// Outside a window every pending event sits in some calendar, so the
+// serial loop, PeekTime and Snapshot always see the whole queue.
 //
 // Within one callback the serial kernel interleaves schedule calls with
-// model side effects; the replay performs all of an event's schedule
-// calls as a block instead. The interleaving is unobservable: sequence
-// numbers are never exposed to model code, and side effects (counters,
-// observer callbacks) are themselves replayed in the same per-event
-// order by the network's effect log.
+// model side effects; the merge handles all of an event's schedule calls
+// as a block instead. The interleaving is unobservable: sequence numbers
+// are never exposed to model code, and side effects (counters, observer
+// callbacks) are themselves replayed in the same per-event order by the
+// network's effect log.
 package sim
 
 // Sharded is implemented by actors whose events can be assigned to a
@@ -50,12 +57,9 @@ type Sharded interface {
 }
 
 // At returns the event's scheduled time. Valid, like the handle itself,
-// until the event is popped; for a drained event until the next
-// DrainWindow.
+// until the event is popped; for a drained event until its calendar's
+// next DrainWindow.
 func (e *Event) At() Time { return e.at }
-
-// Seq returns the event's sequence number (the FIFO tie-break rank).
-func (e *Event) Seq() uint64 { return e.seq }
 
 // Actor returns the event's receiver, for the executor's error report on
 // an event that cannot be sharded.
@@ -65,56 +69,63 @@ func (e *Event) Actor() Actor { return e.act }
 // the model object that holds the event's handle.
 func (e *Event) Payload() any { return e.p }
 
-// Shard returns the shard index of a drained event, or ok=false when its
-// actor does not implement Sharded — a model bug the executor reports.
-func (e *Event) Shard() (int, bool) {
-	s, ok := e.act.(Sharded)
-	if !ok {
-		return 0, false
-	}
-	return s.ShardOf(e.op, e.a, e.b, e.c, e.p), true
-}
-
-// PeekTime returns the timestamp of the earliest queued event. ok=false
-// means the queue is empty. Like Run's peek, it slides the calendar
-// window so the subsequent DrainWindow pops in O(1).
+// PeekTime returns the timestamp of the earliest queued event, across
+// every calendar. ok=false means the queue is empty. Like Run's peek, it
+// slides the calendar windows toward that time.
 func (k *Kernel) PeekTime() (Time, bool) {
-	e := k.peek()
+	_, e := k.peek()
 	if e == nil {
 		return 0, false
 	}
 	return e.at, true
 }
 
-// DrainWindow removes and returns every event queued before winEnd, in
-// (time, seq) order (dead events included — the caller skips or executes
-// them). The returned handles address the events where they sat in the
-// calendar: they stay valid, cancellable and unmoved until the next
-// DrainWindow, which is when the chunks and far/late structs this one
-// consumed are released — a window's merge is long over by then. It does
-// NOT touch the clock: a window can contain only dead events, for which
-// the serial loop would never have advanced now; the merge advances the
-// clock per live event instead. It reuses buf's backing array; an empty
+// DrainWindow removes and returns every event of calendar c queued before
+// winEnd, in (time, seq) order (dead events included — the caller skips
+// or executes them). The returned handles address the events where they
+// sat in the calendar: they stay valid, cancellable and unmoved until
+// the calendar's next DrainWindow, which is when the chunks this one
+// consumed are released; a drained far/late struct goes back to the
+// calendar's pool when RunWindow processes it, as the serial loop
+// recycles one when it pops it. It does NOT touch the clock: a
+// window can contain only dead events, for which the serial loop would
+// never have advanced now; the merge advances the clock per live event
+// instead. Only shard c may call it during a parallel phase; it writes
+// nothing outside calendar c. It reuses buf's backing array; an empty
 // window returns buf[:0].
-func (k *Kernel) DrainWindow(winEnd Time, buf []*Event) []*Event {
-	k.release()
-	for _, e := range k.heldEv {
-		k.recycle(e)
-	}
-	k.heldEv = k.heldEv[:0]
+func (k *Kernel) DrainWindow(c int, winEnd Time, buf []*Event) []*Event {
+	cal := &k.cals[c]
+	cal.release()
 	buf = buf[:0]
 	for {
-		e := k.peek()
+		e := cal.peek(winEnd)
 		if e == nil || e.at >= winEnd {
 			return buf
 		}
-		k.take(e)
-		if e.flags&evPooled != 0 {
-			//hxlint:allow allocfree — grows to the per-window high-water count of far/late events and is reset every drain
-			k.heldEv = append(k.heldEv, e)
-		}
+		cal.take(e)
 		buf = append(buf, e)
 	}
+}
+
+// Due reports whether calendar c holds an event, live or dead, before
+// end. It only reads, and looks at no more than end - winStart ring
+// buckets, so the coordinator can ask it of every shard per window.
+func (k *Kernel) Due(c int, end Time) bool {
+	cal := &k.cals[c]
+	if len(cal.late) > 0 {
+		return cal.peekLate().at < end
+	}
+	if len(cal.far.h) > 0 && cal.far.h[0].at < end {
+		return true
+	}
+	if cal.nring > 0 {
+		for s := cal.winStart; s < end && s < cal.winStart+ringSize; s++ {
+			if cal.ring[int(s)&ringMask].head != nil {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // SetNow forces the clock, mirroring Run's until-boundary behaviour
@@ -127,46 +138,19 @@ func (k *Kernel) SetNow(t Time) { k.now = t }
 // merge accounts for them).
 func (k *Kernel) AddExecuted(n uint64) { k.nexec += n }
 
-// InjectStaged copies a Stage-created event into the calendar, assigning
-// the next kernel sequence number, and returns the copy's address: from
-// here on that is the event's one Cancel handle, and a model holding the
-// staged handle must repoint it before anything can cancel again (the
-// merge does, through Rebinder). Called by the coordinator during the
-// merge, in the exact order the serial kernel would have assigned
-// sequence numbers; staged events that were cancelled in the meantime
-// are enqueued dead — they consume a seq, as the serial schedule did.
-// Events already executed (or popped dead) inside the window on their
-// own shard consume their seq here too, but never enter the calendar:
-// the result is nil. The staged struct itself, seq stamped, stays with
-// its stage until ResetOps.
-func (k *Kernel) InjectStaged(e *Event) *Event {
-	e.seq = k.seq
-	k.seq++
-	if e.flags&evDone != 0 {
-		return nil
-	}
-	s := k.slot(e.at, e.seq)
-	s.flags |= e.flags & evDead
-	s.act = e.act
-	s.op = e.op
-	s.a, s.b, s.c = e.a, e.b, e.c
-	s.p = e.p
-	return s
-}
-
-// Rebinder is told where each staged event landed in the calendar, so the
-// model can repoint a Cancel handle it kept from Stage.AtAct — the same
-// rewiring Restore's restored callback does. Called once per staged event
-// that outlives its window, at the merge.
+// Rebinder is told where an event landed in its calendar when it moved
+// there — a kept staged handle at placement, or any pending event at
+// SetCalendars — so the model can repoint a Cancel handle it holds, the
+// same rewiring Restore's restored callback does.
 type Rebinder interface {
-	Rebind(staged, placed *Event)
+	Rebind(old, placed *Event)
 }
 
 // Stage is one shard's private scheduling context during the parallel
 // phase of a window: it collects the shard's schedule calls in program
 // order, holds the in-window portion of them on a pending heap for local
 // execution, and owns a private pool of staging structs — self-contained:
-// the calendar takes copies, so every struct comes back at ResetOps — so
+// the calendars take copies, so every struct comes back at ResetOps — so
 // shards share no mutable kernel state. Create one per shard with
 // NewStage; the coordinator opens each parallel phase with StartWindow.
 type Stage struct {
@@ -174,25 +158,30 @@ type Stage struct {
 	idx    int  // this stage's shard index, for the in-window ownership assertion
 	winEnd Time // current window's exclusive end; schedules before it stay local
 	free   []*Event
-	ops    []*Event // staged schedule calls, program order
-	pend   farHeap  // in-window staged events, keyed (at, staging rank)
+	ops    []*Event  // staged schedule calls, program order
+	out    [][]int32 // out[t]: indices into ops of the out-of-window events targeting shard t
+	pend   farHeap   // in-window staged events, keyed (at, staging rank)
+
+	// seqs[i] is ops[i]'s kernel seq, appended by the merge (Stamp): the
+	// coordinator writes it, placement reads it, the shard never does.
+	seqs []uint64
 
 	// Tail of the last RunWindow: the (time, seq)-maximal processed
 	// event, live or dead, for the executor's until-overshoot quirk. A
-	// staged tail keeps its handle (its kernel seq is assigned only at
-	// the merge's replay); a drained tail's stamps are copied out.
-	tailEv   *Event
+	// staged tail keeps its staging rank (its kernel seq is assigned only
+	// at the merge); a drained tail's seq is copied out.
 	tailAt   Time
 	tailSeq  uint64
+	tailRank int // staging rank of a staged tail, -1 for a drained one
 	tailDead bool
 	hasTail  bool
 }
 
-// NewStage returns an empty stage for shard idx, pre-stocked with one
-// slab of staging structs. Steady state never restocks: the pool only has
-// to cover one window's staging.
-func NewStage(idx int) *Stage {
-	return &Stage{idx: idx, free: stockEvents(make([]*Event, 0, eventChunk))}
+// NewStage returns an empty stage for shard idx of n, pre-stocked with
+// one slab of staging structs. Steady state never restocks: the pool only
+// has to cover one window's staging.
+func NewStage(idx, n int) *Stage {
+	return &Stage{idx: idx, out: make([][]int32, n), free: stockEvents(make([]*Event, 0, eventChunk))}
 }
 
 // StartWindow opens a parallel phase covering [now, winEnd): schedule
@@ -203,7 +192,6 @@ func NewStage(idx int) *Stage {
 func (st *Stage) StartWindow(winEnd Time) {
 	st.winEnd = winEnd
 	st.hasTail = false
-	st.tailEv = nil
 }
 
 // Now returns the stage's clock: the time of the event currently
@@ -211,8 +199,8 @@ func (st *Stage) StartWindow(winEnd Time) {
 func (st *Stage) Now() Time { return st.now }
 
 // alloc takes an event from the stage pool and stamps its time. The seq
-// stays unassigned until the merge injects the event (AtAct reuses the
-// field for the staging rank in the meantime).
+// field holds the staging rank: the kernel seq lives in seqs once the
+// merge has assigned it.
 func (st *Stage) alloc(t Time) *Event {
 	if t < st.now {
 		panic("sim: event scheduled in the past")
@@ -228,36 +216,50 @@ func (st *Stage) alloc(t Time) *Event {
 
 // AtAct stages a typed event for absolute time t and returns its handle,
 // which supports Kernel.Cancel like a directly scheduled event until the
-// window's merge; there an event that outlives the window gets its
-// calendar handle, reported once through Rebinder. An event
-// landing inside the current window additionally joins the stage's
-// pending heap for local execution; the window width is capped at the
-// minimum cross-shard latency (see internal/shard), so such an event is
-// same-shard by construction — scheduling a cross-shard event inside the
-// window is a model ownership bug, and the assertion here is what keeps
-// the window determinism argument mechanized rather than hoped-for.
+// window's placement; a handle the model keeps past that must be marked
+// with Keep. An event landing inside the current window joins the
+// stage's pending heap for local execution; the window width is capped
+// at the minimum cross-shard latency (see internal/shard), so such an
+// event is same-shard by construction — scheduling a cross-shard event
+// inside the window is a model ownership bug, and the assertion here is
+// what keeps the window determinism argument mechanized rather than
+// hoped-for. Any other event is listed for placement by the shard its
+// actor names (an actor that is not Sharded stays with this shard,
+// flagged foreign for Kernel.Unsharded).
 func (st *Stage) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
 	e := st.alloc(t)
-	e.act = act
-	e.op = op
-	e.a, e.b, e.c = a, b, c
-	e.p = p
+	e.set(act, op, a, b, c, p)
 	// Staging rank: position in this stage's ops log. The pending heap
 	// orders equal-time events by it, which equals their eventual kernel
-	// seq order (the merge's replay walks this shard's records in the
-	// same order RunWindow processed them, and each record's ops in
-	// program order). InjectStaged overwrites it with the real seq.
-	e.seq = uint64(len(st.ops))
-	//hxlint:allow allocfree — the staged-ops list grows to the shard's per-window high-water schedule count and is reset (not reallocated) every merge
+	// seq order (the merge walks this shard's records in the same order
+	// RunWindow processed them, and each record's ops in program order).
+	rank := len(st.ops)
+	e.seq = uint64(rank)
+	//hxlint:allow allocfree — the staged-ops list grows to the shard's per-window high-water schedule count and is reset (not reallocated) every window
 	st.ops = append(st.ops, e)
+	tgt := st.idx
+	if s, ok := act.(Sharded); ok {
+		tgt = s.ShardOf(op, a, b, c, p)
+	} else {
+		e.flags |= evForeign
+	}
 	if t < st.winEnd {
-		if s, ok := act.(Sharded); !ok || s.ShardOf(op, a, b, c, p) != st.idx {
+		if tgt != st.idx || e.flags&evForeign != 0 {
 			panic("sim: cross-shard event staged inside the execution window")
 		}
 		st.pend.push(e)
+		return e
 	}
+	//hxlint:allow allocfree — each per-target placement list grows to its per-window high-water count and is reset (not reallocated) every window
+	st.out[tgt] = append(st.out[tgt], int32(rank))
 	return e
 }
+
+// Keep marks a staged handle the model holds on to past the window: when
+// placement copies the event into its calendar, it reports the copy's
+// address to its Rebinder so the model can repoint the handle. Unmarked
+// events are placed without a report.
+func (st *Stage) Keep(e *Event) { e.flags |= evKeep }
 
 // recycle returns a staging struct to the stage pool, dropping its
 // references.
@@ -270,17 +272,17 @@ func (st *Stage) recycle(e *Event) {
 }
 
 // Recorder observes every live event RunWindow processes, in execution
-// order. For a drained event, seq is its kernel sequence number and ev
-// is nil. For a staged event executed in-window, seq is zero and ev is
-// the handle — its kernel seq is assigned during the merge's replay,
-// strictly before the merge consumes the record (the staging record
-// precedes it in the same shard's stream).
+// order. For a drained event, seq is its kernel sequence number and
+// staged is false. For a staged event executed in-window, seq is its
+// staging rank and staged is true: its kernel seq is Seq(rank), assigned
+// by the merge strictly before the merge consumes the record (the
+// staging record precedes it in the same shard's stream).
 type Recorder interface {
-	Record(at Time, seq uint64, ev *Event)
+	Record(at Time, seq uint64, staged bool)
 }
 
-// RunWindow executes this shard's slice of a window: the drained batch
-// (already in (time, seq) order) interleaved with events the callbacks
+// RunWindow executes this shard's slice of a window: the batch drained
+// from the shard's calendar (already in (time, seq) order) interleaved with events the callbacks
 // stage inside the window, in exactly the serial kernel's order — by
 // time; at equal times drained before staged (every drained seq predates
 // every staged seq, which the merge assigns from a later counter value);
@@ -289,7 +291,8 @@ type Recorder interface {
 // skips them; deadness is read here, at processing time, so a
 // same-window cancel from an earlier event lands exactly as it would
 // serially. Each processed event, live or dead, updates the tail.
-func (st *Stage) RunWindow(batch []*Event, rec Recorder) {
+func (st *Stage) RunWindow(k *Kernel, batch []*Event, rec Recorder) {
+	cal := &k.cals[st.idx]
 	i := 0
 	for {
 		var e *Event
@@ -317,35 +320,40 @@ func (st *Stage) RunWindow(batch []*Event, rec Recorder) {
 		st.tailDead = dead
 		st.hasTail = true
 		if staged {
-			st.tailEv = e
+			st.tailRank = int(e.seq)
 			if dead {
-				// Never runs, but consumes its seq at the merge's replay,
-				// as the serial schedule did; ResetOps recycles it.
+				// Never runs, but consumes its seq at the merge, as the
+				// serial schedule did; ResetOps recycles it.
 				e.flags = evDone | evDead
 				continue
 			}
 			// Done and no longer queued before the callback, mirroring the
 			// serial pop-then-exec: a Cancel from here on is a no-op. The
-			// struct is not recycled yet — the ops log, the shard's effect
-			// records, and the tail reference it until the merge.
+			// struct is not recycled yet — the ops log references it until
+			// the stage's next window.
 			st.now = e.at
 			e.flags = evDone
 			e.act.Act(e.op, e.a, e.b, e.c, e.p)
-			rec.Record(e.at, 0, e)
+			rec.Record(e.at, e.seq, true)
 		} else {
-			st.tailEv = nil
+			st.tailRank = -1
 			st.tailSeq = e.seq
 			if dead {
+				cal.unpool(e)
 				continue
 			}
 			// Executed in place, and no longer cancellable: the flags write
-			// touches this event's own cache line only. The kernel releases
-			// the slot at the next drain; clock advance, counting, and
-			// tracing are the merge's job.
+			// touches this event's own cache line only. The calendar
+			// releases a ring slot at its next drain, and takes a far/late
+			// struct back before the callback, as the serial loop does;
+			// clock advance, counting, and tracing are the merge's job.
 			st.now = e.at
 			e.flags &^= evQueued
-			e.act.Act(e.op, e.a, e.b, e.c, e.p)
-			rec.Record(e.at, e.seq, nil)
+			at, seq := e.at, e.seq
+			act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
+			cal.unpool(e)
+			act.Act(op, a, b, c, p)
+			rec.Record(at, seq, false)
 		}
 	}
 }
@@ -353,41 +361,118 @@ func (st *Stage) RunWindow(batch []*Event, rec Recorder) {
 // Tail returns the (time, seq) of the last event this shard processed in
 // its window — live or dead — and whether it was dead. The executor
 // needs the global (time, seq)-maximal tail across shards for the
-// serial until-overshoot quirk. Call after the merge's ops replay (a
-// staged tail's seq is assigned there) and before ResetOps (which
-// recycles the staged structs).
+// serial until-overshoot quirk. Call after the merge has stamped this
+// stage's ops (a staged tail's seq is assigned there).
 func (st *Stage) Tail() (at Time, seq uint64, dead, ok bool) {
 	if !st.hasTail {
 		return 0, 0, false, false
 	}
-	if st.tailEv != nil {
-		return st.tailAt, st.tailEv.seq, st.tailDead, true
+	if st.tailRank >= 0 {
+		return st.tailAt, st.seqs[st.tailRank], st.tailDead, true
 	}
 	return st.tailAt, st.tailSeq, st.tailDead, true
 }
 
-// StagedLen returns how many schedule calls have been staged this cycle;
-// the shard records it per executed event to delimit each event's ops.
+// StagedLen returns how many schedule calls the stage holds; the shard
+// records it per executed event to delimit each event's ops.
 func (st *Stage) StagedLen() int { return len(st.ops) }
 
-// ReplayOps injects staged ops [i, j) into the kernel in program order,
-// assigning their sequence numbers, and reports each one that entered
-// the calendar to rb. Coordinator-only.
-func (st *Stage) ReplayOps(k *Kernel, i, j int, rb Rebinder) {
-	for _, e := range st.ops[i:j] {
-		if placed := k.InjectStaged(e); placed != nil {
-			rb.Rebind(e, placed)
-		}
+// Stamp assigns the next kernel sequence numbers to the staged ops not
+// yet stamped, up to (excluding) op j, in program order. The merge calls
+// it once per executed event, in global execution order — the serial
+// kernel's assignment order. It appends to seqs only; the ops stay
+// untouched for placement. Coordinator-only.
+func (st *Stage) Stamp(k *Kernel, j int) {
+	for i := len(st.seqs); i < j; i++ {
+		//hxlint:allow allocfree — the seq list grows to the shard's per-window high-water schedule count and is reset (not reallocated) every window
+		st.seqs = append(st.seqs, k.seq)
+		k.seq++
 	}
 }
 
-// ResetOps clears the staged-ops list after a merge and returns every
-// staged struct to the stage pool: the calendar holds copies of the ones
-// that live on, and the merge has finished reading the seqs of the ones
-// executed in-window. The backing array is reused next window.
+// Seq returns the kernel seq Stamp gave staged op rank.
+func (st *Stage) Seq(rank int) uint64 { return st.seqs[rank] }
+
+// Outgoing reports how many of this window's staged events target
+// shard t.
+func (st *Stage) Outgoing(t int) int { return len(st.out[t]) }
+
+// ResetOps clears the staged-ops list and returns every staged struct to
+// the stage pool: the calendars hold copies of the ones that live on, and
+// the merge has finished reading the seqs of the ones executed
+// in-window. Call it when no shard's placement can still read this
+// stage — the shard's next window is the natural point. The backing
+// arrays are reused.
 func (st *Stage) ResetOps() {
 	for _, e := range st.ops {
 		st.recycle(e)
 	}
 	st.ops = st.ops[:0]
+	st.seqs = st.seqs[:0]
+	for t := range st.out {
+		st.out[t] = st.out[t][:0]
+	}
+}
+
+// Place copies into calendar t every staged event of this window that
+// targets shard t, from every stage, in kernel-seq order — a merge of the
+// stages' per-target lists, each already in seq order, taken a run at a
+// time: the source with the smallest next seq places everything below
+// the others' next seqs — so each bucket stays a (time, seq) FIFO. A
+// cancelled event is placed dead (it holds its seq, as it did serially);
+// a kept one is reported to rb with its new address. Called by shard t
+// after the merge has stamped every stage: it reads the stages, which no
+// one writes until their next window, and writes calendar t and whatever
+// rb repoints.
+func (k *Kernel) Place(t int, stages []*Stage, rb Rebinder) {
+	const none = ^uint64(0) // no kernel seq reaches it
+	c := &k.cals[t]
+	src := c.sources
+	for s, st := range stages {
+		src[s] = placeSource{head: none}
+		if o := st.out[t]; len(o) > 0 {
+			src[s].head = st.seqs[o[0]]
+		}
+	}
+	for {
+		pick, first, second := -1, none, none
+		for s := range src {
+			if h := src[s].head; h < first {
+				pick, first, second = s, h, first
+			} else if h < second {
+				second = h
+			}
+		}
+		if pick < 0 {
+			return
+		}
+		st, o, p := stages[pick], stages[pick].out[t], src[pick].pos
+		for ; p < len(o); p++ {
+			seq := st.seqs[o[p]]
+			if seq > second {
+				break
+			}
+			e := st.ops[o[p]]
+			placed := c.slot(e.at, seq)
+			placed.set(e.act, e.op, e.a, e.b, e.c, e.p)
+			placed.flags |= e.flags & (evDead | evForeign)
+			if e.flags&evForeign != 0 {
+				c.nforeign++
+			}
+			if e.flags&evKeep != 0 {
+				rb.Rebind(e, placed)
+			}
+		}
+		src[pick].pos, src[pick].head = p, none
+		if p < len(o) {
+			src[pick].head = st.seqs[o[p]]
+		}
+	}
+}
+
+// placeSource is Place's read position in one stage's list for the
+// calendar being filled, and the seq found there.
+type placeSource struct {
+	pos  int
+	head uint64
 }

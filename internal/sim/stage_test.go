@@ -4,8 +4,9 @@ package sim
 // (time, seq) order across calendar tiers (dead events and the late list
 // included) and clock neutrality, RunWindow's in-window local execution
 // (same-cycle staging, window-granularity cancels, done-event seq
-// consumption), InjectStaged's serial-order seq assignment and handle
-// relocation, and the Stage pool's self-contained struct circulation.
+// consumption), Stamp's serial-order seq assignment with Place's copy
+// into the calendar, and the Stage pool's self-contained struct
+// circulation.
 
 import "testing"
 
@@ -19,10 +20,10 @@ type noRebind struct{}
 
 func (noRebind) Rebind(_, _ *Event) {}
 
-// TestInjectStagedSerialSeq: staged events replayed through InjectStaged
-// receive exactly the seq numbers — and therefore the execution order —
-// the serial kernel would have assigned had the callbacks scheduled
-// directly.
+// TestInjectStagedSerialSeq: staged events stamped by Stamp and placed by
+// Place receive exactly the seq numbers — and therefore the execution
+// order — the serial kernel would have assigned had the callbacks
+// scheduled directly.
 func TestInjectStagedSerialSeq(t *testing.T) {
 	serial := NewKernel()
 	var wantLog []int32
@@ -35,7 +36,7 @@ func TestInjectStagedSerialSeq(t *testing.T) {
 	k := NewKernel()
 	var log []int32
 	act := logActor{&log}
-	st := NewStage(0)
+	st := NewStage(0, 1)
 	pool := len(st.free)
 	for i := int32(0); i < 6; i++ {
 		st.AtAct(10, act, 0, i, 0, 0, nil)
@@ -43,8 +44,9 @@ func TestInjectStagedSerialSeq(t *testing.T) {
 	if st.StagedLen() != 6 {
 		t.Fatalf("StagedLen = %d, want 6", st.StagedLen())
 	}
-	st.ReplayOps(k, 0, 3, noRebind{})
-	st.ReplayOps(k, 3, 6, noRebind{})
+	st.Stamp(k, 3)
+	st.Stamp(k, 6)
+	k.Place(0, []*Stage{st}, noRebind{})
 	st.ResetOps()
 	if len(st.free) != pool {
 		t.Fatalf("stage pool = %d after ResetOps, want %d: the calendar holds copies, so every staged struct comes home", len(st.free), pool)
@@ -67,14 +69,15 @@ func TestStagedCancelConsumesSeq(t *testing.T) {
 	k := NewKernel()
 	var log []int32
 	act := logActor{&log}
-	st := NewStage(0)
+	st := NewStage(0, 1)
 	e0 := st.AtAct(10, act, 0, 0, 0, 0, nil)
 	st.AtAct(10, act, 0, 1, 0, 0, nil)
 	k.Cancel(e0)
 	if e0.flags&evDead == 0 {
 		t.Fatal("Cancel on a staged handle did not take")
 	}
-	st.ReplayOps(k, 0, 2, noRebind{})
+	st.Stamp(k, 2)
+	k.Place(0, []*Stage{st}, noRebind{})
 	var seqs []uint64
 	k.TraceExec = func(_ Time, seq uint64) { seqs = append(seqs, seq) }
 	k.Run(0)
@@ -167,7 +170,7 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 					dead[e.a] = true
 				}
 			}
-			batch := k.DrainWindow(row.winEnd, nil)
+			batch := k.DrainWindow(0, row.winEnd, nil)
 			if k.Now() != now {
 				t.Fatalf("DrainWindow moved the clock %d -> %d; it must not touch it", now, k.Now())
 			}
@@ -184,17 +187,17 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 						t.Fatalf("batch[%d] = (a=%d dead=%v), want (a=%d dead=%v)", i, e.a, isDead, want[i], dead[want[i]])
 					}
 					if i > 0 {
-						if p := batch[i-1]; p.At() > e.At() || (p.At() == e.At() && p.Seq() >= e.Seq()) {
+						if p := batch[i-1]; p.At() > e.At() || (p.At() == e.At() && p.seq >= e.seq) {
 							t.Fatalf("batch not in (time, seq) order at %d: (%d,%d) then (%d,%d)",
-								i, p.At(), p.Seq(), e.At(), e.Seq())
+								i, p.At(), p.seq, e.At(), e.seq)
 						}
 					}
 				}
 			}
 			check(batch, row.want)
-			st := NewStage(0)
+			st := NewStage(0, 1)
 			st.StartWindow(row.winEnd)
-			st.RunWindow(batch, &windowRecorder{})
+			st.RunWindow(k, batch, &windowRecorder{})
 			var live []int32
 			for _, a := range row.want {
 				if !dead[a] {
@@ -209,7 +212,7 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 					t.Fatalf("executed %v, want %v", log, live)
 				}
 			}
-			check(k.DrainWindow(1<<40, batch[:0]), row.rest)
+			check(k.DrainWindow(0, 1<<40, batch[:0]), row.rest)
 		})
 	}
 }
@@ -225,14 +228,14 @@ func TestDrainWindowCancelDrained(t *testing.T) {
 	k.AtAct(5, act, 0, 0, 0, 0, nil)
 	victim := k.AtAct(6, act, 0, 1, 0, 0, nil)
 	k.AtAct(7, act, 0, 2, 0, 0, nil)
-	batch := k.DrainWindow(10, nil)
+	batch := k.DrainWindow(0, 10, nil)
 	k.Cancel(victim)
 	if victim.flags&evDead == 0 {
 		t.Fatal("Cancel after DrainWindow did not take; window-granularity cancels would be lost")
 	}
-	st := NewStage(0)
+	st := NewStage(0, 1)
 	st.StartWindow(10)
-	st.RunWindow(batch, &windowRecorder{})
+	st.RunWindow(k, batch, &windowRecorder{})
 	if len(log) != 2 || log[0] != 0 || log[1] != 2 {
 		t.Fatalf("executed %v, want [0 2] (cancelled-after-drain event skipped)", log)
 	}
@@ -257,16 +260,16 @@ func (w *windowActor) Act(_ uint8, a, _, _ int32, _ any) {
 func (w *windowActor) ShardOf(uint8, int32, int32, int32, any) int { return 0 }
 
 // windowRecorder captures RunWindow's Record stream: times, and whether
-// each record was a drained event (ev nil, kernel seq) or a staged one
-// (handle, seq assigned later at the merge).
+// each record was a drained event (kernel seq) or a staged one (staging
+// rank, seq stamped later at the merge).
 type windowRecorder struct {
 	ats    []Time
 	staged []bool
 }
 
-func (r *windowRecorder) Record(at Time, _ uint64, ev *Event) {
+func (r *windowRecorder) Record(at Time, _ uint64, staged bool) {
 	r.ats = append(r.ats, at)
-	r.staged = append(r.staged, ev != nil)
+	r.staged = append(r.staged, staged)
 }
 
 // TestRunWindowSameCycleStaging: an event that stages a same-cycle
@@ -276,17 +279,17 @@ func (r *windowRecorder) Record(at Time, _ uint64, ev *Event) {
 func TestRunWindowSameCycleStaging(t *testing.T) {
 	k := NewKernel()
 	var log []int32
-	st := NewStage(0)
+	st := NewStage(0, 1)
 	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{
 		0: {5, 6}, // same-cycle (t=5) and mid-window (t=6) follow-ups
 	}}
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
 	k.AtAct(5, w, 0, 1, 0, 0, nil)
 	k.AtAct(7, w, 0, 2, 0, 0, nil)
-	batch := k.DrainWindow(10, nil)
+	batch := k.DrainWindow(0, 10, nil)
 	st.StartWindow(10)
 	rec := &windowRecorder{}
-	st.RunWindow(batch, rec)
+	st.RunWindow(k, batch, rec)
 	// Drained t=5 pair first (schedule order), then the staged t=5
 	// follow-up, the staged t=6 one, then the drained t=7 event.
 	wantLog := []int32{0, 1, 100, 200, 2}
@@ -317,63 +320,69 @@ func TestRunWindowSameCycleStaging(t *testing.T) {
 func TestRunWindowCancelStaged(t *testing.T) {
 	k := NewKernel()
 	var log []int32
-	st := NewStage(0)
+	st := NewStage(0, 1)
 	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
-	batch := k.DrainWindow(10, nil)
+	batch := k.DrainWindow(0, 10, nil)
 	st.StartWindow(10)
 	st.now = 5
 	victim := st.AtAct(8, w, 0, 50, 0, 0, nil)
 	k.Cancel(victim)
 	rec := &windowRecorder{}
-	st.RunWindow(batch, rec)
+	st.RunWindow(k, batch, rec)
 	if len(log) != 1 || log[0] != 0 {
 		t.Fatalf("executed %v, want only the drained event", log)
 	}
 	if len(rec.ats) != 1 {
 		t.Fatalf("recorded %d events, want 1 (dead staged event skipped without a record)", len(rec.ats))
 	}
+	// The dead in-window event is done: Stamp assigns it a seq but
+	// placement never re-enqueues it.
+	seqBefore := k.AtAct(100, w, 0, 9, 0, 0, nil).seq
+	st.Stamp(k, st.StagedLen())
 	at, _, dead, ok := st.Tail()
 	if !ok || at != 8 || !dead {
 		t.Fatalf("Tail = (%d, dead=%v, ok=%v), want the dead staged event at t=8", at, dead, ok)
 	}
-	// The dead in-window event is done: ReplayOps assigns it a seq but
-	// never re-enqueues it.
-	seqBefore := k.AtAct(100, w, 0, 9, 0, 0, nil).Seq()
-	st.ReplayOps(k, 0, st.StagedLen(), noRebind{})
+	k.Place(0, []*Stage{st}, noRebind{})
 	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d after replaying a done event, want 1 (only the probe)", k.Pending())
+		t.Fatalf("Pending = %d after placing a done event, want 1 (only the probe)", k.Pending())
 	}
-	if victim.Seq() != seqBefore+1 {
-		t.Fatalf("done event got seq %d, want %d (must consume the next kernel seq)", victim.Seq(), seqBefore+1)
+	if got := st.Seq(0); got != seqBefore+1 {
+		t.Fatalf("done event got seq %d, want %d (must consume the next kernel seq)", got, seqBefore+1)
+	}
+	if _, seq, _, _ := st.Tail(); seq != seqBefore+1 {
+		t.Fatalf("Tail seq = %d, want the dead event's stamped seq %d", seq, seqBefore+1)
 	}
 	st.ResetOps()
 }
 
 // TestInjectStagedDoneNoEnqueue: an event executed in-window on its own
-// shard (done) consumes a kernel seq at injection but never re-enters
-// the calendar, and ResetOps recycles its struct back to the stage pool.
+// shard (done) consumes a kernel seq at the merge's Stamp but never
+// re-enters the calendar, and ResetOps recycles its struct back to the
+// stage pool.
 func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 	k := NewKernel()
 	var log []int32
-	st := NewStage(0)
+	st := NewStage(0, 1)
 	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
 	st.StartWindow(10)
 	pool := len(st.free)
-	e := st.AtAct(5, w, 0, 7, 0, 0, nil)
-	st.RunWindow(nil, &windowRecorder{})
+	st.AtAct(5, w, 0, 7, 0, 0, nil)
+	st.RunWindow(k, nil, &windowRecorder{})
 	if len(log) != 1 || log[0] != 7 {
 		t.Fatalf("RunWindow on staged-only window executed %v, want [7]", log)
 	}
-	st.ReplayOps(k, 0, st.StagedLen(), noRebind{})
+	st.Stamp(k, st.StagedLen())
+	k.Place(0, []*Stage{st}, noRebind{})
 	if k.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0 (done event must not re-enter the calendar)", k.Pending())
 	}
-	if e.Seq() != 0 {
-		t.Fatalf("done event seq = %d, want 0 (first kernel seq)", e.Seq())
+	if got := st.Seq(0); got != 0 {
+		t.Fatalf("done event seq = %d, want 0 (first kernel seq)", got)
 	}
-	if next := k.AtAct(20, w, 0, 8, 0, 0, nil); next.Seq() != 1 {
-		t.Fatalf("next kernel seq = %d, want 1 (done event consumed seq 0)", next.Seq())
+	if next := k.AtAct(20, w, 0, 8, 0, 0, nil); next.seq != 1 {
+		t.Fatalf("next kernel seq = %d, want 1 (done event consumed seq 0)", next.seq)
 	}
 	st.ResetOps()
 	if len(st.free) != pool {
@@ -382,7 +391,7 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 }
 
 func TestStageAllocPanicsOnPast(t *testing.T) {
-	st := NewStage(0)
+	st := NewStage(0, 1)
 	st.now = 10
 	defer func() {
 		if recover() == nil {
