@@ -38,7 +38,7 @@ const (
 // lookahead, a channel crossing, just past the ring, and far.
 var fzDelays = [...]Time{0, 1, 2, 3, fzLookahead, 5, 7, 50, ringSize + 6, ringSize + 476}
 
-// fzRuns are the until-boundary steps of the driver script.
+// fzRuns are the until-boundary steps of the op script.
 var fzRuns = [...]Time{1, 3, 5, 17, 60, ringSize + 76}
 
 // fzProgram is the event program a fuzz input encodes.
@@ -293,7 +293,7 @@ func (s *fzSim) Rebind(old, placed *Event) {
 	}
 }
 
-// fzRec is one shard's Recorder in the windowed driver: its execution
+// fzRec is one shard's Recorder in the windowed loop: its execution
 // records, as the network's execRec log, each with its op count.
 type fzRec struct {
 	st   *Stage
