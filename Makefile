@@ -102,10 +102,12 @@ ckptsmoke:
 # end-to-end form of the golden-trace shards-vs-serial equivalence claim
 # — and so must the warm-forked sweep (-forkwarm), whose every point
 # restores a shared warm snapshot into a network whose shards already
-# ran. (The -race pass over the executor itself lives in the race
-# target: `go test -race ./internal/...` covers internal/shard including
-# the work-stealing deques, and `-race -short .` runs the root-package
-# sharded determinism tests.)
+# ran. The 4-shard legs run once more under GOMAXPROCS=1: more shards
+# than procs, so each shard's owner goroutine waits for the one P while
+# the coordinator parks on the fan-out's barrier. (The -race pass over
+# the executor itself lives in the race target: `go test -race
+# ./internal/...` covers internal/shard, and `-race -short .` runs the
+# root-package sharded determinism tests.)
 SHARDSMOKE = $(GO) run ./cmd/hxsweep -pattern UR -algs DOR,DimWAR -step 0.25 \
 	-warmup 1000 -window 1000 -j 2 -q
 shardsmoke:
@@ -117,6 +119,10 @@ shardsmoke:
 		$(SHARDSMOKE) -forkwarm 2000 -shards $$n > /tmp/hx-shard-fw-$$n.csv && \
 		cmp /tmp/hx-shard-fw-serial.csv /tmp/hx-shard-fw-$$n.csv || exit 1; \
 	done
+	GOMAXPROCS=1 $(SHARDSMOKE) -shards 4 > /tmp/hx-shard-4-p1.csv
+	cmp /tmp/hx-shard-serial.csv /tmp/hx-shard-4-p1.csv
+	GOMAXPROCS=1 $(SHARDSMOKE) -forkwarm 2000 -shards 4 > /tmp/hx-shard-fw-4-p1.csv
+	cmp /tmp/hx-shard-fw-serial.csv /tmp/hx-shard-fw-4-p1.csv
 	@echo shardsmoke OK
 
 # Sweep-service smoke (scripts/servesmoke.sh): boot hxserved on a random

@@ -246,31 +246,3 @@ func curveKey(cfg Config, pattern string, loads []float64, opts RunOpts, fk Fork
 		checkpointVersion, configKey(cfg), pattern, strings.Join(ls, ","),
 		optsKey(opts), fk.WarmCycles, hexFloat(fk.WarmLoad), fk.Settle)
 }
-
-// PointKey returns the canonical content address of one cold-path load
-// point result — the key the checkpoint store files it under and the
-// sweep service deduplicates in-flight computations on. Config and
-// RunOpts are canonicalized (defaults applied) first, so callers need
-// not pre-default; the exact string format is pinned by the
-// key-stability test against testdata/checkpoint_keys.txt, and the
-// intentional-change procedure is documented in docs/STATE.md.
-func PointKey(cfg Config, pattern string, load float64, opts RunOpts) string {
-	return pointKey(cfg.withDefaults(), pattern, load, opts.withDefaults())
-}
-
-// ThptKey returns the canonical content address of one saturated-
-// throughput grid cell (offered load is always 1.0 on that path). See
-// PointKey for the canonicalization and stability contract.
-func ThptKey(cfg Config, pattern string, opts RunOpts) string {
-	return thptKey(cfg.withDefaults(), pattern, opts.withDefaults())
-}
-
-// CurveKey returns the canonical content address of one whole-curve
-// result under the fork methodology fk, defaulted exactly as the forked
-// sweep defaults it (so the zero ForkOpts addresses the pristine fork,
-// whose results are byte-identical to the cold path). See PointKey for
-// the canonicalization and stability contract.
-func CurveKey(cfg Config, pattern string, loads []float64, opts RunOpts, fk ForkOpts) string {
-	o := opts.withDefaults()
-	return curveKey(cfg.withDefaults(), pattern, loads, o, fk.withDefaults(o))
-}

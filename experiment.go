@@ -105,8 +105,18 @@ func (e *Experiment) Normalize() error {
 			return fmt.Errorf("config widths must be positive, got %v", e.Config.Widths)
 		}
 	}
-	if e.Config.Terms < 0 || e.Config.Faults < 0 {
-		return fmt.Errorf("config terms and faults must be non-negative")
+	// Zero means "default" throughout; a negative count, size or latency
+	// means nothing, and would schedule events into the past or turn a
+	// run bound into "no bound".
+	c, o := &e.Config, &e.Opts
+	if min(c.Terms, c.Faults, c.NumVCs, c.BufDepth, c.MaxPktFlits, c.XbarLat, c.RouterChanLat, c.TermChanLat, c.OmniClasses) < 0 {
+		return fmt.Errorf("config counts, sizes and latencies must be non-negative")
+	}
+	if min(o.Warmup, o.Window, o.DrainCap, o.MinFlits, o.MaxFlits, o.Shards) < 0 || !(o.LatencyCap >= 0) {
+		return fmt.Errorf("opts fields must be non-negative")
+	}
+	if f := e.Fork; f != nil && (min(f.WarmCycles, f.Settle) < 0 || !(f.WarmLoad >= 0)) {
+		return fmt.Errorf("fork fields must be non-negative")
 	}
 
 	if e.Kind != "resilience" && (e.MaxFaults != 0 || e.Load != 0) {

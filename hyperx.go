@@ -153,9 +153,9 @@ func (inst *Instance) Close() {
 
 // shardWindow resolves the executor's window width from an override (in
 // cycles; <= 0 derives the default) and the instance's configured
-// latencies. The derived default is the conservative lookahead bound of
-// the ISSUE: min(XbarLat, RouterChanLat, TermChanLat) — any event can
-// only schedule at least that far ahead. The hard cap is RouterChanLat,
+// latencies. The derived default is a conservative lookahead bound:
+// min(XbarLat, RouterChanLat, TermChanLat) — any event can only schedule
+// at least that far ahead. The hard cap is RouterChanLat,
 // the minimum latency of any CROSS-SHARD schedule (router-to-router
 // arrivals carry XbarLat+RouterChanLat, credits flits+RouterChanLat,
 // and the fault-path drop credit exactly RouterChanLat; everything

@@ -22,12 +22,14 @@
 // Routers are partitioned into contiguous index blocks, one block per
 // shard; a terminal belongs to its router's shard, and every typed event
 // in the model resolves to the single shard whose slab state its callback
-// touches (sim.Sharded). During a window's parallel phase each shard
-// executes its slice of the window's events strictly in serial (time,
-// seq) order — including events its own callbacks schedule back inside
-// the window, which sim.Stage.RunWindow interleaves locally. The kernel
-// keeps one calendar per shard (ConfigureShards splits it), so a shard
-// drains its window from its own calendar in RunShard.
+// touches (sim.Sharded) — by type: a context schedules only Sharded
+// actors. During a window's parallel phase each shard executes its slice
+// of the window's events strictly in serial (time, seq) order —
+// including events its own callbacks schedule back inside the window,
+// which sim.Stage.RunWindow interleaves locally. The kernel keeps one
+// calendar per shard (ConfigureShards splits it), and in RunShard a
+// shard pops its window's events from its own calendar as it executes
+// them.
 //
 // Why the parallel phases are race-free (each bullet names the state and
 // its owner during them):
@@ -54,18 +56,16 @@
 //     are per context: a packet is taken from its source router's
 //     context and freed back to it (by the merge, when staged).
 //   - Kernel: the parallel phases read time only through the shard's
-//     Stage clock (pinned to the executing event). A shard drains and
+//     Stage clock (pinned to the executing event). A shard pops from and
 //     places into only its own calendar, whose chunks and pools are its
 //     own. Kernel.Cancel writes only the cancelled event's flags byte,
 //     and the model cancels only its own router's reroute timer —
 //     same-shard by construction; a staged timer is placed by the shard
 //     of the router it belongs to, which is also the one that repoints
-//     the input VC's handle (Rebind).
-//     Drained and in-window staged events stay cancellable until they
-//     are executed or recycled, and RunWindow reads deadness at
-//     processing time, so a cancel aimed at a later event of the same
-//     window lands under sharding exactly as it does serially, where
-//     the target would still be sitting in the calendar.
+//     the input VC's handle (Rebind). A later event of the window is
+//     still in its calendar or on the stage's pending heap when an
+//     earlier one cancels it, and RunWindow reads deadness when it pops
+//     it, so the cancel lands exactly as it does serially.
 //   - Everything else the phase reads (topology tables, algorithm state,
 //     Config, FaultSet, classVCs) is immutable during a run.
 package network
@@ -104,7 +104,7 @@ type effect struct {
 
 // execRec records one live event a shard executed: its trace identity and
 // the END offsets of its staged schedule calls and effects in the shard's
-// logs (the start offsets are the previous record's ends). A drained
+// logs (the start offsets are the previous record's ends). A calendar
 // event's (at, seq) are copied in; an in-window staged event carries its
 // staging rank, tagged stagedRec, instead — its seq exists only once the
 // merge has stamped the record that staged it, which precedes this one in
@@ -137,12 +137,16 @@ type ShardState struct {
 
 	fx     []effect
 	recs   []execRec
-	batch  []*sim.Event // this shard's slice of the current window, drained from its calendar
-	winEnd sim.Time     // the open window's exclusive end
+	winEnd sim.Time // the open window's exclusive end
 
 	// merge cursors (coordinator-only)
 	cur   int
 	fxPos int32
+
+	// Contexts are allocated one after another and belong to different
+	// shards: the pad keeps one context's fields off its neighbour's
+	// cache lines.
+	_ [64]byte
 }
 
 // Record implements sim.Recorder: called by this shard's Stage.RunWindow
@@ -181,8 +185,9 @@ func (sc *ShardState) now() sim.Time {
 }
 
 // at schedules a typed event: on the stage while staged, so the merge can
-// assign sequence numbers serially, on the kernel otherwise.
-func (sc *ShardState) at(t sim.Time, act sim.Actor, op uint8, a, b, c int32, p any) *sim.Event {
+// assign sequence numbers serially, on the kernel otherwise. The actor
+// must name its shard, whichever the mode.
+func (sc *ShardState) at(t sim.Time, act sim.Sharded, op uint8, a, b, c int32, p any) *sim.Event {
 	if sc.sharded {
 		return sc.stage.AtAct(t, act, op, a, b, c, p)
 	}
@@ -200,7 +205,7 @@ func (sc *ShardState) keep(e *sim.Event) *sim.Event {
 }
 
 // After schedules a typed event d cycles after the context's clock.
-func (sc *ShardState) After(d sim.Time, act sim.Actor, op uint8, a, b, c int32, p any) *sim.Event {
+func (sc *ShardState) After(d sim.Time, act sim.Sharded, op uint8, a, b, c int32, p any) *sim.Event {
 	return sc.at(sc.now()+d, act, op, a, b, c, p)
 }
 
@@ -310,6 +315,8 @@ func (n *Network) ConfigureShards(nsh int) error {
 	if n.shards[0].sharded {
 		return fmt.Errorf("network: ConfigureShards inside a sharded window")
 	}
+	// Contexts first: ShardOf, which SetCalendars asks of every pending
+	// event, divides by the context count.
 	n.buildContexts(nsh, true)
 	n.K.SetCalendars(nsh, n)
 	return nil
@@ -379,7 +386,7 @@ func (t *Terminal) ShardOf(_ uint8, _, _, _ int32, _ any) int {
 
 // PartitionWindow opens every shard's stage for the window ending
 // (exclusive) at winEnd and switches every context to staged mode until
-// MergeWindow returns. The batch is empty: each shard drains its own
+// MergeWindow returns. The batch is empty: each shard pops its own
 // calendar in RunShard, so there is nothing to distribute; a non-empty
 // batch is refused with false, leaving every context serial.
 func (n *Network) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
@@ -408,15 +415,14 @@ func (n *Network) BatchLen(s int) int {
 
 // RunShard executes shard s's slice of the current window, in serial
 // (time, seq) order, entirely against shard-private state: it recycles
-// the stage's previous window, drains the shard's own calendar up to the
-// window end, and runs the batch through the stage, which interleaves
-// in-window staged events, skips dead ones (as the serial kernel does),
-// and reports each live event to Record above.
+// the stage's previous window, then the stage pops the shard's own
+// calendar up to the window end, interleaves in-window staged events,
+// skips dead ones (as the serial kernel does), and reports each live
+// event to Record above.
 func (n *Network) RunShard(s int) {
 	sc := n.shards[s]
 	sc.stage.ResetOps()
-	sc.batch = n.K.DrainWindow(s, sc.winEnd, sc.batch)
-	sc.stage.RunWindow(n.K, sc.batch, sc)
+	sc.stage.RunWindow(n.K, sc)
 }
 
 // MergeWindow replays the window's order-sensitive work in global serial

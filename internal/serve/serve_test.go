@@ -345,6 +345,14 @@ func TestMalformedRequests(t *testing.T) {
 		{"loads on throughput", `{"kind": "throughput", "loads": [0.5]}`, "do not apply"},
 		{"resilience without max_faults", `{"kind": "resilience"}`, "max_faults >= 1"},
 		{"resilience two patterns", `{"kind": "resilience", "max_faults": 1, "patterns": ["UR", "BC"]}`, "exactly one pattern"},
+		{"negative terms", `{"config": {"Terms": -1}}`, "config counts, sizes and latencies must be non-negative"},
+		{"negative latency", `{"config": {"Widths": [2, 2], "Algorithm": "DOR", "TermChanLat": -10}}`, "config counts, sizes and latencies must be non-negative"},
+		{"negative buffer depth", `{"config": {"BufDepth": -256}}`, "config counts, sizes and latencies must be non-negative"},
+		{"negative warmup and window", `{"config": {"Widths": [2, 2], "Algorithm": "DOR"}, "opts": {"Warmup": -100, "Window": -100}}`, "opts fields must be non-negative"},
+		{"negative latency cap", `{"opts": {"LatencyCap": -1}}`, "opts fields must be non-negative"},
+		{"negative shards", `{"opts": {"Shards": -2}}`, "opts fields must be non-negative"},
+		{"negative fork settle", `{"fork": {"Settle": -5}}`, "fork fields must be non-negative"},
+		{"negative fork warm load", `{"fork": {"WarmCycles": 500, "WarmLoad": -0.5}}`, "fork fields must be non-negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,6 +16,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ import (
 var toyWindows = []sim.Time{1, 2, 3, 5}
 
 // toyRec mirrors network.execRec: one executed event's replay window. A
-// drained event carries its (at, seq); an in-window staged event carries
+// calendar event carries its (at, seq); an in-window staged event carries
 // its staging rank (seq stamped at the merge).
 type toyRec struct {
 	at     sim.Time
@@ -71,7 +72,6 @@ type toy struct {
 	k       *sim.Kernel
 	stages  []*sim.Stage
 	srecs   []*toyShardRec
-	batches [][]*sim.Event
 	recs    [][]toyRec
 	cur     []int
 	slots   []int64
@@ -104,7 +104,6 @@ func newToy(k *sim.Kernel, nsh, slots int, limit sim.Time) *toy {
 	for s := 0; s < nsh; s++ {
 		m.stages = append(m.stages, sim.NewStage(s, nsh))
 		m.srecs = append(m.srecs, &toyShardRec{m: m, s: s})
-		m.batches = append(m.batches, nil)
 		m.recs = append(m.recs, nil)
 		m.cur = append(m.cur, 0)
 		m.holders = append(m.holders, nil)
@@ -216,8 +215,7 @@ func (m *toy) BatchLen(s int) int {
 func (m *toy) RunShard(s int) {
 	m.stages[s].ResetOps()
 	m.holders[s] = m.holders[s][:0]
-	m.batches[s] = m.k.DrainWindow(s, m.winEnd, m.batches[s])
-	m.stages[s].RunWindow(m.k, m.batches[s], m.srecs[s])
+	m.stages[s].RunWindow(m.k, m.srecs[s])
 }
 
 func (m *toy) MergeWindow() bool {
@@ -353,12 +351,11 @@ func TestExecutorMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestExecutorWorkStealing: a wide fan-out (8 shards, 7 pool workers)
-// over a long run keeps the deques busy enough that thieves routinely
-// outrun the round-robin deal. Serial equivalence must survive arbitrary
-// steal interleavings; `go test -race ./internal/shard` is the memory-
-// model half of this claim.
-func TestExecutorWorkStealing(t *testing.T) {
+// TestExecutorWideFanout: a wide fan-out (8 shards, 7 workers) over a
+// long run, every shard on its own worker. Serial equivalence must
+// survive any interleaving of the owners; `go test -race
+// ./internal/shard` is the memory-model half of this claim.
+func TestExecutorWideFanout(t *testing.T) {
 	runPair(t, 8, 5, 32, 2000, 0, nil)
 }
 
@@ -389,14 +386,13 @@ func TestExecutorDeadTailOvershoot(t *testing.T) {
 }
 
 // TestExecutorSameWindowCancel: an event cancelling a later event of its
-// own shard — one already drained into the window's batch, one staged
-// inside the window by an earlier event — must see the cancel land
-// exactly as serially, where the target would still be in the calendar.
-// Deadness is read at processing time, which this pins. The cancels run
-// on a worker inside the parallel phase: at every width above 1 both
-// victims are due in the cancellers' own window (asserted), and at width
-// 1 the same cancels land on a calendar event and on a staged event the
-// merge then injects dead.
+// own shard — one still in the shard's calendar, one staged inside the
+// window by an earlier event — must see the cancel land exactly as
+// serially. Deadness is read at pop time, which this pins. The cancels
+// run inside the parallel phase: at every width above 1 both victims are
+// due in the cancellers' own window (asserted), and at width 1 the same
+// cancels land on a calendar event and on a staged event the merge then
+// places dead.
 func TestExecutorSameWindowCancel(t *testing.T) {
 	for _, win := range toyWindows {
 		xm := runPair(t, 2, win, 4, 400, 0, func(k *sim.Kernel, m *toy) {
@@ -438,30 +434,97 @@ type foreign struct{ ran bool }
 
 func (f *foreign) Act(uint8, int32, int32, int32, any) { f.ran = true }
 
+// toyCoder is a sim.EventCoder over a fixed actor table, for payload-free
+// events.
+type toyCoder []sim.Actor
+
+func (c toyCoder) EncodeActor(a sim.Actor) (uint64, error) {
+	for i, x := range c {
+		if x == a {
+			return uint64(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown actor %T", a)
+}
+
+func (c toyCoder) DecodeActor(code uint64) (sim.Actor, error) { return c[code], nil }
+func (toyCoder) EncodePayload(uint8, any) (uint64, error)     { return 0, nil }
+func (toyCoder) DecodePayload(uint8, uint64) (any, error)     { return nil, nil }
+
+// panicOf runs fn and returns what it panicked with, or nil.
+func panicOf(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
 // TestExecutorRejectsUnshardedActor: an actor that does not implement
-// sim.Sharded is a model bug; RunCtx reports it — naming the type and
-// the event time — instead of running the event serially.
+// sim.Sharded is a model bug, refused where its event would enter a split
+// kernel's calendar — SetCalendars, AtAct, Restore — with a report naming
+// the type and the event time. The event never runs sharded.
 func TestExecutorRejectsUnshardedActor(t *testing.T) {
-	for _, win := range toyWindows {
+	report := func(t *testing.T, v any) {
+		t.Helper()
+		if s := fmt.Sprint(v); v == nil || !strings.Contains(s, "*shard.foreign") || !strings.Contains(s, "t=20") {
+			t.Fatalf("report = %v, want one naming *shard.foreign at t=20", v)
+		}
+	}
+	t.Run("SetCalendars", func(t *testing.T) {
 		k := sim.NewKernel()
 		m := newToy(k, 2, 4, 100)
 		seedToy(k, m)
 		f := &foreign{}
 		k.AtAct(20, f, 0, 0, 0, 0, nil)
-		m.split()
-		x := New(k, m, win)
-		_, err := x.RunCtx(context.Background(), 0)
-		x.Close()
-		if err == nil || !strings.Contains(err.Error(), "*shard.foreign") || !strings.Contains(err.Error(), "t=20") {
-			t.Fatalf("win=%d: RunCtx error = %v, want one naming *shard.foreign at t=20", win, err)
+		pending := k.Pending()
+		report(t, panicOf(m.split))
+		if k.Calendars() != 1 || k.Pending() != pending {
+			t.Fatalf("refused split left %d calendars, %d pending; want 1, %d", k.Calendars(), k.Pending(), pending)
+		}
+		if panicOf(func() { New(k, m, 5).Close() }) == nil {
+			t.Fatal("an executor was built over the unsplit kernel")
 		}
 		if f.ran {
-			t.Fatalf("win=%d: the unsharded event executed", win)
+			t.Fatal("the unsharded event executed")
 		}
-		if m.sharded {
-			t.Fatalf("win=%d: failed run left the model in sharded mode", win)
+	})
+	t.Run("AtAct", func(t *testing.T) {
+		k := sim.NewKernel()
+		m := newToy(k, 2, 4, 100)
+		seedToy(k, m)
+		m.split()
+		f := &foreign{}
+		pending := k.Pending()
+		report(t, panicOf(func() { k.AtAct(20, f, 0, 0, 0, 0, nil) }))
+		if k.Pending() != pending {
+			t.Fatalf("refused schedule left %d pending, want %d", k.Pending(), pending)
 		}
-	}
+		x := New(k, m, 5)
+		defer x.Close()
+		if _, err := x.RunCtx(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if f.ran {
+			t.Fatal("the unsharded event executed")
+		}
+	})
+	t.Run("Restore", func(t *testing.T) {
+		k := sim.NewKernel()
+		m := newToy(k, 2, 4, 100)
+		seedToy(k, m)
+		f := &foreign{}
+		k.AtAct(20, f, 0, 0, 0, 0, nil)
+		snap, err := k.Snapshot(toyCoder{m, f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rk := sim.NewKernel()
+		rm := newToy(rk, 2, 4, 100)
+		rm.split()
+		report(t, rk.Restore(snap, toyCoder{rm, f}, nil))
+		if f.ran {
+			t.Fatal("the unsharded event executed")
+		}
+	})
 }
 
 // TestExecutorEmptyCalendar: an empty calendar returns immediately.

@@ -57,9 +57,7 @@ var calendarCounts = []int{1, 2}
 
 // TestEventIsOneCacheLine: an Event is exactly 64 bytes and every slot of
 // every chunk — from Reserve's slab or from on-demand growth — starts on
-// a 64-byte boundary. Shrinking Event would put two events on one line, and
-// two shards executing neighbouring drained events would then write the
-// same line in the parallel phase.
+// a 64-byte boundary. Shrinking Event would put two events on one line.
 func TestEventIsOneCacheLine(t *testing.T) {
 	if n := unsafe.Sizeof(Event{}); n != 64 {
 		t.Fatalf("sizeof(Event) = %d, want exactly 64", n)
@@ -122,8 +120,8 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 				}
 			}
 
-			// DrainWindow: part-consume with Step, append directly, drain
-			// every calendar.
+			// Windowed: part-consume with Step, append directly, then run a
+			// window over every calendar, each through its own stage.
 			k, s = newScript()
 			k.SetCalendars(ncal, nil)
 			for i := int32(0); i < n; i++ {
@@ -135,18 +133,21 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 			for i := int32(0); i < extra; i++ {
 				k.AtAct(5, s, opLog, n+i, 0, 0, nil)
 			}
-			drained := 0
+			ran := 0
 			for c := 0; c < ncal; c++ {
-				batch := k.DrainWindow(c, 6, nil)
-				drained += len(batch)
-				for i, e := range batch {
-					if want := consumed + int32(c+i*ncal); e.a != want {
-						t.Fatalf("calendars=%d consumed=%d: calendar %d batch[%d].a = %d, want %d", ncal, consumed, c, i, e.a, want)
+				s.log = s.log[:0]
+				st := NewStage(c, ncal)
+				st.StartWindow(6)
+				st.RunWindow(k, &windowRecorder{})
+				ran += len(s.log)
+				for i, a := range s.log {
+					if want := consumed + int32(c+i*ncal); a != want {
+						t.Fatalf("calendars=%d consumed=%d: calendar %d ran %d as its event %d, want %d", ncal, consumed, c, a, i, want)
 					}
 				}
 			}
-			if drained != int(n+extra-consumed) || k.Pending() != 0 {
-				t.Fatalf("calendars=%d consumed=%d: drained %d events (pending %d), want %d (0)", ncal, consumed, drained, k.Pending(), n+extra-consumed)
+			if ran != int(n+extra-consumed) || k.Pending() != 0 {
+				t.Fatalf("calendars=%d consumed=%d: windows ran %d events (pending %d), want %d (0)", ncal, consumed, ran, k.Pending(), n+extra-consumed)
 			}
 		}
 	}
@@ -236,13 +237,15 @@ func TestCancelOwnExecutingHandle(t *testing.T) {
 }
 
 // TestDrainedEventsOutliveTheirMerge: the same pattern through the
-// sharded path. The drained event's callback cancels its own handle and
-// stages over a chunk's worth of events; the merge stamps them and
-// placement copies them into the calendars. The drained events must sit
-// untouched and addressable throughout — their chunks are released by
-// their calendar's NEXT DrainWindow, not by this one, not by the merge
-// and not by placement. On a split kernel each shard drains and runs its
-// own calendar, and the staged burst lands in both.
+// sharded path. The window pops the event, whose callback cancels its own
+// handle and stages over a chunk's worth of events; the merge stamps them
+// and placement copies them into the calendars, growing their buckets.
+// The popped event's slot must stay untouched and addressable
+// throughout: the chunk its pop exhausted is parked until its calendar's
+// next pop, and placement draws only from the free list, so a late
+// Cancel on that handle still lands on the executed event and on nothing
+// placed. On a split kernel each shard runs its own calendar, and the
+// staged burst lands in both.
 func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 	const burst = 3 * chunkCap
 	for _, ncal := range calendarCounts {
@@ -264,21 +267,13 @@ func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 			}
 			k.Cancel(self)
 		}
-		self = k.AtAct(5, canceller, 0, 0, 0, 0, nil)  // calendar 0
-		k.AtAct(6, count, 0, int32(1%ncal), 0, 0, nil) // the last calendar
-		free := make([]*chunk, ncal)
-		for c := range free {
-			free[c] = k.cals[c].chunks
-		}
-		batches := make([][]*Event, ncal)
-		for c := range batches {
-			batches[c] = k.DrainWindow(c, 10, nil)
-			if k.cals[c].chunks != free[c] {
-				t.Fatalf("calendars=%d: DrainWindow freed calendar %d's chunks of the events it just handed out", ncal, c)
-			}
-		}
+		k.AtAct(4, count, 0, int32(1%ncal), 0, 0, nil) // the last calendar, before self
+		self = k.AtAct(5, canceller, 0, 0, 0, 0, nil)  // calendar 0, its last pop
 		for s, st := range stages {
-			st.RunWindow(k, batches[s], &windowRecorder{})
+			st.RunWindow(k, &windowRecorder{})
+			if k.cals[s].spent == nil {
+				t.Fatalf("calendars=%d: calendar %d released the chunk of the event it popped last", ncal, s)
+			}
 		}
 		stages[0].Stamp(k, stages[0].StagedLen())
 		for c := range stages {
@@ -290,15 +285,10 @@ func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 		if k.Pending() != burst {
 			t.Fatalf("calendars=%d: Pending = %d after placement, want %d", ncal, k.Pending(), burst)
 		}
-		for i, want := range []struct {
-			at Time
-			a  int32
-		}{{5, 0}, {6, int32(1 % ncal)}} {
-			e := batches[want.a][i-int(want.a)*(ncal-1)]
-			if e.at != want.at || e.a != want.a || e.seq != uint64(i) {
-				t.Fatalf("calendars=%d: drained event %d reads (t=%d seq=%d a=%d) after placement, want (t=%d seq=%d a=%d): its slot was reused", ncal, i, e.at, e.seq, e.a, want.at, i, want.a)
-			}
+		if self.at != 5 || self.a != 0 || self.seq != 1 {
+			t.Fatalf("calendars=%d: popped event reads (t=%d seq=%d a=%d) after placement, want (t=5 seq=1 a=0): its slot was reused", ncal, self.at, self.seq, self.a)
 		}
+		k.Cancel(self)
 		ran = 0
 		k.Run(0)
 		if ran != burst {

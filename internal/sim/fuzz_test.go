@@ -7,9 +7,9 @@ package sim
 //     (time, seq) FIFO contract and of Run's until-boundary quirks;
 //   - the kernel run serially on n calendars (n in {1, 2, 3});
 //   - the kernel on the same n calendars driven window by window the way
-//     the sharded executor drives it — per-shard DrainWindow and
-//     RunWindow, a merge that Stamps, per-shard Place — sequentially, in
-//     a fuzzed shard order.
+//     the sharded executor drives it — per-shard RunWindow popping the
+//     shard's own calendar, a merge that Stamps, per-shard Place —
+//     sequentially, in a fuzzed shard order.
 //
 // The program mixes what the network model does to the calendar: events
 // scheduling children on their own slot or, at least the lookahead later,
@@ -320,7 +320,6 @@ func (s *fzSim) runWindowed(until, win Time, order []int) {
 	for sh := range recs {
 		recs[sh].st = s.stages[sh]
 	}
-	batches := make([][]*Event, n)
 	for {
 		t, ok := k.PeekTime()
 		if !ok {
@@ -345,8 +344,7 @@ func (s *fzSim) runWindowed(until, win Time, order []int) {
 			}
 			st.ResetOps()
 			recs[sh].recs = recs[sh].recs[:0]
-			batches[sh] = k.DrainWindow(sh, winEnd, batches[sh])
-			st.RunWindow(k, batches[sh], &recs[sh])
+			st.RunWindow(k, &recs[sh])
 		}
 		// Merge: the k-way walk, stamping each record's ops.
 		cur := make([]int, n)

@@ -15,12 +15,15 @@
 // The queue is one calendar per execution context: a serial kernel has
 // exactly one, and SetCalendars splits it into one per shard for the
 // sharded executor (internal/shard), each pending event into the calendar
-// of the shard its actor's Sharded.ShardOf names. A shard drains, and
-// after each merge fills, only its own calendar, so the parallel phases
-// share no calendar memory. Every pending event sits in exactly one
-// calendar, and a multi-calendar kernel's serial loop, PeekTime and
-// Snapshot take the (time, seq) minimum across them, so the queue they
-// see is the whole one.
+// of the shard its actor's Sharded.ShardOf names. On a split kernel
+// Sharded is a requirement, checked where an event enters a calendar:
+// AtAct and SetCalendars panic on an actor that does not implement it,
+// and Restore refuses one. A shard pops, and after each merge fills,
+// only its own calendar, so the parallel phases share no calendar
+// memory. Every pending event sits in exactly one calendar, and a
+// multi-calendar kernel's serial loop, PeekTime and Snapshot take the
+// (time, seq) minimum across them, so the queue they see is the whole
+// one.
 //
 // A calendar is two-tier: a ring of ringSize per-cycle FIFO buckets
 // covering the near-future window [winStart, winStart+ringSize), plus a
@@ -70,6 +73,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"sort"
 )
 
@@ -109,16 +113,15 @@ func (e *Event) set(act Actor, op uint8, a, b, c int32, p any) {
 	e.p = p
 }
 
-// Event flags. evQueued is cleared when a pooled, drained or staged event
-// is consumed; the serial ring pop is a pure read and leaves it set — that
-// slot is never read again, so a late Cancel on it is unobservable.
+// Event flags. evQueued is cleared when a pooled or staged event is
+// consumed; a ring pop is a pure read and leaves it set — that slot is
+// never read again, so a late Cancel on it is unobservable.
 const (
-	evDead    uint8 = 1 << iota // cancelled; skipped at pop time
-	evQueued                    // still cancellable
-	evDone                      // staged event already executed inside its window (see stage.go)
-	evPooled                    // a far/late struct from calendar.free, recycled when popped; ring slots belong to their chunk
-	evKeep                      // staged handle the model keeps: placement reports its calendar copy (Stage.Keep)
-	evForeign                   // actor is not Sharded, on a multi-calendar kernel (see Unsharded)
+	evDead   uint8 = 1 << iota // cancelled; skipped at pop time
+	evQueued                   // still cancellable
+	evDone                     // staged event already executed inside its window (see stage.go)
+	evPooled                   // a far/late struct from calendar.free, recycled when popped; ring slots belong to their chunk
+	evKeep                     // staged handle the model keeps: placement reports its calendar copy (Stage.Keep)
 )
 
 const (
@@ -144,8 +147,7 @@ const (
 
 // chunk is one fixed-size segment of a bucket's FIFO. It is padded to
 // 4 KiB and only ever allocated in page-aligned slabs (stock), so every
-// slot starts on a 64-byte boundary: one event is one cache line, and two
-// shards executing neighbouring drained events never write the same line.
+// slot starts on a 64-byte boundary: one event is one cache line.
 type chunk struct {
 	ev   [chunkCap]Event
 	next *chunk
@@ -162,7 +164,7 @@ type bucket struct {
 }
 
 // calendar is one execution context's queue (see Queue structure), with
-// its own chunk and struct pools: a shard that drains or fills its
+// its own chunk and struct pools: a shard that pops or fills its
 // calendar writes nothing another calendar uses.
 type calendar struct {
 	// Near-future ring: cycle t lives in ring[t&ringMask], valid for t in
@@ -182,13 +184,10 @@ type calendar struct {
 	late []*Event
 
 	chunks *chunk   // recycled bucket chunks, LIFO: zero steady-state allocation
-	spent  *chunk   // consumed chunks awaiting release (at the next pop; a drained window's at the next drain); holds no pending event
+	spent  *chunk   // consumed chunks awaiting release at the next pop; holds no pending event
 	free   []*Event // far/late struct pool
 
-	// nforeign counts events flagged evForeign since the last Unsharded
-	// scan; sources is Place's per-stage read state.
-	nforeign int
-	sources  []placeSource
+	sources []placeSource // Place's per-stage read state
 
 	// Calendars sit side by side in Kernel.cals and belong to different
 	// shards: the pad keeps one calendar's fields off its neighbour's
@@ -294,8 +293,7 @@ func (c *calendar) grow(b *bucket) {
 
 // park puts a consumed chunk on the spent list. It is not reusable yet:
 // the event executing out of it may still have its handle cancelled by
-// its own callback, and a drained window's events are read until its
-// RunWindow is over.
+// its own callback.
 func (c *calendar) park(ch *chunk) {
 	ch.next = c.spent
 	c.spent = ch
@@ -380,11 +378,10 @@ func (c *calendar) recycle(e *Event) {
 // act.Act(op, a, b, c, p). Scheduling in the past panics: it always
 // indicates a model bug. The returned handle may be passed to Cancel; it
 // addresses the event's calendar slot and is valid until the event is
-// popped — executed, skipped dead, or drained into a window, whose events
-// stay addressable until their calendar's next DrainWindow. A callback
-// may still Cancel the handle of its own executing event (a no-op in
-// effect). On a multi-calendar kernel the event goes to its shard's
-// calendar (see calendarOf).
+// popped — executed or skipped dead. A callback may still Cancel the
+// handle of its own executing event (a no-op in effect). On a
+// multi-calendar kernel the event goes to its shard's calendar, and an
+// actor that does not implement Sharded panics (see calendarOf).
 func (k *Kernel) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
 	if t < k.now {
 		panic("sim: event scheduled in the past")
@@ -400,27 +397,31 @@ func (k *Kernel) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event
 
 // atSharded is AtAct on a multi-calendar kernel.
 func (k *Kernel) atSharded(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
-	cal, foreign := k.calendarOf(act, op, a, b, c, p)
+	cal, err := k.calendarOf(t, act, op, a, b, c, p)
+	if err != nil {
+		panic(err)
+	}
 	e := cal.slot(t, k.seq)
 	k.seq++
 	e.set(act, op, a, b, c, p)
-	if foreign {
-		e.flags |= evForeign
-		cal.nforeign++
-	}
 	return e
 }
 
-// calendarOf returns the calendar an event belongs to on a multi-calendar
-// kernel: its actor's shard's. An actor that does not implement Sharded
-// cannot be sharded; its event goes to calendar 0, flagged foreign, so a
-// serial loop still runs it and the sharded executor refuses to run while
-// it is pending (Unsharded).
-func (k *Kernel) calendarOf(act Actor, op uint8, a, b, c int32, p any) (cal *calendar, foreign bool) {
-	if s, ok := act.(Sharded); ok {
-		return &k.cals[s.ShardOf(op, a, b, c, p)], false
+// calendarOf returns the calendar an event at time t belongs to on a
+// multi-calendar kernel: its actor's shard's, or none (notSharded).
+func (k *Kernel) calendarOf(t Time, act Actor, op uint8, a, b, c int32, p any) (*calendar, error) {
+	s, ok := act.(Sharded)
+	if !ok {
+		return nil, notSharded(t, act)
 	}
-	return &k.cals[0], true
+	return &k.cals[s.ShardOf(op, a, b, c, p)], nil
+}
+
+// notSharded reports an event at time t that no calendar of a split
+// kernel can take, because its actor does not implement Sharded: a
+// model bug.
+func notSharded(t Time, act Actor) error {
+	return fmt.Errorf("sim: event at t=%d: actor %T does not implement sim.Sharded", t, act)
 }
 
 // AfterAct schedules an event d cycles from now.
@@ -701,11 +702,12 @@ func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
 
 // SetCalendars re-splits the queue into n calendars, one per shard: each
 // pending event, live or dead, moves to the calendar its actor's
-// Sharded.ShardOf names (an actor that is not Sharded to calendar 0,
-// flagged foreign — see Unsharded); n = 1 merges them back into one. The
-// clock, the sequence counter and every event's (time, seq) stay as they
-// are, so the execution order does not change. Events move, so each one
-// is reported to rb with its old and new address — the same rewiring
+// Sharded.ShardOf names; n = 1 merges them back into one. For n > 1 a
+// pending event whose actor does not implement Sharded panics, with the
+// actor's type and the event's time, before anything moves. The clock,
+// the sequence counter and every event's (time, seq) stay as they are,
+// so the execution order does not change. Events move, so each one is
+// reported to rb with its old and new address — the same rewiring
 // placement does for staged handles — while its old slot is still
 // intact. The chunk and struct pools are dealt out across the new
 // calendars. Call it between runs, never inside a window.
@@ -740,6 +742,11 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 		usedEv = append(append(usedEv, c.far.h...), c.late...)
 	}
 	sort.Slice(old, func(i, j int) bool { return before(old[i], old[j]) })
+	for _, e := range old {
+		if _, ok := e.act.(Sharded); !ok && n > 1 {
+			panic(notSharded(e.at, e.act))
+		}
+	}
 
 	cals := make([]calendar, n)
 	for i := range cals {
@@ -760,47 +767,18 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 	deal(spareCh, spareEv)
 	k.cals = cals
 	for _, e := range old {
-		c, foreign := &k.cals[0], false
+		c := &k.cals[0]
 		if n > 1 {
-			c, foreign = k.calendarOf(e.act, e.op, e.a, e.b, e.c, e.p)
+			c, _ = k.calendarOf(e.at, e.act, e.op, e.a, e.b, e.c, e.p)
 		}
 		s := c.slot(e.at, e.seq)
 		s.flags |= e.flags & evDead
-		if foreign {
-			s.flags |= evForeign
-			c.nforeign++
-		}
 		s.set(e.act, e.op, e.a, e.b, e.c, e.p)
 		if rb != nil {
 			rb.Rebind(e, s)
 		}
 	}
 	deal(usedCh, usedEv)
-}
-
-// Unsharded returns the (time, seq)-earliest pending event whose actor
-// does not implement Sharded on a multi-calendar kernel, or nil: the
-// sharded executor refuses to run while one is pending. O(1) while no
-// such event has been scheduled since the last call found none.
-func (k *Kernel) Unsharded() *Event {
-	var best *Event
-	for i := range k.cals {
-		c := &k.cals[i]
-		if c.nforeign == 0 {
-			continue
-		}
-		found := 0
-		c.each(func(e *Event) {
-			if e.flags&evForeign != 0 {
-				found++
-				if best == nil || before(e, best) {
-					best = e
-				}
-			}
-		})
-		c.nforeign = found
-	}
-	return best
 }
 
 // farHeap is a hand-rolled binary min-heap over (at, seq) for events

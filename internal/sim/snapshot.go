@@ -127,9 +127,11 @@ func buildKernelState(k *Kernel, c EventCoder) (*KernelState, error) {
 
 // Restore rebuilds the kernel's calendars from a snapshot, discarding
 // whatever is currently queued; on a multi-calendar kernel each event
-// goes to its shard's calendar, as AtAct would place it. After it returns, the kernel's clock,
-// sequence counter, and pending-event population match the snapshot
-// exactly, so Run continues bit-identically to the captured run. The
+// goes to its shard's calendar, as AtAct would place it, and an event
+// whose decoded actor does not implement Sharded fails the restore with
+// AtAct's report. After it returns, the kernel's clock, sequence
+// counter, and pending-event population match the snapshot exactly, so
+// Run continues bit-identically to the captured run. The
 // optional restored callback observes every re-created event alongside
 // its EventState — the model uses it to rewire cancellation handles
 // (waiter re-route timers) that point at specific events.
@@ -166,7 +168,6 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 		cal.late = cal.late[:0]
 		cal.nring = 0
 		cal.npend = 0
-		cal.nforeign = 0
 		cal.winStart = s.WinStart
 	}
 
@@ -194,16 +195,14 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 		if err != nil {
 			return fmt.Errorf("sim: restore event t=%d seq=%d: %w", es.At, es.Seq, err)
 		}
-		cal, foreign := &k.cals[0], false
+		cal := &k.cals[0]
 		if len(k.cals) > 1 {
-			cal, foreign = k.calendarOf(act, es.Op, es.A, es.B, es.C, p)
+			if cal, err = k.calendarOf(es.At, act, es.Op, es.A, es.B, es.C, p); err != nil {
+				return err
+			}
 		}
 		e := cal.slot(es.At, es.Seq)
 		e.set(act, es.Op, es.A, es.B, es.C, p)
-		if foreign {
-			e.flags |= evForeign
-			cal.nforeign++
-		}
 		if restored != nil {
 			restored(es, e)
 		}

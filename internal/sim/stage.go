@@ -7,21 +7,23 @@
 // three steps; the contract that makes them serial-equivalent is split
 // between this file and the model (internal/network):
 //
-//   - Parallel: each shard drains its own calendar up to winEnd
-//     (DrainWindow) — exactly the events, in exactly the (time, seq)
-//     order, a serial Run would execute from that calendar before the
-//     clock reaches the boundary — and executes them through its Stage.
-//     The Stage records schedule calls (AtAct) in program order WITHOUT
-//     assigning kernel sequence numbers, into structs from a private
-//     pool, so this phase never writes another shard's memory. A
-//     schedule call landing inside the window stays on the shard — the
-//     window width is capped at the minimum cross-shard latency, so such
-//     an event is same-shard by construction (AtAct asserts it) — and
-//     RunWindow executes it locally, interleaved with the drained batch
-//     in serial order: at equal times drained events run first (their
-//     serial seqs predate every staged seq), and staged events run in
-//     staging order (their eventual seqs are assigned in exactly that
-//     order by the merge).
+//   - Parallel: each shard runs its window through its Stage
+//     (RunWindow), which pops the shard's own calendar up to winEnd the
+//     way the serial loop pops it — exactly the events, in exactly the
+//     (time, seq) order, a serial Run would execute from that calendar
+//     before the clock reaches the boundary — and executes each event as
+//     it pops it. The Stage records schedule calls (AtAct) in program
+//     order WITHOUT assigning kernel sequence numbers, into structs from
+//     a private pool, so this phase never writes another shard's memory,
+//     and no calendar gains an event during it. A schedule call landing
+//     inside the window stays on the shard — the window width is capped
+//     at the minimum cross-shard latency, so such an event is same-shard
+//     by construction (AtAct asserts it) — and RunWindow executes it
+//     locally, interleaved with the calendar's events in serial order:
+//     at equal times calendar events run first (their serial seqs
+//     predate every staged seq), and staged events run in staging order
+//     (their eventual seqs are assigned in exactly that order by the
+//     merge).
 //   - Serial: the coordinator walks the executed events in global
 //     (time, seq) order and Stamps each one's staged schedule calls with
 //     the next kernel seqs, exactly as the serial kernel would have:
@@ -37,7 +39,9 @@
 //     return to their stage's pool when the stage opens its next window.
 //
 // Outside a window every pending event sits in some calendar, so the
-// serial loop, PeekTime and Snapshot always see the whole queue.
+// serial loop, PeekTime and Snapshot always see the whole queue. Which
+// calendar an event belongs to is a type requirement at the schedule
+// point: Stage.AtAct takes only Sharded actors.
 //
 // Within one callback the serial kernel interleaves schedule calls with
 // model side effects; the merge handles all of an event's schedule calls
@@ -49,21 +53,18 @@ package sim
 
 // Sharded is implemented by actors whose events can be assigned to a
 // shard: the returned index must identify the single shard whose state
-// the event's callback touches. Every actor scheduled into a sharded run
-// must implement it; the executor fails the run on one that does not.
+// the event's callback touches. Every actor scheduled on a split kernel
+// must implement it: Stage.AtAct takes nothing else, and Kernel.AtAct,
+// SetCalendars and Restore refuse any other actor once the queue is
+// split.
 type Sharded interface {
 	Actor
 	ShardOf(op uint8, a, b, c int32, p any) int
 }
 
 // At returns the event's scheduled time. Valid, like the handle itself,
-// until the event is popped; for a drained event until its calendar's
-// next DrainWindow.
+// until the event is popped.
 func (e *Event) At() Time { return e.at }
-
-// Actor returns the event's receiver, for the executor's error report on
-// an event that cannot be sharded.
-func (e *Event) Actor() Actor { return e.act }
 
 // Payload returns the event's payload argument, for a Rebinder to find
 // the model object that holds the event's handle.
@@ -78,33 +79,6 @@ func (k *Kernel) PeekTime() (Time, bool) {
 		return 0, false
 	}
 	return e.at, true
-}
-
-// DrainWindow removes and returns every event of calendar c queued before
-// winEnd, in (time, seq) order (dead events included — the caller skips
-// or executes them). The returned handles address the events where they
-// sat in the calendar: they stay valid, cancellable and unmoved until
-// the calendar's next DrainWindow, which is when the chunks this one
-// consumed are released; a drained far/late struct goes back to the
-// calendar's pool when RunWindow processes it, as the serial loop
-// recycles one when it pops it. It does NOT touch the clock: a
-// window can contain only dead events, for which the serial loop would
-// never have advanced now; the merge advances the clock per live event
-// instead. Only shard c may call it during a parallel phase; it writes
-// nothing outside calendar c. It reuses buf's backing array; an empty
-// window returns buf[:0].
-func (k *Kernel) DrainWindow(c int, winEnd Time, buf []*Event) []*Event {
-	cal := &k.cals[c]
-	cal.release()
-	buf = buf[:0]
-	for {
-		e := cal.peek(winEnd)
-		if e == nil || e.at >= winEnd {
-			return buf
-		}
-		cal.take(e)
-		buf = append(buf, e)
-	}
 }
 
 // Due reports whether calendar c holds an event, live or dead, before
@@ -169,12 +143,17 @@ type Stage struct {
 	// Tail of the last RunWindow: the (time, seq)-maximal processed
 	// event, live or dead, for the executor's until-overshoot quirk. A
 	// staged tail keeps its staging rank (its kernel seq is assigned only
-	// at the merge); a drained tail's seq is copied out.
+	// at the merge); a calendar tail's seq is copied out.
 	tailAt   Time
 	tailSeq  uint64
-	tailRank int // staging rank of a staged tail, -1 for a drained one
+	tailRank int // staging rank of a staged tail, -1 for a calendar one
 	tailDead bool
 	hasTail  bool
+
+	// Stages are allocated one after another and belong to different
+	// shards: the pad keeps one stage's fields off its neighbour's cache
+	// lines.
+	_ [64]byte
 }
 
 // NewStage returns an empty stage for shard idx of n, pre-stocked with
@@ -224,9 +203,8 @@ func (st *Stage) alloc(t Time) *Event {
 // inside the window is a model ownership bug, and the assertion here is
 // what keeps the window determinism argument mechanized rather than
 // hoped-for. Any other event is listed for placement by the shard its
-// actor names (an actor that is not Sharded stays with this shard,
-// flagged foreign for Kernel.Unsharded).
-func (st *Stage) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
+// actor names.
+func (st *Stage) AtAct(t Time, act Sharded, op uint8, a, b, c int32, p any) *Event {
 	e := st.alloc(t)
 	e.set(act, op, a, b, c, p)
 	// Staging rank: position in this stage's ops log. The pending heap
@@ -237,14 +215,9 @@ func (st *Stage) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event
 	e.seq = uint64(rank)
 	//hxlint:allow allocfree — the staged-ops list grows to the shard's per-window high-water schedule count and is reset (not reallocated) every window
 	st.ops = append(st.ops, e)
-	tgt := st.idx
-	if s, ok := act.(Sharded); ok {
-		tgt = s.ShardOf(op, a, b, c, p)
-	} else {
-		e.flags |= evForeign
-	}
+	tgt := act.ShardOf(op, a, b, c, p)
 	if t < st.winEnd {
-		if tgt != st.idx || e.flags&evForeign != 0 {
+		if tgt != st.idx {
 			panic("sim: cross-shard event staged inside the execution window")
 		}
 		st.pend.push(e)
@@ -272,89 +245,77 @@ func (st *Stage) recycle(e *Event) {
 }
 
 // Recorder observes every live event RunWindow processes, in execution
-// order. For a drained event, seq is its kernel sequence number and
-// staged is false. For a staged event executed in-window, seq is its
-// staging rank and staged is true: its kernel seq is Seq(rank), assigned
-// by the merge strictly before the merge consumes the record (the
-// staging record precedes it in the same shard's stream).
+// order. For an event popped from the calendar, seq is its kernel
+// sequence number and staged is false. For a staged event executed
+// in-window, seq is its staging rank and staged is true: its kernel seq
+// is Seq(rank), assigned by the merge strictly before the merge consumes
+// the record (the staging record precedes it in the same shard's
+// stream).
 type Recorder interface {
 	Record(at Time, seq uint64, staged bool)
 }
 
-// RunWindow executes this shard's slice of a window: the batch drained
-// from the shard's calendar (already in (time, seq) order) interleaved with events the callbacks
+// RunWindow executes this shard's slice of the window: the events its
+// calendar holds before the window end, each popped as the serial loop
+// pops it (popPeeked, unpool), interleaved with the events the callbacks
 // stage inside the window, in exactly the serial kernel's order — by
-// time; at equal times drained before staged (every drained seq predates
-// every staged seq, which the merge assigns from a later counter value);
-// among staged, by staging rank (equal to eventual seq order, see AtAct).
-// Dead events are skipped without a record, as the serial pop-dead loop
-// skips them; deadness is read here, at processing time, so a
+// time; at equal times calendar before staged (every calendar seq
+// predates every staged seq, which the merge assigns from a later
+// counter value); among staged, by staging rank (equal to eventual seq
+// order, see AtAct). Dead events are skipped without a record, as the
+// serial pop-dead loop skips them; deadness is read at pop time, so a
 // same-window cancel from an earlier event lands exactly as it would
-// serially. Each processed event, live or dead, updates the tail.
-func (st *Stage) RunWindow(k *Kernel, batch []*Event, rec Recorder) {
+// serially. Each processed event, live or dead, updates the tail. The
+// kernel clock is left alone — a window can hold only dead events, for
+// which the serial loop never moves it — and the merge advances it per
+// live event instead.
+func (st *Stage) RunWindow(k *Kernel, rec Recorder) {
 	cal := &k.cals[st.idx]
-	i := 0
 	for {
-		var e *Event
-		staged := false
-		switch {
-		case i < len(batch):
-			e = batch[i]
-			if len(st.pend.h) > 0 && st.pend.h[0].at < e.at {
-				e = st.pend.h[0]
-				staged = true
-			}
-		case len(st.pend.h) > 0:
-			e = st.pend.h[0]
-			staged = true
-		default:
+		e := cal.peek(st.winEnd)
+		if e == nil || e.at >= st.winEnd {
+			st.runStaged(st.winEnd, rec)
 			return
 		}
-		if staged {
-			st.pend.pop()
-		} else {
-			i++
-		}
-		dead := e.flags&evDead != 0
-		st.tailAt = e.at
-		st.tailDead = dead
-		st.hasTail = true
-		if staged {
-			st.tailRank = int(e.seq)
-			if dead {
-				// Never runs, but consumes its seq at the merge, as the
-				// serial schedule did; ResetOps recycles it.
-				e.flags = evDone | evDead
-				continue
-			}
-			// Done and no longer queued before the callback, mirroring the
-			// serial pop-then-exec: a Cancel from here on is a no-op. The
-			// struct is not recycled yet — the ops log references it until
-			// the stage's next window.
-			st.now = e.at
-			e.flags = evDone
-			e.act.Act(e.op, e.a, e.b, e.c, e.p)
-			rec.Record(e.at, e.seq, true)
-		} else {
-			st.tailRank = -1
-			st.tailSeq = e.seq
-			if dead {
-				cal.unpool(e)
-				continue
-			}
-			// Executed in place, and no longer cancellable: the flags write
-			// touches this event's own cache line only. The calendar
-			// releases a ring slot at its next drain, and takes a far/late
-			// struct back before the callback, as the serial loop does;
-			// clock advance, counting, and tracing are the merge's job.
-			st.now = e.at
-			e.flags &^= evQueued
-			at, seq := e.at, e.seq
-			act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
+		st.runStaged(e.at, rec)
+		cal.popPeeked(e)
+		at, seq, dead := e.at, e.seq, e.flags&evDead != 0
+		st.tailAt, st.tailSeq, st.tailRank, st.tailDead, st.hasTail = at, seq, -1, dead, true
+		if dead {
 			cal.unpool(e)
-			act.Act(op, a, b, c, p)
-			rec.Record(at, seq, false)
+			continue
 		}
+		// Counting and tracing are the merge's job.
+		st.now = at
+		act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
+		cal.unpool(e)
+		act.Act(op, a, b, c, p)
+		rec.Record(at, seq, false)
+	}
+}
+
+// runStaged executes the staged in-window events before t, including
+// those their own callbacks stage before t, in (time, staging rank)
+// order.
+func (st *Stage) runStaged(t Time, rec Recorder) {
+	for len(st.pend.h) > 0 && st.pend.h[0].at < t {
+		e := st.pend.pop()
+		dead := e.flags&evDead != 0
+		st.tailAt, st.tailRank, st.tailDead, st.hasTail = e.at, int(e.seq), dead, true
+		if dead {
+			// Never runs, but consumes its seq at the merge, as the serial
+			// schedule did; ResetOps recycles it.
+			e.flags = evDone | evDead
+			continue
+		}
+		// Done and no longer queued before the callback, mirroring the
+		// serial pop-then-exec: a Cancel from here on is a no-op. The struct
+		// is not recycled yet — the ops log references it until the stage's
+		// next window.
+		st.now = e.at
+		e.flags = evDone
+		e.act.Act(e.op, e.a, e.b, e.c, e.p)
+		rec.Record(e.at, e.seq, true)
 	}
 }
 
@@ -455,10 +416,7 @@ func (k *Kernel) Place(t int, stages []*Stage, rb Rebinder) {
 			e := st.ops[o[p]]
 			placed := c.slot(e.at, seq)
 			placed.set(e.act, e.op, e.a, e.b, e.c, e.p)
-			placed.flags |= e.flags & (evDead | evForeign)
-			if e.flags&evForeign != 0 {
-				c.nforeign++
-			}
+			placed.flags |= e.flags & evDead
 			if e.flags&evKeep != 0 {
 				rb.Rebind(e, placed)
 			}

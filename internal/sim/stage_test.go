@@ -1,19 +1,22 @@
 package sim
 
-// Unit tests for the sharded-execution staging layer: DrainWindow's
-// (time, seq) order across calendar tiers (dead events and the late list
-// included) and clock neutrality, RunWindow's in-window local execution
-// (same-cycle staging, window-granularity cancels, done-event seq
-// consumption), Stamp's serial-order seq assignment with Place's copy
-// into the calendar, and the Stage pool's self-contained struct
-// circulation.
+// Unit tests for the sharded-execution staging layer: RunWindow's pops
+// from the calendar in (time, seq) order across calendar tiers (dead
+// events and the late list included) and clock neutrality, its in-window
+// local execution (same-cycle staging, window-granularity cancels,
+// done-event seq consumption), Stamp's serial-order seq assignment with
+// Place's copy into the calendar, and the Stage pool's self-contained
+// struct circulation.
 
 import "testing"
 
-// logActor appends its event's a operand to a shared log.
+// logActor appends its event's a operand to a shared log. Its events all
+// belong to shard 0.
 type logActor struct{ log *[]int32 }
 
 func (l logActor) Act(_ uint8, a, _, _ int32, _ any) { *l.log = append(*l.log, a) }
+
+func (logActor) ShardOf(uint8, int32, int32, int32, any) int { return 0 }
 
 // noRebind is the Rebinder of tests that keep no staged handle.
 type noRebind struct{}
@@ -91,13 +94,13 @@ func TestStagedCancelConsumesSeq(t *testing.T) {
 	}
 }
 
-// TestDrainWindowMixedTimestamps: DrainWindow pops every event strictly
-// before winEnd in (time, seq) order — across timestamps, out-of-order
-// scheduling, dead events (they hold seq positions) and the late list —
-// leaves events at or past winEnd queued, and never touches the clock
-// (the merge advances it per live event). Each row's batch then runs
-// through a Stage, the only consumer of a drained batch: live events
-// execute in drain order, dead ones are skipped.
+// TestDrainWindowMixedTimestamps: a window drains its calendar as it
+// runs — RunWindow pops every event strictly before winEnd in (time, seq)
+// order, across timestamps, out-of-order scheduling, dead events (they
+// hold seq positions and are skipped) and the late list — executes the
+// live ones, leaves events at or past winEnd queued, and never touches
+// the clock (the merge advances it per live event). A second, unbounded
+// window then runs the rest.
 func TestDrainWindowMixedTimestamps(t *testing.T) {
 	type ev struct {
 		at     Time
@@ -113,8 +116,8 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 		late   bool // schedule behind the calendar window, onto the late list
 		sched  []ev
 		winEnd Time
-		want   []int32 // a operands drained, in order
-		rest   []int32 // what the next, unbounded drain returns
+		want   []int32 // a operands executed by the window, in order
+		rest   []int32 // what the next, unbounded window executes
 	}{
 		{
 			name:   "out_of_order_times",
@@ -132,13 +135,13 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 		},
 		{
 			name:   "dead_included",
-			sched:  []ev{{at: 5, a: 0}, {at: 5, a: 1, cancel: true}, {at: 5, a: 2}},
+			sched:  []ev{{at: 5, a: 0}, {at: 5, a: 1, cancel: true}, {at: 5, a: 2}, {at: 9, a: 3, cancel: true}},
 			winEnd: 6,
-			want:   []int32{0, 1, 2},
+			want:   []int32{0, 2},
 		},
 		{
 			// Near-term events behind winStart wait on the late list; the
-			// in-window ring event at a later time drains after them.
+			// in-window ring event at a later time runs after them.
 			name:   "late_list",
 			late:   true,
 			sched:  []ev{{at: 150, a: 0}, {at: 150, a: 1}, {at: 6000, a: 2}},
@@ -159,85 +162,77 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 				k.AtAct(5000, act, 0, 99, 0, 0, nil)
 				k.Run(0)
 				k.SetNow(100)
-				log = log[:0]
 			}
 			now := k.Now()
-			dead := map[int32]bool{}
+			pending := 0
 			for _, e := range row.sched {
 				h := k.AtAct(e.at, act, 0, e.a, 0, 0, nil)
 				if e.cancel {
 					k.Cancel(h)
-					dead[e.a] = true
+				}
+				if e.at >= row.winEnd {
+					pending++
 				}
 			}
-			batch := k.DrainWindow(0, row.winEnd, nil)
-			if k.Now() != now {
-				t.Fatalf("DrainWindow moved the clock %d -> %d; it must not touch it", now, k.Now())
-			}
-			if k.Pending() != len(row.rest) {
-				t.Fatalf("Pending = %d after drain, want %d", k.Pending(), len(row.rest))
-			}
-			check := func(batch []*Event, want []int32) {
-				t.Helper()
-				if len(batch) != len(want) {
-					t.Fatalf("drained %d events, want %d", len(batch), len(want))
-				}
-				for i, e := range batch {
-					if isDead := e.flags&evDead != 0; e.a != want[i] || isDead != dead[e.a] {
-						t.Fatalf("batch[%d] = (a=%d dead=%v), want (a=%d dead=%v)", i, e.a, isDead, want[i], dead[want[i]])
-					}
-					if i > 0 {
-						if p := batch[i-1]; p.At() > e.At() || (p.At() == e.At() && p.seq >= e.seq) {
-							t.Fatalf("batch not in (time, seq) order at %d: (%d,%d) then (%d,%d)",
-								i, p.At(), p.seq, e.At(), e.seq)
-						}
-					}
-				}
-			}
-			check(batch, row.want)
 			st := NewStage(0, 1)
-			st.StartWindow(row.winEnd)
-			st.RunWindow(k, batch, &windowRecorder{})
-			var live []int32
-			for _, a := range row.want {
-				if !dead[a] {
-					live = append(live, a)
+			run := func(winEnd Time, want []int32) {
+				t.Helper()
+				log = log[:0]
+				rec := &windowRecorder{}
+				st.StartWindow(winEnd)
+				st.RunWindow(k, rec)
+				if k.Now() != now {
+					t.Fatalf("RunWindow moved the clock %d -> %d; it must not touch it", now, k.Now())
+				}
+				if len(log) != len(want) {
+					t.Fatalf("executed %v, want %v", log, want)
+				}
+				for i := range want {
+					if log[i] != want[i] {
+						t.Fatalf("executed %v, want %v", log, want)
+					}
+				}
+				for i := 1; i < len(rec.ats); i++ {
+					if p, q := i-1, i; rec.ats[p] > rec.ats[q] || (rec.ats[p] == rec.ats[q] && rec.seqs[p] >= rec.seqs[q]) {
+						t.Fatalf("records not in (time, seq) order at %d: (%d,%d) then (%d,%d)",
+							i, rec.ats[p], rec.seqs[p], rec.ats[q], rec.seqs[q])
+					}
 				}
 			}
-			if len(log) != len(live) {
-				t.Fatalf("executed %v, want %v", log, live)
+			run(row.winEnd, row.want)
+			if k.Pending() != pending {
+				t.Fatalf("Pending = %d after the window, want %d", k.Pending(), pending)
 			}
-			for i := range live {
-				if log[i] != live[i] {
-					t.Fatalf("executed %v, want %v", log, live)
-				}
+			run(1<<40, row.rest)
+			if k.Pending() != 0 {
+				t.Fatalf("Pending = %d after the unbounded window, want 0", k.Pending())
 			}
-			check(k.DrainWindow(0, 1<<40, batch[:0]), row.rest)
 		})
 	}
 }
 
-// TestDrainWindowCancelDrained: a drained-but-unexecuted event is still
-// cancellable — drain does not clear the queued flag — and RunWindow
-// honours the dead flag at processing time: this is how an
-// earlier-in-window event's cancel lands under the windowed executor.
+// TestDrainWindowCancelDrained: an event of the window that is still in
+// its calendar when an earlier event of the same window cancels it is
+// skipped — RunWindow reads deadness when it pops an event, as the serial
+// loop does. This is how an earlier-in-window event's cancel lands under
+// the windowed executor.
 func TestDrainWindowCancelDrained(t *testing.T) {
 	k := NewKernel()
 	var log []int32
 	act := logActor{&log}
+	var victim *Event
+	k.AtAct(5, funcActor(func(int32) { k.Cancel(victim) }), 0, 0, 0, 0, nil)
 	k.AtAct(5, act, 0, 0, 0, 0, nil)
-	victim := k.AtAct(6, act, 0, 1, 0, 0, nil)
+	victim = k.AtAct(6, act, 0, 1, 0, 0, nil)
 	k.AtAct(7, act, 0, 2, 0, 0, nil)
-	batch := k.DrainWindow(0, 10, nil)
-	k.Cancel(victim)
-	if victim.flags&evDead == 0 {
-		t.Fatal("Cancel after DrainWindow did not take; window-granularity cancels would be lost")
-	}
 	st := NewStage(0, 1)
 	st.StartWindow(10)
-	st.RunWindow(k, batch, &windowRecorder{})
+	st.RunWindow(k, &windowRecorder{})
 	if len(log) != 2 || log[0] != 0 || log[1] != 2 {
-		t.Fatalf("executed %v, want [0 2] (cancelled-after-drain event skipped)", log)
+		t.Fatalf("executed %v, want [0 2] (the event cancelled mid-window skipped)", log)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("Pending = %d after the window, want 0 (the dead event is popped too)", k.Pending())
 	}
 }
 
@@ -259,23 +254,26 @@ func (w *windowActor) Act(_ uint8, a, _, _ int32, _ any) {
 
 func (w *windowActor) ShardOf(uint8, int32, int32, int32, any) int { return 0 }
 
-// windowRecorder captures RunWindow's Record stream: times, and whether
-// each record was a drained event (kernel seq) or a staged one (staging
-// rank, seq stamped later at the merge).
+// windowRecorder captures RunWindow's Record stream: times, seqs, and
+// whether each record was a calendar event (kernel seq) or a staged one
+// (staging rank, seq stamped later at the merge).
 type windowRecorder struct {
 	ats    []Time
+	seqs   []uint64
 	staged []bool
 }
 
-func (r *windowRecorder) Record(at Time, _ uint64, staged bool) {
+func (r *windowRecorder) Record(at Time, seq uint64, staged bool) {
 	r.ats = append(r.ats, at)
+	r.seqs = append(r.seqs, seq)
 	r.staged = append(r.staged, staged)
 }
 
 // TestRunWindowSameCycleStaging: an event that stages a same-cycle
 // follow-up sees it execute inside the same window, after the remaining
-// drained events of that cycle (drained-before-staged at equal time) and
-// before any later-cycle work — the serial kernel's exact interleaving.
+// calendar events of that cycle (calendar-before-staged at equal time)
+// and before any later-cycle work — the serial kernel's exact
+// interleaving.
 func TestRunWindowSameCycleStaging(t *testing.T) {
 	k := NewKernel()
 	var log []int32
@@ -286,12 +284,11 @@ func TestRunWindowSameCycleStaging(t *testing.T) {
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
 	k.AtAct(5, w, 0, 1, 0, 0, nil)
 	k.AtAct(7, w, 0, 2, 0, 0, nil)
-	batch := k.DrainWindow(0, 10, nil)
 	st.StartWindow(10)
 	rec := &windowRecorder{}
-	st.RunWindow(k, batch, rec)
-	// Drained t=5 pair first (schedule order), then the staged t=5
-	// follow-up, the staged t=6 one, then the drained t=7 event.
+	st.RunWindow(k, rec)
+	// The calendar's t=5 pair first (schedule order), then the staged t=5
+	// follow-up, the staged t=6 one, then the calendar's t=7 event.
 	wantLog := []int32{0, 1, 100, 200, 2}
 	if len(log) != len(wantLog) {
 		t.Fatalf("executed %v, want %v", log, wantLog)
@@ -323,15 +320,14 @@ func TestRunWindowCancelStaged(t *testing.T) {
 	st := NewStage(0, 1)
 	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
-	batch := k.DrainWindow(0, 10, nil)
 	st.StartWindow(10)
 	st.now = 5
 	victim := st.AtAct(8, w, 0, 50, 0, 0, nil)
 	k.Cancel(victim)
 	rec := &windowRecorder{}
-	st.RunWindow(k, batch, rec)
+	st.RunWindow(k, rec)
 	if len(log) != 1 || log[0] != 0 {
-		t.Fatalf("executed %v, want only the drained event", log)
+		t.Fatalf("executed %v, want only the calendar event", log)
 	}
 	if len(rec.ats) != 1 {
 		t.Fatalf("recorded %d events, want 1 (dead staged event skipped without a record)", len(rec.ats))
@@ -369,7 +365,7 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 	st.StartWindow(10)
 	pool := len(st.free)
 	st.AtAct(5, w, 0, 7, 0, 0, nil)
-	st.RunWindow(k, nil, &windowRecorder{})
+	st.RunWindow(k, &windowRecorder{})
 	if len(log) != 1 || log[0] != 7 {
 		t.Fatalf("RunWindow on staged-only window executed %v, want [7]", log)
 	}

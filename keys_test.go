@@ -14,34 +14,39 @@ var updateKeys = flag.Bool("update-keys", false, "rewrite testdata/checkpoint_ke
 // keyCases pins the exact canonical key strings for a spread of
 // configurations: the defaults, hex-float edge loads (0.0 renders
 // 0x0p+00, 1.0 renders 0x1p+00), a faulted config, and the fork
-// variants. Every case is a distinct stability contract.
+// variants. Every case is a distinct stability contract. The key
+// composers take canonical (defaulted) values, as the sweep paths pass
+// them.
 func keyCases() []struct {
 	name string
 	key  string
 } {
-	base := Config{Widths: []int{4, 4}, Terms: 2, Algorithm: "DimWAR", Seed: 1}
+	base := Config{Widths: []int{4, 4}, Terms: 2, Algorithm: "DimWAR", Seed: 1}.withDefaults()
 	faulted := base
 	faulted.Algorithm = "OmniWAR"
 	faulted.Faults = 2
 	faulted.FaultSeed = 9
-	opts := RunOpts{Warmup: 1000, Window: 1000}
+	opts := RunOpts{Warmup: 1000, Window: 1000}.withDefaults()
+	sharded := RunOpts{Warmup: 1000, Window: 1000, Shards: 4}.withDefaults()
+	defCfg, defOpts := Config{}.withDefaults(), RunOpts{}.withDefaults()
 	loads := []float64{0.0, 0.5, 1.0}
+	fork := func(fk ForkOpts) ForkOpts { return fk.withDefaults(opts) }
 	return []struct {
 		name string
 		key  string
 	}{
-		{"point-default", PointKey(Config{}, "UR", 0.5, RunOpts{})},
-		{"point-small", PointKey(base, "UR", 0.5, opts)},
-		{"point-load-zero", PointKey(base, "UR", 0.0, opts)},
-		{"point-load-one", PointKey(base, "URBy", 1.0, opts)},
-		{"point-faulted", PointKey(faulted, "UR", 0.5, opts)},
-		{"point-sharded-same-as-serial", PointKey(base, "UR", 0.5, RunOpts{Warmup: 1000, Window: 1000, Shards: 4})},
-		{"point-windowed-same-as-serial", PointKey(base, "UR", 0.5, RunOpts{Warmup: 1000, Window: 1000, Shards: 4})},
-		{"thpt-default", ThptKey(Config{}, "DCR", RunOpts{})},
-		{"thpt-small", ThptKey(base, "BC", opts)},
-		{"curve-pristine-fork", CurveKey(base, "UR", loads, opts, ForkOpts{})},
-		{"curve-warm-fork", CurveKey(base, "UR", loads, opts, ForkOpts{WarmCycles: 500, WarmLoad: 0.25, Settle: 100})},
-		{"curve-faulted", CurveKey(faulted, "S2", loads, opts, ForkOpts{})},
+		{"point-default", pointKey(defCfg, "UR", 0.5, defOpts)},
+		{"point-small", pointKey(base, "UR", 0.5, opts)},
+		{"point-load-zero", pointKey(base, "UR", 0.0, opts)},
+		{"point-load-one", pointKey(base, "URBy", 1.0, opts)},
+		{"point-faulted", pointKey(faulted, "UR", 0.5, opts)},
+		{"point-sharded-same-as-serial", pointKey(base, "UR", 0.5, sharded)},
+		{"point-windowed-same-as-serial", pointKey(base, "UR", 0.5, sharded)},
+		{"thpt-default", thptKey(defCfg, "DCR", defOpts)},
+		{"thpt-small", thptKey(base, "BC", opts)},
+		{"curve-pristine-fork", curveKey(base, "UR", loads, opts, fork(ForkOpts{}))},
+		{"curve-warm-fork", curveKey(base, "UR", loads, opts, fork(ForkOpts{WarmCycles: 500, WarmLoad: 0.25, Settle: 100}))},
+		{"curve-faulted", curveKey(faulted, "S2", loads, opts, fork(ForkOpts{}))},
 	}
 }
 
@@ -102,30 +107,15 @@ func TestCheckpointKeyStability(t *testing.T) {
 	}
 }
 
-// TestExportedKeysMatchInternal pins the exported accessors to the
-// internal key functions including defaulting: the exported forms apply
-// withDefaults exactly as the sweep paths do, so hxserved's job
-// identities address the same cache cells the facade files.
-func TestExportedKeysMatchInternal(t *testing.T) {
-	cfg := Config{Widths: []int{4, 4}, Terms: 2, Algorithm: "DimWAR", Seed: 1}
+// TestPointKeyExcludesShards: the shard count never changes a result
+// (the sharded executor is bit-identical to serial), so serial and
+// sharded runs share cache cells.
+func TestPointKeyExcludesShards(t *testing.T) {
+	cfg := Config{Widths: []int{4, 4}, Terms: 2, Algorithm: "DimWAR", Seed: 1}.withDefaults()
 	opts := RunOpts{Warmup: 1000, Window: 1000}
-	loads := []float64{0.1, 0.2}
-
-	if got, want := PointKey(cfg, "UR", 0.1, opts), pointKey(cfg.withDefaults(), "UR", 0.1, opts.withDefaults()); got != want {
-		t.Errorf("PointKey:\n  %s\n  %s", got, want)
-	}
-	if got, want := ThptKey(cfg, "UR", opts), thptKey(cfg.withDefaults(), "UR", opts.withDefaults()); got != want {
-		t.Errorf("ThptKey:\n  %s\n  %s", got, want)
-	}
-	o := opts.withDefaults()
-	if got, want := CurveKey(cfg, "UR", loads, opts, ForkOpts{}), curveKey(cfg.withDefaults(), "UR", loads, o, ForkOpts{}.withDefaults(o)); got != want {
-		t.Errorf("CurveKey:\n  %s\n  %s", got, want)
-	}
-
-	// Shards stays excluded through the exported surface too.
 	sharded := opts
 	sharded.Shards = 8
-	if PointKey(cfg, "UR", 0.1, opts) != PointKey(cfg, "UR", 0.1, sharded) {
-		t.Error("PointKey depends on Shards; serial and sharded runs must share cache cells")
+	if pointKey(cfg, "UR", 0.1, opts.withDefaults()) != pointKey(cfg, "UR", 0.1, sharded.withDefaults()) {
+		t.Error("pointKey depends on Shards; serial and sharded runs must share cache cells")
 	}
 }

@@ -123,14 +123,16 @@ func TestShardedMatchesSerialShapes(t *testing.T) {
 
 // TestShardedSameCycleCancelVAL pins a regression: a reroute timer
 // cancelled by an earlier-seq event of its own cycle still fired under
-// sharding, because DrainWindow pops the whole window up front and
-// Kernel.Cancel used to no-op on any already-popped (queued=false)
-// event — serially the target would still be in the calendar when the
-// canceller runs. VAL makes the bug observable: every Route call on an
-// unrouted packet redraws the intermediate from the per-router RNG
-// stream, so one spuriously executed reroute shifts every later draw
-// on that router. Paper-scale VAL at this seed hits the
-// grant-vs-timer same-cycle coincidence within 4000 cycles.
+// sharding. The executor of the time popped the whole window from the
+// calendar before running any of it, and Kernel.Cancel then no-oped on
+// an already-popped (queued=false) event, whereas serially the target
+// is still in the calendar when the canceller runs. Shards now pop each
+// event only when it runs, as the serial loop does. VAL makes the bug
+// observable: every Route call on an unrouted packet redraws the
+// intermediate from the per-router RNG stream, so one spuriously
+// executed reroute shifts every later draw on that router. Paper-scale
+// VAL at this seed hits the grant-vs-timer same-cycle coincidence
+// within 4000 cycles.
 func TestShardedSameCycleCancelVAL(t *testing.T) {
 	cfg := DefaultScale()
 	cfg.Algorithm = "VAL"
