@@ -397,10 +397,10 @@ func TestExecutorSameWindowCancel(t *testing.T) {
 	for _, win := range toyWindows {
 		xm := runPair(t, 2, win, 4, 400, 0, func(k *sim.Kernel, m *toy) {
 			// All on slot 1, so one shard owns canceller and victim alike.
-			drained := k.AtAct(42, m, opPoke, 1, 0, 0, nil)
+			queued := k.AtAct(42, m, opPoke, 1, 0, 0, nil)
 			staged := new(*sim.Event)
 			k.AtAct(41, m, opArm, 1, 1, 0, staged) // stages the t=42 victim
-			k.AtAct(41, m, opCancel, 1, 0, 0, &drained)
+			k.AtAct(41, m, opCancel, 1, 0, 0, &queued)
 			k.AtAct(41, m, opCancel, 1, 0, 0, staged)
 		})
 		if win > 1 && xm.windowCancels != 2 {
