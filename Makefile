@@ -53,9 +53,11 @@ quick:
 # Short-deadline smoke sweep: exercises the worker pool, early stop,
 # progress lines, and manifest output end to end in a few seconds.
 smoke:
+	d=$$(mktemp -d) && \
 	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,VAL -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -manifest /tmp/hxsweep-smoke.json >/dev/null
-	@grep -q '"events_per_sec"' /tmp/hxsweep-smoke.json
+		-warmup 1000 -window 1000 -j 2 -manifest $$d/smoke.json >/dev/null && \
+	grep -q '"events_per_sec"' $$d/smoke.json && \
+	rm -rf $$d
 	@echo smoke OK
 
 # Fault-injection smoke: every algorithm sweeps a small topology with two
@@ -63,13 +65,15 @@ smoke:
 # The gate: the fault-aware algorithms must not drop a single packet —
 # column 9 of the sweep CSV is the whole-run drop count.
 faultsmoke:
+	d=$$(mktemp -d) && \
 	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,VAL,UGAL,UGAL+,DimWAR,OmniWAR,MinAD,DAL \
 		-faults 2 -step 0.25 -warmup 1000 -window 1000 -j 2 -q \
-		-manifest /tmp/hxsweep-faultsmoke.json > /tmp/hxsweep-faultsmoke.csv
-	@grep -q '"faults"' /tmp/hxsweep-faultsmoke.json
-	@awk -F, 'NR>1 && ($$1=="DimWAR" || $$1=="OmniWAR") && $$9+0 > 0 \
+		-manifest $$d/faultsmoke.json > $$d/faultsmoke.csv && \
+	grep -q '"faults"' $$d/faultsmoke.json && \
+	awk -F, 'NR>1 && ($$1=="DimWAR" || $$1=="OmniWAR") && $$9+0 > 0 \
 		{ print "FAIL: " $$1 " dropped " $$9 " packets with 2 faults"; bad=1 } \
-		END { exit bad }' /tmp/hxsweep-faultsmoke.csv
+		END { exit bad }' $$d/faultsmoke.csv && \
+	rm -rf $$d
 	@echo faultsmoke OK
 
 # Checkpoint round-trip smoke: a cold sweep, then a pristine-fork sweep
@@ -78,22 +82,23 @@ faultsmoke:
 # populated store, which must serve both curves from disk and still emit
 # the identical CSV with the provenance block recording the resume.
 ckptsmoke:
-	rm -rf /tmp/hx-ckpt-store
+	d=$$(mktemp -d) && \
 	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,VAL -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q > /tmp/hx-ckpt-cold.csv
-	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,VAL -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q -warmfork \
-		-checkpoint-dir /tmp/hx-ckpt-store > /tmp/hx-ckpt-fork.csv
-	cmp /tmp/hx-ckpt-cold.csv /tmp/hx-ckpt-fork.csv
+		-warmup 1000 -window 1000 -j 2 -q > $$d/cold.csv && \
 	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,VAL -step 0.25 \
 		-warmup 1000 -window 1000 -j 2 -q -warmfork \
-		-checkpoint-dir /tmp/hx-ckpt-store \
-		-manifest /tmp/hx-ckpt-resume.json > /tmp/hx-ckpt-resume.csv
-	cmp /tmp/hx-ckpt-fork.csv /tmp/hx-ckpt-resume.csv
-	@grep -q '"cached_jobs": 2' /tmp/hx-ckpt-resume.json || \
-		{ echo "FAIL: resume did not serve both curves from the store"; exit 1; }
-	@grep -q '"mode": "pristine-fork"' /tmp/hx-ckpt-resume.json || \
-		{ echo "FAIL: manifest provenance missing the fork mode"; exit 1; }
+		-checkpoint-dir $$d/store > $$d/fork.csv && \
+	cmp $$d/cold.csv $$d/fork.csv && \
+	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,VAL -step 0.25 \
+		-warmup 1000 -window 1000 -j 2 -q -warmfork \
+		-checkpoint-dir $$d/store \
+		-manifest $$d/resume.json > $$d/resume.csv && \
+	cmp $$d/fork.csv $$d/resume.csv && \
+	{ grep -q '"cached_jobs": 2' $$d/resume.json || \
+		{ echo "FAIL: resume did not serve both curves from the store"; exit 1; }; } && \
+	{ grep -q '"mode": "pristine-fork"' $$d/resume.json || \
+		{ echo "FAIL: manifest provenance missing the fork mode"; exit 1; }; } && \
+	rm -rf $$d
 	@echo ckptsmoke OK
 
 # Sharded-executor smoke: the same sweep serial and with every simulation
@@ -111,18 +116,20 @@ ckptsmoke:
 SHARDSMOKE = $(GO) run ./cmd/hxsweep -pattern UR -algs DOR,DimWAR -step 0.25 \
 	-warmup 1000 -window 1000 -j 2 -q
 shardsmoke:
-	$(SHARDSMOKE) > /tmp/hx-shard-serial.csv
-	$(SHARDSMOKE) -forkwarm 2000 > /tmp/hx-shard-fw-serial.csv
+	d=$$(mktemp -d) && \
+	$(SHARDSMOKE) > $$d/serial.csv && \
+	$(SHARDSMOKE) -forkwarm 2000 > $$d/fw-serial.csv && \
 	for n in 2 3 4; do \
-		$(SHARDSMOKE) -shards $$n > /tmp/hx-shard-$$n.csv && \
-		cmp /tmp/hx-shard-serial.csv /tmp/hx-shard-$$n.csv && \
-		$(SHARDSMOKE) -forkwarm 2000 -shards $$n > /tmp/hx-shard-fw-$$n.csv && \
-		cmp /tmp/hx-shard-fw-serial.csv /tmp/hx-shard-fw-$$n.csv || exit 1; \
-	done
-	GOMAXPROCS=1 $(SHARDSMOKE) -shards 4 > /tmp/hx-shard-4-p1.csv
-	cmp /tmp/hx-shard-serial.csv /tmp/hx-shard-4-p1.csv
-	GOMAXPROCS=1 $(SHARDSMOKE) -forkwarm 2000 -shards 4 > /tmp/hx-shard-fw-4-p1.csv
-	cmp /tmp/hx-shard-fw-serial.csv /tmp/hx-shard-fw-4-p1.csv
+		$(SHARDSMOKE) -shards $$n > $$d/$$n.csv && \
+		cmp $$d/serial.csv $$d/$$n.csv && \
+		$(SHARDSMOKE) -forkwarm 2000 -shards $$n > $$d/fw-$$n.csv && \
+		cmp $$d/fw-serial.csv $$d/fw-$$n.csv || exit 1; \
+	done && \
+	GOMAXPROCS=1 $(SHARDSMOKE) -shards 4 > $$d/4-p1.csv && \
+	cmp $$d/serial.csv $$d/4-p1.csv && \
+	GOMAXPROCS=1 $(SHARDSMOKE) -forkwarm 2000 -shards 4 > $$d/fw-4-p1.csv && \
+	cmp $$d/fw-serial.csv $$d/fw-4-p1.csv && \
+	rm -rf $$d
 	@echo shardsmoke OK
 
 # Sweep-service smoke (scripts/servesmoke.sh): boot hxserved on a random
@@ -184,14 +191,16 @@ COVER_FLOOR = 85
 COVER_FLOOR_ORCH = 75
 COVER_FLOOR_NETWORK = 70
 cover:
-	@set -o pipefail; $(GO) test -count=1 -cover \
+	@set -o pipefail; d=$$(mktemp -d) && \
+	$(GO) test -count=1 -cover \
 		./internal/sim/ ./internal/network/ ./internal/routing/ \
-		./internal/harness/ ./internal/serve/ | tee /tmp/hx-cover.txt
-	@awk -v floor=$(COVER_FLOOR) -v orch=$(COVER_FLOOR_ORCH) -v net=$(COVER_FLOOR_NETWORK) \
+		./internal/harness/ ./internal/serve/ | tee $$d/cover.txt && \
+	awk -v floor=$(COVER_FLOOR) -v orch=$(COVER_FLOOR_ORCH) -v net=$(COVER_FLOOR_NETWORK) \
 		'/coverage:/ { pct = $$5; sub(/%.*/, "", pct); \
 			f = floor; \
 			if ($$2 ~ /internal\/(harness|serve)$$/) f = orch; \
 			if ($$2 ~ /internal\/network$$/) f = net; \
 			if (pct + 0 < f) { print "FAIL: " $$2 " coverage " pct "% below floor " f "%"; bad = 1 } } \
-		END { exit bad }' /tmp/hx-cover.txt
+		END { exit bad }' $$d/cover.txt && \
+	rm -rf $$d
 	@echo cover OK

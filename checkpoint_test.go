@@ -223,7 +223,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 		// completes. Completed points are already persisted (saves happen
 		// inside the job, before the outcome is reported).
 		ctx, cancel := context.WithCancel(context.Background())
-		_, _, err = exp.Run(ctx, SweepOpts{Workers: 2, CheckpointDir: dir, Progress: func(string) { cancel() }})
+		_, _, err = exp.Run(ctx, SweepOpts{Workers: 2, CheckpointDir: dir, OnEvent: func(harness.Event) { cancel() }})
 		if err == nil {
 			t.Fatal("interrupted sweep reported success; cancellation did not take")
 		}

@@ -37,6 +37,7 @@ import (
 	"strings"
 
 	"hyperx"
+	"hyperx/internal/harness"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -111,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if !*quiet {
-		po.Progress = func(line string) { fmt.Fprintln(stderr, line) }
+		po.OnEvent = func(ev harness.Event) { fmt.Fprintln(stderr, progressLine(ev)) }
 	}
 
 	res, mani, err := e.Run(context.Background(), po)
@@ -129,6 +130,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// progressLine renders one job's progress event as its stderr status
+// line: the run-wide counters, the job's fate and label, and for a job
+// that ran, its cost.
+func progressLine(ev harness.Event) string {
+	line := fmt.Sprintf("[%d/%d done, %d cancelled, %d failed] %-9s %s",
+		ev.Done, ev.Total, ev.Cancelled, ev.Failed, ev.Status, ev.Label)
+	if ev.Status == "ok" || ev.Status == "saturated" {
+		evs := float64(ev.Events) / max(ev.WallSecs, 1e-9)
+		line += fmt.Sprintf("  %.2fs wall, %d cycles, %.2f Mev/s", ev.WallSecs, ev.SimCycles, evs/1e6)
+	}
+	return line
 }
 
 // writeManifest persists the run manifest when -manifest was given; a

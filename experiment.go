@@ -112,6 +112,9 @@ func (e *Experiment) Normalize() error {
 	if min(c.Terms, c.Faults, c.NumVCs, c.BufDepth, c.MaxPktFlits, c.XbarLat, c.RouterChanLat, c.TermChanLat, c.OmniClasses) < 0 {
 		return fmt.Errorf("config counts, sizes and latencies must be non-negative")
 	}
+	if err := checkScale(c.withDefaults()); err != nil {
+		return err
+	}
 	if min(o.Warmup, o.Window, o.DrainCap, o.MinFlits, o.MaxFlits, o.Shards) < 0 || !(o.LatencyCap >= 0) {
 		return fmt.Errorf("opts fields must be non-negative")
 	}
@@ -206,6 +209,37 @@ func (e *Experiment) Key() string {
 	return "job|" + tag + "|" + strings.Join(parts, "||")
 }
 
+// Scale limits of a runnable configuration: the largest is the
+// 16x16x16 t=16 network (65,536 terminals, radix 61). Past them a build
+// would size its per-router tables for a network no run could finish.
+const (
+	maxTerminals = 1 << 16
+	maxRadix     = 256
+)
+
+// checkScale rejects a configuration with more than maxTerminals
+// terminals (Terms times the product of the widths) or a router radix
+// (Terms plus the sum of width-1) above maxRadix, computing both without
+// overflow. c has its defaults applied and positive widths.
+func checkScale(c Config) error {
+	n, r := c.Terms, c.Terms
+	for _, w := range c.Widths {
+		if n > maxTerminals/w {
+			n = maxTerminals + 1
+			break
+		}
+		n *= w // a product of at most maxTerminals bounds the sum of the widths too
+		r += w - 1
+	}
+	if n > maxTerminals {
+		return fmt.Errorf("config has more than %d terminals (Terms times the product of Widths)", maxTerminals)
+	}
+	if r > maxRadix {
+		return fmt.Errorf("config router radix exceeds %d (Terms plus the sum of Widths-1)", maxRadix)
+	}
+	return nil
+}
+
 // Result is what an Experiment produced: Curves for a sweep, Grid for a
 // throughput experiment, Points for a resilience experiment.
 type Result struct {
@@ -275,7 +309,6 @@ func (e *Experiment) Run(ctx context.Context, po SweepOpts) (Result, *Manifest, 
 	rr, err := harness.Run(ctx, jobs, harness.Options{
 		Workers:   po.Workers,
 		EarlyStop: p.earlyStop,
-		Progress:  po.Progress,
 		OnEvent:   po.OnEvent,
 	})
 	stampFaults(faults, rr.Manifest)
@@ -294,32 +327,31 @@ func (e *Experiment) Run(ctx context.Context, po SweepOpts) (Result, *Manifest, 
 // resolveCell produces one cell's outcome: a store hit, a value shared
 // from a concurrent identical computation in another sweep, or a fresh
 // simulation — which is persisted before it is reported, so a killed run
-// never loses a completed cell. Store hits and shared values are marked
-// cached.
+// never loses a completed cell. The store lookup runs inside the flight,
+// so a cell another sweep has just finished is read back, never
+// recomputed. Store hits and shared values are marked cached.
 func resolveCell(ctx context.Context, x *Experiment, p *plan, c cell, store *CheckpointStore, fl *harness.Flight) (harness.Outcome, error) {
-	if store != nil {
-		rec := p.blank()
-		if ok, err := store.Load(c.key, rec); err != nil {
-			return harness.Outcome{}, err
-		} else if ok {
-			out := rec.outcome()
-			out.Cached = true
-			return out, nil
+	hit := false
+	v, shared, err := fl.Do(c.key, func() (any, bool, error) { // a nil Flight just runs this
+		if store != nil {
+			rec := p.blank()
+			ok, err := store.Load(c.key, rec)
+			if err != nil || ok {
+				hit = ok
+				return rec, false, err
+			}
 		}
-	}
-	compute := func() (any, error) {
 		rec, err := p.compute(ctx, x, c)
 		if err == nil && store != nil {
 			err = store.Save(c.key, rec)
 		}
-		return rec, err
-	}
-	v, shared, err := fl.Do(c.key, compute) // a nil Flight just computes
+		return rec, true, err
+	})
 	if err != nil {
 		return harness.Outcome{}, err
 	}
 	out := v.(record).outcome()
-	out.Cached = shared
+	out.Cached = shared || hit
 	return out, nil
 }
 

@@ -128,7 +128,7 @@ func runCurveWarmFork(ctx context.Context, cfg Config, patternName string, loads
 	if fk.WarmCycles > 0 {
 		gen = &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: sizes, Load: fk.WarmLoad}
 		gen.Start(inst.Cfg.Seed)
-		if _, err := inst.runCtx(ctx, sim.Time(fk.WarmCycles), opts.Shards, 0); err != nil {
+		if _, err := inst.runCtx(ctx, sim.Time(fk.WarmCycles), opts.Shards); err != nil {
 			return nil, simStats{}, err
 		}
 	}

@@ -15,7 +15,6 @@ package hyperx
 //	go test -run TestGoldenTrace -update-golden .
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"flag"
@@ -83,7 +82,7 @@ func runTraced(t *testing.T, alg string, shards, window int) traceGolden {
 	gen.Start(inst.Cfg.Seed)
 	if shards > 1 {
 		defer inst.Close()
-		if _, err := inst.runCtx(context.Background(), traceRunUntil, shards, window); err != nil {
+		if err := runWidth(inst, traceRunUntil, shards, window); err != nil {
 			t.Fatal(err)
 		}
 	} else {
@@ -157,7 +156,7 @@ func TestGoldenTrace(t *testing.T) {
 	// bit-for-bit: the sharded executor's contract is an identical
 	// executed-event sequence, so there is exactly one golden fingerprint
 	// per algorithm. Window 1 is the per-cycle barrier, 5 the derived
-	// default (min configured latency), 50 the cross-shard latency cap.
+	// default (min configured latency), 50 the cross-shard latency bound.
 	for i, alg := range goldenTraceAlgs {
 		alg, want := alg, want[i]
 		t.Run(alg, func(t *testing.T) {

@@ -130,13 +130,11 @@ type Instance struct {
 	Faults *topology.FaultSet // nil when Cfg.Faults == 0
 
 	// Cached sharded executor (lazily built on the first runCtx with
-	// Shards > 1; rebuilt if the shard count or window width changes).
+	// Shards > 1; rebuilt if the shard count changes).
 	//hxlint:state ephemeral — lazily rebuilt cache; shard machinery is empty between windows and never snapshotted
 	shx *shard.Executor
 	//hxlint:state ephemeral — cache key for shx, rebuilt with it
 	shxN int
-	//hxlint:state ephemeral — cache key for shx (resolved window width), rebuilt with it
-	shxW sim.Time
 }
 
 // Close releases the instance's cached sharded executor — its persistent
@@ -146,67 +144,38 @@ type Instance struct {
 func (inst *Instance) Close() {
 	if inst.shx != nil {
 		inst.shx.Close()
-		inst.shx = nil
-		inst.shxN, inst.shxW = 0, 0
+		inst.shx, inst.shxN = nil, 0
 	}
-}
-
-// shardWindow resolves the executor's window width from an override (in
-// cycles; <= 0 derives the default) and the instance's configured
-// latencies. The derived default is a conservative lookahead bound:
-// min(XbarLat, RouterChanLat, TermChanLat) — any event can only schedule
-// at least that far ahead. The hard cap is RouterChanLat,
-// the minimum latency of any CROSS-SHARD schedule (router-to-router
-// arrivals carry XbarLat+RouterChanLat, credits flits+RouterChanLat,
-// and the fault-path drop credit exactly RouterChanLat; everything
-// cheaper is same-shard and executes locally inside the window), so
-// overrides beyond it are clamped rather than allowed to break the
-// ownership argument.
-func (inst *Instance) shardWindow(w sim.Time) sim.Time {
-	cfg := &inst.Net.Cfg
-	if w <= 0 {
-		w = cfg.XbarLat
-		if cfg.RouterChanLat < w {
-			w = cfg.RouterChanLat
-		}
-		if cfg.TermChanLat < w {
-			w = cfg.TermChanLat
-		}
-	}
-	if w > cfg.RouterChanLat {
-		w = cfg.RouterChanLat
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // runCtx advances the instance's kernel to until: serially for
 // shards <= 1, or through the window-barriered sharded executor
-// otherwise. window <= 0 derives the width from the configured latencies
-// (see shardWindow); the run helpers always pass 0, and only the
-// golden-trace tests pin other widths. Every (shards, window)
-// combination executes the bit-identical event sequence — the sharded
-// executor's merge replays staged work in serial order (see
-// internal/shard) — so results never depend on either, and
-// RunOpts.Shards stays out of the checkpoint key. Shard counts beyond the
-// router count are clamped.
-func (inst *Instance) runCtx(ctx context.Context, until sim.Time, shards, window int) (sim.Time, error) {
+// otherwise. The window width is min(XbarLat, RouterChanLat,
+// TermChanLat), a conservative lookahead bound: no event schedules
+// anything closer than that across shards — the minimum cross-shard
+// latency is RouterChanLat (router-to-router arrivals carry
+// XbarLat+RouterChanLat, credits flits+RouterChanLat, and the fault-path
+// drop credit exactly RouterChanLat; everything cheaper is same-shard
+// and executes inside the window). Every shard count executes the
+// bit-identical event sequence — the sharded executor's merge replays
+// staged work in serial order (see internal/shard) — so results never
+// depend on it, and RunOpts.Shards stays out of the checkpoint key.
+// Shard counts beyond the router count are clamped.
+func (inst *Instance) runCtx(ctx context.Context, until sim.Time, shards int) (sim.Time, error) {
 	if nr := len(inst.Net.Routers); shards > nr {
 		shards = nr
 	}
 	if shards <= 1 {
 		return inst.K.RunCtx(ctx, until)
 	}
-	win := inst.shardWindow(sim.Time(window))
-	if inst.shx == nil || inst.shxN != shards || inst.shxW != win {
+	if inst.shx == nil || inst.shxN != shards {
 		inst.Close()
 		if err := inst.Net.ConfigureShards(shards); err != nil {
 			return inst.K.Now(), err
 		}
-		inst.shx = shard.New(inst.K, inst.Net, win)
-		inst.shxN, inst.shxW = shards, win
+		cfg := &inst.Net.Cfg
+		inst.shx = shard.New(inst.K, inst.Net, min(cfg.XbarLat, cfg.RouterChanLat, cfg.TermChanLat))
+		inst.shxN = shards
 	}
 	return inst.shx.RunCtx(ctx, until)
 }

@@ -42,15 +42,16 @@ func NewFlight() *Flight {
 	return &Flight{calls: make(map[string]*flightCall)}
 }
 
-// Do runs fn under key, deduplicating concurrent callers. shared
-// reports whether the returned value came from another caller's
-// computation rather than this caller's own fn invocation. When the
-// leader fails, one follower at a time retries as a fresh leader, so an
-// error is only ever returned to a caller whose own fn produced it. A nil
-// Flight deduplicates nothing: Do just runs fn.
-func (f *Flight) Do(key string, fn func() (any, error)) (v any, shared bool, err error) {
+// Do runs fn under key, deduplicating concurrent callers. fn reports
+// whether it computed its value (counted by Computes) or found it
+// elsewhere, say in a store. shared reports whether the returned value
+// came from another caller's fn invocation rather than this caller's
+// own. When the leader fails, one follower at a time retries as a fresh
+// leader, so an error is only ever returned to a caller whose own fn
+// produced it. A nil Flight deduplicates nothing: Do just runs fn.
+func (f *Flight) Do(key string, fn func() (v any, computed bool, err error)) (v any, shared bool, err error) {
 	if f == nil {
-		v, err = fn()
+		v, _, err = fn()
 		return v, false, err
 	}
 	for {
@@ -69,8 +70,11 @@ func (f *Flight) Do(key string, fn func() (any, error)) (v any, shared bool, err
 		f.calls[key] = c
 		f.mu.Unlock()
 
-		f.computes.Add(1)
-		c.val, c.err = fn()
+		var computed bool
+		c.val, computed, c.err = fn()
+		if computed {
+			f.computes.Add(1)
+		}
 
 		f.mu.Lock()
 		delete(f.calls, key)
@@ -80,9 +84,9 @@ func (f *Flight) Do(key string, fn func() (any, error)) (v any, shared bool, err
 	}
 }
 
-// Computes returns how many times Do actually invoked a compute
-// function — the number that stays at one when N concurrent callers
-// submit the same key (the stampede test's assertion).
+// Computes returns how many of Do's fn invocations computed their value
+// — the number that stays at one when N concurrent callers submit the
+// same key (the stampede test's assertion).
 func (f *Flight) Computes() uint64 { return f.computes.Load() }
 
 // Shared returns how many Do calls were served by another caller's

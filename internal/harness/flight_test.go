@@ -30,10 +30,10 @@ func TestFlightStampedeComputesOnce(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, shared, err := fl.Do("cell", func() (any, error) {
+		v, shared, err := fl.Do("cell", func() (any, bool, error) {
 			close(entered) // leader is in the compute; hold it open
 			<-release
-			return 42, nil
+			return 42, true, nil
 		})
 		if err != nil || shared || v.(int) != 42 {
 			t.Errorf("leader: v=%v shared=%v err=%v", v, shared, err)
@@ -47,9 +47,9 @@ func TestFlightStampedeComputesOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := fl.Do("cell", func() (any, error) {
+			v, shared, err := fl.Do("cell", func() (any, bool, error) {
 				ran.Add(1) // must never run: the leader's value is shared
-				return -1, nil
+				return -1, true, nil
 			})
 			if err != nil || !shared || v.(int) != 42 {
 				t.Errorf("follower: v=%v shared=%v err=%v", v, shared, err)
@@ -84,10 +84,10 @@ func TestFlightLeaderFailureHandsOff(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, shared, err := fl.Do("cell", func() (any, error) {
+		_, shared, err := fl.Do("cell", func() (any, bool, error) {
 			close(entered)
 			<-release
-			return nil, boom
+			return nil, true, boom
 		})
 		if !errors.Is(err, boom) || shared {
 			t.Errorf("leader: shared=%v err=%v, want its own error", shared, err)
@@ -98,8 +98,8 @@ func TestFlightLeaderFailureHandsOff(t *testing.T) {
 	followerDone := make(chan struct{})
 	go func() {
 		defer close(followerDone)
-		v, shared, err := fl.Do("cell", func() (any, error) {
-			return 7, nil // the retry-as-leader path
+		v, shared, err := fl.Do("cell", func() (any, bool, error) {
+			return 7, true, nil // the retry-as-leader path
 		})
 		if err != nil || shared || v.(int) != 7 {
 			t.Errorf("follower retry: v=%v shared=%v err=%v", v, shared, err)
@@ -128,7 +128,7 @@ func TestFlightDistinctKeysDoNotBlock(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := fl.Do(string(rune('a'+i)), func() (any, error) { return i, nil })
+			v, shared, err := fl.Do(string(rune('a'+i)), func() (any, bool, error) { return i, true, nil })
 			if err != nil || shared || v.(int) != i {
 				t.Errorf("key %d: v=%v shared=%v err=%v", i, v, shared, err)
 			}
@@ -146,7 +146,7 @@ func TestFlightDistinctKeysDoNotBlock(t *testing.T) {
 func TestFlightSequentialCallsEachCompute(t *testing.T) {
 	fl := NewFlight()
 	for i := 0; i < 3; i++ {
-		if _, shared, err := fl.Do("cell", func() (any, error) { return i, nil }); err != nil || shared {
+		if _, shared, err := fl.Do("cell", func() (any, bool, error) { return i, true, nil }); err != nil || shared {
 			t.Fatalf("call %d: shared=%v err=%v", i, shared, err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestNilFlightJustComputes(t *testing.T) {
 	var fl *Flight
 	boom := errors.New("boom")
 	for i, want := range []error{nil, boom} {
-		v, shared, err := fl.Do("cell", func() (any, error) { return i, want })
+		v, shared, err := fl.Do("cell", func() (any, bool, error) { return i, true, want })
 		if v.(int) != i || shared || !errors.Is(err, want) {
 			t.Errorf("nil Flight Do #%d = (%v, %v, %v), want (%d, false, %v)", i, v, shared, err, i, want)
 		}

@@ -73,12 +73,9 @@ type Options struct {
 	// EarlyStop enables per-curve speculative cancellation past the first
 	// saturated point. Leave false for grids whose cells are independent.
 	EarlyStop bool
-	// Progress, when non-nil, receives a one-line status after each job
-	// completes. Writes are serialized by the engine.
-	Progress func(line string)
 	// OnEvent, when non-nil, receives a structured progress event after
-	// each job resolves — the machine-readable twin of Progress, streamed
-	// by the hxserved job-event endpoint. Calls are serialized by the
+	// each job resolves — what cmd/hxsweep prints as a status line and
+	// the hxserved job-event endpoint streams. Calls are serialized by the
 	// engine and arrive in completion order, not job order.
 	OnEvent func(Event)
 }
@@ -175,38 +172,26 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*RunResult, error) {
 		started  = time.Now()
 	)
 	progress := func(idx int, status string, wall time.Duration, out Outcome) {
-		if opts.Progress == nil && opts.OnEvent == nil {
+		if opts.OnEvent == nil {
 			return
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if opts.Progress != nil {
-			line := fmt.Sprintf("[%d/%d done, %d cancelled, %d failed] %-9s %s",
-				done, len(jobs), canceled, failed, status, jobs[idx].Label)
-			if status == "ok" || status == "saturated" {
-				evs := float64(out.Events) / math.Max(wall.Seconds(), 1e-9)
-				line += fmt.Sprintf("  %.2fs wall, %d cycles, %.2f Mev/s",
-					wall.Seconds(), out.Cycles, evs/1e6)
-			}
-			opts.Progress(line)
-		}
-		if opts.OnEvent != nil {
-			opts.OnEvent(Event{
-				Label:     jobs[idx].Label,
-				Curve:     jobs[idx].Curve,
-				Point:     jobs[idx].Point,
-				Status:    status,
-				Cached:    out.Cached,
-				Saturated: out.Saturated,
-				WallSecs:  wall.Seconds(),
-				SimCycles: out.Cycles,
-				Events:    out.Events,
-				Done:      done,
-				Cancelled: canceled,
-				Failed:    failed,
-				Total:     len(jobs),
-			})
-		}
+		opts.OnEvent(Event{
+			Label:     jobs[idx].Label,
+			Curve:     jobs[idx].Curve,
+			Point:     jobs[idx].Point,
+			Status:    status,
+			Cached:    out.Cached,
+			Saturated: out.Saturated,
+			WallSecs:  wall.Seconds(),
+			SimCycles: out.Cycles,
+			Events:    out.Events,
+			Done:      done,
+			Cancelled: canceled,
+			Failed:    failed,
+			Total:     len(jobs),
+		})
 	}
 
 	next := make(chan int)

@@ -233,8 +233,8 @@ func TestManifestAggregates(t *testing.T) {
 	}
 	var lines []string
 	rr, err := Run(context.Background(), jobs, Options{
-		Workers:  2,
-		Progress: func(l string) { lines = append(lines, l) },
+		Workers: 2,
+		OnEvent: func(ev Event) { lines = append(lines, ev.Label) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,20 +16,20 @@
 // sequence numbers and applies the logs through the same per-kind code
 // (apply) in global (time, seq) order, so sequence-number assignment,
 // counter updates, and observer call order are bit-identical to a
-// serial run. The staged events reach the kernel afterwards, each placed
-// by the shard it targets into that shard's own calendar (PlaceShard).
+// serial run. A staged event inside the window is in its shard's
+// calendar already; the rest reach the kernel afterwards, each placed by
+// the shard it targets into that shard's own calendar (PlaceShard).
 //
 // Routers are partitioned into contiguous index blocks, one block per
 // shard; a terminal belongs to its router's shard, and every typed event
 // in the model resolves to the single shard whose slab state its callback
 // touches (sim.Sharded) — by type: a context schedules only Sharded
 // actors. During a window's parallel phase each shard executes its slice
-// of the window's events strictly in serial (time, seq) order —
-// including events its own callbacks schedule back inside the window,
-// which sim.Stage.RunWindow interleaves locally. The kernel keeps one
-// calendar per shard (ConfigureShards splits it), and in RunShard a
-// shard pops its window's events from its own calendar as it executes
-// them.
+// of the window's events strictly in serial (time, seq) order. The
+// kernel keeps one calendar per shard (ConfigureShards splits it), and in
+// RunShard a shard pops its window's events from its own calendar as it
+// executes them — including the events its own callbacks schedule back
+// inside the window, which land in that same calendar (sim.Stage.AtAct).
 //
 // Why the parallel phases are race-free (each bullet names the state and
 // its owner during them):
@@ -63,9 +63,9 @@
 //     same-shard by construction; a staged timer is placed by the shard
 //     of the router it belongs to, which is also the one that repoints
 //     the input VC's handle (Rebind). A later event of the window is
-//     still in its calendar or on the stage's pending heap when an
-//     earlier one cancels it, and RunWindow reads deadness when it pops
-//     it, so the cancel lands exactly as it does serially.
+//     still in its calendar when an earlier one cancels it, and
+//     RunWindow reads deadness when it pops it, so the cancel lands
+//     exactly as it does serially.
 //   - Everything else the phase reads (topology tables, algorithm state,
 //     Config, FaultSet, classVCs) is immutable during a run.
 package network
@@ -135,9 +135,8 @@ type ShardState struct {
 	pool    *route.Packet // context-local packet free list (intrusive via Next)
 	ctx     route.Ctx     // candidate scratch of the context's routers
 
-	fx     []effect
-	recs   []execRec
-	winEnd sim.Time // the open window's exclusive end
+	fx   []effect
+	recs []execRec
 
 	// merge cursors (coordinator-only)
 	cur   int
@@ -386,39 +385,23 @@ func (t *Terminal) ShardOf(_ uint8, _, _, _ int32, _ any) int {
 
 // PartitionWindow opens every shard's stage for the window ending
 // (exclusive) at winEnd and switches every context to staged mode until
-// MergeWindow returns. The batch is empty: each shard pops its own
-// calendar in RunShard, so there is nothing to distribute; a non-empty
-// batch is refused with false, leaving every context serial.
-func (n *Network) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
-	if len(batch) > 0 {
-		return false
-	}
+// MergeWindow returns. The executor passes no batch — each shard pops
+// its own calendar in RunShard — so the batch is never read; it always
+// reports true.
+func (n *Network) PartitionWindow(_ []*sim.Event, winEnd sim.Time) bool {
 	for _, sc := range n.shards {
-		sc.stage.StartWindow(winEnd)
-		sc.winEnd = winEnd
+		sc.stage.StartWindow(n.K, winEnd)
 		sc.sharded = true
 	}
 	return true
 }
 
-// BatchLen reports whether shard s has work in the current window: an
-// event before the window end in its calendar, or last window's staged
-// events to recycle (the stage resets in RunShard, and a stage left
-// holding them would be placed again).
-func (n *Network) BatchLen(s int) int {
-	sc := n.shards[s]
-	if sc.stage.StagedLen() > 0 || n.K.Due(s, sc.winEnd) {
-		return 1
-	}
-	return 0
-}
-
 // RunShard executes shard s's slice of the current window, in serial
 // (time, seq) order, entirely against shard-private state: it recycles
 // the stage's previous window, then the stage pops the shard's own
-// calendar up to the window end, interleaves in-window staged events,
-// skips dead ones (as the serial kernel does), and reports each live
-// event to Record above.
+// calendar up to the window end — the events staged inside the window
+// among them — skips dead ones (as the serial kernel does), and reports
+// each live event to Record above.
 func (n *Network) RunShard(s int) {
 	sc := n.shards[s]
 	sc.stage.ResetOps()
@@ -498,16 +481,6 @@ func (n *Network) MergeWindow() (lastDead bool) {
 		sc.sharded = false
 	}
 	return lastDead
-}
-
-// PlaceLen reports how many of the window's staged events target shard
-// s, from every shard's stage.
-func (n *Network) PlaceLen(s int) int {
-	m := 0
-	for _, st := range n.stages {
-		m += st.Outgoing(s)
-	}
-	return m
 }
 
 // PlaceShard copies the window's staged events that target shard s into

@@ -345,6 +345,9 @@ func TestMalformedRequests(t *testing.T) {
 		{"loads on throughput", `{"kind": "throughput", "loads": [0.5]}`, "do not apply"},
 		{"resilience without max_faults", `{"kind": "resilience"}`, "max_faults >= 1"},
 		{"resilience two patterns", `{"kind": "resilience", "max_faults": 1, "patterns": ["UR", "BC"]}`, "exactly one pattern"},
+		{"huge terminal count", `{"config": {"Widths": [30000, 30000]}}`, "more than 65536 terminals"},
+		{"forty dimensions", `{"config": {"Widths": [2` + strings.Repeat(",2", 39) + `]}}`, "more than 65536 terminals"},
+		{"radix 300", `{"config": {"Widths": [150, 150], "Terms": 2}}`, "radix exceeds 256"},
 		{"negative terms", `{"config": {"Terms": -1}}`, "config counts, sizes and latencies must be non-negative"},
 		{"negative latency", `{"config": {"Widths": [2, 2], "Algorithm": "DOR", "TermChanLat": -10}}`, "config counts, sizes and latencies must be non-negative"},
 		{"negative buffer depth", `{"config": {"BufDepth": -256}}`, "config counts, sizes and latencies must be non-negative"},

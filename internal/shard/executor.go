@@ -9,8 +9,8 @@
 // Serially, the model merges the shards' execution records in global
 // (time, seq) order, stamping every staged schedule call with its serial
 // sequence number and replaying the order-sensitive side effects. In
-// parallel again, each shard places the staged events that target it
-// into its own calendar, in sequence order. Determinism therefore never
+// parallel again, each shard places the staged events beyond the window
+// that target it into its own calendar, in sequence order. Determinism therefore never
 // depends on goroutine scheduling: the parallel phases touch only
 // shard-private state (see internal/network/shard.go for the ownership
 // argument), and everything order-sensitive happens in the
@@ -24,16 +24,17 @@
 // start can only receive cross-shard work beyond the window end — which
 // is exactly what lets every shard run its whole slice between barriers.
 // Same-shard schedules may land arbitrarily close (back-to-back
-// arbitration retries), so those execute locally on their shard, in
-// serial order (sim.Stage.RunWindow). A width of 1 degenerates to the
-// per-cycle barrier of the original executor.
+// arbitration retries), so those go into the shard's own calendar and
+// execute in the same window, in serial order (sim.Stage). A width of 1
+// degenerates to the per-cycle barrier of the original executor.
 //
 // Every shard has one owner for the executor's lifetime: the
 // coordinator runs shard 0, and persistent worker w, created by New and
 // shared by every RunCtx call (fork-per-point sweeps would otherwise
-// respawn them per point), runs shard w+1. A fan-out wakes the owner of
-// each shard with work and waits for all of them. Call Close when the
-// executor is retired to stop the workers.
+// respawn them per point), runs shard w+1. A fan-out wakes every owner
+// and waits for all of them: every shard runs every phase of every
+// window, which the model's traffic keeps busy anyway. Call Close when
+// the executor is retired to stop the workers.
 //
 // This package is a concurrency carve-out of the simulator: one of the
 // determinism-scoped packages hxlint's noconc pass exempts (with
@@ -59,10 +60,10 @@ import (
 
 // Model is the sharded simulation model (implemented by
 // network.Network). Per window the executor calls PartitionWindow, then
-// RunShard on every shard with work, MergeWindow for the deterministic
-// replay, and PlaceShard on every shard with placements; the model
-// stages its work from PartitionWindow until MergeWindow returns, and
-// executes serially outside that interval.
+// RunShard on every shard, MergeWindow for the deterministic replay, and
+// PlaceShard on every shard; the model stages its work from
+// PartitionWindow until MergeWindow returns, and executes serially
+// outside that interval.
 type Model interface {
 	NumShards() int
 	// PartitionWindow opens the shards' stages for the window ending at
@@ -70,9 +71,6 @@ type Model interface {
 	// shard pops its own calendar in RunShard — and fails the run if the
 	// model refuses the window.
 	PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool
-	// BatchLen reports whether shard s has work in the current window
-	// (nonzero) or not (zero).
-	BatchLen(s int) int
 	// RunShard executes shard s's events before the window end, popped
 	// from its own calendar, against shard-private state.
 	RunShard(s int)
@@ -80,10 +78,8 @@ type Model interface {
 	// order and reports whether the window's serially-last processed
 	// event was dead (the until-overshoot quirk's trigger).
 	MergeWindow() (lastDead bool)
-	// PlaceLen reports how many staged events the merged window places
-	// into shard s's calendar.
-	PlaceLen(s int) int
-	// PlaceShard places them.
+	// PlaceShard places the merged window's staged events that target
+	// shard s into its calendar.
 	PlaceShard(s int)
 }
 
@@ -110,7 +106,8 @@ type Executor struct {
 
 // New returns an executor over the kernel and model with the given
 // window width in cycles (widths below 1 are treated as 1; the caller —
-// the facade — derives and caps the width from the model's latencies).
+// the facade — derives the width from the model's latencies, and a
+// width past the minimum cross-shard latency panics in Stage.AtAct).
 // The model must have its shards configured already, the kernel split
 // into one calendar per shard (network.Network.ConfigureShards). The
 // workers start immediately; pair every New with a Close.
@@ -161,22 +158,16 @@ func (x *Executor) Close() {
 	x.quit = nil
 }
 
-// fanout runs task on every shard with work (work(s) > 0), each on its
-// owner — shard 0 inline on the coordinator, every other shard on its
-// worker — and returns when all of them are done. A shard's work report
-// reads nothing another shard's task writes, so the reports need not
-// wait for the tasks already running.
-func (x *Executor) fanout(work func(s int) int, task func(s int)) {
+// fanout runs task on every shard, each on its owner — shard 0 inline on
+// the coordinator, every other shard on its worker — and returns when
+// all of them are done.
+func (x *Executor) fanout(task func(s int)) {
 	x.task = task
-	for w, wake := range x.wake {
-		if work(w+1) > 0 {
-			x.busy.Add(1)
-			wake <- struct{}{}
-		}
+	x.busy.Add(len(x.wake))
+	for _, wake := range x.wake {
+		wake <- struct{}{}
 	}
-	if work(0) > 0 {
-		task(0)
-	}
+	task(0)
 	x.busy.Wait()
 }
 
@@ -215,9 +206,9 @@ func (x *Executor) RunCtx(ctx context.Context, until sim.Time) (sim.Time, error)
 		if !x.m.PartitionWindow(nil, winEnd) {
 			return k.Now(), fmt.Errorf("shard: model refused the window at t=%d", t)
 		}
-		x.fanout(x.m.BatchLen, x.run)
+		x.fanout(x.run)
 		lastDead := x.m.MergeWindow()
-		x.fanout(x.m.PlaceLen, x.place)
+		x.fanout(x.place)
 		if lastDead && until > 0 {
 			// Serial Run's pop-until-live chain: dead events skip the until
 			// recheck, so when the window's seq-tail is dead and the next

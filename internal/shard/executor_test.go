@@ -77,6 +77,10 @@ type toy struct {
 	slots   []int64
 	sharded bool
 	limit   sim.Time
+	solo    bool // every slot on shard 0: the other shards idle
+
+	// phases[s] counts the RunShard and PlaceShard calls shard s ran.
+	phases []int
 
 	// winEnd is the open window's exclusive end; windowCancels counts
 	// opCancel events whose victim was due inside the window they ran in —
@@ -107,11 +111,17 @@ func newToy(k *sim.Kernel, nsh, slots int, limit sim.Time) *toy {
 		m.recs = append(m.recs, nil)
 		m.cur = append(m.cur, 0)
 		m.holders = append(m.holders, nil)
+		m.phases = append(m.phases, 0)
 	}
 	return m
 }
 
-func (m *toy) shardOf(slot int32) int { return int(slot) % len(m.stages) }
+func (m *toy) shardOf(slot int32) int {
+	if m.solo {
+		return 0
+	}
+	return int(slot) % len(m.stages)
+}
 
 // ShardOf implements sim.Sharded.
 func (m *toy) ShardOf(_ uint8, a, _, _ int32, _ any) int { return m.shardOf(a) }
@@ -199,20 +209,14 @@ func (m *toy) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
 	}
 	m.winEnd = winEnd
 	for s := range m.stages {
-		m.stages[s].StartWindow(winEnd)
+		m.stages[s].StartWindow(m.k, winEnd)
 	}
 	m.sharded = true
 	return true
 }
 
-func (m *toy) BatchLen(s int) int {
-	if m.stages[s].StagedLen() > 0 || m.k.Due(s, m.winEnd) {
-		return 1
-	}
-	return 0
-}
-
 func (m *toy) RunShard(s int) {
+	m.phases[s]++
 	m.stages[s].ResetOps()
 	m.holders[s] = m.holders[s][:0]
 	m.stages[s].RunWindow(m.k, m.srecs[s])
@@ -270,15 +274,10 @@ func (m *toy) MergeWindow() bool {
 	return dead
 }
 
-func (m *toy) PlaceLen(s int) int {
-	n := 0
-	for _, st := range m.stages {
-		n += st.Outgoing(s)
-	}
-	return n
+func (m *toy) PlaceShard(s int) {
+	m.phases[s]++
+	m.k.Place(s, m.stages, m.srecs[s])
 }
-
-func (m *toy) PlaceShard(s int) { m.k.Place(s, m.stages, m.srecs[s]) }
 
 // trace captures the executed (time, seq) stream of a kernel.
 func trace(k *sim.Kernel) *[][2]uint64 {
@@ -300,11 +299,15 @@ func seedToy(k *sim.Kernel, m *toy) {
 // returns the executor-side model for path assertions.
 func runPair(t *testing.T, nsh int, win sim.Time, slots int, limit, until sim.Time, mutate func(k *sim.Kernel, m *toy)) *toy {
 	t.Helper()
-	sk := sim.NewKernel()
-	sm := newToy(sk, nsh, slots, limit)
+	return runToys(t, win, until, newToy(sim.NewKernel(), nsh, slots, limit), newToy(sim.NewKernel(), nsh, slots, limit), mutate)
+}
+
+// runToys is runPair over two identically built toys: sm runs serially,
+// xm under the executor.
+func runToys(t *testing.T, win, until sim.Time, sm, xm *toy, mutate func(k *sim.Kernel, m *toy)) *toy {
+	t.Helper()
+	nsh, sk, xk := len(xm.stages), sm.k, xm.k
 	seedToy(sk, sm)
-	xk := sim.NewKernel()
-	xm := newToy(xk, nsh, slots, limit)
 	seedToy(xk, xm)
 	// Split after seeding, so the move to per-shard calendars is part of
 	// every run, and before mutate, whose handles must be the final ones.
@@ -347,6 +350,22 @@ func TestExecutorMatchesSerial(t *testing.T) {
 	for _, nsh := range []int{1, 2, 3, 4} {
 		for _, win := range toyWindows {
 			runPair(t, nsh, win, 8, 400, 0, nil)
+		}
+	}
+}
+
+// TestExecutorIdleShards: with every slot on shard 0 of four, shards 1-3
+// have no event in any window, yet each runs both parallel phases of
+// every window, as shard 0 does, and the run still matches serial.
+func TestExecutorIdleShards(t *testing.T) {
+	for _, win := range toyWindows {
+		sm, xm := newToy(sim.NewKernel(), 4, 8, 400), newToy(sim.NewKernel(), 4, 8, 400)
+		sm.solo, xm.solo = true, true
+		runToys(t, win, 0, sm, xm, nil)
+		for _, n := range xm.phases {
+			if n == 0 || n != xm.phases[0] {
+				t.Fatalf("win=%d: shard phase counts %v, want every shard at shard 0's nonzero count", win, xm.phases)
+			}
 		}
 	}
 }

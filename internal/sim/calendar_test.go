@@ -137,7 +137,7 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 			for c := 0; c < ncal; c++ {
 				s.log = s.log[:0]
 				st := NewStage(c, ncal)
-				st.StartWindow(6)
+				st.StartWindow(k, 6)
 				st.RunWindow(k, &windowRecorder{})
 				ran += len(s.log)
 				for i, a := range s.log {
@@ -148,6 +148,46 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 			}
 			if ran != int(n+extra-consumed) || k.Pending() != 0 {
 				t.Fatalf("calendars=%d consumed=%d: windows ran %d events (pending %d), want %d (0)", ncal, consumed, ran, k.Pending(), n+extra-consumed)
+			}
+
+			// Staged: event number `consumed` runs inside the window and
+			// stages its burst, all on its own calendar, into the bucket
+			// being popped — appends under tagged seqs that cross its chunk
+			// boundaries and run after every event the bucket held.
+			k, s = newScript()
+			k.SetCalendars(ncal, nil)
+			for c := 0; c < ncal; c++ {
+				s.st = append(s.st, NewStage(c, ncal))
+				s.st[c].StartWindow(k, 6)
+			}
+			const burstA = 1000 // on calendar 0 at every calendar count, above every logged index
+			for i := int32(0); i < n; i++ {
+				if i == consumed {
+					k.AtAct(5, s, opStage, burstA, 5, extra, nil)
+					continue
+				}
+				k.AtAct(5, s, opLog, i, 0, 0, nil)
+			}
+			ran = 0
+			for c := 0; c < ncal; c++ {
+				s.log = s.log[:0]
+				s.st[c].RunWindow(k, &windowRecorder{})
+				ran += len(s.log)
+				for i, a := range s.log {
+					want := int32(c + i*ncal)
+					switch {
+					case want == consumed:
+						want = burstA
+					case want >= n:
+						want = burstA + (want - n + int32(ncal))
+					}
+					if a != want {
+						t.Fatalf("calendars=%d consumed=%d: staged run, calendar %d ran %d as its event %d, want %d", ncal, consumed, c, a, i, want)
+					}
+				}
+			}
+			if ran != int(n+extra) || k.Pending() != 0 {
+				t.Fatalf("calendars=%d consumed=%d: staged windows ran %d events (pending %d), want %d (0)", ncal, consumed, ran, k.Pending(), n+extra)
 			}
 		}
 	}
@@ -254,7 +294,7 @@ func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 		stages := make([]*Stage, ncal)
 		for s := range stages {
 			stages[s] = NewStage(s, ncal)
-			stages[s].StartWindow(10)
+			stages[s].StartWindow(k, 10)
 		}
 		ran := 0
 		count := &shardedFunc{k: k, f: func(int32) { ran++ }}

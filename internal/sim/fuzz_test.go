@@ -334,14 +334,11 @@ func (s *fzSim) runWindowed(until, win Time, order []int) {
 			winEnd = until + 1
 		}
 		for _, st := range s.stages {
-			st.StartWindow(winEnd)
+			st.StartWindow(k, winEnd)
 		}
 		s.staged = true
 		for _, sh := range order {
 			st := s.stages[sh]
-			if st.StagedLen() == 0 && !k.Due(sh, winEnd) {
-				continue
-			}
 			st.ResetOps()
 			recs[sh].recs = recs[sh].recs[:0]
 			st.RunWindow(k, &recs[sh])

@@ -18,12 +18,14 @@
 // of the shard its actor's Sharded.ShardOf names. On a split kernel
 // Sharded is a requirement, checked where an event enters a calendar:
 // AtAct and SetCalendars panic on an actor that does not implement it,
-// and Restore refuses one. A shard pops, and after each merge fills,
-// only its own calendar, so the parallel phases share no calendar
-// memory. Every pending event sits in exactly one calendar, and a
-// multi-calendar kernel's serial loop, PeekTime and Snapshot take the
-// (time, seq) minimum across them, so the queue they see is the whole
-// one.
+// and Restore refuses one. Inside a window a shard's calendar is its
+// whole queue: the shard pops it, its in-window schedules land in it
+// under a tagged seq that orders them as the merge will number them (see
+// stage.go), and after the merge it alone places its incoming events
+// into it, so the parallel phases share no calendar memory. Every
+// pending event sits in exactly one calendar, and a multi-calendar
+// kernel's serial loop, PeekTime and Snapshot take the (time, seq)
+// minimum across them, so the queue they see is the whole one.
 //
 // A calendar is two-tier: a ring of ringSize per-cycle FIFO buckets
 // covering the near-future window [winStart, winStart+ringSize), plus a
@@ -113,13 +115,12 @@ func (e *Event) set(act Actor, op uint8, a, b, c int32, p any) {
 	e.p = p
 }
 
-// Event flags. evQueued is cleared when a pooled or staged event is
-// consumed; a ring pop is a pure read and leaves it set — that slot is
-// never read again, so a late Cancel on it is unobservable.
+// Event flags. evQueued is cleared when a pooled struct is recycled; a
+// ring pop is a pure read and leaves it set — that slot is never read
+// again, so a late Cancel on it is unobservable.
 const (
 	evDead   uint8 = 1 << iota // cancelled; skipped at pop time
 	evQueued                   // still cancellable
-	evDone                     // staged event already executed inside its window (see stage.go)
 	evPooled                   // a far/late struct from calendar.free, recycled when popped; ring slots belong to their chunk
 	evKeep                     // staged handle the model keeps: placement reports its calendar copy (Stage.Keep)
 )

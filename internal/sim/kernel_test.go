@@ -12,14 +12,17 @@ const (
 	opLog   uint8 = iota // nothing more
 	opChain              // re-arm (a+1) b cycles ahead while the log is shorter than c (c == 0: forever)
 	opBurst              // schedule c opLog events a+1, a+2, … at absolute time b
+	opStage              // stage c opLog events a+n, a+2n, … at absolute time b through st[a's calendar], n the calendar count
 )
 
 // scriptActor logs what ran, in order, and re-schedules per the op table
-// above. hook, when set, observes the log length after every event.
+// above. hook, when set, observes the log length after every event; st
+// holds the stages opStage schedules through, one per calendar.
 type scriptActor struct {
 	k    *Kernel
 	log  []int32
 	hook func(n int)
+	st   []*Stage
 }
 
 func (s *scriptActor) Act(op uint8, a, b, c int32, _ any) {
@@ -35,6 +38,12 @@ func (s *scriptActor) Act(op uint8, a, b, c int32, _ any) {
 	case opBurst:
 		for i := int32(1); i <= c; i++ {
 			s.k.AtAct(Time(b), s, opLog, a+i, 0, 0, nil)
+		}
+	case opStage:
+		n := int32(s.k.Calendars())
+		st := s.st[s.ShardOf(op, a, b, c, nil)]
+		for i := int32(1); i <= c; i++ {
+			st.AtAct(Time(b), s, opLog, a+i*n, 0, 0, nil)
 		}
 	}
 }

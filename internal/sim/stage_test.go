@@ -179,7 +179,7 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 				t.Helper()
 				log = log[:0]
 				rec := &windowRecorder{}
-				st.StartWindow(winEnd)
+				st.StartWindow(k, winEnd)
 				st.RunWindow(k, rec)
 				if k.Now() != now {
 					t.Fatalf("RunWindow moved the clock %d -> %d; it must not touch it", now, k.Now())
@@ -226,7 +226,7 @@ func TestDrainWindowCancelDrained(t *testing.T) {
 	victim = k.AtAct(6, act, 0, 1, 0, 0, nil)
 	k.AtAct(7, act, 0, 2, 0, 0, nil)
 	st := NewStage(0, 1)
-	st.StartWindow(10)
+	st.StartWindow(k, 10)
 	st.RunWindow(k, &windowRecorder{})
 	if len(log) != 2 || log[0] != 0 || log[1] != 2 {
 		t.Fatalf("executed %v, want [0 2] (the event cancelled mid-window skipped)", log)
@@ -284,7 +284,7 @@ func TestRunWindowSameCycleStaging(t *testing.T) {
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
 	k.AtAct(5, w, 0, 1, 0, 0, nil)
 	k.AtAct(7, w, 0, 2, 0, 0, nil)
-	st.StartWindow(10)
+	st.StartWindow(k, 10)
 	rec := &windowRecorder{}
 	st.RunWindow(k, rec)
 	// The calendar's t=5 pair first (schedule order), then the staged t=5
@@ -310,6 +310,56 @@ func TestRunWindowSameCycleStaging(t *testing.T) {
 	}
 }
 
+// TestRunWindowStagedAfterRingAndFar: an event staged inside the window
+// joins its calendar under a tagged seq and runs after the far-heap and
+// ring events of its timestamp, and before an event staged after it.
+// With a ring event ahead of it in the bucket the FIFO alone orders it;
+// heading the bucket, only the tag orders it after the far event, whose
+// kernel seq (0) it would otherwise tie with on its staging rank (0).
+func TestRunWindowStagedAfterRingAndFar(t *testing.T) {
+	const at = ringSize + 500 // beyond the initial ring: the first schedule lands on the far heap
+	for _, row := range []struct {
+		name   string
+		ringAt Time             // the ring event's time: `at`, or the cycle before, staging at `at`
+		spawn  map[int32][]Time // 0 is the far event, 1 the ring event
+		want   []int32
+	}{
+		{"ring_ahead", at, map[int32][]Time{0: {at}, 1: {at}}, []int32{0, 1, 100, 101}},
+		{"heading_bucket", at - 1, map[int32][]Time{1: {at, at}}, []int32{1, 0, 101, 201}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			k := NewKernel()
+			var log []int32
+			st := NewStage(0, 1)
+			w := &windowActor{st: st, log: &log, spawn: row.spawn}
+			k.AtAct(at, w, 0, 0, 0, 0, nil)
+			k.AtAct(at-100, funcActor(func(int32) { k.AtAct(row.ringAt, w, 0, 1, 0, 0, nil) }), 0, 0, 0, 0, nil)
+			k.Run(at - 2)
+			if c := &k.cals[0]; len(c.far.h) != 1 || c.nring != 1 {
+				t.Fatalf("%d far and %d ring events before the window, want 1 and 1", len(c.far.h), c.nring)
+			}
+			st.StartWindow(k, at+1)
+			rec := &windowRecorder{}
+			st.RunWindow(k, rec)
+			if len(log) != len(row.want) {
+				t.Fatalf("executed %v, want %v", log, row.want)
+			}
+			for i := range row.want {
+				if log[i] != row.want[i] {
+					t.Fatalf("executed %v, want %v", log, row.want)
+				}
+			}
+			// The staged pair records its staging ranks, in order.
+			if n := len(rec.staged); n != 4 || !rec.staged[2] || !rec.staged[3] || rec.seqs[2] != 0 || rec.seqs[3] != 1 {
+				t.Fatalf("record stream seqs=%v staged=%v, want the staged pair last with ranks 0, 1", rec.seqs, rec.staged)
+			}
+			if k.Pending() != 0 {
+				t.Fatalf("Pending = %d after the window, want 0", k.Pending())
+			}
+		})
+	}
+}
+
 // TestRunWindowCancelStaged: Kernel.Cancel on a staged handle before its
 // in-window execution point makes RunWindow skip it without a record —
 // it still becomes the tail and still consumes a seq at the merge's
@@ -320,7 +370,7 @@ func TestRunWindowCancelStaged(t *testing.T) {
 	st := NewStage(0, 1)
 	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
-	st.StartWindow(10)
+	st.StartWindow(k, 10)
 	st.now = 5
 	victim := st.AtAct(8, w, 0, 50, 0, 0, nil)
 	k.Cancel(victim)
@@ -362,7 +412,7 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 	var log []int32
 	st := NewStage(0, 1)
 	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
-	st.StartWindow(10)
+	st.StartWindow(k, 10)
 	pool := len(st.free)
 	st.AtAct(5, w, 0, 7, 0, 0, nil)
 	st.RunWindow(k, &windowRecorder{})

@@ -22,10 +22,6 @@ type SweepOpts struct {
 	// Workers bounds the worker pool (the -j flag of cmd/hxsweep);
 	// 0 means GOMAXPROCS. Results are bit-identical at any worker count.
 	Workers int
-	// Progress, when non-nil, receives a one-line status per completed
-	// job (cmd/hxsweep points it at stderr).
-	Progress func(line string)
-
 	// Fork, when non-nil, switches a sweep to warm-fork execution: each
 	// (pattern, algorithm) curve becomes one job that builds a single
 	// instance, snapshots it, and restores per load point (see ForkOpts
@@ -56,8 +52,8 @@ type SweepOpts struct {
 	Flight *harness.Flight
 
 	// OnEvent, when non-nil, receives a structured progress event per
-	// resolved job — what the service streams to clients. See
-	// harness.Event.
+	// resolved job — what cmd/hxsweep prints to stderr and the service
+	// streams to clients. See harness.Event.
 	OnEvent func(harness.Event)
 }
 

@@ -166,14 +166,14 @@ func runPointOn(ctx context.Context, inst *Instance, gen *traffic.Generator, loa
 	warm := inst.K.Now() + settle
 	end := warm + sim.Time(opts.Window)
 	col := collect(inst, gen, warm, end)
-	if _, err := inst.runCtx(ctx, end, opts.Shards, 0); err != nil {
+	if _, err := inst.runCtx(ctx, end, opts.Shards); err != nil {
 		return LoadPoint{}, inst.counters(), err
 	}
 	// Drain: injection continues (realistic back-pressure on the measured
 	// tail) until every measured packet is delivered or the cap is hit.
 	deadline := end + sim.Time(opts.DrainCap)
 	for !col.Done() && inst.K.Now() < deadline {
-		if _, err := inst.runCtx(ctx, inst.K.Now()+2000, opts.Shards, 0); err != nil {
+		if _, err := inst.runCtx(ctx, inst.K.Now()+2000, opts.Shards); err != nil {
 			return LoadPoint{}, inst.counters(), err
 		}
 	}
@@ -258,7 +258,7 @@ func runThroughputCtx(ctx context.Context, cfg Config, patternName string, opts 
 	defer inst.Close()
 	end := sim.Time(opts.Warmup) + sim.Time(opts.Window)
 	col := collect(inst, gen, sim.Time(opts.Warmup), end)
-	if _, err := inst.runCtx(ctx, end, opts.Shards, 0); err != nil {
+	if _, err := inst.runCtx(ctx, end, opts.Shards); err != nil {
 		return 0, inst.counters(), err
 	}
 	gen.Stop()

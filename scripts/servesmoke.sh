@@ -17,7 +17,7 @@
 set -euo pipefail
 
 GO=${GO:-go}
-WORK=$(mktemp -d /tmp/hx-servesmoke.XXXXXX)
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/hx-servesmoke.XXXXXX")
 STORE="$WORK/store"
 DAEMON_PID=""
 

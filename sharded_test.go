@@ -20,9 +20,29 @@ import (
 	"testing"
 
 	"hyperx/internal/harness"
+	"hyperx/internal/shard"
 	"hyperx/internal/sim"
 	"hyperx/internal/traffic"
 )
+
+// runWidth advances inst to until on the given shard count through an
+// executor pinned at window width cycles, or through the facade's own
+// derived width (runCtx) for window <= 0. Shard counts beyond the router
+// count clamp, as in runCtx; shards <= 1 runs serially.
+func runWidth(inst *Instance, until sim.Time, shards, window int) error {
+	shards = min(shards, len(inst.Net.Routers))
+	if window <= 0 || shards <= 1 {
+		_, err := inst.runCtx(context.Background(), until, shards)
+		return err
+	}
+	if err := inst.Net.ConfigureShards(shards); err != nil {
+		return err
+	}
+	x := shard.New(inst.K, inst.Net, sim.Time(window))
+	defer x.Close()
+	_, err := x.RunCtx(context.Background(), until)
+	return err
+}
 
 // simFingerprint condenses a run into the executed (time, seq) stream
 // hash plus the end-state counters — the same fold as the golden trace.
@@ -80,7 +100,7 @@ func fingerprintRun(t *testing.T, cfg Config, shards, window int, until sim.Time
 	}
 	gen := &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: traffic.UniformSize{Min: 1, Max: 16}, Load: 0.6}
 	gen.Start(inst.Cfg.Seed)
-	if _, err := inst.runCtx(context.Background(), until, shards, window); err != nil {
+	if err := runWidth(inst, until, shards, window); err != nil {
 		t.Fatal(err)
 	}
 	foldCounters(h, inst)
@@ -151,10 +171,9 @@ func TestShardedSameCycleCancelVAL(t *testing.T) {
 }
 
 // TestShardedWindowWidths: every legal barrier window width — per-cycle,
-// partial, the derived default, and the cross-shard latency cap (wider
-// requests clamp to it) — yields the bit-identical fingerprint. The
-// window only changes how often the shards synchronize, never what they
-// execute.
+// partial, the derived default, and the cross-shard latency bound —
+// yields the bit-identical fingerprint. The window only changes how
+// often the shards synchronize, never what they execute.
 func TestShardedWindowWidths(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -168,7 +187,7 @@ func TestShardedWindowWidths(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{Widths: c.widths, Terms: 2, Algorithm: c.alg, Seed: 7}
 			want := fingerprintRun(t, cfg, 1, 0, 2500)
-			for _, win := range []int{1, 2, 5, 50, 1000} {
+			for _, win := range []int{1, 2, 5, 50} {
 				if got := fingerprintRun(t, cfg, 4, win, 2500); got != want {
 					t.Errorf("window=%d diverged from serial: got %+v, want %+v", win, got, want)
 				}
@@ -241,7 +260,7 @@ func TestShardedSnapshotRestoreResume(t *testing.T) {
 					binary.LittleEndian.PutUint64(buf[8:16], seq)
 					h.Write(buf[:])
 				}
-				if _, err := inst.runCtx(context.Background(), 3600, shards, 0); err != nil {
+				if _, err := inst.runCtx(context.Background(), 3600, shards); err != nil {
 					t.Fatal(err)
 				}
 				inst.K.TraceExec = nil
@@ -281,12 +300,12 @@ func TestShardedSteadyStateZeroAlloc(t *testing.T) {
 	gen.Start(inst.Cfg.Seed)
 	// Warm pools, queue capacities, and shard staging slabs to their
 	// high-water marks through the sharded path itself.
-	if _, err := inst.runCtx(context.Background(), 100000, 4, 0); err != nil {
+	if _, err := inst.runCtx(context.Background(), 100000, 4); err != nil {
 		t.Fatal(err)
 	}
 	measure := func(cycles sim.Time) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := inst.runCtx(context.Background(), inst.K.Now()+cycles, 4, 0); err != nil {
+			if _, err := inst.runCtx(context.Background(), inst.K.Now()+cycles, 4); err != nil {
 				t.Fatal(err)
 			}
 		})
