@@ -101,8 +101,8 @@ func (e *Experiment) Normalize() error {
 		}
 	}
 	for _, w := range e.Config.Widths {
-		if w <= 0 {
-			return fmt.Errorf("config widths must be positive, got %v", e.Config.Widths)
+		if w < 2 {
+			return fmt.Errorf("config widths must be at least 2, got %v", e.Config.Widths)
 		}
 	}
 	// Zero means "default" throughout; a negative count, size or latency

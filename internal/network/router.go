@@ -349,7 +349,7 @@ func (r *Router) routeHead(iv *inputVC) {
 		e = makeEntry(p, iv.idx, c, false)
 		// A blocked decision goes stale; re-evaluate periodically so
 		// incremental adaptivity keeps responding to changing congestion.
-		iv.timer = r.sc.keep(r.sc.After(r.net.Cfg.ReRouteInterval, r, opReroute, 0, 0, 0, iv))
+		iv.timer = r.sc.After(r.net.Cfg.ReRouteInterval, r, opReroute, 0, 0, 0, iv)
 	}
 	o := &r.out[port]
 	if o.nwait == o.wcap {

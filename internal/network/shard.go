@@ -16,9 +16,10 @@
 // sequence numbers and applies the logs through the same per-kind code
 // (apply) in global (time, seq) order, so sequence-number assignment,
 // counter updates, and observer call order are bit-identical to a
-// serial run. A staged event inside the window is in its shard's
-// calendar already; the rest reach the kernel afterwards, each placed by
-// the shard it targets into that shard's own calendar (PlaceShard).
+// serial run. A staged event for the context's own shard is in that
+// shard's calendar already, whatever its time, and PlaceShard gives it its
+// stamped seq; an event for another shard reaches the kernel afterwards,
+// copied by the shard it targets into that shard's inbox (PlaceShard).
 //
 // Routers are partitioned into contiguous index blocks, one block per
 // shard; a terminal belongs to its router's shard, and every typed event
@@ -27,9 +28,10 @@
 // actors. During a window's parallel phase each shard executes its slice
 // of the window's events strictly in serial (time, seq) order. The
 // kernel keeps one calendar per shard (ConfigureShards splits it), and in
-// RunShard a shard pops its window's events from its own calendar as it
-// executes them — including the events its own callbacks schedule back
-// inside the window, which land in that same calendar (sim.Stage.AtAct).
+// RunShard a shard pops its window's events from its own calendar and its
+// inbox as it executes them — including the events its own callbacks
+// schedule back inside the window, which land in that same calendar
+// (sim.Stage.AtAct).
 //
 // Why the parallel phases are race-free (each bullet names the state and
 // its owner during them):
@@ -51,19 +53,19 @@
 //     cycles — the executor caps the window width at the minimum
 //     cross-shard latency, so a packet's cross-router move always lands
 //     outside the window, where placement hands it to the target shard's
-//     calendar. The ownership lemma is mechanized: Stage.AtAct panics on
+//     inbox. The ownership lemma is mechanized: Stage.AtAct panics on
 //     any cross-shard schedule landing inside its window. Packet pools
 //     are per context: a packet is taken from its source router's
 //     context and freed back to it (by the merge, when staged).
 //   - Kernel: the parallel phases read time only through the shard's
-//     Stage clock (pinned to the executing event). A shard pops from and
-//     places into only its own calendar, whose chunks and pools are its
-//     own. Kernel.Cancel writes only the cancelled event's flags byte,
-//     and the model cancels only its own router's reroute timer —
-//     same-shard by construction; a staged timer is placed by the shard
-//     of the router it belongs to, which is also the one that repoints
-//     the input VC's handle (Rebind). A later event of the window is
-//     still in its calendar when an earlier one cancels it, and
+//     Stage clock (pinned to the executing event). A shard pops from,
+//     schedules into and places into only its own calendar and inbox,
+//     whose chunks and pools are its own. Kernel.Cancel writes only the
+//     cancelled event's flags byte, and the model cancels only its own
+//     router's reroute timer — same-shard by construction, so the timer
+//     sits in the router's shard's calendar from the moment it is
+//     scheduled and its handle never moves. A later event of the window
+//     is still in its calendar when an earlier one cancels it, and
 //     RunWindow reads deadness when it pops it, so the cancel lands
 //     exactly as it does serially.
 //   - Everything else the phase reads (topology tables, algorithm state,
@@ -102,24 +104,19 @@ type effect struct {
 	birth   func(src, dst, flits int, at sim.Time)
 }
 
-// execRec records one live event a shard executed: its trace identity and
-// the END offsets of its staged schedule calls and effects in the shard's
-// logs (the start offsets are the previous record's ends). A calendar
-// event's (at, seq) are copied in; an in-window staged event carries its
-// staging rank, tagged stagedRec, instead — its seq exists only once the
-// merge has stamped the record that staged it, which precedes this one in
-// the same shard's stream, so the seq is always assigned by the time the
-// merge reads it.
+// execRec records one live event a shard executed that the merge has work
+// for: its trace identity and the END offsets of its staged schedule
+// calls and effects in the shard's logs (the start offsets are the
+// previous record's ends). The (at, seq) are the ones RunWindow reports:
+// an in-window staged event's seq is its tagged staging rank, which
+// sim.Stage.Seq resolves once the merge has stamped the record that
+// staged it — a record that precedes this one in the same shard's stream.
 type execRec struct {
 	at     sim.Time
 	seq    uint64
 	opsEnd int32
 	fxEnd  int32
 }
-
-// stagedRec tags an execRec seq that is a staging rank (kernel seqs never
-// reach the top bit).
-const stagedRec = 1 << 63
 
 // ShardState is one execution context: the clock, scheduler, packet pool,
 // candidate scratch and effect sink of the routers and terminals it
@@ -138,6 +135,10 @@ type ShardState struct {
 	fx   []effect
 	recs []execRec
 
+	// The window's live events, recorded or not, and the last one's time.
+	live   uint64
+	lastAt sim.Time
+
 	// merge cursors (coordinator-only)
 	cur   int
 	fxPos int32
@@ -149,24 +150,33 @@ type ShardState struct {
 }
 
 // Record implements sim.Recorder: called by this shard's Stage.RunWindow
-// immediately after each live event's callback, it delimits the event's
-// staged schedule calls and effects in the shard-private logs. Everything
-// it touches is owned by the executing shard — the globally-visible
-// replay happens at the merge.
-func (sc *ShardState) Record(at sim.Time, seq uint64, staged bool) {
-	if staged {
-		seq |= stagedRec
+// immediately after each live event's callback, it counts the event and
+// delimits its staged schedule calls and effects in the shard-private
+// logs. An event that staged neither leaves no record unless the run is
+// traced: the merge has nothing to stamp or replay for it, and the
+// count and time kept here stand in for it. Everything it touches is
+// owned by the executing shard — the globally-visible replay happens at
+// the merge.
+func (sc *ShardState) Record(at sim.Time, seq uint64) {
+	sc.live++
+	sc.lastAt = at
+	ops, fx := int32(sc.stage.StagedLen()), int32(len(sc.fx))
+	var prev execRec
+	if n := len(sc.recs); n > 0 {
+		prev = sc.recs[n-1]
+	}
+	if ops == prev.opsEnd && fx == prev.fxEnd && sc.net.K.TraceExec == nil {
+		return
 	}
 	//hxlint:allow allocfree — the exec-record log grows to the shard's per-window high-water live-event count and is reset every merge
-	sc.recs = append(sc.recs, execRec{at: at, seq: seq, opsEnd: int32(sc.stage.StagedLen()), fxEnd: int32(len(sc.fx))})
+	sc.recs = append(sc.recs, execRec{at: at, seq: seq, opsEnd: ops, fxEnd: fx})
 }
 
-// Rebind implements sim.Rebinder: an event the model holds a handle to
-// has moved into a calendar slot — a staged re-route timer at placement,
-// or any pending event when ConfigureShards re-splits the calendars. The
-// one handle the model keeps is a blocked head decision's re-route timer,
-// held by its input VC (the only event with an *inputVC payload); repoint
-// it unless the decision has since been cancelled and re-armed.
+// Rebind implements sim.Rebinder: ConfigureShards re-split the calendars
+// and an event the model holds a handle to moved. The one handle the
+// model keeps is a blocked head decision's re-route timer, held by its
+// input VC (the only event with an *inputVC payload); repoint it unless
+// the decision has since been cancelled and re-armed.
 func (n *Network) Rebind(old, placed *sim.Event) {
 	if iv, ok := placed.Payload().(*inputVC); ok && iv.timer == old {
 		iv.timer = placed
@@ -191,16 +201,6 @@ func (sc *ShardState) at(t sim.Time, act sim.Sharded, op uint8, a, b, c int32, p
 		return sc.stage.AtAct(t, act, op, a, b, c, p)
 	}
 	return sc.net.K.AtAct(t, act, op, a, b, c, p)
-}
-
-// keep marks e, the handle of a re-route timer the model holds past the
-// window, so that placement reports where its staged copy lands (Rebind).
-// A serial schedule's handle already is its calendar slot.
-func (sc *ShardState) keep(e *sim.Event) *sim.Event {
-	if sc.sharded {
-		sc.stage.Keep(e)
-	}
-	return e
 }
 
 // After schedules a typed event d cycles after the context's clock.
@@ -399,9 +399,9 @@ func (n *Network) PartitionWindow(_ []*sim.Event, winEnd sim.Time) bool {
 // RunShard executes shard s's slice of the current window, in serial
 // (time, seq) order, entirely against shard-private state: it recycles
 // the stage's previous window, then the stage pops the shard's own
-// calendar up to the window end — the events staged inside the window
-// among them — skips dead ones (as the serial kernel does), and reports
-// each live event to Record above.
+// calendar and inbox up to the window end — the events staged inside the
+// window among them — skips dead ones (as the serial kernel does), and
+// reports each live event to Record above.
 func (n *Network) RunShard(s int) {
 	sc := n.shards[s]
 	sc.stage.ResetOps()
@@ -410,13 +410,15 @@ func (n *Network) RunShard(s int) {
 
 // MergeWindow replays the window's order-sensitive work in global serial
 // order: a (nsh)-way merge over the shards' execution records (each
-// already (time, seq)-sorted) drives, per executed event, the clock, the
+// already (time, seq)-sorted) drives, per recorded event, the clock, the
 // trace hook, the stamping of its staged schedule calls with their
 // sequence numbers (exactly the serial order: executing-event order
 // crossed with within-callback program order), and the replay of its
-// staged side effects. It reads the shards' logs and writes only the
-// kernel's counters, the stages' seq lists and what the effects touch;
-// the staged events reach their calendars in PlaceShard. It returns —
+// staged side effects. Every live event counts, recorded or not, and the
+// clock ends at the window's last one, as a serial run leaves it. It
+// reads the shards' logs and writes only the kernel's counters and
+// clock, the stages' seq lists and what the effects touch; the staged
+// events get their seqs and inboxes in PlaceShard. It returns —
 // with every context serial again — whether the window's (time,
 // seq)-maximal processed event, live or dead, was dead, which the
 // executor needs for the serial until-overshoot quirk. Coordinator-only,
@@ -426,7 +428,6 @@ func (n *Network) MergeWindow() (lastDead bool) {
 	for _, sc := range n.shards {
 		sc.cur, sc.fxPos = 0, 0
 	}
-	var live uint64
 	for {
 		var pick *ShardState
 		var pickAt sim.Time
@@ -435,13 +436,10 @@ func (n *Network) MergeWindow() (lastDead bool) {
 			if sc.cur >= len(sc.recs) {
 				continue
 			}
+			// A tagged seq's stager, earlier in this same shard's
+			// stream, has been stamped already.
 			rec := &sc.recs[sc.cur]
-			at, seq := rec.at, rec.seq
-			if seq&stagedRec != 0 {
-				// Staged-exec record: its stager, earlier in this same
-				// shard's stream, has been stamped already.
-				seq = sc.stage.Seq(int(seq &^ stagedRec))
-			}
+			at, seq := rec.at, sc.stage.Seq(rec.seq)
 			if pick == nil || at < pickAt || (at == pickAt && seq < pickSeq) {
 				pick, pickAt, pickSeq = sc, at, seq
 			}
@@ -451,7 +449,6 @@ func (n *Network) MergeWindow() (lastDead bool) {
 		}
 		rec := &pick.recs[pick.cur]
 		pick.cur++
-		live++
 		k.SetNow(pickAt)
 		if k.TraceExec != nil {
 			k.TraceExec(pickAt, pickSeq)
@@ -461,6 +458,17 @@ func (n *Network) MergeWindow() (lastDead bool) {
 			n.apply(&pick.fx[i], pickAt)
 		}
 		pick.fxPos = rec.fxEnd
+	}
+	var live uint64
+	var lastAt sim.Time
+	for _, sc := range n.shards {
+		if sc.live > 0 {
+			live += sc.live
+			lastAt = max(lastAt, sc.lastAt)
+		}
+	}
+	if live > 0 {
+		k.SetNow(lastAt)
 	}
 	k.AddExecuted(live)
 	var tailAt sim.Time
@@ -478,16 +486,18 @@ func (n *Network) MergeWindow() (lastDead bool) {
 	for _, sc := range n.shards {
 		sc.fx = sc.fx[:0]
 		sc.recs = sc.recs[:0]
+		sc.live = 0
 		sc.sharded = false
 	}
 	return lastDead
 }
 
-// PlaceShard copies the window's staged events that target shard s into
-// its calendar, in sequence order, and repoints each kept re-route timer
-// handle (Rebind) — a timer's input VC belongs to the router the timer
-// targets, so this writes only shard s's state. Runs on shard s after
-// MergeWindow; afterwards every pending event sits in a calendar again.
+// PlaceShard gives the window's events shard s staged for itself beyond
+// the window their stamped seqs, in place, and copies the ones the other
+// shards staged for it into its inbox, in sequence order (sim.Kernel.Place)
+// — it writes only shard s's calendar and inbox. Runs on shard s after
+// MergeWindow; afterwards every pending event sits in a calendar under its
+// kernel seq again.
 func (n *Network) PlaceShard(s int) {
-	n.K.Place(s, n.stages, n)
+	n.K.Place(s, n.stages)
 }

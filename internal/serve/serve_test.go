@@ -331,7 +331,8 @@ func TestMalformedRequests(t *testing.T) {
 		{"unknown pattern", `{"patterns": ["nope"]}`, "unknown pattern"},
 		{"loads and step", `{"loads": [0.1], "step": 0.05}`, "mutually exclusive"},
 		{"negative load", `{"loads": [-0.1]}`, "loads must be positive"},
-		{"negative width", `{"config": {"Widths": [4, -4]}}`, "widths must be positive"},
+		{"negative width", `{"config": {"Widths": [4, -4]}}`, "widths must be at least 2"},
+		{"width one", `{"config": {"Widths": [1, 4]}}`, "widths must be at least 2"},
 		{"negative step", `{"step": -0.1}`, "step must be positive"},
 		{"absurdly fine step", `{"step": 1e-9}`, "at most 1000 points"},
 		{"step above one", `{"step": 2}`, "step must lie in"},

@@ -3,19 +3,21 @@
 //
 // The executor advances the kernel one conservative time window at a
 // time, in three steps. In parallel, each shard pops the events before
-// the window boundary from its own calendar (the kernel holds one per
-// shard, each (time, seq)-ordered) and executes them as it pops them —
-// including events its own callbacks schedule back inside the window.
-// Serially, the model merges the shards' execution records in global
-// (time, seq) order, stamping every staged schedule call with its serial
-// sequence number and replaying the order-sensitive side effects. In
-// parallel again, each shard places the staged events beyond the window
-// that target it into its own calendar, in sequence order. Determinism therefore never
-// depends on goroutine scheduling: the parallel phases touch only
-// shard-private state (see internal/network/shard.go for the ownership
-// argument), and everything order-sensitive happens in the
-// single-threaded merge. Between windows every pending event sits in
-// some calendar.
+// the window boundary from its own calendar and its inbox (the kernel
+// holds one of each per shard, each (time, seq)-ordered) and executes
+// them as it pops them — including events its own callbacks schedule
+// back inside the window; every event a shard schedules for itself goes
+// straight into its calendar. Serially, the model merges the shards'
+// execution records in global (time, seq) order, stamping every staged
+// schedule call with its serial sequence number and replaying the
+// order-sensitive side effects. In parallel again, each shard gives its
+// own events beyond the window their stamped seqs, in place, and copies
+// the events the other shards staged for it into its inbox, in sequence
+// order. Determinism therefore never depends on goroutine scheduling:
+// the parallel phases touch only shard-private state (see
+// internal/network/shard.go for the ownership argument), and everything
+// order-sensitive happens in the single-threaded merge. Between windows
+// every pending event sits in some calendar or inbox.
 //
 // The window width is the lookahead bound: a cross-shard schedule always
 // crosses a router-to-router channel, so it lands at least the model's
@@ -25,8 +27,9 @@
 // is exactly what lets every shard run its whole slice between barriers.
 // Same-shard schedules may land arbitrarily close (back-to-back
 // arbitration retries), so those go into the shard's own calendar and
-// execute in the same window, in serial order (sim.Stage). A width of 1
-// degenerates to the per-cycle barrier of the original executor.
+// those inside the window execute in it, in serial order (sim.Stage). A
+// width of 1 degenerates to the per-cycle barrier of the original
+// executor.
 //
 // Every shard has one owner for the executor's lifetime: the
 // coordinator runs shard 0, and persistent worker w, created by New and
@@ -78,8 +81,9 @@ type Model interface {
 	// order and reports whether the window's serially-last processed
 	// event was dead (the until-overshoot quirk's trigger).
 	MergeWindow() (lastDead bool)
-	// PlaceShard places the merged window's staged events that target
-	// shard s into its calendar.
+	// PlaceShard gives shard s's staged events beyond the merged window
+	// their seqs and places the other shards' events for s into its
+	// inbox.
 	PlaceShard(s int)
 }
 

@@ -31,37 +31,22 @@ var toyWindows = []sim.Time{1, 2, 3, 5}
 
 // toyRec mirrors network.execRec: one executed event's replay window. A
 // calendar event carries its (at, seq); an in-window staged event carries
-// its staging rank (seq stamped at the merge).
+// its tagged staging rank (seq stamped at the merge, sim.Stage.Seq).
 type toyRec struct {
 	at     sim.Time
 	seq    uint64
-	staged bool
 	opsEnd int
 }
 
-// toyShardRec is shard s's sim.Recorder, and its placement's
-// sim.Rebinder.
+// toyShardRec is shard s's sim.Recorder.
 type toyShardRec struct {
-	m       *toy
-	s       int
-	rebinds int
+	m *toy
+	s int
 }
 
-func (r *toyShardRec) Record(at sim.Time, seq uint64, staged bool) {
+func (r *toyShardRec) Record(at sim.Time, seq uint64) {
 	m, s := r.m, r.s
-	m.recs[s] = append(m.recs[s], toyRec{at: at, seq: seq, staged: staged, opsEnd: m.stages[s].StagedLen()})
-}
-
-// Rebind repoints the kept handles shard s's own events staged: opArm
-// arms a poke on its own slot, so the kept event targets the stager's
-// shard, and placement on that shard is the only writer.
-func (r *toyShardRec) Rebind(staged, placed *sim.Event) {
-	for _, h := range r.m.holders[r.s] {
-		if *h == staged {
-			*h = placed
-			r.rebinds++
-		}
-	}
+	m.recs[s] = append(m.recs[s], toyRec{at: at, seq: seq, opsEnd: m.stages[s].StagedLen()})
 }
 
 // toy is a sharded model over nsh counter slots; slot i lives on shard
@@ -84,14 +69,12 @@ type toy struct {
 
 	// winEnd is the open window's exclusive end; windowCancels counts
 	// opCancel events whose victim was due inside the window they ran in —
-	// the cancels that land mid-parallel-phase rather than on the calendar.
+	// the cancels that land mid-parallel-phase rather than on the calendar;
+	// stagedArms counts opArm events that staged their poke at or beyond
+	// the window end.
 	winEnd        sim.Time
 	windowCancels int
-
-	// holders[s] are the handle cells opArm filled from shard s's stage
-	// this window; placement repoints the ones whose event entered the
-	// calendar (toyShardRec.Rebind) and counts them.
-	holders [][]**sim.Event
+	stagedArms    int
 }
 
 // Toy ops. Every op increments slot a first.
@@ -110,7 +93,6 @@ func newToy(k *sim.Kernel, nsh, slots int, limit sim.Time) *toy {
 		m.srecs = append(m.srecs, &toyShardRec{m: m, s: s})
 		m.recs = append(m.recs, nil)
 		m.cur = append(m.cur, 0)
-		m.holders = append(m.holders, nil)
 		m.phases = append(m.phases, 0)
 	}
 	return m
@@ -149,9 +131,8 @@ func (m *toy) Act(op uint8, a, b, _ int32, p any) {
 	case opArm:
 		h := p.(**sim.Event)
 		*h = sched(now+sim.Time(b), opPoke, a, 0)
-		if m.sharded {
-			m.stages[m.shardOf(a)].Keep(*h)
-			m.holders[m.shardOf(a)] = append(m.holders[m.shardOf(a)], h)
+		if m.sharded && (*h).At() >= m.winEnd {
+			m.stagedArms++
 		}
 	case opCancel:
 		victim := *p.(**sim.Event)
@@ -174,32 +155,13 @@ func (m *toy) now(slot int32) sim.Time {
 	return m.k.Now()
 }
 
-// Rebind implements sim.Rebinder for SetCalendars, which moves every
-// pending event: any handle cell holding an old address is repointed.
-func (m *toy) Rebind(old, placed *sim.Event) {
-	for _, hs := range m.holders {
-		for _, h := range hs {
-			if *h == old {
-				*h = placed
-			}
-		}
-	}
-}
-
-// rebinds counts the kept handles placement repointed, over every shard.
-func (m *toy) rebinds() int {
-	n := 0
-	for _, r := range m.srecs {
-		n += r.rebinds
-	}
-	return n
-}
-
 func (m *toy) NumShards() int { return len(m.stages) }
 
 // split gives the toy's kernel one calendar per shard, as
-// network.ConfigureShards does; the executor requires it.
-func (m *toy) split() { m.k.SetCalendars(len(m.stages), m) }
+// network.ConfigureShards does; the executor requires it. The toy holds
+// no handle to a pending event when it splits, so nothing needs a
+// Rebinder.
+func (m *toy) split() { m.k.SetCalendars(len(m.stages), nil) }
 
 // PartitionWindow stages the toy until MergeWindow returns, as the
 // network model does.
@@ -218,7 +180,6 @@ func (m *toy) PartitionWindow(batch []*sim.Event, winEnd sim.Time) bool {
 func (m *toy) RunShard(s int) {
 	m.phases[s]++
 	m.stages[s].ResetOps()
-	m.holders[s] = m.holders[s][:0]
 	m.stages[s].RunWindow(m.k, m.srecs[s])
 }
 
@@ -233,10 +194,7 @@ func (m *toy) MergeWindow() bool {
 				continue
 			}
 			rec := &m.recs[s][m.cur[s]]
-			at, seq := rec.at, rec.seq
-			if rec.staged {
-				seq = m.stages[s].Seq(int(seq)) // stamped by this shard's earlier record
-			}
+			at, seq := rec.at, m.stages[s].Seq(rec.seq) // a tagged one stamped by this shard's earlier record
 			if pick < 0 || at < pAt || (at == pAt && seq < pSeq) {
 				pick, pAt, pSeq = s, at, seq
 			}
@@ -276,7 +234,7 @@ func (m *toy) MergeWindow() bool {
 
 func (m *toy) PlaceShard(s int) {
 	m.phases[s]++
-	m.k.Place(s, m.stages, m.srecs[s])
+	m.k.Place(s, m.stages)
 }
 
 // trace captures the executed (time, seq) stream of a kernel.
@@ -410,8 +368,8 @@ func TestExecutorDeadTailOvershoot(t *testing.T) {
 // serially. Deadness is read at pop time, which this pins. The cancels
 // run inside the parallel phase: at every width above 1 both victims are
 // due in the cancellers' own window (asserted), and at width 1 the same
-// cancels land on a calendar event and on a staged event the merge then
-// places dead.
+// cancels land on a calendar event and on a staged one beyond the window,
+// which placement leaves dead under its stamped seq.
 func TestExecutorSameWindowCancel(t *testing.T) {
 	for _, win := range toyWindows {
 		xm := runPair(t, 2, win, 4, 400, 0, func(k *sim.Kernel, m *toy) {
@@ -428,11 +386,13 @@ func TestExecutorSameWindowCancel(t *testing.T) {
 	}
 }
 
-// TestExecutorCancelAcrossMerge: a handle taken from Stage.AtAct in one
-// window and cancelled from the same shard in a later one. The merge in
-// between copies the staged event into the calendar — a ring slot, or a
-// far-tier struct when the delay exceeds the calendar window — so the
-// cancel only lands if the handle was repointed at the copy.
+// TestExecutorCancelAcrossMerge: a handle taken from Stage.AtAct beyond
+// its window and cancelled from the same shard in a later one. The event
+// sits in its shard's calendar from the moment it is staged — a ring
+// slot, or a far-tier struct when the delay exceeds the calendar window —
+// and placement only relabels its seq in place, so the handle is final:
+// the cancel lands, and the run matches serial, only if placement neither
+// moves nor copies it.
 func TestExecutorCancelAcrossMerge(t *testing.T) {
 	for _, delay := range []int32{20, 2000} {
 		for _, win := range toyWindows {
@@ -441,8 +401,8 @@ func TestExecutorCancelAcrossMerge(t *testing.T) {
 				k.AtAct(41, m, opArm, 1, delay, 0, h)
 				k.AtAct(50, m, opCancel, 1, 0, 0, h) // at least one merge later at every width
 			})
-			if n := xm.rebinds(); n != 1 {
-				t.Fatalf("delay=%d win=%d: %d handles repointed at placement, want 1", delay, win, n)
+			if xm.stagedArms != 1 {
+				t.Fatalf("delay=%d win=%d: %d arms staged beyond their window, want 1", delay, win, xm.stagedArms)
 			}
 		}
 	}

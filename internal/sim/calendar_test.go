@@ -317,7 +317,7 @@ func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 		}
 		stages[0].Stamp(k, stages[0].StagedLen())
 		for c := range stages {
-			k.Place(c, stages, noRebind{})
+			k.Place(c, stages)
 		}
 		for _, st := range stages {
 			st.ResetOps()

@@ -8,20 +8,22 @@ package sim
 //   - the kernel run serially on n calendars (n in {1, 2, 3});
 //   - the kernel on the same n calendars driven window by window the way
 //     the sharded executor drives it — per-shard RunWindow popping the
-//     shard's own calendar, a merge that Stamps, per-shard Place —
-//     sequentially, in a fuzzed shard order.
+//     shard's own calendar and inbox, a merge that Stamps, per-shard
+//     Place — sequentially, in a fuzzed shard order.
 //
 // The program mixes what the network model does to the calendar: events
 // scheduling children on their own slot or, at least the lookahead later,
 // on the next one (a cross-calendar schedule when slots are spread over
-// calendars); re-armable per-slot timers whose handle the slot keeps
-// (Stage.Keep, Rebind) and cancels, including a firing timer cancelling
-// its own handle and then scheduling a burst past a chunk's capacity;
-// delays past the ring (far heap), equal-time events on every calendar,
-// until-boundaries with external schedules behind the window (late list)
-// and serial Steps between windowed runs. A cancel that hit a live
-// bystander, a slot reused too early, a mis-ordered bucket or a stale
-// kept handle all show up as a diverging trace.
+// calendars: staged, it reaches the target's inbox at placement, while a
+// same-calendar one goes straight into its calendar); re-armable per-slot
+// timers whose handle the slot keeps and cancels — the handle of a staged
+// timer, always same-calendar, is final when it is taken — including a
+// firing timer cancelling its own handle and then scheduling a burst past
+// a chunk's capacity; delays past the ring (far heap), equal-time events
+// on every calendar, until-boundaries with external schedules behind the
+// window (late list) and serial Steps between windowed runs. A cancel
+// that hit a live bystander, a slot reused too early, a mis-ordered
+// bucket or a stale handle all show up as a diverging trace.
 
 import (
 	"sort"
@@ -269,11 +271,7 @@ func (s *fzSim) Act(op uint8, slot, id, depth int32, _ any) {
 			s.sched(slot, now+a.delay, opPlain, a.slot, a.id, a.depth)
 		case fzArm:
 			s.cancel(a.slot)
-			h := s.sched(slot, now+a.delay, opTimer, a.slot, a.id, a.depth)
-			if s.staged {
-				s.stages[s.ShardOf(0, slot, 0, 0, nil)].Keep(h)
-			}
-			s.timer[a.slot] = h
+			s.timer[a.slot] = s.sched(slot, now+a.delay, opTimer, a.slot, a.id, a.depth)
 		case fzCancel:
 			s.cancel(a.slot)
 		}
@@ -286,40 +284,91 @@ func (s *fzSim) Act(op uint8, slot, id, depth int32, _ any) {
 	}
 }
 
-// Rebind implements Rebinder: a kept timer handle follows its event.
+// Rebind implements Rebinder for SetCalendars: a kept timer handle follows
+// its event.
 func (s *fzSim) Rebind(old, placed *Event) {
 	if slot := placed.a; s.timer[slot] == old {
 		s.timer[slot] = placed
 	}
 }
 
-// fzRec is one shard's Recorder in the windowed loop: its execution
-// records, as the network's execRec log, each with its op count.
-type fzRec struct {
+// stampRecorder is one shard's Recorder in a windowed test run: its
+// execution records, as the network's execRec log keeps them, each with
+// the end of its staged ops.
+type stampRecorder struct {
 	st   *Stage
-	recs []fzExec
+	recs []stampRec
 }
 
-func (r *fzRec) Record(at Time, seq uint64, staged bool) {
-	r.recs = append(r.recs, fzExec{at: at, seq: seq, staged: staged, opsEnd: r.st.StagedLen()})
-}
-
-type fzExec struct {
+type stampRec struct {
 	at     Time
 	seq    uint64
-	staged bool
 	opsEnd int
+}
+
+func (r *stampRecorder) Record(at Time, seq uint64) {
+	r.recs = append(r.recs, stampRec{at: at, seq: seq, opsEnd: r.st.StagedLen()})
+}
+
+// runStagedWindow runs one window ending at winEnd the way the sharded
+// executor does, sequentially, with the shards in the order given:
+// RunWindow on each, a merge that walks the records in (time, seq) order
+// setting the clock, tracing and stamping each record's ops, then Place
+// on each. It reports whether the window's (time, seq)-last processed
+// event was dead.
+func runStagedWindow(k *Kernel, stages []*Stage, order []int, winEnd Time) (lastDead bool) {
+	recs := make([]stampRecorder, len(stages))
+	for sh, st := range stages {
+		st.StartWindow(k, winEnd)
+		recs[sh].st = st
+	}
+	for _, sh := range order {
+		stages[sh].ResetOps()
+		stages[sh].RunWindow(k, &recs[sh])
+	}
+	cur := make([]int, len(stages))
+	var live uint64
+	for {
+		pick, pAt, pSeq := -1, Time(0), uint64(0)
+		for sh := range recs {
+			if cur[sh] >= len(recs[sh].recs) {
+				continue
+			}
+			r := recs[sh].recs[cur[sh]]
+			seq := stages[sh].Seq(r.seq)
+			if pick < 0 || r.at < pAt || (r.at == pAt && seq < pSeq) {
+				pick, pAt, pSeq = sh, r.at, seq
+			}
+		}
+		if pick < 0 {
+			break
+		}
+		r := recs[pick].recs[cur[pick]]
+		cur[pick]++
+		live++
+		k.SetNow(pAt)
+		k.TraceExec(pAt, pSeq)
+		stages[pick].Stamp(k, r.opsEnd)
+	}
+	k.AddExecuted(live)
+	var tAt Time
+	var tSeq uint64
+	var has bool
+	for _, st := range stages {
+		if at, seq, dead, ok := st.Tail(); ok && (!has || at > tAt || (at == tAt && seq > tSeq)) {
+			tAt, tSeq, lastDead, has = at, seq, dead, true
+		}
+	}
+	for _, sh := range order {
+		k.Place(sh, stages)
+	}
+	return lastDead
 }
 
 // runWindowed is the sharded executor's loop, sequential: it drives the
 // kernel window by window, running the shards in the order given.
 func (s *fzSim) runWindowed(until, win Time, order []int) {
 	k := s.k
-	n := len(s.stages)
-	recs := make([]fzRec, n)
-	for sh := range recs {
-		recs[sh].st = s.stages[sh]
-	}
 	for {
 		t, ok := k.PeekTime()
 		if !ok {
@@ -333,60 +382,9 @@ func (s *fzSim) runWindowed(until, win Time, order []int) {
 		if until > 0 && winEnd > until+1 {
 			winEnd = until + 1
 		}
-		for _, st := range s.stages {
-			st.StartWindow(k, winEnd)
-		}
 		s.staged = true
-		for _, sh := range order {
-			st := s.stages[sh]
-			st.ResetOps()
-			recs[sh].recs = recs[sh].recs[:0]
-			st.RunWindow(k, &recs[sh])
-		}
-		// Merge: the k-way walk, stamping each record's ops.
-		cur := make([]int, n)
-		var live uint64
-		for {
-			pick, pAt, pSeq := -1, Time(0), uint64(0)
-			for sh := range recs {
-				if cur[sh] >= len(recs[sh].recs) {
-					continue
-				}
-				r := recs[sh].recs[cur[sh]]
-				seq := r.seq
-				if r.staged {
-					seq = s.stages[sh].Seq(int(seq))
-				}
-				if pick < 0 || r.at < pAt || (r.at == pAt && seq < pSeq) {
-					pick, pAt, pSeq = sh, r.at, seq
-				}
-			}
-			if pick < 0 {
-				break
-			}
-			r := recs[pick].recs[cur[pick]]
-			cur[pick]++
-			live++
-			k.SetNow(pAt)
-			k.TraceExec(pAt, pSeq)
-			s.stages[pick].Stamp(k, r.opsEnd)
-		}
-		k.AddExecuted(live)
-		var tAt Time
-		var tSeq uint64
-		var lastDead, has bool
-		for _, st := range s.stages {
-			if at, seq, dead, ok := st.Tail(); ok && (!has || at > tAt || (at == tAt && seq > tSeq)) {
-				tAt, tSeq, lastDead, has = at, seq, dead, true
-			}
-		}
-		for sh := range recs {
-			recs[sh].recs = recs[sh].recs[:0]
-		}
+		lastDead := runStagedWindow(k, s.stages, order, winEnd)
 		s.staged = false
-		for _, sh := range order {
-			k.Place(sh, s.stages, s)
-		}
 		if lastDead && until > 0 {
 			if t2, ok := k.PeekTime(); ok && t2 > until {
 				k.Step()

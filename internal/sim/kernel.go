@@ -18,14 +18,18 @@
 // of the shard its actor's Sharded.ShardOf names. On a split kernel
 // Sharded is a requirement, checked where an event enters a calendar:
 // AtAct and SetCalendars panic on an actor that does not implement it,
-// and Restore refuses one. Inside a window a shard's calendar is its
-// whole queue: the shard pops it, its in-window schedules land in it
-// under a tagged seq that orders them as the merge will number them (see
-// stage.go), and after the merge it alone places its incoming events
-// into it, so the parallel phases share no calendar memory. Every
-// pending event sits in exactly one calendar, and a multi-calendar
+// and Restore refuses one. A split kernel also gives each shard an
+// inbox: a second calendar that only placement fills, with the events
+// other shards scheduled for it. Inside a window a shard's calendar and
+// inbox are its whole queue: the shard pops both in (time, seq) order,
+// each of its schedule calls that targets itself lands in its own
+// calendar under a tagged seq that orders it as the merge will number it
+// (see stage.go), and after the merge it alone patches those seqs and
+// fills its inbox, so the parallel phases share no calendar memory.
+// Every pending event sits in exactly one calendar, and a multi-calendar
 // kernel's serial loop, PeekTime and Snapshot take the (time, seq)
-// minimum across them, so the queue they see is the whole one.
+// minimum across all of them, inboxes included, so the queue they see is
+// the whole one.
 //
 // A calendar is two-tier: a ring of ringSize per-cycle FIFO buckets
 // covering the near-future window [winStart, winStart+ringSize), plus a
@@ -122,7 +126,6 @@ const (
 	evDead   uint8 = 1 << iota // cancelled; skipped at pop time
 	evQueued                   // still cancellable
 	evPooled                   // a far/late struct from calendar.free, recycled when popped; ring slots belong to their chunk
-	evKeep                     // staged handle the model keeps: placement reports its calendar copy (Stage.Keep)
 )
 
 const (
@@ -207,9 +210,9 @@ type Kernel struct {
 	seq   uint64
 	nexec uint64
 
-	// cals holds one calendar per execution context (see Queue
-	// structure): one for a serial kernel, one per shard after
-	// SetCalendars.
+	// cals holds the calendars (see Queue structure): one for a serial
+	// kernel; after SetCalendars(n > 1), shard s's own calendar at s and
+	// its inbox at n+s.
 	cals []calendar
 
 	// TraceExec, when non-nil, observes every executed (live) event as
@@ -225,9 +228,19 @@ func NewKernel() *Kernel {
 	return &Kernel{cals: []calendar{newCalendar(0, 1)}}
 }
 
-// Calendars returns the number of calendars: 1, or the shard count
-// SetCalendars split the queue into.
-func (k *Kernel) Calendars() int { return len(k.cals) }
+// Calendars returns the number of execution contexts the queue is split
+// into: 1, or the shard count given to SetCalendars. Inboxes are not
+// counted.
+func (k *Kernel) Calendars() int { return (len(k.cals) + 1) / 2 }
+
+// inbox returns shard s's inbox, or nil on a single-calendar kernel,
+// which has no cross-shard traffic to receive.
+func (k *Kernel) inbox(s int) *calendar {
+	if len(k.cals) == 1 {
+		return nil
+	}
+	return &k.cals[len(k.cals)/2+s]
+}
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
@@ -432,8 +445,8 @@ func (k *Kernel) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Ev
 
 // Cancel prevents a scheduled event from running. Cancelling an event that
 // has already run or was already cancelled is a no-op. The handle must be
-// the event's current one (see AtAct; a staged handle the model keeps is
-// superseded at placement, see Stage.Keep).
+// the event's current one: see AtAct, and Stage.AtAct for a staged
+// cross-shard handle, which placement supersedes.
 func (k *Kernel) Cancel(e *Event) {
 	if e == nil || e.flags&evQueued == 0 {
 		return
@@ -701,16 +714,16 @@ func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
 	return k.now, nil
 }
 
-// SetCalendars re-splits the queue into n calendars, one per shard: each
-// pending event, live or dead, moves to the calendar its actor's
-// Sharded.ShardOf names; n = 1 merges them back into one. For n > 1 a
+// SetCalendars re-splits the queue into n calendars, one per shard, plus
+// an empty inbox per shard for n > 1: each pending event, live or dead,
+// moves to the calendar its actor's Sharded.ShardOf names; n = 1 merges
+// them back into one. For n > 1 a
 // pending event whose actor does not implement Sharded panics, with the
 // actor's type and the event's time, before anything moves. The clock,
 // the sequence counter and every event's (time, seq) stay as they are,
 // so the execution order does not change. Events move, so each one is
-// reported to rb with its old and new address — the same rewiring
-// placement does for staged handles — while its old slot is still
-// intact. The chunk and struct pools are dealt out across the new
+// reported to rb with its old and new address while its old slot is
+// still intact. The chunk and struct pools are dealt out across the new
 // calendars. Call it between runs, never inside a window.
 func (k *Kernel) SetCalendars(n int, rb Rebinder) {
 	if n < 1 {
@@ -749,18 +762,22 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 		}
 	}
 
-	cals := make([]calendar, n)
+	m := n
+	if n > 1 {
+		m = 2 * n
+	}
+	cals := make([]calendar, m)
 	for i := range cals {
 		cals[i] = newCalendar(win, n)
 	}
 	deal := func(chs []*chunk, evs []*Event) {
 		for i, ch := range chs {
-			c := &cals[i%n]
+			c := &cals[i%m]
 			ch.next = c.chunks
 			c.chunks = ch
 		}
 		for i, e := range evs {
-			cals[i%n].recycle(e)
+			cals[i%m].recycle(e)
 		}
 	}
 	// Placing into chunks and structs that held no pending event keeps

@@ -3,46 +3,53 @@
 //
 // The executor runs one simulation on several cores while keeping the
 // executed event sequence bit-identical to a serial run. The kernel holds
-// one calendar per shard (SetCalendars), and a window [t, winEnd) runs in
-// three steps; the contract that makes them serial-equivalent is split
-// between this file and the model (internal/network):
+// one calendar and one inbox per shard (SetCalendars), and a window
+// [t, winEnd) runs in three steps; the contract that makes them
+// serial-equivalent is split between this file and the model
+// (internal/network):
 //
 //   - Parallel: each shard runs its window through its Stage
 //     (RunWindow), which is the serial pop loop over the shard's own
-//     calendar up to winEnd: exactly the events, in exactly the
-//     (time, seq) order, a serial Run would execute from that calendar
-//     before the clock reaches the boundary, each executed as it is
-//     popped. The Stage records schedule calls (AtAct) in program order
-//     WITHOUT assigning kernel sequence numbers. A schedule call landing
-//     inside the window goes straight into the shard's own calendar — the
-//     window width is capped at the minimum cross-shard latency, so such
-//     an event is same-shard by construction (AtAct asserts it) — under a
-//     tagged seq, stagedSeq|rank, where rank is the call's position in
-//     the stage's log. No kernel seq reaches the tag bit, so a tagged
-//     event sorts after every event the calendar held at window start
-//     (their serial seqs predate every staged seq), and tagged events
-//     sort among themselves by rank, the order the merge stamps their
-//     seqs in: each bucket, the far heap and the late list stay
-//     (time, seq)-ordered with no extra code, and RunWindow pops them
-//     where the serial loop would have run them. Every tagged event lies
-//     before winEnd, so RunWindow pops it before it returns: no caller
-//     outside a window ever sees a tagged seq. Any other schedule call
-//     goes into a struct from a private pool, so this phase writes no
-//     calendar but the shard's own.
-//   - Serial: the coordinator walks the executed events in global
-//     (time, seq) order and Stamps each one's staged schedule calls with
+//     calendar and its inbox up to winEnd: exactly the events, in exactly
+//     the (time, seq) order, a serial Run would execute from them before
+//     the clock reaches the boundary, each executed as it is popped. The
+//     Stage records schedule calls (AtAct) in program order WITHOUT
+//     assigning kernel sequence numbers. A schedule call whose event
+//     belongs to the stage's own shard, whatever its time, goes straight
+//     into the shard's own calendar under a tagged seq, stagedSeq|rank,
+//     where rank is the call's position in the stage's log. No kernel
+//     seq reaches the tag bit, so a tagged event sorts after every event
+//     the calendar held at window start (their serial seqs predate every
+//     staged seq), and tagged events sort among themselves by rank, the
+//     order the merge stamps their seqs in: each bucket, the far heap and
+//     the late list stay (time, seq)-ordered with no extra code, and
+//     RunWindow pops the in-window ones where the serial loop would have
+//     run them. A schedule call for another shard lands at or beyond
+//     winEnd — the window width is capped at the minimum cross-shard
+//     latency, and AtAct asserts it — and goes into a struct from a
+//     private pool, so this phase writes no calendar but the shard's own.
+//   - Serial: the coordinator walks the executed events the model
+//     recorded (every one that staged a schedule call, at least) in
+//     global (time, seq) order and Stamps each one's staged calls with
 //     the next kernel seqs, exactly as the serial kernel would have:
 //     serial seq assignment is a pure function of execution order and
 //     per-callback program order, both of which the walk reproduces.
 //     Stamping appends to a compact per-stage list the coordinator alone
 //     writes; the staged events themselves stay untouched. Schedule calls
 //     already executed inside the window consume their seq too.
-//   - Parallel: each shard Places the out-of-window staged events that
-//     target it — from every stage, merged in seq order — into its own
-//     calendar. A handle the model keeps (Stage.Keep) is superseded by
-//     the placed copy's address, reported through Rebinder. The staged
-//     structs return to their stage's pool when the stage opens its next
-//     window.
+//   - Parallel: each shard Places its window. It writes the stamped seq
+//     over the tag of each of its own events beyond the window, in place:
+//     every stamped seq exceeds every seq the calendar held before, and
+//     rank order is stamp order, so the relabel keeps every bucket, heap
+//     and list in order. It then copies the events the other stages
+//     staged for it, merged in seq order, into its inbox. The inbox is a
+//     calendar of its own because a cross-shard event and an own event
+//     of one window can share a timestamp with interleaved seqs: appended
+//     to one bucket they would break its FIFO. Nothing is copied into a
+//     shard's own calendar, so the handle of a same-shard event is final
+//     when it is scheduled; a cross-shard handle is valid until
+//     placement. The staged structs return to their stage's pool when
+//     the stage opens its next window.
 //
 // Outside a window every pending event sits in some calendar under its
 // kernel seq, so the serial loop, PeekTime and Snapshot always see the
@@ -97,40 +104,46 @@ func (k *Kernel) SetNow(t Time) { k.now = t }
 // merge accounts for them).
 func (k *Kernel) AddExecuted(n uint64) { k.nexec += n }
 
-// Rebinder is told where an event landed in its calendar when it moved
-// there — a kept staged handle at placement, or any pending event at
-// SetCalendars — so the model can repoint a Cancel handle it holds, the
-// same rewiring Restore's restored callback does.
+// Rebinder is told where an event landed when SetCalendars moved it to
+// another calendar, so the model can repoint a Cancel handle it holds,
+// the same rewiring Restore's restored callback does.
 type Rebinder interface {
 	Rebind(old, placed *Event)
 }
 
-// stagedSeq tags the seq of an in-window staged event in its calendar:
-// stagedSeq|rank, rank being its position in the stage's ops log. No
-// kernel seq reaches the top bit, so a tagged event sorts after every
-// event the calendar held at window start, and tagged events among
-// themselves in rank order — the order the merge stamps their seqs in.
+// stagedSeq tags the seq of a same-shard staged event in its calendar:
+// stagedSeq|rank, rank being its position in the stage's log. No kernel
+// seq reaches the top bit, so a tagged event sorts after every event the
+// calendar held at window start, and tagged events among themselves in
+// rank order — the order the merge stamps their seqs in. Placement
+// replaces the tag of every one still pending with its stamped seq.
 const stagedSeq = 1 << 63
 
 // Stage is one shard's private scheduling context during the parallel
 // phase of a window: it collects the shard's schedule calls in program
-// order, puts the in-window ones into the shard's own calendar under a
-// tagged seq, and owns a private pool of staging structs for the rest —
-// self-contained: the calendars take copies, so every struct comes back
-// at ResetOps — so shards share no mutable kernel state. Create one per
-// shard with NewStage; the coordinator opens each parallel phase with
-// StartWindow.
+// order, puts the ones for its own shard into the shard's own calendar
+// under a tagged seq, and owns a private pool of staging structs for the
+// cross-shard rest — self-contained: the inboxes take copies, so every
+// struct comes back at ResetOps — so shards share no mutable kernel
+// state. Create one per shard with NewStage; the coordinator opens each
+// parallel phase with StartWindow.
 type Stage struct {
 	now    Time
-	idx    int       // this stage's shard index, for the in-window ownership assertion
+	idx    int       // this stage's shard index
 	cal    *calendar // the shard's own calendar, set by StartWindow
-	winEnd Time      // current window's exclusive end; schedules before it go into cal
+	winEnd Time      // current window's exclusive end; a cross-shard schedule before it is a model bug
+	n      int       // schedule calls staged this window: the next rank
 	free   []*Event
-	ops    []*Event  // staged schedule calls, program order
-	out    [][]int32 // out[t]: indices into ops of the out-of-window events targeting shard t
 
-	// seqs[i] is ops[i]'s kernel seq, appended by the merge (Stamp): the
-	// coordinator writes it, placement reads it, the shard never does.
+	// out[t] lists, in rank order, the window's staged events for shard t
+	// at or beyond winEnd: staging structs for placement to copy into t's
+	// inbox, and for t = idx the own calendar slots whose tags placement
+	// patches.
+	out [][]stagedOp
+
+	// seqs[i] is the kernel seq of the schedule call of rank i, appended by
+	// the merge (Stamp): the coordinator writes it, placement reads it, the
+	// shard never does.
 	seqs []uint64
 
 	// Tail of the last RunWindow: the (time, seq)-maximal processed
@@ -148,18 +161,24 @@ type Stage struct {
 	_ [64]byte
 }
 
+// stagedOp is a staged event beyond the window and its staging rank.
+type stagedOp struct {
+	e    *Event
+	rank int
+}
+
 // NewStage returns an empty stage for shard idx of n, pre-stocked with
 // one slab of staging structs. Steady state never restocks: the pool only
-// has to cover one window's out-of-window staging.
+// has to cover one window's cross-shard staging.
 func NewStage(idx, n int) *Stage {
-	return &Stage{idx: idx, out: make([][]int32, n), free: stockEvents(make([]*Event, 0, eventChunk))}
+	return &Stage{idx: idx, out: make([][]stagedOp, n), free: stockEvents(make([]*Event, 0, eventChunk))}
 }
 
 // StartWindow opens a parallel phase covering [now, winEnd) on k:
-// schedule calls landing before winEnd go into this stage's shard's
-// calendar, to execute inside RunWindow. It also clears the previous
-// window's tail; the stage clock advances per executed event inside
-// RunWindow.
+// schedule calls for this stage's shard go into its calendar, the ones
+// landing before winEnd to execute inside RunWindow. It also clears the
+// previous window's tail; the stage clock advances per executed event
+// inside RunWindow.
 func (st *Stage) StartWindow(k *Kernel, winEnd Time) {
 	st.cal = &k.cals[st.idx]
 	st.winEnd = winEnd
@@ -172,49 +191,42 @@ func (st *Stage) Now() Time { return st.now }
 
 // AtAct stages a typed event for absolute time t and returns its handle,
 // which supports Kernel.Cancel like a directly scheduled event. An event
-// landing inside the current window goes into the shard's own calendar
-// under a tagged seq (stagedSeq) and runs later in the same RunWindow;
-// the window width is capped at the minimum cross-shard latency (see
-// internal/shard), so such an event is same-shard by construction —
-// scheduling a cross-shard event inside the window is a model ownership
-// bug, and the assertion here is what keeps the window determinism
-// argument mechanized rather than hoped-for. Any other event is a struct
-// from the stage pool, listed for placement by the shard its actor
-// names; its handle is valid until the window's placement, and one the
-// model keeps past that must be marked with Keep.
+// for this stage's shard goes into the shard's own calendar under a
+// tagged seq (stagedSeq), whatever its time: one inside the window runs
+// later in the same RunWindow, and the handle is final. An event for
+// another shard must land at or beyond the window end — the window width
+// is capped at the minimum cross-shard latency (see internal/shard), so
+// scheduling one inside the window is a model ownership bug, and the
+// assertion here is what keeps the window determinism argument
+// mechanized rather than hoped-for. It is a struct from the stage pool,
+// copied into the target's inbox at placement; its handle is valid until
+// then.
 func (st *Stage) AtAct(t Time, act Sharded, op uint8, a, b, c int32, p any) *Event {
 	if t < st.now {
 		panic("sim: event scheduled in the past")
 	}
-	rank := len(st.ops)
 	tgt := act.ShardOf(op, a, b, c, p)
+	rank := st.n
 	var e *Event
-	if t < st.winEnd {
-		if tgt != st.idx {
-			panic("sim: cross-shard event staged inside the execution window")
-		}
+	switch {
+	case tgt == st.idx:
 		e = st.cal.slot(t, stagedSeq|uint64(rank))
-	} else {
+	case t < st.winEnd:
+		panic("sim: cross-shard event staged inside the execution window")
+	default:
 		e = takeEvent(&st.free)
 		// Queued from the moment of staging so Kernel.Cancel works on a
-		// staged handle exactly as on an enqueued one (same-cycle cancels of
-		// reroute timers are same-shard and therefore race-free).
+		// staged handle exactly as on an enqueued one.
 		e.at, e.flags = t, evQueued
-		//hxlint:allow allocfree — each per-target placement list grows to its per-window high-water count and is reset (not reallocated) every window
-		st.out[tgt] = append(st.out[tgt], int32(rank))
 	}
 	e.set(act, op, a, b, c, p)
-	//hxlint:allow allocfree — the staged-ops list grows to the shard's per-window high-water schedule count and is reset (not reallocated) every window
-	st.ops = append(st.ops, e)
+	st.n++
+	if t >= st.winEnd {
+		//hxlint:allow allocfree — each per-target list grows to its per-window high-water count and is reset (not reallocated) every window
+		st.out[tgt] = append(st.out[tgt], stagedOp{e, rank})
+	}
 	return e
 }
-
-// Keep marks a staged handle the model holds on to past the window: when
-// placement copies the event into its calendar, it reports the copy's
-// address to its Rebinder so the model can repoint the handle. Unmarked
-// events are placed without a report; an in-window event is in its
-// calendar already, so its mark goes unread.
-func (st *Stage) Keep(e *Event) { e.flags |= evKeep }
 
 // recycle returns a staging struct to the stage pool, dropping its
 // references.
@@ -227,47 +239,62 @@ func (st *Stage) recycle(e *Event) {
 }
 
 // Recorder observes every live event RunWindow processes, in execution
-// order. For an event the calendar held at window start, seq is its
-// kernel sequence number and staged is false. For an event staged
-// inside the window, seq is its staging rank and staged is true: its
-// kernel seq is Seq(rank), assigned by the merge strictly before the
-// merge consumes the record (the staging record precedes it in the same
-// shard's stream).
+// order, with the seq it holds in its calendar: its kernel seq, or for an
+// event staged inside the window its tagged rank, which Stage.Seq
+// resolves once the merge has stamped the record that staged it — a
+// record that precedes it in the same shard's stream.
 type Recorder interface {
-	Record(at Time, seq uint64, staged bool)
+	Record(at Time, seq uint64)
 }
 
 // RunWindow executes this shard's slice of the window: the serial pop
-// loop (peek, popPeeked, unpool) over the shard's own calendar, up to
-// the window end. The calendar's (time, seq) order is the serial
-// kernel's, the events staged inside the window included (see
-// stagedSeq). Dead events are skipped without a record, as the serial
-// pop-dead loop skips them; deadness is read at pop time, so a
-// same-window cancel from an earlier event lands exactly as it would
-// serially. Each processed event, live or dead, updates the tail. The
-// kernel clock is left alone — a window can hold only dead events, for
-// which the serial loop never moves it — and the merge advances it per
-// live event instead.
+// loop (peek, popPeeked, unpool) over the shard's own calendar and its
+// inbox, taking the (time, seq)-smaller head of the two, up to the
+// window end. The own calendar's order is the serial kernel's, the
+// events staged inside the window included (see stagedSeq). Dead events
+// are skipped without a record, as the serial pop-dead loop skips them;
+// deadness is read at pop time, so a same-window cancel from an earlier
+// event lands exactly as it would serially. Each processed event, live
+// or dead, updates the tail. The kernel clock is left alone — a window
+// can hold only dead events, for which the serial loop never moves it —
+// and the merge sets it instead.
 func (st *Stage) RunWindow(k *Kernel, rec Recorder) {
-	cal := &k.cals[st.idx]
+	own, in := st.cal, k.inbox(st.idx)
+	// Nothing enters the inbox during a window, so its head stays put
+	// until popped. The own calendar slides no further than it: an inbox
+	// event may schedule into the own calendar at its own time.
+	var next *Event
+	if in != nil {
+		next = in.peek(st.winEnd)
+	}
 	for {
-		e := cal.peek(st.winEnd)
+		limit := st.winEnd
+		if next != nil {
+			limit = min(limit, next.at)
+		}
+		c, e := own, own.peek(limit)
+		if next != nil && (e == nil || before(next, e)) {
+			c, e = in, next
+		}
 		if e == nil || e.at >= st.winEnd {
 			return
 		}
-		cal.popPeeked(e)
+		c.popPeeked(e)
+		if c == in {
+			next = in.peek(st.winEnd)
+		}
 		at, seq, dead := e.at, e.seq, e.flags&evDead != 0
 		st.tailAt, st.tailSeq, st.tailDead, st.hasTail = at, seq, dead, true
 		if dead {
-			cal.unpool(e)
+			c.unpool(e)
 			continue
 		}
 		// Counting and tracing are the merge's job.
 		st.now = at
-		act, op, a, b, c, p := e.act, e.op, e.a, e.b, e.c, e.p
-		cal.unpool(e)
-		act.Act(op, a, b, c, p)
-		rec.Record(at, seq&^stagedSeq, seq&stagedSeq != 0)
+		act, op, a, b, cc, p := e.act, e.op, e.a, e.b, e.c, e.p
+		c.unpool(e)
+		act.Act(op, a, b, cc, p)
+		rec.Record(at, seq)
 	}
 }
 
@@ -280,21 +307,18 @@ func (st *Stage) Tail() (at Time, seq uint64, dead, ok bool) {
 	if !st.hasTail {
 		return 0, 0, false, false
 	}
-	if st.tailSeq&stagedSeq != 0 {
-		return st.tailAt, st.seqs[st.tailSeq&^stagedSeq], st.tailDead, true
-	}
-	return st.tailAt, st.tailSeq, st.tailDead, true
+	return st.tailAt, st.Seq(st.tailSeq), st.tailDead, true
 }
 
 // StagedLen returns how many schedule calls the stage holds; the shard
 // records it per executed event to delimit each event's ops.
-func (st *Stage) StagedLen() int { return len(st.ops) }
+func (st *Stage) StagedLen() int { return st.n }
 
 // Stamp assigns the next kernel sequence numbers to the staged ops not
 // yet stamped, up to (excluding) op j, in program order. The merge calls
-// it once per executed event, in global execution order — the serial
-// kernel's assignment order. It appends to seqs only; the ops stay
-// untouched for placement. Coordinator-only.
+// it once per executed event that staged any, in global execution order
+// — the serial kernel's assignment order. It appends to seqs only; the
+// staged events stay untouched for placement. Coordinator-only.
 func (st *Stage) Stamp(k *Kernel, j int) {
 	for i := len(st.seqs); i < j; i++ {
 		//hxlint:allow allocfree — the seq list grows to the shard's per-window high-water schedule count and is reset (not reallocated) every window
@@ -303,44 +327,59 @@ func (st *Stage) Stamp(k *Kernel, j int) {
 	}
 }
 
-// Seq returns the kernel seq Stamp gave staged op rank.
-func (st *Stage) Seq(rank int) uint64 { return st.seqs[rank] }
+// Seq returns the kernel seq of a seq RunWindow recorded: the seq
+// itself, or for a tagged one the seq Stamp gave its staging rank.
+func (st *Stage) Seq(seq uint64) uint64 {
+	if seq&stagedSeq != 0 {
+		return st.seqs[seq&^stagedSeq]
+	}
+	return seq
+}
 
-// ResetOps clears the staged-ops list and returns every out-of-window
-// staged struct to the stage pool: the calendars hold copies of the ones
-// that live on, and the in-window ones were calendar slots all along.
-// Call it when no shard's placement can still read this stage — the
-// shard's next window is the natural point. The backing arrays are
-// reused.
+// ResetOps clears the window's staging state and returns every
+// cross-shard staging struct to the stage pool: the inboxes hold copies
+// of them, and the same-shard events were calendar slots all along. Call
+// it when no shard's placement can still read this stage — the shard's
+// next window is the natural point. The backing arrays are reused.
 func (st *Stage) ResetOps() {
 	for t, o := range st.out {
-		for _, i := range o {
-			st.recycle(st.ops[i])
+		if t != st.idx {
+			for _, x := range o {
+				st.recycle(x.e)
+			}
 		}
 		st.out[t] = o[:0]
 	}
-	st.ops = st.ops[:0]
+	st.n = 0
 	st.seqs = st.seqs[:0]
 }
 
-// Place copies into calendar t every staged event of this window that
-// targets shard t, from every stage, in kernel-seq order — a merge of the
-// stages' per-target lists, each already in seq order, taken a run at a
-// time: the source with the smallest next seq places everything below
-// the others' next seqs — so each bucket stays a (time, seq) FIFO. A
-// cancelled event is placed dead (it holds its seq, as it did serially);
-// a kept one is reported to rb with its new address. Called by shard t
-// after the merge has stamped every stage: it reads the stages, which no
-// one writes until their next window, and writes calendar t and whatever
-// rb repoints.
-func (k *Kernel) Place(t int, stages []*Stage, rb Rebinder) {
+// Place finishes shard t's window once the merge has stamped every
+// stage. It writes the stamped seq over the tag of each event stage t
+// staged for its own shard beyond the window, in place (see the package
+// notes for why that keeps the calendar ordered), then copies into t's
+// inbox every event the other stages staged for t, in kernel-seq order —
+// a merge of their per-target lists, each already in seq order, taken a
+// run at a time: the source with the smallest next seq places everything
+// below the others' next seqs — so each inbox bucket stays a (time, seq)
+// FIFO. A cancelled event is placed dead (it holds its seq, as it did
+// serially). Called by shard t: it reads the stages, which no one writes
+// until their next window, and writes only shard t's calendar and inbox.
+func (k *Kernel) Place(t int, stages []*Stage) {
+	own := stages[t]
+	for _, x := range own.out[t] {
+		x.e.seq = own.seqs[x.rank]
+	}
+	c := k.inbox(t)
+	if c == nil {
+		return
+	}
 	const none = ^uint64(0) // no kernel seq reaches it
-	c := &k.cals[t]
 	src := c.sources
 	for s, st := range stages {
 		src[s] = placeSource{head: none}
-		if o := st.out[t]; len(o) > 0 {
-			src[s].head = st.seqs[o[0]]
+		if o := st.out[t]; s != t && len(o) > 0 {
+			src[s].head = st.seqs[o[0].rank]
 		}
 	}
 	for {
@@ -357,27 +396,24 @@ func (k *Kernel) Place(t int, stages []*Stage, rb Rebinder) {
 		}
 		st, o, p := stages[pick], stages[pick].out[t], src[pick].pos
 		for ; p < len(o); p++ {
-			seq := st.seqs[o[p]]
+			seq := st.seqs[o[p].rank]
 			if seq > second {
 				break
 			}
-			e := st.ops[o[p]]
+			e := o[p].e
 			placed := c.slot(e.at, seq)
 			placed.set(e.act, e.op, e.a, e.b, e.c, e.p)
 			placed.flags |= e.flags & evDead
-			if e.flags&evKeep != 0 {
-				rb.Rebind(e, placed)
-			}
 		}
 		src[pick].pos, src[pick].head = p, none
 		if p < len(o) {
-			src[pick].head = st.seqs[o[p]]
+			src[pick].head = st.seqs[o[p].rank]
 		}
 	}
 }
 
 // placeSource is Place's read position in one stage's list for the
-// calendar being filled, and the seq found there.
+// inbox being filled, and the seq found there.
 type placeSource struct {
 	pos  int
 	head uint64

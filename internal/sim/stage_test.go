@@ -5,10 +5,13 @@ package sim
 // events and the late list included) and clock neutrality, its in-window
 // local execution (same-cycle staging, window-granularity cancels,
 // done-event seq consumption), Stamp's serial-order seq assignment with
-// Place's copy into the calendar, and the Stage pool's self-contained
-// struct circulation.
+// Place's in-place relabel of the own calendar and its copy into the
+// inbox, and the Stage pool's self-contained struct circulation.
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // logActor appends its event's a operand to a shared log. Its events all
 // belong to shard 0.
@@ -18,15 +21,11 @@ func (l logActor) Act(_ uint8, a, _, _ int32, _ any) { *l.log = append(*l.log, a
 
 func (logActor) ShardOf(uint8, int32, int32, int32, any) int { return 0 }
 
-// noRebind is the Rebinder of tests that keep no staged handle.
-type noRebind struct{}
-
-func (noRebind) Rebind(_, _ *Event) {}
-
 // TestInjectStagedSerialSeq: staged events stamped by Stamp and placed by
 // Place receive exactly the seq numbers — and therefore the execution
 // order — the serial kernel would have assigned had the callbacks
-// scheduled directly.
+// scheduled directly. Same-shard events beyond the window sit in the
+// calendar from the start, so none of them takes a staging struct.
 func TestInjectStagedSerialSeq(t *testing.T) {
 	serial := NewKernel()
 	var wantLog []int32
@@ -40,6 +39,7 @@ func TestInjectStagedSerialSeq(t *testing.T) {
 	var log []int32
 	act := logActor{&log}
 	st := NewStage(0, 1)
+	st.StartWindow(k, 0)
 	pool := len(st.free)
 	for i := int32(0); i < 6; i++ {
 		st.AtAct(10, act, 0, i, 0, 0, nil)
@@ -49,10 +49,10 @@ func TestInjectStagedSerialSeq(t *testing.T) {
 	}
 	st.Stamp(k, 3)
 	st.Stamp(k, 6)
-	k.Place(0, []*Stage{st}, noRebind{})
+	k.Place(0, []*Stage{st})
 	st.ResetOps()
 	if len(st.free) != pool {
-		t.Fatalf("stage pool = %d after ResetOps, want %d: the calendar holds copies, so every staged struct comes home", len(st.free), pool)
+		t.Fatalf("stage pool = %d after ResetOps, want %d: same-shard events are calendar slots, not staging structs", len(st.free), pool)
 	}
 	k.Run(0)
 	if len(log) != len(wantLog) {
@@ -73,6 +73,7 @@ func TestStagedCancelConsumesSeq(t *testing.T) {
 	var log []int32
 	act := logActor{&log}
 	st := NewStage(0, 1)
+	st.StartWindow(k, 0)
 	e0 := st.AtAct(10, act, 0, 0, 0, 0, nil)
 	st.AtAct(10, act, 0, 1, 0, 0, nil)
 	k.Cancel(e0)
@@ -80,7 +81,7 @@ func TestStagedCancelConsumesSeq(t *testing.T) {
 		t.Fatal("Cancel on a staged handle did not take")
 	}
 	st.Stamp(k, 2)
-	k.Place(0, []*Stage{st}, noRebind{})
+	k.Place(0, []*Stage{st})
 	var seqs []uint64
 	k.TraceExec = func(_ Time, seq uint64) { seqs = append(seqs, seq) }
 	k.Run(0)
@@ -254,19 +255,17 @@ func (w *windowActor) Act(_ uint8, a, _, _ int32, _ any) {
 
 func (w *windowActor) ShardOf(uint8, int32, int32, int32, any) int { return 0 }
 
-// windowRecorder captures RunWindow's Record stream: times, seqs, and
-// whether each record was a calendar event (kernel seq) or a staged one
-// (staging rank, seq stamped later at the merge).
+// windowRecorder captures RunWindow's Record stream: times and seqs, a
+// calendar event's kernel seq or a staged one's tagged rank (its seq is
+// stamped later, at the merge).
 type windowRecorder struct {
-	ats    []Time
-	seqs   []uint64
-	staged []bool
+	ats  []Time
+	seqs []uint64
 }
 
-func (r *windowRecorder) Record(at Time, seq uint64, staged bool) {
+func (r *windowRecorder) Record(at Time, seq uint64) {
 	r.ats = append(r.ats, at)
 	r.seqs = append(r.seqs, seq)
-	r.staged = append(r.staged, staged)
 }
 
 // TestRunWindowSameCycleStaging: an event that stages a same-cycle
@@ -301,8 +300,8 @@ func TestRunWindowSameCycleStaging(t *testing.T) {
 	wantAts := []Time{5, 5, 5, 6, 7}
 	wantStaged := []bool{false, false, true, true, false}
 	for i := range wantAts {
-		if rec.ats[i] != wantAts[i] || rec.staged[i] != wantStaged[i] {
-			t.Fatalf("record stream ats=%v staged=%v, want %v/%v", rec.ats, rec.staged, wantAts, wantStaged)
+		if rec.ats[i] != wantAts[i] || (rec.seqs[i]&stagedSeq != 0) != wantStaged[i] {
+			t.Fatalf("record stream ats=%v seqs=%#x, want %v with tags %v", rec.ats, rec.seqs, wantAts, wantStaged)
 		}
 	}
 	if st.Now() != 7 {
@@ -349,12 +348,89 @@ func TestRunWindowStagedAfterRingAndFar(t *testing.T) {
 					t.Fatalf("executed %v, want %v", log, row.want)
 				}
 			}
-			// The staged pair records its staging ranks, in order.
-			if n := len(rec.staged); n != 4 || !rec.staged[2] || !rec.staged[3] || rec.seqs[2] != 0 || rec.seqs[3] != 1 {
-				t.Fatalf("record stream seqs=%v staged=%v, want the staged pair last with ranks 0, 1", rec.seqs, rec.staged)
+			// The staged pair records its tagged staging ranks, in order.
+			if n := len(rec.seqs); n != 4 || rec.seqs[2] != stagedSeq|0 || rec.seqs[3] != stagedSeq|1 {
+				t.Fatalf("record stream seqs=%#x, want the staged pair last with tagged ranks 0, 1", rec.seqs)
 			}
 			if k.Pending() != 0 {
 				t.Fatalf("Pending = %d after the window, want 0", k.Pending())
+			}
+		})
+	}
+}
+
+// hopActor is a two-shard actor: event a runs on shard a%2, logs a, and
+// schedules the follow-ups its spawn table lists, all at time at, each on
+// the shard its own operand names — through the executing shard's stage
+// when staged, on the kernel otherwise.
+type hopActor struct {
+	k      *Kernel
+	stages []*Stage // nil: serial
+	log    []int32
+	spawn  map[int32][]int32
+	at     Time
+}
+
+func (h *hopActor) Act(_ uint8, a, _, _ int32, _ any) {
+	h.log = append(h.log, a)
+	for _, f := range h.spawn[a] {
+		if h.stages != nil {
+			h.stages[a%2].AtAct(h.at, h, 0, f, 0, 0, nil)
+		} else {
+			h.k.AtAct(h.at, h, 0, f, 0, 0, nil)
+		}
+	}
+}
+
+func (h *hopActor) ShardOf(_ uint8, a, _, _ int32, _ any) int { return int(a % 2) }
+
+// TestPlaceInterleavesOwnAndInbox: in one window, shard 1 stages an event
+// for itself beyond the window, and shard 0 stages events for shard 1 at
+// the same timestamp, their seqs interleaved with shard 1's — both ways
+// round. Shard 1's own events sit in its calendar and the cross-shard
+// ones land in its inbox, so the next window pops them in seq order, as
+// the serial kernel runs them. Appending the cross-shard events to the
+// own calendar instead would run every own event of the timestamp first.
+// (The first window's log is in shard order; its trace is the merge's.)
+func TestPlaceInterleavesOwnAndInbox(t *testing.T) {
+	const at = 20
+	for _, row := range []struct {
+		name  string
+		roots []int32           // root events at t = 1, 2, 3; a%2 is the shard
+		spawn map[int32][]int32 // follow-ups at t = at, all on shard 1
+		cross int               // follow-ups staged by shard 0
+	}{
+		{"cross_own_cross", []int32{0, 1, 2}, map[int32][]int32{0: {11}, 1: {13}, 2: {15}}, 2},
+		{"own_cross_own", []int32{1, 0, 3}, map[int32][]int32{1: {11}, 0: {13}, 3: {15}}, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			run := func(windowed bool) (*hopActor, [][2]uint64) {
+				k := NewKernel()
+				var trace [][2]uint64
+				k.TraceExec = func(at Time, seq uint64) { trace = append(trace, [2]uint64{uint64(at), seq}) }
+				h := &hopActor{k: k, spawn: row.spawn, at: at}
+				if windowed {
+					k.SetCalendars(2, nil)
+					h.stages = []*Stage{NewStage(0, 2), NewStage(1, 2)}
+				}
+				for i, a := range row.roots {
+					k.AtAct(Time(1+i), h, 0, a, 0, 0, nil)
+				}
+				if !windowed {
+					k.Run(0)
+					return h, trace
+				}
+				runStagedWindow(k, h.stages, []int{0, 1}, 10)
+				if n := k.inbox(1).npend; n != row.cross {
+					t.Errorf("shard 1's inbox holds %d events after placement, want %d", n, row.cross)
+				}
+				runStagedWindow(k, h.stages, []int{1, 0}, at+1)
+				return h, trace
+			}
+			serial, strace := run(false)
+			windowed, wtrace := run(true)
+			if fmt.Sprint(windowed.log[3:]) != fmt.Sprint(serial.log[3:]) || fmt.Sprint(wtrace) != fmt.Sprint(strace) {
+				t.Fatalf("windowed ran %v as %v, serial %v as %v", windowed.log, wtrace, serial.log, strace)
 			}
 		})
 	}
@@ -390,11 +466,11 @@ func TestRunWindowCancelStaged(t *testing.T) {
 	if !ok || at != 8 || !dead {
 		t.Fatalf("Tail = (%d, dead=%v, ok=%v), want the dead staged event at t=8", at, dead, ok)
 	}
-	k.Place(0, []*Stage{st}, noRebind{})
+	k.Place(0, []*Stage{st})
 	if k.Pending() != 1 {
 		t.Fatalf("Pending = %d after placing a done event, want 1 (only the probe)", k.Pending())
 	}
-	if got := st.Seq(0); got != seqBefore+1 {
+	if got := st.Seq(stagedSeq | 0); got != seqBefore+1 {
 		t.Fatalf("done event got seq %d, want %d (must consume the next kernel seq)", got, seqBefore+1)
 	}
 	if _, seq, _, _ := st.Tail(); seq != seqBefore+1 {
@@ -405,8 +481,8 @@ func TestRunWindowCancelStaged(t *testing.T) {
 
 // TestInjectStagedDoneNoEnqueue: an event executed in-window on its own
 // shard (done) consumes a kernel seq at the merge's Stamp but never
-// re-enters the calendar, and ResetOps recycles its struct back to the
-// stage pool.
+// re-enters the calendar, and it never took a struct from the stage
+// pool.
 func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 	k := NewKernel()
 	var log []int32
@@ -420,11 +496,11 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 		t.Fatalf("RunWindow on staged-only window executed %v, want [7]", log)
 	}
 	st.Stamp(k, st.StagedLen())
-	k.Place(0, []*Stage{st}, noRebind{})
+	k.Place(0, []*Stage{st})
 	if k.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0 (done event must not re-enter the calendar)", k.Pending())
 	}
-	if got := st.Seq(0); got != 0 {
+	if got := st.Seq(stagedSeq | 0); got != 0 {
 		t.Fatalf("done event seq = %d, want 0 (first kernel seq)", got)
 	}
 	if next := k.AtAct(20, w, 0, 8, 0, 0, nil); next.seq != 1 {
@@ -432,7 +508,7 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 	}
 	st.ResetOps()
 	if len(st.free) != pool {
-		t.Fatalf("ResetOps pool = %d, want %d (done struct recycled to the stage pool)", len(st.free), pool)
+		t.Fatalf("ResetOps pool = %d, want %d (an in-window event is a calendar slot)", len(st.free), pool)
 	}
 }
 

@@ -184,3 +184,28 @@ func TestFacadeWrappersValidate(t *testing.T) {
 		t.Errorf("RunLoadSweepParallel with a negative load = %v, want the loads error", err)
 	}
 }
+
+// TestNormalizeWidths: Normalize accepts a width of 2 and rejects
+// anything narrower with a message, before any simulation. A width of 1
+// used to pass Normalize and fail inside its job, at build time, so
+// hxserved accepted a request it should have answered 400.
+func TestNormalizeWidths(t *testing.T) {
+	for _, row := range []struct {
+		widths []int
+		ok     bool
+	}{
+		{[]int{2, 2}, true},
+		{[]int{1, 4}, false},
+		{[]int{4, 1}, false},
+		{[]int{0, 4}, false},
+		{[]int{4, -4}, false},
+	} {
+		x := Experiment{Config: Config{Widths: row.widths}}
+		err := x.Normalize()
+		if row.ok != (err == nil) {
+			t.Errorf("widths %v: Normalize = %v, want ok=%v", row.widths, err, row.ok)
+		} else if err != nil && !strings.Contains(err.Error(), "widths must be at least 2") {
+			t.Errorf("widths %v: Normalize = %v, want the width message", row.widths, err)
+		}
+	}
+}

@@ -12,6 +12,7 @@ package hyperx
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -45,11 +46,17 @@ func runWidth(inst *Instance, until sim.Time, shards, window int) error {
 }
 
 // simFingerprint condenses a run into the executed (time, seq) stream
-// hash plus the end-state counters — the same fold as the golden trace.
+// hash plus the end-state counters — the same fold as the golden trace —
+// and, in Untraced, the same run made without TraceExec: its end-state
+// counters, clock and executed count, and its warm-state snapshot, which
+// holds every live packet's ID. A traced sharded run records every event
+// for the merge; an untraced one skips the events that staged nothing,
+// and only Untraced sees that path.
 type simFingerprint struct {
-	Hash   uint64
-	Events uint64
-	Now    sim.Time
+	Hash     uint64
+	Events   uint64
+	Now      sim.Time
+	Untraced uint64
 }
 
 // foldCounters folds the instance's end-state counters into h, mirroring
@@ -82,29 +89,48 @@ func foldCounters(h interface{ Write([]byte) (int, error) }, inst *Instance) {
 // configured latencies), and returns the run's fingerprint.
 func fingerprintRun(t *testing.T, cfg Config, shards, window int, until sim.Time) simFingerprint {
 	t.Helper()
-	inst, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var fp simFingerprint
+	for _, traced := range []bool{true, false} {
+		inst, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		h := fnv.New64a()
+		var buf [16]byte
+		if traced {
+			inst.K.TraceExec = func(at sim.Time, seq uint64) {
+				binary.LittleEndian.PutUint64(buf[0:8], uint64(at))
+				binary.LittleEndian.PutUint64(buf[8:16], seq)
+				h.Write(buf[:])
+			}
+		}
+		pat, err := NewPattern("UR", inst.Topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: traffic.UniformSize{Min: 1, Max: 16}, Load: 0.6}
+		gen.Start(inst.Cfg.Seed)
+		if err := runWidth(inst, until, shards, window); err != nil {
+			t.Fatal(err)
+		}
+		foldCounters(h, inst)
+		if traced {
+			fp.Hash, fp.Events, fp.Now = h.Sum64(), inst.K.Executed(), inst.K.Now()
+			continue
+		}
+		snap, err := inst.Snapshot(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+		fp.Untraced = h.Sum64()
 	}
-	defer inst.Close()
-	h := fnv.New64a()
-	var buf [16]byte
-	inst.K.TraceExec = func(at sim.Time, seq uint64) {
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(at))
-		binary.LittleEndian.PutUint64(buf[8:16], seq)
-		h.Write(buf[:])
-	}
-	pat, err := NewPattern("UR", inst.Topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: traffic.UniformSize{Min: 1, Max: 16}, Load: 0.6}
-	gen.Start(inst.Cfg.Seed)
-	if err := runWidth(inst, until, shards, window); err != nil {
-		t.Fatal(err)
-	}
-	foldCounters(h, inst)
-	return simFingerprint{Hash: h.Sum64(), Events: inst.K.Executed(), Now: inst.K.Now()}
+	return fp
 }
 
 // TestShardedMatchesSerialShapes: bit-identical execution across shard
