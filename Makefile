@@ -76,27 +76,23 @@ faultsmoke:
 	rm -rf $$d
 	@echo faultsmoke OK
 
-# Checkpoint round-trip smoke: a cold sweep, then a pristine-fork sweep
-# populating a checkpoint store — its CSV must be byte-identical to the
-# cold one (the warm-fork acceptance claim) — then a rerun against the
-# populated store, which must serve both curves from disk and still emit
-# the identical CSV with the provenance block recording the resume.
+# Checkpoint round-trip smoke: a warm-forked sweep populating a
+# checkpoint store, then a rerun against the populated store, which must
+# serve both curves from disk, emit the identical CSV and record the
+# resume and the fork mode in the manifest's provenance block.
 ckptsmoke:
 	d=$$(mktemp -d) && \
 	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,VAL -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q > $$d/cold.csv && \
-	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,VAL -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q -warmfork \
+		-warmup 1000 -window 1000 -j 2 -q -forkwarm 2000 \
 		-checkpoint-dir $$d/store > $$d/fork.csv && \
-	cmp $$d/cold.csv $$d/fork.csv && \
 	$(GO) run ./cmd/hxsweep -pattern UR -algs DOR,VAL -step 0.25 \
-		-warmup 1000 -window 1000 -j 2 -q -warmfork \
+		-warmup 1000 -window 1000 -j 2 -q -forkwarm 2000 \
 		-checkpoint-dir $$d/store \
 		-manifest $$d/resume.json > $$d/resume.csv && \
 	cmp $$d/fork.csv $$d/resume.csv && \
 	{ grep -q '"cached_jobs": 2' $$d/resume.json || \
 		{ echo "FAIL: resume did not serve both curves from the store"; exit 1; }; } && \
-	{ grep -q '"mode": "pristine-fork"' $$d/resume.json || \
+	{ grep -q '"mode": "warm-fork"' $$d/resume.json || \
 		{ echo "FAIL: manifest provenance missing the fork mode"; exit 1; }; } && \
 	rm -rf $$d
 	@echo ckptsmoke OK

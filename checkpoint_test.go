@@ -120,6 +120,16 @@ func TestCheckpointStoreRejectsDamage(t *testing.T) {
 	}
 }
 
+// openStore opens the checkpoint store in dir, failing the test on error.
+func openStore(t *testing.T, dir string) *CheckpointStore {
+	t.Helper()
+	store, err := OpenCheckpointDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
 // TestSweepCheckpointResume: one driver, every kind. Each execution plan
 // runs three ways — no store, a fresh store, the populated store with a
 // shared Flight — and must return identical results each time, record
@@ -129,7 +139,7 @@ func TestCheckpointStoreRejectsDamage(t *testing.T) {
 // cold plan's speculation out of the counts: what completes is then
 // exactly the cells at or below each curve's first saturation. Cold,
 // forked, throughput and resilience sweeps used to carry four copies of
-// this plumbing (two of which once ignored CheckpointDir); the last
+// this plumbing (two of which once ignored the store); the last
 // subtest is the kill-and-resume acceptance claim on the cold sweep.
 func TestSweepCheckpointResume(t *testing.T) {
 	if testing.Short() {
@@ -149,7 +159,6 @@ func TestSweepCheckpointResume(t *testing.T) {
 		faults int    // links the manifest must list
 	}{
 		{"cold", sweep(nil), "cold", 0, 0},
-		{"pristine-fork", sweep(&ForkOpts{}), "pristine-fork", 2, 0},
 		{"warm-fork", sweep(&ForkOpts{WarmCycles: 2000, WarmLoad: 0.3, Settle: 250}), "warm-fork", 2, 0},
 		{"throughput", Experiment{Kind: "throughput", Config: cfg, Patterns: []string{"UR", "BC"},
 			Algorithms: []string{"DOR", "DimWAR"}, Opts: opts}, "cold", 4, 0},
@@ -182,7 +191,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 
 			dir := t.TempDir()
 			flight := harness.NewFlight()
-			fresh, mani1 := run(SweepOpts{CheckpointDir: dir, Flight: flight})
+			fresh, mani1 := run(SweepOpts{Store: openStore(t, dir), Flight: flight})
 			if !reflect.DeepEqual(fresh, want) {
 				t.Errorf("run against a fresh store diverged from the store-less run:\ngot:  %+v\nwant: %+v", fresh, want)
 			}
@@ -194,7 +203,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 				t.Errorf("flight ran %d computations for %d completed cells; every cell must go through it once", computes, mani1.Completed)
 			}
 
-			again, mani2 := run(SweepOpts{CheckpointDir: dir, Flight: flight})
+			again, mani2 := run(SweepOpts{Store: openStore(t, dir), Flight: flight})
 			if !reflect.DeepEqual(again, want) {
 				t.Errorf("fully cached run diverged from the store-less run:\ngot:  %+v\nwant: %+v", again, want)
 			}
@@ -223,7 +232,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 		// completes. Completed points are already persisted (saves happen
 		// inside the job, before the outcome is reported).
 		ctx, cancel := context.WithCancel(context.Background())
-		_, _, err = exp.Run(ctx, SweepOpts{Workers: 2, CheckpointDir: dir, OnEvent: func(harness.Event) { cancel() }})
+		_, _, err = exp.Run(ctx, SweepOpts{Workers: 2, Store: openStore(t, dir), OnEvent: func(harness.Event) { cancel() }})
 		if err == nil {
 			t.Fatal("interrupted sweep reported success; cancellation did not take")
 		}
@@ -235,7 +244,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 			t.Fatal("interrupted sweep persisted nothing; resume has nothing to serve")
 		}
 
-		got, mani, err := exp.Run(context.Background(), SweepOpts{Workers: 2, CheckpointDir: dir})
+		got, mani, err := exp.Run(context.Background(), SweepOpts{Workers: 2, Store: openStore(t, dir)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +289,7 @@ func TestSweepSurfacesCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = RunLoadSweepParallel(context.Background(), cfg,
-		[]string{"UR"}, []string{"DOR"}, loads, opts, SweepOpts{CheckpointDir: dir})
+		[]string{"UR"}, []string{"DOR"}, loads, opts, SweepOpts{Store: store})
 	if err == nil || !strings.Contains(err.Error(), "corrupt or truncated") {
 		t.Errorf("sweep over a corrupt checkpoint returned %v, want an explicit corruption error", err)
 	}

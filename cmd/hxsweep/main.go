@@ -79,11 +79,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&e.Opts.Shards, "shards", 0, "cores per simulation via the deterministic sharded executor (0/1 = serial); results are bit-identical at any -shards")
 	manifest := fs.String("manifest", "", "write a JSON run manifest (per-job wall time, cycles, events/sec) to this file")
 	quiet := fs.Bool("q", false, "suppress the per-job progress lines on stderr")
-	warmfork := fs.Bool("warmfork", false, "fork each curve's load points from one shared pristine snapshot (bit-identical CSV, one network build per curve)")
-	fs.IntVar(&fk.WarmCycles, "forkwarm", 0, "warm the shared snapshot this many cycles at -forkload before forking (implies -warmfork; amortizes warmup across points — deterministic but NOT byte-comparable to cold CSVs, see EXPERIMENTS.md)")
+	fs.IntVar(&fk.WarmCycles, "forkwarm", 0, "fork each curve's load points from one snapshot warmed this many cycles at -forkload (amortizes warmup across points — deterministic but NOT byte-comparable to cold CSVs, see EXPERIMENTS.md)")
 	fs.Float64Var(&fk.WarmLoad, "forkload", 0.5, "offered load during the -forkwarm shared warmup")
 	fs.IntVar(&fk.Settle, "forksettle", 0, "post-fork settle cycles per point for -forkwarm (0 = warmup/4)")
-	fs.StringVar(&po.CheckpointDir, "checkpoint-dir", "", "persist completed results here and resume from them on rerun (kill+rerun with identical flags yields a byte-identical CSV)")
+	ckptDir := fs.String("checkpoint-dir", "", "persist completed results here and resume from them on rerun (kill+rerun with identical flags yields a byte-identical CSV)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -104,12 +103,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *throughput {
 		e.Kind, e.Patterns = "throughput", split(*patterns)
 	}
-	if *warmfork || fk.WarmCycles > 0 {
+	if fk.WarmCycles > 0 {
 		e.Fork = &fk
 	}
 	if err := e.Normalize(); err != nil {
 		fmt.Fprintln(stderr, "hxsweep:", err)
 		return 2
+	}
+	if *ckptDir != "" {
+		store, err := hyperx.OpenCheckpointDir(*ckptDir)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		po.Store = store
 	}
 	if !*quiet {
 		po.OnEvent = func(ev harness.Event) { fmt.Fprintln(stderr, progressLine(ev)) }

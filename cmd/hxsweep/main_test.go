@@ -23,9 +23,9 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 		{"-step +Inf", "step must be positive"},
 		{"-step 1e-9", "at most 1000 points"},
 		{"-step nonsense", "invalid value"},
-		{"-throughput -warmfork", "fork applies to kind sweep only"},
+		{"-throughput -forkwarm 100", "fork applies to kind sweep only"},
 		{"-throughput -forkwarm 500", "fork applies to kind sweep only"},
-		{"-resilience 2 -warmfork", "fork applies to kind sweep only"},
+		{"-resilience 2 -forkwarm 100", "fork applies to kind sweep only"},
 		{"-resilience 2 -throughput", "kind resilience only"},
 		{"-throughput -step 0.1", "loads/step do not apply"},
 		{"-resilience 2 -step 0.1", "loads/step do not apply"},
@@ -63,7 +63,7 @@ func TestEveryKindRunsThroughOnePath(t *testing.T) {
 		header string
 	}{
 		{"-pattern UR -step 0.5", "algorithm,load,mean_ns,"},
-		{"-pattern UR -step 0.5 -warmfork", "algorithm,load,mean_ns,"},
+		{"-pattern UR -step 0.5 -forkwarm 100", "algorithm,load,mean_ns,"},
 		{"-throughput -patterns UR", "pattern,DOR\n"},
 		{"-resilience 1 -load 0.2", "algorithm,faults,load,"},
 	}

@@ -45,7 +45,8 @@ type Experiment struct {
 	Opts RunOpts `json:"opts"`
 
 	// Fork switches a sweep to warm-fork execution (see ForkOpts); sweep
-	// only.
+	// only. A fork with no warmup is the cold sweep: Normalize drops an
+	// all-zero one and rejects one that sets only WarmLoad or Settle.
 	Fork *ForkOpts `json:"fork,omitempty"`
 
 	// MaxFaults and Load parameterize the resilience experiment:
@@ -128,6 +129,15 @@ func (e *Experiment) Normalize() error {
 	if e.Kind != "sweep" && e.Fork != nil {
 		return fmt.Errorf("fork applies to kind sweep only")
 	}
+	if f := e.Fork; f != nil && f.WarmCycles == 0 {
+		// With no warmup to share, every point would restore the
+		// post-Build state and run the cold point: the zero fork is the
+		// cold sweep, key included.
+		if *f != (ForkOpts{}) {
+			return fmt.Errorf("fork WarmLoad and Settle apply only with WarmCycles > 0")
+		}
+		e.Fork = nil
+	}
 	switch e.Kind {
 	case "sweep":
 		if len(e.Loads) > 0 && e.Step != 0 {
@@ -200,9 +210,9 @@ func (e *Experiment) Key() string {
 	tag := p.jobTag
 	if x.Kind == "sweep" {
 		// A sweep is addressed by its whole curves in either execution
-		// mode: a cold sweep's identity is its pristine-fork curve keys
-		// under the cold tag.
-		p = pristineForkPlan
+		// mode: a cold sweep's identity is its curve keys under a zero
+		// fork, filed under the cold tag.
+		p = forkPlan
 	}
 	var parts []string
 	x.eachCell(p, func(c cell) { parts = append(parts, c.key) })
@@ -273,10 +283,7 @@ func (e *Experiment) Run(ctx context.Context, po SweepOpts) (Result, *Manifest, 
 		return Result{}, nil, fmt.Errorf("hyperx: %w", err)
 	}
 	p := x.plan()
-	store, err := openSweepStore(po)
-	if err != nil {
-		return Result{}, nil, err
-	}
+	store := po.Store
 
 	var jobs []harness.Job
 	faultiest := x.Config // the cell configuration injecting the most faults

@@ -68,27 +68,22 @@ func has(b bool) string {
 }
 
 // ForkOpts selects how a warm-fork sweep shares state across the load
-// points of one (pattern, algorithm) curve. Two modes, chosen by
-// WarmCycles:
+// points of one (pattern, algorithm) curve: the curve warms one instance
+// for WarmCycles cycles at offered load WarmLoad, snapshots, and restores
+// per point, retargeting the generator to the point's load and settling
+// for Settle cycles before the measurement window. The warmup is paid
+// once instead of per point — that is the sweep speedup — but the
+// traffic history differs from a cold run's, so results are a distinct
+// deterministic methodology (same seed → same CSV, pinned by the
+// golden_warmfork test), NOT byte-comparable to cold CSVs. See
+// EXPERIMENTS.md for the methodology discussion.
 //
-// Pristine fork (WarmCycles == 0): the curve builds one instance,
-// snapshots its pristine post-Build state, and restores it for every load
-// point, which then warms up and measures exactly as a cold run does. The
-// per-point simulation code path is identical to the cold path from Build
-// onward, so the curve is bit-identical to the cold sweep — guaranteed by
-// construction and pinned by TestWarmForkMatchesCold.
-//
-// Warm fork (WarmCycles > 0): the curve warms one instance for WarmCycles
-// cycles at offered load WarmLoad, snapshots, and restores per point,
-// retargeting the generator to the point's load and settling for Settle
-// cycles before the measurement window. The warmup is paid once instead of
-// per point — that is the sweep speedup — but the traffic history differs
-// from a cold run's, so results are a distinct deterministic methodology
-// (same seed → same CSV, pinned by the golden_warmfork test), NOT
-// byte-comparable to cold CSVs. See EXPERIMENTS.md for the methodology
-// discussion.
+// WarmCycles must be positive: with no shared warmup a fork would only
+// rewind to the post-Build state before each cold point, so
+// Experiment.Normalize reads the zero ForkOpts as the cold sweep and
+// rejects any other fork without warmup.
 type ForkOpts struct {
-	WarmCycles int     // warmup cycles before the fork point; 0 = pristine fork
+	WarmCycles int     // warmup cycles before the fork point (> 0)
 	WarmLoad   float64 // offered load during shared warmup (default 0.5)
 	Settle     int     // post-fork settle cycles per point (default Warmup/4)
 }
@@ -104,7 +99,7 @@ func (f ForkOpts) withDefaults(opts RunOpts) ForkOpts {
 }
 
 // runCurveWarmFork measures one (pattern, algorithm) curve by forking a
-// shared snapshot per load point, serially in ascending load order,
+// shared warm snapshot per load point, serially in ascending load order,
 // stopping after the first saturated point like the serial sweep. The
 // returned simStats aggregate the whole curve (warmup included).
 func runCurveWarmFork(ctx context.Context, cfg Config, patternName string, loads []float64, opts RunOpts, fk ForkOpts) ([]LoadPoint, simStats, error) {
@@ -121,18 +116,13 @@ func runCurveWarmFork(ctx context.Context, cfg Config, patternName string, loads
 	}
 	sizes := traffic.UniformSize{Min: opts.MinFlits, Max: opts.MaxFlits}
 
-	var (
-		snap *SimState
-		gen  *traffic.Generator // non-nil only in warm (mode 2) forking
-	)
-	if fk.WarmCycles > 0 {
-		gen = &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: sizes, Load: fk.WarmLoad}
-		gen.Start(inst.Cfg.Seed)
-		if _, err := inst.runCtx(ctx, sim.Time(fk.WarmCycles), opts.Shards); err != nil {
-			return nil, simStats{}, err
-		}
+	gen := &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: sizes, Load: fk.WarmLoad}
+	gen.Start(inst.Cfg.Seed)
+	if _, err := inst.runCtx(ctx, sim.Time(fk.WarmCycles), opts.Shards); err != nil {
+		return nil, simStats{}, err
 	}
-	if snap, err = inst.Snapshot(gen); err != nil {
+	snap, err := inst.Snapshot(gen)
+	if err != nil {
 		return nil, simStats{}, err
 	}
 	// Baseline at the fork point: restore rewinds the clock and counters,
@@ -143,26 +133,13 @@ func runCurveWarmFork(ctx context.Context, cfg Config, patternName string, loads
 	var pts []LoadPoint
 	agg := fork
 	for _, load := range loads {
-		var pt LoadPoint
-		var st simStats
-		if gen != nil {
-			// Warm fork: rewind to the fork point, retarget the offered
-			// load, settle, measure.
-			if err := inst.Restore(snap, gen); err != nil {
-				return pts, agg, err
-			}
-			gen.Load = load
-			pt, st, err = runPointOn(ctx, inst, gen, load, opts, sim.Time(fk.Settle))
-		} else {
-			// Pristine fork: rewind to the post-Build state and run the
-			// exact cold-path point code (fresh generator, full warmup).
-			if err := inst.Restore(snap, nil); err != nil {
-				return pts, agg, err
-			}
-			g := &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: sizes, Load: load}
-			g.Start(inst.Cfg.Seed)
-			pt, st, err = runPointOn(ctx, inst, g, load, opts, sim.Time(opts.Warmup))
+		// Rewind to the fork point, retarget the offered load, settle,
+		// measure.
+		if err := inst.Restore(snap, gen); err != nil {
+			return pts, agg, err
 		}
+		gen.Load = load
+		pt, st, err := runPointOn(ctx, inst, gen, load, opts, sim.Time(fk.Settle))
 		if err != nil {
 			return pts, agg, err
 		}

@@ -14,12 +14,12 @@ import (
 
 var updateWarmFork = flag.Bool("update-warmfork", false, "rewrite testdata/golden_warmfork.json from the current simulator")
 
-// TestWarmForkMatchesCold: the pristine-fork acceptance claim — a sweep
-// forked from one shared post-Build snapshot per curve is bit-identical
-// to the plain cold sweep, because each restored point then runs the
-// exact cold-path code (fresh generator, full warmup) on the rewound
-// network. VAL saturates partway up the grid, so the test also covers
-// the curve-truncation rule agreeing between the two execution shapes.
+// TestWarmForkMatchesCold: a zero fork is the cold sweep. A fork with no
+// shared warmup could only rewind to the post-Build state before each
+// cold point, so Normalize drops it: passed through SweepOpts.Fork (as
+// the served benchmark does) it yields the cold CSV bytes, the cold Key
+// and no fork provenance. VAL saturates partway up the grid, so the
+// curves also exercise the truncation rule.
 func TestWarmForkMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state simulations")
@@ -43,18 +43,29 @@ func TestWarmForkMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(forked, cold) {
-		for i := range cold {
-			t.Errorf("curve %s/%s:\nforked: %s\ncold:   %s", cold[i].Pattern, cold[i].Algorithm,
-				FormatLoadPoints(forked[i].Points), FormatLoadPoints(cold[i].Points))
+	var coldCSV, forkedCSV bytes.Buffer
+	if err := WriteSweepCSV(&coldCSV, cold); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSweepCSV(&forkedCSV, forked); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(forkedCSV.Bytes(), coldCSV.Bytes()) {
+		t.Fatalf("zero-fork CSV diverged from the cold sweep:\nforked:\n%s\ncold:\n%s", forkedCSV.Bytes(), coldCSV.Bytes())
+	}
+	if mani.Provenance != nil {
+		t.Errorf("zero-fork sweep stamped provenance %+v, want nil like the cold sweep", mani.Provenance)
+	}
+
+	key := func(fork *ForkOpts) string {
+		x := Experiment{Config: cfg, Patterns: patterns, Algorithms: algs, Loads: loads, Opts: opts, Fork: fork}
+		if err := x.Normalize(); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatal("pristine-fork sweep diverged from cold sweep")
+		return x.Key()
 	}
-	if mani.Provenance == nil || mani.Provenance.Mode != "pristine-fork" {
-		t.Errorf("fork sweep provenance = %+v, want mode pristine-fork", mani.Provenance)
-	}
-	if mani.Provenance != nil && mani.Provenance.ForkCycles != 0 {
-		t.Errorf("pristine fork recorded fork_cycles=%d, want 0", mani.Provenance.ForkCycles)
+	if k0, kc := key(&ForkOpts{}), key(nil); k0 != kc {
+		t.Errorf("zero-fork key differs from the cold key:\n%s\n%s", k0, kc)
 	}
 }
 

@@ -78,8 +78,8 @@ type Manifest struct {
 // cached results were served from. See docs/STATE.md for the methodology
 // contract behind each mode.
 type Provenance struct {
-	Mode        string  `json:"mode"`                   // "cold", "pristine-fork", or "warm-fork"
-	WarmSeed    uint64  `json:"warm_seed,omitempty"`    // seed of the shared warm phase (fork modes)
+	Mode        string  `json:"mode"`                   // "cold" or "warm-fork"
+	WarmSeed    uint64  `json:"warm_seed,omitempty"`    // seed of the shared warm phase (warm-fork mode)
 	ForkCycles  int     `json:"fork_cycles,omitempty"`  // fork point, cycles into the warm phase
 	ForkLoad    float64 `json:"fork_load,omitempty"`    // offered load during the warm phase
 	ForkSettle  int     `json:"fork_settle,omitempty"`  // post-fork settle cycles per point

@@ -21,8 +21,8 @@ import (
 //     beginning with new/build/init, case-insensitively): steady-state
 //     code has no business sizing fresh slices or maps per call.
 //   - slice growth written back to longer-lived state,
-//     x.f = append(x.f, elems…): when capacity is exceeded this
-//     reallocates mid-simulation. The element-removal idiom
+//     x.f = append(x.f, elems…) or *p = append(*p, elems…): when
+//     capacity is exceeded this reallocates mid-simulation. The element-removal idiom
 //     x.f = append(x.f[:i], x.f[i+1:]…) never grows and is not flagged.
 //
 // The pass is advisory in character: amortized pool refills (chunked
@@ -87,8 +87,9 @@ func isBuiltinCall(p *pkgUnit, call *ast.CallExpr, name string) bool {
 	return true // unresolved (type-error file): assume the builtin
 }
 
-// fieldAppendGrowth matches `x.f = append(x.f, elems…)` — growth of slice
-// state that outlives the call. It requires the append destination to
+// fieldAppendGrowth matches `x.f = append(x.f, elems…)`, or the same
+// through a pointer, `*p = append(*p, elems…)` — growth of slice state
+// that outlives the call. It requires the append destination to
 // syntactically equal the assignment target, at least one appended
 // element, and no ellipsis (the removal idiom append(s[:i], s[i+1:]…)
 // shrinks, it never grows).
@@ -97,7 +98,7 @@ func fieldAppendGrowth(p *pkgUnit, as *ast.AssignStmt) (dst string, ok bool) {
 		return "", false
 	}
 	switch as.Lhs[0].(type) {
-	case *ast.SelectorExpr, *ast.IndexExpr:
+	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 	default:
 		return "", false
 	}

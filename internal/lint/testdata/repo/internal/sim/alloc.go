@@ -40,3 +40,8 @@ func (q *queue) Refill() {
 func (q *queue) Remove(i int) {
 	q.items = append(q.items[:i], q.items[i+1:]...)
 }
+
+// pushTo grows a caller's slice through a pointer: the same growth.
+func pushTo(s *[]int, v int) {
+	*s = append(*s, v) // violation: state growth through a pointer
+}

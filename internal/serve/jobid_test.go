@@ -14,7 +14,8 @@ import (
 var updateKeys = flag.Bool("update-keys", false, "rewrite testdata/job_ids.txt from the current Experiment.Key/jobID (an intentional identity change; see docs/STATE.md)")
 
 // jobIDCases is one canonical request per kind, a request that says
-// nothing (every default), and both fork flavours of the sweep.
+// nothing (every default), a zero fork (which normalizes to the cold
+// sweep, so its line repeats job-sweep's ID) and a warm fork.
 func jobIDCases() []struct {
 	name string
 	req  *Request

@@ -357,6 +357,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"negative shards", `{"opts": {"Shards": -2}}`, "opts fields must be non-negative"},
 		{"negative fork settle", `{"fork": {"Settle": -5}}`, "fork fields must be non-negative"},
 		{"negative fork warm load", `{"fork": {"WarmCycles": 500, "WarmLoad": -0.5}}`, "fork fields must be non-negative"},
+		{"fork without warmup", `{"fork": {"WarmLoad": 0.3}}`, "apply only with WarmCycles > 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,7 @@ package sim
 // firing timer cancelling its own handle and then scheduling a burst past
 // a chunk's capacity; delays past the ring (far heap), equal-time events
 // on every calendar, until-boundaries with external schedules behind the
-// window (late list) and serial Steps between windowed runs. A cancel
+// window (far heap) and serial Steps between windowed runs. A cancel
 // that hit a live bystander, a slot reused too early, a mis-ordered
 // bucket or a stale handle all show up as a diverging trace.
 

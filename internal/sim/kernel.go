@@ -35,25 +35,28 @@
 // covering the near-future window [winStart, winStart+ringSize), plus a
 // binary heap for the far future. The network model schedules almost
 // exclusively a few cycles ahead (flit serialization, channel latency,
-// credit return), so the common case is an O(1) bucket append and an
-// O(1) bucket pop; the heap only sees long-delay events (reroute timers at
-// low load, drain horizons, idle-source injection gaps). Nothing in a
-// calendar ever moves: a far event stays on the heap until it is popped,
-// even once the window has slid over its time, and peek picks the
-// (time, seq)-smaller of the heap minimum and the ring front. Every far
-// push for a cycle predates every direct append for it (the window only
-// moves forward), so within a tier order is by construction and across
-// tiers the seq comparison restores it. A calendar's window never slides
-// past the earliest time an event may still be scheduled into it: on a
-// multi-calendar kernel that is the global head, not the calendar's own.
-// The golden-trace test (repo root) pins the (time, seq) FIFO contract
-// against the historical single-heap kernel.
+// credit return), so the common case is an O(1) bucket append and an O(1)
+// bucket pop; the heap only sees long-delay events (reroute timers at low
+// load, drain horizons, idle-source injection gaps). Nothing in a calendar
+// ever moves: a far event stays on the heap until it is popped, even once
+// the window has slid over its time, and peek picks the (time,
+// seq)-smaller of the heap minimum and the ring front. An event scheduled
+// behind the window (Run's until-boundary can rewind the clock below an
+// already-executed event) fails the ring test too and waits on the heap,
+// where its time orders it first. Every far push for a cycle predates
+// every direct append for it (the window only moves forward), so within a
+// tier order is by construction and across tiers the seq comparison
+// restores it. A calendar's window never slides past the earliest time an
+// event may still be scheduled into it: on a multi-calendar kernel that is
+// the global head, not the calendar's own. The golden-trace test (repo
+// root) pins the (time, seq) FIFO contract against the historical
+// single-heap kernel.
 //
 // # Event representation
 //
 // There is one event kind: a pre-bound typed callback (AtAct/AfterAct) —
-// an Actor receiver plus a small fixed argument set. Every event the
-// model schedules (router arrivals, arbitration attempts, credit returns,
+// an Actor receiver plus a small fixed argument set. Every event the model
+// schedules (router arrivals, arbitration attempts, credit returns,
 // injections) has this form, which is what makes an event assignable to a
 // shard (Sharded), relocatable into a snapshot (EventCoder), and free to
 // schedule. Ring events live in their bucket: a bucket is a FIFO of
@@ -64,10 +67,10 @@
 // (plus a part-consumed head and a part-filled tail chunk per live
 // timestamp), and the steady-state schedule/dispatch path allocates
 // nothing (asserted by alloc_test.go here and in internal/network). Only
-// the rare far and late events are individually pooled structs. A
-// consumed slot keeps its actor and payload references until its chunk
-// is reused; everything the model schedules is itself pooled, so nothing
-// is kept alive by that.
+// the rare far events are individually pooled structs. A consumed slot
+// keeps its actor and payload references until its chunk is reused;
+// everything the model schedules is itself pooled, so nothing is kept
+// alive by that.
 //
 // Cancellation: RunCtx is Run with a cooperative context check every few
 // thousand events. Cancelling never reorders events — an interrupted run
@@ -119,13 +122,12 @@ func (e *Event) set(act Actor, op uint8, a, b, c int32, p any) {
 	e.p = p
 }
 
-// Event flags. evQueued is cleared when a pooled struct is recycled; a
-// ring pop is a pure read and leaves it set — that slot is never read
-// again, so a late Cancel on it is unobservable.
+// Event flags. Every slot and struct that takes an event overwrites
+// them, so a Cancel on a handle whose event has already been popped
+// marks a slot nobody reads again: it is unobservable.
 const (
 	evDead   uint8 = 1 << iota // cancelled; skipped at pop time
-	evQueued                   // still cancellable
-	evPooled                   // a far/late struct from calendar.free, recycled when popped; ring slots belong to their chunk
+	evPooled                   // a far struct from calendar.free, recycled when popped; ring slots belong to their chunk
 )
 
 const (
@@ -178,18 +180,13 @@ type calendar struct {
 	nring    int // ring occupancy
 	npend    int
 
-	// Far-future overflow, ordered by (at, seq).
+	// Every event outside the ring window, ordered by (at, seq): the far
+	// future, and the practically never used behind-window events.
 	far farHeap
-
-	// late holds events scheduled behind winStart. Reachable only after
-	// Run's until-boundary has rewound the clock below an already-executed
-	// event (a quirk preserved from the original single-heap kernel);
-	// practically always empty.
-	late []*Event
 
 	chunks *chunk   // recycled bucket chunks, LIFO: zero steady-state allocation
 	spent  *chunk   // consumed chunks awaiting release at the next pop; holds no pending event
-	free   []*Event // far/late struct pool
+	free   []*Event // far struct pool
 
 	sources []placeSource // Place's per-stage read state
 
@@ -325,8 +322,8 @@ func (c *calendar) release() {
 }
 
 // slot claims the calendar slot for a new event at time t — the tail of
-// its ring bucket, or a pooled struct on the far heap or late list — and
-// stamps its (time, seq). The caller fills in the callback.
+// its ring bucket, or a pooled struct on the far heap — and stamps its
+// (time, seq). The caller fills in the callback.
 func (c *calendar) slot(t Time, seq uint64) *Event {
 	c.npend++
 	if uint64(t-c.winStart) < ringSize {
@@ -337,22 +334,17 @@ func (c *calendar) slot(t Time, seq uint64) *Event {
 		e := &b.tail.ev[b.ti]
 		b.ti++
 		c.nring++
-		e.at, e.seq, e.flags = t, seq, evQueued
+		e.at, e.seq, e.flags = t, seq, 0
 		return e
 	}
 	e := takeEvent(&c.free)
-	e.at, e.seq, e.flags = t, seq, evQueued|evPooled
-	if t < c.winStart {
-		//hxlint:allow allocfree — the late list is practically always empty; only the pathological behind-window path ever grows it
-		c.late = append(c.late, e)
-	} else {
-		c.far.push(e)
-	}
+	e.at, e.seq, e.flags = t, seq, evPooled
+	c.far.push(e)
 	return e
 }
 
 // eventChunk is how many Event structs one pool refill allocates (a
-// calendar's far/late pool and each Stage's staging pool).
+// calendar's far pool and each Stage's staging pool).
 const eventChunk = 256
 
 // stockEvents adds one slab of eventChunk structs to a pool of
@@ -378,14 +370,13 @@ func takeEvent(free *[]*Event) *Event {
 	return e
 }
 
-// recycle returns a popped far/late struct to the pool, dropping its
-// references.
-func (c *calendar) recycle(e *Event) {
-	e.flags = 0
+// putEvent returns a struct taken with takeEvent to its pool, dropping
+// its references. Its flags are left for the next taker to overwrite.
+func putEvent(free *[]*Event, e *Event) {
 	e.act = nil
 	e.p = nil
 	//hxlint:allow allocfree — returns capacity the pool already handed out; never exceeds the refill high-water mark
-	c.free = append(c.free, e)
+	*free = append(*free, e)
 }
 
 // AtAct schedules an event: at time t the kernel calls
@@ -448,10 +439,9 @@ func (k *Kernel) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Ev
 // the event's current one: see AtAct, and Stage.AtAct for a staged
 // cross-shard handle, which placement supersedes.
 func (k *Kernel) Cancel(e *Event) {
-	if e == nil || e.flags&evQueued == 0 {
-		return
+	if e != nil {
+		e.flags |= evDead
 	}
-	e.flags |= evDead
 }
 
 // before reports whether a precedes b in (time, seq) order.
@@ -465,9 +455,6 @@ func before(a, b *Event) bool {
 // pop is O(1) — but never past limit, the earliest time an event may
 // still be scheduled into this calendar (see slide).
 func (c *calendar) peek(limit Time) *Event {
-	if len(c.late) > 0 {
-		return c.peekLate()
-	}
 	var e *Event
 	if c.nring > 0 {
 		s := c.winStart
@@ -491,26 +478,12 @@ func (c *calendar) peek(limit Time) *Event {
 
 // slide moves the window start to t, capped at limit. The window never
 // moves backward, and never past a far event or the calendar's own head
-// (callers pass at most that); with a late list pending it does not move
-// at all (peek returns before sliding), because late events order before
-// everything else only while they sit behind the window.
+// (callers pass at most that).
 func (c *calendar) slide(t, limit Time) {
 	t = min(t, limit)
 	if t > c.winStart {
 		c.winStart = t
 	}
-}
-
-// peekLate returns the (time, seq)-minimal late event; the late list is
-// tiny (practically always empty), so a linear scan is fine.
-func (c *calendar) peekLate() *Event {
-	best := c.late[0]
-	for _, e := range c.late[1:] {
-		if before(e, best) {
-			best = e
-		}
-	}
-	return best
 }
 
 // take removes e, which must be the event peek just returned, from its
@@ -519,17 +492,9 @@ func (c *calendar) peekLate() *Event {
 // ring chunk the removal exhausts is parked, not freed (see park); a
 // pooled struct is the caller's to recycle.
 func (c *calendar) take(e *Event) {
-	switch {
-	case len(c.late) > 0:
-		for i, x := range c.late {
-			if x == e {
-				c.late = append(c.late[:i], c.late[i+1:]...)
-				break
-			}
-		}
-	case e.flags&evPooled != 0:
+	if e.flags&evPooled != 0 {
 		c.far.pop()
-	default:
+	} else {
 		b := &c.ring[int(e.at)&ringMask]
 		b.hi++
 		if b.head == b.tail {
@@ -558,12 +523,12 @@ func (c *calendar) popPeeked(e *Event) {
 	c.take(e)
 }
 
-// unpool hands a popped far/late struct back to its pool — before its
+// unpool hands a popped far struct back to its pool — before its
 // callback, so the callback reschedules from a warm pool. A ring slot
 // needs nothing: it is reclaimed with its chunk.
 func (c *calendar) unpool(e *Event) {
 	if e.flags&evPooled != 0 {
-		c.recycle(e)
+		putEvent(&c.free, e)
 	}
 }
 
@@ -585,9 +550,6 @@ func (c *calendar) each(fn func(*Event)) {
 		}
 	}
 	for _, e := range c.far.h {
-		fn(e)
-	}
-	for _, e := range c.late {
 		fn(e)
 	}
 }
@@ -618,9 +580,7 @@ func (k *Kernel) peekAll() (*calendar, *Event) {
 	}
 	if best != nil {
 		for i := range k.cals {
-			if c := &k.cals[i]; len(c.late) == 0 {
-				c.slide(best.at, best.at)
-			}
+			k.cals[i].slide(best.at, best.at)
 		}
 	}
 	return bc, best
@@ -753,7 +713,7 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 			}
 		}
 		spareEv = append(spareEv, c.free...)
-		usedEv = append(append(usedEv, c.far.h...), c.late...)
+		usedEv = append(usedEv, c.far.h...)
 	}
 	sort.Slice(old, func(i, j int) bool { return before(old[i], old[j]) })
 	for _, e := range old {
@@ -777,7 +737,7 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 			c.chunks = ch
 		}
 		for i, e := range evs {
-			cals[i%m].recycle(e)
+			putEvent(&cals[i%m].free, e)
 		}
 	}
 	// Placing into chunks and structs that held no pending event keeps
@@ -806,21 +766,13 @@ type farHeap struct {
 	h []*Event
 }
 
-func (f *farHeap) less(i, j int) bool {
-	a, b := f.h[i], f.h[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 func (f *farHeap) push(e *Event) {
 	//hxlint:allow allocfree — the far heap holds the rare beyond-window tail and keeps its high-water capacity across pushes
 	f.h = append(f.h, e)
 	i := len(f.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !f.less(i, parent) {
+		if !before(f.h[i], f.h[parent]) {
 			break
 		}
 		f.h[i], f.h[parent] = f.h[parent], f.h[i]
@@ -840,10 +792,10 @@ func (f *farHeap) pop() *Event {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && f.less(l, small) {
+		if l < n && before(f.h[l], f.h[small]) {
 			small = l
 		}
-		if r < n && f.less(r, small) {
+		if r < n && before(f.h[r], f.h[small]) {
 			small = r
 		}
 		if small == i {

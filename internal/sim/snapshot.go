@@ -82,8 +82,8 @@ func (k *Kernel) Snapshot(c EventCoder) (*KernelState, error) {
 // the simulation steady-state path.
 func buildKernelState(k *Kernel, c EventCoder) (*KernelState, error) {
 	// WinStart is the earliest calendar window: at or before every pending
-	// event not on a late list, which is all Restore needs of it (it
-	// decides ring, far heap or late list, never the order).
+	// event but the rare behind-window ones, which is all Restore needs of
+	// it (it decides ring or far heap, never the order).
 	win := k.cals[0].winStart
 	for i := range k.cals {
 		win = min(win, k.cals[i].winStart)
@@ -143,7 +143,7 @@ func (k *Kernel) Restore(s *KernelState, c EventCoder, restored func(EventState,
 // lives here, off the steady-state path.
 func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(EventState, *Event)) error {
 	// Drain every calendar: every bucket's chunks back to its free list,
-	// every far/late struct back to its pool. Payload objects owned by the
+	// every far struct back to its pool. Payload objects owned by the
 	// model are abandoned here; the model's own restore pass rebuilds or
 	// recycles them.
 	for ci := range k.cals {
@@ -159,13 +159,9 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 		}
 		cal.release()
 		for _, e := range cal.far.h {
-			cal.recycle(e)
+			putEvent(&cal.free, e)
 		}
 		cal.far.h = cal.far.h[:0]
-		for _, e := range cal.late {
-			cal.recycle(e)
-		}
-		cal.late = cal.late[:0]
 		cal.nring = 0
 		cal.npend = 0
 		cal.winStart = s.WinStart

@@ -21,10 +21,9 @@
 //     seq reaches the tag bit, so a tagged event sorts after every event
 //     the calendar held at window start (their serial seqs predate every
 //     staged seq), and tagged events sort among themselves by rank, the
-//     order the merge stamps their seqs in: each bucket, the far heap and
-//     the late list stay (time, seq)-ordered with no extra code, and
-//     RunWindow pops the in-window ones where the serial loop would have
-//     run them. A schedule call for another shard lands at or beyond
+//     order the merge stamps their seqs in: each bucket and the far heap
+//     stay (time, seq)-ordered with no extra code, and RunWindow pops
+//     the in-window ones where the serial loop would have run them. A schedule call for another shard lands at or beyond
 //     winEnd — the window width is capped at the minimum cross-shard
 //     latency, and AtAct asserts it — and goes into a struct from a
 //     private pool, so this phase writes no calendar but the shard's own.
@@ -40,8 +39,8 @@
 //   - Parallel: each shard Places its window. It writes the stamped seq
 //     over the tag of each of its own events beyond the window, in place:
 //     every stamped seq exceeds every seq the calendar held before, and
-//     rank order is stamp order, so the relabel keeps every bucket, heap
-//     and list in order. It then copies the events the other stages
+//     rank order is stamp order, so the relabel keeps every bucket and
+//     heap in order. It then copies the events the other stages
 //     staged for it, merged in seq order, into its inbox. The inbox is a
 //     calendar of its own because a cross-shard event and an own event
 //     of one window can share a timestamp with interleaved seqs: appended
@@ -215,9 +214,7 @@ func (st *Stage) AtAct(t Time, act Sharded, op uint8, a, b, c int32, p any) *Eve
 		panic("sim: cross-shard event staged inside the execution window")
 	default:
 		e = takeEvent(&st.free)
-		// Queued from the moment of staging so Kernel.Cancel works on a
-		// staged handle exactly as on an enqueued one.
-		e.at, e.flags = t, evQueued
+		e.at, e.flags = t, 0
 	}
 	e.set(act, op, a, b, c, p)
 	st.n++
@@ -226,16 +223,6 @@ func (st *Stage) AtAct(t Time, act Sharded, op uint8, a, b, c int32, p any) *Eve
 		st.out[tgt] = append(st.out[tgt], stagedOp{e, rank})
 	}
 	return e
-}
-
-// recycle returns a staging struct to the stage pool, dropping its
-// references.
-func (st *Stage) recycle(e *Event) {
-	e.flags = 0
-	e.act = nil
-	e.p = nil
-	//hxlint:allow allocfree — returns capacity the pool already handed out; never exceeds the refill high-water mark
-	st.free = append(st.free, e)
 }
 
 // Recorder observes every live event RunWindow processes, in execution
@@ -345,7 +332,7 @@ func (st *Stage) ResetOps() {
 	for t, o := range st.out {
 		if t != st.idx {
 			for _, x := range o {
-				st.recycle(x.e)
+				putEvent(&st.free, x.e)
 			}
 		}
 		st.out[t] = o[:0]

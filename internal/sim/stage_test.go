@@ -2,7 +2,7 @@ package sim
 
 // Unit tests for the sharded-execution staging layer: RunWindow's pops
 // from the calendar in (time, seq) order across calendar tiers (dead
-// events and the late list included) and clock neutrality, its in-window
+// events and behind-window events included) and clock neutrality, its in-window
 // local execution (same-cycle staging, window-granularity cancels,
 // done-event seq consumption), Stamp's serial-order seq assignment with
 // Place's in-place relabel of the own calendar and its copy into the
@@ -98,10 +98,10 @@ func TestStagedCancelConsumesSeq(t *testing.T) {
 // TestDrainWindowMixedTimestamps: a window drains its calendar as it
 // runs — RunWindow pops every event strictly before winEnd in (time, seq)
 // order, across timestamps, out-of-order scheduling, dead events (they
-// hold seq positions and are skipped) and the late list — executes the
-// live ones, leaves events at or past winEnd queued, and never touches
-// the clock (the merge advances it per live event). A second, unbounded
-// window then runs the rest.
+// hold seq positions and are skipped) and events behind the window —
+// executes the live ones, leaves events at or past winEnd queued, and
+// never touches the clock (the merge advances it per live event). A
+// second, unbounded window then runs the rest.
 func TestDrainWindowMixedTimestamps(t *testing.T) {
 	type ev struct {
 		at     Time
@@ -114,7 +114,7 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 	}
 	rows := []struct {
 		name   string
-		late   bool // schedule behind the calendar window, onto the late list
+		behind bool // schedule behind the calendar window, onto the far heap
 		sched  []ev
 		winEnd Time
 		want   []int32 // a operands executed by the window, in order
@@ -141,10 +141,10 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 			want:   []int32{0, 2},
 		},
 		{
-			// Near-term events behind winStart wait on the late list; the
+			// Near-term events behind winStart wait on the far heap; the
 			// in-window ring event at a later time runs after them.
-			name:   "late_list",
-			late:   true,
+			name:   "behind_window",
+			behind: true,
 			sched:  []ev{{at: 150, a: 0}, {at: 150, a: 1}, {at: 6000, a: 2}},
 			winEnd: 151,
 			want:   []int32{0, 1},
@@ -157,7 +157,7 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 			k := NewKernel()
 			var log []int32
 			act := logActor{&log}
-			if row.late {
+			if row.behind {
 				// Advance the window far ahead, then rewind the clock (the
 				// executor does this at an until-boundary).
 				k.AtAct(5000, act, 0, 99, 0, 0, nil)

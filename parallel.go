@@ -24,22 +24,18 @@ type SweepOpts struct {
 	Workers int
 	// Fork, when non-nil, switches a sweep to warm-fork execution: each
 	// (pattern, algorithm) curve becomes one job that builds a single
-	// instance, snapshots it, and restores per load point (see ForkOpts
-	// for the pristine vs warm modes and their determinism contracts).
-	// Parallelism then spans curves rather than points. It is the
-	// RunLoadSweepParallel spelling of Experiment.Fork, which wins when
-	// both are set.
+	// instance, warms it, snapshots it, and restores per load point (see
+	// ForkOpts for its determinism contract). Parallelism then spans
+	// curves rather than points. It is the RunLoadSweepParallel spelling
+	// of Experiment.Fork, which wins when both are set.
 	Fork *ForkOpts
 
-	// CheckpointDir, when non-empty, persists every completed result to
-	// that directory and serves already-present results from it, so a
+	// Store, when non-nil, persists every completed result and serves
+	// already-present results from it (OpenCheckpointDir opens one), so a
 	// killed sweep rerun with identical flags resumes where it stopped
 	// and still emits a byte-identical CSV. The manifest marks served
 	// jobs as cached and records the directory in its provenance block.
-	CheckpointDir string
-
-	// Store, when non-nil, is used instead of opening CheckpointDir —
-	// the sweep service passes its long-lived store here so cache-access
+	// The sweep service passes its long-lived store here so cache-access
 	// counters aggregate across every job the daemon runs.
 	Store *CheckpointStore
 
@@ -64,19 +60,6 @@ func stampFaults(fs *topology.FaultSet, m *Manifest) {
 	if fs != nil {
 		m.Faults = fs.Strings()
 	}
-}
-
-// openSweepStore opens the checkpoint store a SweepOpts asks for — a
-// shared instance takes precedence over a directory path — or returns
-// nil when checkpointing is off.
-func openSweepStore(po SweepOpts) (*CheckpointStore, error) {
-	if po.Store != nil {
-		return po.Store, nil
-	}
-	if po.CheckpointDir == "" {
-		return nil, nil
-	}
-	return OpenCheckpointDir(po.CheckpointDir)
 }
 
 // stampProvenance fills the manifest's provenance block: the execution
@@ -170,10 +153,8 @@ func (e *Experiment) plan() *plan {
 		return resiliencePlan
 	case e.Fork == nil:
 		return coldPlan
-	case e.Fork.WarmCycles > 0:
-		return warmForkPlan
 	}
-	return pristineForkPlan
+	return forkPlan
 }
 
 // eachCell enumerates the experiment's cells under plan p: curves in
@@ -191,7 +172,8 @@ func (e *Experiment) eachCell(p *plan, visit func(cell)) {
 }
 
 // fork returns the experiment's fork methodology with defaults applied;
-// a nil Fork is the zero ForkOpts, the pristine fork.
+// a nil Fork is the zero ForkOpts, which only ever names a cold sweep's
+// curves (see Key).
 func (e *Experiment) fork() ForkOpts {
 	var fk ForkOpts
 	if e.Fork != nil {
@@ -263,39 +245,32 @@ var coldPlan = &plan{
 	csv: sweepCSV,
 }
 
-// newForkPlan is the warm-fork load sweep: one cell per (pattern,
-// algorithm) curve, forking a shared snapshot per load point serially in
-// ascending load order (see ForkOpts for the two modes and their
-// determinism contracts). The pool parallelizes across curves; the
-// early-stop rule is the natural serial one inside each curve, so no
-// speculation is needed or run.
-func newForkPlan(mode string) *plan {
-	return &plan{
-		jobTag: "sweep|fork",
-		mode:   mode,
-		cells: func(x *Experiment, c cell, visit func(cell)) {
-			c.key = curveKey(c.cfg, c.pattern, x.Loads, x.Opts, x.fork())
-			visit(c)
-		},
-		label: func(c cell) string {
-			return fmt.Sprintf("%s/%s curve[%s]", c.pattern, c.cfg.Algorithm, mode)
-		},
-		compute: func(ctx context.Context, x *Experiment, c cell) (record, error) {
-			pts, st, err := runCurveWarmFork(ctx, c.cfg, c.pattern, x.Loads, x.Opts, x.fork())
-			return &curveRecord{Points: pts, Stats: st}, err
-		},
-		blank: func() record { return new(curveRecord) },
-		assemble: func(x *Experiment, vals [][]any) (Result, error) {
-			return assembleCurves(x, vals, func(cells []any) []LoadPoint { return cells[0].([]LoadPoint) })
-		},
-		csv: sweepCSV,
-	}
+// forkPlan is the warm-fork load sweep: one cell per (pattern,
+// algorithm) curve, forking a shared warm snapshot per load point
+// serially in ascending load order (see ForkOpts for its determinism
+// contract). The pool parallelizes across curves; the early-stop rule is
+// the natural serial one inside each curve, so no speculation is needed
+// or run.
+var forkPlan = &plan{
+	jobTag: "sweep|fork",
+	mode:   "warm-fork",
+	cells: func(x *Experiment, c cell, visit func(cell)) {
+		c.key = curveKey(c.cfg, c.pattern, x.Loads, x.Opts, x.fork())
+		visit(c)
+	},
+	label: func(c cell) string {
+		return fmt.Sprintf("%s/%s curve[warm-fork]", c.pattern, c.cfg.Algorithm)
+	},
+	compute: func(ctx context.Context, x *Experiment, c cell) (record, error) {
+		pts, st, err := runCurveWarmFork(ctx, c.cfg, c.pattern, x.Loads, x.Opts, x.fork())
+		return &curveRecord{Points: pts, Stats: st}, err
+	},
+	blank: func() record { return new(curveRecord) },
+	assemble: func(x *Experiment, vals [][]any) (Result, error) {
+		return assembleCurves(x, vals, func(cells []any) []LoadPoint { return cells[0].([]LoadPoint) })
+	},
+	csv: sweepCSV,
 }
-
-var (
-	pristineForkPlan = newForkPlan("pristine-fork")
-	warmForkPlan     = newForkPlan("warm-fork")
-)
 
 // thptPlan is the Figure 6g grid: one cell per (pattern, algorithm) at
 // offered load 1.0, each its own single-point curve.

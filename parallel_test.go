@@ -209,3 +209,37 @@ func TestNormalizeWidths(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeFork: a fork without warmup is the cold sweep. The zero
+// fork normalizes to no fork at all; one that sets only WarmLoad or
+// Settle names nothing a run could do differently and is rejected; a
+// warm fork passes through unchanged.
+func TestNormalizeFork(t *testing.T) {
+	warm := ForkOpts{WarmCycles: 500, WarmLoad: 0.3, Settle: 10}
+	for _, row := range []struct {
+		name string
+		fork *ForkOpts
+		want *ForkOpts // the normalized fork; unused when err is set
+		err  string
+	}{
+		{"zero", &ForkOpts{}, nil, ""},
+		{"warm_load_only", &ForkOpts{WarmLoad: 0.3}, nil, "apply only with WarmCycles > 0"},
+		{"settle_only", &ForkOpts{Settle: 10}, nil, "apply only with WarmCycles > 0"},
+		{"warm", &warm, &warm, ""},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			x := Experiment{Config: Config{Widths: []int{2, 2}}, Fork: row.fork}
+			err := x.Normalize()
+			switch {
+			case row.err != "":
+				if err == nil || !strings.Contains(err.Error(), row.err) {
+					t.Errorf("Normalize = %v, want an error containing %q", err, row.err)
+				}
+			case err != nil:
+				t.Errorf("Normalize = %v, want ok", err)
+			case !reflect.DeepEqual(x.Fork, row.want):
+				t.Errorf("normalized fork %+v, want %+v", x.Fork, row.want)
+			}
+		})
+	}
+}

@@ -167,6 +167,50 @@ func TestShardedMatchesSerialShapes(t *testing.T) {
 	}
 }
 
+// TestShardedDrainedClock: a sharded run that drains its queue leaves
+// the clock and the executed count where the serial run does. A few
+// packets with no generator behind them run until nothing is pending,
+// untraced, so no until-boundary resets the clock at the end and the
+// merge records only the events that staged work: the clock must come
+// from the window's last live event, recorded or not.
+func TestShardedDrainedClock(t *testing.T) {
+	cfg := Config{Widths: []int{4, 4}, Terms: 2, Algorithm: "DimWAR", Seed: 7}
+	type end struct {
+		now       sim.Time
+		executed  uint64
+		delivered uint64
+	}
+	drain := func(shards, window int) end {
+		inst, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		nt := len(inst.Net.Terminals)
+		for i, src := range []int{0, 5, 11, 17, 30} {
+			inst.Net.Terminals[src].Send(inst.Net.NewPacket(src, (src+7*i+3)%nt, 1+3*i))
+		}
+		if err := runWidth(inst, 0, shards, window); err != nil {
+			t.Fatal(err)
+		}
+		if inst.K.Pending() != 0 {
+			t.Fatalf("shards=%d window=%d: %d events still pending", shards, window, inst.K.Pending())
+		}
+		return end{inst.K.Now(), inst.K.Executed(), inst.Net.DeliveredPackets}
+	}
+	want := drain(1, 0)
+	if want.delivered != 5 {
+		t.Fatalf("serial run delivered %d of 5 packets", want.delivered)
+	}
+	for _, nsh := range []int{2, 4} {
+		for _, win := range []int{0, 1, 5} {
+			if got := drain(nsh, win); got != want {
+				t.Errorf("shards=%d window=%d drained to %+v, want the serial %+v", nsh, win, got, want)
+			}
+		}
+	}
+}
+
 // TestShardedSameCycleCancelVAL pins a regression: a reroute timer
 // cancelled by an earlier-seq event of its own cycle still fired under
 // sharding. The executor of the time popped the whole window from the
@@ -362,7 +406,7 @@ func TestShardsExcludedFromCheckpointKey(t *testing.T) {
 	dir := t.TempDir()
 
 	serial, _, err := RunLoadSweepParallel(context.Background(), cfg,
-		[]string{"UR"}, []string{"DimWAR"}, loads, opts, SweepOpts{Workers: 2, CheckpointDir: dir})
+		[]string{"UR"}, []string{"DimWAR"}, loads, opts, SweepOpts{Workers: 2, Store: openStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +414,7 @@ func TestShardsExcludedFromCheckpointKey(t *testing.T) {
 	shOpts := opts
 	shOpts.Shards = 4
 	sharded, mani, err := RunLoadSweepParallel(context.Background(), cfg,
-		[]string{"UR"}, []string{"DimWAR"}, loads, shOpts, SweepOpts{Workers: 2, CheckpointDir: dir})
+		[]string{"UR"}, []string{"DimWAR"}, loads, shOpts, SweepOpts{Workers: 2, Store: openStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
