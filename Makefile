@@ -16,13 +16,13 @@ vet:
 
 # Determinism-contract static analysis (see internal/lint): nodeterm,
 # seedflow, maporder, noconc, and allocfree over the simulation packages
-# and the CSV/manifest emission path, plus the interprocedural contract
-# passes — stagesafe (unstaged mutations reachable from Act/Execute/
-# Record event entries) and statecover (Snapshot/Restore field coverage
-# and configKey/optsKey completeness) — and allowaudit, which fails the
-# build on stale or malformed //hxlint: directives. Which passes apply to
-# which package is one table, `scopes` in internal/lint/load.go. A gofmt
-# cleanliness gate rides along. Exits nonzero on any finding.
+# and the CSV/manifest emission path, plus statecover (Snapshot/Restore
+# field coverage and configKey/optsKey completeness) and allowaudit,
+# which fails the build on stale or malformed //hxlint: directives. Which
+# passes apply to which package is one table, `scopes` in
+# internal/lint/load.go. The sharded executor's staging contract is not
+# linted: the shards-vs-serial tests (test, race) check it at runtime. A
+# gofmt cleanliness gate rides along. Exits nonzero on any finding.
 lint:
 	$(GO) run ./cmd/hxlint ./...
 	@unformatted=$$(gofmt -l .); \
@@ -40,7 +40,10 @@ test:
 # Race detector pass: the full internal tree (the harness pool is the
 # concurrency that matters), plus the short root-package tests — the root
 # package is steady-state simulations that run minutes each under the
-# detector's slowdown without exercising any extra concurrency.
+# detector's slowdown without exercising any extra concurrency. The short
+# set keeps the TestSharded* fingerprints, so this target carries part
+# of the sharded executor's staging contract: a shared scalar written on
+# the parallel path that no fingerprint reads back is a data race here.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -short .
@@ -159,15 +162,17 @@ benchhistory:
 loc:
 	@sh scripts/loc.sh
 
-# Short native-fuzz passes: the HyperX coordinate algebra, and the
-# calendar against a sorted-slice reference kernel, serial and windowed
-# on 1-3 calendars (FuzzCalendarOps). The seed corpora are committed
+# Short native-fuzz passes: the HyperX coordinate algebra, the calendar
+# against a sorted-slice reference kernel, serial and windowed on 1-3
+# calendars (FuzzCalendarOps), and Experiment.Normalize over hostile
+# request bodies (FuzzExperimentNormalize). The seed corpora are committed
 # under each package's testdata/fuzz; a few seconds of mutation on top of
 # them catches shape- and interleaving-dependent regressions without
 # holding up the gate.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzCoordRoundTrip -fuzztime 10s ./internal/topology/
 	$(GO) test -run '^$$' -fuzz FuzzCalendarOps -fuzztime 5s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzExperimentNormalize -fuzztime 5s .
 	@echo fuzzshort OK
 
 # Coverage floors. The hot-path packages — the kernel, the router model,

@@ -1,15 +1,15 @@
 // Command hxlint enforces the simulator's determinism and performance
 // contracts: it walks the module and reports every nodeterm / seedflow /
-// maporder / noconc / allocfree / stagesafe / statecover / allowaudit
-// violation (see internal/lint) as "file:line: [pass] message", exiting
-// nonzero if anything is found. `make lint` runs it over the whole tree,
-// and `make ci` gates on it, so a wall-clock read, a global-RNG draw, an
+// maporder / noconc / allocfree / statecover / allowaudit violation (see
+// internal/lint) as "file:line: [pass] message", exiting nonzero if
+// anything is found. `make lint` runs it over the whole tree, and
+// `make ci` gates on it, so a wall-clock read, a global-RNG draw, an
 // unsorted map iteration in an output path, stray concurrency inside a
 // simulation package, an unreasoned allocation on the steady-state data
-// path, an unstaged shared-state mutation reachable from an event
-// handler, an uncovered snapshot or checkpoint-key field, or a stale
+// path, an uncovered snapshot or checkpoint-key field, or a stale
 // suppression directive fails the build instead of silently skewing
-// results.
+// results. (An unstaged shared-state mutation on the sharded executor's
+// parallel path is caught at runtime, by the shards-vs-serial tests.)
 //
 // Usage:
 //

@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	manifest := fs.String("manifest", "", "write a JSON run manifest (per-job wall time, cycles, events/sec) to this file")
 	quiet := fs.Bool("q", false, "suppress the per-job progress lines on stderr")
 	fs.IntVar(&fk.WarmCycles, "forkwarm", 0, "fork each curve's load points from one snapshot warmed this many cycles at -forkload (amortizes warmup across points — deterministic but NOT byte-comparable to cold CSVs, see EXPERIMENTS.md)")
-	fs.Float64Var(&fk.WarmLoad, "forkload", 0.5, "offered load during the -forkwarm shared warmup")
+	fs.Float64Var(&fk.WarmLoad, "forkload", 0, "offered load during the -forkwarm shared warmup (0 = 0.5)")
 	fs.IntVar(&fk.Settle, "forksettle", 0, "post-fork settle cycles per point for -forkwarm (0 = warmup/4)")
 	ckptDir := fs.String("checkpoint-dir", "", "persist completed results here and resume from them on rerun (kill+rerun with identical flags yields a byte-identical CSV)")
 	if err := fs.Parse(args); err != nil {
@@ -103,9 +103,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *throughput {
 		e.Kind, e.Patterns = "throughput", split(*patterns)
 	}
-	if fk.WarmCycles > 0 {
-		e.Fork = &fk
-	}
+	// A fork flag given is a fork requested: Normalize drops a zero one
+	// and rejects one it does not apply to.
+	fs.Visit(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "fork") {
+			e.Fork = &fk
+		}
+	})
 	if err := e.Normalize(); err != nil {
 		fmt.Fprintln(stderr, "hxsweep:", err)
 		return 2

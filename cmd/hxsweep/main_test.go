@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -26,6 +28,9 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 		{"-throughput -forkwarm 100", "fork applies to kind sweep only"},
 		{"-throughput -forkwarm 500", "fork applies to kind sweep only"},
 		{"-resilience 2 -forkwarm 100", "fork applies to kind sweep only"},
+		{"-forkload 0.3 -throughput", "fork applies to kind sweep only"},
+		{"-forksettle 100", "apply only with WarmCycles > 0"},
+		{"-forkload 0.3", "apply only with WarmCycles > 0"},
 		{"-resilience 2 -throughput", "kind resilience only"},
 		{"-throughput -step 0.1", "loads/step do not apply"},
 		{"-resilience 2 -step 0.1", "loads/step do not apply"},
@@ -77,5 +82,35 @@ func TestEveryKindRunsThroughOnePath(t *testing.T) {
 				t.Errorf("stdout starts %q, want the %q header", stdout.String(), tc.header)
 			}
 		})
+	}
+}
+
+// TestForkwarmAloneKeepsItsCSV: -forkwarm without -forkload passes no
+// WarmLoad, and the fork's own default (0.5, the flag's old default)
+// fills it in, so the CSV and the manifest's fork load are those of an
+// explicit -forkload 0.5.
+func TestForkwarmAloneKeepsItsCSV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steady-state simulations")
+	}
+	dir := t.TempDir()
+	csv := func(extra, manifest string) string {
+		args := "-pattern UR -step 0.5 -algs DOR -warmup 300 -window 300 -q -forkwarm 100 -manifest " + manifest + extra
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(args), &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit status %d; stderr: %s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	alone := csv("", filepath.Join(dir, "alone.json"))
+	if explicit := csv(" -forkload 0.5", filepath.Join(dir, "explicit.json")); alone != explicit {
+		t.Errorf("-forkwarm alone wrote\n%s\nwant the -forkload 0.5 CSV\n%s", alone, explicit)
+	}
+	m, err := os.ReadFile(filepath.Join(dir, "alone.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(m), `"fork_load": 0.5`) {
+		t.Errorf("manifest does not record fork load 0.5:\n%s", m)
 	}
 }

@@ -55,9 +55,10 @@ type Experiment struct {
 	Load      float64 `json:"load,omitempty"`
 }
 
-// maxCurvePoints bounds the load grid of one curve: a step finer than
-// 1/maxCurvePoints (or a longer explicit grid) is rejected rather than
-// allocated — {"step": 1e-9} is a 10⁹-point request, not an experiment.
+// maxCurvePoints bounds one curve: a step finer than 1/maxCurvePoints (or
+// a longer explicit grid, or a resilience curve past max_faults
+// maxCurvePoints-1) is rejected rather than allocated — {"step": 1e-9}
+// is a 10⁹-point request, not an experiment.
 const maxCurvePoints = 1000
 
 // The hxsweep defaults: an Experiment that says nothing runs the bare
@@ -84,9 +85,12 @@ func (e *Experiment) Normalize() error {
 	if len(e.Algorithms) == 0 {
 		e.Algorithms = append([]string(nil), defaultAlgorithms...)
 	}
-	for _, a := range e.Algorithms {
+	for i, a := range e.Algorithms {
 		if !slices.Contains(Algorithms, a) {
 			return fmt.Errorf("unknown algorithm %q (have %v)", a, Algorithms)
+		}
+		if slices.Contains(e.Algorithms[:i], a) {
+			return fmt.Errorf("algorithm %q listed twice", a)
 		}
 	}
 	if len(e.Patterns) == 0 {
@@ -96,9 +100,12 @@ func (e *Experiment) Normalize() error {
 			e.Patterns = []string{"UR"}
 		}
 	}
-	for _, p := range e.Patterns {
+	for i, p := range e.Patterns {
 		if !slices.Contains(Patterns, p) {
 			return fmt.Errorf("unknown pattern %q (have %v)", p, Patterns)
+		}
+		if slices.Contains(e.Patterns[:i], p) {
+			return fmt.Errorf("pattern %q listed twice", p)
 		}
 	}
 	for _, w := range e.Config.Widths {
@@ -177,6 +184,9 @@ func (e *Experiment) Normalize() error {
 		}
 		if e.MaxFaults < 1 {
 			return fmt.Errorf("resilience needs max_faults >= 1, got %d", e.MaxFaults)
+		}
+		if e.MaxFaults > maxCurvePoints-1 { // a curve of k = 0..MaxFaults
+			return fmt.Errorf("a resilience curve holds at most %d points, so max_faults <= %d, got %d", maxCurvePoints, maxCurvePoints-1, e.MaxFaults)
 		}
 		if e.Load < 0 {
 			return fmt.Errorf("load must be positive, got %v", e.Load)

@@ -34,15 +34,6 @@
 //     is easy to erode one innocent allocation at a time; this pass makes
 //     every such site an explicit, reasoned decision. Amortized pool
 //     refills stay, annotated with an allow directive.
-//   - stagesafe (interprocedural): builds a call graph rooted at the
-//     event-execution entry points — every Act/Execute method in the
-//     determinism scope — and flags any reachable mutation of globally
-//     visible state (counter writes on multi-shard actors, kernel
-//     schedules, observer invocations) that is neither routed through the
-//     execution context (ShardState emit/Count/Birth/After) nor placed
-//     after an early-returning `if x.sharded` branch. It is the
-//     static complement to the golden-trace shards-vs-serial equivalence
-//     tests: a missed staging site fails the build before it ever runs.
 //   - statecover (interprocedural): field-coverage analysis of the state
 //     contracts in docs/STATE.md. Every field of a struct owning a
 //     Snapshot/Restore method pair must be referenced on both the capture
@@ -55,6 +46,14 @@
 //     finding, or a state/key exclusion whose field is in fact covered.
 //     Rot makes real suppressions invisible; a stale waiver fails the
 //     build like any other finding.
+//
+// A pass earns its place by catching what no test catches. The sharded
+// executor's staging contract — model code on the parallel path touches
+// globally visible state only through its execution context — has no
+// pass: the shards-vs-serial fingerprints in the root package's
+// sharded_test.go, observer stream included, and the race detector
+// over them (make race) catch a direct counter write, a kernel schedule
+// that bypasses the stage and an observer called outside the context.
 //
 // # Directives
 //
@@ -79,7 +78,7 @@
 // Which passes apply to which package is one table, scopes in load.go:
 // a module-relative package path maps to a set of pass bits, and a
 // package absent from it is not linted. The determinism scope (nodeterm,
-// seedflow, noconc, maporder, stagesafe) is the simulation package set:
+// seedflow, noconc, maporder) is the simulation package set:
 // internal/sim, internal/network, internal/core, internal/routing,
 // internal/route, internal/traffic, internal/topology, internal/stats,
 // plus internal/app (single-threaded workload code driven by the same
@@ -96,7 +95,7 @@
 // covers the output path: the module root package, internal/harness
 // (manifest emission), and every cmd/ binary. statecover runs over every
 // package in the table (the checkpoint-key contract lives in the root
-// package). seedflow, allocfree, stagesafe, and statecover skip _test.go
+// package). seedflow, allocfree, and statecover skip _test.go
 // files — tests may build ad-hoc fixture seeds, allocate, and mutate
 // state directly — while nodeterm, maporder, and noconc apply to tests
 // too: map-ordered subtest scheduling and output is exactly the kind of
@@ -106,13 +105,13 @@
 //
 // Type resolution is per-package with imports resolved from source, so
 // map detection is exact for anything declared in the module or the
-// standard library. Files that fail to parse abort the run; files with
-// type errors are analyzed on a best-effort basis (an expression whose
-// type cannot be resolved is never flagged by maporder). stagesafe does
-// not devirtualize interface calls and treats element writes into slice
-// and map fields as shard-partitioned (the golden-trace suite covers
-// those); statecover checks field references syntactically per named
-// struct, not aliasing through copies.
+// standard library. Packages are checked in sorted directory order, and
+// a package a unit imports is checked again from source, without its
+// test files: no pass compares types across units. Files that fail to
+// parse abort the run; files with type errors are analyzed on a
+// best-effort basis (an expression whose type cannot be resolved is
+// never flagged by maporder). statecover checks field references
+// syntactically per named struct, not aliasing through copies.
 package lint
 
 import (
@@ -172,7 +171,6 @@ func RunAll(root string) ([]Finding, error) {
 		out = append(out, collectDirectives(p, dirs)...)
 		out = append(out, lintUnit(p)...)
 	}
-	out = append(out, passStagesafe(pkgs)...)
 	out = append(out, passStatecover(pkgs, dirs)...)
 	for i := range out {
 		f := &out[i]
@@ -197,8 +195,8 @@ func RunAll(root string) ([]Finding, error) {
 }
 
 // passes is every pass an allow directive may name, in the order lintUnit
-// runs them. The module-wide passes (stagesafe, statecover) have no unit
-// func: RunAll calls them once over every unit their bit admits.
+// runs them. statecover has no unit func: RunAll calls it with the
+// directive index its exclusion grammars need.
 var passes = []struct {
 	bit  passSet
 	name string
@@ -209,7 +207,6 @@ var passes = []struct {
 	{noconc, "noconc", passNoconc},
 	{maporder, "maporder", passMaporder},
 	{allocfree, "allocfree", passAllocfree},
-	{stagesafe, "stagesafe", nil},
 	{statecover, "statecover", nil},
 }
 

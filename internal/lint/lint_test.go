@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite testdata/expect.txt from the cu
 // TestFixtureGolden runs the full suite over the seeded-violation fixture
 // module and compares every finding — pass, position, message — against
 // the golden file. This is the diagnostics contract: one line per
-// finding, "file:line: [pass] message", covering all four passes, both
+// finding, "file:line: [pass] message", covering every pass, both
 // exempt maporder idioms, a valid allow directive, a directive without a
 // reason, and a directive naming an unknown pass.
 func TestFixtureGolden(t *testing.T) {
@@ -55,7 +55,7 @@ func TestFixtureFindsEveryPass(t *testing.T) {
 	for _, f := range findings {
 		seen[f.Pass]++
 	}
-	for _, pass := range []string{"nodeterm", "seedflow", "maporder", "noconc", "allocfree", "stagesafe", "statecover", "allowaudit", "directive"} {
+	for _, pass := range []string{"nodeterm", "seedflow", "maporder", "noconc", "allocfree", "statecover", "allowaudit", "directive"} {
 		if seen[pass] == 0 {
 			t.Errorf("fixture tree has no %s finding; the pass is untested", pass)
 		}
@@ -96,36 +96,6 @@ func TestDirectiveSuppression(t *testing.T) {
 	}
 	if !badDirectiveLoop {
 		t.Error("reason-less directive suppressed its finding; it must not")
-	}
-}
-
-// TestStagesafeGuards pins the guard semantics on the fixture: exactly
-// the six parallel-path mutations in net.go are reported — five on the
-// Act path (one in the else branch of a sharded test, which is not a
-// guard) plus one reachable from the Record root (the sim.Recorder
-// entry point Stage.RunWindow dispatches into) — while the code after
-// an early-returning `if x.sharded` branch and the coordinator-only
-// merge (unreachable from any root) are exempt, without net.go
-// appearing in any exemption list.
-func TestStagesafeGuards(t *testing.T) {
-	findings, err := Run(filepath.Join("testdata", "repo"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int
-	for _, f := range findings {
-		if f.Pass == "stagesafe" && f.File == "internal/network/net.go" {
-			got = append(got, f.Line)
-		}
-	}
-	want := []int{36, 46, 54, 67, 73, 94}
-	if len(got) != len(want) {
-		t.Fatalf("stagesafe lines in net.go = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("stagesafe lines in net.go = %v, want %v", got, want)
-		}
 	}
 }
 

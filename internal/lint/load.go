@@ -22,7 +22,6 @@ const (
 	noconc
 	maporder
 	allocfree
-	stagesafe
 	statecover
 )
 
@@ -31,7 +30,7 @@ const (
 // touching wall-clock or global RNG state. emitPasses is the CSV/manifest
 // emission path, where only iteration order matters.
 const (
-	simPasses  = nodeterm | seedflow | noconc | maporder | stagesafe | statecover
+	simPasses  = nodeterm | seedflow | noconc | maporder | statecover
 	emitPasses = maporder | statecover
 )
 
@@ -76,7 +75,6 @@ var scopes = map[string]passSet{
 type pkgUnit struct {
 	importPath string
 	rel        string // module-relative dir, "" for root
-	module     string // module path, for mapping import paths back to rels
 	passes     passSet
 	fset       *token.FileSet
 	files      []*ast.File
@@ -109,14 +107,10 @@ func scopeOf(rel string) passSet {
 }
 
 // load walks the module at root and type-checks every in-scope package,
-// including its test files. Out-of-scope packages are only loaded on
-// demand, as dependencies, via the module importer.
-//
-// In-scope directories are processed in dependency order (a cheap
-// imports-only pre-parse builds the module-internal import graph), and
-// each type-checked package is registered with the importer, so the
-// module is type-checked once per run: a package already checked as a
-// unit is never re-checked from source when a later unit imports it.
+// including its test files, in sorted directory order. Out-of-scope
+// packages are only loaded on demand, as dependencies, via the module
+// importer. No pass compares types across units, so a unit's module
+// imports are the importer's own source checks, not the unit itself.
 func load(root string) ([]*pkgUnit, error) {
 	module, err := moduleName(root)
 	if err != nil {
@@ -145,7 +139,7 @@ func load(root string) ([]*pkgUnit, error) {
 	}
 	sort.Strings(dirs)
 
-	dirOf := map[string]string{}
+	var out []*pkgUnit
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
@@ -155,101 +149,16 @@ func load(root string) ([]*pkgUnit, error) {
 		if rel == "." {
 			rel = ""
 		}
-		if scopeOf(rel) != 0 {
-			dirOf[rel] = dir
+		if scopeOf(rel) == 0 {
+			continue
 		}
-	}
-	order, err := dependencyOrder(module, dirOf)
-	if err != nil {
-		return nil, err
-	}
-
-	var out []*pkgUnit
-	for _, rel := range order {
-		units, err := loadDir(root, dirOf[rel], rel, module, fset, im)
+		units, err := loadDir(root, dir, rel, module, fset, im)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, units...)
 	}
 	return out, nil
-}
-
-// dependencyOrder topologically sorts the in-scope directories by their
-// module-internal imports (imports-only parse, so it is cheap), with
-// lexicographic tie-breaking for a deterministic order. Leaves come
-// first, so by the time a unit is type-checked its module dependencies
-// are already registered with the importer. Cycles — possible through
-// test-file imports — fall back to lexicographic order for the remainder;
-// those packages are merely re-checked by the importer as before.
-func dependencyOrder(module string, dirOf map[string]string) ([]string, error) {
-	deps := map[string]map[string]bool{}
-	rels := make([]string, 0, len(dirOf))
-	var firstErr error
-	for rel := range dirOf {
-		rels = append(rels, rel)
-		deps[rel] = map[string]bool{}
-	}
-	sort.Strings(rels)
-	for _, rel := range rels {
-		files, err := os.ReadDir(dirOf[rel])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		for _, e := range files {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dirOf[rel], e.Name()), nil, parser.ImportsOnly)
-			if err != nil {
-				continue // the full parse in loadDir reports this properly
-			}
-			for _, imp := range f.Imports {
-				depRel, ok := moduleRel(strings.Trim(imp.Path.Value, `"`), module)
-				if _, inScope := deps[depRel]; ok && inScope && depRel != rel {
-					deps[rel][depRel] = true
-				}
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	var order []string
-	done := map[string]bool{}
-	for len(order) < len(rels) {
-		progressed := false
-		for _, rel := range rels {
-			if done[rel] {
-				continue
-			}
-			ready := true
-			for dep := range deps[rel] {
-				if !done[dep] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				order = append(order, rel)
-				done[rel] = true
-				progressed = true
-			}
-		}
-		if !progressed { // import cycle: append the rest lexicographically
-			for _, rel := range rels {
-				if !done[rel] {
-					order = append(order, rel)
-					done[rel] = true
-				}
-			}
-		}
-	}
-	return order, nil
 }
 
 // loadDir parses every .go file of dir and type-checks it as up to two
@@ -301,7 +210,6 @@ func loadDir(root, dir, rel, module string, fset *token.FileSet, im *moduleImpor
 		u := &pkgUnit{
 			importPath: importPath,
 			rel:        rel,
-			module:     module,
 			passes:     scopeOf(rel),
 			fset:       fset,
 			files:      files,
@@ -318,14 +226,7 @@ func loadDir(root, dir, rel, module string, fset *token.FileSet, im *moduleImpor
 		// type errors, leaving unresolvable expressions untyped rather
 		// than aborting the lint run.
 		conf := types.Config{Importer: im, Error: func(error) {}}
-		pkg, _ := conf.Check(ipath, fset, files, u.info)
-		if !strings.HasSuffix(name, "_test") && pkg != nil {
-			// Register the unit so later units importing this package reuse
-			// it instead of re-checking from source. The unit includes
-			// in-package test files; importers see strictly more symbols,
-			// which is harmless for best-effort resolution.
-			im.adopt(ipath, pkg)
-		}
+		conf.Check(ipath, fset, files, u.info)
 		out = append(out, u)
 	}
 	return out, nil
@@ -382,15 +283,6 @@ func newModuleImporter(root, module string, fset *token.FileSet) *moduleImporter
 		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    map[string]*types.Package{},
 		loading: map[string]bool{},
-	}
-}
-
-// adopt registers an already-checked package under its import path, so
-// subsequent imports hit the cache instead of re-type-checking from
-// source. First registration wins.
-func (im *moduleImporter) adopt(path string, pkg *types.Package) {
-	if _, ok := im.pkgs[path]; !ok {
-		im.pkgs[path] = pkg
 	}
 }
 

@@ -229,3 +229,22 @@ func missingSides(inCap, inRest bool) string {
 		return "the restore path"
 	}
 }
+
+// recvName names the named type t is, through one pointer, or for a
+// function signature its receiver's; "" for plain functions and unnamed
+// types.
+func recvName(t types.Type) string {
+	if sig, ok := t.(*types.Signature); ok {
+		if sig.Recv() == nil {
+			return ""
+		}
+		t = sig.Recv().Type()
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}

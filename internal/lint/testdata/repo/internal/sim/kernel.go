@@ -1,37 +1,5 @@
-// Fixture: a minimal event-kernel surface — just enough structure for the
-// interprocedural passes to resolve kernel schedules, stage diversions,
-// and actor entry points, mirroring the real internal/sim API shape.
+// Fixture: the kernel's time type, which snap.go's fields use.
 // Deliberately finding-free.
 package sim
 
 type Time int64
-
-type Actor interface {
-	Act(op uint8, a, b, c int32, p any)
-}
-
-type Event struct {
-	at Time
-}
-
-type Kernel struct {
-	now Time
-}
-
-func (k *Kernel) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
-	return &Event{at: t}
-}
-
-func (k *Kernel) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Event {
-	return &Event{at: k.now + d}
-}
-
-func (k *Kernel) Cancel(e *Event) {}
-
-type Stage struct {
-	now Time
-}
-
-func (st *Stage) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
-	return &Event{at: t}
-}

@@ -358,6 +358,10 @@ func TestMalformedRequests(t *testing.T) {
 		{"negative fork settle", `{"fork": {"Settle": -5}}`, "fork fields must be non-negative"},
 		{"negative fork warm load", `{"fork": {"WarmCycles": 500, "WarmLoad": -0.5}}`, "fork fields must be non-negative"},
 		{"fork without warmup", `{"fork": {"WarmLoad": 0.3}}`, "apply only with WarmCycles > 0"},
+		{"duplicate algorithm", `{"algorithms": ["DOR", "DimWAR", "DOR"]}`, "listed twice"},
+		{"duplicate pattern", `{"kind": "throughput", "patterns": ["UR", "UR"]}`, "listed twice"},
+		{"max_faults past a curve", `{"kind": "resilience", "max_faults": 2000}`, "max_faults <= 999"},
+		{"max_faults two million", `{"kind": "resilience", "max_faults": 2000000}`, "max_faults <= 999"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

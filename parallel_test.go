@@ -2,6 +2,7 @@ package hyperx
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -242,4 +243,43 @@ func TestNormalizeFork(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzExperimentNormalize feeds hostile request bodies — the bytes
+// hxserved decodes a POST into — through Normalize. It must never panic;
+// a second Normalize must change nothing, key included; and an accepted
+// experiment must enumerate at most one curve per known (pattern,
+// algorithm) pair, of at most maxCurvePoints cells each, so Key and Run
+// stay bounded by what the body means, not by its length.
+func FuzzExperimentNormalize(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"kind": "throughput", "patterns": ["UR", "BC"]}`))
+	f.Add([]byte(`{"kind": "resilience", "max_faults": 3, "load": 0.4}`))
+	f.Add([]byte(`{"fork": {"WarmCycles": 500}, "loads": [0.1, 0.5]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var e Experiment
+		if json.Unmarshal(body, &e) != nil || e.Normalize() != nil {
+			return
+		}
+		once := e // Normalize replaces fields, never writes through them
+		key := e.Key()
+		if err := e.Normalize(); err != nil {
+			t.Fatalf("second Normalize rejected the normalized %+v: %v", once, err)
+		}
+		if !reflect.DeepEqual(e, once) || e.Key() != key {
+			t.Fatalf("Normalize is not idempotent: %+v became %+v", once, e)
+		}
+		curves := len(e.Patterns) * len(e.Algorithms)
+		if curves > len(Patterns)*len(Algorithms) {
+			t.Fatalf("%d curves, more than the %d patterns × %d algorithms there are", curves, len(Patterns), len(Algorithms))
+		}
+		cells := make([]int, curves)
+		x := e.defaulted()
+		x.eachCell(x.plan(), func(c cell) { cells[c.curve]++ })
+		for curve, n := range cells {
+			if n > maxCurvePoints {
+				t.Fatalf("curve %d has %d cells, more than %d", curve, n, maxCurvePoints)
+			}
+		}
+	})
 }

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"hyperx/internal/harness"
+	"hyperx/internal/route"
 	"hyperx/internal/shard"
 	"hyperx/internal/sim"
 	"hyperx/internal/traffic"
@@ -51,7 +52,11 @@ func runWidth(inst *Instance, until sim.Time, shards, window int) error {
 // counters, clock and executed count, and its warm-state snapshot, which
 // holds every live packet's ID. A traced sharded run records every event
 // for the merge; an untraced one skips the events that staged nothing,
-// and only Untraced sees that path.
+// and only Untraced sees that path. Both hashes also fold the observer
+// stream (OnDeliver, OnDrop, OnBirth) in call order, so an observer
+// called outside the staged effect path — at once from a shard instead
+// of in serial order by the merge — diverges even when every counter
+// agrees.
 type simFingerprint struct {
 	Hash     uint64
 	Events   uint64
@@ -110,10 +115,24 @@ func fingerprintRun(t *testing.T, cfg Config, shards, window int, until sim.Time
 			t.Fatal(err)
 		}
 		gen := &traffic.Generator{Net: inst.Net, Pattern: pat, Sizes: traffic.UniformSize{Min: 1, Max: 16}, Load: 0.6}
+		obs := fnv.New64a()
+		observe := func(vs ...uint64) {
+			var b [8]byte
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(b[:], v)
+				obs.Write(b[:])
+			}
+		}
+		inst.Net.OnDeliver = func(p *route.Packet, at sim.Time) { observe(1, p.ID, uint64(at)) }
+		inst.Net.OnDrop = func(p *route.Packet, at sim.Time) { observe(2, p.ID, uint64(at)) }
+		gen.OnBirth = func(src, dst, flits int, at sim.Time) {
+			observe(3, uint64(src), uint64(dst), uint64(flits), uint64(at))
+		}
 		gen.Start(inst.Cfg.Seed)
 		if err := runWidth(inst, until, shards, window); err != nil {
 			t.Fatal(err)
 		}
+		h.Write(obs.Sum(nil))
 		foldCounters(h, inst)
 		if traced {
 			fp.Hash, fp.Events, fp.Now = h.Sum64(), inst.K.Executed(), inst.K.Now()
@@ -139,24 +158,30 @@ func fingerprintRun(t *testing.T, cfg Config, shards, window int, until sim.Time
 // algorithm families: dimension-ordered, the two incremental adaptive
 // algorithms, and the RNG-drawing baselines (VAL redraws its
 // intermediate on every Route call, UGAL draws tie-breaks), whose
-// per-router streams make any spuriously executed event visible.
+// per-router streams make any spuriously executed event visible. The
+// odd shapes ride along: a 1-D HyperX, unequal widths, and one terminal
+// per router.
 func TestShardedMatchesSerialShapes(t *testing.T) {
 	cases := []struct {
 		name   string
 		widths []int
+		terms  int
 		alg    string
 	}{
-		{"2x2-DimWAR", []int{2, 2}, "DimWAR"},
-		{"2x2x2-OmniWAR", []int{2, 2, 2}, "OmniWAR"},
-		{"4x4-DOR", []int{4, 4}, "DOR"},
-		{"4x4-DimWAR", []int{4, 4}, "DimWAR"},
-		{"4x4-VAL", []int{4, 4}, "VAL"},
-		{"4x4-UGAL", []int{4, 4}, "UGAL"},
+		{"2x2-DimWAR", []int{2, 2}, 2, "DimWAR"},
+		{"2x2x2-OmniWAR", []int{2, 2, 2}, 2, "OmniWAR"},
+		{"4x4-DOR", []int{4, 4}, 2, "DOR"},
+		{"4x4-DimWAR", []int{4, 4}, 2, "DimWAR"},
+		{"4x4-VAL", []int{4, 4}, 2, "VAL"},
+		{"4x4-UGAL", []int{4, 4}, 2, "UGAL"},
+		{"4-DimWAR", []int{4}, 2, "DimWAR"},
+		{"3x2-OmniWAR", []int{3, 2}, 2, "OmniWAR"},
+		{"2x2-t1-DAL", []int{2, 2}, 1, "DAL"},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{Widths: c.widths, Terms: 2, Algorithm: c.alg, Seed: 7}
+			cfg := Config{Widths: c.widths, Terms: c.terms, Algorithm: c.alg, Seed: 7}
 			want := fingerprintRun(t, cfg, 1, 0, 2500)
 			for _, nsh := range []int{2, 3, 4, 8} {
 				if got := fingerprintRun(t, cfg, nsh, 0, 2500); got != want {
