@@ -57,7 +57,7 @@ type Config struct {
 
 	// ClassSense switches congestion sensing for routing weights from the
 	// realistic per-port output-queue aggregate to idealized per-class
-	// occupancy (ablation; see route.Ctx.ClassSense).
+	// occupancy (ablation; see network.Config.ClassSense).
 	ClassSense bool
 
 	// Arbiter selects the output-arbitration policy: "age" (default, the

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"reflect"
 	"testing"
 
 	"hyperx/internal/core"
@@ -215,6 +216,21 @@ func TestRandomPlacement(t *testing.T) {
 	}
 	if !diff {
 		t.Error("different seeds produced identical placements")
+	}
+}
+
+// TestRandomPlacementGolden pins the placement stream itself: seed 5 on
+// 64 terminals places a 16-process grid exactly here. Any change to how
+// the placement RNG is seeded or drawn moves every stencil result, so it
+// must fail a test rather than pass silently.
+func TestRandomPlacementGolden(t *testing.T) {
+	s, err := New(testNet(t), Config{GridX: 2, GridY: 2, GridZ: 4, Mode: CollectiveOnly, Placement: RandomPlacement, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{5, 1, 23, 53, 16, 58, 45, 30, 4, 25, 56, 36, 61, 57, 15, 35}
+	if !reflect.DeepEqual(s.placement, want) {
+		t.Errorf("seed-5 placement = %v, want %v", s.placement, want)
 	}
 }
 

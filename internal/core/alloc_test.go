@@ -11,7 +11,6 @@ import (
 
 	"hyperx/internal/rng"
 	"hyperx/internal/route"
-	"hyperx/internal/routetest"
 	"hyperx/internal/topology"
 )
 
@@ -22,9 +21,7 @@ func decisionZeroAlloc(t *testing.T, mk func(*topology.HyperX) route.Algorithm) 
 	dst := h.RouterAt([]int{5, 6, 7})
 	p := &route.Packet{SrcRouter: src, DstRouter: dst, Len: 4}
 	p.Reset()
-	view := &routetest.StubView{}
-	view.SetRouter(src)
-	ctx := &route.Ctx{Router: src, InPort: -1, View: view, RNG: rng.New(1),
+	ctx := &route.Ctx{Router: src, InPort: -1, RNG: rng.New(1),
 		Cands: make([]route.Candidate, 0, 64)}
 
 	// One warm call: Route may grow the scratch past its initial capacity;
@@ -37,7 +34,7 @@ func decisionZeroAlloc(t *testing.T, mk func(*topology.HyperX) route.Algorithm) 
 		if len(cands) == 0 {
 			t.Fatal("no candidates")
 		}
-		_ = cands[route.SelectMinWeight(ctx, cands)]
+		_ = cands[route.SelectMinWeight(cands, ctx.RNG)]
 	})
 	if allocs != 0 {
 		t.Fatalf("%s route decision allocated %.1f objects/op, want 0", alg.Name(), allocs)

@@ -10,11 +10,9 @@ import (
 	"hyperx/internal/topology"
 )
 
-func newCtx(r int, view route.View) *route.Ctx {
-	return &route.Ctx{Router: r, InPort: -1, View: view, RNG: rng.New(1)}
+func newCtx(r int) *route.Ctx {
+	return &route.Ctx{Router: r, InPort: -1, RNG: rng.New(1)}
 }
-
-func flatView() *routetest.StubView { return &routetest.StubView{} }
 
 // TestDimWARCandidatesAtSource: in the first unaligned dimension, one
 // minimal candidate on class 0 plus W-2 deroutes on class 1.
@@ -25,7 +23,7 @@ func TestDimWARCandidatesAtSource(t *testing.T) {
 	dst := h.RouterAt([]int{2, 3, 1})
 	p := &route.Packet{SrcRouter: src, DstRouter: dst}
 	p.Reset()
-	cands := a.Route(newCtx(src, flatView()), p)
+	cands := a.Route(newCtx(src), p)
 	if len(cands) != 1+2 {
 		t.Fatalf("candidates = %d, want 3 (1 minimal + W-2 deroutes)", len(cands))
 	}
@@ -69,7 +67,7 @@ func TestDimWARNoDerouteAfterDeroute(t *testing.T) {
 	p.Reset()
 	p.Class = 1 // as if just derouted
 	p.Hops = 1
-	cands := a.Route(newCtx(src, flatView()), p)
+	cands := a.Route(newCtx(src), p)
 	if len(cands) != 1 || cands[0].Deroute {
 		t.Fatalf("on class 1 want exactly the minimal candidate, got %+v", cands)
 	}
@@ -84,7 +82,7 @@ func TestDimWARSkipsAlignedDims(t *testing.T) {
 	dst := h.RouterAt([]int{2, 3})
 	p := &route.Packet{SrcRouter: src, DstRouter: dst}
 	p.Reset()
-	for _, c := range a.Route(newCtx(src, flatView()), p) {
+	for _, c := range a.Route(newCtx(src), p) {
 		if d, _ := h.PortDim(src, c.Port); d != 1 {
 			t.Errorf("candidate in dim %d with dim 0 aligned", d)
 		}
@@ -168,7 +166,7 @@ func TestOmniWARCandidates(t *testing.T) {
 	dst := h.RouterAt([]int{1, 2, 3})
 	p := &route.Packet{SrcRouter: src, DstRouter: dst}
 	p.Reset()
-	cands := a.Route(newCtx(src, flatView()), p)
+	cands := a.Route(newCtx(src), p)
 	// 3 minimal + 3 dims x 2 lateral values.
 	if len(cands) != 3+6 {
 		t.Fatalf("candidates = %d, want 9", len(cands))
@@ -190,7 +188,7 @@ func TestOmniWARDerouteBudget(t *testing.T) {
 	p := &route.Packet{SrcRouter: src, DstRouter: dst}
 	p.Reset()
 	p.Hops = 5 // 3 classes left, 3 minimal hops needed
-	for _, c := range a.Route(newCtx(src, flatView()), p) {
+	for _, c := range a.Route(newCtx(src), p) {
 		if c.Deroute {
 			t.Errorf("deroute offered with zero spare classes: %+v", c)
 		}
@@ -233,14 +231,14 @@ func TestOmniWARB2BRestriction(t *testing.T) {
 	p.Reset()
 	p.Hops = 1
 	p.LastDerDim = 0 // just derouted in dim 0
-	for _, c := range a.Route(newCtx(src, flatView()), p) {
+	for _, c := range a.Route(newCtx(src), p) {
 		if c.Deroute && c.Dim == 0 {
 			t.Errorf("back-to-back deroute in dim 0 offered: %+v", c)
 		}
 	}
 	// Deroutes in dim 1 must still exist.
 	found := false
-	for _, c := range a.Route(newCtx(src, flatView()), p) {
+	for _, c := range a.Route(newCtx(src), p) {
 		if c.Deroute && c.Dim == 1 {
 			found = true
 		}

@@ -24,9 +24,7 @@ func TestDimWARExcludesDeadMinimal(t *testing.T) {
 	a.SetFaults(fs)
 	p := &route.Packet{SrcRouter: src, DstRouter: dst}
 	p.Reset()
-	view := &routetest.StubView{Faults: fs}
-	view.SetRouter(src)
-	cands := a.Route(newCtx(src, view), p)
+	cands := a.Route(newCtx(src), p)
 	if len(cands) == 0 {
 		t.Fatal("no candidates around a single dead minimal link")
 	}
@@ -125,12 +123,12 @@ func TestFaultCandidatesAreSubset(t *testing.T) {
 			p := &route.Packet{SrcRouter: src, DstRouter: dst}
 			p.Reset()
 			free := make(map[[4]int]bool)
-			for _, c := range pristine.Route(newCtx(src, flatView()), p) {
+			for _, c := range pristine.Route(newCtx(src), p) {
 				free[key(c)] = true
 			}
 			p2 := &route.Packet{SrcRouter: src, DstRouter: dst}
 			p2.Reset()
-			for _, c := range faulted.Route(newCtx(src, flatView()), p2) {
+			for _, c := range faulted.Route(newCtx(src), p2) {
 				if !free[key(c)] {
 					t.Fatalf("src %d dst %d: faulted candidate %+v not offered fault-free", src, dst, c)
 				}

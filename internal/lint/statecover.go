@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -12,6 +13,9 @@ import (
 // Snapshot and a Restore method, each of its fields must be referenced on
 // the capture path (the Snapshot method plus every same-package function
 // it transitively calls) AND on the restore path (likewise from Restore).
+// On the restore path a reference only inside len or cap, or as an
+// operand of a comparison, does not count: a shape check such as
+// len(g.carry) != len(s.Carry) reads the field without restoring it.
 // A field that is legitimately outside the contract — an observer rebound
 // by the caller, a pool rebuilt lazily, wiring that Build reconstructs —
 // must say so on its declaration:
@@ -82,8 +86,10 @@ func (sc *scUnit) index() {
 // fieldRefs walks the same-package call closure from the given
 // declaration and collects every field of the named type referenced
 // anywhere in it (r.now, inst.net, cfg.Seed — any selection whose
-// receiver is the type, directly or through a pointer).
-func (sc *scUnit) fieldRefs(start scDeclKey, typeName string) map[string]bool {
+// receiver is the type, directly or through a pointer). With shapes
+// false, selections inside len/cap calls and comparison operands are
+// left out; calls there are still followed.
+func (sc *scUnit) fieldRefs(start scDeclKey, typeName string, shapes bool) map[string]bool {
 	refs := map[string]bool{}
 	visited := map[scDeclKey]bool{}
 	queue := []scDeclKey{start}
@@ -98,10 +104,21 @@ func (sc *scUnit) fieldRefs(start scDeclKey, typeName string) map[string]bool {
 		if !ok {
 			continue
 		}
+		shapeOnly := map[*ast.SelectorExpr]bool{}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if !shapes {
+				for _, e := range sc.shapeOperands(n) {
+					ast.Inspect(e, func(m ast.Node) bool {
+						if sel, ok := m.(*ast.SelectorExpr); ok {
+							shapeOnly[sel] = true
+						}
+						return true
+					})
+				}
+			}
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if s := sc.p.info.Selections[n]; s != nil && s.Kind() == types.FieldVal {
+				if s := sc.p.info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !shapeOnly[n] {
 					if recvName(s.Recv()) == typeName {
 						refs[n.Sel.Name] = true
 					}
@@ -115,6 +132,26 @@ func (sc *scUnit) fieldRefs(start scDeclKey, typeName string) map[string]bool {
 		})
 	}
 	return refs
+}
+
+// shapeOperands returns the operands of n in which a field is only
+// measured or compared: the arguments of a len or cap call, or both sides
+// of a comparison.
+func (sc *scUnit) shapeOperands(n ast.Node) []ast.Expr {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if id, ok := n.Fun.(*ast.Ident); ok {
+			if b, ok := sc.p.info.Uses[id].(*types.Builtin); ok && (b.Name() == "len" || b.Name() == "cap") {
+				return n.Args
+			}
+		}
+	case *ast.BinaryExpr:
+		switch n.Op {
+		case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+			return []ast.Expr{n.X, n.Y}
+		}
+	}
+	return nil
 }
 
 // resolveCall maps a call expression to a same-package declaration key.
@@ -144,8 +181,8 @@ func (sc *scUnit) checkSnapshots(dirs directiveIndex) []Finding {
 		if sc.decls[snap] == nil || sc.decls[rest] == nil {
 			continue
 		}
-		capture := sc.fieldRefs(snap, typeName)
-		restore := sc.fieldRefs(rest, typeName)
+		capture := sc.fieldRefs(snap, typeName, true)
+		restore := sc.fieldRefs(rest, typeName, false)
 		for _, field := range st.Fields.List {
 			for _, name := range fieldNames(field) {
 				inCap, inRest := capture[name], restore[name]
@@ -179,7 +216,7 @@ func (sc *scUnit) checkKeys(dirs directiveIndex) []Finding {
 		if st == nil || sc.decls[scDeclKey{name: keyFn}] == nil {
 			continue
 		}
-		keyed := sc.fieldRefs(scDeclKey{name: keyFn}, typeName)
+		keyed := sc.fieldRefs(scDeclKey{name: keyFn}, typeName, true)
 		for _, field := range st.Fields.List {
 			for _, name := range fieldNames(field) {
 				if keyed[name] {

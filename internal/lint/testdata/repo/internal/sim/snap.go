@@ -1,7 +1,7 @@
 // Fixture: seeded statecover violations on a Snapshot/Restore pair — a
-// field captured but never restored, a field on neither path, a reasoned
-// exclusion the pass must honor, a reason-less exclusion it must reject,
-// and a stale exclusion allowaudit must flag.
+// field captured but never restored, one on neither path, one restore only
+// shape-checks, a reasoned exclusion the pass must honor, a reason-less
+// exclusion it must reject, and a stale exclusion allowaudit must flag.
 package sim
 
 type Ticker struct {
@@ -15,19 +15,24 @@ type Ticker struct {
 	trace func(Time) // reason-less directive: rejected, field still reported
 	//hxlint:state ephemeral — stale: flags is captured and restored below
 	flags uint64
+	carry []float64 // restore only checks its length: statecover finding
 }
 
 type TickerState struct {
 	Now   Time
 	Seq   uint64
 	Flags uint64
+	Carry []float64
 }
 
 func (t *Ticker) Snapshot() *TickerState {
-	return &TickerState{Now: t.now + t.drift, Seq: t.seq, Flags: t.flags}
+	return &TickerState{Now: t.now + t.drift, Seq: t.seq, Flags: t.flags, Carry: t.carry}
 }
 
 func (t *Ticker) Restore(s *TickerState) {
+	if len(s.Carry) != len(t.carry) {
+		return
+	}
 	t.now = s.Now
 	t.applySeq(s)
 	t.flags = s.Flags

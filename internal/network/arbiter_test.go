@@ -51,7 +51,7 @@ func arbiterGrants(t *testing.T, arb Arbiter) (grants []uint64, calls int, maxLe
 	n.OnHop = func(p *route.Packet, router, port int, _ int8) {
 		if router == 0 {
 			grants = append(grants, p.ID)
-			maxLeft = max(maxLeft, n.Routers[0].out[port].nwait)
+			maxLeft = max(maxLeft, n.Routers[0].lines[port].nwait)
 		}
 	}
 	const dst = 4

@@ -30,7 +30,6 @@ func candScratch(t *testing.T, n *Network, dstTerm int) (produced, capBefore, ca
 	p := n.NewPacket(0, dstTerm, 1)
 	ctx.Router = r.id
 	ctx.InPort = -1
-	ctx.View = (*view)(r)
 	ctx.RNG = r.rng
 	cands := n.Cfg.Alg.Route(ctx, p)
 	produced = len(cands)

@@ -23,6 +23,7 @@ func TestCreditConservation(t *testing.T) {
 		{"DAL", func() *Network {
 			return buildNet(t, h, routing.NewDAL(h), func(c *Config) { c.AtomicVCAlloc = true })
 		}},
+		{"DimWAR16VC", func() *Network { return buildNet(t, h, core.NewDimWAR(h), func(c *Config) { c.NumVCs = 16 }) }},
 	}
 	for _, tc := range algs {
 		mk := tc.mk
@@ -39,21 +40,20 @@ func TestCreditConservation(t *testing.T) {
 			}
 			for _, r := range n.Routers {
 				for p := range r.out {
-					o := &r.out[p]
 					if r.links[p].port < 0 {
 						continue
 					}
-					for vc, cr := range o.credits[:n.Cfg.NumVCs] {
-						if int(cr) != n.Cfg.BufDepth {
+					for vc := 0; vc < n.Cfg.NumVCs; vc++ {
+						if cr := *r.credit(p, int8(vc)); int(cr) != n.Cfg.BufDepth {
 							t.Fatalf("router %d port %d vc %d: %d credits after drain, want %d",
 								r.id, p, vc, cr, n.Cfg.BufDepth)
 						}
 					}
-					if o.queuedFlits != 0 {
-						t.Fatalf("router %d port %d: queuedFlits %d after drain", r.id, p, o.queuedFlits)
+					if ld := r.lines[p].load; ld != 0 {
+						t.Fatalf("router %d port %d: packed load %d after drain", r.id, p, ld)
 					}
-					if o.nwait != 0 {
-						t.Fatalf("router %d port %d: %d stale waiters", r.id, p, o.nwait)
+					if n := r.lines[p].nwait; n != 0 {
+						t.Fatalf("router %d port %d: %d stale waiters", r.id, p, n)
 					}
 				}
 			}

@@ -47,7 +47,12 @@ type Config struct {
 
 	// ClassSense switches routing-weight congestion sensing from the
 	// default per-port output-queue aggregate to per-resource-class
-	// occupancy (see route.Ctx.ClassSense; ablation knob).
+	// occupancy (ablation knob). Real routers observe their output
+	// queues, which aggregate all VCs of a port — and that aggregation is
+	// precisely why source-adaptive algorithms cannot escape remote
+	// congestion (Figure 6d): their own blocked minimal packets inflate
+	// every candidate port equally, and hopcount then keeps selecting the
+	// minimal path.
 	ClassSense bool
 
 	// Arbiter selects the output-port arbitration policy among eligible
@@ -96,7 +101,7 @@ func (c *Config) applyDefaults() {
 }
 
 // ErrNumVCs reports a Config.NumVCs above 16: each output port keeps its
-// downstream credits in a fixed array of 16 counters.
+// downstream credits in two fixed arrays of 8 counters.
 var ErrNumVCs = errors.New("network: NumVCs exceeds 16")
 
 // newScratch builds a candidate scratch for one execution context, sized
@@ -108,19 +113,21 @@ func newScratch(cfg Config) route.Ctx {
 	if op, ok := cfg.Topo.(interface{ OfferedPorts() int }); ok {
 		maxCands = op.OfferedPorts()
 	}
-	return route.Ctx{ClassSense: cfg.ClassSense, Cands: make([]route.Candidate, 0, maxCands)}
+	return route.Ctx{Cands: make([]route.Candidate, 0, maxCands)}
 }
 
-// newPortSlab allocates n output ports starting on a 64-byte boundary,
-// so that each port's leading hot half is exactly one cache line. Go
-// guarantees a slab only 8-byte alignment; outputPort holds no pointers,
-// so the ports may start at any offset into a one-port-larger slab.
-func newPortSlab(n int) []outputPort {
+// newLineSlab allocates n elements of a pointer-free T starting on a 64-byte
+// boundary: one allocation, a line larger than the elements need. Go
+// guarantees a slab only 8-byte alignment; with no pointers in T the
+// elements may start at any offset into it.
+func newLineSlab[T any](n int) []T {
 	const line = 64
-	slab := make([]outputPort, n+1)
+	var zero T
+	size := unsafe.Sizeof(zero)
+	slab := make([]T, n+int((line+size-1)/size))
 	base := unsafe.Pointer(&slab[0])
 	off := (line - uintptr(base)%line) % line
-	return unsafe.Slice((*outputPort)(unsafe.Add(base, off)), n)
+	return unsafe.Slice((*T)(unsafe.Add(base, off)), n)
 }
 
 // Arbiter is an output-port arbitration policy.
@@ -197,6 +204,10 @@ type Network struct {
 	// into.
 	streams      []rng.Source // per-router RNG streams (Router.rng points in)
 	termCredSlab []int32      // all terminals' injection credit counters
+	// lines is the packed congestion view of every router, one region of
+	// lineStride(np) entries each (Router.lines). It is derived state:
+	// Restore rebuilds it from the snapshot's port scalars and credits.
+	lines []portLine
 	//hxlint:state ephemeral — restore-owned arena the snapshot's packets are rebuilt into; capturing it would be circular
 	restorePkts []route.Packet
 
@@ -263,17 +274,26 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	// per-object layout this replaces was the footprint and locality
 	// bottleneck — hundreds of thousands of separately-allocated queues
 	// and credit arrays. The port slab is 64-byte aligned so that every
-	// outputPort's hot half is exactly one cache line. The calendar
-	// reserve comes first and the input-VC slab, the largest one holding
-	// pointers, last: a collection that a paper-scale build triggers then
+	// outputPort is exactly one cache line, and so is the packed view, so
+	// that each router's region starts a line. The calendar reserve comes
+	// first and the input-VC slab, the largest one holding pointers, after
+	// the other slabs: a collection that a paper-scale build triggers then
 	// starts before that slab exists and need not scan it, which takes
-	// about a fifth off the build on a 2-core host.
+	// about a fifth off the build on a 2-core host. The pointer-free
+	// packed view follows it: allocated beside the port slab instead, it
+	// made a paper-scale build about a tenth slower.
 	routerSlab := make([]Router, nr)
-	outSlab := newPortSlab(nr * np)
+	outSlab := newLineSlab[outputPort](nr * np)
 	linkSlab := make([]link, nr*np)
 	termSlab := make([]Terminal, nt)
 	termCredSlab := make([]int32, nt*nv)
 	vcSlab := make([]inputVC, nr*np*nv)
+	stride := lineStride(np)
+	n.lines = newLineSlab[portLine](nr * stride)
+	var hiSlab [][loVCs]int32
+	if nv > loVCs {
+		hiSlab = make([][loVCs]int32, nr*np)
+	}
 
 	streams := master.DeriveN(0, nr)
 	n.streams = streams
@@ -281,11 +301,16 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	n.Routers = make([]*Router, nr)
 	for r := range n.Routers {
 		n.Routers[r] = &routerSlab[r]
-		initRouter(&routerSlab[r], n, r, &streams[r], routerSlabs{
+		sl := routerSlabs{
 			out:   outSlab[r*np : (r+1)*np : (r+1)*np],
+			lines: n.lines[r*stride : r*stride+np : r*stride+np],
 			vcs:   vcSlab[r*np*nv : (r+1)*np*nv : (r+1)*np*nv],
 			links: linkSlab[r*np : (r+1)*np : (r+1)*np],
-		})
+		}
+		if hiSlab != nil {
+			sl.hiCredits = hiSlab[r*np : (r+1)*np : (r+1)*np]
+		}
+		initRouter(&routerSlab[r], n, r, &streams[r], sl)
 	}
 	n.Terminals = make([]*Terminal, nt)
 	for t := range n.Terminals {

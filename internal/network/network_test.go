@@ -299,3 +299,37 @@ func TestPacketPoolReuse(t *testing.T) {
 		t.Errorf("recycled packet not reset: %+v", p2)
 	}
 }
+
+// TestClassSenseWeighsClassLoad: two router ports whose class-0 buffers
+// hold 50 flits per VC and whose class-1 buffers are empty look identical
+// to per-port sensing, so hopcount keeps the 3-hop class-0 candidate;
+// per-class sensing sees the empty class-1 buffers behind the 6-hop
+// candidate and takes it.
+func TestClassSenseWeighsClassLoad(t *testing.T) {
+	h := topology.MustHyperX([]int{4, 4}, 2)
+	for _, tc := range []struct {
+		classSense bool
+		want       int
+	}{
+		{false, 0}, // (200+1)*3 < (200+1)*6
+		{true, 1},  // (0+1)*6 < (50+1)*3
+	} {
+		n := buildNet(t, h, core.NewDimWAR(h), func(c *Config) { c.ClassSense = tc.classSense })
+		r := n.Routers[0]
+		a, b := h.DimPort(0, 0, 1), h.DimPort(0, 1, 1)
+		for _, port := range []int{a, b} {
+			for _, vc := range n.VCsForClass(0) {
+				r.out[port].credits[vc] -= 50
+				r.lines[port].load += 50
+			}
+		}
+		cands := r.weigh([]route.Candidate{
+			{Port: a, Class: 0, HopsLeft: 3},
+			{Port: b, Class: 1, HopsLeft: 6},
+		})
+		if got := route.SelectMinWeight(cands, r.rng); got != tc.want {
+			t.Errorf("ClassSense=%v selected %d (loads %d, %d), want %d",
+				tc.classSense, got, cands[0].Load, cands[1].Load, tc.want)
+		}
+	}
+}

@@ -111,38 +111,64 @@ func (e *waitEntry) cand(port int) route.Candidate {
 	}
 }
 
-// maxVCs bounds Config.NumVCs: an output port's downstream credits are a
-// fixed inline array of this many counters.
-const maxVCs = 16
+// maxVCs bounds Config.NumVCs: an output port keeps the downstream
+// credits of its first loVCs VCs inline and those of the rest, when there
+// are more, in Router.hiCredits.
+const (
+	maxVCs = 16
+	loVCs  = 8
+)
 
 // waitInit is the capacity, in entries (four cache lines), of an output's
 // first wait-list region. A list that outgrows its region moves, doubled,
 // to the end of its router's wait arena (growWaits).
 const waitInit = 8
 
-// outputPort models an output channel (1 flit/cycle serialization, fixed
-// pipeline latency) plus the credit state of the downstream buffer. The
-// first 64 bytes are what routing views, VC selection and arbitration
-// read — with up to 8 VCs the credits too; the wait list's capacity and
-// the statistics a grant updates follow (layout_test.go). The wiring is
-// in Router.links.
+// outputPort is the credit state of an output channel's downstream
+// buffers plus what only an eligible attempt or a grant touches, in one
+// cache line (layout_test.go): the statistics a grant updates, the port's
+// build-time flags, and the credits of its first loVCs VCs, which VC
+// selection reads. What a routing decision weighs, a registration writes
+// and a blocked attempt reads is the port's portLine; the wiring is in
+// Router.links.
 type outputPort struct {
-	busyUntil   sim.Time
-	attemptAt   sim.Time // time of the latest scheduled attempt, 0 = none
-	queuedFlits int32    // flits of packets waiting on this output (congestion signal)
-	wbase       int32    // the wait list is waits[wbase : wbase+nwait]
-	nwait       int32
-	toTerminal  bool
-	dead        bool // link failed: zero credits, excluded from routing and arbitration
+	busyAccum  sim.Time // total cycles this channel has carried flits
+	grants     uint64   // packets granted through this output
+	toTerminal bool
+	dead       bool // link failed: zero credits, excluded from routing and arbitration
 
-	credits [maxVCs]int32 // free flit slots downstream, per VC
+	credits [loVCs]int32 // free flit slots downstream, per VC
 
-	wcap      int32    // capacity of the wait list's region, 0 = none yet
-	busyAccum sim.Time // total cycles this channel has carried flits
-	grants    uint64   // packets granted through this output
-
-	_ [8]byte // two whole cache lines, so every port's hot half is one line
+	_ [12]byte // a whole cache line
 }
+
+// portLine is one output port's entry in its router's packed view: what
+// a routing decision reads about every candidate, what registering the
+// decision on the chosen one writes — the wait-list header — and what an
+// attempt on a busy channel reads and writes, in 32 bytes, two ports to a
+// cache line. A router's region of the network-wide slab starts on a line
+// boundary (Network.lines), so at paper scale one dimension's seven ports
+// span four lines, a decision registers on a line it has just read, and a
+// blocked attempt touches nothing else.
+type portLine struct {
+	busyUntil sim.Time // the output channel carries flits until this time
+	attemptAt sim.Time // time of the latest scheduled attempt, 0 = none
+	// load is the port's congestion in flits, kept up to date as state
+	// changes: the flits of decisions waiting on the port plus the
+	// occupancy of its downstream buffers, Σ(depth − credits) over the
+	// port's VCs (none for a terminal port). Registration adds a
+	// decision's flits and unregistration removes them, a router grant
+	// moves them from waiting to downstream, and a credit return takes
+	// them off.
+	load  int32
+	wbase int32 // the wait list is waits[wbase : wbase+nwait]
+	nwait int32
+	wcap  int32 // capacity of the wait list's region, 0 = none yet
+}
+
+// lineStride is the number of entries in a router's region of the packed
+// view: its port count rounded up to whole cache lines of two.
+func lineStride(np int) int { return (np + 1) &^ 1 }
 
 // link is where port p of a router leads: the far router and its port,
 // or for a terminal port the terminal and -1. It serves both directions —
@@ -160,10 +186,15 @@ type Router struct {
 	nv    int
 	vcs   []inputVC    // np*nv input buffers, port-major
 	out   []outputPort // np output ports
+	lines []portLine   // np entries of the packed congestion view
 	links []link       // np port wiring entries
 
+	// hiCredits holds, per port, the credits of VCs loVCs and up; nil
+	// when Config.NumVCs is at most loVCs.
+	hiCredits [][loVCs]int32
+
 	// waits is the arena the outputs' wait lists live in, one region per
-	// output (outputPort.wbase, wcap). It is allocated at the router's
+	// output (portLine.wbase, wcap). It is allocated at the router's
 	// first registration, not at build, and grows to the router's high
 	// water.
 	waits []waitEntry
@@ -182,7 +213,7 @@ func (r *Router) Act(op uint8, a, b, c int32, p any) {
 		r.arrive(p.(*route.Packet), int(a), int(b))
 	case opAttempt:
 		port := int(a)
-		o := &r.out[port]
+		o := &r.lines[port]
 		// The event fires exactly at its scheduled time, so now() is the
 		// `t` this attempt was deduplicated under.
 		if o.attemptAt == r.sc.now() {
@@ -200,9 +231,11 @@ func (r *Router) Act(op uint8, a, b, c int32, p any) {
 // slabs: the router owns the subslices exclusively, but the backing
 // arrays are contiguous across all routers (see Network build).
 type routerSlabs struct {
-	out   []outputPort // np ports
-	vcs   []inputVC    // np*nv buffers
-	links []link       // np ports
+	out       []outputPort   // np ports
+	lines     []portLine     // np ports, starting on a cache line
+	vcs       []inputVC      // np*nv buffers
+	links     []link         // np ports
+	hiCredits [][loVCs]int32 // np ports, or nil
 }
 
 // initRouter wires a slab-allocated Router in place.
@@ -210,7 +243,7 @@ func initRouter(r *Router, n *Network, id int, rs *rng.Source, sl routerSlabs) {
 	topo := n.Cfg.Topo
 	np := topo.NumPorts()
 	nv := n.Cfg.NumVCs
-	*r = Router{net: n, id: id, nv: nv, vcs: sl.vcs, out: sl.out, links: sl.links, rng: rs}
+	*r = Router{net: n, id: id, nv: nv, vcs: sl.vcs, out: sl.out, lines: sl.lines, links: sl.links, hiCredits: sl.hiCredits, rng: rs}
 	for i := range r.vcs {
 		// Scalar stores only: the slab is fresh, so its pointers are
 		// already nil, and writing them would cost a write barrier each
@@ -224,8 +257,8 @@ func initRouter(r *Router, n *Network, id int, rs *rng.Source, sl routerSlabs) {
 		case topology.Terminal:
 			op.toTerminal = true
 			r.links[p].peer = int32(topo.PortTerminal(id, p))
-			for v := range op.credits[:nv] {
-				op.credits[v] = 1 << 30 // terminals always drain
+			for v := 0; v < nv; v++ {
+				*r.credit(p, int8(v)) = 1 << 30 // terminals always drain
 			}
 		case topology.Local, topology.Global:
 			pr, pp := topo.Peer(id, p)
@@ -233,62 +266,56 @@ func initRouter(r *Router, n *Network, id int, rs *rng.Source, sl routerSlabs) {
 			if n.Cfg.Faults.Dead(id, p) {
 				// Failed link: the output never accumulates credits, so
 				// arbitration can never grant it even if a stale decision
-				// lands here.
+				// lands here, and its downstream buffers count as full.
 				op.dead = true
+				r.lines[p].load = int32(nv * n.Cfg.BufDepth)
 				continue
 			}
-			for v := range op.credits[:nv] {
-				op.credits[v] = int32(n.Cfg.BufDepth)
+			for v := 0; v < nv; v++ {
+				*r.credit(p, int8(v)) = int32(n.Cfg.BufDepth)
 			}
 		}
 	}
 }
 
-// view adapts the router's output state to route.View.
-type view Router
-
-// ClassLoad implements route.View.
-func (v *view) ClassLoad(port int, class int8) int {
-	r := (*Router)(v)
-	o := &r.out[port]
-	depth := r.net.Cfg.BufDepth
-	best := depth // max possible occupancy
-	if o.toTerminal {
-		best = 0
-	} else {
-		for _, vc := range r.net.classVCs[class] {
-			if occ := depth - int(o.credits[vc]); occ < best {
-				best = occ
-			}
-		}
+// credit is the downstream credit counter of (port, vc).
+func (r *Router) credit(port int, vc int8) *int32 {
+	if vc < loVCs {
+		return &r.out[port].credits[vc]
 	}
-	return best + int(o.queuedFlits) + r.residual(o)
+	return &r.hiCredits[port][vc-loVCs]
 }
 
-// PortLoad implements route.View.
-func (v *view) PortLoad(port int) int {
-	r := (*Router)(v)
-	o := &r.out[port]
-	total := 0
-	if !o.toTerminal {
-		depth := r.net.Cfg.BufDepth
-		for _, c := range o.credits[:r.nv] {
-			total += depth - int(c)
-		}
+// occupancy is the flits held in port's downstream buffers, the part of
+// its portLine.load that credits account for; a terminal drains at once
+// and holds none.
+func (r *Router) occupancy(port int) int32 {
+	if r.out[port].toTerminal {
+		return 0
 	}
-	return total + int(o.queuedFlits) + r.residual(o)
+	depth := int32(r.net.Cfg.BufDepth)
+	total := int32(0)
+	for v := 0; v < r.nv; v++ {
+		total += depth - *r.credit(port, int8(v))
+	}
+	return total
 }
 
-// PortAlive implements route.View.
-func (v *view) PortAlive(port int) bool {
-	return !(*Router)(v).out[port].dead
-}
-
-func (r *Router) residual(o *outputPort) int {
-	if d := o.busyUntil - r.sc.now(); d > 0 {
-		return int(d)
+// classLoad is the congestion of sending on port within a resource class,
+// for the per-class sensing ablation (Config.ClassSense): the least
+// occupied of the class's downstream buffers plus the flits waiting on
+// the port. The residual busy time is the caller's.
+func (r *Router) classLoad(port int, class int8) int32 {
+	queued := r.lines[port].load - r.occupancy(port)
+	if r.out[port].toTerminal {
+		return queued
 	}
-	return 0
+	depth := int32(r.net.Cfg.BufDepth)
+	best := depth
+	for _, vc := range r.net.classVCs[class] {
+		best = min(best, depth-*r.credit(port, vc))
+	}
+	return best + queued
 }
 
 // arrive is called when a packet's head reaches input (port, vc).
@@ -314,24 +341,9 @@ func (r *Router) routeHead(iv *inputVC) {
 		ctx := &r.sc.ctx
 		ctx.Router = r.id
 		ctx.InPort = int(iv.idx) / r.nv
-		ctx.View = (*view)(r)
 		ctx.RNG = r.rng
-		cands := r.net.Cfg.Alg.Route(ctx, p)
+		cands := r.weigh(r.net.Cfg.Alg.Route(ctx, p))
 		ctx.Cands = cands // keep the grown buffer for reuse
-		if r.net.hasFaults {
-			// Drop candidates on dead ports in place. Fault-aware
-			// algorithms never emit them; this is the safety net for the
-			// fault-oblivious baselines (DOR, VAL, UGAL, ...), whose
-			// dimension-ordered hops cannot route around a failed link.
-			kept := cands[:0]
-			for _, c := range cands {
-				if !r.out[c.Port].dead {
-					kept = append(kept, c)
-				}
-			}
-			cands = kept
-			ctx.Cands = cands
-		}
 		if len(cands) == 0 {
 			if r.net.hasFaults {
 				// Detect-and-drop: on a faulted network a packet with no
@@ -344,51 +356,83 @@ func (r *Router) routeHead(iv *inputVC) {
 			panic(fmt.Sprintf("network: %s produced no route at router %d for packet %d->%d (hops=%d class=%d phase=%d inter=%d)",
 				r.net.Cfg.Alg.Name(), r.id, p.Src, p.Dst, p.Hops, p.Class, p.Phase, p.Inter))
 		}
-		c := &cands[route.SelectMinWeight(ctx, cands)]
+		c := &cands[route.SelectMinWeight(cands, r.rng)]
 		port = c.Port
 		e = makeEntry(p, iv.idx, c, false)
 		// A blocked decision goes stale; re-evaluate periodically so
 		// incremental adaptivity keeps responding to changing congestion.
 		iv.timer = r.sc.After(r.net.Cfg.ReRouteInterval, r, opReroute, 0, 0, 0, iv)
 	}
-	o := &r.out[port]
-	if o.nwait == o.wcap {
-		r.growWaits(o)
+	ln := &r.lines[port]
+	if ln.nwait == ln.wcap {
+		r.growWaits(ln)
 	}
-	r.waits[o.wbase+o.nwait] = e
-	o.nwait++
-	o.queuedFlits += e.flits
+	r.waits[ln.wbase+ln.nwait] = e
+	ln.nwait++
+	ln.load += e.flits
 	iv.out = int32(port)
 	r.attempt(port)
 }
 
-// growWaits moves output o's full wait list to a region of twice its
-// capacity (waitInit for its first) at the end of the router's arena. An
-// arena with no room left is rebuilt twice as large as its live regions,
-// and at least a first region per output plus a quarter, packing them
-// densely and dropping the regions earlier moves abandoned. Entries keep
-// their order. At paper scale about 1 % of lists outgrow a first region,
+// weigh fills each candidate's Load from the packed view — the port's
+// load, or under ClassSense the candidate's class load, plus the
+// channel's residual busy time — and on a faulted network drops
+// candidates on dead ports in place. Fault-aware algorithms never emit
+// those; dropping them is the safety net for the fault-oblivious
+// baselines (DOR, VAL, UGAL, ...), whose dimension-ordered hops cannot
+// route around a failed link.
+func (r *Router) weigh(cands []route.Candidate) []route.Candidate {
+	now := r.sc.now()
+	for i := range cands {
+		c := &cands[i]
+		ln := &r.lines[c.Port]
+		c.Load = ln.load
+		if r.net.Cfg.ClassSense {
+			c.Load = r.classLoad(c.Port, c.Class)
+		}
+		if d := ln.busyUntil - now; d > 0 {
+			c.Load += int32(d)
+		}
+	}
+	if !r.net.hasFaults {
+		return cands
+	}
+	kept := cands[:0]
+	for _, c := range cands {
+		if !r.out[c.Port].dead {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
+// growWaits moves the full wait list of the output whose line is ln to a
+// region of twice its capacity (waitInit for its first) at the end of the
+// router's arena. An arena with no room left is rebuilt twice as large as
+// its live regions, and at least a first region per output plus a
+// quarter, packing them densely and dropping the regions earlier moves
+// abandoned. Entries keep their order. At paper scale about 1 % of lists outgrow a first region,
 // and the first arena's spare quarter holds every router's moves, so no
 // arena is ever rebuilt there.
-func (r *Router) growWaits(o *outputPort) {
-	need := max(2*o.wcap, waitInit)
+func (r *Router) growWaits(ln *portLine) {
+	need := max(2*ln.wcap, waitInit)
 	old := r.waits
 	if len(old)+int(need) > cap(old) {
 		live := need
-		for i := range r.out {
-			if q := &r.out[i]; q != o {
+		for i := range r.lines {
+			if q := &r.lines[i]; q != ln {
 				live += q.wcap
 			}
 		}
 		//hxlint:allow allocfree — the wait arena is rebuilt only when a list outgrows it; each rebuild doubles its live regions, so it settles at the router's high water
-		r.waits = make([]waitEntry, 0, max(2*live, int32(len(r.out)*waitInit*5/4)))
-		for i := range r.out {
-			if q := &r.out[i]; q != o {
+		r.waits = make([]waitEntry, 0, max(2*live, int32(len(r.lines)*waitInit*5/4)))
+		for i := range r.lines {
+			if q := &r.lines[i]; q != ln {
 				q.wbase = r.claim(old[q.wbase:q.wbase+q.nwait], q.wcap)
 			}
 		}
 	}
-	o.wbase, o.wcap = r.claim(old[o.wbase:o.wbase+o.nwait], need), need
+	ln.wbase, ln.wcap = r.claim(old[ln.wbase:ln.wbase+ln.nwait], need), need
 }
 
 // claim appends a region of n entries to the wait arena, which has room
@@ -405,21 +449,22 @@ func (r *Router) reroute(iv *inputVC) {
 	if iv.out < 0 {
 		return
 	}
-	o := &r.out[iv.out]
-	ws := r.waits[o.wbase : o.wbase+o.nwait]
+	ln := &r.lines[iv.out]
+	ws := r.waits[ln.wbase : ln.wbase+ln.nwait]
 	for i := range ws {
 		if ws[i].ivc == iv.idx {
-			r.unregister(o, i)
+			r.unregister(ln, i)
 			break
 		}
 	}
 	r.routeHead(iv)
 }
 
-// unregister removes entry i from output o's wait list by swapping the
-// last entry into its place, and cancels the decision's re-route timer.
-func (r *Router) unregister(o *outputPort, i int) {
-	ws := r.waits[o.wbase : o.wbase+o.nwait]
+// unregister removes entry i from the wait list of the output whose line
+// is ln by swapping the last entry into its place, and cancels the
+// decision's re-route timer.
+func (r *Router) unregister(ln *portLine, i int) {
+	ws := r.waits[ln.wbase : ln.wbase+ln.nwait]
 	e := &ws[i]
 	iv := &r.vcs[e.ivc]
 	iv.out = -1
@@ -427,10 +472,10 @@ func (r *Router) unregister(o *outputPort, i int) {
 		r.net.K.Cancel(iv.timer)
 		iv.timer = nil
 	}
-	o.queuedFlits -= e.flits
+	ln.load -= e.flits
 	last := len(ws) - 1
 	ws[i] = ws[last]
-	o.nwait--
+	ln.nwait--
 }
 
 // creditUpstream returns flits of buffer space on input VC ivc to its
@@ -460,22 +505,17 @@ func (r *Router) drop(iv *inputVC) {
 	}
 }
 
-// pickVC selects the physical VC for a grant: the most-credited VC of the
-// resource class that can hold the whole packet (or, under atomic queue
-// allocation, whose downstream buffer is completely empty). Returns -1 if
-// none qualifies.
-func (r *Router) pickVC(o *outputPort, class int8, flits int32) int8 {
-	if o.toTerminal {
-		return 0
-	}
-	need := flits
-	if r.net.Cfg.AtomicVCAlloc {
-		need = int32(r.net.Cfg.BufDepth)
-	}
-	best, bestCr := int8(-1), int32(0)
-	for _, vc := range r.net.classVCs[class] {
-		if cr := o.credits[vc]; cr >= need && cr > bestCr {
-			best, bestCr = vc, cr
+// mostCredited returns the VC a grant in class would take on port: the
+// first of the class's VCs with the most credits. A waiter is eligible
+// iff that VC can hold its whole packet (or, under atomic queue
+// allocation, is completely empty) — if the most-credited VC cannot,
+// none can.
+func (r *Router) mostCredited(port int, class int8) int8 {
+	vcs := r.net.classVCs[class]
+	best, most := vcs[0], *r.credit(port, vcs[0])
+	for _, vc := range vcs[1:] {
+		if cr := *r.credit(port, vc); cr > most {
+			best, most = vc, cr
 		}
 	}
 	return best
@@ -484,24 +524,40 @@ func (r *Router) pickVC(o *outputPort, class int8, flits int32) int8 {
 // attempt tries to grant the output channel of port to the oldest
 // eligible waiting decision (age-based arbitration).
 func (r *Router) attempt(port int) {
-	o := &r.out[port]
+	ln := &r.lines[port]
 	now := r.sc.now()
-	if o.busyUntil > now {
-		r.scheduleAttempt(port, o.busyUntil)
+	if ln.busyUntil > now {
+		r.scheduleAttempt(port, ln.busyUntil)
 		return
 	}
-	if o.nwait == 0 {
+	if ln.nwait == 0 {
 		return
 	}
-	ws := r.waits[o.wbase : o.wbase+o.nwait]
+	o := &r.out[port]
+	ws := r.waits[ln.wbase : ln.wbase+ln.nwait]
+	atomic, depth := r.net.Cfg.AtomicVCAlloc, int32(r.net.Cfg.BufDepth)
+	// vcOf[c] is resource class c's most-credited VC plus one, chosen at
+	// the class's first waiter; credits do not change during the scan.
+	var vcOf [maxVCs]int8
 	best := -1
 	var bestVC int8
 	eligible := 0
 	for i := range ws {
 		w := &ws[i]
-		vc := r.pickVC(o, w.class, w.flits)
-		if vc < 0 {
-			continue
+		var vc int8 // a terminal port: every waiter ejects on VC 0
+		if !o.toTerminal {
+			k := &vcOf[w.class]
+			if *k == 0 {
+				*k = r.mostCredited(port, w.class) + 1
+			}
+			vc = *k - 1
+			need := w.flits
+			if atomic {
+				need = depth
+			}
+			if *r.credit(port, vc) < need {
+				continue
+			}
 		}
 		eligible++
 		switch r.net.Cfg.Arbiter {
@@ -524,12 +580,12 @@ func (r *Router) attempt(port int) {
 	if best < 0 {
 		return
 	}
-	r.grant(o, port, best, bestVC)
+	r.grant(o, ln, port, best, bestVC)
 }
 
 // scheduleAttempt schedules an attempt for port at time t, deduplicating.
 func (r *Router) scheduleAttempt(port int, t sim.Time) {
-	o := &r.out[port]
+	o := &r.lines[port]
 	if o.attemptAt > 0 && o.attemptAt <= t {
 		return // an attempt at or before t is already pending
 	}
@@ -537,19 +593,19 @@ func (r *Router) scheduleAttempt(port int, t sim.Time) {
 	r.sc.at(t, r, opAttempt, int32(port), 0, 0, nil)
 }
 
-// grant moves the head packet of wait-list entry i of output o (port)
-// across the crossbar and channel, reserving downstream space and
+// grant moves the head packet of wait-list entry i of output o (port,
+// line ln) across the crossbar and channel, reserving downstream space and
 // returning upstream credits as the flits drain.
-func (r *Router) grant(o *outputPort, port, i int, vc int8) {
+func (r *Router) grant(o *outputPort, ln *portLine, port, i int, vc int8) {
 	now := r.sc.now()
 	// Copy the entry: unregister below overwrites its slot.
-	w := r.waits[int(o.wbase)+i]
+	w := r.waits[int(ln.wbase)+i]
 	iv := &r.vcs[w.ivc]
 	p := iv.pop()
-	r.unregister(o, i)
+	r.unregister(ln, i)
 
 	flits := p.Len
-	o.busyUntil = now + sim.Time(flits)
+	ln.busyUntil = now + sim.Time(flits)
 	o.busyAccum += sim.Time(flits)
 	o.grants++
 
@@ -558,7 +614,8 @@ func (r *Router) grant(o *outputPort, port, i int, vc int8) {
 	} else {
 		cand := w.cand(port)
 		route.Commit(p, &cand)
-		o.credits[vc] -= int32(flits)
+		*r.credit(port, vc) -= int32(flits)
+		ln.load += int32(flits) // the flits unregister took off now sit downstream
 		p.VC = vc
 		if r.net.OnHop != nil {
 			// The packet is in flight for the rest of the cycle, so its
@@ -577,15 +634,16 @@ func (r *Router) grant(o *outputPort, port, i int, vc int8) {
 	if !iv.empty() {
 		r.routeHead(iv)
 	}
-	if o.nwait > 0 {
-		r.scheduleAttempt(port, o.busyUntil)
+	if ln.nwait > 0 {
+		r.scheduleAttempt(port, ln.busyUntil)
 	}
 }
 
 // creditArrive restores downstream space on (port, vc) and retries the
 // output.
 func (r *Router) creditArrive(port int, vc int8, flits int) {
-	r.out[port].credits[vc] += int32(flits)
+	*r.credit(port, vc) += int32(flits)
+	r.lines[port].load -= int32(flits)
 	r.attempt(port)
 }
 

@@ -38,8 +38,10 @@
 //
 //   - Router slab state (input VCs, output ports and their inline
 //     credits, the router's wait-list arena, per-router RNG): touched
-//     only by events of the owning router, all in one shard. route.View
-//     exposes only the deciding router's own output state. The candidate
+//     only by events of the owning router, all in one shard. A routing
+//     decision weighs its candidates from the deciding router's own
+//     packed view (Router.lines), which only that router's events
+//     update, so no decision reads another router's state. The candidate
 //     scratch is per context (ShardState.ctx), shared only by the
 //     context's own routers, whose events it executes one at a time.
 //   - Terminal state (source queue, injection credits): touched only by

@@ -320,19 +320,25 @@ func buildNetworkState(n *Network, ext []sim.Actor) (*Snapshot, error) {
 
 	// Output-port state, credits and waiter registrations in list order.
 	// Waiter packets are always input-VC heads, so they are interned above.
+	// The waiting flits are the part of the packed view's load that the
+	// credits do not account for.
+	stride := lineStride(np)
 	for ri, rt := range n.Routers {
 		for pi := 0; pi < np; pi++ {
 			o := &rt.out[pi]
+			ln := &n.lines[ri*stride+pi]
 			s.Outs[ri*np+pi] = OutPortState{
-				BusyUntil:   o.busyUntil,
-				AttemptAt:   o.attemptAt,
+				BusyUntil:   ln.busyUntil,
+				AttemptAt:   ln.attemptAt,
 				BusyAccum:   o.busyAccum,
 				Grants:      o.grants,
-				QueuedFlits: int32(o.queuedFlits),
+				QueuedFlits: ln.load - rt.occupancy(pi),
 			}
-			copy(s.Credits[(ri*np+pi)*nv:], o.credits[:nv])
-			s.WaiterLens[ri*np+pi] = o.nwait
-			for _, w := range rt.waits[o.wbase : o.wbase+o.nwait] {
+			for v := 0; v < nv; v++ {
+				s.Credits[(ri*np+pi)*nv+v] = *rt.credit(pi, int8(v))
+			}
+			s.WaiterLens[ri*np+pi] = ln.nwait
+			for _, w := range rt.waits[ln.wbase : ln.wbase+ln.nwait] {
 				iv := &rt.vcs[w.ivc]
 				pk, ok := c.pktIdx[iv.head]
 				if !ok {
@@ -502,25 +508,30 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 		}
 	}
 
-	// Routers: output scalars and credits, input-VC queues, then waiter
-	// registrations. Decisions are keyed by input VC, so each waiter must
-	// name a distinct input VC whose head is the waiter's packet.
+	// Routers: output scalars and credits, the packed view rebuilt from
+	// them, input-VC queues, then waiter registrations. Decisions are
+	// keyed by input VC, so each waiter must name a distinct input VC
+	// whose head is the waiter's packet.
+	stride := lineStride(np)
 	vi := 0
 	wi := 0
 	for ri, rt := range n.Routers {
 		for pi := 0; pi < np; pi++ {
 			o := &rt.out[pi]
 			os := &s.Outs[ri*np+pi]
-			o.busyUntil = os.BusyUntil
-			o.attemptAt = os.AttemptAt
 			o.busyAccum = os.BusyAccum
 			o.grants = os.Grants
-			o.queuedFlits = os.QueuedFlits
-			copy(o.credits[:nv], s.Credits[(ri*np+pi)*nv:])
+			for v := 0; v < nv; v++ {
+				*rt.credit(pi, int8(v)) = s.Credits[(ri*np+pi)*nv+v]
+			}
+			ln := &n.lines[ri*stride+pi]
+			ln.busyUntil = os.BusyUntil
+			ln.attemptAt = os.AttemptAt
+			ln.load = os.QueuedFlits + rt.occupancy(pi)
 			// Every wait list starts over empty, its region released;
 			// their old timer events are discarded wholesale by the
 			// kernel restore below.
-			o.nwait, o.wbase, o.wcap = 0, 0, 0
+			ln.nwait, ln.wbase, ln.wcap = 0, 0, 0
 			for v := 0; v < nv; v++ {
 				iv := &rt.vcs[pi*nv+v]
 				iv.head, iv.tail, iv.timer, iv.out = nil, nil, nil, -1
@@ -532,10 +543,10 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 		}
 		rt.waits = rt.waits[:0]
 		for pi := 0; pi < np; pi++ {
-			o := &rt.out[pi]
+			ln := &rt.lines[pi]
 			cnt := s.WaiterLens[ri*np+pi]
-			for o.wcap < cnt {
-				rt.growWaits(o)
+			for ln.wcap < cnt {
+				rt.growWaits(ln)
 			}
 			for k := int32(0); k < cnt; k++ {
 				ws := &s.Waiters[wi]
@@ -549,12 +560,12 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 				case iv.head != c.pkts[ws.Pkt]:
 					return fmt.Errorf("network: restore: waiter %d packet %d is not the head of router %d input (%d,%d)", wi, ws.Pkt, ri, ws.InPort, ws.InVC)
 				}
-				rt.waits[o.wbase+k] = makeEntry(iv.head, ivc, &ws.Cand, ws.Eject)
+				rt.waits[ln.wbase+k] = makeEntry(iv.head, ivc, &ws.Cand, ws.Eject)
 				iv.out = int32(pi)
 				c.waiters[wi] = iv
 				wi++
 			}
-			o.nwait = cnt
+			ln.nwait = cnt
 		}
 	}
 

@@ -68,44 +68,21 @@ type Candidate struct {
 	NewPhase int8  // packet phase after taking this hop
 	SetInter bool  // if true, packet's Inter becomes Inter below on commit
 	Inter    int32 // new intermediate router, -1 clears
-}
 
-// View exposes purely local congestion information, the only input the
-// paper's algorithms are allowed: occupancy of the downstream buffer
-// reachable through an output, plus residual busy time of the output
-// channel.
-type View interface {
-	// ClassLoad returns the congestion estimate, in flits, for sending on
-	// the given output port within the given resource class: the minimum
-	// downstream occupancy over the class's VCs plus the channel's residual
-	// busy time.
-	ClassLoad(port int, class int8) int
-	// PortLoad returns the aggregate congestion estimate for an output
-	// port across all VCs (used by source-adaptive algorithms that weigh
-	// whole ports).
-	PortLoad(port int) int
-	// PortAlive reports whether the output port's link is usable. A dead
-	// (faulted) port holds zero credits and is excluded from arbitration;
-	// algorithms and the weight selection must never choose it.
-	PortAlive(port int) bool
+	// Load is the congestion estimate, in flits, of sending on Port: the
+	// only input the paper's algorithms are allowed is purely local, the
+	// occupancy of the downstream buffer the output reaches plus the
+	// channel's residual busy time. Algorithms leave it zero; the router
+	// fills it from its own output state before SelectMinWeight. It is
+	// not part of a decision, so snapshots do not carry it.
+	Load int32 `json:"-"`
 }
 
 // Ctx is the per-decision routing context handed to Algorithm.Route.
 type Ctx struct {
 	Router int // current router
 	InPort int // arrival port, -1 for injection
-	View   View
 	RNG    *rng.Source
-
-	// ClassSense selects per-resource-class congestion sensing for the
-	// weight computation instead of the default per-port output-queue
-	// sensing. Real routers observe their output queues, which aggregate
-	// all VCs of a port — and that aggregation is precisely why source-
-	// adaptive algorithms cannot escape remote congestion (Figure 6d):
-	// their own blocked minimal packets inflate every candidate port
-	// equally, and hopcount then keeps selecting the minimal path. Kept
-	// as an option for the sensing-ablation benchmark.
-	ClassSense bool
 
 	// Cands is a reusable candidate buffer; Route appends to Cands[:0].
 	Cands []Candidate
@@ -124,9 +101,9 @@ type Meta struct {
 // Algorithm computes routing candidates for packets at routers.
 //
 // Route must append all currently admissible candidates to ctx.Cands[:0]
-// and return the slice. The router selects among them with SelectMinWeight
-// and commits the winner. Implementations must not retain ctx or the
-// returned slice.
+// and return the slice, leaving each Load zero. The router fills the loads
+// from its output state, selects with SelectMinWeight and commits the
+// winner. Implementations must not retain ctx or the returned slice.
 type Algorithm interface {
 	Name() string
 	// NumClasses returns how many resource classes the algorithm needs;
@@ -136,30 +113,22 @@ type Algorithm interface {
 	Meta() Meta
 }
 
-// SelectMinWeight implements the paper's selection rule: for each
-// candidate compute weight = congestion x hopcount and choose the minimum.
-// The congestion term carries a +1 offset so that at zero load the weight
-// degenerates to pure hop count and minimal paths win — without it, any
-// transient flit on the minimal path would divert packets onto idle
-// deroutes. Ties prefer fewer hops, then break uniformly at random so
-// equal-cost paths load-balance. Candidates on dead (faulted) ports are
-// never selected; if every candidate is dead the result is -1.
-func SelectMinWeight(ctx *Ctx, cands []Candidate) int {
+// SelectMinWeight implements the paper's selection rule over candidates
+// whose Load the caller has filled: for each candidate compute weight =
+// congestion x hopcount and choose the minimum. The congestion term
+// carries a +1 offset so that at zero load the weight degenerates to pure
+// hop count and minimal paths win — without it, any transient flit on the
+// minimal path would divert packets onto idle deroutes. Ties prefer fewer
+// hops, then break uniformly at random (drawing from rs) so equal-cost
+// paths load-balance. The caller has already removed candidates on dead
+// (faulted) ports; with no candidates the result is -1.
+func SelectMinWeight(cands []Candidate, rs *rng.Source) int {
 	best := -1
 	bestW, bestH := int64(0), int8(0)
 	nTies := 0
 	for i := range cands {
 		c := &cands[i]
-		if !ctx.View.PortAlive(c.Port) {
-			continue
-		}
-		var load int
-		if ctx.ClassSense {
-			load = ctx.View.ClassLoad(c.Port, c.Class)
-		} else {
-			load = ctx.View.PortLoad(c.Port)
-		}
-		w := int64(load+1) * int64(c.HopsLeft)
+		w := int64(c.Load+1) * int64(c.HopsLeft)
 		switch {
 		case best < 0 || w < bestW || (w == bestW && c.HopsLeft < bestH):
 			best, bestW, bestH = i, w, c.HopsLeft
@@ -167,7 +136,7 @@ func SelectMinWeight(ctx *Ctx, cands []Candidate) int {
 		case w == bestW && c.HopsLeft == bestH:
 			// Reservoir-sample among exact ties.
 			nTies++
-			if ctx.RNG.Intn(nTies) == 0 {
+			if rs.Intn(nTies) == 0 {
 				best = i
 			}
 		}

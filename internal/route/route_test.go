@@ -6,58 +6,39 @@ import (
 	"hyperx/internal/rng"
 )
 
-// tableView returns fixed loads per (port, class-agnostic); ports listed
-// in dead are reported faulted.
-type tableView struct {
-	port  map[int]int
-	class map[[2]int]int
-	dead  map[int]bool
-}
-
-func (v tableView) PortLoad(p int) int          { return v.port[p] }
-func (v tableView) ClassLoad(p int, c int8) int { return v.class[[2]int{p, int(c)}] }
-func (v tableView) PortAlive(p int) bool        { return !v.dead[p] }
-
-func ctxWith(v View, classSense bool) *Ctx {
-	return &Ctx{View: v, RNG: rng.New(1), ClassSense: classSense}
-}
-
 func TestSelectMinWeightPrefersLowCongestion(t *testing.T) {
-	v := tableView{port: map[int]int{0: 100, 1: 2}}
 	cands := []Candidate{
-		{Port: 0, HopsLeft: 3},
-		{Port: 1, HopsLeft: 4, Deroute: true},
+		{Port: 0, HopsLeft: 3, Load: 100},
+		{Port: 1, HopsLeft: 4, Deroute: true, Load: 2},
 	}
 	// (100+1)*3 = 303 vs (2+1)*4 = 12: the longer, colder path wins.
-	if got := SelectMinWeight(ctxWith(v, false), cands); got != 1 {
+	if got := SelectMinWeight(cands, rng.New(1)); got != 1 {
 		t.Errorf("selected %d, want the cold deroute", got)
 	}
 }
 
 func TestSelectMinWeightZeroLoadPrefersMinimal(t *testing.T) {
-	v := tableView{port: map[int]int{}}
 	cands := []Candidate{
 		{Port: 0, HopsLeft: 4, Deroute: true},
 		{Port: 1, HopsLeft: 3},
 		{Port: 2, HopsLeft: 4, Deroute: true},
 	}
 	// All loads zero: the +1 offset makes weight = hopcount, minimal wins.
-	if got := SelectMinWeight(ctxWith(v, false), cands); got != 1 {
+	if got := SelectMinWeight(cands, rng.New(1)); got != 1 {
 		t.Errorf("selected %d, want the minimal candidate at zero load", got)
 	}
 }
 
 func TestSelectMinWeightTieBreaksUniformly(t *testing.T) {
-	v := tableView{port: map[int]int{}}
 	cands := []Candidate{
 		{Port: 0, HopsLeft: 3},
 		{Port: 1, HopsLeft: 3},
 		{Port: 2, HopsLeft: 3},
 	}
 	counts := make([]int, 3)
-	ctx := ctxWith(v, false)
+	rs := rng.New(1)
 	for i := 0; i < 3000; i++ {
-		counts[SelectMinWeight(ctx, cands)]++
+		counts[SelectMinWeight(cands, rs)]++
 	}
 	for i, c := range counts {
 		if c < 800 || c > 1200 {
@@ -66,22 +47,9 @@ func TestSelectMinWeightTieBreaksUniformly(t *testing.T) {
 	}
 }
 
-func TestSelectMinWeightClassSense(t *testing.T) {
-	v := tableView{
-		port:  map[int]int{0: 50, 1: 50}, // ports look identical
-		class: map[[2]int]int{{0, 0}: 50, {1, 1}: 0},
-	}
-	cands := []Candidate{
-		{Port: 0, Class: 0, HopsLeft: 3},
-		{Port: 1, Class: 1, HopsLeft: 6},
-	}
-	// Port sensing: (50+1)*3 < (50+1)*6 -> minimal (index 0).
-	if got := SelectMinWeight(ctxWith(v, false), cands); got != 0 {
-		t.Errorf("port sensing selected %d, want 0", got)
-	}
-	// Class sensing sees the empty class-1 buffers: (0+1)*6 < (50+1)*3.
-	if got := SelectMinWeight(ctxWith(v, true), cands); got != 1 {
-		t.Errorf("class sensing selected %d, want 1", got)
+func TestSelectMinWeightNoCandidates(t *testing.T) {
+	if got := SelectMinWeight(nil, rng.New(1)); got != -1 {
+		t.Errorf("selected %d from no candidates, want -1", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package routetest provides a topology-level walker for unit-testing
 // routing algorithms without the full router model: it repeatedly calls
-// the algorithm, selects by weight under a synthetic congestion view, and
-// teleports the packet across the chosen link.
+// the algorithm, weighs its candidates under synthetic per-port loads,
+// selects by weight, and teleports the packet across the chosen link.
 package routetest
 
 import (
@@ -12,26 +12,27 @@ import (
 	"hyperx/internal/topology"
 )
 
-// StubView is a congestion view with settable per-(router,port) loads
-// and an optional fault set supplying port liveness.
+// StubView is the congestion a walk weighs: settable per-(router,port)
+// loads and an optional fault set whose dead ports the walk removes from
+// every decision, as the router does.
 type StubView struct {
 	Loads  map[[2]int]int // (router, port) -> load
 	Faults *topology.FaultSet
-	r      int
 }
 
-// ClassLoad implements route.View.
-func (v *StubView) ClassLoad(port int, _ int8) int { return v.Loads[[2]int{v.r, port}] }
-
-// PortLoad implements route.View.
-func (v *StubView) PortLoad(port int) int { return v.Loads[[2]int{v.r, port}] }
-
-// PortAlive implements route.View.
-func (v *StubView) PortAlive(port int) bool { return !v.Faults.Dead(v.r, port) }
-
-// SetRouter positions the view at a router, for tests that call an
-// algorithm's Route directly instead of going through Walk.
-func (v *StubView) SetRouter(r int) { v.r = r }
+// weigh fills each candidate's Load at router r and drops candidates on
+// dead ports in place.
+func (v *StubView) weigh(r int, cands []route.Candidate) []route.Candidate {
+	kept := cands[:0]
+	for _, c := range cands {
+		if v.Faults.Dead(r, c.Port) {
+			continue
+		}
+		c.Load = int32(v.Loads[[2]int{r, c.Port}])
+		kept = append(kept, c)
+	}
+	return kept
+}
 
 // Hop records one step of a walk.
 type Hop struct {
@@ -48,7 +49,7 @@ func Walk(topo topology.Topology, alg route.Algorithm, srcRouter, dstRouter, max
 	}
 	p := &route.Packet{Src: -1, Dst: -1, SrcRouter: srcRouter, DstRouter: dstRouter, Len: 1}
 	p.Reset()
-	ctx := &route.Ctx{RNG: rng.New(seed), View: view, InPort: -1}
+	ctx := &route.Ctx{RNG: rng.New(seed), InPort: -1}
 	cur := srcRouter
 	var hops []Hop
 	for cur != dstRouter {
@@ -56,22 +57,18 @@ func Walk(topo topology.Topology, alg route.Algorithm, srcRouter, dstRouter, max
 			return hops, p, fmt.Errorf("exceeded %d hops from %d to %d", maxHops, srcRouter, dstRouter)
 		}
 		ctx.Router = cur
-		view.r = cur
 		cands := alg.Route(ctx, p)
 		ctx.Cands = cands
 		if len(cands) == 0 {
 			return hops, p, fmt.Errorf("no candidates at router %d (hops=%d class=%d phase=%d inter=%d)",
 				cur, p.Hops, p.Class, p.Phase, p.Inter)
 		}
-		sel := route.SelectMinWeight(ctx, cands)
-		if sel < 0 {
+		cands = view.weigh(cur, cands)
+		if len(cands) == 0 {
 			return hops, p, fmt.Errorf("every candidate at router %d is on a dead port (hops=%d class=%d)",
 				cur, p.Hops, p.Class)
 		}
-		c := cands[sel]
-		if view.Faults.Dead(cur, c.Port) {
-			return hops, p, fmt.Errorf("algorithm chose dead link at router %d port %d", cur, c.Port)
-		}
+		c := cands[route.SelectMinWeight(cands, ctx.RNG)]
 		if topo.PortKind(cur, c.Port) != topology.Local && topo.PortKind(cur, c.Port) != topology.Global {
 			return hops, p, fmt.Errorf("candidate port %d at router %d is not a router link", c.Port, cur)
 		}

@@ -10,11 +10,9 @@ import (
 	"hyperx/internal/topology"
 )
 
-func newCtx(r int, view route.View) *route.Ctx {
-	return &route.Ctx{Router: r, InPort: -1, View: view, RNG: rng.New(1)}
+func newCtx(r int) *route.Ctx {
+	return &route.Ctx{Router: r, InPort: -1, RNG: rng.New(1)}
 }
-
-func flatView() *routetest.StubView { return &routetest.StubView{} }
 
 // TestDORSingleCandidate: DOR always emits exactly one candidate, in the
 // first unaligned dimension, on class 0.
@@ -28,7 +26,7 @@ func TestDORSingleCandidate(t *testing.T) {
 			}
 			p := &route.Packet{SrcRouter: src, DstRouter: dst}
 			p.Reset()
-			cands := a.Route(newCtx(src, flatView()), p)
+			cands := a.Route(newCtx(src), p)
 			if len(cands) != 1 {
 				t.Fatalf("DOR candidates = %d", len(cands))
 			}
@@ -151,7 +149,7 @@ func TestClosADSourceCandidates(t *testing.T) {
 	p := &route.Packet{SrcRouter: src, DstRouter: dst}
 	p.Reset()
 	p.Inter = -1
-	cands := a.Route(newCtx(src, flatView()), p)
+	cands := a.Route(newCtx(src), p)
 	if len(cands) != 2*3 {
 		t.Fatalf("candidates = %d, want 6 (2 unaligned dims x (W-1))", len(cands))
 	}
@@ -227,14 +225,14 @@ func TestDALDerouteOncePerDim(t *testing.T) {
 	p := &route.Packet{SrcRouter: src, DstRouter: dst}
 	p.Reset()
 	p.Derouted = 1 << 0 // already derouted in dim 0
-	for _, c := range a.Route(newCtx(src, flatView()), p) {
+	for _, c := range a.Route(newCtx(src), p) {
 		if c.Deroute && c.Dim == 0 {
 			t.Errorf("second deroute in dim 0 offered")
 		}
 	}
 	// Escape class: only the DOR hop.
 	p.Class = 1
-	cands := a.Route(newCtx(src, flatView()), p)
+	cands := a.Route(newCtx(src), p)
 	if len(cands) != 1 || cands[0].Class != 1 || cands[0].Deroute {
 		t.Fatalf("escape-class candidates %+v", cands)
 	}
