@@ -20,12 +20,12 @@ import (
 
 func steadyStateZeroAlloc(t *testing.T, mut func(*Config)) {
 	h := topology.MustHyperX([]int{4, 4, 4}, 4)
-	steadyStateZeroAllocOn(t, h, core.NewDimWAR(h), mut)
+	steadyStateZeroAllocOn(t, h, core.NewDimWAR(h), mut, 50, 100)
 }
 
-// steadyStateZeroAllocOn runs the bursts on h under alg and returns the
-// drained network.
-func steadyStateZeroAllocOn(t *testing.T, h *topology.HyperX, alg route.Algorithm, mut func(*Config)) *Network {
+// steadyStateZeroAllocOn runs warm and then measured bursts on h under
+// alg and returns the drained network.
+func steadyStateZeroAllocOn(t *testing.T, h *topology.HyperX, alg route.Algorithm, mut func(*Config), warm, measured int) *Network {
 	t.Helper()
 	n := buildNet(t, h, alg, mut)
 	nt := h.NumTerminals()
@@ -41,30 +41,39 @@ func steadyStateZeroAllocOn(t *testing.T, h *topology.HyperX, alg route.Algorith
 	}
 	// Warm every pool and queue to its high-water mark: enough bursts that
 	// packet/waiter/event pools and bucket capacities stop growing.
-	for k := 0; k < 50; k++ {
+	for k := 0; k < warm; k++ {
 		burst(k)
 	}
-	// Count every allocation of the measured bursts, not a per-burst
-	// average: an append that grows a slice now and then allocates far
-	// less than once per burst, which an average rounds to zero. The
-	// count is the process's, and the runtime allocates on its own now
-	// and then (a timer heap growing), so up to runtimeAllocs objects are
-	// its and not the bursts'.
-	const runtimeAllocs = 2
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for k := 1; k <= 100; k++ {
-		burst(k)
-	}
-	runtime.ReadMemStats(&after)
-	if allocs := after.Mallocs - before.Mallocs; allocs > runtimeAllocs {
-		t.Fatalf("100 steady-state inject-route-arbitrate-drain bursts allocated %d objects, want at most the runtime's own %d", allocs, runtimeAllocs)
+	allocs := countMallocs(func() {
+		for k := 1; k <= measured; k++ {
+			burst(k)
+		}
+	})
+	if allocs > runtimeAllocs {
+		t.Fatalf("%d steady-state inject-route-arbitrate-drain bursts allocated %d objects, want at most the runtime's own %d", measured, allocs, runtimeAllocs)
 	}
 	if n.InFlight() != n.DroppedPackets {
 		t.Fatal("network did not drain")
 	}
 	return n
+}
+
+// runtimeAllocs is how many allocations countMallocs forgives: the count
+// is the process's, and the runtime allocates on its own now and then (a
+// timer heap growing), so that many objects are its and not the code's.
+const runtimeAllocs = 2
+
+// countMallocs returns how many heap objects f allocates, on one P. It
+// counts every allocation, not a per-run average: an append that grows
+// a slice now and then allocates far less than once per run, which an
+// average (testing.AllocsPerRun) rounds to zero.
+func countMallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestSteadyStateZeroAllocAge: the paper's configuration (age-based
@@ -90,8 +99,20 @@ func TestSteadyStateZeroAllocDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := steadyStateZeroAllocOn(t, h, routing.NewDOR(h), func(c *Config) { c.Faults = fs })
+	n := steadyStateZeroAllocOn(t, h, routing.NewDOR(h), func(c *Config) { c.Faults = fs }, 50, 100)
 	if n.DroppedPackets == 0 {
 		t.Fatal("no packet reached the drop path")
+	}
+}
+
+// TestSteadyStateZeroAllocPaperScale: the paper's 8×8×8 t=8 network, the
+// one build whose slabs reach a huge page, so its warm-up refills the
+// packet pools, wait arenas and calendar chunks through the huge-page
+// advice (sim.AdviseHuge). Its steady state must allocate nothing either.
+func TestSteadyStateZeroAllocPaperScale(t *testing.T) {
+	h := topology.MustHyperX([]int{8, 8, 8}, 8)
+	n := steadyStateZeroAllocOn(t, h, core.NewDimWAR(h), nil, 32, 32)
+	if !n.Huge() {
+		t.Fatal("the paper-scale build is not on huge pages")
 	}
 }

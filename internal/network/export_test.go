@@ -6,6 +6,9 @@ import (
 	"hyperx/internal/sim"
 )
 
+// Huge reports whether the build backs its state with huge pages.
+func (n *Network) Huge() bool { return n.huge }
+
 // PortLine is what one port's packed-view entry says about the channel
 // and its congestion; the wait-list region it also records is arena
 // layout, which a restore repacks.

@@ -130,6 +130,19 @@ func newLineSlab[T any](n int) []T {
 	return unsafe.Slice((*T)(unsafe.Add(base, off)), n)
 }
 
+// slabBytes is the size of the state slabs New allocates for nr routers
+// of np ports (stride packed-view entries each) and nv VCs, and nt
+// terminals.
+func slabBytes(nr, np, nv, nt, stride int) uintptr {
+	perPort := unsafe.Sizeof(outputPort{}) + unsafe.Sizeof(link{}) + uintptr(nv)*unsafe.Sizeof(inputVC{})
+	if nv > loVCs {
+		perPort += unsafe.Sizeof([loVCs]int32{})
+	}
+	perRouter := unsafe.Sizeof(Router{}) + uintptr(np)*perPort + uintptr(stride)*unsafe.Sizeof(portLine{})
+	perTerm := unsafe.Sizeof(Terminal{}) + uintptr(nv)*unsafe.Sizeof(int32(0))
+	return uintptr(nr)*perRouter + uintptr(nt)*perTerm
+}
+
 // Arbiter is an output-port arbitration policy.
 type Arbiter uint8
 
@@ -188,6 +201,11 @@ type Network struct {
 
 	//hxlint:state ephemeral — build-time wiring derived from Config.Faults; the restore target is built from the identical Config
 	hasFaults bool
+	// huge: the build's slabs reach a huge page, so they and every later
+	// allocation of state an event touches are advised onto huge pages
+	// (see New).
+	//hxlint:state ephemeral — build-derived from the slab sizes; the restore target is built from the identical Config
+	huge bool
 
 	nextPkt uint64
 
@@ -263,10 +281,27 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	nr := topo.NumRouters()
 	nt := topo.NumTerminals()
 
+	// State on huge pages: once the slabs below reach one huge page, the
+	// state an event touches at random spans far more 4 KiB pages than the
+	// TLB maps, and every allocation of that state (these slabs, the
+	// calendar's chunks, the packet pools, the wait arenas, the restore
+	// arena) is advised onto 2 MiB pages (sim.AdviseHuge). Smaller builds
+	// make no syscall: a sweep makes many short-lived 4×4×4 builds of a
+	// few hundred kilobytes each, and advised, each would fault and zero
+	// whole 2 MiB pages.
+	stride := lineStride(np)
+	n.huge = slabBytes(nr, np, nv, nt, stride) >= sim.HugePage
+	if n.huge {
+		k.UseHugePages()
+	}
+
 	// Pre-size the kernel for this model's steady-state event population
 	// (in-flight channel crossings, credit returns, reroute timers): one
-	// event per link plus a few per terminal is the observed high-water
-	// shape. A low estimate only means on-demand growth, never misbehaviour.
+	// event per link plus a few per terminal. That is a floor, not the
+	// high water: at the paper point (8×8×8, t=8, DimWAR, UR 0.6) it is
+	// 31,232 events, 496 chunks or 2.0 MB, and the calendar ends the run
+	// with 4,240 chunks, 17.4 MB, 8.5 times more. The rest grows on
+	// demand, which never changes behaviour.
 	k.Reserve(nr*np + 4*nt)
 
 	// Router and terminal state lives in network-level slabs, subsliced
@@ -288,11 +323,20 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	termSlab := make([]Terminal, nt)
 	termCredSlab := make([]int32, nt*nv)
 	vcSlab := make([]inputVC, nr*np*nv)
-	stride := lineStride(np)
 	n.lines = newLineSlab[portLine](nr * stride)
 	var hiSlab [][loVCs]int32
 	if nv > loVCs {
 		hiSlab = make([][loVCs]int32, nr*np)
+	}
+	if n.huge {
+		sim.AdviseHuge(routerSlab)
+		sim.AdviseHuge(outSlab)
+		sim.AdviseHuge(linkSlab)
+		sim.AdviseHuge(termSlab)
+		sim.AdviseHuge(termCredSlab)
+		sim.AdviseHuge(vcSlab)
+		sim.AdviseHuge(n.lines)
+		sim.AdviseHuge(hiSlab)
 	}
 
 	streams := master.DeriveN(0, nr)

@@ -426,6 +426,9 @@ func (r *Router) growWaits(ln *portLine) {
 		}
 		//hxlint:allow allocfree — the wait arena is rebuilt only when a list outgrows it; each rebuild doubles its live regions, so it settles at the router's high water
 		r.waits = make([]waitEntry, 0, max(2*live, int32(len(r.lines)*waitInit*5/4)))
+		if r.net.huge {
+			sim.AdviseHuge(r.waits)
+		}
 		for i := range r.lines {
 			if q := &r.lines[i]; q != ln {
 				q.wbase = r.claim(old[q.wbase:q.wbase+q.nwait], q.wcap)

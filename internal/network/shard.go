@@ -277,6 +277,9 @@ func (sc *ShardState) takePacket() *route.Packet {
 	if sc.pool == nil {
 		//hxlint:allow allocfree — chunked pool refill: one slab per pktChunk packets; steady state recycles context-locally (a freed packet returns to its source router's context) and never refills
 		chunk := make([]route.Packet, pktChunk)
+		if sc.net.huge {
+			sim.AdviseHuge(chunk)
+		}
 		for i := range chunk[:pktChunk-1] {
 			chunk[i].Next = &chunk[i+1]
 		}

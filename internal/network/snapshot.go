@@ -470,6 +470,9 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 	}
 	if cap(n.restorePkts) < len(s.Packets) {
 		n.restorePkts = make([]route.Packet, len(s.Packets))
+		if n.huge {
+			sim.AdviseHuge(n.restorePkts)
+		}
 	}
 	n.restorePkts = n.restorePkts[:len(s.Packets)]
 	copy(n.restorePkts, s.Packets)

@@ -190,14 +190,19 @@ type calendar struct {
 
 	sources []placeSource // Place's per-stage read state
 
+	// huge backs every chunk slab stock adds with huge pages
+	// (Kernel.UseHugePages). A restore refills the calendars in place, so
+	// it keeps them.
+	huge bool
+
 	// Calendars sit side by side in Kernel.cals and belong to different
 	// shards: the pad keeps one calendar's fields off its neighbour's
 	// cache lines.
 	_ [64]byte
 }
 
-func newCalendar(winStart Time, nsrc int) calendar {
-	return calendar{ring: make([]bucket, ringSize), winStart: winStart, sources: make([]placeSource, nsrc)}
+func newCalendar(winStart Time, nsrc int, huge bool) calendar {
+	return calendar{ring: make([]bucket, ringSize), winStart: winStart, sources: make([]placeSource, nsrc), huge: huge}
 }
 
 // Kernel is a discrete-event simulator. The zero value is not usable; call
@@ -222,7 +227,18 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{cals: []calendar{newCalendar(0, 1)}}
+	return &Kernel{cals: []calendar{newCalendar(0, 1, false)}}
+}
+
+// UseHugePages backs the chunk slabs the calendars allocate from now on
+// with huge pages (AdviseHuge), and so do the calendars SetCalendars
+// builds. A model calls it at build time, before Reserve, once its state
+// reaches a huge page; below that the advice costs more than it saves,
+// and nothing else changes: event order does not depend on it.
+func (k *Kernel) UseHugePages() {
+	for i := range k.cals {
+		k.cals[i].huge = true
+	}
 }
 
 // Calendars returns the number of execution contexts the queue is split
@@ -280,6 +296,9 @@ func (k *Kernel) Reserve(nEvents int) {
 func (c *calendar) stock(n int) {
 	//hxlint:allow allocfree — the chunk free list grows, a slab at a time, to the calendar's high-water occupancy and then recycles; Reserve pre-sizes it at build time
 	slab := make([]chunk, max(n, chunkSlab))
+	if c.huge {
+		AdviseHuge(slab)
+	}
 	for i := range slab {
 		slab[i].next = c.chunks
 		c.chunks = &slab[i]
@@ -728,7 +747,7 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 	}
 	cals := make([]calendar, m)
 	for i := range cals {
-		cals[i] = newCalendar(win, n)
+		cals[i] = newCalendar(win, n, k.cals[0].huge)
 	}
 	deal := func(chs []*chunk, evs []*Event) {
 		for i, ch := range chs {
