@@ -35,7 +35,7 @@ func TestHugeGate(t *testing.T) {
 }
 
 // TestHugeAfterRestore: a paper-scale network restored from a snapshot,
-// its packets rebuilt into the restore arena, is still on huge pages.
+// its packets rebuilt into fresh packet slabs, is still on huge pages.
 func TestHugeAfterRestore(t *testing.T) {
 	h := topology.MustHyperX([]int{8, 8, 8}, 8)
 	n := buildNet(t, h, core.NewDimWAR(h), nil)
@@ -49,7 +49,7 @@ func TestHugeAfterRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(snap.Packets) == 0 {
-		t.Fatal("snapshot holds no packet: the restore arena is not exercised")
+		t.Fatal("snapshot holds no packet: the rebuilt packet slabs are not exercised")
 	}
 	m := buildNet(t, h, core.NewDimWAR(h), nil)
 	if err := m.Restore(snap); err != nil {

@@ -207,6 +207,20 @@ type Network struct {
 	//hxlint:state ephemeral — build-derived from the slab sizes; the restore target is built from the identical Config
 	huge bool
 
+	// rbase and tbase are the kernel actor ids of router 0 and terminal
+	// 0: router r acts as rbase+r, terminal t as tbase+t (New registers
+	// them in that order).
+	//hxlint:state ephemeral — build-time wiring: the restore target registers its routers and terminals identically
+	rbase int32
+	//hxlint:state ephemeral — build-time wiring, with rbase
+	tbase int32
+
+	// pdir is the directory of the packet slabs every live packet sits in
+	// (packet, ShardState.takePacket): nil until the first slab, or until
+	// ConfigureShards, so a build that never runs allocates none.
+	//hxlint:state ephemeral — slot layout, not state: Restore frees every slab it lists and copies the snapshot's packets into them by value
+	pdir *pktDir
+
 	nextPkt uint64
 
 	// Execution contexts (see shard.go): one from New, one per shard after
@@ -218,16 +232,13 @@ type Network struct {
 
 	// Snapshot plumbing (see snapshot.go / docs/STATE.md): the network
 	// retains its whole-network slabs so Snapshot/Restore can bulk-copy
-	// them, plus a reusable arena that restored live packets are rebuilt
-	// into.
+	// them.
 	streams      []rng.Source // per-router RNG streams (Router.rng points in)
 	termCredSlab []int32      // all terminals' injection credit counters
 	// lines is the packed congestion view of every router, one region of
 	// lineStride(np) entries each (Router.lines). It is derived state:
 	// Restore rebuilds it from the snapshot's port scalars and credits.
 	lines []portLine
-	//hxlint:state ephemeral — restore-owned arena the snapshot's packets are rebuilt into; capturing it would be circular
-	restorePkts []route.Packet
 
 	// Aggregate counters.
 	InjectedPackets  uint64
@@ -299,9 +310,9 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	// (in-flight channel crossings, credit returns, reroute timers): one
 	// event per link plus a few per terminal. That is a floor, not the
 	// high water: at the paper point (8×8×8, t=8, DimWAR, UR 0.6) it is
-	// 31,232 events, 496 chunks or 2.0 MB, and the calendar ends the run
-	// with 4,240 chunks, 17.4 MB, 8.5 times more. The rest grows on
-	// demand, which never changes behaviour.
+	// 31,232 events, 246 chunks or 1.0 MB, and the calendar ends the run
+	// with about 2,150 chunks, 8.8 MB, nearly 9 times more. The rest
+	// grows on demand, which never changes behaviour.
 	k.Reserve(nr*np + 4*nt)
 
 	// Router and terminal state lives in network-level slabs, subsliced
@@ -362,15 +373,16 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 		initTerminal(&termSlab[t], n, t, termCredSlab[t*nv:(t+1)*nv:(t+1)*nv])
 	}
 	n.buildContexts(1, false)
-	return n, nil
-}
-
-// Act implements sim.Actor: delivery completion is the one network-level
-// typed event.
-func (n *Network) Act(op uint8, _, _, _ int32, p any) {
-	if op == opDeliver {
-		n.deliver(p.(*route.Packet))
+	// Actor ids: the routers, then the terminals, each under one id.
+	n.rbase = int32(k.Actors())
+	n.tbase = n.rbase + int32(nr)
+	for _, r := range n.Routers {
+		k.Register(r, 1)
 	}
+	for _, t := range n.Terminals {
+		k.Register(t, 1)
+	}
+	return n, nil
 }
 
 // VCsForClass returns the physical VCs backing a resource class.
@@ -385,7 +397,7 @@ func (n *Network) NewPacket(src, dst, flits int) *route.Packet {
 	dr, _ := n.Cfg.Topo.TerminalPort(dst)
 	sc := n.Routers[sr].sc
 	p := sc.takePacket()
-	*p = route.Packet{Src: src, Dst: dst, SrcRouter: sr, DstRouter: dr, Len: flits}
+	*p = route.Packet{Src: src, Dst: dst, SrcRouter: sr, DstRouter: dr, Len: flits, Index: p.Index}
 	p.Reset()
 	sc.emit(effect{kind: fxID, p: p})
 	return p

@@ -9,18 +9,19 @@ import (
 	"hyperx/internal/topology"
 )
 
-// Event op codes for the typed sim.Actor dispatch. Routers, terminals,
-// the network, and the traffic generator each implement sim.Actor so the
-// hot path schedules pre-bound events instead of closures; the op selects
-// the handler within the receiver, and the meaning of (a, b, c, p) is
-// per-op. Every op here replaced a closure that was allocated per packet
-// or per arbitration attempt.
+// Event op codes for the typed sim.Actor dispatch. Every router and
+// terminal is registered with the kernel under an id of its own (router r
+// at Network.rbase+r, terminal t at tbase+t), and so is each terminal's
+// injection on the traffic generator; the op selects the handler within
+// the receiver, and the meaning of (a, b, c) is per-op. A packet travels
+// as its index in the network's packet slabs (route.Packet.Index, resolved
+// by Network.packet), an input VC as its index in its router's vcs.
 const (
-	opArrive     uint8 = iota // Router: packet head reaches input (a=port, b=vc, p=*route.Packet)
+	opArrive     uint8 = iota // Router: packet head reaches input (a=port, b=vc, c=packet)
 	opAttempt                 // Router: retry output arbitration (a=port)
 	opCredit                  // Router: upstream credit return (a=port, b=vc, c=flits)
-	opReroute                 // Router: blocked-decision re-route timer (p=*inputVC)
-	opDeliver                 // Network: packet reaches its terminal (p=*route.Packet)
+	opReroute                 // Router: blocked-decision re-route timer (a=input VC index)
+	opDeliver                 // Router: packet reaches its terminal on this router (c=packet)
 	opTermRetry               // Terminal: injection-channel retry
 	opTermCredit              // Terminal: injection credit return (a=vc, b=flits)
 )
@@ -32,8 +33,8 @@ const (
 //
 // The head packet's routing decision is a waitEntry on the chosen
 // output's wait list; the input VC keeps only what needs a stable
-// address: the decision's re-route timer handle (the opReroute payload is
-// the inputVC itself) and which output the decision is registered on.
+// address: the decision's re-route timer handle (an opReroute event names
+// the input VC by idx) and which output the decision is registered on.
 type inputVC struct {
 	head, tail *route.Packet
 	timer      *sim.Event // pending re-route timer, nil when none
@@ -205,12 +206,16 @@ type Router struct {
 	sc *ShardState
 }
 
+// self is the router's own actor id.
+func (r *Router) self() int32 { return r.net.rbase + int32(r.id) }
+
 // Act implements sim.Actor: the typed-event entry point for all router
-// work (arrivals, arbitration attempts, credit returns, re-route timers).
-func (r *Router) Act(op uint8, a, b, c int32, p any) {
+// work (arrivals, arbitration attempts, credit returns, re-route timers,
+// and deliveries to its terminals).
+func (r *Router) Act(op uint8, a, b, c int32, _ any) {
 	switch op {
 	case opArrive:
-		r.arrive(p.(*route.Packet), int(a), int(b))
+		r.arrive(r.net.packet(c), int(a), int(b))
 	case opAttempt:
 		port := int(a)
 		o := &r.lines[port]
@@ -223,7 +228,10 @@ func (r *Router) Act(op uint8, a, b, c int32, p any) {
 	case opCredit:
 		r.creditArrive(int(a), int8(b), int(c))
 	case opReroute:
-		r.reroute(p.(*inputVC))
+		r.reroute(&r.vcs[a])
+	case opDeliver:
+		// Counters, the OnDeliver observer and the packet free.
+		r.sc.emit(effect{kind: fxDeliver, p: r.net.packet(c)})
 	}
 }
 
@@ -361,7 +369,7 @@ func (r *Router) routeHead(iv *inputVC) {
 		e = makeEntry(p, iv.idx, c, false)
 		// A blocked decision goes stale; re-evaluate periodically so
 		// incremental adaptivity keeps responding to changing congestion.
-		iv.timer = r.sc.After(r.net.Cfg.ReRouteInterval, r, opReroute, 0, 0, 0, iv)
+		iv.timer = r.sc.After(r.net.Cfg.ReRouteInterval, r.self(), opReroute, iv.idx, 0, 0)
 	}
 	ln := &r.lines[port]
 	if ln.nwait == ln.wcap {
@@ -487,9 +495,9 @@ func (r *Router) creditUpstream(at sim.Time, ivc int32, flits int) {
 	port, vc := int(ivc)/r.nv, int32(int(ivc)%r.nv)
 	up := r.links[port]
 	if up.port < 0 {
-		r.sc.at(at+r.net.Cfg.TermChanLat, r.net.Terminals[up.peer], opTermCredit, vc, int32(flits), 0, nil)
+		r.sc.at(at+r.net.Cfg.TermChanLat, r.net.tbase+up.peer, opTermCredit, vc, int32(flits), 0)
 	} else {
-		r.sc.at(at+r.net.Cfg.RouterChanLat, r.net.Routers[up.peer], opCredit, up.port, vc, int32(flits), nil)
+		r.sc.at(at+r.net.Cfg.RouterChanLat, r.net.rbase+up.peer, opCredit, up.port, vc, int32(flits))
 	}
 }
 
@@ -593,7 +601,7 @@ func (r *Router) scheduleAttempt(port int, t sim.Time) {
 		return // an attempt at or before t is already pending
 	}
 	o.attemptAt = t
-	r.sc.at(t, r, opAttempt, int32(port), 0, 0, nil)
+	r.sc.at(t, r.self(), opAttempt, int32(port), 0, 0)
 }
 
 // grant moves the head packet of wait-list entry i of output o (port,
@@ -613,7 +621,7 @@ func (r *Router) grant(o *outputPort, ln *portLine, port, i int, vc int8) {
 	o.grants++
 
 	if o.toTerminal {
-		r.sc.at(now+r.net.Cfg.XbarLat+r.net.Cfg.TermChanLat, r.net, opDeliver, 0, 0, 0, p)
+		r.sc.at(now+r.net.Cfg.XbarLat+r.net.Cfg.TermChanLat, r.self(), opDeliver, 0, 0, p.Index)
 	} else {
 		cand := w.cand(port)
 		route.Commit(p, &cand)
@@ -627,7 +635,7 @@ func (r *Router) grant(o *outputPort, ln *portLine, port, i int, vc int8) {
 			r.sc.emit(effect{kind: fxHop, p: p, a: int32(r.id), b: int32(port), c: int32(vc)})
 		}
 		down := r.links[port]
-		r.sc.at(now+r.net.Cfg.XbarLat+r.net.Cfg.RouterChanLat, r.net.Routers[down.peer], opArrive, down.port, int32(vc), 0, p)
+		r.sc.at(now+r.net.Cfg.XbarLat+r.net.Cfg.RouterChanLat, r.net.rbase+down.peer, opArrive, down.port, int32(vc), p.Index)
 	}
 
 	// Upstream credit return: the last flit leaves our input buffer at
@@ -648,10 +656,4 @@ func (r *Router) creditArrive(port int, vc int8, flits int) {
 	*r.credit(port, vc) += int32(flits)
 	r.lines[port].load -= int32(flits)
 	r.attempt(port)
-}
-
-// deliver completes a packet at its destination terminal: counters,
-// observer and packet free, through the destination router's context.
-func (n *Network) deliver(p *route.Packet) {
-	n.Routers[p.DstRouter].sc.emit(effect{kind: fxDeliver, p: p})
 }

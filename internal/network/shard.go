@@ -24,14 +24,15 @@
 // Routers are partitioned into contiguous index blocks, one block per
 // shard; a terminal belongs to its router's shard, and every typed event
 // in the model resolves to the single shard whose slab state its callback
-// touches (sim.Sharded) — by type: a context schedules only Sharded
-// actors. During a window's parallel phase each shard executes its slice
+// touches (sim.Sharded) — by its actor id alone: a delivery is an op of
+// the destination router, and the generator holds one id per terminal.
+// During a window's parallel phase each shard executes its slice
 // of the window's events strictly in serial (time, seq) order. The
 // kernel keeps one calendar per shard (ConfigureShards splits it), and in
 // RunShard a shard pops its window's events from its own calendar and its
 // inbox as it executes them — including the events its own callbacks
 // schedule back inside the window, which land in that same calendar
-// (sim.Stage.AtAct).
+// (sim.Stage.At).
 //
 // Why the parallel phases are race-free (each bullet names the state and
 // its owner during them):
@@ -55,10 +56,14 @@
 //     cycles — the executor caps the window width at the minimum
 //     cross-shard latency, so a packet's cross-router move always lands
 //     outside the window, where placement hands it to the target shard's
-//     inbox. The ownership lemma is mechanized: Stage.AtAct panics on
+//     inbox. The ownership lemma is mechanized: Stage.At panics on
 //     any cross-shard schedule landing inside its window. Packet pools
 //     are per context: a packet is taken from its source router's
-//     context and freed back to it (by the merge, when staged).
+//     context and freed back to it (by the merge, when staged). An event
+//     names its packet by index; resolving one reads the directory
+//     entries written when the packet's slab was added — before the
+//     packet existed, so before the handoff — and a context adding a
+//     slab writes only the directory blocks it claimed (takePacket).
 //   - Kernel: the parallel phases read time only through the shard's
 //     Stage clock (pinned to the executing event). A shard pops from,
 //     schedules into and places into only its own calendar and inbox,
@@ -134,6 +139,12 @@ type ShardState struct {
 	pool    *route.Packet // context-local packet free list (intrusive via Next)
 	ctx     route.Ctx     // candidate scratch of the context's routers
 
+	// Packet slab claims (takePacket): the directory block being filled
+	// (-1: none yet) and its next free entry, and the next block the
+	// context may claim, every stride-th after it.
+	pblock, pslab  int32
+	pnext, pstride int32
+
 	fx   []effect
 	recs []execRec
 
@@ -177,10 +188,15 @@ func (sc *ShardState) Record(at sim.Time, seq uint64) {
 // Rebind implements sim.Rebinder: ConfigureShards re-split the calendars
 // and an event the model holds a handle to moved. The one handle the
 // model keeps is a blocked head decision's re-route timer, held by its
-// input VC (the only event with an *inputVC payload); repoint it unless
-// the decision has since been cancelled and re-armed.
+// input VC (a router's opReroute names it); repoint it unless the
+// decision has since been cancelled and re-armed.
 func (n *Network) Rebind(old, placed *sim.Event) {
-	if iv, ok := placed.Payload().(*inputVC); ok && iv.timer == old {
+	r := placed.Actor() - n.rbase
+	if r < 0 || int(r) >= len(n.Routers) || placed.Op() != opReroute {
+		return
+	}
+	a, _, _ := placed.Args()
+	if iv := &n.Routers[r].vcs[a]; iv.timer == old {
 		iv.timer = placed
 	}
 }
@@ -195,19 +211,20 @@ func (sc *ShardState) now() sim.Time {
 	return sc.net.K.Now()
 }
 
-// at schedules a typed event: on the stage while staged, so the merge can
-// assign sequence numbers serially, on the kernel otherwise. The actor
-// must name its shard, whichever the mode.
-func (sc *ShardState) at(t sim.Time, act sim.Sharded, op uint8, a, b, c int32, p any) *sim.Event {
+// at schedules a typed event for actor id: on the stage while staged, so
+// the merge can assign sequence numbers serially, on the kernel
+// otherwise.
+func (sc *ShardState) at(t sim.Time, id int32, op uint8, a, b, c int32) *sim.Event {
 	if sc.sharded {
-		return sc.stage.AtAct(t, act, op, a, b, c, p)
+		return sc.stage.At(t, id, op, a, b, c)
 	}
-	return sc.net.K.AtAct(t, act, op, a, b, c, p)
+	return sc.net.K.At(t, id, op, a, b, c)
 }
 
-// After schedules a typed event d cycles after the context's clock.
-func (sc *ShardState) After(d sim.Time, act sim.Sharded, op uint8, a, b, c int32, p any) *sim.Event {
-	return sc.at(sc.now()+d, act, op, a, b, c, p)
+// After schedules a typed event for actor id d cycles after the
+// context's clock.
+func (sc *ShardState) After(d sim.Time, id int32, op uint8, a, b, c int32) *sim.Event {
+	return sc.at(sc.now()+d, id, op, a, b, c)
 }
 
 // emit applies a side effect at once, or logs it for the merge while
@@ -270,28 +287,108 @@ func (n *Network) apply(f *effect, now sim.Time) {
 }
 
 // takePacket pops a packet from the context's pool, refilling with a
-// chunk of pktChunk packets when empty; the free list is intrusive
+// slab of pktChunk packets when empty; the free list is intrusive
 // (threaded through Packet.Next), so a refill is a single slab allocation
 // and the steady state recycles without touching the heap.
 func (sc *ShardState) takePacket() *route.Packet {
 	if sc.pool == nil {
-		//hxlint:allow allocfree — chunked pool refill: one slab per pktChunk packets; steady state recycles context-locally (a freed packet returns to its source router's context) and never refills
-		chunk := make([]route.Packet, pktChunk)
-		if sc.net.huge {
-			sim.AdviseHuge(chunk)
-		}
-		for i := range chunk[:pktChunk-1] {
-			chunk[i].Next = &chunk[i+1]
-		}
-		sc.pool = &chunk[0]
+		sc.refill()
 	}
 	p := sc.pool
 	sc.pool = p.Next
 	return p
 }
 
-// pktChunk is how many packets one pool refill allocates.
-const pktChunk = 256
+// refill adds a slab to the context's pool and to the packet directory,
+// giving each of its packets its Index. A context fills only directory
+// blocks it claimed for itself — block pnext, then every pstride-th after
+// it — and in them only entries for slabs no packet lives in yet, so it
+// writes nothing another context may be reading. The directory itself is
+// made here only on a serial network: ConfigureShards makes it before any
+// window opens.
+func (sc *ShardState) refill() {
+	n := sc.net
+	if n.pdir == nil {
+		n.pdir = new(pktDir)
+	}
+	if sc.pblock < 0 || sc.pslab == pktBlockLen {
+		if sc.pnext >= pktDirLen {
+			panic(fmt.Sprintf("network: packet directory full (%d packets)", pktDirLen*pktBlockLen*pktChunk))
+		}
+		sc.pblock, sc.pslab = sc.pnext, 0
+		sc.pnext += sc.pstride
+		n.pdir[sc.pblock] = new(pktBlock)
+	}
+	//hxlint:allow allocfree — chunked pool refill: one slab per pktChunk packets; steady state recycles context-locally (a freed packet returns to its source router's context) and never refills
+	slab := (*pktSlab)(make([]route.Packet, pktChunk))
+	if n.huge {
+		sim.AdviseHuge(slab[:])
+	}
+	n.pdir[sc.pblock][sc.pslab] = slab
+	base := sc.pblock<<pktDirShift | sc.pslab<<pktBlockShift
+	sc.pslab++
+	for i := range slab {
+		slab[i].Index = base | int32(i)
+	}
+	for i := range slab[:pktChunk-1] {
+		slab[i].Next = &slab[i+1]
+	}
+	sc.pool = &slab[0]
+}
+
+// The packet directory: a packet's Index is its directory block, its
+// slab's entry in the block and its place in the slab. The directory is
+// a fixed array, so adding a block writes one entry of it and moves
+// nothing another context may be reading.
+const (
+	pktChunk      = 256 // packets per slab
+	pktBlockShift = 8
+	pktBlockLen   = 256 // slabs per directory block
+	pktDirShift   = 16
+	pktDirLen     = 2048 // blocks: 2^27 packets
+)
+
+type (
+	pktSlab  [pktChunk]route.Packet
+	pktBlock [pktBlockLen]*pktSlab
+	pktDir   [pktDirLen]*pktBlock
+)
+
+// freePackets returns every packet the directory lists to a context's
+// pool, for a restore that drops them all: the i-th slab found goes to
+// context i mod the context count. The contexts keep their claims, so
+// slabs a restore does not reuse stay listed for the next one.
+func (n *Network) freePackets() {
+	for _, sc := range n.shards {
+		sc.pool = nil
+	}
+	if n.pdir == nil {
+		return
+	}
+	i := 0
+	for _, blk := range n.pdir {
+		if blk == nil {
+			continue
+		}
+		for _, slab := range blk {
+			if slab == nil {
+				continue
+			}
+			sc := n.shards[i%len(n.shards)]
+			i++
+			for j := range slab[:pktChunk-1] {
+				slab[j].Next = &slab[j+1]
+			}
+			slab[pktChunk-1].Next = sc.pool
+			sc.pool = &slab[0]
+		}
+	}
+}
+
+// packet resolves a packet index an event carries.
+func (n *Network) packet(i int32) *route.Packet {
+	return &n.pdir[i>>pktDirShift][i>>pktBlockShift&(pktBlockLen-1)][i&(pktChunk-1)]
+}
 
 // putPacket returns a dead packet to the context's pool. Callers pick the
 // context that allocated it — the source router's — closing the
@@ -330,13 +427,24 @@ func (n *Network) ConfigureShards(nsh int) error {
 // staged is set, and points every router and terminal at its own. The
 // old contexts' pools are dropped with them.
 func (n *Network) buildContexts(nsh int, staged bool) {
+	// The new contexts claim directory blocks past every block the old
+	// ones claimed: their packets stay live. (Each configuration can
+	// leave up to a block per context unused below that, out of
+	// pktDirLen.)
+	var base int32
+	for _, sc := range n.shards {
+		base = max(base, sc.pblock+1)
+	}
+	if staged && n.pdir == nil {
+		n.pdir = new(pktDir)
+	}
 	n.shards = make([]*ShardState, nsh)
 	n.stages = nil
 	if staged {
 		n.stages = make([]*sim.Stage, nsh)
 	}
 	for s := range n.shards {
-		sc := &ShardState{net: n, ctx: newScratch(n.Cfg)}
+		sc := &ShardState{net: n, ctx: newScratch(n.Cfg), pblock: -1, pnext: base + int32(s), pstride: int32(nsh)}
 		if staged {
 			sc.stage = sim.NewStage(s, nsh)
 			n.stages[s] = sc.stage
@@ -369,22 +477,16 @@ func (n *Network) ShardOfTerminal(t int) int {
 // traffic generator schedules and reports its effects.
 func (n *Network) TerminalShard(t int) *ShardState { return n.Terminals[t].sc }
 
-// ShardOf implements sim.Sharded for the network actor: delivery
-// completion (opDeliver) touches only staged aggregate state and is
-// assigned to the destination router's shard.
-func (n *Network) ShardOf(_ uint8, _, _, _ int32, p any) int {
-	return n.shardOfRouter(p.(*route.Packet).DstRouter)
-}
-
 // ShardOf implements sim.Sharded: every router event (arrive, attempt,
-// credit, reroute) touches only the receiving router's slab state.
-func (r *Router) ShardOf(_ uint8, _, _, _ int32, _ any) int {
+// credit, reroute) touches only the receiving router's slab state, and a
+// delivery only staged aggregate state and the router's context.
+func (r *Router) ShardOf(int) int {
 	return r.net.shardOfRouter(r.id)
 }
 
 // ShardOf implements sim.Sharded: terminal events (retry, credit) touch
 // only the terminal, which lives with its router.
-func (t *Terminal) ShardOf(_ uint8, _, _, _ int32, _ any) int {
+func (t *Terminal) ShardOf(int) int {
 	return t.net.shardOfRouter(t.router)
 }
 

@@ -20,29 +20,17 @@ import (
 //
 // Everything is stored positionally (slab indices, not pointers), which
 // is what makes the snapshot relocatable and serializable: packet
-// references become indices into the snapshot's packet table, re-route
-// timer payloads (input VCs) become indices into its waiter table, and
-// actors become (kind, id) codes. The intrusive packet free pool is
-// deliberately NOT captured — pool contents are unobservable, and
-// Restore rebuilds it lazily.
+// references become indices into the snapshot's packet table, and so do
+// the packet indices that arrivals and deliveries carry, while events
+// keep their actor ids (the restore target registers the same ones) and
+// a re-route timer names its input VC by index already. The intrusive
+// packet free pool is deliberately NOT captured — pool contents are
+// unobservable, and Restore rebuilds it lazily.
 //
 // Restore is not atomic: if it returns an error the network is in an
 // unspecified intermediate state and must be discarded. Errors only
 // arise from malformed or mismatched snapshots, never from a snapshot
 // taken of an identically-configured network.
-
-// Actor and payload code kinds (the high 32 bits of a code; the low 32
-// bits are the index). Payload code 0 is "no payload" by the kernel's
-// convention, so payload kinds start at 1.
-const (
-	actorNetwork  uint64 = 1 // the Network itself (opDeliver events)
-	actorRouter   uint64 = 2 // index = router id
-	actorTerminal uint64 = 3 // index = terminal id
-	actorExternal uint64 = 4 // index into the ext slice (traffic generator)
-
-	payloadPacket uint64 = 1 // index into Snapshot.Packets
-	payloadWaiter uint64 = 2 // index into Snapshot.Waiters (a re-route timer's input VC)
-)
 
 // WaiterState is the relocatable form of one blocked-head registration.
 type WaiterState struct {
@@ -88,7 +76,7 @@ type Counters struct {
 // order. See docs/STATE.md for the full inventory and exclusions.
 type Snapshot struct {
 	// Packets is the table of every live packet: source-queued,
-	// VC-buffered, or in flight as an event payload. Next links are nil;
+	// VC-buffered, or in flight as an event's packet. Next links are nil;
 	// position in a queue is encoded by the index tables below.
 	Packets []route.Packet `json:"packets"`
 
@@ -117,8 +105,9 @@ type Snapshot struct {
 // snapCoder implements sim.EventCoder over a network plus the external
 // actors (the traffic generator) that also schedule typed events on the
 // shared kernel. On encode it interns in-flight packets into the
-// snapshot's packet table; on decode it resolves indices against the
-// restored packet arena and the input VCs of the waiter table.
+// snapshot's packet table; on decode it resolves table indices against
+// the rebuilt packets. Either way it refuses an event for an actor that
+// is neither the network's nor one of ext.
 type snapCoder struct {
 	n   *Network
 	ext []sim.Actor
@@ -126,11 +115,9 @@ type snapCoder struct {
 	// Encode side.
 	snap   *Snapshot
 	pktIdx map[*route.Packet]int32
-	widx   map[*inputVC]int32
 
-	// Decode side.
-	pkts    []*route.Packet
-	waiters []*inputVC // waiter i's input VC, whose timer slot it owns
+	// Decode side: the snapshot's packets, rebuilt in the packet slabs.
+	pkts []*route.Packet
 }
 
 // internPacket returns the packet's table index, adding a value copy
@@ -149,97 +136,73 @@ func (c *snapCoder) internPacket(p *route.Packet) int32 {
 	return i
 }
 
-// EncodeActor implements sim.EventCoder.
-func (c *snapCoder) EncodeActor(a sim.Actor) (uint64, error) {
-	switch x := a.(type) {
-	case *Network:
-		if x != c.n {
-			return 0, fmt.Errorf("network: snapshot: event targets a different Network")
-		}
-		return actorNetwork << 32, nil
-	case *Router:
-		return actorRouter<<32 | uint64(uint32(x.id)), nil
-	case *Terminal:
-		return actorTerminal<<32 | uint64(uint32(x.id)), nil
+// router returns the router an actor id belongs to, or nil for another
+// actor.
+func (c *snapCoder) router(id int32) *Router {
+	if r := id - c.n.rbase; r >= 0 && int(r) < len(c.n.Routers) {
+		return c.n.Routers[r]
 	}
-	for i, e := range c.ext {
-		if e == a {
-			return actorExternal<<32 | uint64(uint32(i)), nil
-		}
-	}
-	return 0, fmt.Errorf("network: snapshot: event targets unknown actor %T (pass it in ext)", a)
+	return nil
 }
 
-// DecodeActor implements sim.EventCoder.
-func (c *snapCoder) DecodeActor(code uint64) (sim.Actor, error) {
-	kind, id := code>>32, int(uint32(code))
-	switch kind {
-	case actorNetwork:
-		if id != 0 {
-			return nil, fmt.Errorf("network: restore: malformed network actor code %#x", code)
-		}
-		return c.n, nil
-	case actorRouter:
-		if id >= len(c.n.Routers) {
-			return nil, fmt.Errorf("network: restore: router %d out of range (%d routers)", id, len(c.n.Routers))
-		}
-		return c.n.Routers[id], nil
-	case actorTerminal:
-		if id >= len(c.n.Terminals) {
-			return nil, fmt.Errorf("network: restore: terminal %d out of range (%d terminals)", id, len(c.n.Terminals))
-		}
-		return c.n.Terminals[id], nil
-	case actorExternal:
-		if id >= len(c.ext) {
-			return nil, fmt.Errorf("network: restore: external actor %d out of range (%d provided)", id, len(c.ext))
-		}
-		return c.ext[id], nil
+// known returns nil for a terminal's id or an external actor's, and an
+// error naming any other actor; the caller has checked the routers'.
+func (c *snapCoder) known(id int32) error {
+	if t := id - c.n.tbase; t >= 0 && int(t) < len(c.n.Terminals) {
+		return nil
 	}
-	return nil, fmt.Errorf("network: restore: unknown actor code %#x", code)
+	if int(id) < c.n.K.Actors() {
+		a := c.n.K.Actor(id)
+		for _, e := range c.ext {
+			if e == a {
+				return nil
+			}
+		}
+		return fmt.Errorf("network: event targets unknown actor %T (pass it in ext)", a)
+	}
+	return fmt.Errorf("network: event targets unknown actor id %d", id)
 }
 
-// EncodePayload implements sim.EventCoder.
-func (c *snapCoder) EncodePayload(_ uint8, p any) (uint64, error) {
-	switch x := p.(type) {
-	case nil:
-		return 0, nil
-	case *route.Packet:
-		return payloadPacket<<32 | uint64(uint32(c.internPacket(x))), nil
-	case *inputVC:
-		i, ok := c.widx[x]
-		if !ok {
-			// Every live re-route timer's input VC has a decision waiting
-			// on an output port; the waiter walk runs before the kernel
-			// walk, so a miss is a broken invariant, not a user error.
-			return 0, fmt.Errorf("network: snapshot: re-route timer references an unregistered waiter")
-		}
-		return payloadWaiter<<32 | uint64(uint32(i)), nil
-	default:
-		return 0, fmt.Errorf("network: snapshot: unknown payload type %T", x)
+// EncodeEvent implements sim.EventCoder: a packet an arrival or a
+// delivery carries becomes its packet table index.
+func (c *snapCoder) EncodeEvent(es *sim.EventState) error {
+	r := c.router(es.Actor)
+	if r == nil {
+		return c.known(es.Actor)
 	}
+	switch es.Op {
+	case opArrive, opDeliver:
+		es.C = c.internPacket(c.n.packet(es.C))
+	case opReroute:
+		// Every live re-route timer's input VC has a decision waiting on an
+		// output port; a miss is a broken invariant, not a user error.
+		if r.vcs[es.A].out < 0 {
+			return fmt.Errorf("network: snapshot: router %d re-route timer for input VC %d, which has no waiting decision", r.id, es.A)
+		}
+	}
+	return nil
 }
 
-// DecodePayload implements sim.EventCoder.
-func (c *snapCoder) DecodePayload(_ uint8, code uint64) (any, error) {
-	kind, id := code>>32, int(uint32(code))
-	switch kind {
-	case 0:
-		if code != 0 {
-			return nil, fmt.Errorf("network: restore: malformed nil payload code %#x", code)
-		}
-		return nil, nil
-	case payloadPacket:
-		if id >= len(c.pkts) {
-			return nil, fmt.Errorf("network: restore: packet %d out of range (%d packets)", id, len(c.pkts))
-		}
-		return c.pkts[id], nil
-	case payloadWaiter:
-		if id >= len(c.waiters) {
-			return nil, fmt.Errorf("network: restore: waiter %d out of range (%d waiters)", id, len(c.waiters))
-		}
-		return c.waiters[id], nil
+// DecodeEvent implements sim.EventCoder: a packet table index becomes the
+// rebuilt packet's index, and a re-route timer must name an input VC
+// whose head has a registered decision.
+func (c *snapCoder) DecodeEvent(es *sim.EventState) error {
+	r := c.router(es.Actor)
+	if r == nil {
+		return c.known(es.Actor)
 	}
-	return nil, fmt.Errorf("network: restore: unknown payload code %#x", code)
+	switch es.Op {
+	case opArrive, opDeliver:
+		if es.C < 0 || int(es.C) >= len(c.pkts) {
+			return fmt.Errorf("network: restore: packet %d out of range (%d packets)", es.C, len(c.pkts))
+		}
+		es.C = c.pkts[es.C].Index
+	case opReroute:
+		if es.A < 0 || int(es.A) >= len(r.vcs) || r.vcs[es.A].out < 0 {
+			return fmt.Errorf("network: restore: router %d re-route timer for input VC %d, which has no waiting decision", r.id, es.A)
+		}
+	}
+	return nil
 }
 
 // Snapshot captures the network's complete warm state. ext lists the
@@ -286,7 +249,6 @@ func buildNetworkState(n *Network, ext []sim.Actor) (*Snapshot, error) {
 	c := &snapCoder{
 		n: n, ext: ext, snap: s,
 		pktIdx: make(map[*route.Packet]int32),
-		widx:   make(map[*inputVC]int32),
 	}
 
 	// Terminal source queues, FIFO order.
@@ -344,7 +306,6 @@ func buildNetworkState(n *Network, ext []sim.Actor) (*Snapshot, error) {
 				if !ok {
 					return nil, fmt.Errorf("network: snapshot: router %d port %d waiter holds a packet not in any input buffer", ri, pi)
 				}
-				c.widx[iv] = int32(len(s.Waiters))
 				s.Waiters = append(s.Waiters, WaiterState{
 					Pkt: pk, InPort: w.ivc / int32(nv), InVC: int8(w.ivc % int32(nv)),
 					Eject: w.flags&wEject != 0, Cand: w.cand(pi),
@@ -354,8 +315,7 @@ func buildNetworkState(n *Network, ext []sim.Actor) (*Snapshot, error) {
 	}
 
 	// Kernel calendar last: in-flight packets (channel-crossing arrivals
-	// and deliveries) are interned here; re-route timer payloads resolve
-	// against the waiter table just built.
+	// and deliveries) are interned here.
 	ks, err := n.K.Snapshot(c)
 	if err != nil {
 		return nil, err
@@ -421,6 +381,13 @@ func validateShape(n *Network, s *Snapshot) error {
 		}
 	}
 	npk := int32(len(s.Packets))
+	for i := range s.Packets {
+		// A packet is rebuilt in its source router's context and routed
+		// toward its destination router: both must exist.
+		if p := &s.Packets[i]; p.SrcRouter < 0 || p.SrcRouter >= nr || p.DstRouter < 0 || p.DstRouter >= nr {
+			return fmt.Errorf("network: restore: packet %d runs router %d to router %d, outside %d routers", i, p.SrcRouter, p.DstRouter, nr)
+		}
+	}
 	for _, i := range s.TermQPkts {
 		if i < 0 || i >= npk {
 			return fmt.Errorf("network: restore: terminal queue packet index %d out of range (%d packets)", i, npk)
@@ -461,30 +428,18 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 	topo := n.Cfg.Topo
 	np, nv := topo.NumPorts(), n.Cfg.NumVCs
 
-	// Packet arena: live packets are rebuilt by value into a reusable
-	// network-owned slab. Every context's free pool is abandoned wholesale
-	// — its intrusive links may thread through structs the copy below
-	// clobbers — and refills lazily on the next NewPacket.
-	for _, sc := range n.shards {
-		sc.pool = nil
-	}
-	if cap(n.restorePkts) < len(s.Packets) {
-		n.restorePkts = make([]route.Packet, len(s.Packets))
-		if n.huge {
-			sim.AdviseHuge(n.restorePkts)
-		}
-	}
-	n.restorePkts = n.restorePkts[:len(s.Packets)]
-	copy(n.restorePkts, s.Packets)
-
-	c := &snapCoder{
-		n: n, ext: ext,
-		pkts:    make([]*route.Packet, len(s.Packets)),
-		waiters: make([]*inputVC, len(s.Waiters)),
-	}
-	for i := range n.restorePkts {
-		n.restorePkts[i].Next = nil
-		c.pkts[i] = &n.restorePkts[i]
+	// Packets: every live packet is rebuilt by value into a slot of its
+	// source router's context, which frees it when it leaves. The slabs
+	// the network already has are reused: every packet in them is freed
+	// first (freePackets), dropping the old pools and intrusive links.
+	n.freePackets()
+	c := &snapCoder{n: n, ext: ext, pkts: make([]*route.Packet, len(s.Packets))}
+	for i := range s.Packets {
+		p := n.Routers[s.Packets[i].SrcRouter].sc.takePacket()
+		idx := p.Index
+		*p = s.Packets[i]
+		p.Index, p.Next = idx, nil
+		c.pkts[i] = p
 	}
 
 	copy(n.termCredSlab, s.TermCredits)
@@ -565,7 +520,6 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 				}
 				rt.waits[ln.wbase+k] = makeEntry(iv.head, ivc, &ws.Cand, ws.Eject)
 				iv.out = int32(pi)
-				c.waiters[wi] = iv
 				wi++
 			}
 			ln.nwait = cnt
@@ -580,13 +534,13 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 	n.DroppedFlits = s.Counters.DroppedFlits
 	n.nextPkt = s.Counters.NextPkt
 
-	// Kernel calendar last: payload decoding resolves against the arena
-	// and waiter tables built above, and the restored callback rewires
-	// each waiting input VC's cancellation handle to its recreated
-	// re-route timer.
+	// Kernel calendar last: packet indices resolve against the packets
+	// rebuilt above, re-route timers against the waiters, and the restored
+	// callback rewires each waiting input VC's cancellation handle to its
+	// recreated re-route timer.
 	err := n.K.Restore(s.Kernel, c, func(es sim.EventState, e *sim.Event) {
-		if es.Op == opReroute && es.Payload>>32 == payloadWaiter {
-			c.waiters[uint32(es.Payload)].timer = e
+		if r := c.router(es.Actor); r != nil && es.Op == opReroute {
+			r.vcs[es.A].timer = e
 		}
 	})
 	if err != nil {
@@ -596,9 +550,16 @@ func initFromNetworkState(n *Network, s *Snapshot, ext []sim.Actor) error {
 	// Every non-eject waiter must have found its timer: a registered
 	// blocked decision without a live re-route event can never make
 	// progress if its output stays congested.
-	for i, iv := range c.waiters {
-		if !s.Waiters[i].Eject && iv.timer == nil {
-			return fmt.Errorf("network: restore: waiter %d has no re-route timer event in the snapshot", i)
+	wi = 0
+	for ri, rt := range n.Routers {
+		for pi := 0; pi < np; pi++ {
+			for k := int32(0); k < s.WaiterLens[ri*np+pi]; k++ {
+				ws := &s.Waiters[wi]
+				if iv := &rt.vcs[ws.InPort*int32(nv)+int32(ws.InVC)]; !ws.Eject && iv.timer == nil {
+					return fmt.Errorf("network: restore: waiter %d has no re-route timer event in the snapshot", wi)
+				}
+				wi++
+			}
 		}
 	}
 	return nil

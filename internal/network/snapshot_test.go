@@ -1,6 +1,8 @@
 package network
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -19,12 +21,8 @@ import (
 // re-route timers, credit stalls, and RNG tie-breaks.
 func snapTestNet(t *testing.T) *Network {
 	t.Helper()
-	h := topology.MustHyperX([]int{4, 4}, 2)
-	n := buildNet(t, h, routing.NewDAL(h), func(c *Config) {
-		c.BufDepth = 32
-		c.MaxPktFlits = 16
-		c.ReRouteInterval = 60
-	})
+	n := snapTestBuild(t)
+	h := n.Cfg.Topo
 	src := rng.New(7)
 	nt := h.NumTerminals()
 	for term := 0; term < nt; term++ {
@@ -37,6 +35,17 @@ func snapTestNet(t *testing.T) *Network {
 		}
 	}
 	return n
+}
+
+// snapTestBuild builds snapTestNet's network, with no traffic.
+func snapTestBuild(t *testing.T) *Network {
+	t.Helper()
+	h := topology.MustHyperX([]int{4, 4}, 2)
+	return buildNet(t, h, routing.NewDAL(h), func(c *Config) {
+		c.BufDepth = 32
+		c.MaxPktFlits = 16
+		c.ReRouteInterval = 60
+	})
 }
 
 // snapTrace records deliveries as "id@t" strings.
@@ -96,8 +105,7 @@ func TestNetworkSnapshotRestoreResumesIdentically(t *testing.T) {
 
 	// Cross-instance restore: a fresh, identically-configured network
 	// (no traffic injected) adopts the warm state wholesale.
-	n2 := snapTestNet(t)
-	n2.K = sim.NewKernel() // discard the burst; restore rebuilds everything
+	n2 := snapTestBuild(t)
 	var trace2 []string
 	snapTrace(n2, &trace2)
 	if err := n2.Restore(snap); err != nil {
@@ -113,6 +121,115 @@ func TestNetworkSnapshotRestoreResumesIdentically(t *testing.T) {
 	}
 	if !reflect.DeepEqual(refinal2, final) {
 		t.Fatal("cross-instance resume ended in different final state")
+	}
+}
+
+// injector is a stateless external actor in the traffic generator's
+// shape: one id per terminal, each firing sends a 16-flit packet from its
+// terminal and re-arms every gap cycles, its destination a function of
+// the terminal and the time, so it has nothing of its own to snapshot.
+type injector struct {
+	n    *Network
+	base int32
+	gap  sim.Time
+}
+
+func newInjector(n *Network, gap sim.Time) *injector {
+	in := &injector{n: n, gap: gap}
+	in.base = n.K.Register(in, len(n.Terminals))
+	for t := range n.Terminals {
+		n.K.At(sim.Time(1+t%5), in.base+int32(t), 0, int32(t), 0, 0)
+	}
+	return in
+}
+
+func (in *injector) Act(_ uint8, a, _, _ int32, _ any) {
+	t, nt := int(a), len(in.n.Terminals)
+	sc := in.n.TerminalShard(t)
+	dst := (t + 1 + int(sc.now())%(nt-1)) % nt
+	in.n.Terminals[t].Send(in.n.NewPacket(t, dst, 16))
+	sc.After(in.gap, in.base+a, 0, a, 0, 0)
+}
+
+func (in *injector) ShardOf(t int) int { return in.n.ShardOfTerminal(t) }
+
+// TestSnapshotEveryEventKind: a snapshot taken while events of every kind
+// are pending — router arrive, attempt, credit, reroute and deliver,
+// terminal retry and credit, and an external actor's injection — restores
+// into a freshly built network whose run continues byte-identically: the
+// same executed (time, seq) stream, the same deliveries, and the same
+// final snapshot, JSON for JSON.
+func TestSnapshotEveryEventKind(t *testing.T) {
+	const at, end = 400, 3000
+	run := func(n *Network, in *injector, until sim.Time) (trace []string) {
+		n.K.TraceExec = func(at sim.Time, seq uint64) { trace = append(trace, fmt.Sprintf("%d/%d", at, seq)) }
+		snapTrace(n, &trace)
+		n.K.Run(until)
+		n.K.TraceExec = nil
+		return trace
+	}
+	donor := snapTestBuild(t)
+	in := newInjector(donor, 8)
+	run(donor, in, at)
+
+	kinds := map[string]int{}
+	ks, err := donor.K.Snapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[uint8]string{opArrive: "arrive", opAttempt: "attempt", opCredit: "credit", opReroute: "reroute", opDeliver: "deliver"}
+	for _, es := range ks.Events {
+		switch id := es.Actor; {
+		case id >= donor.rbase && id < donor.rbase+int32(len(donor.Routers)):
+			kinds["router "+names[es.Op]]++
+		case id >= donor.tbase && id < donor.tbase+int32(len(donor.Terminals)):
+			kinds[map[uint8]string{opTermRetry: "terminal retry", opTermCredit: "terminal credit"}[es.Op]]++
+		case id >= in.base:
+			kinds["injection"]++
+		}
+	}
+	for _, k := range []string{"router arrive", "router attempt", "router credit", "router reroute", "router deliver", "terminal retry", "terminal credit", "injection"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s event pending at t=%d (pending kinds %v); the test meant every kind", k, at, kinds)
+		}
+	}
+
+	snap, err := donor.Snapshot(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(donor, in, end)
+	final, err := donor.Snapshot(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := snapTestBuild(t)
+	fin := &injector{n: fresh, gap: in.gap}
+	fin.base = fresh.K.Register(fin, len(fresh.Terminals))
+	if err := fresh.Restore(snap, fin); err != nil {
+		t.Fatal(err)
+	}
+	got := run(fresh, fin, end)
+	if len(got) != len(want) {
+		t.Fatalf("restored run logged %d events and deliveries, the donor's %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("restored run diverges at entry %d: %s, donor %s", i, got[i], want[i])
+		}
+	}
+	refinal, err := fresh.Snapshot(fin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(final)
+	b, _ := json.Marshal(refinal)
+	if !bytes.Equal(a, b) {
+		t.Fatal("the restored run ended in a different snapshot from the donor's")
+	}
+	if len(final.Packets) == 0 {
+		t.Fatal("nothing in flight at the end; the final comparison proves little")
 	}
 }
 
@@ -217,9 +334,9 @@ func TestRestoreRejectsBadWaiters(t *testing.T) {
 	}
 }
 
-// TestRestoreKeepsSteadyStateZeroAlloc: restoring a snapshot abandons
-// the packet free list (restored packets live in a network-owned arena)
-// and recycles waiters and kernel events, so the pools re-fill lazily as
+// TestRestoreKeepsSteadyStateZeroAlloc: restoring a snapshot frees every
+// packet slab back to the contexts' pools, rebuilds the snapshot's
+// packets in them and recycles kernel events, so the pools re-fill as
 // the restored traffic drains. Once they have, the steady-state
 // inject-route-arbitrate-drain cycle must be allocation-free again —
 // restore must not break the zero-alloc property the sweep fast path
@@ -255,5 +372,34 @@ func TestRestoreKeepsSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs > runtimeAllocs {
 		t.Fatalf("100 post-restore steady-state bursts allocated %d objects, want at most the runtime's own %d", allocs, runtimeAllocs)
+	}
+}
+
+// TestRestoreReusesPacketSlabs: a restore frees the packet slabs the
+// network already has and rebuilds the snapshot's packets in them, and
+// the kernel decodes its events without a heap copy each, so restoring
+// the same snapshot again allocates three objects (the coder, its packet
+// table and the one decoded event state), plus the runtime's own: no
+// slab, directory or event state per packet or event.
+func TestRestoreReusesPacketSlabs(t *testing.T) {
+	n := snapTestNet(t)
+	n.K.Run(400)
+	snap, err := n.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Packets) < pktChunk || len(snap.Kernel.Events) < pktChunk {
+		t.Fatalf("scenario too small: %d packets, %d events", len(snap.Packets), len(snap.Kernel.Events))
+	}
+	if err := n.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	allocs := countMallocs(func() {
+		if err := n.Restore(snap); err != nil {
+			t.Error(err)
+		}
+	})
+	if want := uint64(3 + runtimeAllocs); allocs > want {
+		t.Fatalf("restoring %d packets and %d events again allocated %d objects, want at most %d", len(snap.Packets), len(snap.Kernel.Events), allocs, want)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Terminal is a network endpoint: an unbounded source queue feeding the
-// injection channel, plus the ejection side handled by Network.deliver.
+// injection channel; the ejection side is its router's opDeliver.
 // Source queueing time counts toward packet latency, so saturation shows
 // up as unbounded latency growth exactly as in the paper's methodology.
 type Terminal struct {
@@ -99,8 +99,7 @@ func (t *Terminal) tryInject() {
 		t.busyUntil = now + sim.Time(p.Len)
 		p.Inject = now
 		t.sc.emit(effect{kind: fxInject, a: int32(p.Len)})
-		rt := t.net.Routers[t.router]
-		t.sc.at(now+t.lat, rt, opArrive, int32(t.rport), int32(vc), 0, p)
+		t.sc.at(now+t.lat, t.net.rbase+int32(t.router), opArrive, int32(t.rport), int32(vc), p.Index)
 	}
 }
 
@@ -126,7 +125,7 @@ func (t *Terminal) scheduleRetry(at sim.Time) {
 		return
 	}
 	t.retryAt = at
-	t.sc.at(at, t, opTermRetry, 0, 0, 0, nil)
+	t.sc.at(at, t.net.tbase+int32(t.id), opTermRetry, 0, 0, 0)
 }
 
 // creditArrive restores injection credits.

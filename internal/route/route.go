@@ -37,6 +37,12 @@ type Packet struct {
 	Derouted   uint32 // bitmask of dimensions derouted (DAL-style tracking)
 	LastDerDim int8   // dimension of immediately preceding deroute, -1 none
 
+	// Index is the packet's place in its network's packet slabs, which
+	// events carry in place of a pointer. The network sets it when it
+	// allocates the slot and it stays with the slot, so a snapshot does
+	// not carry it.
+	Index int32 `json:"-"`
+
 	// Tag carries application-model identification (message, phase, round).
 	Tag uint64
 

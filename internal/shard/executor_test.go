@@ -49,12 +49,14 @@ func (r *toyShardRec) Record(at sim.Time, seq uint64) {
 	m.recs[s] = append(m.recs[s], toyRec{at: at, seq: seq, opsEnd: m.stages[s].StagedLen()})
 }
 
-// toy is a sharded model over nsh counter slots; slot i lives on shard
-// i%nsh. Each event increments slot a and, while below limit, schedules
-// the slot's next tick at +3; every third tick also pokes slot a+1 at +5
-// — cross-shard traffic whose ordering the merge must serialize.
+// toy is a sharded model over nsh counter slots; slot i has actor id
+// base+i and lives on shard i%nsh. Each event increments slot a and,
+// while below limit, schedules the slot's next tick at +3; every third
+// tick also pokes slot a+1 at +5 — cross-shard traffic whose ordering the
+// merge must serialize.
 type toy struct {
 	k       *sim.Kernel
+	base    int32
 	stages  []*sim.Stage
 	srecs   []*toyShardRec
 	recs    [][]toyRec
@@ -75,19 +77,30 @@ type toy struct {
 	winEnd        sim.Time
 	windowCancels int
 	stagedArms    int
+
+	// handles and calls are what opArm, opCancel and opCall name by index.
+	handles []toyHandle
+	calls   []func()
+}
+
+// toyHandle is an event handle the toy keeps, with the event's time.
+type toyHandle struct {
+	e  *sim.Event
+	at sim.Time
 }
 
 // Toy ops. Every op increments slot a first.
 const (
 	opTick   uint8 = iota // re-arm at +3 (b counts ticks); every third also pokes slot a+1 at +5
 	opPoke                // nothing more
-	opArm                 // schedule a poke on slot a at +b, leaving its handle in *p.(**sim.Event)
-	opCancel              // cancel the handle in *p.(**sim.Event)
-	opCall                // call p.(context.CancelFunc)
+	opArm                 // schedule a poke on slot a at +b, keeping its handle in handles[c]
+	opCancel              // cancel the event of handles[c]
+	opCall                // call calls[c]
 )
 
 func newToy(k *sim.Kernel, nsh, slots int, limit sim.Time) *toy {
 	m := &toy{k: k, slots: make([]int64, slots), limit: limit}
+	m.base = k.Register(m, slots)
 	for s := 0; s < nsh; s++ {
 		m.stages = append(m.stages, sim.NewStage(s, nsh))
 		m.srecs = append(m.srecs, &toyShardRec{m: m, s: s})
@@ -105,19 +118,30 @@ func (m *toy) shardOf(slot int32) int {
 	return int(slot) % len(m.stages)
 }
 
-// ShardOf implements sim.Sharded.
-func (m *toy) ShardOf(_ uint8, a, _, _ int32, _ any) int { return m.shardOf(a) }
+// ShardOf implements sim.Sharded: the toy's i-th id is slot i's.
+func (m *toy) ShardOf(i int) int { return m.shardOf(int32(i)) }
+
+// at schedules the toy's event (op, a, b, c) on slot a's id.
+func (m *toy) at(t sim.Time, op uint8, a, b, c int32) *sim.Event {
+	return m.k.At(t, m.base+a, op, a, b, c)
+}
+
+// handle keeps a handle for opArm and opCancel and returns its index.
+func (m *toy) handle(e *sim.Event, at sim.Time) int32 {
+	m.handles = append(m.handles, toyHandle{e, at})
+	return int32(len(m.handles) - 1)
+}
 
 // Act implements sim.Actor.
-func (m *toy) Act(op uint8, a, b, _ int32, p any) {
+func (m *toy) Act(op uint8, a, b, c int32, _ any) {
 	m.slots[a]++
 	sched := func(at sim.Time, op uint8, slot, gen int32) *sim.Event {
 		if m.sharded {
 			// Stage into the EXECUTING shard (slot a's), whatever shard the
 			// new event will run on — the merge replays it from here.
-			return m.stages[m.shardOf(a)].AtAct(at, m, op, slot, gen, 0, nil)
+			return m.stages[m.shardOf(a)].At(at, m.base+slot, op, slot, gen, 0)
 		}
-		return m.k.AtAct(at, m, op, slot, gen, 0, nil)
+		return m.k.At(at, m.base+slot, op, slot, gen, 0)
 	}
 	now := m.now(a)
 	switch op {
@@ -129,19 +153,19 @@ func (m *toy) Act(op uint8, a, b, _ int32, p any) {
 			sched(now+5, opPoke, (a+1)%int32(len(m.slots)), 0)
 		}
 	case opArm:
-		h := p.(**sim.Event)
-		*h = sched(now+sim.Time(b), opPoke, a, 0)
-		if m.sharded && (*h).At() >= m.winEnd {
+		at := now + sim.Time(b)
+		m.handles[c] = toyHandle{sched(at, opPoke, a, 0), at}
+		if m.sharded && at >= m.winEnd {
 			m.stagedArms++
 		}
 	case opCancel:
-		victim := *p.(**sim.Event)
-		if m.sharded && victim.At() < m.winEnd {
+		victim := m.handles[c]
+		if m.sharded && victim.at < m.winEnd {
 			m.windowCancels++
 		}
-		m.k.Cancel(victim)
+		m.k.Cancel(victim.e)
 	case opCall:
-		p.(context.CancelFunc)()
+		m.calls[c]()
 	}
 }
 
@@ -247,7 +271,7 @@ func trace(k *sim.Kernel) *[][2]uint64 {
 // seedToy schedules the initial ticks: one per slot at staggered times.
 func seedToy(k *sim.Kernel, m *toy) {
 	for i := range m.slots {
-		k.AtAct(sim.Time(1+i%4), m, opTick, int32(i), 0, 0, nil)
+		m.at(sim.Time(1+i%4), opTick, int32(i), 0, 0)
 	}
 }
 
@@ -357,7 +381,7 @@ func TestExecutorDeadTailOvershoot(t *testing.T) {
 		// A lone dead event at the boundary cycle, nothing else there: the
 		// pop-until-live chain skips past it into the next cycle.
 		runPair(t, 2, win, 4, 400, 50, func(k *sim.Kernel, m *toy) {
-			k.Cancel(k.AtAct(50, m, opPoke, 0, 0, 0, nil))
+			k.Cancel(m.at(50, opPoke, 0, 0, 0))
 		})
 	}
 }
@@ -374,11 +398,11 @@ func TestExecutorSameWindowCancel(t *testing.T) {
 	for _, win := range toyWindows {
 		xm := runPair(t, 2, win, 4, 400, 0, func(k *sim.Kernel, m *toy) {
 			// All on slot 1, so one shard owns canceller and victim alike.
-			queued := k.AtAct(42, m, opPoke, 1, 0, 0, nil)
-			staged := new(*sim.Event)
-			k.AtAct(41, m, opArm, 1, 1, 0, staged) // stages the t=42 victim
-			k.AtAct(41, m, opCancel, 1, 0, 0, &queued)
-			k.AtAct(41, m, opCancel, 1, 0, 0, staged)
+			queued := m.handle(m.at(42, opPoke, 1, 0, 0), 42)
+			staged := m.handle(nil, 0)
+			m.at(41, opArm, 1, 1, staged) // stages the t=42 victim
+			m.at(41, opCancel, 1, 0, queued)
+			m.at(41, opCancel, 1, 0, staged)
 		})
 		if win > 1 && xm.windowCancels != 2 {
 			t.Fatalf("win=%d: %d cancels landed inside their parallel window, want 2", win, xm.windowCancels)
@@ -386,7 +410,7 @@ func TestExecutorSameWindowCancel(t *testing.T) {
 	}
 }
 
-// TestExecutorCancelAcrossMerge: a handle taken from Stage.AtAct beyond
+// TestExecutorCancelAcrossMerge: a handle taken from Stage.At beyond
 // its window and cancelled from the same shard in a later one. The event
 // sits in its shard's calendar from the moment it is staged — a ring
 // slot, or a far-tier struct when the delay exceeds the calendar window —
@@ -397,9 +421,9 @@ func TestExecutorCancelAcrossMerge(t *testing.T) {
 	for _, delay := range []int32{20, 2000} {
 		for _, win := range toyWindows {
 			xm := runPair(t, 2, win, 4, 400, 0, func(k *sim.Kernel, m *toy) {
-				h := new(*sim.Event)
-				k.AtAct(41, m, opArm, 1, delay, 0, h)
-				k.AtAct(50, m, opCancel, 1, 0, 0, h) // at least one merge later at every width
+				h := m.handle(nil, 0)
+				m.at(41, opArm, 1, delay, h)
+				m.at(50, opCancel, 1, 0, h) // at least one merge later at every width
 			})
 			if xm.stagedArms != 1 {
 				t.Fatalf("delay=%d win=%d: %d arms staged beyond their window, want 1", delay, win, xm.stagedArms)
@@ -413,23 +437,6 @@ type foreign struct{ ran bool }
 
 func (f *foreign) Act(uint8, int32, int32, int32, any) { f.ran = true }
 
-// toyCoder is a sim.EventCoder over a fixed actor table, for payload-free
-// events.
-type toyCoder []sim.Actor
-
-func (c toyCoder) EncodeActor(a sim.Actor) (uint64, error) {
-	for i, x := range c {
-		if x == a {
-			return uint64(i), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown actor %T", a)
-}
-
-func (c toyCoder) DecodeActor(code uint64) (sim.Actor, error) { return c[code], nil }
-func (toyCoder) EncodePayload(uint8, any) (uint64, error)     { return 0, nil }
-func (toyCoder) DecodePayload(uint8, uint64) (any, error)     { return nil, nil }
-
 // panicOf runs fn and returns what it panicked with, or nil.
 func panicOf(fn func()) (v any) {
 	defer func() { v = recover() }()
@@ -439,8 +446,9 @@ func panicOf(fn func()) (v any) {
 
 // TestExecutorRejectsUnshardedActor: an actor that does not implement
 // sim.Sharded is a model bug, refused where its event would enter a split
-// kernel's calendar — SetCalendars, AtAct, Restore — with a report naming
-// the type and the event time. The event never runs sharded.
+// kernel's calendar — SetCalendars, AtAct (through At), Restore — with a
+// report naming the type and the event time. The event never runs
+// sharded. Registering one is no error.
 func TestExecutorRejectsUnshardedActor(t *testing.T) {
 	report := func(t *testing.T, v any) {
 		t.Helper()
@@ -492,14 +500,15 @@ func TestExecutorRejectsUnshardedActor(t *testing.T) {
 		seedToy(k, m)
 		f := &foreign{}
 		k.AtAct(20, f, 0, 0, 0, 0, nil)
-		snap, err := k.Snapshot(toyCoder{m, f})
+		snap, err := k.Snapshot(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rk := sim.NewKernel()
 		rm := newToy(rk, 2, 4, 100)
 		rm.split()
-		report(t, rk.Restore(snap, toyCoder{rm, f}, nil))
+		rk.Register(f, 1) // the id it has on k
+		report(t, rk.Restore(snap, nil, nil))
 		if f.ran {
 			t.Fatal("the unsharded event executed")
 		}
@@ -579,12 +588,14 @@ func TestExecutorContextCancelMidRunWindowed(t *testing.T) {
 		sk := sim.NewKernel()
 		sm := newToy(sk, 3, 8, 100000)
 		seedToy(sk, sm)
-		sk.AtAct(500, sm, opCall, 0, 0, 0, context.CancelFunc(func() {}))
+		sm.calls = []func(){func() {}}
+		sm.at(500, opCall, 0, 0, 0)
 		xk := sim.NewKernel()
 		xm := newToy(xk, 3, 8, 100000)
 		seedToy(xk, xm)
 		ctx, cancel := context.WithCancel(context.Background())
-		xk.AtAct(500, xm, opCall, 0, 0, 0, cancel)
+		xm.calls = []func(){cancel}
+		xm.at(500, opCall, 0, 0, 0)
 		str, xtr := trace(sk), trace(xk)
 
 		sk.Run(2000)

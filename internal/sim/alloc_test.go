@@ -7,7 +7,9 @@ package sim
 // a per-operation average, which would round a rare one down to zero.
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -71,10 +73,12 @@ func TestTypedScheduleDispatchZeroAlloc(t *testing.T) {
 // TestReserveColdScheduleZeroAlloc: a kernel pre-sized with Reserve
 // schedules and dispatches without any warm-up traffic — the build-time
 // path the network model uses so a sweep point's first cycles don't pay
-// pool-growth allocations.
+// pool-growth allocations. The actor is registered first, as a model
+// registers its actors at build.
 func TestReserveColdScheduleZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	act := &countActor{}
+	k.idOf(act)
 	k.Reserve(1024)
 	allocs := countMallocs(func() {
 		for i := 0; i < 2000; i++ {
@@ -94,7 +98,7 @@ func TestReserveColdScheduleZeroAlloc(t *testing.T) {
 func TestReservePreservesPendingOrder(t *testing.T) {
 	k, s := newScript()
 	for i := int32(0); i < 40; i++ {
-		k.AtAct(Time(1+i%5), s, opLog, i, 0, 0, nil)
+		s.at(Time(1+i%5), opLog, i, 0, 0)
 	}
 	k.Reserve(512)
 	k.Run(0)
@@ -111,21 +115,44 @@ func TestReservePreservesPendingOrder(t *testing.T) {
 	}
 }
 
-// TestTypedEventDelivery: AtAct passes the op code, arguments, and payload
-// through to the actor unchanged, at the scheduled time.
+// TestTypedEventDelivery: At and the AtAct adapter pass the op code and
+// arguments through to the actor unchanged, at the scheduled time, with a
+// nil payload; both land on the actor's one id.
 func TestTypedEventDelivery(t *testing.T) {
 	k := NewKernel()
-	act := &countActor{}
-	payload := &struct{ v int }{v: 42}
-	k.AtAct(5, act, 9, 1, -2, 3, payload)
+	act := &countActor{p: "unset"}
+	k.AtAct(5, act, 9, 1, -2, 3, nil)
 	k.Run(0)
-	if act.n != 1 || act.op != 9 || act.last != [3]int32{1, -2, 3} || act.p != payload {
+	if act.n != 1 || act.op != 9 || act.last != [3]int32{1, -2, 3} || act.p != nil {
 		t.Fatalf("typed event delivered wrong values: n=%d op=%d args=%v p=%v",
 			act.n, act.op, act.last, act.p)
 	}
 	if k.Now() != 5 {
 		t.Fatalf("Now() = %d, want 5", k.Now())
 	}
+	id := k.idOf(act)
+	k.At(7, id, 4, -1, 0, 1)
+	k.Run(0)
+	if act.n != 2 || act.op != 4 || act.last != [3]int32{-1, 0, 1} || k.Actors() != 1 || k.Actor(id) != Actor(act) {
+		t.Fatalf("At on the adapter's id delivered n=%d op=%d args=%v over %d ids", act.n, act.op, act.last, k.Actors())
+	}
+}
+
+// TestAtActPanicsOnPayload: an event carries no payload, so the adapter
+// refuses one with a message naming its type, and schedules nothing.
+func TestAtActPanicsOnPayload(t *testing.T) {
+	k := NewKernel()
+	act := &countActor{}
+	defer func() {
+		v := recover()
+		if s := fmt.Sprint(v); v == nil || !strings.Contains(s, "*int") || !strings.Contains(s, "payload") {
+			t.Fatalf("AtAct with a payload panicked with %v, want a message naming the payload's type", v)
+		}
+		if k.Pending() != 0 {
+			t.Fatalf("the refused event is pending (%d)", k.Pending())
+		}
+	}()
+	k.AtAct(5, act, 0, 0, 0, 0, new(int))
 }
 
 // TestTypedEventCancel: AfterAct's handle honours Cancel.
@@ -147,12 +174,12 @@ func TestFIFOAcrossTiers(t *testing.T) {
 	k, s := newScript()
 	const at = ringSize + 500 // beyond the initial window: lands in the far heap
 	for i := int32(0); i < 50; i++ {
-		k.AtAct(at, s, opLog, i, 0, 0, nil)
+		s.at(at, opLog, i, 0, 0)
 	}
 	// Drag the window forward over the far events' time, then add more at
 	// the same timestamp directly into the ring. The burst runs first and
 	// logs its own operand, 49, ahead of everything at `at`.
-	k.AtAct(at-100, s, opBurst, 49, at, 50, nil)
+	s.at(at-100, opBurst, 49, at, 50)
 	k.Run(0)
 	if len(s.log) != 101 {
 		t.Fatalf("executed %d events, want 101", len(s.log))

@@ -7,6 +7,7 @@ package sim
 // pending events, not ring size × peak bucket).
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -33,51 +34,100 @@ func numChunks(k *Kernel) int {
 	return n
 }
 
-// funcActor runs a closure with the event's a operand.
-type funcActor func(a int32)
+// funcActor runs a closure with the event's a operand. It is a pointer,
+// so AtAct can tell one from another.
+type funcActor struct{ f func(a int32) }
 
-func (f funcActor) Act(_ uint8, a, _, _ int32, _ any) { f(a) }
+func fn(f func(a int32)) *funcActor { return &funcActor{f} }
+
+func (f *funcActor) Act(_ uint8, a, _, _ int32, _ any) { f.f(a) }
 
 // shardedFunc is a funcActor whose events belong to calendar a mod the
-// kernel's calendar count.
+// kernel's calendar count: it holds one id per calendar (at), registered
+// at its first schedule, on the split kernel.
 type shardedFunc struct {
-	k *Kernel
-	f funcActor
+	k    *Kernel
+	f    func(a int32)
+	base int32
+	n    int
 }
 
-func (s *shardedFunc) Act(op uint8, a, b, c int32, p any) { s.f(a) }
+func (s *shardedFunc) Act(op uint8, a, b, c int32, _ any) { s.f(a) }
 
-func (s *shardedFunc) ShardOf(_ uint8, a, _, _ int32, _ any) int {
-	return int(uint32(a) % uint32(s.k.Calendars()))
+func (s *shardedFunc) ShardOf(i int) int { return i }
+
+// at schedules s's event with operand a for time t on calendar a mod the
+// calendar count.
+func (s *shardedFunc) at(t Time, a int32) *Event {
+	return s.k.At(t, s.id(a), 0, a, 0, 0)
+}
+
+// id returns the id of s's events with operand a.
+func (s *shardedFunc) id(a int32) int32 {
+	if s.n == 0 {
+		s.n = s.k.Calendars()
+		s.base = s.k.Register(s, s.n)
+	}
+	return s.base + int32(uint32(a)%uint32(s.n))
 }
 
 // calendarCounts are the kernel shapes the chunk-lifetime hazards run on:
 // one calendar, and one split into two.
 var calendarCounts = []int{1, 2}
 
-// TestEventIsOneCacheLine: an Event is exactly 64 bytes and every slot of
-// every chunk — from Reserve's slab or from on-demand growth — starts on
-// a 64-byte boundary. Shrinking Event would put two events on one line.
-func TestEventIsOneCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n != 64 {
-		t.Fatalf("sizeof(Event) = %d, want exactly 64", n)
+// TestEventIsHalfALine: an Event is exactly 32 bytes with no pointer,
+// and every slot of every chunk — from Reserve's slab or from on-demand
+// growth — starts on a 32-byte boundary, so two events share a cache line
+// and none straddles two. A chunk holds 127 of them in one 4 KiB page.
+func TestEventIsHalfALine(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 32 {
+		t.Fatalf("sizeof(Event) = %d, want exactly 32", n)
 	}
-	if n := unsafe.Sizeof(chunk{}); n != 4096 {
-		t.Fatalf("sizeof(chunk) = %d, want one 4 KiB page", n)
+	if n := unsafe.Sizeof(chunk{}); n != 4096 || chunkCap != 127 {
+		t.Fatalf("sizeof(chunk) = %d holding %d events, want one 4 KiB page of 127", n, chunkCap)
 	}
 	k := NewKernel()
 	k.Reserve(3 * chunkCap)
 	reserved := numChunks(k)
-	act := funcActor(func(int32) {})
+	act := fn(func(int32) {})
 	for i := 0; i < 3*chunkSlab*chunkCap; i++ { // outgrows the reserve: the rest is on-demand growth
 		e := k.AtAct(Time(i%2), act, 0, 0, 0, 0, nil)
-		if a := uintptr(unsafe.Pointer(e)); a%64 != 0 {
-			t.Fatalf("event %d at %#x is not 64-byte aligned", i, a)
+		if a := uintptr(unsafe.Pointer(e)); a%32 != 0 || a%4096 >= chunkCap*32 {
+			t.Fatalf("event %d at %#x is not a 32-byte slot of a page-aligned chunk", i, a)
+		}
+	}
+	for i := range k.cals[0].ring {
+		for ch := k.cals[0].ring[i].head; ch != nil; ch = ch.next {
+			if a := uintptr(unsafe.Pointer(ch)); a%4096 != 0 {
+				t.Fatalf("chunk at %#x does not start a page", a)
+			}
 		}
 	}
 	if n := numChunks(k); n <= reserved {
 		t.Fatalf("allocated %d chunks; the test meant to outgrow Reserve's %d", n, reserved)
 	}
+}
+
+// TestEventHasNoPointer: no field of an Event, at any depth, is or holds a
+// pointer, so the collector never traces a calendar chunk's events (only
+// its link).
+func TestEventHasNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.String:
+			t.Errorf("%s is a %s: an Event must hold no pointer", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("Event", reflect.TypeOf(Event{}))
 }
 
 // TestBucketHeadChunkExhaustedBehindTail: a bucket spanning several chunks
@@ -98,10 +148,10 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 			k.SetCalendars(ncal, nil)
 			for i := int32(0); i < n; i++ {
 				if i == consumed {
-					k.AtAct(5, s, opBurst, 1000, 5, extra, nil)
+					s.at(5, opBurst, 1000, 5, extra)
 					continue
 				}
-				k.AtAct(5, s, opLog, i, 0, 0, nil)
+				s.at(5, opLog, i, 0, 0)
 			}
 			k.Run(0)
 			if len(s.log) != int(n+extra) {
@@ -125,13 +175,13 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 			k, s = newScript()
 			k.SetCalendars(ncal, nil)
 			for i := int32(0); i < n; i++ {
-				k.AtAct(5, s, opLog, i, 0, 0, nil)
+				s.at(5, opLog, i, 0, 0)
 			}
 			for i := int32(0); i < consumed; i++ {
 				k.Step()
 			}
 			for i := int32(0); i < extra; i++ {
-				k.AtAct(5, s, opLog, n+i, 0, 0, nil)
+				s.at(5, opLog, n+i, 0, 0)
 			}
 			ran := 0
 			for c := 0; c < ncal; c++ {
@@ -163,10 +213,10 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 			const burstA = 1000 // on calendar 0 at every calendar count, above every logged index
 			for i := int32(0); i < n; i++ {
 				if i == consumed {
-					k.AtAct(5, s, opStage, burstA, 5, extra, nil)
+					s.at(5, opStage, burstA, 5, extra)
 					continue
 				}
-				k.AtAct(5, s, opLog, i, 0, 0, nil)
+				s.at(5, opLog, i, 0, 0)
 			}
 			ran = 0
 			for c := 0; c < ncal; c++ {
@@ -202,10 +252,10 @@ func TestFarAndRingShareATimestamp(t *testing.T) {
 	const at = ringSize + 500
 	var far []*Event
 	for i := int32(0); i < 50; i++ {
-		far = append(far, k.AtAct(at, s, opLog, i, 0, 0, nil))
+		far = append(far, s.at(at, opLog, i, 0, 0))
 	}
-	k.AtAct(at-100, s, opBurst, -1, at, 50, nil) // window now covers `at`: 50 direct appends, logged as 0..49
-	k.AtAct(at-50, funcActor(func(int32) {
+	s.at(at-100, opBurst, -1, at, 50) // window now covers `at`: 50 direct appends, logged as 0..49
+	k.AtAct(at-50, fn(func(int32) {
 		if c := &k.cals[0]; c.winStart+ringSize <= at || len(c.far.h) != 50 {
 			t.Errorf("window [%d, +%d) with %d far events; the test meant the window to cover t=%d with the far events unmoved", c.winStart, ringSize, len(c.far.h), at)
 		}
@@ -262,13 +312,13 @@ func TestCancelOwnExecutingHandle(t *testing.T) {
 		ran := 0
 		count := &shardedFunc{k: k, f: func(int32) { ran++ }}
 		var self *Event
-		self = k.AtAct(5, &shardedFunc{k: k, f: func(int32) { // alone in its bucket: its pop exhausts the chunk
+		self = (&shardedFunc{k: k, f: func(int32) { // alone in its bucket: its pop exhausts the chunk
 			k.Cancel(self)
 			for i := 0; i < burst; i++ {
-				k.AtAct(5+Time(i%3), count, 0, int32(i), 0, 0, nil)
+				count.at(5+Time(i%3), int32(i))
 			}
 			k.Cancel(self)
-		}}, 0, 0, 0, 0, nil)
+		}}).at(5, 0)
 		k.Run(0)
 		if ran != burst {
 			t.Fatalf("calendars=%d: %d of %d events scheduled by the self-cancelling callback ran", ncal, ran, burst)
@@ -294,7 +344,6 @@ func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 		stages := make([]*Stage, ncal)
 		for s := range stages {
 			stages[s] = NewStage(s, ncal)
-			stages[s].StartWindow(k, 10)
 		}
 		ran := 0
 		count := &shardedFunc{k: k, f: func(int32) { ran++ }}
@@ -303,12 +352,15 @@ func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 		canceller.f = func(int32) {
 			k.Cancel(self)
 			for i := 0; i < burst; i++ {
-				stages[0].AtAct(20+Time(i%3), count, 0, int32(i), 0, 0, nil)
+				stages[0].At(20+Time(i%3), count.id(int32(i)), 0, int32(i), 0, 0)
 			}
 			k.Cancel(self)
 		}
-		k.AtAct(4, count, 0, int32(1%ncal), 0, 0, nil) // the last calendar, before self
-		self = k.AtAct(5, canceller, 0, 0, 0, 0, nil)  // calendar 0, its last pop
+		count.at(4, int32(1%ncal)) // the last calendar, before self
+		self = canceller.at(5, 0)  // calendar 0, its last pop
+		for _, st := range stages {
+			st.StartWindow(k, 10)
+		}
 		for s, st := range stages {
 			st.RunWindow(k, &windowRecorder{})
 			if k.cals[s].spent == nil {
@@ -325,8 +377,8 @@ func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 		if k.Pending() != burst {
 			t.Fatalf("calendars=%d: Pending = %d after placement, want %d", ncal, k.Pending(), burst)
 		}
-		if self.at != 5 || self.a != 0 || self.seq != 1 {
-			t.Fatalf("calendars=%d: popped event reads (t=%d seq=%d a=%d) after placement, want (t=5 seq=1 a=0): its slot was reused", ncal, self.at, self.seq, self.a)
+		if self.act != canceller.base || self.a != 0 || self.seq != 1 {
+			t.Fatalf("calendars=%d: popped event reads (id=%d seq=%d a=%d) after placement, want (id=%d seq=1 a=0): its slot was reused", ncal, self.act, self.seq, self.a, canceller.base)
 		}
 		k.Cancel(self)
 		ran = 0
@@ -352,11 +404,11 @@ func TestCalendarFootprintFollowsPending(t *testing.T) {
 	)
 	k := NewKernel()
 	ran := 0
-	var chain funcActor
-	chain = func(a int32) {
+	var chain *funcActor
+	chain = fn(func(a int32) {
 		ran++
 		k.AfterAct(1+Time((a*7+int32(ran))%spread), chain, 0, a, 0, 0, nil)
-	}
+	})
 	for i := int32(0); i < pending; i++ {
 		k.AtAct(Time(i%spread), chain, 0, i, 0, 0, nil)
 	}

@@ -24,8 +24,18 @@ package sim
 // window (far heap) and serial Steps between windowed runs. A cancel
 // that hit a live bystander, a slot reused too early, a mis-ordered
 // bucket or a stale handle all show up as a diverging trace.
+//
+// The times the kernel keeps are checked directly too. After every step
+// of the script each kernel's pending live events, read back with the
+// time the kernel holds for them — a ring event's implied by its bucket,
+// a far struct's stored beside it — must be the reference's pending
+// events, (time, seq) for (time, seq). Inside every window, the events
+// placement is about to move — the cross-shard staging structs with their
+// stored times, and the own calendar's tagged ones — must be exactly what
+// the calendars and inboxes hold once it has.
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 )
@@ -90,7 +100,7 @@ func (p *fzProgram) actions(op uint8, slot, id, depth int32) []fzAct {
 	b := p.byteOf(uint64(id), 1)
 	child := func(k int, d Time, target int32, depth int32) {
 		if target != slot && d < fzLookahead {
-			target = slot // a cross-slot schedule inside the lookahead is the model bug Stage.AtAct panics on
+			target = slot // a cross-slot schedule inside the lookahead is the model bug Stage.At panics on
 		}
 		acts = append(acts, fzAct{kind: fzChild, slot: target, delay: d, id: int32(fzMix(uint64(id)<<8|uint64(k)) & 0x7fffffff), depth: depth})
 	}
@@ -230,30 +240,56 @@ func (r *fzRef) run(until Time) {
 	}
 }
 
-// fzSim is the program's actor on a real kernel, serial or windowed.
+// live returns the reference's pending live events, (time, seq) sorted.
+func (r *fzRef) live() [][2]uint64 {
+	var out [][2]uint64
+	for _, e := range r.pend {
+		if !e.dead {
+			out = append(out, [2]uint64{uint64(e.at), e.seq})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] || (out[i][0] == out[j][0] && out[i][1] < out[j][1]) })
+	return out
+}
+
+// fzSim is the program's actor on a real kernel, serial or windowed. Slot
+// s has id base+s, which lives on calendar s mod the calendar count.
 type fzSim struct {
 	p      *fzProgram
 	k      *Kernel
+	base   int32
 	timer  [fzSlots]*Event
 	stages []*Stage // windowed only
 	staged bool
 	trace  [][2]uint64
 }
 
-func (s *fzSim) ShardOf(_ uint8, slot, _, _ int32, _ any) int { return int(slot) % s.p.n }
+func (s *fzSim) ShardOf(slot int) int { return slot % s.p.n }
 
 func (s *fzSim) now(slot int32) Time {
 	if s.staged {
-		return s.stages[s.ShardOf(0, slot, 0, 0, nil)].Now()
+		return s.stages[s.ShardOf(int(slot))].Now()
 	}
 	return s.k.Now()
 }
 
 func (s *fzSim) sched(from int32, t Time, op uint8, slot, id, depth int32) *Event {
 	if s.staged {
-		return s.stages[s.ShardOf(0, from, 0, 0, nil)].AtAct(t, s, op, slot, id, depth, nil)
+		return s.stages[s.ShardOf(int(from))].At(t, s.base+slot, op, slot, id, depth)
 	}
-	return s.k.AtAct(t, s, op, slot, id, depth, nil)
+	return s.k.At(t, s.base+slot, op, slot, id, depth)
+}
+
+// live returns the kernel's pending live events, (time, seq) sorted, each
+// with the time the kernel holds for it.
+func (s *fzSim) live() [][2]uint64 {
+	var out [][2]uint64
+	for _, p := range s.k.collect(nil) {
+		if p.e.flags&evDead == 0 {
+			out = append(out, [2]uint64{uint64(p.at), p.e.seq})
+		}
+	}
+	return out
 }
 
 func (s *fzSim) cancel(slot int32) {
@@ -359,10 +395,62 @@ func runStagedWindow(k *Kernel, stages []*Stage, order []int, winEnd Time) (last
 			tAt, tSeq, lastDead, has = at, seq, dead, true
 		}
 	}
+	moving := placing(k, stages)
 	for _, sh := range order {
 		k.Place(sh, stages)
 	}
+	if got, want := fmt.Sprint(queued(k, nil)), fmt.Sprint(moving); got != want {
+		panic(fmt.Sprintf("placement at winEnd=%d left the queue holding (time, seq, dead) %s, want %s", winEnd, got, want))
+	}
 	return lastDead
+}
+
+// queued lists every pending event of every calendar as (time, seq,
+// dead), sorted, reading each time as the kernel holds it: implied by a
+// ring bucket, stored in a far struct. With stages, a tagged seq in a
+// shard's own calendar reads as the seq the merge stamped for it.
+func queued(k *Kernel, stages []*Stage) [][3]uint64 {
+	var out [][3]uint64
+	for i := range k.cals {
+		k.cals[i].each(func(e *Event, at Time) {
+			seq := e.seq
+			if stages != nil && i < len(stages) {
+				seq = stages[i].Seq(seq)
+			}
+			out = append(out, [3]uint64{uint64(at), seq, uint64(e.flags & evDead)})
+		})
+	}
+	return sortTriples(out)
+}
+
+// placing lists what the queue must hold once every shard has placed the
+// merged window: what it holds now, tags resolved, plus every staging
+// struct bound for another shard, at the time stored in it.
+func placing(k *Kernel, stages []*Stage) [][3]uint64 {
+	out := queued(k, stages)
+	for sh, st := range stages {
+		for t, o := range st.out {
+			if t == sh {
+				continue
+			}
+			for _, x := range o {
+				out = append(out, [3]uint64{uint64(x.te.at), st.seqs[x.rank], uint64(x.te.flags & evDead)})
+			}
+		}
+	}
+	return sortTriples(out)
+}
+
+func sortTriples(s [][3]uint64) [][3]uint64 {
+	sort.Slice(s, func(i, j int) bool {
+		for k := range s[i] {
+			if s[i][k] != s[j][k] {
+				return s[i][k] < s[j][k]
+			}
+		}
+		return false
+	})
+	return s
 }
 
 // runWindowed is the sharded executor's loop, sequential: it drives the
@@ -395,6 +483,7 @@ func (s *fzSim) runWindowed(until, win Time, order []int) {
 
 func newFzSim(p *fzProgram, windowed bool) *fzSim {
 	s := &fzSim{p: p, k: NewKernel()}
+	s.base = s.k.Register(s, fzSlots)
 	s.k.TraceExec = func(at Time, seq uint64) { s.trace = append(s.trace, [2]uint64{uint64(at), seq}) }
 	s.k.SetCalendars(p.n, s)
 	if windowed {
@@ -438,7 +527,7 @@ func FuzzCalendarOps(f *testing.F) {
 				id := int32(fzMix(uint64(i)|1<<40) & 0x7fffffff)
 				ref.at(at, opPlain, slot, id, 0)
 				for _, s := range sims {
-					s.k.AtAct(at, s, opPlain, slot, id, 0, nil)
+					s.k.At(at, s.base+slot, opPlain, slot, id, 0)
 				}
 			case 1, 4: // run to an until-boundary; 4 runs the windowed kernel serially
 				until := now() + fzRuns[int(b/5)%len(fzRuns)]
@@ -464,6 +553,9 @@ func FuzzCalendarOps(f *testing.F) {
 			for _, s := range sims {
 				if s.k.Now() != ref.now || s.k.Executed() != uint64(len(ref.trace)) {
 					t.Fatalf("step %d (%#x): kernel at (now=%d exec=%d), reference at (now=%d exec=%d)", i, b, s.k.Now(), s.k.Executed(), ref.now, len(ref.trace))
+				}
+				if got, want := fmt.Sprint(s.live()), fmt.Sprint(ref.live()); got != want {
+					t.Fatalf("step %d (%#x): kernel holds live (time, seq) %s, reference %s", i, b, got, want)
 				}
 			}
 		}

@@ -67,19 +67,19 @@ func TestHugePagesCarried(t *testing.T) {
 			k.UseHugePages()
 		}
 		for i := int32(0); i < 64; i++ {
-			k.AtAct(Time(1+i%9), s, opLog, i, 0, 0, nil)
+			k.At(Time(1+i%9), s.base+i%4, opLog, i, 0, 0) // calendar i mod 4 once split
 		}
 		k.SetCalendars(4, nil)
 		if on, off := huge(k); use && off > 0 || !use && on > 0 {
 			t.Errorf("UseHugePages=%v: after SetCalendars(4) %d calendars huge, %d not", use, on, off)
 		}
 		k.Run(4)
-		snap, err := k.Snapshot(&scriptCoder{s})
+		snap, err := k.Snapshot(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		k.SetCalendars(1, nil)
-		if err := k.Restore(snap, &scriptCoder{s}, nil); err != nil {
+		if err := k.Restore(snap, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if on, off := huge(k); use && off > 0 || !use && on > 0 {
@@ -91,11 +91,3 @@ func TestHugePagesCarried(t *testing.T) {
 		}
 	}
 }
-
-// scriptCoder encodes a scriptActor and nil payloads.
-type scriptCoder struct{ s *scriptActor }
-
-func (c *scriptCoder) EncodeActor(Actor) (uint64, error)        { return 0, nil }
-func (c *scriptCoder) DecodeActor(uint64) (Actor, error)        { return c.s, nil }
-func (c *scriptCoder) EncodePayload(uint8, any) (uint64, error) { return 0, nil }
-func (c *scriptCoder) DecodePayload(uint8, uint64) (any, error) { return nil, nil }

@@ -15,12 +15,14 @@
 // The queue is one calendar per execution context: a serial kernel has
 // exactly one, and SetCalendars splits it into one per shard for the
 // sharded executor (internal/shard), each pending event into the calendar
-// of the shard its actor's Sharded.ShardOf names. On a split kernel
-// Sharded is a requirement, checked where an event enters a calendar:
-// AtAct and SetCalendars panic on an actor that does not implement it,
-// and Restore refuses one. A split kernel also gives each shard an
-// inbox: a second calendar that only placement fills, with the events
-// other shards scheduled for it. Inside a window a shard's calendar and
+// of the shard its actor id belongs to: the kernel asks each registered
+// actor's Sharded.ShardOf once per id when the queue splits, so placing
+// an event is a table read. On a split kernel Sharded is a requirement,
+// checked where an event enters a calendar: At and SetCalendars panic on
+// an actor that does not implement it, and Restore refuses one. A split
+// kernel also gives each shard an inbox: a second calendar that only
+// placement fills, with the events other shards scheduled for it.
+// Inside a window a shard's calendar and
 // inbox are its whole queue: the shard pops both in (time, seq) order,
 // each of its schedule calls that targets itself lands in its own
 // calendar under a tagged seq that orders it as the merge will number it
@@ -54,23 +56,27 @@
 //
 // # Event representation
 //
-// There is one event kind: a pre-bound typed callback (AtAct/AfterAct) —
-// an Actor receiver plus a small fixed argument set. Every event the model
-// schedules (router arrivals, arbitration attempts, credit returns,
-// injections) has this form, which is what makes an event assignable to a
-// shard (Sharded), relocatable into a snapshot (EventCoder), and free to
-// schedule. Ring events live in their bucket: a bucket is a FIFO of
-// fixed-size chunks of Event values, AtAct writes the event straight into
-// the tail slot and hands out that slot's address as the Cancel handle,
-// and a pop is a sequential read. Chunks recycle through their calendar's
-// free list, so calendar memory is proportional to the pending events
-// (plus a part-consumed head and a part-filled tail chunk per live
-// timestamp), and the steady-state schedule/dispatch path allocates
-// nothing (asserted by alloc_test.go here and in internal/network). Only
-// the rare far events are individually pooled structs. A consumed slot
-// keeps its actor and payload references until its chunk is reused;
-// everything the model schedules is itself pooled, so nothing is kept
-// alive by that.
+// There is one event kind: an actor id plus a small fixed argument set
+// (At/After). A model registers its actors with the kernel at build time
+// (Register) and schedules by id; the kernel dispatches each event once,
+// through its actor table. Every event the model schedules (router
+// arrivals, arbitration attempts, credit returns, injections) has this
+// form, which is what makes an event assignable to a shard (an actor's
+// shard is a function of its id), relocatable into a snapshot (an id is
+// already positional), and free to schedule. An Event is 32 bytes with no
+// pointer: the arguments carry indices, never references, and a ring
+// event's time is its bucket's cycle, so it is not stored. Ring events
+// live in their bucket: a bucket is a FIFO of fixed-size chunks of Event
+// values, At writes the event straight into the tail slot and hands out
+// that slot's address as the Cancel handle, and a pop is a sequential
+// read. Chunks recycle through their calendar's free list, so calendar
+// memory is proportional to the pending events (plus a part-consumed head
+// and a part-filled tail chunk per live timestamp), and the steady-state
+// schedule/dispatch path allocates nothing (asserted by alloc_test.go
+// here and in internal/network). Only the rare far events are
+// individually pooled structs, which carry their time beside the event.
+// AtAct and AfterAct adapt an Actor value onto the id path for callers
+// that hold no id.
 //
 // Cancellation: RunCtx is Run with a cooperative context check every few
 // thousand events. Cancelling never reorders events — an interrupted run
@@ -81,9 +87,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Time is the simulation clock value in cycles (1 cycle = 1 ns in the
@@ -94,32 +101,52 @@ type Time int64
 const maxTime = Time(1<<63 - 1)
 
 // Actor handles typed events. The kernel invokes Act with the op code and
-// arguments given to AtAct; their meaning is entirely the actor's. Using a
-// pointer-typed Actor and a pointer payload keeps scheduling allocation-
-// free (storing pointers in interfaces does not heap-allocate).
+// arguments given to At; their meaning is entirely the actor's. p is
+// always nil: an event carries no payload, so a model passes indices
+// into its own tables in a, b and c.
 type Actor interface {
 	Act(op uint8, a, b, c int32, p any)
 }
 
-// Event is a unit of scheduled work: exactly one 64-byte cache line (see
-// chunk).
+// Event is a unit of scheduled work: 32 bytes with no pointer, two to a
+// cache line (see chunk). A ring event's time is its bucket's cycle; a
+// struct outside the ring carries it beside the event (timedEvent).
 type Event struct {
-	at  Time
-	seq uint64 // tie-break: FIFO among equal timestamps
-
-	act     Actor
-	p       any
+	seq     uint64 // tie-break: FIFO among equal timestamps
+	act     int32  // actor id (Register)
 	a, b, c int32
 	op      uint8
 	flags   uint8
 }
 
 // set fills in the event's callback.
-func (e *Event) set(act Actor, op uint8, a, b, c int32, p any) {
-	e.act = act
-	e.op = op
+func (e *Event) set(id int32, op uint8, a, b, c int32) {
+	e.act, e.op = id, op
 	e.a, e.b, e.c = a, b, c
-	e.p = p
+}
+
+// Actor returns the id of the actor the event is for.
+func (e *Event) Actor() int32 { return e.act }
+
+// Op returns the event's op code.
+func (e *Event) Op() uint8 { return e.op }
+
+// Args returns the event's arguments.
+func (e *Event) Args() (a, b, c int32) { return e.a, e.b, e.c }
+
+// timedEvent is an event with its time beside it: an entry of a
+// calendar's far heap, or a stage's cross-shard staging struct. Both are
+// individually pooled (takeEvent), so the Event inside has a stable
+// address for its Cancel handle.
+type timedEvent struct {
+	Event
+	at Time
+}
+
+// before reports whether the struct precedes an event at time at with
+// sequence number seq in (time, seq) order.
+func (t *timedEvent) before(at Time, seq uint64) bool {
+	return t.at < at || (t.at == at && t.seq < seq)
 }
 
 // Event flags. Every slot and struct that takes an event overwrites
@@ -140,9 +167,9 @@ const (
 	ringSize = 1 << ringBits
 	ringMask = ringSize - 1
 
-	// chunkCap is how many events one bucket chunk holds: 63 one-line
+	// chunkCap is how many events one bucket chunk holds: 127 half-line
 	// events plus the link fill one 4 KiB page.
-	chunkCap = 63
+	chunkCap = 127
 
 	// chunkSlab is how many chunks the free list grows by. 64 KiB is past
 	// the runtime's small-object sizes, so a slab gets whole pages of its
@@ -153,11 +180,12 @@ const (
 
 // chunk is one fixed-size segment of a bucket's FIFO. It is padded to
 // 4 KiB and only ever allocated in page-aligned slabs (stock), so every
-// slot starts on a 64-byte boundary: one event is one cache line.
+// slot starts on a 32-byte boundary: two events share one cache line and
+// none straddles two.
 type chunk struct {
 	ev   [chunkCap]Event
 	next *chunk
-	_    [56]byte
+	_    [24]byte
 }
 
 // bucket is one calendar cell: the FIFO of events for a single cycle, as
@@ -174,7 +202,8 @@ type bucket struct {
 // calendar writes nothing another calendar uses.
 type calendar struct {
 	// Near-future ring: cycle t lives in ring[t&ringMask], valid for t in
-	// [winStart, winStart+ringSize).
+	// [winStart, winStart+ringSize). The window never slides past a
+	// pending ring event, so a bucket's cycle is implied (ringTime).
 	ring     []bucket
 	winStart Time
 	nring    int // ring occupancy
@@ -184,9 +213,9 @@ type calendar struct {
 	// future, and the practically never used behind-window events.
 	far farHeap
 
-	chunks *chunk   // recycled bucket chunks, LIFO: zero steady-state allocation
-	spent  *chunk   // consumed chunks awaiting release at the next pop; holds no pending event
-	free   []*Event // far struct pool
+	chunks *chunk        // recycled bucket chunks, LIFO: zero steady-state allocation
+	spent  *chunk        // consumed chunks awaiting release at the next pop; holds no pending event
+	free   []*timedEvent // far struct pool
 
 	sources []placeSource // Place's per-stage read state
 
@@ -205,6 +234,12 @@ func newCalendar(winStart Time, nsrc int, huge bool) calendar {
 	return calendar{ring: make([]bucket, ringSize), winStart: winStart, sources: make([]placeSource, nsrc), huge: huge}
 }
 
+// ringTime is the cycle of ring bucket i: the one time in the window
+// [winStart, winStart+ringSize) that maps to it.
+func (c *calendar) ringTime(i int) Time {
+	return c.winStart + Time((uint64(i)-uint64(c.winStart))&ringMask)
+}
+
 // Kernel is a discrete-event simulator. The zero value is not usable; call
 // NewKernel.
 type Kernel struct {
@@ -216,6 +251,29 @@ type Kernel struct {
 	// kernel; after SetCalendars(n > 1), shard s's own calendar at s and
 	// its inbox at n+s.
 	cals []calendar
+
+	// acts is the actor table: acts[id] handles the events scheduled for
+	// id. firsts holds the first id of each Register call, ascending, so
+	// SetCalendars can ask each actor about its own ids.
+	//hxlint:state ephemeral — build-time wiring: the model registers its actors at build, and a restore target built from the identical Config registers the same ids in the same order
+	acts []Actor
+	//hxlint:state ephemeral — build-time wiring, with acts
+	firsts []int32
+
+	// owner[id] is the shard of id's events on a split kernel, or -1 for
+	// an actor that does not implement Sharded; nil on a single-calendar
+	// kernel.
+	//hxlint:state ephemeral — derived from the actor table and the calendar count by SetCalendars and Register
+	owner []int32
+
+	// The AtAct adapter's ids: the last actor it scheduled for, and every
+	// actor it has registered.
+	//hxlint:state ephemeral — adapter cache over the actor table
+	last Actor
+	//hxlint:state ephemeral — adapter cache over the actor table
+	lastID int32
+	//hxlint:state ephemeral — adapter cache over the actor table
+	adapted map[Actor]int32
 
 	// TraceExec, when non-nil, observes every executed (live) event as
 	// (time, seq) immediately before its callback runs. It exists for the
@@ -229,6 +287,48 @@ type Kernel struct {
 func NewKernel() *Kernel {
 	return &Kernel{cals: []calendar{newCalendar(0, 1, false)}}
 }
+
+// Register adds act to the actor table under n consecutive ids and
+// returns the first: an event scheduled for first+i runs act.Act. A model
+// registers its actors once, at build time, in a fixed order, so the same
+// build gives the same ids (snapshots store them as they are). On a split
+// kernel each new id's shard is asked of act at once (Sharded.ShardOf(i));
+// an actor that does not implement Sharded may register, but an event for
+// it is refused (At panics). Never register inside a sharded window: the
+// stages read the id table they had when it opened.
+func (k *Kernel) Register(act Actor, n int) int32 {
+	return buildRegistration(k, act, n)
+}
+
+// buildRegistration does Register's growth by amortized append;
+// allocation lives here, off the simulation steady-state path.
+func buildRegistration(k *Kernel, act Actor, n int) int32 {
+	first := int32(len(k.acts))
+	k.firsts = append(k.firsts, first)
+	for i := 0; i < n; i++ {
+		k.acts = append(k.acts, act)
+		if k.owner != nil {
+			k.owner = append(k.owner, shardOf(act, i))
+		}
+	}
+	return first
+}
+
+// shardOf asks act for the shard of its i-th id: -1 when it does not
+// implement Sharded.
+func shardOf(act Actor, i int) int32 {
+	s, ok := act.(Sharded)
+	if !ok {
+		return -1
+	}
+	return int32(s.ShardOf(i))
+}
+
+// Actor returns the actor registered under id.
+func (k *Kernel) Actor(id int32) Actor { return k.acts[id] }
+
+// Actors returns how many ids have been registered.
+func (k *Kernel) Actors() int { return len(k.acts) }
 
 // UseHugePages backs the chunk slabs the calendars allocate from now on
 // with huge pages (AdviseHuge), and so do the calendars SetCalendars
@@ -342,7 +442,7 @@ func (c *calendar) release() {
 
 // slot claims the calendar slot for a new event at time t — the tail of
 // its ring bucket, or a pooled struct on the far heap — and stamps its
-// (time, seq). The caller fills in the callback.
+// seq (and a far struct's time). The caller fills in the callback.
 func (c *calendar) slot(t Time, seq uint64) *Event {
 	c.npend++
 	if uint64(t-c.winStart) < ringSize {
@@ -353,24 +453,24 @@ func (c *calendar) slot(t Time, seq uint64) *Event {
 		e := &b.tail.ev[b.ti]
 		b.ti++
 		c.nring++
-		e.at, e.seq, e.flags = t, seq, 0
+		e.seq, e.flags = seq, 0
 		return e
 	}
-	e := takeEvent(&c.free)
-	e.at, e.seq, e.flags = t, seq, evPooled
-	c.far.push(e)
-	return e
+	fe := takeEvent(&c.free)
+	fe.at, fe.seq, fe.flags = t, seq, evPooled
+	c.far.push(fe)
+	return &fe.Event
 }
 
-// eventChunk is how many Event structs one pool refill allocates (a
+// eventChunk is how many timedEvent structs one pool refill allocates (a
 // calendar's far pool and each Stage's staging pool).
 const eventChunk = 256
 
 // stockEvents adds one slab of eventChunk structs to a pool of
 // individually held events.
-func stockEvents(free []*Event) []*Event {
+func stockEvents(free []*timedEvent) []*timedEvent {
 	//hxlint:allow allocfree — chunked pool refill: one slab per eventChunk structs, amortizing to zero at the pool's high-water mark
-	slab := make([]Event, eventChunk)
+	slab := make([]timedEvent, eventChunk)
 	for i := range slab {
 		free = append(free, &slab[i])
 	}
@@ -379,7 +479,7 @@ func stockEvents(free []*Event) []*Event {
 
 // takeEvent pops a struct from such a pool, restocking it when empty: the
 // pool grows to its owner's high-water mark and then recycles in place.
-func takeEvent(free *[]*Event) *Event {
+func takeEvent(free *[]*timedEvent) *timedEvent {
 	f := *free
 	if len(f) == 0 {
 		f = stockEvents(f)
@@ -389,56 +489,90 @@ func takeEvent(free *[]*Event) *Event {
 	return e
 }
 
-// putEvent returns a struct taken with takeEvent to its pool, dropping
-// its references. Its flags are left for the next taker to overwrite.
-func putEvent(free *[]*Event, e *Event) {
-	e.act = nil
-	e.p = nil
+// putEvent returns a struct taken with takeEvent to its pool. Its flags
+// are left for the next taker to overwrite; it holds no reference.
+func putEvent(free *[]*timedEvent, e *timedEvent) {
 	//hxlint:allow allocfree — returns capacity the pool already handed out; never exceeds the refill high-water mark
 	*free = append(*free, e)
 }
 
-// AtAct schedules an event: at time t the kernel calls
-// act.Act(op, a, b, c, p). Scheduling in the past panics: it always
-// indicates a model bug. The returned handle may be passed to Cancel; it
-// addresses the event's calendar slot and is valid until the event is
-// popped — executed or skipped dead. A callback may still Cancel the
-// handle of its own executing event (a no-op in effect). On a
-// multi-calendar kernel the event goes to its shard's calendar, and an
-// actor that does not implement Sharded panics (see calendarOf).
-func (k *Kernel) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
+// At schedules an event: at time t the kernel calls Act(op, a, b, c, nil)
+// on the actor registered under id. Scheduling in the past panics: it
+// always indicates a model bug. The returned handle may be passed to
+// Cancel; it addresses the event's calendar slot and is valid until the
+// event is popped — executed or skipped dead. A callback may still Cancel
+// the handle of its own executing event (a no-op in effect). On a
+// multi-calendar kernel the event goes to its id's shard's calendar, and
+// an id whose actor does not implement Sharded panics.
+func (k *Kernel) At(t Time, id int32, op uint8, a, b, c int32) *Event {
 	if t < k.now {
 		panic("sim: event scheduled in the past")
 	}
+	cal := &k.cals[0]
 	if len(k.cals) > 1 {
-		return k.atSharded(t, act, op, a, b, c, p)
-	}
-	e := k.cals[0].slot(t, k.seq)
-	k.seq++
-	e.set(act, op, a, b, c, p)
-	return e
-}
-
-// atSharded is AtAct on a multi-calendar kernel.
-func (k *Kernel) atSharded(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
-	cal, err := k.calendarOf(t, act, op, a, b, c, p)
-	if err != nil {
-		panic(err)
+		var err error
+		if cal, err = k.calendarOf(t, id); err != nil {
+			panic(err)
+		}
 	}
 	e := cal.slot(t, k.seq)
 	k.seq++
-	e.set(act, op, a, b, c, p)
+	e.set(id, op, a, b, c)
 	return e
 }
 
-// calendarOf returns the calendar an event at time t belongs to on a
-// multi-calendar kernel: its actor's shard's, or none (notSharded).
-func (k *Kernel) calendarOf(t Time, act Actor, op uint8, a, b, c int32, p any) (*calendar, error) {
-	s, ok := act.(Sharded)
-	if !ok {
-		return nil, notSharded(t, act)
+// After schedules an event d cycles from now.
+func (k *Kernel) After(d Time, id int32, op uint8, a, b, c int32) *Event {
+	return k.At(k.now+d, id, op, a, b, c)
+}
+
+// AtAct is At for a caller that holds an Actor value instead of an id:
+// the actor is registered under one id the first time it is seen (on a
+// split kernel, as its shard 0's). The last actor's id is cached, so a
+// caller scheduling for one actor pays one comparison. act must be of a
+// comparable type, and p must be nil: an event carries no payload.
+func (k *Kernel) AtAct(t Time, act Actor, op uint8, a, b, c int32, p any) *Event {
+	if p != nil {
+		panic(fmt.Sprintf("sim: AtAct with a %T payload: events carry none; pass an index in a, b or c", p))
 	}
-	return &k.cals[s.ShardOf(op, a, b, c, p)], nil
+	if act != k.last {
+		k.last, k.lastID = act, k.idOf(act)
+	}
+	return k.At(t, k.lastID, op, a, b, c)
+}
+
+// AfterAct is AtAct d cycles from now.
+func (k *Kernel) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Event {
+	return k.AtAct(k.now+d, act, op, a, b, c, p)
+}
+
+// idOf returns the id AtAct registered act under, registering it on
+// first sight.
+func (k *Kernel) idOf(act Actor) int32 {
+	if id, ok := k.adapted[act]; ok {
+		return id
+	}
+	return buildAdapted(k, act)
+}
+
+// buildAdapted registers an actor first seen by AtAct.
+func buildAdapted(k *Kernel, act Actor) int32 {
+	if k.adapted == nil {
+		k.adapted = make(map[Actor]int32)
+	}
+	id := k.Register(act, 1)
+	k.adapted[act] = id
+	return id
+}
+
+// calendarOf returns the calendar an event at time t for id belongs to on
+// a multi-calendar kernel: its shard's, or none (notSharded).
+func (k *Kernel) calendarOf(t Time, id int32) (*calendar, error) {
+	s := k.owner[id]
+	if s < 0 {
+		return nil, notSharded(t, k.acts[id])
+	}
+	return &k.cals[s], nil
 }
 
 // notSharded reports an event at time t that no calendar of a split
@@ -448,14 +582,9 @@ func notSharded(t Time, act Actor) error {
 	return fmt.Errorf("sim: event at t=%d: actor %T does not implement sim.Sharded", t, act)
 }
 
-// AfterAct schedules an event d cycles from now.
-func (k *Kernel) AfterAct(d Time, act Actor, op uint8, a, b, c int32, p any) *Event {
-	return k.AtAct(k.now+d, act, op, a, b, c, p)
-}
-
 // Cancel prevents a scheduled event from running. Cancelling an event that
 // has already run or was already cancelled is a no-op. The handle must be
-// the event's current one: see AtAct, and Stage.AtAct for a staged
+// the event's current one: see At, and Stage.At for a staged
 // cross-shard handle, which placement supersedes.
 func (k *Kernel) Cancel(e *Event) {
 	if e != nil {
@@ -463,18 +592,12 @@ func (k *Kernel) Cancel(e *Event) {
 	}
 }
 
-// before reports whether a precedes b in (time, seq) order.
-func before(a, b *Event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
 // peek returns the calendar's earliest queued event (live or cancelled)
-// without removing it, or nil when the calendar is empty. As a side
-// effect it slides the window toward the event's time, so the subsequent
-// pop is O(1) — but never past limit, the earliest time an event may
-// still be scheduled into this calendar (see slide).
-func (c *calendar) peek(limit Time) *Event {
-	var e *Event
+// and its time without removing it, or a nil event when the calendar is
+// empty. As a side effect it slides the window toward the event's time,
+// so the subsequent pop is O(1) — but never past limit, the earliest time
+// an event may still be scheduled into this calendar (see slide).
+func (c *calendar) peek(limit Time) (*Event, Time) {
 	if c.nring > 0 {
 		s := c.winStart
 		b := &c.ring[int(s)&ringMask]
@@ -482,17 +605,17 @@ func (c *calendar) peek(limit Time) *Event {
 			s++
 			b = &c.ring[int(s)&ringMask]
 		}
-		e = &b.head.ev[b.hi]
-		if len(c.far.h) == 0 || !before(c.far.h[0], e) {
+		e := &b.head.ev[b.hi]
+		if len(c.far.h) == 0 || !c.far.h[0].before(s, e.seq) {
 			c.slide(s, limit)
-			return e
+			return e, s
 		}
 	} else if len(c.far.h) == 0 {
-		return nil
+		return nil, 0
 	}
-	e = c.far.h[0]
-	c.slide(e.at, limit)
-	return e
+	fe := c.far.h[0]
+	c.slide(fe.at, limit)
+	return &fe.Event, fe.at
 }
 
 // slide moves the window start to t, capped at limit. The window never
@@ -505,57 +628,56 @@ func (c *calendar) slide(t, limit Time) {
 	}
 }
 
-// take removes e, which must be the event peek just returned, from its
-// tier. Splitting peek from removal lets Run inspect the head against its
-// until-boundary and then remove it without a second calendar scan. A
-// ring chunk the removal exhausts is parked, not freed (see park); a
-// pooled struct is the caller's to recycle.
-func (c *calendar) take(e *Event) {
-	if e.flags&evPooled != 0 {
-		c.far.pop()
-	} else {
-		b := &c.ring[int(e.at)&ringMask]
-		b.hi++
-		if b.head == b.tail {
-			if b.hi == b.ti {
-				c.park(b.head)
-				*b = bucket{}
-			}
-		} else if b.hi == chunkCap {
-			// Head consumed with more chunks behind it: the bucket is not
-			// empty, whatever hi says.
-			ch := b.head
-			b.head, b.hi = ch.next, 0
-			c.park(ch)
-		}
-		c.nring--
-	}
-	c.npend--
-}
-
-// popPeeked is take for the serial loop: by now the previous event's
-// callback has returned, so the chunks parked so far are reusable.
-func (c *calendar) popPeeked(e *Event) {
+// popPeeked removes e, the event at time at that peek just returned, from
+// its tier. By now the previous event's callback has returned, so the
+// chunks parked so far are released first. A ring chunk the removal
+// exhausts is parked, not freed (see park). A far event's struct is
+// returned for the caller to recycle (unpool) once it has read the event;
+// a ring slot needs nothing and returns nil.
+func (c *calendar) popPeeked(e *Event, at Time) *timedEvent {
 	if c.spent != nil {
 		c.release()
 	}
-	c.take(e)
+	c.npend--
+	if e.flags&evPooled != 0 {
+		return c.far.pop()
+	}
+	c.advance(&c.ring[int(at)&ringMask])
+	return nil
+}
+
+// advance consumes the head slot of ring bucket b.
+func (c *calendar) advance(b *bucket) {
+	b.hi++
+	if b.head == b.tail {
+		if b.hi == b.ti {
+			c.park(b.head)
+			*b = bucket{}
+		}
+	} else if b.hi == chunkCap {
+		// Head consumed with more chunks behind it: the bucket is not
+		// empty, whatever hi says.
+		ch := b.head
+		b.head, b.hi = ch.next, 0
+		c.park(ch)
+	}
+	c.nring--
 }
 
 // unpool hands a popped far struct back to its pool — before its
-// callback, so the callback reschedules from a warm pool. A ring slot
-// needs nothing: it is reclaimed with its chunk.
-func (c *calendar) unpool(e *Event) {
-	if e.flags&evPooled != 0 {
-		putEvent(&c.free, e)
+// callback, so the callback reschedules from a warm pool.
+func (c *calendar) unpool(fe *timedEvent) {
+	if fe != nil {
+		putEvent(&c.free, fe)
 	}
 }
 
-// each calls fn for every queued event of the calendar, live or dead, in
-// no particular order.
-func (c *calendar) each(fn func(*Event)) {
+// each calls fn for every queued event of the calendar and its time, live
+// or dead, in no particular order.
+func (c *calendar) each(fn func(*Event, Time)) {
 	for i := range c.ring {
 		b := &c.ring[i]
+		at := c.ringTime(i)
 		lo := int(b.hi)
 		for ch := b.head; ch != nil; ch = ch.next {
 			hi := chunkCap
@@ -563,78 +685,57 @@ func (c *calendar) each(fn func(*Event)) {
 				hi = int(b.ti)
 			}
 			for j := lo; j < hi; j++ {
-				fn(&ch.ev[j])
+				fn(&ch.ev[j], at)
 			}
 			lo = 0
 		}
 	}
-	for _, e := range c.far.h {
-		fn(e)
+	for _, fe := range c.far.h {
+		fn(&fe.Event, fe.at)
 	}
 }
 
-// peek returns the kernel's earliest queued event and its calendar, or a
-// nil event when the queue is empty. A single-calendar kernel peeks its
-// one calendar, unbounded.
-func (k *Kernel) peek() (*calendar, *Event) {
-	if len(k.cals) == 1 {
-		c := &k.cals[0]
-		return c, c.peek(maxTime)
-	}
-	return k.peekAll()
-}
-
-// peekAll is peek on a multi-calendar kernel: the (time, seq) minimum over
-// every calendar's head. Each calendar's window then slides up to that
-// minimum's time and no further — every later schedule, whichever
-// calendar it targets, lands at or after it.
-func (k *Kernel) peekAll() (*calendar, *Event) {
+// peekAll returns the kernel's earliest queued event, its time and its
+// calendar, or a nil event when the queue is empty: the (time, seq)
+// minimum over every calendar's head. Each calendar's window then slides
+// up to that minimum's time and no further — every later schedule,
+// whichever calendar it targets, lands at or after it.
+func (k *Kernel) peekAll() (*calendar, *Event, Time) {
 	var bc *calendar
 	var best *Event
+	var bestAt Time
 	for i := range k.cals {
 		c := &k.cals[i]
-		if e := c.peek(c.winStart); e != nil && (best == nil || before(e, best)) {
-			bc, best = c, e
+		if e, at := c.peek(c.winStart); e != nil && (best == nil || at < bestAt || (at == bestAt && e.seq < best.seq)) {
+			bc, best, bestAt = c, e, at
 		}
 	}
 	if best != nil {
 		for i := range k.cals {
-			k.cals[i].slide(best.at, best.at)
+			k.cals[i].slide(bestAt, bestAt)
 		}
 	}
-	return bc, best
+	return bc, best, bestAt
 }
 
-// exec advances the clock to e and runs its callback, in place: e has
-// been popped from c, and its slot stays untouched until its callback
-// returns.
-func (k *Kernel) exec(c *calendar, e *Event) {
-	k.now = e.at
-	k.nexec++
-	if k.TraceExec != nil {
-		k.TraceExec(e.at, e.seq)
+// peek returns the kernel's earliest queued event, its time and its
+// calendar, or a nil event when the queue is empty: the calendar's own
+// head on a single-calendar kernel, peekAll's minimum otherwise.
+func (k *Kernel) peek() (*calendar, *Event, Time) {
+	if len(k.cals) == 1 {
+		c := &k.cals[0]
+		e, at := c.peek(maxTime)
+		return c, e, at
 	}
-	act, op, a, b, cc, p := e.act, e.op, e.a, e.b, e.c, e.p
-	c.unpool(e)
-	act.Act(op, a, b, cc, p)
+	return k.peekAll()
 }
 
 // Step executes the next pending event. It returns false when the queue is
 // empty.
 func (k *Kernel) Step() bool {
-	for {
-		c, e := k.peek()
-		if e == nil {
-			return false
-		}
-		c.popPeeked(e)
-		if e.flags&evDead != 0 {
-			c.unpool(e)
-			continue
-		}
-		k.exec(c, e)
-		return true
-	}
+	n := k.nexec
+	k.run(context.Background(), 0, true)
+	return k.nexec != n
 }
 
 // Run executes events until the queue is empty or the clock passes until
@@ -656,8 +757,48 @@ const pollEvery = 8192
 // never reorders work, so an uncancelled RunCtx executes the same event
 // sequence whatever the context.
 func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
+	return k.run(ctx, until, false)
+}
+
+// run is the kernel's one pop loop, behind RunCtx and Step (step: return
+// after the first live event). Each turn reads the earliest event (peek),
+// checks the until-boundary, pops it and, if it is live, dispatches it
+// through the actor table. Dead events chain straight to the next pop
+// without rechecking the boundary — the historical Step-loop behaviour
+// the golden trace pins.
+func (k *Kernel) run(ctx context.Context, until Time, step bool) (Time, error) {
 	n := 0
+	chain := false // the last pop was dead: the next one skips the boundary check
 	for {
+		c, e, at := k.peek()
+		if e == nil {
+			break
+		}
+		if !chain && until > 0 && at > until {
+			k.now = until
+			break
+		}
+		fe := c.popPeeked(e, at) // a far struct to recycle
+		if e.flags&evDead != 0 {
+			c.unpool(fe)
+			chain = true
+			continue
+		}
+		chain = false
+		// Execute in place: e's slot stays untouched until the callback
+		// returns; a far struct goes back to the pool first, so the
+		// callback reschedules from a warm pool.
+		k.now = at
+		k.nexec++
+		if k.TraceExec != nil {
+			k.TraceExec(at, e.seq)
+		}
+		id, op, a, b, cc := e.act, e.op, e.a, e.b, e.c
+		c.unpool(fe)
+		k.acts[id].Act(op, a, b, cc, nil)
+		if step {
+			break
+		}
 		if n++; n >= pollEvery {
 			n = 0
 			//hxlint:allow noconc — cooperative cancellation poll, the kernel's one sanctioned channel op: it only adds an exit point, so an interrupted run executes a strict prefix of the serial schedule and event order never depends on the scheduler
@@ -667,43 +808,21 @@ func (k *Kernel) RunCtx(ctx context.Context, until Time) (Time, error) {
 			default:
 			}
 		}
-		c, e := k.peek()
-		if e == nil {
-			break
-		}
-		if until > 0 && e.at > until {
-			k.now = until
-			break
-		}
-		// Pop until a live event executes. Dead events skip straight to the
-		// next one without rechecking the until-boundary — the historical
-		// Step-loop behaviour the golden trace pins.
-		for {
-			c.popPeeked(e)
-			if e.flags&evDead == 0 {
-				k.exec(c, e)
-				break
-			}
-			c.unpool(e)
-			if c, e = k.peek(); e == nil {
-				return k.now, nil
-			}
-		}
 	}
 	return k.now, nil
 }
 
 // SetCalendars re-splits the queue into n calendars, one per shard, plus
-// an empty inbox per shard for n > 1: each pending event, live or dead,
-// moves to the calendar its actor's Sharded.ShardOf names; n = 1 merges
-// them back into one. For n > 1 a
-// pending event whose actor does not implement Sharded panics, with the
-// actor's type and the event's time, before anything moves. The clock,
-// the sequence counter and every event's (time, seq) stay as they are,
-// so the execution order does not change. Events move, so each one is
-// reported to rb with its old and new address while its old slot is
-// still intact. The chunk and struct pools are dealt out across the new
-// calendars. Call it between runs, never inside a window.
+// an empty inbox per shard for n > 1: each registered id's shard is asked
+// of its actor (Sharded.ShardOf), and each pending event, live or dead,
+// moves to its id's shard's calendar; n = 1 merges them back into one.
+// For n > 1 a pending event whose actor does not implement Sharded
+// panics, with the actor's type and the event's time, before anything
+// moves. The clock, the sequence counter and every event's (time, seq)
+// stay as they are, so the execution order does not change. Events move,
+// so each one is reported to rb with its old and new address while its
+// old slot is still intact. The chunk and struct pools are dealt out
+// across the new calendars. Call it between runs, never inside a window.
 func (k *Kernel) SetCalendars(n int, rb Rebinder) {
 	if n < 1 {
 		panic("sim: SetCalendars needs at least one calendar")
@@ -711,17 +830,58 @@ func (k *Kernel) SetCalendars(n int, rb Rebinder) {
 	buildCalendars(k, n, rb)
 }
 
+// pending is a queued event and its time, as buildCalendars and the
+// snapshot collect them.
+type pending struct {
+	e  *Event
+	at Time
+}
+
+// collect appends every queued event of every calendar, live or dead,
+// sorted by (time, seq).
+func (k *Kernel) collect(out []pending) []pending {
+	for i := range k.cals {
+		k.cals[i].each(func(e *Event, at Time) { out = append(out, pending{e, at}) })
+	}
+	// slices.SortFunc swaps the pairs by type: sort.Slice's reflective
+	// swap of them made a paper-scale snapshot about 1.5× slower.
+	slices.SortFunc(out, func(a, b pending) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.e.seq, b.e.seq)
+	})
+	return out
+}
+
 // buildCalendars does SetCalendars' move; allocation lives here, off the
 // simulation steady-state path.
 func buildCalendars(k *Kernel, n int, rb Rebinder) {
-	var old []*Event
+	var owner []int32
+	if n > 1 {
+		owner = make([]int32, len(k.acts))
+		for b, first := range k.firsts {
+			end := int32(len(k.acts))
+			if b+1 < len(k.firsts) {
+				end = k.firsts[b+1]
+			}
+			for id := first; id < end; id++ {
+				owner[id] = shardOf(k.acts[id], int(id-first))
+			}
+		}
+	}
+	old := k.collect(nil)
+	for _, p := range old {
+		if owner != nil && owner[p.e.act] < 0 {
+			panic(notSharded(p.at, k.acts[p.e.act]))
+		}
+	}
 	win := k.cals[0].winStart
 	var spareCh, usedCh []*chunk
-	var spareEv, usedEv []*Event
+	var spareEv, usedEv []*timedEvent
 	for i := range k.cals {
 		c := &k.cals[i]
 		win = min(win, c.winStart)
-		c.each(func(e *Event) { old = append(old, e) })
 		c.release()
 		for ch := c.chunks; ch != nil; ch = ch.next {
 			spareCh = append(spareCh, ch)
@@ -734,12 +894,6 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 		spareEv = append(spareEv, c.free...)
 		usedEv = append(usedEv, c.far.h...)
 	}
-	sort.Slice(old, func(i, j int) bool { return before(old[i], old[j]) })
-	for _, e := range old {
-		if _, ok := e.act.(Sharded); !ok && n > 1 {
-			panic(notSharded(e.at, e.act))
-		}
-	}
 
 	m := n
 	if n > 1 {
@@ -749,7 +903,7 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 	for i := range cals {
 		cals[i] = newCalendar(win, n, k.cals[0].huge)
 	}
-	deal := func(chs []*chunk, evs []*Event) {
+	deal := func(chs []*chunk, evs []*timedEvent) {
 		for i, ch := range chs {
 			c := &cals[i%m]
 			ch.next = c.chunks
@@ -762,15 +916,16 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 	// Placing into chunks and structs that held no pending event keeps
 	// every old slot intact until its event has moved.
 	deal(spareCh, spareEv)
-	k.cals = cals
-	for _, e := range old {
+	k.cals, k.owner = cals, owner
+	for _, p := range old {
+		e := p.e
 		c := &k.cals[0]
 		if n > 1 {
-			c, _ = k.calendarOf(e.at, e.act, e.op, e.a, e.b, e.c, e.p)
+			c, _ = k.calendarOf(p.at, e.act)
 		}
-		s := c.slot(e.at, e.seq)
+		s := c.slot(p.at, e.seq)
 		s.flags |= e.flags & evDead
-		s.set(e.act, e.op, e.a, e.b, e.c, e.p)
+		s.set(e.act, e.op, e.a, e.b, e.c)
 		if rb != nil {
 			rb.Rebind(e, s)
 		}
@@ -782,16 +937,16 @@ func buildCalendars(k *Kernel, n int, rb Rebinder) {
 // beyond the calendar window. Hand-rolled rather than container/heap to
 // keep pops free of interface dispatch.
 type farHeap struct {
-	h []*Event
+	h []*timedEvent
 }
 
-func (f *farHeap) push(e *Event) {
+func (f *farHeap) push(e *timedEvent) {
 	//hxlint:allow allocfree — the far heap holds the rare beyond-window tail and keeps its high-water capacity across pushes
 	f.h = append(f.h, e)
 	i := len(f.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !before(f.h[i], f.h[parent]) {
+		if !e.before(f.h[parent].at, f.h[parent].seq) {
 			break
 		}
 		f.h[i], f.h[parent] = f.h[parent], f.h[i]
@@ -799,7 +954,7 @@ func (f *farHeap) push(e *Event) {
 	}
 }
 
-func (f *farHeap) pop() *Event {
+func (f *farHeap) pop() *timedEvent {
 	h := f.h
 	e := h[0]
 	n := len(h) - 1
@@ -811,10 +966,10 @@ func (f *farHeap) pop() *Event {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && before(f.h[l], f.h[small]) {
+		if l < n && f.h[l].before(f.h[small].at, f.h[small].seq) {
 			small = l
 		}
-		if r < n && before(f.h[r], f.h[small]) {
+		if r < n && f.h[r].before(f.h[small].at, f.h[small].seq) {
 			small = r
 		}
 		if small == i {

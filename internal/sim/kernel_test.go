@@ -23,7 +23,12 @@ type scriptActor struct {
 	log  []int32
 	hook func(n int)
 	st   []*Stage
+	base int32 // the first of the script's scriptIDs ids
 }
+
+// scriptIDs is how many ids a script holds: id base+i runs on calendar i,
+// and an event with operand a uses id base + a mod the calendar count.
+const scriptIDs = 8
 
 func (s *scriptActor) Act(op uint8, a, b, c int32, _ any) {
 	s.log = append(s.log, a)
@@ -33,38 +38,49 @@ func (s *scriptActor) Act(op uint8, a, b, c int32, _ any) {
 	switch op {
 	case opChain:
 		if c == 0 || len(s.log) < int(c) {
-			s.k.AfterAct(Time(b), s, opChain, a+1, b, c, nil)
+			s.at(s.k.Now()+Time(b), opChain, a+1, b, c)
 		}
 	case opBurst:
 		for i := int32(1); i <= c; i++ {
-			s.k.AtAct(Time(b), s, opLog, a+i, 0, 0, nil)
+			s.at(Time(b), opLog, a+i, 0, 0)
 		}
 	case opStage:
 		n := int32(s.k.Calendars())
-		st := s.st[s.ShardOf(op, a, b, c, nil)]
+		st := s.st[uint32(a)%uint32(n)]
 		for i := int32(1); i <= c; i++ {
-			st.AtAct(Time(b), s, opLog, a+i*n, 0, 0, nil)
+			st.At(Time(b), s.id(a+i*n), opLog, a+i*n, 0, 0)
 		}
 	}
 }
 
-// ShardOf spreads the script over a split kernel's calendars: a event
-// belongs to calendar a mod the calendar count.
-func (s *scriptActor) ShardOf(_ uint8, a, _, _ int32, _ any) int {
-	return int(uint32(a) % uint32(s.k.Calendars()))
+// ShardOf spreads the script over a split kernel's calendars: its i-th id
+// runs on calendar i.
+func (s *scriptActor) ShardOf(i int) int { return i }
+
+// id returns the id of the script's events with operand a: they belong
+// to calendar a mod the calendar count.
+func (s *scriptActor) id(a int32) int32 {
+	return s.base + int32(uint32(a)%uint32(s.k.Calendars()))
 }
 
-// newScript returns a kernel and a scriptActor bound to it.
+// at schedules the script's event (op, a, b, c) for time t.
+func (s *scriptActor) at(t Time, op uint8, a, b, c int32) *Event {
+	return s.k.At(t, s.id(a), op, a, b, c)
+}
+
+// newScript returns a kernel and a scriptActor registered with it.
 func newScript() (*Kernel, *scriptActor) {
 	k := NewKernel()
-	return k, &scriptActor{k: k}
+	s := &scriptActor{k: k}
+	s.base = k.Register(s, scriptIDs)
+	return k, s
 }
 
 func TestKernelOrdering(t *testing.T) {
 	k, s := newScript()
-	k.AtAct(30, s, opLog, 3, 0, 0, nil)
-	k.AtAct(10, s, opLog, 1, 0, 0, nil)
-	k.AtAct(20, s, opLog, 2, 0, 0, nil)
+	s.at(30, opLog, 3, 0, 0)
+	s.at(10, opLog, 1, 0, 0)
+	s.at(20, opLog, 2, 0, 0)
 	k.Run(0)
 	if got := s.log; len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("execution order %v", got)
@@ -79,7 +95,7 @@ func TestKernelOrdering(t *testing.T) {
 func TestKernelFIFOWithinTimestamp(t *testing.T) {
 	k, s := newScript()
 	for i := int32(0); i < 100; i++ {
-		k.AtAct(5, s, opLog, i, 0, 0, nil)
+		s.at(5, opLog, i, 0, 0)
 	}
 	k.Run(0)
 	for i, v := range s.log {
@@ -91,7 +107,7 @@ func TestKernelFIFOWithinTimestamp(t *testing.T) {
 
 func TestKernelNestedScheduling(t *testing.T) {
 	k, s := newScript()
-	k.AtAct(0, s, opChain, 0, 7, 10, nil)
+	s.at(0, opChain, 0, 7, 10)
 	k.Run(0)
 	if len(s.log) != 10 {
 		t.Fatalf("count = %d", len(s.log))
@@ -103,7 +119,7 @@ func TestKernelNestedScheduling(t *testing.T) {
 
 func TestKernelCancel(t *testing.T) {
 	k, s := newScript()
-	e := k.AtAct(10, s, opLog, 0, 0, 0, nil)
+	e := s.at(10, opLog, 0, 0, 0)
 	k.Cancel(e)
 	k.Run(0)
 	if len(s.log) != 0 {
@@ -111,7 +127,7 @@ func TestKernelCancel(t *testing.T) {
 	}
 	// Double-cancel and cancel-after-run are no-ops.
 	k.Cancel(e)
-	e2 := k.AtAct(20, s, opLog, 0, 0, 0, nil)
+	e2 := s.at(20, opLog, 0, 0, 0)
 	k.Run(0)
 	k.Cancel(e2)
 	if len(s.log) != 1 {
@@ -122,7 +138,7 @@ func TestKernelCancel(t *testing.T) {
 func TestKernelRunUntil(t *testing.T) {
 	k, s := newScript()
 	for _, at := range []int32{5, 15, 25} {
-		k.AtAct(Time(at), s, opLog, at, 0, 0, nil)
+		s.at(Time(at), opLog, at, 0, 0)
 	}
 	k.Run(10)
 	if len(s.log) != 1 || k.Now() != 10 {
@@ -136,14 +152,14 @@ func TestKernelRunUntil(t *testing.T) {
 
 func TestKernelPastSchedulingPanics(t *testing.T) {
 	k, s := newScript()
-	k.AtAct(10, s, opLog, 0, 0, 0, nil)
+	s.at(10, opLog, 0, 0, 0)
 	k.Run(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	k.AtAct(5, s, opLog, 0, 0, 0, nil)
+	s.at(5, opLog, 0, 0, 0)
 }
 
 // TestKernelHeapProperty: random schedules always execute in
@@ -152,7 +168,7 @@ func TestKernelHeapProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		k, s := newScript()
 		for _, at := range times {
-			k.AtAct(Time(at), s, opLog, int32(at), 0, 0, nil)
+			s.at(Time(at), opLog, int32(at), 0, 0)
 		}
 		k.Run(0)
 		if len(s.log) != len(times) {
@@ -176,7 +192,7 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	build := func() (*Kernel, *scriptActor) {
 		k, s := newScript()
 		for i, at := range []Time{5, 15, 25, 25, 40} {
-			k.AtAct(at, s, opLog, int32(i), 0, 0, nil)
+			s.at(at, opLog, int32(i), 0, 0)
 		}
 		return k, s
 	}
@@ -211,7 +227,7 @@ func TestRunCtxCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	k.AtAct(0, s, opChain, 0, 1, 0, nil)
+	s.at(0, opChain, 0, 1, 0)
 	if _, err := k.RunCtx(ctx, 0); err != context.Canceled {
 		t.Fatalf("RunCtx error = %v, want context.Canceled", err)
 	}
@@ -222,8 +238,8 @@ func TestRunCtxCancel(t *testing.T) {
 
 func TestKernelExecutedAndPending(t *testing.T) {
 	k, s := newScript()
-	k.AtAct(1, s, opLog, 0, 0, 0, nil)
-	k.AtAct(2, s, opLog, 0, 0, 0, nil)
+	s.at(1, opLog, 0, 0, 0)
+	s.at(2, opLog, 0, 0, 0)
 	if k.Pending() != 2 {
 		t.Fatalf("pending = %d", k.Pending())
 	}

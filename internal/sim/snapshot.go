@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file implements the kernel half of the warm-state snapshot
 // contract (docs/STATE.md): capturing the complete calendar — every live
@@ -11,31 +8,29 @@ import (
 // a relocatable form, and restoring it so that a resumed run executes
 // exactly the event sequence an uninterrupted run would have.
 //
-// Events reference live model objects (an Actor receiver and an arbitrary
-// payload pointer), which a snapshot cannot hold directly: the model keeps
-// mutating and recycling those objects after the snapshot is taken. The
-// kernel therefore delegates endpoint translation to an EventCoder owned
-// by the model (internal/network), which maps actors and payloads to
-// stable numeric codes on capture and back to (possibly reconstructed)
-// objects on restore.
+// An event is already positional: an actor id, which the restore target
+// registered identically at build, and three integer arguments. The only
+// translation left is the model's own: an argument that indexes a table
+// whose layout a restore rebuilds (the network's packet slabs) is
+// re-mapped by the model's EventCoder, which sees every captured and
+// every restored event.
 //
 // Cancelled (dead) events are deliberately not captured: they never
-// execute, their recycling order is unobservable, and their payloads may
-// already have been recycled by the model. Dropping them changes Pending()
+// execute, their recycling order is unobservable, and their arguments may
+// already name recycled model objects. Dropping them changes Pending()
 // but no executed-event sequence — the golden-trace fork tests pin this.
 
-// EventState is the relocatable form of one live queued event. Actor and
-// Payload are model-defined codes produced by an EventCoder; the kernel
-// only requires that the coder round-trips them.
+// EventState is the relocatable form of one live queued event: its time,
+// sequence number, actor id, op and arguments, the arguments as the
+// model's EventCoder encoded them.
 type EventState struct {
-	At      Time   `json:"at"`
-	Seq     uint64 `json:"seq"`
-	Actor   uint64 `json:"actor"`
-	Payload uint64 `json:"payload"`
-	Op      uint8  `json:"op"`
-	A       int32  `json:"a"`
-	B       int32  `json:"b"`
-	C       int32  `json:"c"`
+	At    Time   `json:"at"`
+	Seq   uint64 `json:"seq"`
+	Actor int32  `json:"actor"`
+	Op    uint8  `json:"op"`
+	A     int32  `json:"a"`
+	B     int32  `json:"b"`
+	C     int32  `json:"c"`
 }
 
 // KernelState is a complete, relocatable checkpoint of a kernel: restore
@@ -54,20 +49,16 @@ type KernelState struct {
 	Events []EventState `json:"events"`
 }
 
-// EventCoder translates event endpoints between live objects and the
-// stable numeric codes a snapshot stores. Implementations are owned by
-// the model (internal/network); codes are opaque to the kernel. Encode
-// methods may assign fresh codes on the fly (e.g. registering an
-// in-flight packet in the snapshot's packet table); Decode methods must
-// resolve every code their Encode produced.
+// EventCoder re-maps the arguments of captured and restored events
+// between the live model and a snapshot. Implementations are owned by the
+// model (internal/network). EncodeEvent may assign fresh codes on the fly
+// (e.g. registering an in-flight packet in the snapshot's packet table);
+// DecodeEvent must resolve every code EncodeEvent produced, and rejects
+// an event the model cannot take. Both rewrite es in place. A nil
+// EventCoder leaves every event as it is.
 type EventCoder interface {
-	EncodeActor(a Actor) (uint64, error)
-	DecodeActor(code uint64) (Actor, error)
-	// EncodePayload/DecodePayload receive the event's op so coders can
-	// validate payload kinds per op; p is nil for payload-free events and
-	// code 0 conventionally means "no payload".
-	EncodePayload(op uint8, p any) (uint64, error)
-	DecodePayload(op uint8, code uint64) (any, error)
+	EncodeEvent(es *EventState) error
+	DecodeEvent(es *EventState) error
 }
 
 // Snapshot captures the kernel's complete calendar state, across every
@@ -94,32 +85,24 @@ func buildKernelState(k *Kernel, c EventCoder) (*KernelState, error) {
 		Seq:      k.seq,
 		Exec:     k.nexec,
 	}
-	live := make([]*Event, 0, k.Pending())
-	for i := range k.cals {
-		k.cals[i].each(func(e *Event) {
-			if e.flags&evDead == 0 {
-				live = append(live, e)
-			}
-		})
-	}
 	// Canonical (At, Seq) order, whichever calendar an event sat in: Seq is
 	// unique, so the order is total and re-enqueueing in it reproduces
 	// every bucket's FIFO order exactly.
-	sort.Slice(live, func(i, j int) bool { return before(live[i], live[j]) })
-	s.Events = make([]EventState, len(live))
-	for i, e := range live {
-		actor, err := c.EncodeActor(e.act)
-		if err != nil {
-			return nil, fmt.Errorf("sim: snapshot event t=%d seq=%d: %w", e.at, e.seq, err)
+	all := k.collect(make([]pending, 0, k.Pending()))
+	s.Events = make([]EventState, 0, len(all))
+	for _, p := range all {
+		e := p.e
+		if e.flags&evDead != 0 {
+			continue
 		}
-		payload, err := c.EncodePayload(e.op, e.p)
-		if err != nil {
-			return nil, fmt.Errorf("sim: snapshot event t=%d seq=%d: %w", e.at, e.seq, err)
-		}
-		s.Events[i] = EventState{
-			At: e.at, Seq: e.seq,
-			Actor: actor, Payload: payload,
-			Op: e.op, A: e.a, B: e.b, C: e.c,
+		// Encoded in place: a pointer into the slice costs no allocation
+		// per event.
+		s.Events = append(s.Events, EventState{At: p.at, Seq: e.seq, Actor: e.act, Op: e.op, A: e.a, B: e.b, C: e.c})
+		es := &s.Events[len(s.Events)-1]
+		if c != nil {
+			if err := c.EncodeEvent(es); err != nil {
+				return nil, fmt.Errorf("sim: snapshot event t=%d seq=%d: %w", es.At, es.Seq, err)
+			}
 		}
 	}
 	return s, nil
@@ -127,14 +110,15 @@ func buildKernelState(k *Kernel, c EventCoder) (*KernelState, error) {
 
 // Restore rebuilds the kernel's calendars from a snapshot, discarding
 // whatever is currently queued; on a multi-calendar kernel each event
-// goes to its shard's calendar, as AtAct would place it, and an event
-// whose decoded actor does not implement Sharded fails the restore with
-// AtAct's report. After it returns, the kernel's clock, sequence
-// counter, and pending-event population match the snapshot exactly, so
-// Run continues bit-identically to the captured run. The
-// optional restored callback observes every re-created event alongside
-// its EventState — the model uses it to rewire cancellation handles
-// (waiter re-route timers) that point at specific events.
+// goes to its id's shard's calendar, as At would place it, and an event
+// whose actor does not implement Sharded fails the restore with At's
+// report. An event for an id this kernel has not registered fails it
+// too. After it returns, the kernel's clock, sequence counter, and
+// pending-event population match the snapshot exactly, so Run continues
+// bit-identically to the captured run. The optional restored callback
+// observes every re-created event alongside its decoded EventState — the
+// model uses it to rewire cancellation handles (waiter re-route timers)
+// that point at specific events.
 func (k *Kernel) Restore(s *KernelState, c EventCoder, restored func(EventState, *Event)) error {
 	return initFromKernelState(k, s, c, restored)
 }
@@ -143,9 +127,7 @@ func (k *Kernel) Restore(s *KernelState, c EventCoder, restored func(EventState,
 // lives here, off the steady-state path.
 func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(EventState, *Event)) error {
 	// Drain every calendar: every bucket's chunks back to its free list,
-	// every far struct back to its pool. Payload objects owned by the
-	// model are abandoned here; the model's own restore pass rebuilds or
-	// recycles them.
+	// every far struct back to its pool.
 	for ci := range k.cals {
 		cal := &k.cals[ci]
 		for i := range cal.ring {
@@ -158,8 +140,8 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 			*b = bucket{}
 		}
 		cal.release()
-		for _, e := range cal.far.h {
-			putEvent(&cal.free, e)
+		for _, fe := range cal.far.h {
+			putEvent(&cal.free, fe)
 		}
 		cal.far.h = cal.far.h[:0]
 		cal.nring = 0
@@ -171,8 +153,12 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 	k.seq = s.Seq
 	k.nexec = s.Exec
 
-	var prev EventState
-	for i, es := range s.Events {
+	// es is decoded into, never s.Events[i]: the snapshot may be restored
+	// again. One variable for the whole loop, since the coder's pointer
+	// moves it to the heap.
+	var prev, es EventState
+	for i := range s.Events {
+		es = s.Events[i]
 		if es.At < s.Now {
 			return fmt.Errorf("sim: restore: event t=%d seq=%d scheduled before snapshot clock %d", es.At, es.Seq, s.Now)
 		}
@@ -183,22 +169,23 @@ func initFromKernelState(k *Kernel, s *KernelState, c EventCoder, restored func(
 			return fmt.Errorf("sim: restore: events not in strict (at, seq) order at index %d", i)
 		}
 		prev = es
-		act, err := c.DecodeActor(es.Actor)
-		if err != nil {
-			return fmt.Errorf("sim: restore event t=%d seq=%d: %w", es.At, es.Seq, err)
+		if es.Actor < 0 || int(es.Actor) >= len(k.acts) {
+			return fmt.Errorf("sim: restore event t=%d seq=%d: actor id %d not registered (%d ids)", es.At, es.Seq, es.Actor, len(k.acts))
 		}
-		p, err := c.DecodePayload(es.Op, es.Payload)
-		if err != nil {
-			return fmt.Errorf("sim: restore event t=%d seq=%d: %w", es.At, es.Seq, err)
+		if c != nil {
+			if err := c.DecodeEvent(&es); err != nil {
+				return fmt.Errorf("sim: restore event t=%d seq=%d: %w", es.At, es.Seq, err)
+			}
 		}
 		cal := &k.cals[0]
 		if len(k.cals) > 1 {
-			if cal, err = k.calendarOf(es.At, act, es.Op, es.A, es.B, es.C, p); err != nil {
+			var err error
+			if cal, err = k.calendarOf(es.At, es.Actor); err != nil {
 				return err
 			}
 		}
 		e := cal.slot(es.At, es.Seq)
-		e.set(act, es.Op, es.A, es.B, es.C, p)
+		e.set(es.Actor, es.Op, es.A, es.B, es.C)
 		if restored != nil {
 			restored(es, e)
 		}

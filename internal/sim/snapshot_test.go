@@ -30,37 +30,6 @@ func (a *snapActor) Act(op uint8, x, y, _ int32, p any) {
 	}
 }
 
-// passthroughCoder encodes the single known actor and nil payloads.
-type passthroughCoder struct{ a *snapActor }
-
-func (c *passthroughCoder) EncodeActor(a Actor) (uint64, error) {
-	if a != Actor(c.a) {
-		return 0, fmt.Errorf("unknown actor %T", a)
-	}
-	return 1, nil
-}
-
-func (c *passthroughCoder) DecodeActor(code uint64) (Actor, error) {
-	if code != 1 {
-		return nil, fmt.Errorf("unknown actor code %d", code)
-	}
-	return c.a, nil
-}
-
-func (c *passthroughCoder) EncodePayload(_ uint8, p any) (uint64, error) {
-	if p != nil {
-		return 0, fmt.Errorf("unexpected payload %T", p)
-	}
-	return 0, nil
-}
-
-func (c *passthroughCoder) DecodePayload(_ uint8, code uint64) (any, error) {
-	if code != 0 {
-		return nil, fmt.Errorf("unknown payload code %d", code)
-	}
-	return nil, nil
-}
-
 // TestKernelSnapshotRestoreResumesIdentically pins the core contract:
 // snapshot mid-run, keep running to the end, then restore and re-run —
 // the resumed half must replay the exact same (time, op, args) sequence
@@ -68,13 +37,12 @@ func (c *passthroughCoder) DecodePayload(_ uint8, code uint64) (any, error) {
 func TestKernelSnapshotRestoreResumesIdentically(t *testing.T) {
 	k := NewKernel()
 	a := &snapActor{k: k, stop: 5000}
-	coder := &passthroughCoder{a: a}
 	for i := 0; i < 8; i++ {
 		k.AtAct(Time(i), a, 0, int32(i), 0, 0, nil)
 	}
 	k.Run(1500)
 
-	snap, err := k.Snapshot(coder)
+	snap, err := k.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +55,7 @@ func TestKernelSnapshotRestoreResumesIdentically(t *testing.T) {
 	want := append([]string(nil), a.trace[mark:]...)
 	wantNow, wantExec, wantSeq := k.Now(), k.Executed(), k.seq
 
-	if err := k.Restore(snap, coder, nil); err != nil {
+	if err := k.Restore(snap, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if k.Now() != snap.Now || k.Executed() != snap.Exec || k.Pending() != len(snap.Events) {
@@ -115,11 +83,10 @@ func TestKernelSnapshotRestoreResumesIdentically(t *testing.T) {
 func TestKernelSnapshotSkipsDeadEvents(t *testing.T) {
 	k := NewKernel()
 	a := &snapActor{k: k, stop: 0}
-	coder := &passthroughCoder{a: a}
 	live := k.AtAct(10, a, 0, 1, 0, 0, nil)
 	doomed := k.AtAct(20, a, 0, 2, 0, 0, nil)
 	k.Cancel(doomed)
-	snap, err := k.Snapshot(coder)
+	snap, err := k.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +94,7 @@ func TestKernelSnapshotSkipsDeadEvents(t *testing.T) {
 		t.Fatalf("snapshot events = %+v, want just the live t=10 event", snap.Events)
 	}
 	_ = live
-	if err := k.Restore(snap, coder, nil); err != nil {
+	if err := k.Restore(snap, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if k.Pending() != 1 {
@@ -143,15 +110,16 @@ func TestKernelSnapshotSkipsDeadEvents(t *testing.T) {
 func TestKernelRestoreRejectsMalformedState(t *testing.T) {
 	k := NewKernel()
 	a := &snapActor{k: k}
-	coder := &passthroughCoder{a: a}
+	k.Register(a, 1)
 	bad := []*KernelState{
-		{Now: 100, Seq: 5, Events: []EventState{{At: 50, Seq: 1, Actor: 1}}},                         // behind the clock
-		{Now: 100, Seq: 5, Events: []EventState{{At: 150, Seq: 9, Actor: 1}}},                        // seq beyond counter
-		{Now: 0, Seq: 5, Events: []EventState{{At: 5, Seq: 2, Actor: 1}, {At: 5, Seq: 1, Actor: 1}}}, // out of order
+		{Now: 100, Seq: 5, Events: []EventState{{At: 50, Seq: 1, Actor: 0}}},                         // behind the clock
+		{Now: 100, Seq: 5, Events: []EventState{{At: 150, Seq: 9, Actor: 0}}},                        // seq beyond counter
+		{Now: 0, Seq: 5, Events: []EventState{{At: 5, Seq: 2, Actor: 0}, {At: 5, Seq: 1, Actor: 0}}}, // out of order
 		{Now: 0, Seq: 5, Events: []EventState{{At: 5, Seq: 1, Actor: 77}}},                           // unknown actor
+		{Now: 0, Seq: 5, Events: []EventState{{At: 5, Seq: 1, Actor: -1}}},                           // negative actor
 	}
 	for i, s := range bad {
-		if err := k.Restore(s, coder, nil); err == nil {
+		if err := k.Restore(s, nil, nil); err == nil {
 			t.Fatalf("case %d: restore of malformed state succeeded", i)
 		}
 	}

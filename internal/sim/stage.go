@@ -13,7 +13,7 @@
 //     calendar and its inbox up to winEnd: exactly the events, in exactly
 //     the (time, seq) order, a serial Run would execute from them before
 //     the clock reaches the boundary, each executed as it is popped. The
-//     Stage records schedule calls (AtAct) in program order WITHOUT
+//     Stage records schedule calls (At) in program order WITHOUT
 //     assigning kernel sequence numbers. A schedule call whose event
 //     belongs to the stage's own shard, whatever its time, goes straight
 //     into the shard's own calendar under a tagged seq, stagedSeq|rank,
@@ -25,7 +25,7 @@
 //     stay (time, seq)-ordered with no extra code, and RunWindow pops
 //     the in-window ones where the serial loop would have run them. A schedule call for another shard lands at or beyond
 //     winEnd — the window width is capped at the minimum cross-shard
-//     latency, and AtAct asserts it — and goes into a struct from a
+//     latency, and At asserts it — and goes into a struct from a
 //     private pool, so this phase writes no calendar but the shard's own.
 //   - Serial: the coordinator walks the executed events the model
 //     recorded (every one that staged a schedule call, at least) in
@@ -52,8 +52,9 @@
 //
 // Outside a window every pending event sits in some calendar under its
 // kernel seq, so the serial loop, PeekTime and Snapshot always see the
-// whole queue. Which calendar an event belongs to is a type requirement
-// at the schedule point: Stage.AtAct takes only Sharded actors.
+// whole queue. Which calendar an event belongs to is a function of its
+// actor id alone, read from the kernel's owner table at the schedule
+// point: Stage.At refuses an id whose actor is not Sharded.
 //
 // Within one callback the serial kernel interleaves schedule calls with
 // model side effects; the merge handles all of an event's schedule calls
@@ -63,34 +64,27 @@
 // network's effect log.
 package sim
 
+import "fmt"
+
 // Sharded is implemented by actors whose events can be assigned to a
-// shard: the returned index must identify the single shard whose state
-// the event's callback touches. Every actor scheduled on a split kernel
-// must implement it: Stage.AtAct takes nothing else, and Kernel.AtAct,
-// SetCalendars and Restore refuse any other actor once the queue is
-// split.
+// shard: ShardOf(i) must name the single shard whose state the callbacks
+// of the actor's i-th id touch, i counting from 0 over the ids Register
+// gave it. The kernel asks once per id, when the queue splits or when the
+// actor registers on a split kernel, so an event's shard is a function of
+// its id alone. Every actor scheduled on a split kernel must implement
+// it: At, Stage.At, SetCalendars and Restore refuse any other actor's
+// events once the queue is split.
 type Sharded interface {
 	Actor
-	ShardOf(op uint8, a, b, c int32, p any) int
+	ShardOf(i int) int
 }
-
-// At returns the event's scheduled time. Valid, like the handle itself,
-// until the event is popped.
-func (e *Event) At() Time { return e.at }
-
-// Payload returns the event's payload argument, for a Rebinder to find
-// the model object that holds the event's handle.
-func (e *Event) Payload() any { return e.p }
 
 // PeekTime returns the timestamp of the earliest queued event, across
 // every calendar. ok=false means the queue is empty. Like Run's peek, it
 // slides the calendar windows toward that time.
 func (k *Kernel) PeekTime() (Time, bool) {
-	_, e := k.peek()
-	if e == nil {
-		return 0, false
-	}
-	return e.at, true
+	_, e, at := k.peek()
+	return at, e != nil
 }
 
 // SetNow forces the clock, mirroring Run's until-boundary behaviour
@@ -130,9 +124,10 @@ type Stage struct {
 	now    Time
 	idx    int       // this stage's shard index
 	cal    *calendar // the shard's own calendar, set by StartWindow
+	owner  []int32   // the kernel's id -> shard table, set by StartWindow
 	winEnd Time      // current window's exclusive end; a cross-shard schedule before it is a model bug
 	n      int       // schedule calls staged this window: the next rank
-	free   []*Event
+	free   []*timedEvent
 
 	// out[t] lists, in rank order, the window's staged events for shard t
 	// at or beyond winEnd: staging structs for placement to copy into t's
@@ -160,9 +155,12 @@ type Stage struct {
 	_ [64]byte
 }
 
-// stagedOp is a staged event beyond the window and its staging rank.
+// stagedOp is a staged event beyond the window and its staging rank:
+// for the stage's own shard the calendar slot, for another shard the
+// staging struct.
 type stagedOp struct {
 	e    *Event
+	te   *timedEvent
 	rank int
 }
 
@@ -170,7 +168,7 @@ type stagedOp struct {
 // one slab of staging structs. Steady state never restocks: the pool only
 // has to cover one window's cross-shard staging.
 func NewStage(idx, n int) *Stage {
-	return &Stage{idx: idx, out: make([][]stagedOp, n), free: stockEvents(make([]*Event, 0, eventChunk))}
+	return &Stage{idx: idx, out: make([][]stagedOp, n), free: stockEvents(make([]*timedEvent, 0, eventChunk))}
 }
 
 // StartWindow opens a parallel phase covering [now, winEnd) on k:
@@ -180,6 +178,7 @@ func NewStage(idx, n int) *Stage {
 // inside RunWindow.
 func (st *Stage) StartWindow(k *Kernel, winEnd Time) {
 	st.cal = &k.cals[st.idx]
+	st.owner = k.owner
 	st.winEnd = winEnd
 	st.hasTail = false
 }
@@ -188,39 +187,46 @@ func (st *Stage) StartWindow(k *Kernel, winEnd Time) {
 // executing on this shard.
 func (st *Stage) Now() Time { return st.now }
 
-// AtAct stages a typed event for absolute time t and returns its handle,
-// which supports Kernel.Cancel like a directly scheduled event. An event
-// for this stage's shard goes into the shard's own calendar under a
-// tagged seq (stagedSeq), whatever its time: one inside the window runs
-// later in the same RunWindow, and the handle is final. An event for
-// another shard must land at or beyond the window end — the window width
-// is capped at the minimum cross-shard latency (see internal/shard), so
-// scheduling one inside the window is a model ownership bug, and the
-// assertion here is what keeps the window determinism argument
-// mechanized rather than hoped-for. It is a struct from the stage pool,
-// copied into the target's inbox at placement; its handle is valid until
-// then.
-func (st *Stage) AtAct(t Time, act Sharded, op uint8, a, b, c int32, p any) *Event {
+// At stages an event for absolute time t on the actor registered under
+// id and returns its handle, which supports Kernel.Cancel like a directly
+// scheduled event. An event for this stage's shard goes into the shard's
+// own calendar under a tagged seq (stagedSeq), whatever its time: one
+// inside the window runs later in the same RunWindow, and the handle is
+// final. An event for another shard must land at or beyond the window
+// end — the window width is capped at the minimum cross-shard latency
+// (see internal/shard), so scheduling one inside the window is a model
+// ownership bug, and the assertion here is what keeps the window
+// determinism argument mechanized rather than hoped-for. It is a struct
+// from the stage pool, copied into the target's inbox at placement; its
+// handle is valid until then.
+func (st *Stage) At(t Time, id int32, op uint8, a, b, c int32) *Event {
 	if t < st.now {
 		panic("sim: event scheduled in the past")
 	}
-	tgt := act.ShardOf(op, a, b, c, p)
+	tgt := 0 // a stage over one calendar: every id is its
+	if st.owner != nil {
+		tgt = int(st.owner[id])
+	}
 	rank := st.n
 	var e *Event
+	var te *timedEvent
 	switch {
 	case tgt == st.idx:
 		e = st.cal.slot(t, stagedSeq|uint64(rank))
+	case tgt < 0:
+		panic(fmt.Sprintf("sim: stage: event at t=%d for id %d, whose actor does not implement sim.Sharded", t, id))
 	case t < st.winEnd:
 		panic("sim: cross-shard event staged inside the execution window")
 	default:
-		e = takeEvent(&st.free)
-		e.at, e.flags = t, 0
+		te = takeEvent(&st.free)
+		te.at, te.flags = t, 0
+		e = &te.Event
 	}
-	e.set(act, op, a, b, c, p)
+	e.set(id, op, a, b, c)
 	st.n++
 	if t >= st.winEnd {
 		//hxlint:allow allocfree — each per-target list grows to its per-window high-water count and is reset (not reallocated) every window
-		st.out[tgt] = append(st.out[tgt], stagedOp{e, rank})
+		st.out[tgt] = append(st.out[tgt], stagedOp{e, te, rank})
 	}
 	return e
 }
@@ -251,36 +257,38 @@ func (st *Stage) RunWindow(k *Kernel, rec Recorder) {
 	// until popped. The own calendar slides no further than it: an inbox
 	// event may schedule into the own calendar at its own time.
 	var next *Event
+	var nextAt Time
 	if in != nil {
-		next = in.peek(st.winEnd)
+		next, nextAt = in.peek(st.winEnd)
 	}
 	for {
 		limit := st.winEnd
 		if next != nil {
-			limit = min(limit, next.at)
+			limit = min(limit, nextAt)
 		}
-		c, e := own, own.peek(limit)
-		if next != nil && (e == nil || before(next, e)) {
-			c, e = in, next
+		c := own
+		e, at := own.peek(limit)
+		if next != nil && (e == nil || nextAt < at || (nextAt == at && next.seq < e.seq)) {
+			c, e, at = in, next, nextAt
 		}
-		if e == nil || e.at >= st.winEnd {
+		if e == nil || at >= st.winEnd {
 			return
 		}
-		c.popPeeked(e)
+		fe := c.popPeeked(e, at)
 		if c == in {
-			next = in.peek(st.winEnd)
+			next, nextAt = in.peek(st.winEnd)
 		}
-		at, seq, dead := e.at, e.seq, e.flags&evDead != 0
+		seq, dead := e.seq, e.flags&evDead != 0
 		st.tailAt, st.tailSeq, st.tailDead, st.hasTail = at, seq, dead, true
 		if dead {
-			c.unpool(e)
+			c.unpool(fe)
 			continue
 		}
 		// Counting and tracing are the merge's job.
 		st.now = at
-		act, op, a, b, cc, p := e.act, e.op, e.a, e.b, e.c, e.p
-		c.unpool(e)
-		act.Act(op, a, b, cc, p)
+		id, op, a, b, cc := e.act, e.op, e.a, e.b, e.c
+		c.unpool(fe)
+		k.acts[id].Act(op, a, b, cc, nil)
 		rec.Record(at, seq)
 	}
 }
@@ -332,7 +340,7 @@ func (st *Stage) ResetOps() {
 	for t, o := range st.out {
 		if t != st.idx {
 			for _, x := range o {
-				putEvent(&st.free, x.e)
+				putEvent(&st.free, x.te)
 			}
 		}
 		st.out[t] = o[:0]
@@ -387,10 +395,10 @@ func (k *Kernel) Place(t int, stages []*Stage) {
 			if seq > second {
 				break
 			}
-			e := o[p].e
-			placed := c.slot(e.at, seq)
-			placed.set(e.act, e.op, e.a, e.b, e.c, e.p)
-			placed.flags |= e.flags & evDead
+			te := o[p].te
+			placed := c.slot(te.at, seq)
+			placed.set(te.act, te.op, te.a, te.b, te.c)
+			placed.flags |= te.flags & evDead
 		}
 		src[pick].pos, src[pick].head = p, none
 		if p < len(o) {

@@ -19,7 +19,7 @@ type logActor struct{ log *[]int32 }
 
 func (l logActor) Act(_ uint8, a, _, _ int32, _ any) { *l.log = append(*l.log, a) }
 
-func (logActor) ShardOf(uint8, int32, int32, int32, any) int { return 0 }
+func (logActor) ShardOf(int) int { return 0 }
 
 // TestInjectStagedSerialSeq: staged events stamped by Stamp and placed by
 // Place receive exactly the seq numbers — and therefore the execution
@@ -42,7 +42,7 @@ func TestInjectStagedSerialSeq(t *testing.T) {
 	st.StartWindow(k, 0)
 	pool := len(st.free)
 	for i := int32(0); i < 6; i++ {
-		st.AtAct(10, act, 0, i, 0, 0, nil)
+		st.At(10, k.idOf(act), 0, i, 0, 0)
 	}
 	if st.StagedLen() != 6 {
 		t.Fatalf("StagedLen = %d, want 6", st.StagedLen())
@@ -74,8 +74,8 @@ func TestStagedCancelConsumesSeq(t *testing.T) {
 	act := logActor{&log}
 	st := NewStage(0, 1)
 	st.StartWindow(k, 0)
-	e0 := st.AtAct(10, act, 0, 0, 0, 0, nil)
-	st.AtAct(10, act, 0, 1, 0, 0, nil)
+	e0 := st.At(10, k.idOf(act), 0, 0, 0, 0)
+	st.At(10, k.idOf(act), 0, 1, 0, 0)
 	k.Cancel(e0)
 	if e0.flags&evDead == 0 {
 		t.Fatal("Cancel on a staged handle did not take")
@@ -222,7 +222,7 @@ func TestDrainWindowCancelDrained(t *testing.T) {
 	var log []int32
 	act := logActor{&log}
 	var victim *Event
-	k.AtAct(5, funcActor(func(int32) { k.Cancel(victim) }), 0, 0, 0, 0, nil)
+	k.AtAct(5, fn(func(int32) { k.Cancel(victim) }), 0, 0, 0, 0, nil)
 	k.AtAct(5, act, 0, 0, 0, 0, nil)
 	victim = k.AtAct(6, act, 0, 1, 0, 0, nil)
 	k.AtAct(7, act, 0, 2, 0, 0, nil)
@@ -241,6 +241,7 @@ func TestDrainWindowCancelDrained(t *testing.T) {
 // follow-up events on its stage according to a spawn table, exercising
 // RunWindow's in-window local execution path.
 type windowActor struct {
+	k     *Kernel
 	st    *Stage
 	log   *[]int32
 	spawn map[int32][]Time // a operand -> follow-up event times (staged as a+100, a+200, ...)
@@ -249,11 +250,11 @@ type windowActor struct {
 func (w *windowActor) Act(_ uint8, a, _, _ int32, _ any) {
 	*w.log = append(*w.log, a)
 	for i, at := range w.spawn[a] {
-		w.st.AtAct(at, w, 0, a+int32(100*(i+1)), 0, 0, nil)
+		w.st.At(at, w.k.idOf(w), 0, a+int32(100*(i+1)), 0, 0)
 	}
 }
 
-func (w *windowActor) ShardOf(uint8, int32, int32, int32, any) int { return 0 }
+func (w *windowActor) ShardOf(int) int { return 0 }
 
 // windowRecorder captures RunWindow's Record stream: times and seqs, a
 // calendar event's kernel seq or a staged one's tagged rank (its seq is
@@ -277,7 +278,7 @@ func TestRunWindowSameCycleStaging(t *testing.T) {
 	k := NewKernel()
 	var log []int32
 	st := NewStage(0, 1)
-	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{
+	w := &windowActor{k: k, st: st, log: &log, spawn: map[int32][]Time{
 		0: {5, 6}, // same-cycle (t=5) and mid-window (t=6) follow-ups
 	}}
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
@@ -330,9 +331,9 @@ func TestRunWindowStagedAfterRingAndFar(t *testing.T) {
 			k := NewKernel()
 			var log []int32
 			st := NewStage(0, 1)
-			w := &windowActor{st: st, log: &log, spawn: row.spawn}
+			w := &windowActor{k: k, st: st, log: &log, spawn: row.spawn}
 			k.AtAct(at, w, 0, 0, 0, 0, nil)
-			k.AtAct(at-100, funcActor(func(int32) { k.AtAct(row.ringAt, w, 0, 1, 0, 0, nil) }), 0, 0, 0, 0, nil)
+			k.AtAct(at-100, fn(func(int32) { k.AtAct(row.ringAt, w, 0, 1, 0, 0, nil) }), 0, 0, 0, 0, nil)
 			k.Run(at - 2)
 			if c := &k.cals[0]; len(c.far.h) != 1 || c.nring != 1 {
 				t.Fatalf("%d far and %d ring events before the window, want 1 and 1", len(c.far.h), c.nring)
@@ -359,12 +360,14 @@ func TestRunWindowStagedAfterRingAndFar(t *testing.T) {
 	}
 }
 
-// hopActor is a two-shard actor: event a runs on shard a%2, logs a, and
-// schedules the follow-ups its spawn table lists, all at time at, each on
-// the shard its own operand names — through the executing shard's stage
-// when staged, on the kernel otherwise.
+// hopActor is a two-shard actor: event a runs on shard a%2 — it has two
+// ids, base+0 and base+1 — logs a, and schedules the follow-ups its spawn
+// table lists, all at time at, each on the shard its own operand names —
+// through the executing shard's stage when staged, on the kernel
+// otherwise.
 type hopActor struct {
 	k      *Kernel
+	base   int32
 	stages []*Stage // nil: serial
 	log    []int32
 	spawn  map[int32][]int32
@@ -375,14 +378,14 @@ func (h *hopActor) Act(_ uint8, a, _, _ int32, _ any) {
 	h.log = append(h.log, a)
 	for _, f := range h.spawn[a] {
 		if h.stages != nil {
-			h.stages[a%2].AtAct(h.at, h, 0, f, 0, 0, nil)
+			h.stages[a%2].At(h.at, h.base+f%2, 0, f, 0, 0)
 		} else {
-			h.k.AtAct(h.at, h, 0, f, 0, 0, nil)
+			h.k.At(h.at, h.base+f%2, 0, f, 0, 0)
 		}
 	}
 }
 
-func (h *hopActor) ShardOf(_ uint8, a, _, _ int32, _ any) int { return int(a % 2) }
+func (h *hopActor) ShardOf(i int) int { return i }
 
 // TestPlaceInterleavesOwnAndInbox: in one window, shard 1 stages an event
 // for itself beyond the window, and shard 0 stages events for shard 1 at
@@ -413,8 +416,9 @@ func TestPlaceInterleavesOwnAndInbox(t *testing.T) {
 					k.SetCalendars(2, nil)
 					h.stages = []*Stage{NewStage(0, 2), NewStage(1, 2)}
 				}
+				h.base = k.Register(h, 2)
 				for i, a := range row.roots {
-					k.AtAct(Time(1+i), h, 0, a, 0, 0, nil)
+					k.At(Time(1+i), h.base+a%2, 0, a, 0, 0)
 				}
 				if !windowed {
 					k.Run(0)
@@ -444,11 +448,11 @@ func TestRunWindowCancelStaged(t *testing.T) {
 	k := NewKernel()
 	var log []int32
 	st := NewStage(0, 1)
-	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
+	w := &windowActor{k: k, st: st, log: &log, spawn: map[int32][]Time{}}
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
 	st.StartWindow(k, 10)
 	st.now = 5
-	victim := st.AtAct(8, w, 0, 50, 0, 0, nil)
+	victim := st.At(8, k.idOf(w), 0, 50, 0, 0)
 	k.Cancel(victim)
 	rec := &windowRecorder{}
 	st.RunWindow(k, rec)
@@ -487,10 +491,10 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 	k := NewKernel()
 	var log []int32
 	st := NewStage(0, 1)
-	w := &windowActor{st: st, log: &log, spawn: map[int32][]Time{}}
+	w := &windowActor{k: k, st: st, log: &log, spawn: map[int32][]Time{}}
 	st.StartWindow(k, 10)
 	pool := len(st.free)
-	st.AtAct(5, w, 0, 7, 0, 0, nil)
+	st.At(5, k.idOf(w), 0, 7, 0, 0)
 	st.RunWindow(k, &windowRecorder{})
 	if len(log) != 1 || log[0] != 7 {
 		t.Fatalf("RunWindow on staged-only window executed %v, want [7]", log)
@@ -520,5 +524,5 @@ func TestStageAllocPanicsOnPast(t *testing.T) {
 			t.Fatal("staging an event in the past did not panic")
 		}
 	}()
-	st.AtAct(5, logActor{new([]int32)}, 0, 0, 0, 0, nil)
+	st.At(5, NewKernel().Register(logActor{new([]int32)}, 1), 0, 0, 0, 0)
 }

@@ -67,14 +67,26 @@ type Generator struct {
 	stopped bool
 	streams []rng.Source
 	carry   []float64 // per-terminal fractional-cycle remainder of the gap sequence
+
+	// ids: terminal t's injections are the kernel actor id base+t, which
+	// Start registers once per kernel (on, the kernel it registered with).
+	//hxlint:state ephemeral — build-time wiring: the restore target's Start registers the same ids
+	base int32
+	//hxlint:state ephemeral — build-time wiring, with base
+	on *sim.Kernel
 }
 
 // Start begins injection on every terminal. The first packet of each
 // terminal arrives after a randomized initial gap so sources are not
-// phase-aligned.
+// phase-aligned. The first Start on a kernel registers the generator with
+// it, one actor id per terminal, so every injection belongs to its
+// terminal's shard.
 func (g *Generator) Start(seed uint64) {
 	if g.Load <= 0 {
 		panic("traffic: Load must be positive")
+	}
+	if g.on != g.Net.K {
+		g.base, g.on = g.Net.K.Register(g, len(g.Net.Terminals)), g.Net.K
 	}
 	//hxlint:allow seedflow — frozen stream constant: every published sweep CSV (fig6*, resilience) was produced from this exact XOR-separated stream, and rewriting it through DeriveSeed would change every result byte; new streams must use rng.DeriveSeed
 	master := rng.New(seed ^ 0xdeadbeefcafef00d)
@@ -109,14 +121,15 @@ func (g *Generator) Act(_ uint8, a, _, _ int32, _ any) {
 }
 
 func (g *Generator) scheduleNext(t int, gap sim.Time) {
-	g.Net.TerminalShard(t).After(gap, g, 0, int32(t), 0, 0, nil)
+	g.Net.TerminalShard(t).After(gap, g.base+int32(t), 0, int32(t), 0, 0)
 }
 
-// ShardOf implements sim.Sharded: an injection event touches terminal a's
-// source queue and its router's shard-staged state, plus the generator's
-// own per-terminal stream — all owned by the terminal's router's shard.
-func (g *Generator) ShardOf(_ uint8, a, _, _ int32, _ any) int {
-	return g.Net.ShardOfTerminal(int(a))
+// ShardOf implements sim.Sharded: the injection events of the generator's
+// t-th id touch terminal t's source queue and its router's shard-staged
+// state, plus the generator's own stream for t — all owned by the
+// terminal's router's shard.
+func (g *Generator) ShardOf(t int) int {
+	return g.Net.ShardOfTerminal(t)
 }
 
 func (g *Generator) inject(t int) {

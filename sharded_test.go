@@ -319,8 +319,8 @@ func TestShardedMatchesSerialFaulted(t *testing.T) {
 // executor, at each shard count of a sequence, is bit-identical to the
 // same snapshot resumed serially. Repeated restores across shard counts
 // pin that Restore resets every execution context's packet pool: a pool
-// left threading through the restore arena hands out packets the next
-// restore overwrites.
+// left from before a restore hands out packets whose slab indices the
+// rebuilt packet directory no longer resolves to them.
 func TestShardedSnapshotRestoreResume(t *testing.T) {
 	for _, tc := range []struct {
 		load   float64
