@@ -20,10 +20,16 @@ const (
 	opArrive     uint8 = iota // Router: packet head reaches input (a=port, b=vc, c=packet)
 	opAttempt                 // Router: retry output arbitration (a=port)
 	opCredit                  // Router: upstream credit return (a=port, b=vc, c=flits)
-	opReroute                 // Router: blocked-decision re-route timer (a=input VC index)
+	_                         // opReroute's code, below
 	opDeliver                 // Router: packet reaches its terminal on this router (c=packet)
 	opTermRetry               // Terminal: injection-channel retry
 	opTermCredit              // Terminal: injection credit return (a=vc, b=flits)
+
+	// opReroute is a blocked decision's re-route timer (a=input VC index,
+	// b=the VC's timer generation when armed). It expires (Router.Expired)
+	// once the VC's generation has moved on: the decision was granted or
+	// re-routed first.
+	opReroute = sim.OpExpires | 3
 )
 
 // inputVC is one per-(port,VC) packet buffer. Occupancy accounting lives
@@ -32,14 +38,15 @@ const (
 // buffer, so queueing is pointer threading with no per-entry storage.
 //
 // The head packet's routing decision is a waitEntry on the chosen
-// output's wait list; the input VC keeps only what needs a stable
-// address: the decision's re-route timer handle (an opReroute event names
-// the input VC by idx) and which output the decision is registered on.
+// output's wait list; the input VC keeps only what an event names it for:
+// its re-route timer's generation (an opReroute event carries the input
+// VC's idx and the generation it was armed under) and which output the
+// decision is registered on.
 type inputVC struct {
 	head, tail *route.Packet
-	timer      *sim.Event // pending re-route timer, nil when none
-	idx        int32      // this buffer's index in Router.vcs: port*nv+vc
-	out        int32      // output the head's decision waits on, -1 = none
+	gen        int32 // timer generation: bumped when a timer is armed and when its decision goes
+	idx        int32 // this buffer's index in Router.vcs: port*nv+vc
+	out        int32 // output the head's decision waits on, -1 = none
 }
 
 func (iv *inputVC) empty() bool { return iv.head == nil }
@@ -235,6 +242,10 @@ func (r *Router) Act(op uint8, a, b, c int32, _ any) {
 	}
 }
 
+// Expired implements sim.Expirer for opReroute, the router's one expiring
+// op: a timer has expired once its input VC's generation has moved on.
+func (r *Router) Expired(_ uint8, a, b, _ int32) bool { return r.vcs[a].gen != b }
+
 // routerSlabs hands a router its views into the network-level state
 // slabs: the router owns the subslices exclusively, but the backing
 // arrays are contiguous across all routers (see Network build).
@@ -369,7 +380,8 @@ func (r *Router) routeHead(iv *inputVC) {
 		e = makeEntry(p, iv.idx, c, false)
 		// A blocked decision goes stale; re-evaluate periodically so
 		// incremental adaptivity keeps responding to changing congestion.
-		iv.timer = r.sc.After(r.net.Cfg.ReRouteInterval, r.self(), opReroute, iv.idx, 0, 0)
+		iv.gen++
+		r.sc.After(r.net.Cfg.ReRouteInterval, r.self(), opReroute, iv.idx, iv.gen, 0)
 	}
 	ln := &r.lines[port]
 	if ln.nwait == ln.wcap {
@@ -472,17 +484,14 @@ func (r *Router) reroute(iv *inputVC) {
 }
 
 // unregister removes entry i from the wait list of the output whose line
-// is ln by swapping the last entry into its place, and cancels the
+// is ln by swapping the last entry into its place, and expires the
 // decision's re-route timer.
 func (r *Router) unregister(ln *portLine, i int) {
 	ws := r.waits[ln.wbase : ln.wbase+ln.nwait]
 	e := &ws[i]
 	iv := &r.vcs[e.ivc]
 	iv.out = -1
-	if iv.timer != nil {
-		r.net.K.Cancel(iv.timer)
-		iv.timer = nil
-	}
+	iv.gen++
 	ln.load -= e.flits
 	last := len(ws) - 1
 	ws[i] = ws[last]

@@ -79,7 +79,8 @@ type Model interface {
 	RunShard(s int)
 	// MergeWindow replays all shards' staged work in global (time, seq)
 	// order and reports whether the window's serially-last processed
-	// event was dead (the until-overshoot quirk's trigger).
+	// event was dead, an expired one (sim.Expirer): the until-overshoot
+	// quirk's trigger.
 	MergeWindow() (lastDead bool)
 	// PlaceShard gives shard s's staged events beyond the merged window
 	// their seqs and places the other shards' events for s into its

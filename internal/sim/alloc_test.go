@@ -28,13 +28,18 @@ func countMallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// countActor is a minimal sim.Actor that records its invocations.
+// countActor is a minimal sim.Actor that records its invocations. Its
+// expiring events carry a generation in b, and have expired once gen has
+// moved on.
 type countActor struct {
 	n    int
 	last [3]int32
 	op   uint8
 	p    any
+	gen  int32
 }
+
+func (a *countActor) Expired(_ uint8, _, b, _ int32) bool { return b != a.gen }
 
 func (a *countActor) Act(op uint8, x, y, z int32, p any) {
 	a.n++
@@ -155,15 +160,17 @@ func TestAtActPanicsOnPayload(t *testing.T) {
 	k.AtAct(5, act, 0, 0, 0, 0, new(int))
 }
 
-// TestTypedEventCancel: AfterAct's handle honours Cancel.
+// TestTypedEventCancel: an expiring event scheduled through AfterAct is
+// skipped once its actor reports it expired, and runs while it does not.
 func TestTypedEventCancel(t *testing.T) {
 	k := NewKernel()
 	act := &countActor{}
-	e := k.AfterAct(10, act, 0, 0, 0, 0, nil)
-	k.Cancel(e)
+	k.AfterAct(10, act, OpExpires|2, 0, 0, 0, nil)
+	act.gen++
+	k.AfterAct(20, act, OpExpires|2, 0, act.gen, 0, nil)
 	k.Run(0)
-	if act.n != 0 {
-		t.Fatal("cancelled typed event ran")
+	if act.n != 1 || act.op != OpExpires|2 || k.Executed() != 1 || k.Now() != 20 {
+		t.Fatalf("ran %d events (executed %d, now %d), want only the live one at 20", act.n, k.Executed(), k.Now())
 	}
 }
 

@@ -1,10 +1,10 @@
 package sim
 
 // Tests for the calendar's storage: events live by value in per-bucket
-// chunk chains. The layout facts the design rests on, the three ways a
-// chunked FIFO with address handles goes wrong — each on one calendar and
-// on a kernel split into two — and the footprint property (memory follows
-// pending events, not ring size × peak bucket).
+// chunk chains. The layout facts the design rests on, the ways a chunked
+// FIFO goes wrong — each on one calendar and on a kernel split into two —
+// and the footprint property (memory follows pending events, not ring
+// size × peak bucket).
 
 import (
 	"reflect"
@@ -13,8 +13,8 @@ import (
 )
 
 // numChunks counts every chunk the kernel has ever allocated: chunks are
-// never handed back to the runtime, so each one is in a bucket, parked, or
-// on a free list.
+// never handed back to the runtime, so each one is in a bucket or on a
+// free list.
 func numChunks(k *Kernel) int {
 	n := 0
 	for ci := range k.cals {
@@ -23,9 +23,6 @@ func numChunks(k *Kernel) int {
 			for ch := c.ring[i].head; ch != nil; ch = ch.next {
 				n++
 			}
-		}
-		for ch := c.spent; ch != nil; ch = ch.next {
-			n++
 		}
 		for ch := c.chunks; ch != nil; ch = ch.next {
 			n++
@@ -58,8 +55,8 @@ func (s *shardedFunc) ShardOf(i int) int { return i }
 
 // at schedules s's event with operand a for time t on calendar a mod the
 // calendar count.
-func (s *shardedFunc) at(t Time, a int32) *Event {
-	return s.k.At(t, s.id(a), 0, a, 0, 0)
+func (s *shardedFunc) at(t Time, a int32) {
+	s.k.At(t, s.id(a), 0, a, 0, 0)
 }
 
 // id returns the id of s's events with operand a.
@@ -91,11 +88,13 @@ func TestEventIsHalfALine(t *testing.T) {
 	reserved := numChunks(k)
 	act := fn(func(int32) {})
 	for i := 0; i < 3*chunkSlab*chunkCap; i++ { // outgrows the reserve: the rest is on-demand growth
-		e := k.AtAct(Time(i%2), act, 0, 0, 0, 0, nil)
-		if a := uintptr(unsafe.Pointer(e)); a%32 != 0 || a%4096 >= chunkCap*32 {
-			t.Fatalf("event %d at %#x is not a 32-byte slot of a page-aligned chunk", i, a)
-		}
+		k.AtAct(Time(i%2), act, 0, 0, 0, 0, nil)
 	}
+	k.cals[0].each(func(e *Event, _ Time) {
+		if a := uintptr(unsafe.Pointer(e)); a%32 != 0 || a%4096 >= chunkCap*32 {
+			t.Fatalf("event at %#x is not a 32-byte slot of a page-aligned chunk", a)
+		}
+	})
 	for i := range k.cals[0].ring {
 		for ch := k.cals[0].ring[i].head; ch != nil; ch = ch.next {
 			if a := uintptr(unsafe.Pointer(ch)); a%4096 != 0 {
@@ -145,7 +144,7 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 			// Serial: event number `consumed` is a burst appending to its own
 			// bucket from inside the callback.
 			k, s := newScript()
-			k.SetCalendars(ncal, nil)
+			k.SetCalendars(ncal)
 			for i := int32(0); i < n; i++ {
 				if i == consumed {
 					s.at(5, opBurst, 1000, 5, extra)
@@ -173,7 +172,7 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 			// Windowed: part-consume with Step, append directly, then run a
 			// window over every calendar, each through its own stage.
 			k, s = newScript()
-			k.SetCalendars(ncal, nil)
+			k.SetCalendars(ncal)
 			for i := int32(0); i < n; i++ {
 				s.at(5, opLog, i, 0, 0)
 			}
@@ -205,7 +204,7 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 			// being popped — appends under tagged seqs that cross its chunk
 			// boundaries and run after every event the bucket held.
 			k, s = newScript()
-			k.SetCalendars(ncal, nil)
+			k.SetCalendars(ncal)
 			for c := 0; c < ncal; c++ {
 				s.st = append(s.st, NewStage(c, ncal))
 				s.st[c].StartWindow(k, 6)
@@ -245,22 +244,28 @@ func TestBucketHeadChunkExhaustedBehindTail(t *testing.T) {
 
 // TestFarAndRingShareATimestamp: events pushed on the far heap stay there
 // when the window slides over their time; later direct ring appends at
-// the same timestamp run after them, in seq order, and a Cancel on a far
-// handle still lands.
+// the same timestamp run after them, in seq order, and a far timer's
+// expiry still lands.
 func TestFarAndRingShareATimestamp(t *testing.T) {
 	k, s := newScript()
 	const at = ringSize + 500
-	var far []*Event
 	for i := int32(0); i < 50; i++ {
-		far = append(far, s.at(at, opLog, i, 0, 0))
+		switch i {
+		case 10:
+			s.arm(at, i, 0)
+		case 49:
+			s.arm(at, i, 1)
+		default:
+			s.at(at, opLog, i, 0, 0)
+		}
 	}
 	s.at(at-100, opBurst, -1, at, 50) // window now covers `at`: 50 direct appends, logged as 0..49
 	k.AtAct(at-50, fn(func(int32) {
 		if c := &k.cals[0]; c.winStart+ringSize <= at || len(c.far.h) != 50 {
 			t.Errorf("window [%d, +%d) with %d far events; the test meant the window to cover t=%d with the far events unmoved", c.winStart, ringSize, len(c.far.h), at)
 		}
-		k.Cancel(far[10])
-		k.Cancel(far[49])
+		s.expire(0)
+		s.expire(1)
 	}), 0, 0, 0, 0, nil)
 	var seqs []uint64 // of the events executed at t=at
 	k.TraceExec = func(t Time, seq uint64) {
@@ -284,7 +289,7 @@ func TestFarAndRingShareATimestamp(t *testing.T) {
 	}
 	for i := range want {
 		if s.log[i] != want[i] {
-			t.Fatalf("log[%d] = %d, want %d (far tier first, cancelled handles skipped, then the direct appends)", i, s.log[i], want[i])
+			t.Fatalf("log[%d] = %d, want %d (far tier first, expired timers skipped, then the direct appends)", i, s.log[i], want[i])
 		}
 	}
 	for i := 1; i < len(seqs); i++ {
@@ -297,75 +302,38 @@ func TestFarAndRingShareATimestamp(t *testing.T) {
 	}
 }
 
-// TestCancelOwnExecutingHandle: a callback cancels the handle of its own
-// executing event — before and after scheduling well over a chunk's worth
-// of events (the model's reroute → unregister → Cancel(w.timer) pattern)
-// — and must cancel nothing else: the chunk the executing event sits in,
-// exhausted by its pop, is not reusable until the callback has returned.
-// On a split kernel the burst lands in both calendars, the executing
-// event's own among them.
-func TestCancelOwnExecutingHandle(t *testing.T) {
-	const burst = 3 * chunkCap
-	for _, ncal := range calendarCounts {
-		k := NewKernel()
-		k.SetCalendars(ncal, nil)
-		ran := 0
-		count := &shardedFunc{k: k, f: func(int32) { ran++ }}
-		var self *Event
-		self = (&shardedFunc{k: k, f: func(int32) { // alone in its bucket: its pop exhausts the chunk
-			k.Cancel(self)
-			for i := 0; i < burst; i++ {
-				count.at(5+Time(i%3), int32(i))
-			}
-			k.Cancel(self)
-		}}).at(5, 0)
-		k.Run(0)
-		if ran != burst {
-			t.Fatalf("calendars=%d: %d of %d events scheduled by the self-cancelling callback ran", ncal, ran, burst)
-		}
-	}
-}
-
-// TestDrainedEventsOutliveTheirMerge: the same pattern through the
-// sharded path. The window pops the event, whose callback cancels its own
-// handle and stages over a chunk's worth of events; the merge stamps them
-// and placement copies them into the calendars, growing their buckets.
-// The popped event's slot must stay untouched and addressable
-// throughout: the chunk its pop exhausted is parked until its calendar's
-// next pop, and placement draws only from the free list, so a late
-// Cancel on that handle still lands on the executed event and on nothing
-// placed. On a split kernel each shard runs its own calendar, and the
-// staged burst lands in both.
+// TestDrainedEventsOutliveTheirMerge: the events a window's last pop
+// stages outlive the merge. The pop exhausts its chunk, which goes
+// straight back to the free list, before its callback stages over a
+// chunk's worth of events — into that chunk among others; the merge
+// stamps them and placement copies them into the calendars, growing
+// their buckets from the free lists. Every one must run once. On a split
+// kernel each shard runs its own calendar, and the staged burst lands in
+// both.
 func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 	const burst = 3 * chunkCap
 	for _, ncal := range calendarCounts {
 		k := NewKernel()
-		k.SetCalendars(ncal, nil)
+		k.SetCalendars(ncal)
 		stages := make([]*Stage, ncal)
 		for s := range stages {
 			stages[s] = NewStage(s, ncal)
 		}
 		ran := 0
 		count := &shardedFunc{k: k, f: func(int32) { ran++ }}
-		var self *Event
-		canceller := &shardedFunc{k: k}
-		canceller.f = func(int32) {
-			k.Cancel(self)
+		stager := &shardedFunc{k: k}
+		stager.f = func(int32) {
 			for i := 0; i < burst; i++ {
 				stages[0].At(20+Time(i%3), count.id(int32(i)), 0, int32(i), 0, 0)
 			}
-			k.Cancel(self)
 		}
-		count.at(4, int32(1%ncal)) // the last calendar, before self
-		self = canceller.at(5, 0)  // calendar 0, its last pop
+		count.at(4, int32(1%ncal)) // the last calendar, before the stager
+		stager.at(5, 0)            // calendar 0, its last pop
 		for _, st := range stages {
 			st.StartWindow(k, 10)
 		}
-		for s, st := range stages {
+		for _, st := range stages {
 			st.RunWindow(k, &windowRecorder{})
-			if k.cals[s].spent == nil {
-				t.Fatalf("calendars=%d: calendar %d released the chunk of the event it popped last", ncal, s)
-			}
 		}
 		stages[0].Stamp(k, stages[0].StagedLen())
 		for c := range stages {
@@ -377,14 +345,10 @@ func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 		if k.Pending() != burst {
 			t.Fatalf("calendars=%d: Pending = %d after placement, want %d", ncal, k.Pending(), burst)
 		}
-		if self.act != canceller.base || self.a != 0 || self.seq != 1 {
-			t.Fatalf("calendars=%d: popped event reads (id=%d seq=%d a=%d) after placement, want (id=%d seq=1 a=0): its slot was reused", ncal, self.act, self.seq, self.a, canceller.base)
-		}
-		k.Cancel(self)
 		ran = 0
 		k.Run(0)
 		if ran != burst {
-			t.Fatalf("calendars=%d: %d of %d events staged by the self-cancelling callback ran", ncal, ran, burst)
+			t.Fatalf("calendars=%d: %d of %d events staged by the last pop's callback ran", ncal, ran, burst)
 		}
 	}
 }
@@ -392,9 +356,8 @@ func TestDrainedEventsOutliveTheirMerge(t *testing.T) {
 // TestCalendarFootprintFollowsPending: a steady population of P pending
 // events spread over T live timestamps never makes the kernel allocate
 // more than ⌈P/chunkCap⌉ chunks plus two per live timestamp (a
-// part-consumed head and a part-filled tail) plus the one parked behind
-// the executing event, rounded up to whole growth slabs — however many
-// events flow through, and far below
+// part-consumed head and a part-filled tail), rounded up to whole growth
+// slabs — however many events flow through, and far below
 // one chunk per ring bucket, let alone ring size × peak bucket.
 func TestCalendarFootprintFollowsPending(t *testing.T) {
 	const (
@@ -418,7 +381,7 @@ func TestCalendarFootprintFollowsPending(t *testing.T) {
 	if k.Pending() != pending {
 		t.Fatalf("Pending = %d, want the constant population %d", k.Pending(), pending)
 	}
-	bound := pending/chunkCap + 2*(spread+1) + 1 + chunkSlab - 1
+	bound := pending/chunkCap + 2*(spread+1) + chunkSlab - 1
 	if n := numChunks(k); n > bound {
 		t.Fatalf("allocated %d chunks for %d pending events over <= %d timestamps, want <= %d", n, pending, spread+1, bound)
 	}

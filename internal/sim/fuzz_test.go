@@ -16,14 +16,15 @@ package sim
 // on the next one (a cross-calendar schedule when slots are spread over
 // calendars: staged, it reaches the target's inbox at placement, while a
 // same-calendar one goes straight into its calendar); re-armable per-slot
-// timers whose handle the slot keeps and cancels — the handle of a staged
-// timer, always same-calendar, is final when it is taken — including a
-// firing timer cancelling its own handle and then scheduling a burst past
-// a chunk's capacity; delays past the ring (far heap), equal-time events
-// on every calendar, until-boundaries with external schedules behind the
-// window (far heap) and serial Steps between windowed runs. A cancel
-// that hit a live bystander, a slot reused too early, a mis-ordered
-// bucket or a stale handle all show up as a diverging trace.
+// timers (OpExpires) that expire by their slot's generation, which arming
+// and expiring bump — the reference kills the armed timer instead —
+// including a firing timer expiring its own slot and then scheduling a
+// burst past a chunk's capacity into the chunk its pop just freed; delays
+// past the ring (far heap), equal-time events on every calendar,
+// until-boundaries with external schedules behind the window (far heap)
+// and serial Steps between windowed runs. An expiry that hit a live
+// bystander, a chunk reused too early, a mis-ordered bucket or a stale
+// generation all show up as a diverging trace.
 //
 // The times the kernel keeps are checked directly too. After every step
 // of the script each kernel's pending live events, read back with the
@@ -74,7 +75,7 @@ func (p *fzProgram) byteOf(id, salt uint64) byte {
 
 // fzAct is one action of an executing event.
 type fzAct struct {
-	kind  uint8 // fzChild, fzArm, fzCancel
+	kind  uint8 // fzChild, fzArm, fzExpire
 	slot  int32
 	delay Time
 	id    int32
@@ -83,14 +84,15 @@ type fzAct struct {
 
 const (
 	fzChild  uint8 = iota // schedule a plain event
-	fzArm                 // (re-)arm the slot's timer: cancel the old one, keep the new handle
-	fzCancel              // cancel the slot's timer, if armed
+	fzArm                 // (re-)arm the slot's timer: the old one expires
+	fzExpire              // expire the slot's timer, if armed
 )
 
-// Event ops.
+// Event ops. A timer's c is its depth plus its slot's generation when
+// armed, shifted past the depth (fzSim).
 const (
 	opPlain uint8 = iota
-	opTimer
+	opTimer       = OpExpires | 1
 )
 
 // actions lists what event id does when it runs on slot, identically in
@@ -105,10 +107,10 @@ func (p *fzProgram) actions(op uint8, slot, id, depth int32) []fzAct {
 		acts = append(acts, fzAct{kind: fzChild, slot: target, delay: d, id: int32(fzMix(uint64(id)<<8|uint64(k)) & 0x7fffffff), depth: depth})
 	}
 	if op == opTimer {
-		// A firing timer is its slot's current one: it may cancel its own
-		// handle before the slot forgets it, then burst.
+		// A firing timer is its slot's current one: it may expire its own
+		// slot, then burst.
 		if b&1 != 0 {
-			acts = append(acts, fzAct{kind: fzCancel, slot: slot})
+			acts = append(acts, fzAct{kind: fzExpire, slot: slot})
 		}
 		if depth < 2 {
 			burst := [...]int{0, 3, 8, chunkCap + 7}[b>>1&3]
@@ -122,7 +124,7 @@ func (p *fzProgram) actions(op uint8, slot, id, depth int32) []fzAct {
 		return acts
 	}
 	if b&8 != 0 {
-		acts = append(acts, fzAct{kind: fzCancel, slot: slot})
+		acts = append(acts, fzAct{kind: fzExpire, slot: slot})
 	}
 	for k := 0; k < [...]int{0, 1, 1, 2}[b&3]; k++ {
 		c := p.byteOf(uint64(id), uint64(2+k))
@@ -206,7 +208,7 @@ func (r *fzRef) exec(e fzRefEv) {
 		case fzArm:
 			r.cancel(a.slot, e.seq)
 			r.timer[a.slot] = r.at(r.now+a.delay, opTimer, a.slot, a.id, a.depth) + 1
-		case fzCancel:
+		case fzExpire:
 			r.cancel(a.slot, e.seq)
 		}
 	}
@@ -258,11 +260,14 @@ type fzSim struct {
 	p      *fzProgram
 	k      *Kernel
 	base   int32
-	timer  [fzSlots]*Event
-	stages []*Stage // windowed only
+	gen    [fzSlots]int32 // the slots' timer generations
+	stages []*Stage       // windowed only
 	staged bool
 	trace  [][2]uint64
 }
+
+// fzDepthBits is the width of a timer's depth in its c argument.
+const fzDepthBits = 4
 
 func (s *fzSim) ShardOf(slot int) int { return slot % s.p.n }
 
@@ -273,11 +278,12 @@ func (s *fzSim) now(slot int32) Time {
 	return s.k.Now()
 }
 
-func (s *fzSim) sched(from int32, t Time, op uint8, slot, id, depth int32) *Event {
+func (s *fzSim) sched(from int32, t Time, op uint8, slot, id, c int32) {
 	if s.staged {
-		return s.stages[s.ShardOf(int(from))].At(t, s.base+slot, op, slot, id, depth)
+		s.stages[s.ShardOf(int(from))].At(t, s.base+slot, op, slot, id, c)
+		return
 	}
-	return s.k.At(t, s.base+slot, op, slot, id, depth)
+	s.k.At(t, s.base+slot, op, slot, id, c)
 }
 
 // live returns the kernel's pending live events, (time, seq) sorted, each
@@ -285,47 +291,45 @@ func (s *fzSim) sched(from int32, t Time, op uint8, slot, id, depth int32) *Even
 func (s *fzSim) live() [][2]uint64 {
 	var out [][2]uint64
 	for _, p := range s.k.collect(nil) {
-		if p.e.flags&evDead == 0 {
+		if deadOf(s.k, p.e) == 0 {
 			out = append(out, [2]uint64{uint64(p.at), p.e.seq})
 		}
 	}
 	return out
 }
 
-func (s *fzSim) cancel(slot int32) {
-	if s.timer[slot] != nil {
-		s.k.Cancel(s.timer[slot])
-		s.timer[slot] = nil
-	}
-}
+// expire bumps the slot's generation: its armed timer, if any, expires.
+func (s *fzSim) expire(slot int32) { s.gen[slot]++ }
 
-func (s *fzSim) Act(op uint8, slot, id, depth int32, _ any) {
+// Expired implements Expirer: a timer has expired once its slot's
+// generation has moved on from the one it was armed under.
+func (s *fzSim) Expired(_ uint8, slot, _, c int32) bool { return c>>fzDepthBits != s.gen[slot] }
+
+func (s *fzSim) Act(op uint8, slot, id, c int32, _ any) {
 	now := s.now(slot)
+	depth := c
+	if op == opTimer {
+		depth = c & (1<<fzDepthBits - 1)
+	}
 	for _, a := range s.p.actions(op, slot, id, depth) {
 		switch a.kind {
 		case fzChild:
 			s.sched(slot, now+a.delay, opPlain, a.slot, a.id, a.depth)
 		case fzArm:
-			s.cancel(a.slot)
-			s.timer[a.slot] = s.sched(slot, now+a.delay, opTimer, a.slot, a.id, a.depth)
-		case fzCancel:
-			s.cancel(a.slot)
+			s.expire(a.slot)
+			s.sched(slot, now+a.delay, opTimer, a.slot, a.id, s.gen[a.slot]<<fzDepthBits|a.depth)
+		case fzExpire:
+			s.expire(a.slot)
 		}
-	}
-	if op == opTimer {
-		// A firing timer is its slot's armed one (re-arming and cancelling
-		// kill the old timer): the slot forgets it, unless it cancelled
-		// itself already. Timers arm nothing.
-		s.timer[slot] = nil
 	}
 }
 
-// Rebind implements Rebinder for SetCalendars: a kept timer handle follows
-// its event.
-func (s *fzSim) Rebind(old, placed *Event) {
-	if slot := placed.a; s.timer[slot] == old {
-		s.timer[slot] = placed
+// deadOf is 1 for an event that has expired, 0 otherwise.
+func deadOf(k *Kernel, e *Event) uint64 {
+	if k.expired(e.act, e.op, e.a, e.b, e.c) {
+		return 1
 	}
+	return 0
 }
 
 // stampRecorder is one shard's Recorder in a windowed test run: its
@@ -417,7 +421,7 @@ func queued(k *Kernel, stages []*Stage) [][3]uint64 {
 			if stages != nil && i < len(stages) {
 				seq = stages[i].Seq(seq)
 			}
-			out = append(out, [3]uint64{uint64(at), seq, uint64(e.flags & evDead)})
+			out = append(out, [3]uint64{uint64(at), seq, deadOf(k, e)})
 		})
 	}
 	return sortTriples(out)
@@ -434,7 +438,7 @@ func placing(k *Kernel, stages []*Stage) [][3]uint64 {
 				continue
 			}
 			for _, x := range o {
-				out = append(out, [3]uint64{uint64(x.te.at), st.seqs[x.rank], uint64(x.te.flags & evDead)})
+				out = append(out, [3]uint64{uint64(x.te.at), st.seqs[x.rank], deadOf(k, &x.te.Event)})
 			}
 		}
 	}
@@ -485,7 +489,7 @@ func newFzSim(p *fzProgram, windowed bool) *fzSim {
 	s := &fzSim{p: p, k: NewKernel()}
 	s.base = s.k.Register(s, fzSlots)
 	s.k.TraceExec = func(at Time, seq uint64) { s.trace = append(s.trace, [2]uint64{uint64(at), seq}) }
-	s.k.SetCalendars(p.n, s)
+	s.k.SetCalendars(p.n)
 	if windowed {
 		for sh := 0; sh < p.n; sh++ {
 			s.stages = append(s.stages, NewStage(sh, p.n))
@@ -543,11 +547,11 @@ func FuzzCalendarOps(f *testing.F) {
 				for _, s := range sims {
 					s.k.Step()
 				}
-			case 3: // cancel a slot's timer from outside any event
+			case 3: // expire a slot's timer from outside any event
 				slot := int32(b/5) % fzSlots
 				ref.cancel(slot, ^uint64(0)) // no event is executing
 				for _, s := range sims {
-					s.cancel(slot)
+					s.expire(slot)
 				}
 			}
 			for _, s := range sims {

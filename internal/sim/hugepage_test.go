@@ -69,7 +69,7 @@ func TestHugePagesCarried(t *testing.T) {
 		for i := int32(0); i < 64; i++ {
 			k.At(Time(1+i%9), s.base+i%4, opLog, i, 0, 0) // calendar i mod 4 once split
 		}
-		k.SetCalendars(4, nil)
+		k.SetCalendars(4)
 		if on, off := huge(k); use && off > 0 || !use && on > 0 {
 			t.Errorf("UseHugePages=%v: after SetCalendars(4) %d calendars huge, %d not", use, on, off)
 		}
@@ -78,8 +78,8 @@ func TestHugePagesCarried(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k.SetCalendars(1, nil)
-		if err := k.Restore(snap, nil, nil); err != nil {
+		k.SetCalendars(1)
+		if err := k.Restore(snap, nil); err != nil {
 			t.Fatal(err)
 		}
 		if on, off := huge(k); use && off > 0 || !use && on > 0 {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -9,21 +11,28 @@ import (
 // Ops of scriptActor, this file's one actor. Every op first appends its a
 // operand to the log.
 const (
-	opLog   uint8 = iota // nothing more
-	opChain              // re-arm (a+1) b cycles ahead while the log is shorter than c (c == 0: forever)
-	opBurst              // schedule c opLog events a+1, a+2, … at absolute time b
-	opStage              // stage c opLog events a+n, a+2n, … at absolute time b through st[a's calendar], n the calendar count
+	opLog    uint8 = iota // nothing more
+	opChain               // re-arm (a+1) b cycles ahead while the log is shorter than c (c == 0: forever)
+	opBurst               // schedule c opLog events a+1, a+2, … at absolute time b
+	opStage               // stage c opLog events a+n, a+2n, … at absolute time b through st[a's calendar], n the calendar count
+	opExpire              // expire timer slot c
+
+	// opLogTimer is opLog on an expiring event: timer slot c's, armed under
+	// the slot's generation b (arm).
+	opLogTimer = OpExpires | opLog
 )
 
 // scriptActor logs what ran, in order, and re-schedules per the op table
 // above. hook, when set, observes the log length after every event; st
-// holds the stages opStage schedules through, one per calendar.
+// holds the stages opStage schedules through, one per calendar. gen is
+// the timer slots' generation table (Expired).
 type scriptActor struct {
 	k    *Kernel
 	log  []int32
 	hook func(n int)
 	st   []*Stage
 	base int32 // the first of the script's scriptIDs ids
+	gen  [4]int32
 }
 
 // scriptIDs is how many ids a script holds: id base+i runs on calendar i,
@@ -50,8 +59,25 @@ func (s *scriptActor) Act(op uint8, a, b, c int32, _ any) {
 		for i := int32(1); i <= c; i++ {
 			st.At(Time(b), s.id(a+i*n), opLog, a+i*n, 0, 0)
 		}
+	case opExpire:
+		s.expire(c)
 	}
 }
+
+// Expired implements Expirer: a timer has expired once its slot's
+// generation has moved on.
+func (s *scriptActor) Expired(_ uint8, _, b, c int32) bool { return s.gen[c] != b }
+
+// arm schedules an opLogTimer event with operand a for time t on timer slot
+// slot, under the slot's next generation: any timer the slot had armed
+// expires.
+func (s *scriptActor) arm(t Time, a, slot int32) {
+	s.gen[slot]++
+	s.at(t, opLogTimer, a, s.gen[slot], slot)
+}
+
+// expire expires slot's armed timer, if it has one.
+func (s *scriptActor) expire(slot int32) { s.gen[slot]++ }
 
 // ShardOf spreads the script over a split kernel's calendars: its i-th id
 // runs on calendar i.
@@ -64,8 +90,8 @@ func (s *scriptActor) id(a int32) int32 {
 }
 
 // at schedules the script's event (op, a, b, c) for time t.
-func (s *scriptActor) at(t Time, op uint8, a, b, c int32) *Event {
-	return s.k.At(t, s.id(a), op, a, b, c)
+func (s *scriptActor) at(t Time, op uint8, a, b, c int32) {
+	s.k.At(t, s.id(a), op, a, b, c)
 }
 
 // newScript returns a kernel and a scriptActor registered with it.
@@ -117,21 +143,52 @@ func TestKernelNestedScheduling(t *testing.T) {
 	}
 }
 
+// TestKernelCancel: an expired timer does not run, is not counted, and
+// counts as pending until it is popped; expiring twice, or after the
+// timer ran, is a no-op, and re-arming a slot expires its earlier timer.
 func TestKernelCancel(t *testing.T) {
 	k, s := newScript()
-	e := s.at(10, opLog, 0, 0, 0)
-	k.Cancel(e)
-	k.Run(0)
-	if len(s.log) != 0 {
-		t.Fatal("cancelled event ran")
+	s.arm(10, 0, 0)
+	s.expire(0)
+	if k.Pending() != 1 {
+		t.Fatalf("pending = %d, want the expired timer until it is popped", k.Pending())
 	}
-	// Double-cancel and cancel-after-run are no-ops.
-	k.Cancel(e)
-	e2 := s.at(20, opLog, 0, 0, 0)
 	k.Run(0)
-	k.Cancel(e2)
-	if len(s.log) != 1 {
-		t.Fatalf("log = %v, want the one live event", s.log)
+	if len(s.log) != 0 || k.Executed() != 0 || k.Pending() != 0 {
+		t.Fatalf("log = %v, executed %d, pending %d: the expired timer ran, counted or stayed", s.log, k.Executed(), k.Pending())
+	}
+	s.expire(0)
+	s.arm(20, 1, 0)
+	k.Run(0)
+	s.expire(0)
+	if len(s.log) != 1 || s.log[0] != 1 {
+		t.Fatalf("log = %v, want the one live timer", s.log)
+	}
+	s.arm(30, 2, 1)
+	s.arm(40, 3, 1)
+	k.Run(0)
+	if len(s.log) != 2 || s.log[1] != 3 || k.Now() != 40 {
+		t.Fatalf("log = %v at %d, want the re-armed timer alone at 40", s.log, k.Now())
+	}
+}
+
+// TestExpiringOpNeedsExpirer: an OpExpires event whose actor does not
+// implement Expirer is a model bug, refused when it is popped with a
+// report naming the actor's type.
+func TestExpiringOpNeedsExpirer(t *testing.T) {
+	k := NewKernel()
+	ran := false
+	k.AtAct(5, fn(func(int32) { ran = true }), OpExpires|1, 0, 0, 0, nil)
+	v := func() (v any) {
+		defer func() { v = recover() }()
+		k.Run(0)
+		return nil
+	}()
+	if s := fmt.Sprint(v); v == nil || !strings.Contains(s, "*sim.funcActor") || !strings.Contains(s, "Expirer") {
+		t.Fatalf("Run panicked with %v, want a report naming *sim.funcActor and Expirer", v)
+	}
+	if ran {
+		t.Fatal("the event ran")
 	}
 }
 

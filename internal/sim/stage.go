@@ -45,10 +45,8 @@
 //     calendar of its own because a cross-shard event and an own event
 //     of one window can share a timestamp with interleaved seqs: appended
 //     to one bucket they would break its FIFO. Nothing is copied into a
-//     shard's own calendar, so the handle of a same-shard event is final
-//     when it is scheduled; a cross-shard handle is valid until
-//     placement. The staged structs return to their stage's pool when
-//     the stage opens its next window.
+//     shard's own calendar. The staged structs return to their stage's
+//     pool when the stage opens its next window.
 //
 // Outside a window every pending event sits in some calendar under its
 // kernel seq, so the serial loop, PeekTime and Snapshot always see the
@@ -97,13 +95,6 @@ func (k *Kernel) SetNow(t Time) { k.now = t }
 // merge accounts for them).
 func (k *Kernel) AddExecuted(n uint64) { k.nexec += n }
 
-// Rebinder is told where an event landed when SetCalendars moved it to
-// another calendar, so the model can repoint a Cancel handle it holds,
-// the same rewiring Restore's restored callback does.
-type Rebinder interface {
-	Rebind(old, placed *Event)
-}
-
 // stagedSeq tags the seq of a same-shard staged event in its calendar:
 // stagedSeq|rank, rank being its position in the stage's log. No kernel
 // seq reaches the top bit, so a tagged event sorts after every event the
@@ -141,7 +132,7 @@ type Stage struct {
 	seqs []uint64
 
 	// Tail of the last RunWindow: the (time, seq)-maximal processed
-	// event, live or dead, for the executor's until-overshoot quirk. A
+	// event, live or expired, for the executor's until-overshoot quirk. A
 	// staged tail's seq keeps its tag (its kernel seq is assigned only at
 	// the merge).
 	tailAt   Time
@@ -188,18 +179,16 @@ func (st *Stage) StartWindow(k *Kernel, winEnd Time) {
 func (st *Stage) Now() Time { return st.now }
 
 // At stages an event for absolute time t on the actor registered under
-// id and returns its handle, which supports Kernel.Cancel like a directly
-// scheduled event. An event for this stage's shard goes into the shard's
-// own calendar under a tagged seq (stagedSeq), whatever its time: one
-// inside the window runs later in the same RunWindow, and the handle is
-// final. An event for another shard must land at or beyond the window
-// end — the window width is capped at the minimum cross-shard latency
-// (see internal/shard), so scheduling one inside the window is a model
-// ownership bug, and the assertion here is what keeps the window
-// determinism argument mechanized rather than hoped-for. It is a struct
-// from the stage pool, copied into the target's inbox at placement; its
-// handle is valid until then.
-func (st *Stage) At(t Time, id int32, op uint8, a, b, c int32) *Event {
+// id. An event for this stage's shard goes into the shard's own calendar
+// under a tagged seq (stagedSeq), whatever its time: one inside the
+// window runs later in the same RunWindow. An event for another shard
+// must land at or beyond the window end — the window width is capped at
+// the minimum cross-shard latency (see internal/shard), so scheduling one
+// inside the window is a model ownership bug, and the assertion here is
+// what keeps the window determinism argument mechanized rather than
+// hoped-for. It is a struct from the stage pool, copied into the
+// target's inbox at placement.
+func (st *Stage) At(t Time, id int32, op uint8, a, b, c int32) {
 	if t < st.now {
 		panic("sim: event scheduled in the past")
 	}
@@ -228,7 +217,6 @@ func (st *Stage) At(t Time, id int32, op uint8, a, b, c int32) *Event {
 		//hxlint:allow allocfree — each per-target list grows to its per-window high-water count and is reset (not reallocated) every window
 		st.out[tgt] = append(st.out[tgt], stagedOp{e, te, rank})
 	}
-	return e
 }
 
 // Recorder observes every live event RunWindow processes, in execution
@@ -244,13 +232,13 @@ type Recorder interface {
 // loop (peek, popPeeked, unpool) over the shard's own calendar and its
 // inbox, taking the (time, seq)-smaller head of the two, up to the
 // window end. The own calendar's order is the serial kernel's, the
-// events staged inside the window included (see stagedSeq). Dead events
-// are skipped without a record, as the serial pop-dead loop skips them;
-// deadness is read at pop time, so a same-window cancel from an earlier
-// event lands exactly as it would serially. Each processed event, live
-// or dead, updates the tail. The kernel clock is left alone — a window
-// can hold only dead events, for which the serial loop never moves it —
-// and the merge sets it instead.
+// events staged inside the window included (see stagedSeq). Expired
+// events are skipped without a record, as the serial loop skips them;
+// expiry is read at pop time, so an earlier event of the window that
+// expires a later one acts exactly as it would serially. Each processed
+// event, live or expired, updates the tail. The kernel clock is left
+// alone — a window can hold only expired events, for which the serial
+// loop never moves it — and the merge sets it instead.
 func (st *Stage) RunWindow(k *Kernel, rec Recorder) {
 	own, in := st.cal, k.inbox(st.idx)
 	// Nothing enters the inbox during a window, so its head stays put
@@ -275,26 +263,25 @@ func (st *Stage) RunWindow(k *Kernel, rec Recorder) {
 			return
 		}
 		fe := c.popPeeked(e, at)
+		seq, id, op, a, b, cc := e.seq, e.act, e.op, e.a, e.b, e.c
+		c.unpool(fe)
 		if c == in {
 			next, nextAt = in.peek(st.winEnd)
 		}
-		seq, dead := e.seq, e.flags&evDead != 0
+		dead := k.expired(id, op, a, b, cc)
 		st.tailAt, st.tailSeq, st.tailDead, st.hasTail = at, seq, dead, true
 		if dead {
-			c.unpool(fe)
 			continue
 		}
 		// Counting and tracing are the merge's job.
 		st.now = at
-		id, op, a, b, cc := e.act, e.op, e.a, e.b, e.c
-		c.unpool(fe)
 		k.acts[id].Act(op, a, b, cc, nil)
 		rec.Record(at, seq)
 	}
 }
 
 // Tail returns the (time, seq) of the last event this shard processed in
-// its window — live or dead — and whether it was dead. The executor
+// its window — live or expired — and whether it had expired. The executor
 // needs the global (time, seq)-maximal tail across shards for the
 // serial until-overshoot quirk. Call after the merge has stamped this
 // stage's ops (a staged tail's seq is assigned there).
@@ -357,8 +344,8 @@ func (st *Stage) ResetOps() {
 // a merge of their per-target lists, each already in seq order, taken a
 // run at a time: the source with the smallest next seq places everything
 // below the others' next seqs — so each inbox bucket stays a (time, seq)
-// FIFO. A cancelled event is placed dead (it holds its seq, as it did
-// serially). Called by shard t: it reads the stages, which no one writes
+// FIFO. An event that has expired meanwhile is placed all the same (it
+// holds its seq, as it did serially). Called by shard t: it reads the stages, which no one writes
 // until their next window, and writes only shard t's calendar and inbox.
 func (k *Kernel) Place(t int, stages []*Stage) {
 	own := stages[t]
@@ -396,9 +383,7 @@ func (k *Kernel) Place(t int, stages []*Stage) {
 				break
 			}
 			te := o[p].te
-			placed := c.slot(te.at, seq)
-			placed.set(te.act, te.op, te.a, te.b, te.c)
-			placed.flags |= te.flags & evDead
+			c.slot(te.at, seq).set(te.act, te.op, te.a, te.b, te.c)
 		}
 		src[pick].pos, src[pick].head = p, none
 		if p < len(o) {

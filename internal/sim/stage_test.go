@@ -3,7 +3,7 @@ package sim
 // Unit tests for the sharded-execution staging layer: RunWindow's pops
 // from the calendar in (time, seq) order across calendar tiers (dead
 // events and behind-window events included) and clock neutrality, its in-window
-// local execution (same-cycle staging, window-granularity cancels,
+// local execution (same-cycle staging, expiry read at pop time,
 // done-event seq consumption), Stamp's serial-order seq assignment with
 // Place's in-place relabel of the own calendar and its copy into the
 // inbox, and the Stage pool's self-contained struct circulation.
@@ -65,39 +65,39 @@ func TestInjectStagedSerialSeq(t *testing.T) {
 	}
 }
 
-// TestStagedCancelConsumesSeq: Kernel.Cancel works on a staged handle
-// (queued is set at stage time), and the dead event still consumes a seq
-// number at injection — exactly as a cancelled event does serially.
+// TestStagedCancelConsumesSeq: a staged timer that expires before it is
+// placed is placed all the same and skipped at its pop, and it still
+// consumes a seq number at the merge — exactly as an expired timer does
+// serially.
 func TestStagedCancelConsumesSeq(t *testing.T) {
-	k := NewKernel()
-	var log []int32
-	act := logActor{&log}
+	k, s := newScript()
 	st := NewStage(0, 1)
 	st.StartWindow(k, 0)
-	e0 := st.At(10, k.idOf(act), 0, 0, 0, 0)
-	st.At(10, k.idOf(act), 0, 1, 0, 0)
-	k.Cancel(e0)
-	if e0.flags&evDead == 0 {
-		t.Fatal("Cancel on a staged handle did not take")
-	}
+	s.gen[0]++
+	st.At(10, s.id(0), opLogTimer, 0, s.gen[0], 0)
+	st.At(10, s.id(1), opLog, 1, 0, 0)
+	s.expire(0)
 	st.Stamp(k, 2)
 	k.Place(0, []*Stage{st})
+	if k.Pending() != 2 {
+		t.Fatalf("Pending = %d after placement, want 2 (the expired timer too)", k.Pending())
+	}
 	var seqs []uint64
 	k.TraceExec = func(_ Time, seq uint64) { seqs = append(seqs, seq) }
 	k.Run(0)
-	if len(log) != 1 || log[0] != 1 {
+	if log := s.log; len(log) != 1 || log[0] != 1 {
 		t.Fatalf("executed %v, want only the live event", log)
 	}
 	// The live event was staged second, so it carries seq 1: the dead
 	// event consumed seq 0.
 	if len(seqs) != 1 || seqs[0] != 1 {
-		t.Fatalf("live event got seq %v, want [1] (dead staged event must consume a seq)", seqs)
+		t.Fatalf("live event got seq %v, want [1] (the expired staged timer must consume a seq)", seqs)
 	}
 }
 
 // TestDrainWindowMixedTimestamps: a window drains its calendar as it
 // runs — RunWindow pops every event strictly before winEnd in (time, seq)
-// order, across timestamps, out-of-order scheduling, dead events (they
+// order, across timestamps, out-of-order scheduling, expired timers (they
 // hold seq positions and are skipped) and events behind the window —
 // executes the live ones, leaves events at or past winEnd queued, and
 // never touches the clock (the merge advances it per live event). A
@@ -106,7 +106,7 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 	type ev struct {
 		at     Time
 		a      int32
-		cancel bool
+		expire bool // an expired timer
 	}
 	var interleaved []ev
 	for i := int32(0); i < 10; i++ {
@@ -136,7 +136,7 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 		},
 		{
 			name:   "dead_included",
-			sched:  []ev{{at: 5, a: 0}, {at: 5, a: 1, cancel: true}, {at: 5, a: 2}, {at: 9, a: 3, cancel: true}},
+			sched:  []ev{{at: 5, a: 0}, {at: 5, a: 1, expire: true}, {at: 5, a: 2}, {at: 9, a: 3, expire: true}},
 			winEnd: 6,
 			want:   []int32{0, 2},
 		},
@@ -154,22 +154,22 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			k := NewKernel()
-			var log []int32
-			act := logActor{&log}
+			k, s := newScript()
 			if row.behind {
 				// Advance the window far ahead, then rewind the clock (the
 				// executor does this at an until-boundary).
-				k.AtAct(5000, act, 0, 99, 0, 0, nil)
+				s.at(5000, opLog, 99, 0, 0)
 				k.Run(0)
 				k.SetNow(100)
 			}
 			now := k.Now()
 			pending := 0
 			for _, e := range row.sched {
-				h := k.AtAct(e.at, act, 0, e.a, 0, 0, nil)
-				if e.cancel {
-					k.Cancel(h)
+				if e.expire {
+					s.arm(e.at, e.a, 0)
+					s.expire(0)
+				} else {
+					s.at(e.at, opLog, e.a, 0, 0)
 				}
 				if e.at >= row.winEnd {
 					pending++
@@ -178,19 +178,19 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 			st := NewStage(0, 1)
 			run := func(winEnd Time, want []int32) {
 				t.Helper()
-				log = log[:0]
+				s.log = s.log[:0]
 				rec := &windowRecorder{}
 				st.StartWindow(k, winEnd)
 				st.RunWindow(k, rec)
 				if k.Now() != now {
 					t.Fatalf("RunWindow moved the clock %d -> %d; it must not touch it", now, k.Now())
 				}
-				if len(log) != len(want) {
-					t.Fatalf("executed %v, want %v", log, want)
+				if len(s.log) != len(want) {
+					t.Fatalf("executed %v, want %v", s.log, want)
 				}
 				for i := range want {
-					if log[i] != want[i] {
-						t.Fatalf("executed %v, want %v", log, want)
+					if s.log[i] != want[i] {
+						t.Fatalf("executed %v, want %v", s.log, want)
 					}
 				}
 				for i := 1; i < len(rec.ats); i++ {
@@ -212,40 +212,41 @@ func TestDrainWindowMixedTimestamps(t *testing.T) {
 	}
 }
 
-// TestDrainWindowCancelDrained: an event of the window that is still in
-// its calendar when an earlier event of the same window cancels it is
-// skipped — RunWindow reads deadness when it pops an event, as the serial
-// loop does. This is how an earlier-in-window event's cancel lands under
-// the windowed executor.
+// TestDrainWindowCancelDrained: a timer of the window that is still in
+// its calendar when an earlier event of the same window expires it is
+// skipped — RunWindow asks whether an event has expired when it pops it,
+// as the serial loop does. This is how an earlier-in-window event's
+// expiry lands under the windowed executor.
 func TestDrainWindowCancelDrained(t *testing.T) {
-	k := NewKernel()
-	var log []int32
-	act := logActor{&log}
-	var victim *Event
-	k.AtAct(5, fn(func(int32) { k.Cancel(victim) }), 0, 0, 0, 0, nil)
-	k.AtAct(5, act, 0, 0, 0, 0, nil)
-	victim = k.AtAct(6, act, 0, 1, 0, 0, nil)
-	k.AtAct(7, act, 0, 2, 0, 0, nil)
+	k, s := newScript()
+	s.at(5, opExpire, -1, 0, 0)
+	s.at(5, opLog, 0, 0, 0)
+	s.arm(6, 1, 0)
+	s.at(7, opLog, 2, 0, 0)
 	st := NewStage(0, 1)
 	st.StartWindow(k, 10)
 	st.RunWindow(k, &windowRecorder{})
-	if len(log) != 2 || log[0] != 0 || log[1] != 2 {
-		t.Fatalf("executed %v, want [0 2] (the event cancelled mid-window skipped)", log)
+	if log := s.log; len(log) != 3 || log[0] != -1 || log[1] != 0 || log[2] != 2 {
+		t.Fatalf("executed %v, want [-1 0 2] (the timer expired mid-window skipped)", log)
 	}
 	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d after the window, want 0 (the dead event is popped too)", k.Pending())
+		t.Fatalf("Pending = %d after the window, want 0 (the expired timer is popped too)", k.Pending())
 	}
 }
 
 // windowActor is a Sharded actor that logs its a operand and stages
 // follow-up events on its stage according to a spawn table, exercising
-// RunWindow's in-window local execution path.
+// RunWindow's in-window local execution path. Its expiring events carry
+// a generation in b and have expired once gen has moved on.
 type windowActor struct {
 	k     *Kernel
 	st    *Stage
 	log   *[]int32
 	spawn map[int32][]Time // a operand -> follow-up event times (staged as a+100, a+200, ...)
+	gen   int32
 }
+
+func (w *windowActor) Expired(_ uint8, _, b, _ int32) bool { return b != w.gen }
 
 func (w *windowActor) Act(_ uint8, a, _, _ int32, _ any) {
 	*w.log = append(*w.log, a)
@@ -413,7 +414,7 @@ func TestPlaceInterleavesOwnAndInbox(t *testing.T) {
 				k.TraceExec = func(at Time, seq uint64) { trace = append(trace, [2]uint64{uint64(at), seq}) }
 				h := &hopActor{k: k, spawn: row.spawn, at: at}
 				if windowed {
-					k.SetCalendars(2, nil)
+					k.SetCalendars(2)
 					h.stages = []*Stage{NewStage(0, 2), NewStage(1, 2)}
 				}
 				h.base = k.Register(h, 2)
@@ -440,10 +441,10 @@ func TestPlaceInterleavesOwnAndInbox(t *testing.T) {
 	}
 }
 
-// TestRunWindowCancelStaged: Kernel.Cancel on a staged handle before its
-// in-window execution point makes RunWindow skip it without a record —
+// TestRunWindowCancelStaged: a staged timer that expires before its
+// in-window execution point is skipped by RunWindow without a record —
 // it still becomes the tail and still consumes a seq at the merge's
-// replay, exactly as a cancelled event does serially.
+// replay, exactly as an expired timer does serially.
 func TestRunWindowCancelStaged(t *testing.T) {
 	k := NewKernel()
 	var log []int32
@@ -452,23 +453,24 @@ func TestRunWindowCancelStaged(t *testing.T) {
 	k.AtAct(5, w, 0, 0, 0, 0, nil)
 	st.StartWindow(k, 10)
 	st.now = 5
-	victim := st.At(8, k.idOf(w), 0, 50, 0, 0)
-	k.Cancel(victim)
+	st.At(8, k.idOf(w), OpExpires, 50, w.gen, 0)
+	w.gen++
 	rec := &windowRecorder{}
 	st.RunWindow(k, rec)
 	if len(log) != 1 || log[0] != 0 {
 		t.Fatalf("executed %v, want only the calendar event", log)
 	}
 	if len(rec.ats) != 1 {
-		t.Fatalf("recorded %d events, want 1 (dead staged event skipped without a record)", len(rec.ats))
+		t.Fatalf("recorded %d events, want 1 (expired staged timer skipped without a record)", len(rec.ats))
 	}
-	// The dead in-window event is done: Stamp assigns it a seq but
+	// The expired in-window timer is done: Stamp assigns it a seq but
 	// placement never re-enqueues it.
-	seqBefore := k.AtAct(100, w, 0, 9, 0, 0, nil).seq
+	seqBefore := k.seq
+	k.AtAct(100, w, 0, 9, 0, 0, nil)
 	st.Stamp(k, st.StagedLen())
 	at, _, dead, ok := st.Tail()
 	if !ok || at != 8 || !dead {
-		t.Fatalf("Tail = (%d, dead=%v, ok=%v), want the dead staged event at t=8", at, dead, ok)
+		t.Fatalf("Tail = (%d, dead=%v, ok=%v), want the expired staged timer at t=8", at, dead, ok)
 	}
 	k.Place(0, []*Stage{st})
 	if k.Pending() != 1 {
@@ -478,7 +480,7 @@ func TestRunWindowCancelStaged(t *testing.T) {
 		t.Fatalf("done event got seq %d, want %d (must consume the next kernel seq)", got, seqBefore+1)
 	}
 	if _, seq, _, _ := st.Tail(); seq != seqBefore+1 {
-		t.Fatalf("Tail seq = %d, want the dead event's stamped seq %d", seq, seqBefore+1)
+		t.Fatalf("Tail seq = %d, want the expired timer's stamped seq %d", seq, seqBefore+1)
 	}
 	st.ResetOps()
 }
@@ -507,8 +509,8 @@ func TestInjectStagedDoneNoEnqueue(t *testing.T) {
 	if got := st.Seq(stagedSeq | 0); got != 0 {
 		t.Fatalf("done event seq = %d, want 0 (first kernel seq)", got)
 	}
-	if next := k.AtAct(20, w, 0, 8, 0, 0, nil); next.seq != 1 {
-		t.Fatalf("next kernel seq = %d, want 1 (done event consumed seq 0)", next.seq)
+	if k.seq != 1 {
+		t.Fatalf("next kernel seq = %d, want 1 (done event consumed seq 0)", k.seq)
 	}
 	st.ResetOps()
 	if len(st.free) != pool {
